@@ -622,7 +622,7 @@ func BenchmarkAblation_StoreFullScanFilter(b *testing.B) {
 	}
 }
 
-// --- E14: ID-space query engine vs the legacy term-space evaluator ---
+// --- E14: the ID-space executor vs the term-space reference evaluator ---
 
 // The evaluator is the innermost loop of every synthetic endpoint, so E1,
 // E2, E8 and E12 all inherit this speedup; E14 isolates it on three query
@@ -669,7 +669,7 @@ var e14Mixes = []struct {
 	}},
 }
 
-func benchE14(b *testing.B, queries []string, engine sparql.Engine) {
+func benchE14(b *testing.B, queries []string, run func(*sparql.Query, store.Queryable) (*sparql.Result, error)) {
 	st, class, class2 := e14Store(b)
 	parsed := make([]*sparql.Query, len(queries))
 	for i, q := range queries {
@@ -680,7 +680,7 @@ func benchE14(b *testing.B, queries []string, engine sparql.Engine) {
 	b.ResetTimer()
 	rows := 0
 	for i := 0; i < b.N; i++ {
-		res, err := parsed[i%len(parsed)].ExecEngine(st, engine)
+		res, err := run(parsed[i%len(parsed)], st)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -694,8 +694,8 @@ func benchE14(b *testing.B, queries []string, engine sparql.Engine) {
 func BenchmarkE14_QueryEngine(b *testing.B) {
 	for _, mix := range e14Mixes {
 		mix := mix
-		b.Run(mix.name+"/idspace", func(b *testing.B) { benchE14(b, mix.queries, sparql.EngineIDSpace) })
-		b.Run(mix.name+"/legacy", func(b *testing.B) { benchE14(b, mix.queries, sparql.EngineLegacy) })
+		b.Run(mix.name+"/exec", func(b *testing.B) { benchE14(b, mix.queries, (*sparql.Query).Exec) })
+		b.Run(mix.name+"/reference", func(b *testing.B) { benchE14(b, mix.queries, (*sparql.Query).ExecReference) })
 	}
 }
 
@@ -1149,7 +1149,7 @@ func BenchmarkE18_FullSortMaterialized(b *testing.B) {
 	b.ResetTimer()
 	var liveKB float64
 	for i := 0; i < b.N; i++ {
-		res, err := q.ExecEngine(st, sparql.EngineIDSpace)
+		res, err := q.Exec(st)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -17,11 +17,13 @@
 //
 // The query layer (internal/sparql over internal/store) compiles each
 // query into an ID-space plan: solution rows are flat slot arrays of
-// interned store IDs in a packed arena, joins run on sorted posting
-// lists through a lock-once store.Reader, and terms materialize only at
-// projection and expression boundaries. The original term-space
-// evaluator survives as the EngineLegacy fallback and differential-test
-// reference.
+// interned store IDs, joins run depth-first on sorted posting lists
+// through a lock-once store.Reader, and terms materialize only at
+// projection and expression boundaries. One push pipeline evaluates
+// every plan — Exec, Stream and Explain differ only in where the rows
+// go — and the original term-space evaluator survives as
+// Query.ExecReference, the oracle of the differential and conformance
+// suites.
 //
 // Queries execute through a context-aware streaming surface:
 // endpoint.Client carries the caller's deadline and cancellation to the

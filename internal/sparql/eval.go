@@ -1,7 +1,13 @@
 package sparql
 
+// The term-space reference evaluator: the pattern algebra joined over
+// map-based Bindings, straight from the parsed AST with no plan, no slots
+// and no ID space. It shares nothing with the executor's join and sink
+// code, which is what makes it the oracle the differential and
+// conformance suites compare the executor against. The grouping, sorting
+// and deduplication helpers further down serve both.
+
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -10,65 +16,10 @@ import (
 	"repro/internal/store"
 )
 
-// Result holds the outcome of query execution.
-type Result struct {
-	// Vars is the projected variable list, in projection order.
-	Vars []string
-	// Rows are the solution bindings. Unbound projected variables are
-	// simply missing from the map.
-	Rows []Binding
-	// Ask is true for ASK queries, in which case Boolean holds the answer
-	// and Vars/Rows are empty.
-	Ask     bool
-	Boolean bool
-	// Graph holds the result of a CONSTRUCT query (nil otherwise).
-	Graph *rdf.Graph
-}
-
-// Exec parses and executes a query against any storage tier.
-func Exec(st store.Queryable, query string) (*Result, error) {
-	q, err := Parse(query)
-	if err != nil {
-		return nil, err
-	}
-	return q.Exec(st)
-}
-
-// Engine selects the evaluation strategy.
-type Engine uint8
-
-// Available engines.
-const (
-	// EngineAuto runs the ID-space engine, falling back to the legacy
-	// term-space evaluator for queries it cannot plan.
-	EngineAuto Engine = iota
-	// EngineIDSpace forces the compiled ID-space engine (exec.go).
-	EngineIDSpace
-	// EngineLegacy forces the term-space evaluator that joins map-based
-	// Bindings; kept as the fallback and as the differential-testing
-	// reference.
-	EngineLegacy
-)
-
-// Exec executes the parsed query against st with the default engine.
-func (q *Query) Exec(st store.Queryable) (*Result, error) {
-	return q.ExecEngine(st, EngineAuto)
-}
-
-// ExecEngine executes the parsed query with an explicit engine choice.
-func (q *Query) ExecEngine(st store.Queryable, engine Engine) (*Result, error) {
-	if engine == EngineLegacy {
-		return q.execLegacy(st)
-	}
-	res, err := q.execID(st)
-	if engine == EngineAuto && errors.Is(err, errUnsupportedPlan) {
-		return q.execLegacy(st)
-	}
-	return res, err
-}
-
-// execLegacy executes the query on the term-space evaluator.
-func (q *Query) execLegacy(st store.Queryable) (*Result, error) {
+// ExecReference executes the query on the term-space reference evaluator.
+// It materializes every intermediate solution set and ignores contexts:
+// it exists for tests and is not reachable from any serving path.
+func (q *Query) ExecReference(st store.Queryable) (*Result, error) {
 	ev := &evaluator{st: st}
 	sols := ev.evalGroup(q.Where, []Binding{{}})
 

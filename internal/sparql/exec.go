@@ -1,22 +1,68 @@
 package sparql
 
 // The ID-space executor. Solution rows are flat []store.ID slices of
-// length nslots, packed back to back in a growing arena ([]store.ID with a
-// stride), so the join inner loops allocate no per-row maps and compare
-// variables with uint32 equality. Joins run as index nested loops over the
-// store's sorted posting lists (fully-bound patterns degrade to a binary
-// search — a merge against the sorted list), with a hash join taking over
-// when a large row set joins a pattern on a single variable. Terms are
-// materialized only at projection, FILTER/BIND/ORDER BY expression
-// evaluation, and result serialization.
+// length nslots, so the join inner loop (stream.go) allocates no per-row
+// maps and compares variables with uint32 equality. Joins run as
+// depth-first index nested loops over the store's sorted posting lists
+// (fully-bound patterns degrade to a binary search — a merge against the
+// sorted list). Terms are materialized only at projection,
+// FILTER/BIND/ORDER BY expression evaluation, and result serialization.
+//
+// There is one evaluator of compiled plans: Exec, Stream and Explain all
+// compile a plan and run it through the same push pipeline; they differ
+// only in where the finished Bindings go. Every solution modifier is a
+// sink on that pipeline, chosen from the query's own shape.
 
 import (
+	"context"
 	"sort"
-	"time"
 
+	"repro/internal/obs"
 	"repro/internal/rdf"
 	"repro/internal/store"
 )
+
+// Result holds the outcome of query execution.
+type Result struct {
+	// Vars is the projected variable list, in projection order.
+	Vars []string
+	// Rows are the solution bindings. Unbound projected variables are
+	// simply missing from the map.
+	Rows []Binding
+	// Ask is true for ASK queries, in which case Boolean holds the answer
+	// and Vars/Rows are empty.
+	Ask     bool
+	Boolean bool
+	// Graph holds the result of a CONSTRUCT query (nil otherwise).
+	Graph *rdf.Graph
+}
+
+// Exec parses and executes a query against any storage tier.
+func Exec(st store.Queryable, query string) (*Result, error) {
+	q, err := Parse(query)
+	if err != nil {
+		return nil, err
+	}
+	return q.Exec(st)
+}
+
+// Exec executes the parsed query against st, draining the pipeline
+// straight into a materialized Result.
+func (q *Query) Exec(st store.Queryable) (*Result, error) {
+	p, err := q.compile(st)
+	if err != nil {
+		return nil, err
+	}
+	var rows []Binding
+	err = p.run(context.Background(), nil, nil, func(b Binding) bool {
+		rows = append(rows, b)
+		return true
+	})
+	if err != nil {
+		return nil, err
+	}
+	return p.result(rows), nil
+}
 
 // rowbuf is a packed set of solution rows: n rows of stride IDs each,
 // stored contiguously. The zero ID (store.NoID) marks an unbound slot.
@@ -34,12 +80,6 @@ func (rb *rowbuf) row(i int) []store.ID {
 func (rb *rowbuf) add(r []store.ID) {
 	rb.data = append(rb.data, r...)
 	rb.n++
-}
-
-// appendAll appends every row of other.
-func (rb *rowbuf) appendAll(other *rowbuf) {
-	rb.data = append(rb.data, other.data[:other.n*other.stride]...)
-	rb.n += other.n
 }
 
 // window restricts the buffer to rows [offset, offset+limit); limit < 0
@@ -60,9 +100,10 @@ func (rb *rowbuf) window(offset, limit int) *rowbuf {
 	return rb
 }
 
-// idExec executes a compiled plan. It owns the executor-local dictionary
-// for terms the store has never seen (BIND results, VALUES constants) and
-// the scratch buffers reused across the hot loops.
+// idExec is the executor state a compiled plan is bound to: one store
+// snapshot, the executor-local dictionary for terms the store has never
+// seen (BIND results, VALUES constants) and the scratch Binding reused for
+// expression evaluation.
 type idExec struct {
 	rd       store.ReaderAPI
 	maxStore store.ID // highest store-issued ID; larger IDs are local
@@ -71,13 +112,8 @@ type idExec struct {
 	localIDs map[rdf.Term]store.ID
 
 	nslots  int
-	names   []string   // slot → variable name
-	scratch Binding    // reusable binding for expression evaluation
-	joinRow []store.ID // reusable row assembled during joins
-
-	// prof collects the per-node EXPLAIN profile; nil (the default)
-	// keeps every hook to a single pointer check per node invocation.
-	prof *profiler
+	names   []string // slot → variable name
+	scratch Binding  // reusable binding for expression evaluation
 }
 
 func newIDExec(st store.Queryable) *idExec {
@@ -129,246 +165,7 @@ func (e *idExec) bindScratch(vars []varslot, r []store.ID) Binding {
 	return b
 }
 
-// --- pattern evaluation ---
-
-// evalGroup evaluates a compiled group. budget limits the number of rows
-// the group needs to produce (LIMIT pushdown); -1 means unlimited. The
-// budget only reaches the final join step and only when no filter could
-// later drop rows.
-func (e *idExec) evalGroup(g *cgroup, in *rowbuf, budget int) *rowbuf {
-	rows := in
-	if len(g.filters) > 0 {
-		budget = -1
-	}
-	for i, el := range g.elems {
-		b := -1
-		if i == len(g.elems)-1 {
-			b = budget
-		}
-		if e.prof != nil {
-			end := e.prof.node(el, int64(rows.n))
-			rows = e.evalNode(el, rows, b)
-			end(int64(rows.n))
-		} else {
-			rows = e.evalNode(el, rows, b)
-		}
-		if rows.n == 0 {
-			break
-		}
-	}
-	if len(g.filters) > 0 && rows.n > 0 {
-		var endFilter func(int64)
-		if e.prof != nil {
-			endFilter = e.prof.filterStep(g, int64(rows.n))
-		}
-		out := &rowbuf{stride: rows.stride}
-		for i := 0; i < rows.n; i++ {
-			r := rows.row(i)
-			keep := true
-			for _, f := range g.filters {
-				ok, err := evalBool(f.expr, e.bindScratch(f.vars, r))
-				if err != nil || !ok {
-					keep = false
-					break
-				}
-			}
-			if keep {
-				out.add(r)
-			}
-		}
-		rows = out
-		if endFilter != nil {
-			endFilter(int64(rows.n))
-		}
-	}
-	return rows
-}
-
-func (e *idExec) evalNode(n cnode, in *rowbuf, budget int) *rowbuf {
-	switch x := n.(type) {
-	case *cBGP:
-		return e.evalBGP(x, in, budget)
-	case *cgroup:
-		return e.evalGroup(x, in, budget)
-	case *cOptional:
-		out := &rowbuf{stride: in.stride}
-		one := &rowbuf{stride: in.stride, n: 1}
-		for i := 0; i < in.n; i++ {
-			r := in.row(i)
-			one.data = r
-			ext := e.evalGroup(x.inner, one, -1)
-			if ext.n == 0 {
-				out.add(r)
-			} else {
-				out.appendAll(ext)
-			}
-		}
-		return out
-	case *cUnion:
-		l := e.evalGroup(x.left, in, -1)
-		r := e.evalGroup(x.right, in, -1)
-		out := &rowbuf{stride: in.stride}
-		out.appendAll(l)
-		out.appendAll(r)
-		return out
-	case *cMinus:
-		empty := &rowbuf{stride: in.stride, data: make([]store.ID, in.stride), n: 1}
-		right := e.evalGroup(x.inner, empty, -1)
-		out := &rowbuf{stride: in.stride}
-		for i := 0; i < in.n; i++ {
-			r := in.row(i)
-			removed := false
-			for j := 0; j < right.n && !removed; j++ {
-				rr := right.row(j)
-				shared, equal := false, true
-				for s := 0; s < in.stride; s++ {
-					if r[s] != store.NoID && rr[s] != store.NoID {
-						shared = true
-						if r[s] != rr[s] {
-							equal = false
-							break
-						}
-					}
-				}
-				removed = shared && equal
-			}
-			if !removed {
-				out.add(r)
-			}
-		}
-		return out
-	case *cBind:
-		out := &rowbuf{stride: in.stride}
-		for i := 0; i < in.n; i++ {
-			r := in.row(i)
-			nr := e.joinRow[:in.stride]
-			copy(nr, r)
-			if t, err := evalExpr(x.expr, e.bindScratch(x.vars, r)); err == nil {
-				nr[x.slot] = e.intern(t)
-			}
-			out.add(nr)
-		}
-		return out
-	case *cValues:
-		out := &rowbuf{stride: in.stride}
-		for i := 0; i < in.n; i++ {
-			r := in.row(i)
-			for _, vr := range x.rows {
-				nr := e.joinRow[:in.stride]
-				copy(nr, r)
-				ok := true
-				for j, slot := range x.slots {
-					v := vr[j]
-					if v == store.NoID {
-						continue // UNDEF
-					}
-					if cur := nr[slot]; cur != store.NoID {
-						if cur != v {
-							ok = false
-							break
-						}
-					} else {
-						nr[slot] = v
-					}
-				}
-				if ok {
-					out.add(nr)
-				}
-			}
-		}
-		return out
-	}
-	return &rowbuf{stride: in.stride}
-}
-
-// evalBGP joins the compiled triple patterns with greedy selectivity
-// ordering. Cardinality estimates are memoized per pattern and only
-// recomputed when the pattern's bound-variable signature changes.
-func (e *idExec) evalBGP(b *cBGP, in *rowbuf, budget int) *rowbuf {
-	n := len(b.pats)
-	if n == 0 {
-		return in
-	}
-	bound := make([]bool, e.nslots)
-	if in.n > 0 {
-		for s, v := range in.row(0) {
-			if v != store.NoID {
-				bound[s] = true
-			}
-		}
-	}
-	type est struct {
-		card  int
-		sig   uint8
-		valid bool
-	}
-	ests := make([]est, n)
-	used := make([]bool, n)
-	order := make([]int, 0, n)
-	for len(order) < n {
-		first := len(order) == 0
-		best, bestCard, bestConn := -1, 0, false
-		for i := range b.pats {
-			if used[i] {
-				continue
-			}
-			p := &b.pats[i]
-			conn := first
-			for _, s := range p.slots {
-				if bound[s] {
-					conn = true
-					break
-				}
-			}
-			sig := boundSig(p, bound)
-			if !ests[i].valid || ests[i].sig != sig {
-				ests[i] = est{card: e.estimate(p, bound), sig: sig, valid: true}
-			}
-			if best == -1 || (conn && !bestConn) || (conn == bestConn && ests[i].card < bestCard) {
-				best, bestCard, bestConn = i, ests[i].card, conn
-			}
-		}
-		used[best] = true
-		order = append(order, best)
-		for _, s := range b.pats[best].slots {
-			bound[s] = true
-		}
-	}
-	rows := in
-	for k, idx := range order {
-		bgt := -1
-		if k == n-1 {
-			bgt = budget
-		}
-		if e.prof != nil {
-			end := e.prof.pattern(&b.pats[idx], k+1, int64(rows.n))
-			rows = e.joinPattern(&b.pats[idx], rows, bgt)
-			end(int64(rows.n))
-		} else {
-			rows = e.joinPattern(&b.pats[idx], rows, bgt)
-		}
-		if rows.n == 0 {
-			return rows
-		}
-	}
-	return rows
-}
-
-// boundSig fingerprints which of the pattern's variable positions are
-// bound; the memoized cardinality estimate is invalidated when it changes.
-func boundSig(p *cpattern, bound []bool) uint8 {
-	var sig uint8
-	if p.s.isVar() && bound[p.s.slot] {
-		sig |= 1
-	}
-	if p.p.isVar() && bound[p.p.slot] {
-		sig |= 2
-	}
-	if p.o.isVar() && bound[p.o.slot] {
-		sig |= 4
-	}
-	return sig
-}
+// --- join support ---
 
 // estimate returns the expected number of matches of p given the current
 // bound set: the exact index cardinality over the constant positions,
@@ -414,64 +211,6 @@ func divClamp(a, b int) int {
 	return a
 }
 
-// hashJoinMinRows is the input size above which joining through a hash
-// table on the shared variable is considered instead of per-row index
-// probes.
-const hashJoinMinRows = 64
-
-// joinPattern extends every input row with the matches of p. The inner
-// loop works purely on IDs: a fully-bound pattern is a binary search on
-// the sorted SPO postings, otherwise the pattern probes the best
-// permutation index, and large single-variable joins go through a hash
-// table built from one index scan.
-func (e *idExec) joinPattern(p *cpattern, in *rowbuf, budget int) *rowbuf {
-	out := &rowbuf{stride: in.stride}
-	if in.n == 0 {
-		return out
-	}
-	if budget < 0 && in.n >= hashJoinMinRows {
-		if hj := e.tryHashJoin(p, in); hj != nil {
-			return hj
-		}
-	}
-	for i := 0; i < in.n; i++ {
-		r := in.row(i)
-		var pat store.IDPattern
-		sConc := resolvePos(p.s, r, &pat.S)
-		pConc := resolvePos(p.p, r, &pat.P)
-		oConc := resolvePos(p.o, r, &pat.O)
-		if pat.S > e.maxStore || pat.P > e.maxStore || pat.O > e.maxStore {
-			continue // locally-interned term: cannot match the store
-		}
-		if sConc && pConc && oConc {
-			if e.rd.HasID(pat.S, pat.P, pat.O) {
-				out.add(r)
-				if budget >= 0 && out.n >= budget {
-					return out
-				}
-			}
-			continue
-		}
-		stop := false
-		e.rd.MatchIDs(pat, func(s, pp, o store.ID) bool {
-			nr := e.joinRow[:in.stride]
-			copy(nr, r)
-			if bindPos(p.s, s, nr) && bindPos(p.p, pp, nr) && bindPos(p.o, o, nr) {
-				out.add(nr)
-				if budget >= 0 && out.n >= budget {
-					stop = true
-					return false
-				}
-			}
-			return true
-		})
-		if stop {
-			break
-		}
-	}
-	return out
-}
-
 // resolvePos writes the concrete ID of a pattern position (constant or
 // row-bound variable) into dst, reporting whether the position is
 // concrete for this row.
@@ -498,92 +237,6 @@ func bindPos(t cterm, v store.ID, r []store.ID) bool {
 	}
 	r[t.slot] = v
 	return true
-}
-
-// tryHashJoin joins in ⋈ p through a hash table on the single shared
-// variable. It applies when the pattern has exactly one row-bound
-// variable position (bound in every row), every other variable position is
-// unbound in every row, and one scan of the pattern is cheaper than
-// probing the index once per row. It returns nil when it does not apply.
-func (e *idExec) tryHashJoin(p *cpattern, in *rowbuf) *rowbuf {
-	terms := [3]cterm{p.s, p.p, p.o}
-	var pat store.IDPattern
-	patPos := [3]*store.ID{&pat.S, &pat.P, &pat.O}
-	joinPos := -1
-	var freePos []int
-	r0 := in.row(0)
-	for i, t := range terms {
-		if !t.isVar() {
-			if t.id > e.maxStore {
-				return &rowbuf{stride: in.stride} // dead constant: no matches
-			}
-			*patPos[i] = t.id
-			continue
-		}
-		if r0[t.slot] != store.NoID {
-			if joinPos >= 0 {
-				return nil // two bound positions: existence probes are cheap
-			}
-			joinPos = i
-		} else {
-			freePos = append(freePos, i)
-		}
-	}
-	if joinPos < 0 || len(freePos) == 0 {
-		return nil
-	}
-	joinSlot := terms[joinPos].slot
-	for _, fi := range freePos {
-		if terms[fi].slot == joinSlot {
-			return nil
-		}
-	}
-	if len(freePos) == 2 && terms[freePos[0]].slot == terms[freePos[1]].slot {
-		return nil // repeated free variable: nested loop handles unification
-	}
-	// the static classification must hold for every row, not just the first
-	for i := 0; i < in.n; i++ {
-		r := in.row(i)
-		if r[joinSlot] == store.NoID {
-			return nil
-		}
-		for _, fi := range freePos {
-			if r[terms[fi].slot] != store.NoID {
-				return nil
-			}
-		}
-	}
-	scan := e.rd.CardinalityIDs(pat)
-	if scan > in.n*8 {
-		return nil // building the table would cost more than probing
-	}
-	w := len(freePos)
-	table := make(map[store.ID][]store.ID, scan/2+1)
-	var vals [3]store.ID
-	e.rd.MatchIDs(pat, func(s, pp, o store.ID) bool {
-		vals[0], vals[1], vals[2] = s, pp, o
-		jv := vals[joinPos]
-		tuple := table[jv]
-		for _, fi := range freePos {
-			tuple = append(tuple, vals[fi])
-		}
-		table[jv] = tuple
-		return true
-	})
-	out := &rowbuf{stride: in.stride}
-	for i := 0; i < in.n; i++ {
-		r := in.row(i)
-		tuples := table[r[joinSlot]]
-		for k := 0; k < len(tuples); k += w {
-			nr := e.joinRow[:in.stride]
-			copy(nr, r)
-			for j, fi := range freePos {
-				nr[terms[fi].slot] = tuples[k+j]
-			}
-			out.add(nr)
-		}
-	}
-	return out
 }
 
 // --- result shaping ---
@@ -675,36 +328,24 @@ func (e *idExec) sortRows(rb *rowbuf, conds []OrderCond, condVars [][]varslot) {
 	rb.data = sorted
 }
 
+// bindAll materializes every bound variable of a row — what SELECT *,
+// CONSTRUCT templates and the general aggregation see.
+func (e *idExec) bindAll(r []store.ID) Binding {
+	b := make(Binding, len(r))
+	for s, v := range r {
+		if v != store.NoID {
+			b[e.names[s]] = e.term(v)
+		}
+	}
+	return b
+}
+
 // materializeAll converts rows into Bindings over every bound variable —
 // the serialization boundary.
 func (e *idExec) materializeAll(rb *rowbuf) []Binding {
 	out := make([]Binding, rb.n)
-	for i := 0; i < rb.n; i++ {
-		r := rb.row(i)
-		b := make(Binding, rb.stride)
-		for s, v := range r {
-			if v != store.NoID {
-				b[e.names[s]] = e.term(v)
-			}
-		}
-		out[i] = b
-	}
-	return out
-}
-
-// materializeProj converts rows into Bindings restricted to the projected
-// variables (slot -1 = never bound).
-func (e *idExec) materializeProj(rb *rowbuf, vars []string, slots []int) []Binding {
-	out := make([]Binding, rb.n)
-	for i := 0; i < rb.n; i++ {
-		r := rb.row(i)
-		b := make(Binding, len(vars))
-		for j, s := range slots {
-			if s >= 0 && r[s] != store.NoID {
-				b[vars[j]] = e.term(r[s])
-			}
-		}
-		out[i] = b
+	for i := range out {
+		out[i] = e.bindAll(rb.row(i))
 	}
 	return out
 }
@@ -718,309 +359,365 @@ type aliasProj struct {
 	slot int
 }
 
-// freeze finalizes the slot table: no variable may be assigned a slot
-// after this.
-func (e *idExec) freeze(comp *compiler) {
-	e.nslots = comp.slots.count()
-	e.names = comp.slots.names
-	e.joinRow = make([]store.ID, e.nslots)
+// selectVars is the variable list of an explicit SELECT clause.
+func (q *Query) selectVars() []string {
+	vars := make([]string, len(q.Select))
+	for i, it := range q.Select {
+		vars[i] = it.Var
+	}
+	return vars
 }
 
-// resolveSelect resolves ORDER BY references and projection aliases,
-// freezes the slot table, and computes the projected variable list and
-// slots — the projection surface shared by the batch (execID) and
-// streaming (Stream) non-grouped SELECT paths, kept in one place so the
-// two cannot drift apart.
-func (q *Query) resolveSelect(comp *compiler, ex *idExec) (aliases []aliasProj, vars []string, projSlots []int, obVars [][]varslot) {
-	for _, c := range q.OrderBy {
-		obVars = append(obVars, comp.exprVars(c.Expr))
-	}
-	for _, it := range q.Select {
-		if it.Expr != nil {
-			aliases = append(aliases, aliasProj{expr: it.Expr, vars: comp.exprVars(it.Expr), slot: comp.slots.slot(it.Var)})
-		}
-	}
-	ex.freeze(comp)
-	if q.Star {
-		vars = q.starVars()
-	} else {
-		vars = make([]string, len(q.Select))
-		for i, it := range q.Select {
-			vars[i] = it.Var
-		}
-	}
-	projSlots = make([]int, len(vars))
-	for i, v := range vars {
-		projSlots[i] = comp.slots.lookup(v)
-	}
-	return aliases, vars, projSlots, obVars
+// plan is a query compiled against one store snapshot: the pattern tree,
+// the projection surface of a non-grouped SELECT, and the streaming
+// aggregation spec when the grouping surface has one.
+type plan struct {
+	q    *Query
+	ex   *idExec
+	root *cgroup
+	vars []string // projected variables (SELECT)
+
+	aliases   []aliasProj
+	projSlots []int // slot per projected variable; -1 = never bound
+	obVars    [][]varslot
+
+	grouped bool           // GROUP BY / HAVING / aggregate projections
+	agg     *streamAggSpec // non-nil: the grouping folds into the streaming hash-group
+	gslots  []int
+
+	// answers of the non-SELECT forms, set by run
+	boolean bool
+	graph   *rdf.Graph
 }
 
-// execID runs the query through the ID-space engine.
-func (q *Query) execID(st store.Queryable) (*Result, error) {
-	return q.execIDProf(st, nil)
-}
-
-// execIDProf is execID with an optional EXPLAIN profiler attached: prof
-// (when non-nil) receives the planning time, the annotated plan tree and
-// the top-level stage sequence.
-func (q *Query) execIDProf(st store.Queryable, prof *profiler) (*Result, error) {
+// compile lowers the query against a snapshot of st. ORDER BY references
+// and projection aliases are resolved before the slot table freezes, so
+// every variable the sinks touch has a slot.
+func (q *Query) compile(st store.Queryable) (*plan, error) {
 	ex := newIDExec(st)
-	ex.prof = prof
 	comp := &compiler{ex: ex, slots: newSlotmap()}
-	var planT0 time.Time
-	if prof != nil {
-		planT0 = time.Now()
-	}
 	root, err := comp.group(q.Where)
 	if err != nil {
 		return nil, err
 	}
-
-	needsGroup := q.needsGrouping()
-
-	var aliases []aliasProj
-	var vars []string
-	var projSlots []int
-	var obVars [][]varslot
-	if q.Form == FormSelect && !needsGroup {
-		aliases, vars, projSlots, obVars = q.resolveSelect(comp, ex)
-	} else {
-		ex.freeze(comp)
-	}
-	if prof != nil {
-		prof.planNs = time.Since(planT0).Nanoseconds()
-		prof.build(root, ex)
-	}
-
-	// LIMIT pushdown for modifier-free evaluation: nothing downstream can
-	// reorder or drop rows, so the final join may stop early.
-	budget := -1
+	p := &plan{q: q, ex: ex, root: root, grouped: q.needsGrouping()}
 	switch {
-	case q.Form == FormAsk:
-		budget = 1
-	case q.Form == FormConstruct && q.Limit >= 0:
-		budget = q.Offset + q.Limit
-	case q.Form == FormSelect && q.Limit >= 0 && !needsGroup &&
-		len(q.OrderBy) == 0 && !q.Distinct && !q.Reduced:
-		budget = q.Offset + q.Limit
-	}
-
-	in := &rowbuf{stride: ex.nslots, data: make([]store.ID, ex.nslots), n: 1}
-	endWhere := prof.stage("where", int64(in.n))
-	rows := ex.evalGroup(root, in, budget)
-	endWhere(int64(rows.n))
-
-	if q.Form == FormAsk {
-		return &Result{Ask: true, Boolean: rows.n > 0}, nil
-	}
-	if q.Form == FormConstruct {
-		end := prof.stage("construct", int64(rows.n))
-		rows = rows.window(q.Offset, q.Limit)
-		g := q.execConstruct(ex.materializeAll(rows))
-		end(int64(g.Len()))
-		return &Result{Graph: g}, nil
-	}
-
-	if needsGroup {
-		// Index-extraction style GROUP BY ?key / COUNT queries group on ID
-		// tuples without materializing a single solution; anything richer
-		// (SUM, HAVING, expression keys, …) computes fresh terms per group
-		// and runs at the term boundary over materialized solutions, like
-		// the legacy path.
-		endAgg := prof.stage("aggregate", int64(rows.n))
-		vars, out, ok := q.aggFastPath(ex, comp, rows)
-		if !ok {
-			sols := ex.materializeAll(rows)
-			var err error
-			vars, out, err = q.aggregate(sols)
-			if err != nil {
-				return nil, err
+	case q.Form != FormSelect:
+	case p.grouped:
+		if p.agg = q.streamAggSpec(); p.agg != nil {
+			p.gslots = p.agg.resolve(comp.slots)
+		}
+		p.vars = q.selectVars()
+	default:
+		for _, c := range q.OrderBy {
+			p.obVars = append(p.obVars, comp.exprVars(c.Expr))
+		}
+		for _, it := range q.Select {
+			if it.Expr != nil {
+				p.aliases = append(p.aliases, aliasProj{expr: it.Expr, vars: comp.exprVars(it.Expr), slot: comp.slots.slot(it.Var)})
 			}
 		}
-		endAgg(int64(len(out)))
-		if len(q.OrderBy) > 0 {
-			end := prof.stage("order-by", int64(len(out)))
-			sortSolutions(out, q.OrderBy)
-			end(int64(len(out)))
-		}
-		if q.Distinct || q.Reduced {
-			end := prof.stage("distinct", int64(len(out)))
-			out = distinct(out, vars)
-			end(int64(len(out)))
-		}
-		endWin := prof.stage("window", int64(len(out)))
-		out = windowBindings(out, q.Offset, q.Limit)
-		endWin(int64(len(out)))
-		return &Result{Vars: vars, Rows: out}, nil
-	}
-
-	// Projection aliases are evaluated against the pre-alias row (aliases
-	// cannot see each other), then written into their slots.
-	if len(aliases) > 0 {
-		end := prof.stage("aliases", int64(rows.n))
-		tmp := make([]store.ID, len(aliases))
-		for i := 0; i < rows.n; i++ {
-			r := rows.row(i)
-			for j, a := range aliases {
-				tmp[j] = store.NoID
-				if t, err := evalExpr(a.expr, ex.bindScratch(a.vars, r)); err == nil {
-					tmp[j] = ex.intern(t)
-				}
-			}
-			for j, a := range aliases {
-				if tmp[j] != store.NoID {
-					r[a.slot] = tmp[j]
-				}
-			}
-		}
-		end(int64(rows.n))
-	}
-	if len(q.OrderBy) > 0 {
-		if k := q.topKBound(); k >= 0 && !q.Distinct && !q.Reduced {
-			// ORDER BY … LIMIT: bounded top-k selection instead of the
-			// full sort — only OFFSET+LIMIT rows are ever retained, and
-			// DISTINCT is excluded because deduplication after the heap
-			// could shrink the window below k.
-			end := prof.stage("top-k", int64(rows.n))
-			rows = ex.topKRows(rows, q.OrderBy, obVars, k)
-			end(int64(rows.n))
+		if q.Star {
+			p.vars = q.starVars()
 		} else {
-			end := prof.stage("order-by", int64(rows.n))
-			ex.sortRows(rows, q.OrderBy, obVars)
-			end(int64(rows.n))
+			p.vars = q.selectVars()
+		}
+		p.projSlots = make([]int, len(p.vars))
+		for i, v := range p.vars {
+			p.projSlots[i] = comp.slots.lookup(v)
 		}
 	}
-
-	if q.Distinct || q.Reduced {
-		end := prof.stage("distinct", int64(rows.n))
-		rows = ex.distinctRows(rows, projSlots)
-		end(int64(rows.n))
-	}
-	endWin := prof.stage("window", int64(rows.n))
-	rows = rows.window(q.Offset, q.Limit)
-	endWin(int64(rows.n))
-	endProj := prof.stage("project", int64(rows.n))
-	var out []Binding
-	if q.Star {
-		// SELECT * keeps every bound variable, like the term-space path.
-		out = ex.materializeAll(rows)
-	} else {
-		out = ex.materializeProj(rows, vars, projSlots)
-	}
-	endProj(int64(len(out)))
-	return &Result{Vars: vars, Rows: out}, nil
+	// the slot table is final: no variable may be assigned a slot after this
+	ex.nslots, ex.names = comp.slots.count(), comp.slots.names
+	return p, nil
 }
 
-// aggFastPath evaluates GROUP BY / COUNT queries entirely in ID space:
-// group keys are plain variables (ID tuples) and every projection is a
-// group key or a plain COUNT. It reports false when the query needs the
-// general term-space aggregation.
-func (q *Query) aggFastPath(ex *idExec, comp *compiler, rows *rowbuf) ([]string, []Binding, bool) {
-	if len(q.Having) > 0 {
-		return nil, nil, false
-	}
-	gslots := make([]int, len(q.GroupBy))
-	gkey := map[string]bool{}
-	for i, ge := range q.GroupBy {
-		v, ok := ge.(*ExprVar)
-		if !ok {
-			return nil, nil, false
-		}
-		gslots[i] = comp.slots.lookup(v.Name)
-		gkey[v.Name] = true
-	}
-	// projections: group-key variable, COUNT(*) or COUNT(?v)
-	type proj struct {
-		isKey     bool
-		keySlot   int // group-key variable slot; -1 when never bound
-		countSlot int // ≥0 counts bound ?v, -1 counts rows, -2 counts nothing
-	}
-	projs := make([]proj, len(q.Select))
-	vars := make([]string, len(q.Select))
-	for i, it := range q.Select {
-		vars[i] = it.Var
-		if it.Expr == nil {
-			if !gkey[it.Var] {
-				return nil, nil, false // sampling non-key vars: slow path
-			}
-			projs[i] = proj{isKey: true, keySlot: comp.slots.lookup(it.Var), countSlot: -2}
-			continue
-		}
-		if it.Var == "" {
-			return nil, nil, false // missing AS: slow path raises the error
-		}
-		agg, ok := it.Expr.(*ExprAggregate)
-		if !ok || agg.Fn != "COUNT" || agg.Distinct {
-			return nil, nil, false
-		}
-		p := proj{keySlot: -1, countSlot: -1}
-		if agg.Arg != nil {
-			av, ok := agg.Arg.(*ExprVar)
-			if !ok {
-				return nil, nil, false
-			}
-			if p.countSlot = comp.slots.lookup(av.Name); p.countSlot < 0 {
-				p.countSlot = -2 // variable never bound: counts zero
-			}
-		}
-		projs[i] = p
-	}
+// result wraps the plan's answer — rows for SELECT, the boolean or the
+// graph otherwise — as a materialized Result.
+func (p *plan) result(rows []Binding) *Result {
+	return &Result{Vars: p.vars, Rows: rows, Ask: p.q.Form == FormAsk, Boolean: p.boolean, Graph: p.graph}
+}
 
-	type group struct {
-		rep    []store.ID // representative row (group-key slots)
-		counts []int      // one per projection
+// binding materializes one output row of a non-grouped SELECT: every
+// bound variable for SELECT *, like the reference evaluator, the
+// projected slots otherwise.
+func (p *plan) binding(r []store.ID) Binding {
+	if p.q.Star {
+		return p.ex.bindAll(r)
 	}
-	var order []*group
-	nproj := len(projs)
-	tally := func(g *group, r []store.ID) {
-		for pi, p := range projs {
-			switch {
-			case p.isKey:
-			case p.countSlot == -1:
-				g.counts[pi]++
-			case p.countSlot >= 0 && r[p.countSlot] != store.NoID:
-				g.counts[pi]++
-			}
+	b := make(Binding, len(p.vars))
+	for j, s := range p.projSlots {
+		if s >= 0 && r[s] != store.NoID {
+			b[p.vars[j]] = p.ex.term(r[s])
 		}
 	}
-	if len(q.GroupBy) == 0 {
-		g := &group{counts: make([]int, nproj)}
-		order = append(order, g)
-		for i := 0; i < rows.n; i++ {
-			tally(g, rows.row(i))
-		}
+	return b
+}
+
+// run drives the plan's pattern tree depth-first into the sink its shape
+// selects (see sink), then runs the blocking sink's finisher, if any.
+// Finished Bindings go to emit (false abandons the run); ASK and
+// CONSTRUCT answers land in the plan. ctx is consulted on every row
+// reaching the sink, on every row emitted and periodically inside index
+// scans, so no shape outruns a cancellation. reg and prof are optional.
+//
+// Under Stream this runs on a fresh iter.Pull coroutine, whose small
+// stack grows by copying: every frame between here and the sink is paid
+// for on each query. That is why run only drives, the sink is one fused
+// closure rather than a chain of them, and the EXPLAIN hooks inside it
+// are leaf calls.
+func (p *plan) run(ctx context.Context, reg *obs.Registry, prof *profiler, emit func(Binding) bool) error {
+	se := &streamExec{ctx: ctx, ex: p.ex, prof: prof, orders: map[*cBGP][]int{}, minus: map[*cMinus]*rowbuf{}}
+	where := prof.addStage("where")
+	sink, finish := p.sink(se, reg, emit)
+	drive := func(yield streamYield) bool {
+		return se.streamGroup(p.root, make([]store.ID, p.ex.nslots), 0, yield)
+	}
+	if prof != nil {
+		observe(&where.RowsIn, &where.RowsOut, &where.TimeNs, drive, sink)
 	} else {
-		groups := map[string]*group{}
-		buf := make([]byte, 0, len(gslots)*4)
-		for i := 0; i < rows.n; i++ {
-			r := rows.row(i)
-			buf = packIDKey(buf[:0], r, gslots)
-			g, ok := groups[string(buf)]
-			if !ok {
-				g = &group{rep: r, counts: make([]int, nproj)}
-				groups[string(buf)] = g
-				order = append(order, g)
-			}
-			tally(g, r)
+		drive(sink)
+	}
+	if se.err != nil || finish == nil {
+		return se.err
+	}
+	return finish()
+}
+
+// sink builds the solution-modifier sink, picked from the query's shape
+// alone. ASK stops at the first row. A plain SELECT applies aliases,
+// DISTINCT, the window and the projection row by row and stops the
+// pipeline the moment the window is full. Every other shape ends in a
+// sink that holds rows back — ORDER BY … LIMIT without DISTINCT in the
+// bounded top-k heap, accumulator-friendly grouping in the streaming
+// hash-group, the rest (unwindowed ORDER BY, ORDER BY + DISTINCT, the
+// general aggregation, CONSTRUCT) in a rowbuf arena — and comes with the
+// finisher to call once the pattern is exhausted: it runs the batch
+// stages over the collected set and emits the result.
+func (p *plan) sink(se *streamExec, reg *obs.Registry, emit func(Binding) bool) (sink streamYield, finish func() error) {
+	q, ex, prof := p.q, p.ex, se.prof
+	if q.Form == FormAsk {
+		return func([]store.ID, int) bool {
+			p.boolean = true
+			return false
+		}, nil
+	}
+	var stAliases *ExplainStage
+	if len(p.aliases) > 0 {
+		stAliases = prof.addStage("aliases")
+	}
+	aliasTmp := make([]store.ID, len(p.aliases))
+
+	var (
+		blocking string // stage name of the sink that holds rows back; "" = none
+		streamOp string // its hbold_stream_op_* label, for the incremental ones
+		hold     func(r []store.ID) bool
+		heap     *rowTopK
+		agg      *streamAgg
+		buf      = &rowbuf{stride: ex.nslots}
+	)
+	buffer := func(r []store.ID) bool {
+		buf.add(r)
+		return true
+	}
+	switch {
+	case q.Form == FormConstruct:
+		// the window applies to the solution sequence, so the buffer can
+		// stop the pipeline once it is full
+		blocking = "construct"
+		hold = func(r []store.ID) bool {
+			buf.add(r)
+			return q.Limit < 0 || buf.n < q.Offset+q.Limit
 		}
+	case p.agg != nil:
+		blocking, streamOp = "aggregate", "hash-group"
+		agg = newStreamAgg(ex, p.agg, p.gslots)
+		hold = func(r []store.ID) bool {
+			agg.add(r)
+			return true
+		}
+	case p.grouped:
+		blocking, hold = "aggregate", buffer
+	case len(q.OrderBy) > 0 && q.topKBound() >= 0 && !q.Distinct && !q.Reduced:
+		// DISTINCT is excluded: deduplication after the heap could shrink
+		// the window below k.
+		blocking, streamOp = "top-k", "top-k"
+		heap = newRowTopK(q.OrderBy, q.topKBound())
+		var key OrderKey
+		hold = func(r []store.ID) bool {
+			heap.offer(r, ex.orderKeyOfRowInto(q.OrderBy, p.obVars, r, &key))
+			return true
+		}
+	case len(q.OrderBy) > 0:
+		blocking, hold = "order-by", buffer
 	}
 
-	out := make([]Binding, 0, len(order))
-	for _, g := range order {
-		b := make(Binding, nproj)
-		for pi, p := range projs {
-			if p.isKey {
-				if p.keySlot >= 0 && g.rep != nil && g.rep[p.keySlot] != store.NoID {
-					b[vars[pi]] = ex.term(g.rep[p.keySlot])
-				}
-				continue
-			}
-			b[vars[pi]] = rdf.NewInteger(int64(g.counts[pi]))
+	if blocking == "" {
+		var seen map[string]struct{}
+		var stDistinct *ExplainStage
+		if q.Distinct || q.Reduced {
+			seen = make(map[string]struct{})
+			stDistinct = prof.addStage("distinct")
 		}
-		out = append(out, b)
+		stWindow, stProject := prof.addStage("window"), prof.addStage("project")
+		var key []byte
+		skipped, emitted := 0, 0
+		return func(r []store.ID, _ int) bool {
+			if !se.alive() {
+				return false
+			}
+			prof.start()
+			if len(p.aliases) > 0 {
+				p.applyAliases(r, aliasTmp)
+				prof.lap(stAliases, true)
+			}
+			if seen != nil {
+				key = packIDKey(key[:0], r, p.projSlots)
+				_, dup := seen[string(key)]
+				prof.lap(stDistinct, !dup)
+				if dup {
+					return true
+				}
+				seen[string(key)] = struct{}{}
+			}
+			if skipped < q.Offset {
+				skipped++
+				prof.lap(stWindow, false)
+				return true
+			}
+			if q.Limit >= 0 && emitted >= q.Limit { // LIMIT 0
+				prof.lap(stWindow, false)
+				return false
+			}
+			prof.lap(stWindow, true)
+			b := p.binding(r)
+			prof.lap(stProject, true)
+			if !emit(b) {
+				return false
+			}
+			emitted++
+			return q.Limit < 0 || emitted < q.Limit
+		}, nil
 	}
-	return vars, out, true
+
+	stBlocking := prof.addStage(blocking)
+	if reg != nil && streamOp != "" {
+		reg.CounterVec("hbold_stream_op_total", "Streaming operator activations by operator.", "op").With(streamOp).Inc()
+	}
+	var scanned int64
+	sink = func(r []store.ID, _ int) bool {
+		if !se.alive() {
+			return false
+		}
+		prof.start()
+		if len(p.aliases) > 0 {
+			p.applyAliases(r, aliasTmp)
+			prof.lap(stAliases, true)
+		}
+		scanned++
+		more := hold(r)
+		prof.lap(stBlocking, false) // its RowsOut is the finisher's
+		return more
+	}
+	return sink, func() error {
+		if reg != nil && streamOp != "" {
+			reg.CounterVec("hbold_stream_op_rows_total", "Rows consumed by streaming operators.", "op").With(streamOp).Add(float64(scanned))
+			if heap != nil {
+				reg.Histogram("hbold_stream_topk_heap_rows", "Rows retained by the streaming top-k heap at emit.", nil).Observe(float64(heap.size()))
+			} else {
+				reg.Histogram("hbold_stream_group_count", "Groups live in the streaming hash aggregation at emit.", nil).Observe(float64(agg.groupCount()))
+			}
+		}
+		// The blocking sink's stage stays open across its own finisher;
+		// the rest are batch stages over the finished set — ID rows for a
+		// plain SELECT, Bindings for a grouped one.
+		end := prof.resume(stBlocking)
+		var sols []Binding
+		switch {
+		case blocking == "construct":
+			p.graph = q.execConstruct(ex.materializeAll(buf.window(q.Offset, q.Limit)))
+			end(int64(p.graph.Len()))
+			return nil
+		case heap != nil:
+			for _, en := range heap.sorted() {
+				buf.add(en.row)
+			}
+			end(int64(buf.n))
+		case blocking == "order-by":
+			ex.sortRows(buf, q.OrderBy, p.obVars)
+			end(int64(buf.n))
+		case agg != nil:
+			sols = agg.emit()
+			end(int64(len(sols)))
+		default:
+			// Anything richer than the streaming aggregation surface
+			// (HAVING, expression keys, SAMPLE, …) computes fresh terms per
+			// group and runs at the term boundary over materialized
+			// solutions.
+			var err error
+			if _, sols, err = q.aggregate(ex.materializeAll(buf)); err != nil {
+				return err
+			}
+			end(int64(len(sols)))
+		}
+		if blocking == "aggregate" {
+			// ORDER BY on a grouped query references group keys or
+			// aggregate aliases, both present in the produced rows.
+			if len(q.OrderBy) > 0 {
+				end := prof.stage("order-by", int64(len(sols)))
+				sortSolutions(sols, q.OrderBy)
+				end(int64(len(sols)))
+			}
+			if q.Distinct || q.Reduced {
+				end := prof.stage("distinct", int64(len(sols)))
+				sols = distinct(sols, p.vars)
+				end(int64(len(sols)))
+			}
+			end := prof.stage("window", int64(len(sols)))
+			sols = windowBindings(sols, q.Offset, q.Limit)
+			end(int64(len(sols)))
+		} else {
+			if q.Distinct || q.Reduced {
+				end := prof.stage("distinct", int64(buf.n))
+				buf = ex.distinctRows(buf, p.projSlots)
+				end(int64(buf.n))
+			}
+			end := prof.stage("window", int64(buf.n))
+			buf.window(q.Offset, q.Limit)
+			end(int64(buf.n))
+			end = prof.stage("project", int64(buf.n))
+			sols = make([]Binding, buf.n)
+			for i := range sols {
+				sols[i] = p.binding(buf.row(i))
+			}
+			end(int64(buf.n))
+		}
+		for _, b := range sols {
+			if err := se.ctx.Err(); err != nil {
+				return err
+			}
+			if !emit(b) {
+				break
+			}
+		}
+		return nil
+	}
+}
+
+// applyAliases evaluates the projection aliases against the pre-alias row
+// (aliases cannot see each other), then writes them into their slots.
+func (p *plan) applyAliases(r, tmp []store.ID) {
+	for j, a := range p.aliases {
+		tmp[j] = store.NoID
+		if t, err := evalExpr(a.expr, p.ex.bindScratch(a.vars, r)); err == nil {
+			tmp[j] = p.ex.intern(t)
+		}
+	}
+	for j, a := range p.aliases {
+		if tmp[j] != store.NoID {
+			r[a.slot] = tmp[j]
+		}
+	}
 }
 
 func windowBindings(rows []Binding, offset, limit int) []Binding {

@@ -1,19 +1,22 @@
 package sparql
 
-// EXPLAIN support: Query.Explain runs the query through the ID-space
-// engine with a profiler attached, producing the compiled plan tree
-// annotated with per-node row counts and timings plus the flat sequence
-// of top-level execution stages (where → aliases → order-by → distinct →
-// window → project). The final stage's RowsOut always equals the number
-// of rows the same query would actually return, so an explain can be
-// checked against a real execution row for row.
+// EXPLAIN support: Query.Explain runs the query through the one pipeline
+// with a profiler attached, producing the compiled plan tree annotated
+// with per-node row counts and timings plus the flat sequence of
+// top-level execution stages (where → aliases → top-k/order-by →
+// distinct → window → project). The profiled operators are the real
+// ones, so the final stage's RowsOut always equals the number of rows
+// the same query actually returns.
 //
-// The profiler is a nil-by-default field on the executor: every hook is
-// a single pointer check per plan-node invocation (never per row), so
-// the unprofiled path stays at full speed.
+// Accounting happens on the push path: an operator is invoked once per
+// input row, every row it passes downstream counts as output, and its
+// clock is paused while its continuation — the operators downstream of
+// it — runs. The profiler is a nil-by-default field on the pipeline:
+// every hook is a single pointer check per plan-node invocation, so the
+// unprofiled path stays at full speed.
 
 import (
-	"errors"
+	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -24,7 +27,7 @@ import (
 // ExplainNode annotates one compiled plan node.
 type ExplainNode struct {
 	// Kind is the node type: group, bgp, pattern, filter, optional,
-	// union, minus, bind, values, legacy.
+	// union, minus, bind, values.
 	Kind string `json:"kind"`
 	// Detail is a human-readable rendering (the triple pattern, the
 	// bound variable, ...).
@@ -32,15 +35,15 @@ type ExplainNode struct {
 	// Order is the 1-based position the greedy optimizer chose for a
 	// pattern within its BGP (0 for non-pattern nodes).
 	Order int `json:"order,omitempty"`
-	// Calls counts node invocations (an OPTIONAL inner group runs once
-	// per outer row).
+	// Calls counts node invocations: one per input row (an OPTIONAL
+	// inner group runs once per outer row).
 	Calls int64 `json:"calls,omitempty"`
 	// RowsIn / RowsOut accumulate rows entering and leaving the node
 	// across all invocations.
 	RowsIn  int64 `json:"rowsIn"`
 	RowsOut int64 `json:"rowsOut"`
-	// TimeNs is the cumulative wall time spent in the node (children
-	// included).
+	// TimeNs is the cumulative wall time spent in the node, children
+	// included, downstream operators excluded.
 	TimeNs   int64          `json:"timeNs"`
 	Children []*ExplainNode `json:"children,omitempty"`
 }
@@ -55,7 +58,7 @@ type ExplainStage struct {
 
 // Explain is the per-query profile returned instead of rows.
 type Explain struct {
-	// Engine is the engine that executed the query: id-space or legacy.
+	// Engine is the engine that executed the query: always id-space.
 	Engine string `json:"engine"`
 	// Form is the query form: SELECT, ASK, or CONSTRUCT.
 	Form string `json:"form"`
@@ -78,80 +81,97 @@ type Explain struct {
 // profiler accumulates the per-node and per-stage profile during one
 // profiled execution. A nil *profiler disables every hook.
 type profiler struct {
-	nodes   map[any]*ExplainNode // cnode or *cpattern → its annotation
-	filters map[*cgroup]*ExplainNode
-	stages  []ExplainStage
-	plan    *ExplainNode
-	planNs  int64
-}
-
-func newProfiler() *profiler {
-	return &profiler{
-		nodes:   make(map[any]*ExplainNode),
-		filters: make(map[*cgroup]*ExplainNode),
-	}
+	nodes  map[any]*ExplainNode // cnode, *cpattern or a group's first *cfilter → its annotation
+	stages []*ExplainStage
+	plan   *ExplainNode
+	t0     time.Time // start/lap stamp of the row in the sink
 }
 
 // noopEnd is the shared closer handed out when profiling is off, so the
 // unprofiled path allocates nothing.
 var noopEnd = func(int64) {}
 
-// node opens a timed accounting window for one plan-node invocation; the
-// returned func closes it with the output row count.
-func (p *profiler) node(key any, in int64) func(out int64) {
+// observe accounts one operator invocation on the push path: one row in,
+// one row out per row handed to yield, and a clock that stops while
+// yield — everything downstream — runs.
+func observe(in, out, ns *int64, run func(streamYield) bool, yield streamYield) bool {
+	*in++
+	t0 := time.Now()
+	ok := run(func(r []store.ID, free int) bool {
+		*out++
+		*ns += time.Since(t0).Nanoseconds()
+		ok := yield(r, free)
+		t0 = time.Now()
+		return ok
+	})
+	*ns += time.Since(t0).Nanoseconds()
+	return ok
+}
+
+// node observes one invocation of the plan node registered under key.
+func (p *profiler) node(key any, run func(streamYield) bool, yield streamYield) bool {
 	en := p.nodes[key]
-	if en == nil {
+	en.Calls++
+	return observe(&en.RowsIn, &en.RowsOut, &en.TimeNs, run, yield)
+}
+
+// addStage appends a stage the sink will account row by row. Safe on a
+// nil profiler.
+func (p *profiler) addStage(name string) *ExplainStage {
+	if p == nil {
+		return nil
+	}
+	st := &ExplainStage{Name: name}
+	p.stages = append(p.stages, st)
+	return st
+}
+
+// start and lap time the stages one row passes through inside a sink:
+// start stamps the row's arrival, each lap charges the time since the
+// previous stamp to st, counts the row in and — when it passed — out.
+// Both are leaf calls and free on a nil profiler.
+func (p *profiler) start() {
+	if p != nil {
+		p.t0 = time.Now()
+	}
+}
+
+func (p *profiler) lap(st *ExplainStage, passed bool) {
+	if p == nil {
+		return
+	}
+	now := time.Now()
+	st.TimeNs += now.Sub(p.t0).Nanoseconds()
+	p.t0 = now
+	st.RowsIn++
+	if passed {
+		st.RowsOut++
+	}
+}
+
+// resume reopens the stage of a blocking sink, which has been collecting
+// row by row, so its finisher lands on the same clock; the returned func
+// closes it with the finisher's output count.
+func (p *profiler) resume(st *ExplainStage) func(out int64) {
+	if p == nil {
 		return noopEnd
 	}
 	t0 := time.Now()
 	return func(out int64) {
-		en.Calls++
-		en.RowsIn += in
-		en.RowsOut = out
-		en.TimeNs += time.Since(t0).Nanoseconds()
+		st.RowsOut = out
+		st.TimeNs += time.Since(t0).Nanoseconds()
 	}
 }
 
-// pattern is node plus the greedy-order position within the BGP.
-func (p *profiler) pattern(key *cpattern, order int, in int64) func(out int64) {
-	en := p.nodes[key]
-	if en == nil {
-		return noopEnd
-	}
-	en.Order = order
-	t0 := time.Now()
-	return func(out int64) {
-		en.Calls++
-		en.RowsIn += in
-		en.RowsOut = out
-		en.TimeNs += time.Since(t0).Nanoseconds()
-	}
-}
-
-// filterStep accounts the FILTER pass of one group evaluation.
-func (p *profiler) filterStep(g *cgroup, in int64) func(out int64) {
-	en := p.filters[g]
-	if en == nil {
-		return noopEnd
-	}
-	t0 := time.Now()
-	return func(out int64) {
-		en.Calls++
-		en.RowsIn += in
-		en.RowsOut = out
-		en.TimeNs += time.Since(t0).Nanoseconds()
-	}
-}
-
-// stage opens a timed top-level stage; the returned func closes it.
-// Safe (and free) on a nil profiler.
+// stage opens a timed batch stage over a finished set; the returned func
+// closes it. Safe (and free) on a nil profiler.
 func (p *profiler) stage(name string, in int64) func(out int64) {
 	if p == nil {
 		return noopEnd
 	}
 	t0 := time.Now()
 	return func(out int64) {
-		p.stages = append(p.stages, ExplainStage{
+		p.stages = append(p.stages, &ExplainStage{
 			Name: name, RowsIn: in, RowsOut: out,
 			TimeNs: time.Since(t0).Nanoseconds(),
 		})
@@ -172,7 +192,7 @@ func (p *profiler) buildGroup(g *cgroup, ex *idExec) *ExplainNode {
 	}
 	if len(g.filters) > 0 {
 		fn := &ExplainNode{Kind: "filter", Detail: fmt.Sprintf("%d condition(s)", len(g.filters))}
-		p.filters[g] = fn
+		p.nodes[&g.filters[0]] = fn
 		en.Children = append(en.Children, fn)
 	}
 	return en
@@ -245,55 +265,35 @@ func renderPattern(p *cpattern, ex *idExec) string {
 }
 
 // Explain executes the query against st with profiling and returns the
-// annotated plan instead of rows. Queries the ID-space engine cannot
-// plan fall back to the legacy evaluator and produce a single-node
-// profile (total rows and time only).
+// annotated plan instead of rows.
 func (q *Query) Explain(st store.Queryable) (*Explain, error) {
-	prof := newProfiler()
 	t0 := time.Now()
-	res, err := q.execIDProf(st, prof)
-	if errors.Is(err, errUnsupportedPlan) {
-		lt0 := time.Now()
-		res, err = q.execLegacy(st)
-		if err != nil {
-			return nil, err
-		}
-		out := &Explain{
-			Engine: "legacy",
-			Form:   q.Form.String(),
-			Vars:   res.Vars,
-			Rows:   resultRows(res),
-			ExecNs: time.Since(lt0).Nanoseconds(),
-			Plan:   &ExplainNode{Kind: "legacy", RowsOut: int64(resultRows(res))},
-		}
-		return out, nil
-	}
+	p, err := q.compile(st)
 	if err != nil {
 		return nil, err
 	}
-	return &Explain{
-		Engine:     "id-space",
-		Form:       q.Form.String(),
-		Vars:       res.Vars,
-		Rows:       resultRows(res),
-		PlanningNs: prof.planNs,
-		ExecNs:     time.Since(t0).Nanoseconds(),
-		Plan:       prof.plan,
-		Stages:     prof.stages,
-	}, nil
-}
-
-func resultRows(res *Result) int {
-	switch {
-	case res.Ask:
-		if res.Boolean {
-			return 1
-		}
-		return 0
-	case res.Graph != nil:
-		return res.Graph.Len()
+	prof := &profiler{nodes: make(map[any]*ExplainNode)}
+	out := &Explain{Engine: "id-space", Form: q.Form.String(), Vars: p.vars, PlanningNs: time.Since(t0).Nanoseconds()}
+	prof.build(p.root, p.ex)
+	err = p.run(context.Background(), nil, prof, func(Binding) bool {
+		out.Rows++
+		return true
+	})
+	if err != nil {
+		return nil, err
 	}
-	return len(res.Rows)
+	switch {
+	case p.boolean:
+		out.Rows = 1
+	case p.graph != nil:
+		out.Rows = p.graph.Len()
+	}
+	out.ExecNs = time.Since(t0).Nanoseconds()
+	out.Plan = prof.plan
+	for _, st := range prof.stages {
+		out.Stages = append(out.Stages, *st)
+	}
+	return out, nil
 }
 
 // String returns the SPARQL keyword of the query form.

@@ -124,3 +124,62 @@ func TestExplainPlanAnnotations(t *testing.T) {
 		t.Fatalf("greedy order positions = %v, want {1,2}", orders)
 	}
 }
+
+// TestExplainAccumulatesAcrossInvocations pins the push-path accounting:
+// a node invoked once per outer row sums its output over every
+// invocation (not just the last one), and groups are counted like any
+// other node — what leaves a group is what enters whatever follows it.
+func TestExplainAccumulatesAcrossInvocations(t *testing.T) {
+	st := fixtureStore(t)
+	q, err := Parse(`PREFIX ex: <http://ex/> SELECT ?p ?k WHERE { ?p a ex:Person OPTIONAL { ?p ex:knows ?k } }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exp, err := q.Explain(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if exp.Rows != 4 {
+		t.Fatalf("rows = %d, want 4", exp.Rows)
+	}
+	root := exp.Plan
+	if root.Kind != "group" || len(root.Children) != 2 || root.Children[1].Kind != "optional" {
+		t.Fatalf("unexpected plan shape: %+v", root)
+	}
+	opt := root.Children[1]
+	inner := opt.Children[0]
+	pat := inner.Children[0].Children[0]
+	if pat.Kind != "pattern" {
+		t.Fatalf("inner node = %s, want pattern", pat.Kind)
+	}
+	// three persons reach the OPTIONAL; alice knows two, bob one, carol none
+	if pat.Calls != 3 || pat.RowsIn != 3 || pat.RowsOut != 3 {
+		t.Errorf("inner pattern calls/in/out = %d/%d/%d, want 3/3/3", pat.Calls, pat.RowsIn, pat.RowsOut)
+	}
+	if inner.Calls != 3 || inner.RowsOut != pat.RowsOut {
+		t.Errorf("inner group calls/out = %d/%d, want 3/%d", inner.Calls, inner.RowsOut, pat.RowsOut)
+	}
+	if opt.RowsIn != 3 || opt.RowsOut != 4 {
+		t.Errorf("optional in/out = %d/%d, want 3/4", opt.RowsIn, opt.RowsOut)
+	}
+	// the root group feeds the stage after "where"
+	if root.RowsOut != 4 || root.RowsOut != exp.Stages[1].RowsIn {
+		t.Errorf("root group out = %d, next stage %q in = %d, want 4", root.RowsOut, exp.Stages[1].Name, exp.Stages[1].RowsIn)
+	}
+
+	// a nested group feeds its next sibling
+	q, err = Parse(`PREFIX ex: <http://ex/> SELECT ?p WHERE { { ?p a ex:Person } ?p ex:knows ?k }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if exp, err = q.Explain(st); err != nil {
+		t.Fatal(err)
+	}
+	kids := exp.Plan.Children
+	if len(kids) != 2 || kids[0].Kind != "group" {
+		t.Fatalf("unexpected plan shape: %+v", exp.Plan)
+	}
+	if kids[0].RowsOut != 3 || kids[0].RowsOut != kids[1].RowsIn {
+		t.Errorf("nested group out = %d, following %s in = %d, want 3", kids[0].RowsOut, kids[1].Kind, kids[1].RowsIn)
+	}
+}

@@ -37,7 +37,25 @@ type parser struct {
 	pos      int
 	prefixes *rdf.PrefixMap
 	bnodeSeq int
+	depth    int // current nesting of groups, unary/bracketed expressions, [ ] nodes
 }
+
+// maxNesting bounds how deep group patterns, bracketed or unary
+// expressions and anonymous blank nodes may nest. The parser and both
+// evaluators recurse on that structure, so without a bound a large
+// enough query text — it arrives from the network — overflows the
+// goroutine stack, which no recover can catch.
+const maxNesting = 512
+
+// enter counts one level of nesting; pair it with a deferred leave.
+func (p *parser) enter() error {
+	if p.depth++; p.depth > maxNesting {
+		return p.errf("nesting deeper than %d levels", maxNesting)
+	}
+	return nil
+}
+
+func (p *parser) leave() { p.depth-- }
 
 func (p *parser) cur() token  { return p.toks[p.pos] }
 func (p *parser) next() token { t := p.toks[p.pos]; p.pos++; return t }
@@ -297,6 +315,10 @@ func (p *parser) integer() (int, error) {
 }
 
 func (p *parser) groupGraphPattern() (*GroupPattern, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	if err := p.expectPunct("{"); err != nil {
 		return nil, err
 	}
@@ -541,6 +563,10 @@ func (p *parser) verb() (NodePattern, error) {
 // nested property list.
 func (p *parser) objectNode(bgp *BGP) (NodePattern, error) {
 	if p.cur().kind == tokPunct && p.cur().text == "[" {
+		if err := p.enter(); err != nil {
+			return NodePattern{}, err
+		}
+		defer p.leave()
 		p.pos++
 		p.bnodeSeq++
 		b := NodePattern{Term: rdf.NewBlank(fmt.Sprintf("q%d", p.bnodeSeq))}
@@ -797,6 +823,10 @@ func (p *parser) mulExpression() (Expression, error) {
 }
 
 func (p *parser) unaryExpression() (Expression, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	if p.punct("!") {
 		x, err := p.unaryExpression()
 		if err != nil {

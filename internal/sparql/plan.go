@@ -6,7 +6,7 @@ package sparql
 // are dense slot indices and whose constant terms are interned IDs. A
 // solution row is then a flat []store.ID of length nslots — no maps, no
 // rdf.Term values — and the whole pattern algebra executes on rows in that
-// encoded space (see exec.go). Terms are materialized only at the
+// encoded space (see stream.go). Terms are materialized only at the
 // projection / FILTER / serialization boundaries.
 //
 // Constants the store has never seen (and terms produced by BIND/VALUES
@@ -17,15 +17,10 @@ package sparql
 // nothing, which is exactly the right semantics.
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/store"
 )
-
-// errUnsupportedPlan marks queries the ID-space compiler cannot plan;
-// EngineAuto falls back to the legacy term-space evaluator on it.
-var errUnsupportedPlan = errors.New("sparql: query not supported by the ID-space engine")
 
 // slotmap assigns dense slot indices to variable names.
 type slotmap struct {
@@ -199,7 +194,7 @@ func (c *compiler) node(p GraphPattern) (cnode, error) {
 		}
 		return v, nil
 	default:
-		return nil, fmt.Errorf("%w: unknown pattern %T", errUnsupportedPlan, p)
+		return nil, fmt.Errorf("sparql: unknown pattern %T", p)
 	}
 }
 

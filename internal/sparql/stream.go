@@ -6,17 +6,15 @@ package sparql
 // canceled context, an abandoned HTTP connection) costs only the rows it
 // actually pulled and memory stays O(row) instead of O(result).
 //
-// The streaming executor reuses the compiled plan of exec.go but drives
-// it depth-first: instead of extending a whole row buffer pattern by
-// pattern, each row travels the entire pipeline alone, yielding at the
-// end. Solution modifiers that inherently need the full solution set
-// (ORDER BY, GROUP BY/aggregates) and the non-SELECT forms fall back to
-// materialized execution and stream from the finished Result, so every
+// The pipeline drives the compiled plan of plan.go depth-first: each row
+// travels the entire pattern tree alone and reaches the sinks of exec.go
+// at the end. Solution modifiers that inherently need the full solution
+// set (unwindowed ORDER BY, the general aggregation, CONSTRUCT) hold rows
+// back in a blocking sink and emit once the pattern is exhausted, so every
 // query streams — just not every query streams incrementally.
 
 import (
 	"context"
-	"errors"
 	"iter"
 	"time"
 
@@ -81,28 +79,6 @@ func ResultSeq(res *Result) *RowSeq {
 	return &RowSeq{
 		Vars: res.Vars, Ask: res.Ask, Boolean: res.Boolean, Graph: res.Graph,
 		next: func() (Binding, bool) {
-			if i >= len(res.Rows) {
-				return nil, false
-			}
-			b := res.Rows[i]
-			i++
-			return b, true
-		},
-	}
-}
-
-// resultSeqCtx streams a materialized Result but honors ctx between
-// rows, so even fallback streams cancel within one row boundary.
-func resultSeqCtx(ctx context.Context, res *Result) *RowSeq {
-	var err error
-	i := 0
-	return &RowSeq{
-		Vars: res.Vars, Ask: res.Ask, Boolean: res.Boolean, Graph: res.Graph,
-		errp: &err,
-		next: func() (Binding, bool) {
-			if err = ctx.Err(); err != nil {
-				return nil, false
-			}
 			if i >= len(res.Rows) {
 				return nil, false
 			}
@@ -307,13 +283,14 @@ func (q *Query) needsGrouping() bool {
 	return false
 }
 
-// Stream executes the parsed query incrementally against st. SELECT
-// queries without ORDER BY or aggregation run on the streaming ID-space
-// pipeline and yield each solution as it is produced; everything else
-// (ASK, CONSTRUCT, grouped or ordered queries, plans only the legacy
-// evaluator supports) executes materialized and streams from the
-// finished Result. Either way the returned stream honors ctx between
-// rows, and the rows are identical to Exec's up to order.
+// Stream executes the parsed query incrementally against st: the plan is
+// compiled here, and the pipeline runs as the consumer pulls. A plain
+// SELECT yields each solution as it is produced; shapes with a blocking
+// sink (ORDER BY, aggregation) yield once the pattern is exhausted. ASK
+// and CONSTRUCT answers travel in the stream's head, so those forms run
+// to completion — or to ctx's cancellation — before Stream returns.
+// Either way the stream honors ctx throughout, and the rows are
+// identical to Exec's up to order.
 func (q *Query) Stream(ctx context.Context, st store.Queryable) (*RowSeq, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -334,271 +311,25 @@ func (q *Query) Stream(ctx context.Context, st store.Queryable) (*RowSeq, error)
 		}
 		return nil, err
 	}
-	// Dispatch: SELECT queries stream whenever an incremental operator
-	// covers their modifier surface. Grouping streams through the hash
-	// aggregation when the shape is accumulator-friendly; ORDER BY streams
-	// through the bounded top-k heap when a LIMIT bounds the window (and
-	// DISTINCT is absent — dedup after the heap could shrink the window
-	// below k). Everything else executes materialized and streams from the
-	// finished Result.
-	grouping := q.needsGrouping()
-	var aggSpec *streamAggSpec
-	if grouping {
-		aggSpec = q.streamAggSpec()
-	}
-	topK := !grouping && len(q.OrderBy) > 0 &&
-		q.topKBound() >= 0 && !q.Distinct && !q.Reduced
-	if q.Form != FormSelect || (grouping && aggSpec == nil) ||
-		(!grouping && len(q.OrderBy) > 0 && !topK) {
-		res, err := q.Exec(st)
-		if err != nil {
-			return fail(err)
-		}
-		rs := resultSeqCtx(ctx, res)
-		instrumentStream(rs, reg, sp, kind, start)
-		return rs, nil
-	}
-
-	var compileT0 time.Time
-	if reg != nil {
-		compileT0 = time.Now()
-	}
-	ex := newIDExec(st)
-	comp := &compiler{ex: ex, slots: newSlotmap()}
-	root, err := comp.group(q.Where)
+	p, err := q.compile(st)
 	if err != nil {
-		if errors.Is(err, errUnsupportedPlan) {
-			res, lerr := q.execLegacy(st)
-			if lerr != nil {
-				return fail(lerr)
-			}
-			rs := resultSeqCtx(ctx, res)
-			instrumentStream(rs, reg, sp, kind, start)
-			return rs, nil
-		}
 		return fail(err)
 	}
-
-	// Streaming hash aggregation: rows fold into per-group accumulators as
-	// the pipeline produces them; only the groups — not the solution set —
-	// are ever live. The finished groups pass through the same ORDER BY /
-	// DISTINCT / window pipeline as the batch aggregation.
-	if aggSpec != nil {
-		gslots := aggSpec.resolve(comp.slots)
-		ex.freeze(comp)
-		if reg != nil {
-			reg.Histogram("hbold_query_compile_seconds", "Plan compilation time for ID-space streamed queries.", nil).Observe(time.Since(compileT0).Seconds())
-			reg.CounterVec("hbold_stream_op_total", "Streaming operator activations by operator.", "op").With("hash-group").Inc()
-		}
-		agg := newStreamAgg(ex, aggSpec, gslots)
-		se := &streamExec{ctx: ctx, ex: ex, orders: map[*cBGP][]int{}, minus: map[*cMinus]*rowbuf{}}
-		var streamErr error
-		seq := func(yield func(Binding) bool) {
-			var scanned int64
-			start := make([]store.ID, ex.nslots)
-			se.streamGroup(root, start, 0, func(r []store.ID, _ int) bool {
-				if err := ctx.Err(); err != nil {
-					se.err = err
-					return false
-				}
-				scanned++
-				agg.add(r)
-				return true
-			})
-			if se.err != nil {
-				streamErr = se.err
-				return
-			}
-			if reg != nil {
-				reg.CounterVec("hbold_stream_op_rows_total", "Rows consumed by streaming operators.", "op").With("hash-group").Add(float64(scanned))
-				reg.Histogram("hbold_stream_group_count", "Groups live in the streaming hash aggregation at emit.", nil).Observe(float64(agg.groupCount()))
-			}
-			out := agg.emit()
-			if len(q.OrderBy) > 0 {
-				sortSolutions(out, q.OrderBy)
-			}
-			if q.Distinct || q.Reduced {
-				out = distinct(out, aggSpec.vars)
-			}
-			out = windowBindings(out, q.Offset, q.Limit)
-			for _, b := range out {
-				if err := ctx.Err(); err != nil {
-					streamErr = err
-					return
-				}
-				if !yield(b) {
-					return
-				}
-			}
-		}
-		rs := NewRowSeq(aggSpec.vars, seq, &streamErr)
-		instrumentStream(rs, reg, sp, kind, start)
-		return rs, nil
-	}
-
-	// Resolve the projection surface through the same helper as the
-	// batch path.
-	aliases, vars, projSlots, obVars := q.resolveSelect(comp, ex)
 	if reg != nil {
-		reg.Histogram("hbold_query_compile_seconds", "Plan compilation time for ID-space streamed queries.", nil).Observe(time.Since(compileT0).Seconds())
+		reg.Histogram("hbold_query_compile_seconds", "Plan compilation time for ID-space streamed queries.", nil).Observe(time.Since(start).Seconds())
 	}
-
-	// Bounded top-k ORDER BY … LIMIT: every pipeline row is offered to a
-	// max-heap of OFFSET+LIMIT entries and the retained window streams out
-	// in sort order at stream end — O(k) live rows however many solutions
-	// the pattern produces.
-	if topK {
-		if reg != nil {
-			reg.CounterVec("hbold_stream_op_total", "Streaming operator activations by operator.", "op").With("top-k").Inc()
-		}
-		se := &streamExec{ctx: ctx, ex: ex, orders: map[*cBGP][]int{}, minus: map[*cMinus]*rowbuf{}}
+	var rs *RowSeq
+	if q.Form == FormSelect {
 		var streamErr error
-		aliasTmp := make([]store.ID, len(aliases))
-		heap := newRowTopK(q.OrderBy, q.topKBound())
-		seq := func(yield func(Binding) bool) {
-			var scanned int64
-			var scratch OrderKey
-			start := make([]store.ID, ex.nslots)
-			se.streamGroup(root, start, 0, func(r []store.ID, _ int) bool {
-				if err := ctx.Err(); err != nil {
-					se.err = err
-					return false
-				}
-				scanned++
-				if len(aliases) > 0 {
-					for j, a := range aliases {
-						aliasTmp[j] = store.NoID
-						if t, err := evalExpr(a.expr, ex.bindScratch(a.vars, r)); err == nil {
-							aliasTmp[j] = ex.intern(t)
-						}
-					}
-					for j, a := range aliases {
-						if aliasTmp[j] != store.NoID {
-							r[a.slot] = aliasTmp[j]
-						}
-					}
-				}
-				heap.offer(r, ex.orderKeyOfRowInto(q.OrderBy, obVars, r, &scratch))
-				return true
-			})
-			if se.err != nil {
-				streamErr = se.err
-				return
-			}
-			if reg != nil {
-				reg.CounterVec("hbold_stream_op_rows_total", "Rows consumed by streaming operators.", "op").With("top-k").Add(float64(scanned))
-				reg.Histogram("hbold_stream_topk_heap_rows", "Rows retained by the streaming top-k heap at emit.", nil).Observe(float64(heap.size()))
-			}
-			es := heap.sorted()
-			if q.Offset >= len(es) {
-				es = nil
-			} else {
-				es = es[q.Offset:]
-			}
-			for _, en := range es {
-				if err := ctx.Err(); err != nil {
-					streamErr = err
-					return
-				}
-				r := en.row
-				var b Binding
-				if q.Star {
-					b = make(Binding, ex.nslots)
-					for s, v := range r {
-						if v != store.NoID {
-							b[ex.names[s]] = ex.term(v)
-						}
-					}
-				} else {
-					b = make(Binding, len(vars))
-					for j, s := range projSlots {
-						if s >= 0 && r[s] != store.NoID {
-							b[vars[j]] = ex.term(r[s])
-						}
-					}
-				}
-				if !yield(b) {
-					return
-				}
-			}
+		rs = NewRowSeq(p.vars, func(yield func(Binding) bool) {
+			streamErr = p.run(ctx, reg, nil, yield)
+		}, &streamErr)
+	} else {
+		if err := p.run(ctx, reg, nil, nil); err != nil {
+			return fail(err)
 		}
-		rs := NewRowSeq(vars, seq, &streamErr)
-		instrumentStream(rs, reg, sp, kind, start)
-		return rs, nil
+		rs = ResultSeq(p.result(nil))
 	}
-
-	se := &streamExec{ctx: ctx, ex: ex, orders: map[*cBGP][]int{}, minus: map[*cMinus]*rowbuf{}}
-	var streamErr error
-	aliasTmp := make([]store.ID, len(aliases))
-	var seen map[string]struct{}
-	if q.Distinct || q.Reduced {
-		seen = make(map[string]struct{})
-	}
-	seq := func(yield func(Binding) bool) {
-		emitted, skipped := 0, 0
-		var keyBuf []byte
-		start := make([]store.ID, ex.nslots)
-		se.streamGroup(root, start, 0, func(r []store.ID, _ int) bool {
-			if err := ctx.Err(); err != nil {
-				se.err = err
-				return false
-			}
-			// projection aliases see the pre-alias row and cannot see
-			// each other, matching the batch path
-			if len(aliases) > 0 {
-				for j, a := range aliases {
-					aliasTmp[j] = store.NoID
-					if t, err := evalExpr(a.expr, ex.bindScratch(a.vars, r)); err == nil {
-						aliasTmp[j] = ex.intern(t)
-					}
-				}
-				for j, a := range aliases {
-					if aliasTmp[j] != store.NoID {
-						r[a.slot] = aliasTmp[j]
-					}
-				}
-			}
-			if seen != nil {
-				keyBuf = packIDKey(keyBuf[:0], r, projSlots)
-				if _, dup := seen[string(keyBuf)]; dup {
-					return true
-				}
-				seen[string(keyBuf)] = struct{}{}
-			}
-			if skipped < q.Offset {
-				skipped++
-				return true
-			}
-			if q.Limit >= 0 && emitted >= q.Limit {
-				return false
-			}
-			var b Binding
-			if q.Star {
-				b = make(Binding, ex.nslots)
-				for s, v := range r {
-					if v != store.NoID {
-						b[ex.names[s]] = ex.term(v)
-					}
-				}
-			} else {
-				b = make(Binding, len(vars))
-				for j, s := range projSlots {
-					if s >= 0 && r[s] != store.NoID {
-						b[vars[j]] = ex.term(r[s])
-					}
-				}
-			}
-			if !yield(b) {
-				return false
-			}
-			emitted++
-			return q.Limit < 0 || emitted < q.Limit
-		})
-		if streamErr == nil {
-			streamErr = se.err
-		}
-	}
-	rs := NewRowSeq(vars, seq, &streamErr)
 	instrumentStream(rs, reg, sp, kind, start)
 	return rs, nil
 }
@@ -619,6 +350,10 @@ type streamExec struct {
 	minus  map[*cMinus]*rowbuf
 	tick   int
 	err    error
+
+	// prof collects the per-node EXPLAIN profile; nil (the default)
+	// keeps every hook to a single pointer check per node invocation.
+	prof *profiler
 }
 
 // scratch returns the reusable row buffer for scratch level d.
@@ -627,6 +362,15 @@ func (s *streamExec) scratch(d int) []store.ID {
 		s.levels = append(s.levels, make([]store.ID, s.ex.nslots))
 	}
 	return s.levels[d]
+}
+
+// alive consults the context for a row that reached the sink.
+func (s *streamExec) alive() bool {
+	if err := s.ctx.Err(); err != nil {
+		s.err = err
+		return false
+	}
+	return true
 }
 
 // tickOK samples the context during index scans so a cancellation is
@@ -650,12 +394,14 @@ func (s *streamExec) streamElems(g *cgroup, i int, row []store.ID, free int, yie
 	if s.err != nil {
 		return false
 	}
+	if s.prof != nil {
+		// only ever reached with i == 0, from streamGroup: under EXPLAIN
+		// profElems sequences the rest of the group itself
+		return s.profGroup(g, row, free, yield)
+	}
 	if i == len(g.elems) {
-		for _, f := range g.filters {
-			ok, err := evalBool(f.expr, s.ex.bindScratch(f.vars, row))
-			if err != nil || !ok {
-				return true // row filtered out; keep streaming
-			}
+		if !s.passes(g, row) {
+			return true // row filtered out; keep streaming
 		}
 		return yield(row, free)
 	}
@@ -664,9 +410,54 @@ func (s *streamExec) streamElems(g *cgroup, i int, row []store.ID, free int, yie
 	})
 }
 
+// profGroup and profElems are streamGroup and streamElems under EXPLAIN:
+// the same sequencing with the group, each element and the FILTER pass
+// observed. They are a separate pair, out of line, because the hooks'
+// closures would otherwise sit in every frame of the unprofiled
+// recursion (see plan.run on what a frame costs there).
+//
+//go:noinline
+func (s *streamExec) profGroup(g *cgroup, row []store.ID, free int, yield streamYield) bool {
+	return s.prof.node(g, func(y streamYield) bool { return s.profElems(g, 0, row, free, y) }, yield)
+}
+
+func (s *streamExec) profElems(g *cgroup, i int, row []store.ID, free int, yield streamYield) bool {
+	if s.err != nil {
+		return false
+	}
+	if i == len(g.elems) {
+		if len(g.filters) == 0 {
+			return yield(row, free)
+		}
+		return s.prof.node(&g.filters[0], func(y streamYield) bool { return !s.passes(g, row) || y(row, free) }, yield)
+	}
+	el := g.elems[i]
+	next := func(r []store.ID, f int) bool {
+		return s.profElems(g, i+1, r, f, yield)
+	}
+	if _, nested := el.(*cgroup); nested {
+		return s.streamNode(el, row, free, next) // streamGroup observes it
+	}
+	return s.prof.node(el, func(y streamYield) bool { return s.streamNode(el, row, free, y) }, next)
+}
+
+// passes reports whether every FILTER of the group holds on the row.
+func (s *streamExec) passes(g *cgroup, row []store.ID) bool {
+	for _, f := range g.filters {
+		ok, err := evalBool(f.expr, s.ex.bindScratch(f.vars, row))
+		if err != nil || !ok {
+			return false
+		}
+	}
+	return true
+}
+
 func (s *streamExec) streamNode(n cnode, row []store.ID, free int, yield streamYield) bool {
 	switch x := n.(type) {
 	case *cBGP:
+		if s.prof != nil {
+			return s.profPatterns(x, s.bgpOrder(x, row), 0, row, free, yield)
+		}
 		return s.streamPatterns(x, s.bgpOrder(x, row), 0, row, free, yield)
 	case *cgroup:
 		return s.streamGroup(x, row, free, yield)
@@ -688,7 +479,10 @@ func (s *streamExec) streamNode(n cnode, row []store.ID, free int, yield streamY
 		}
 		return s.streamGroup(x.right, row, free, yield)
 	case *cMinus:
-		right := s.minusRight(x)
+		right := s.minusRight(x, free)
+		if s.err != nil {
+			return false
+		}
 		for j := 0; j < right.n; j++ {
 			rr := right.row(j)
 			shared, equal := false, true
@@ -742,8 +536,9 @@ func (s *streamExec) streamNode(n cnode, row []store.ID, free int, yield streamY
 }
 
 // bgpOrder computes (once per node) the greedy join order, seeded with
-// the bound slots of the first row to reach the node — the same
-// heuristic the batch executor applies per buffer.
+// the bound slots of the first row to reach the node: patterns connected
+// to an already-bound variable first (a disconnected pattern builds a
+// cartesian product), then the smallest estimated cardinality.
 func (s *streamExec) bgpOrder(b *cBGP, row []store.ID) []int {
 	if o, ok := s.orders[b]; ok {
 		return o
@@ -831,14 +626,33 @@ func (s *streamExec) streamPatterns(b *cBGP, order []int, k int, row []store.ID,
 	return cont
 }
 
-// minusRight materializes (once per node) the right side of a MINUS with
-// the batch evaluator, mirroring its uncorrelated evaluation semantics.
-func (s *streamExec) minusRight(x *cMinus) *rowbuf {
+// profPatterns is the EXPLAIN twin of the streamPatterns call: it hands
+// streamPatterns one pattern at a time (a one-element order), so the
+// per-pattern hook sits between patterns and the inner loop is untouched.
+func (s *streamExec) profPatterns(b *cBGP, order []int, k int, row []store.ID, free int, yield streamYield) bool {
+	if k == len(order) {
+		return yield(row, free)
+	}
+	s.prof.nodes[&b.pats[order[k]]].Order = k + 1
+	return s.prof.node(&b.pats[order[k]], func(y streamYield) bool {
+		return s.streamPatterns(b, order[k:k+1], 0, row, free, y)
+	}, func(r []store.ID, f int) bool {
+		return s.profPatterns(b, order, k+1, r, f, yield)
+	})
+}
+
+// minusRight collects (once per node) the right side of a MINUS through
+// the same pipeline, from an empty row: MINUS is uncorrelated. Levels
+// below free belong to the frames the collection is called from.
+func (s *streamExec) minusRight(x *cMinus, free int) *rowbuf {
 	if r, ok := s.minus[x]; ok {
 		return r
 	}
-	empty := &rowbuf{stride: s.ex.nslots, data: make([]store.ID, s.ex.nslots), n: 1}
-	r := s.ex.evalGroup(x.inner, empty, -1)
-	s.minus[x] = r
-	return r
+	right := &rowbuf{stride: s.ex.nslots}
+	s.streamGroup(x.inner, make([]store.ID, s.ex.nslots), free, func(r []store.ID, _ int) bool {
+		right.add(r)
+		return true
+	})
+	s.minus[x] = right
+	return right
 }

@@ -1,11 +1,12 @@
 package sparql_test
 
-// Stream-vs-materialized differential harness plus unit coverage for the
-// RowSeq contract and the incremental JSON results codec. The
+// Differential harness over the executor's two drains plus unit coverage
+// for the RowSeq contract and the incremental JSON results codec. The
 // differential runs the full fixed corpus and randomized synth queries
-// through Query.Stream and Query.Exec and asserts identical results (up
-// to row order, which SPARQL leaves undefined without ORDER BY). CI runs
-// this under -race like the engine differential.
+// through Query.Stream (pulled through iter.Pull) and Query.Exec (drained
+// directly) and asserts identical results (up to row order, which SPARQL
+// leaves undefined without ORDER BY). CI runs this under -race like the
+// engine differential.
 
 import (
 	"context"
@@ -67,10 +68,10 @@ func assertStreamAgreement(t *testing.T, st *store.Store, query string) {
 		return
 	}
 	if len(q.OrderBy) > 0 {
-		// the streaming top-k heap may keep different rows than the batch
-		// stable sort within a tie group at the cut line, so rows are
-		// compared position-by-position under the ORDER BY keys; without a
-		// window the full multisets must also match
+		// rows are compared position-by-position under the ORDER BY keys,
+		// the same tie-aware rule the engine differential applies against
+		// the reference; without a window the full multisets must also
+		// match
 		if len(exRes.Rows) != len(stRes.Rows) {
 			t.Fatalf("query %q: row counts differ: %d vs %d", query, len(exRes.Rows), len(stRes.Rows))
 		}
@@ -164,37 +165,49 @@ func (c *trippingCtx) Err() error {
 	return nil
 }
 
-// TestStreamTopKCancelsPreSort: ORDER BY … LIMIT cancels during heap
-// accumulation, before any row is emitted. The materialized fallback
-// this path replaced only consulted the context between rows of the
-// finished Result — it would have scanned everything and then served the
-// window without ever noticing the cancellation.
+// TestStreamTopKCancelsPreSort: every shape whose sink holds rows back
+// cancels while it is still collecting, before any row is emitted — the
+// top-k heap and, through the same pipeline, the buffering sink behind
+// unwindowed ORDER BY, ORDER BY + DISTINCT, HAVING and CONSTRUCT. A
+// finished-Result stream would only consult the context between rows it
+// had already computed.
 func TestStreamTopKCancelsPreSort(t *testing.T) {
 	st := synth.Generate(synth.Spec{Name: "topkcancel", Classes: 6, Instances: 800, ObjectProps: 8, DataProps: 4, LinkFactor: 2, Seed: 3})
-	q, err := sparql.Parse(`SELECT ?s ?o WHERE { ?s ?p ?o } ORDER BY ?o ?s LIMIT 5`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := &trippingCtx{Context: context.Background(), after: 50}
-	rs, err := q.Stream(ctx, st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rs.Close()
-	rows := 0
-	for range rs.All() {
-		rows++
-	}
-	if rows != 0 {
-		t.Fatalf("stream yielded %d rows after cancelling during accumulation; the heap must not emit", rows)
-	}
-	if err := rs.Err(); err != context.Canceled {
-		t.Fatalf("Err() = %v, want context.Canceled", err)
-	}
-	// the evaluation must have stopped at the trip point, not scanned the
-	// full pattern and noticed the cancellation at emission
-	if total := st.Len(); ctx.calls >= total {
-		t.Fatalf("context consulted %d times over a %d-triple store: evaluation ran to completion before cancelling", ctx.calls, total)
+	for _, tc := range []struct{ name, query string }{
+		{"top-k", `SELECT ?s ?o WHERE { ?s ?p ?o } ORDER BY ?o ?s LIMIT 5`},
+		{"order-by", `SELECT ?s ?o WHERE { ?s ?p ?o } ORDER BY ?o ?s`},
+		{"distinct-order-limit", `SELECT DISTINCT ?s ?o WHERE { ?s ?p ?o } ORDER BY ?o ?s LIMIT 5`},
+		{"having", `SELECT ?p (COUNT(?o) AS ?n) WHERE { ?s ?p ?o } GROUP BY ?p HAVING (COUNT(?o) > 1)`},
+		{"construct", `CONSTRUCT { ?s ?p ?o } WHERE { ?s ?p ?o }`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			q, err := sparql.Parse(tc.query)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx := &trippingCtx{Context: context.Background(), after: 50}
+			rows := 0
+			// ASK and CONSTRUCT run inside Stream; the rest on the drain
+			rs, err := q.Stream(ctx, st)
+			if err == nil {
+				for range rs.All() {
+					rows++
+				}
+				err = rs.Err()
+				rs.Close()
+			}
+			if rows != 0 {
+				t.Fatalf("stream yielded %d rows after cancelling during collection; the sink must not emit", rows)
+			}
+			if err != context.Canceled {
+				t.Fatalf("err = %v, want context.Canceled", err)
+			}
+			// the evaluation must have stopped at the trip point, not scanned
+			// the full pattern and noticed the cancellation at emission
+			if total := st.Len(); ctx.calls >= total {
+				t.Fatalf("context consulted %d times over a %d-triple store: evaluation ran to completion before cancelling", ctx.calls, total)
+			}
+		})
 	}
 }
 

@@ -8,16 +8,16 @@ package sparql
 // Bindings: groups are keyed on packed group-slot ID tuples and the
 // accumulators fold each row in as the pipeline produces it; the finished
 // groups are emitted at stream end through the same ORDER BY / DISTINCT /
-// window pipeline the batch engine applies, so the two paths cannot
-// produce different answers.
+// window finishers as the general aggregation (q.aggregate over the
+// buffered solution set), so the two cannot produce different answers.
 //
 // Not every grouped query streams: the operator handles plain-variable
 // group keys and direct COUNT/SUM/MIN/MAX/AVG projections (COUNT also
-// with DISTINCT), which is exactly the aggregate surface the engines
-// evaluate identically. HAVING, expression keys, nested aggregate
-// arithmetic, GROUP_CONCAT and SAMPLE fall back to the materialized path
-// — SAMPLE and GROUP_CONCAT because their result depends on row arrival
-// order, which the streaming pipeline does not reproduce.
+// with DISTINCT), which is exactly the aggregate surface the executor
+// and the reference evaluate identically. HAVING, expression keys,
+// nested aggregate arithmetic, GROUP_CONCAT and SAMPLE take the general
+// aggregation over the buffering sink — SAMPLE and GROUP_CONCAT because
+// their result depends on row arrival order.
 
 import (
 	"repro/internal/rdf"
@@ -46,11 +46,10 @@ type aggProj struct {
 }
 
 // streamAggSpec is the AST-level plan of a streamable grouped query; nil
-// means the shape needs the materialized aggregation path.
+// means the shape needs the general aggregation.
 type streamAggSpec struct {
 	groupVars []string
 	projs     []aggProj
-	vars      []string
 }
 
 // streamAggSpec analyzes the query's grouping surface. It is purely
@@ -72,14 +71,13 @@ func (q *Query) streamAggSpec() *streamAggSpec {
 	for _, it := range q.Select {
 		if it.Expr == nil {
 			if !keys[it.Var] {
-				return nil // sampling a non-key variable: materialized path
+				return nil // sampling a non-key variable: general aggregation
 			}
 			spec.projs = append(spec.projs, aggProj{kind: aggKey, outVar: it.Var, argVar: it.Var})
-			spec.vars = append(spec.vars, it.Var)
 			continue
 		}
 		if it.Var == "" {
-			return nil // missing AS: the materialized path raises the error
+			return nil // missing AS: the general aggregation raises the error
 		}
 		agg, ok := it.Expr.(*ExprAggregate)
 		if !ok {
@@ -101,7 +99,7 @@ func (q *Query) streamAggSpec() *streamAggSpec {
 			return nil // SAMPLE/GROUP_CONCAT: arrival-order dependent
 		}
 		if p.kind != aggCount && p.distinct {
-			return nil // SUM(DISTINCT …) and friends: materialized path
+			return nil // SUM(DISTINCT …) and friends: general aggregation
 		}
 		if agg.Arg != nil {
 			av, ok := agg.Arg.(*ExprVar)
@@ -113,7 +111,6 @@ func (q *Query) streamAggSpec() *streamAggSpec {
 			return nil // only COUNT takes *
 		}
 		spec.projs = append(spec.projs, p)
-		spec.vars = append(spec.vars, it.Var)
 	}
 	return spec
 }
@@ -141,7 +138,7 @@ type aggAcc struct {
 	count   int64
 	sum     float64
 	sumN    int64 // values folded into sum (AVG denominator, SUM presence)
-	numErr  bool  // a non-numeric value poisoned SUM/AVG, like the batch path
+	numErr  bool  // a non-numeric value poisoned SUM/AVG, like q.aggregate
 	best    rdf.Term
 	bestSet bool
 	seenID  map[store.ID]struct{} // COUNT(DISTINCT ?v)
@@ -253,7 +250,7 @@ func (a *streamAgg) add(r []store.ID) {
 func (a *streamAgg) groupCount() int { return len(a.order) }
 
 // emit materializes the finished groups as Bindings, in first-appearance
-// order like the batch aggregation.
+// order like q.aggregate.
 func (a *streamAgg) emit() []Binding {
 	out := make([]Binding, 0, len(a.order))
 	for _, g := range a.order {

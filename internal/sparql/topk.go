@@ -6,8 +6,7 @@ package sparql
 // appear in the answer: a new row is compared against the current worst
 // and either replaces it or is dropped on the spot. Live memory is O(k)
 // rows however many solutions the pattern produces, which is what lets
-// the streaming engine run ORDER BY … LIMIT without the materialized
-// fallback. The comparison is CompareOrderKeys — the same one the full
+// ORDER BY … LIMIT run without buffering the solution set. The comparison is CompareOrderKeys — the same one the full
 // sort and the federated ordered merge use — with an arrival sequence
 // number as the final tie-break, so the kept window and its order are
 // exactly what the stable full sort would have produced over the same
@@ -136,7 +135,7 @@ func (k OrderKey) clone(into *OrderKey) OrderKey {
 }
 
 // orderKeyOfRowInto evaluates the ORDER BY conditions on an ID-space row
-// into the reusable key storage — the streaming counterpart of the key
+// into the reusable key storage — the per-row counterpart of the key
 // materialization in sortRows.
 func (e *idExec) orderKeyOfRowInto(conds []OrderCond, condVars [][]varslot, r []store.ID, k *OrderKey) OrderKey {
 	k.keys = k.keys[:0]
@@ -160,21 +159,4 @@ func (q *Query) topKBound() int {
 		return -1
 	}
 	return q.Offset + q.Limit
-}
-
-// topKRows replaces the full sort for ORDER BY … LIMIT k in the batch
-// engine: the same bounded heap as the streaming operator, fed from a
-// materialized rowbuf. Only k rows' keys stay live.
-func (e *idExec) topKRows(rb *rowbuf, conds []OrderCond, condVars [][]varslot, k int) *rowbuf {
-	h := newRowTopK(conds, k)
-	var scratch OrderKey
-	for i := 0; i < rb.n; i++ {
-		r := rb.row(i)
-		h.offer(r, e.orderKeyOfRowInto(conds, condVars, r, &scratch))
-	}
-	out := &rowbuf{stride: rb.stride, data: make([]store.ID, 0, h.size()*rb.stride)}
-	for _, en := range h.sorted() {
-		out.add(en.row)
-	}
-	return out
 }

@@ -72,7 +72,8 @@ func tierPair(t *testing.T, mem *store.Store) (*store.Store, *disk.Store) {
 	return mem, ds
 }
 
-// runEngines executes q on st through all three evaluation paths.
+// runEngines executes q on st through the executor's two drains and the
+// reference evaluator.
 func runEngines(t *testing.T, q *sparql.Query, st store.Queryable) map[string]*sparql.Result {
 	t.Helper()
 	out := map[string]*sparql.Result{}
@@ -83,11 +84,11 @@ func runEngines(t *testing.T, q *sparql.Query, st store.Queryable) map[string]*s
 	if out["stream"], err = rs.Collect(); err != nil {
 		t.Fatalf("stream collect: %v", err)
 	}
-	if out["materialized"], err = q.ExecEngine(st, sparql.EngineAuto); err != nil {
-		t.Fatalf("materialized: %v", err)
+	if out["exec"], err = q.Exec(st); err != nil {
+		t.Fatalf("exec: %v", err)
 	}
-	if out["legacy"], err = q.ExecEngine(st, sparql.EngineLegacy); err != nil {
-		t.Fatalf("legacy: %v", err)
+	if out["reference"], err = q.ExecReference(st); err != nil {
+		t.Fatalf("reference: %v", err)
 	}
 	return out
 }
@@ -188,7 +189,7 @@ func runDifferential(t *testing.T, mem *store.Store, ds *disk.Store, queries []s
 		}
 		memRes := runEngines(t, q, mem)
 		diskRes := runEngines(t, q, ds)
-		for _, engine := range []string{"stream", "materialized", "legacy"} {
+		for _, engine := range []string{"stream", "exec", "reference"} {
 			compareTiers(t, q, engine, query, memRes[engine], diskRes[engine])
 		}
 	}
@@ -204,7 +205,7 @@ func TestDifferentialFixedCorpus(t *testing.T) {
 }
 
 // TestDifferentialRandomized fuzzes the tier pair over synthetic corpora
-// with generated queries, across all three engines.
+// with generated queries, across both drains and the reference.
 func TestDifferentialRandomized(t *testing.T) {
 	specs := []synth.Spec{
 		{Name: "tiera", Classes: 6, Instances: 200, ObjectProps: 10,

@@ -1,9 +1,8 @@
 // Package testsuite is the repo's manifest-driven SPARQL conformance
 // suite: each case pairs a query file with a data file and the expected
-// result, and every case runs through all three evaluation paths — the
-// streaming engine, the materialized ID-space engine and the legacy
-// term-space evaluator — so the semantics the suite pins cannot drift
-// between them. The cases concentrate on what differential fuzzing is
+// result, and every case runs through the single executor (as served:
+// Query.Stream) and the term-space reference evaluator, so the semantics
+// the suite pins cannot drift between them. The cases concentrate on what differential fuzzing is
 // worst at judging: ORDER BY collation edge cases, aggregate corner
 // cases, and the exact bytes of the wire serializations.
 //
@@ -11,8 +10,8 @@
 //
 //	HBOLD_TESTSUITE_UPDATE=1 go test ./internal/testsuite
 //
-// which rewrites them from the legacy evaluator (the differential
-// reference engine) — then review the diff; the whole point of the
+// which rewrites them from the reference evaluator (the differential
+// oracle) — then review the diff; the whole point of the
 // ratchet is that these bytes only change deliberately.
 package testsuite
 
@@ -115,9 +114,8 @@ func loadStore(t *testing.T, path string) *store.Store {
 	return store.FromGraph(g)
 }
 
-// engineResults runs the query through every evaluation path, in a fixed
-// order with the reference evaluator last (update mode regenerates the
-// golden files from it).
+// engineResults runs the query through the executor and the reference
+// evaluator (update mode regenerates the golden files from the latter).
 func engineResults(t *testing.T, q *sparql.Query, st store.Queryable) map[string]*sparql.Result {
 	t.Helper()
 	out := map[string]*sparql.Result{}
@@ -130,14 +128,10 @@ func engineResults(t *testing.T, q *sparql.Query, st store.Queryable) map[string
 		t.Fatalf("stream collect: %v", err)
 	}
 	out["stream"] = res
-	if res, err = q.ExecEngine(st, sparql.EngineAuto); err != nil {
-		t.Fatalf("materialized: %v", err)
+	if res, err = q.ExecReference(st); err != nil {
+		t.Fatalf("reference: %v", err)
 	}
-	out["materialized"] = res
-	if res, err = q.ExecEngine(st, sparql.EngineLegacy); err != nil {
-		t.Fatalf("legacy: %v", err)
-	}
-	out["legacy"] = res
+	out["reference"] = res
 	return out
 }
 
@@ -182,7 +176,7 @@ func runCase(t *testing.T, dir string, c Case, st store.Queryable, update bool) 
 	}
 
 	if update {
-		if err := os.WriteFile(expectPath, []byte(render(ress["legacy"])), 0o644); err != nil {
+		if err := os.WriteFile(expectPath, []byte(render(ress["reference"])), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -190,7 +184,7 @@ func runCase(t *testing.T, dir string, c Case, st store.Queryable, update bool) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, engine := range []string{"stream", "materialized", "legacy"} {
+	for _, engine := range []string{"stream", "reference"} {
 		if got := render(ress[engine]); got != string(want) {
 			t.Errorf("%s/%s: result mismatch\n--- got ---\n%s--- want ---\n%s", c.Name, engine, got, want)
 		}

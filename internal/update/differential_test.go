@@ -3,8 +3,8 @@ package update_test
 // Differential fuzz over the mutation path: the same seeded random
 // update stream (synth.UpdateGen) applies to an empty memory tier and an
 // empty disk tier. After every step the two deltas must be identical;
-// periodically a query battery runs across all three engine paths
-// (streaming, ID-space, legacy term-space) on both tiers and every
+// periodically a query battery runs through Exec, Stream().Collect() and
+// the term-space reference on both tiers and every
 // answer must agree; at the end the full materialized triple sets must
 // be equal. Any divergence — in incremental posting maintenance, WAL
 // replay, tombstone handling, or engine semantics over deleted data —
@@ -50,21 +50,21 @@ func resultKey(res *sparql.Result) string {
 	return strings.Join(lines, "\n")
 }
 
-// engineAnswers evaluates query on st through all three paths and fails
-// if they disagree among themselves.
+// engineAnswers evaluates query on st through the executor's two drains
+// and the reference and fails if they disagree among themselves.
 func engineAnswers(t *testing.T, st store.Queryable, query string) string {
 	t.Helper()
 	q, err := sparql.Parse(query)
 	if err != nil {
 		t.Fatal(err)
 	}
-	auto, err := q.ExecEngine(st, sparql.EngineAuto)
+	exec, err := q.Exec(st)
 	if err != nil {
-		t.Fatalf("auto: %v", err)
+		t.Fatalf("exec: %v", err)
 	}
-	legacy, err := q.ExecEngine(st, sparql.EngineLegacy)
+	reference, err := q.ExecReference(st)
 	if err != nil {
-		t.Fatalf("legacy: %v", err)
+		t.Fatalf("reference: %v", err)
 	}
 	rs, err := q.Stream(context.Background(), st)
 	if err != nil {
@@ -74,9 +74,9 @@ func engineAnswers(t *testing.T, st store.Queryable, query string) string {
 	if err != nil {
 		t.Fatalf("stream collect: %v", err)
 	}
-	a, l, s := resultKey(auto), resultKey(legacy), resultKey(streamed)
+	a, l, s := resultKey(exec), resultKey(reference), resultKey(streamed)
 	if a != l || a != s {
-		t.Fatalf("engines disagree on %q:\nauto:\n%s\nlegacy:\n%s\nstream:\n%s", query, a, l, s)
+		t.Fatalf("engines disagree on %q:\nexec:\n%s\nreference:\n%s\nstream:\n%s", query, a, l, s)
 	}
 	return a
 }

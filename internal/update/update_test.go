@@ -281,16 +281,16 @@ func TestBothTiersConvergeUnderUpdates(t *testing.T) {
 		var want []string
 		for _, name := range []string{"memory", "disk"} {
 			be := bes[name]
-			for _, engine := range []sparql.Engine{sparql.EngineAuto, sparql.EngineLegacy} {
-				res, err := q.ExecEngine(be, engine)
+			for engine, run := range map[string]func(store.Queryable) (*sparql.Result, error){"exec": q.Exec, "reference": q.ExecReference} {
+				res, err := run(be)
 				if err != nil {
-					t.Fatalf("%s/%v: %v", name, engine, err)
+					t.Fatalf("%s/%s: %v", name, engine, err)
 				}
 				got := canonRows(res)
 				if want == nil {
 					want = got
 				} else if fmt.Sprint(got) != fmt.Sprint(want) {
-					t.Fatalf("%s/%v diverged on %q:\n got %v\nwant %v", name, engine, query, got, want)
+					t.Fatalf("%s/%s diverged on %q:\n got %v\nwant %v", name, engine, query, got, want)
 				}
 			}
 			rs, err := q.Stream(context.Background(), be)
