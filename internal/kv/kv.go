@@ -1,7 +1,7 @@
 // Package kv is a dependency-free, crash-safe embedded key-value store:
-// an append-only WAL in front of an in-memory memtable, flushed into
-// sorted immutable segment files with a block index, full-merged by a
-// background compactor when segments accumulate. Keys are arbitrary
+// an append-only WAL in front of an ordered in-memory memtable, flushed
+// into sorted immutable segment files with a block index, full-merged by
+// a background compactor when segments accumulate. Keys are arbitrary
 // byte strings compared lexicographically, so fixed-width big-endian
 // encodings give ordered range scans — the property the dictionary-
 // encoded triple tables in internal/store/disk are built on.
@@ -15,6 +15,17 @@
 // those steps only replays work already in a segment, which is
 // idempotent. Open therefore costs O(segments + WAL bytes), not
 // O(dataset) — the instant-restart path.
+//
+// Concurrency model: what a reader sees is one immutable value — an
+// ordered copy-on-write memtable (memtable.go) plus the segment list —
+// replaced, never modified, by pointer swap. Two locks keep reads off
+// the write path. The writer lock serialises Apply, Flush and the
+// manifest commits of flush and compaction; every WAL append, segment
+// write and fsync happens under it and only under it. The state lock
+// guards the published pointer (and the counters) for the few
+// instructions it takes to swap it or to capture it and pin its
+// segments, and is never held across a syscall. So Snapshot is O(1) in
+// the memtable's size, and neither it nor Get ever waits for an fsync.
 package kv
 
 import (
@@ -23,7 +34,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 )
 
@@ -72,28 +82,37 @@ type Stats struct {
 	MemtableBytes int    // approximate memtable footprint
 }
 
-type memval struct {
-	v   []byte
-	del bool
+// state is what readers see: replaced whole, never modified.
+type state struct {
+	mem  *memtable
+	segs []*segment // oldest → newest
 }
 
+// releasedState is what a released snapshot points at: nothing, so a
+// stray read cannot touch a closed file.
+var releasedState = &state{mem: emptyMemtable}
+
 // DB is an open key-value store. All methods are safe for concurrent
-// use; reads through a Snapshot never block writers.
+// use; reads never wait for a write in progress.
 type DB struct {
 	dir  string
 	opts Options
 
-	mu       sync.Mutex
-	mem      map[string]memval
-	memBytes int
-	wal      *wal
-	segs     []*segment // oldest → newest
-	nextSeq  uint64
-	closed   bool
-
+	// wmu is the writer lock: it serialises Apply, Flush, Close and the
+	// manifest commit that ends a compaction, and is held across their
+	// I/O. The fields below it are the writer's own.
+	wmu        sync.Mutex
+	wal        *wal
+	nextSeq    uint64
+	closed     bool
 	compacting bool
 	compactWG  sync.WaitGroup
 
+	// mu is the state lock: st is replaced (by a holder of wmu) and
+	// captured under it, stats are bumped and read under it. Never held
+	// across a syscall. A holder of wmu may read st without it.
+	mu    sync.Mutex
+	st    *state
 	stats Stats
 }
 
@@ -111,7 +130,7 @@ func Open(dir string, opts Options) (*DB, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	db := &DB{dir: dir, opts: opts, mem: make(map[string]memval)}
+	db := &DB{dir: dir, opts: opts}
 
 	var m manifest
 	raw, err := os.ReadFile(filepath.Join(dir, manifestName))
@@ -126,15 +145,16 @@ func Open(dir string, opts Options) (*DB, error) {
 		return nil, err
 	}
 	db.nextSeq = m.NextSeq
+	var segs []*segment
 	committed := make(map[string]bool, len(m.Segments))
 	for _, name := range m.Segments {
 		committed[name] = true
 		seg, err := openSegment(filepath.Join(dir, name))
 		if err != nil {
-			db.releaseAll()
+			releaseAll(segs)
 			return nil, fmt.Errorf("kv: segment %s: %w", name, err)
 		}
-		db.segs = append(db.segs, seg)
+		segs = append(segs, seg)
 	}
 	// Segments written but never committed to the manifest are garbage
 	// from a crash mid-flush or mid-compaction.
@@ -149,52 +169,47 @@ func Open(dir string, opts Options) (*DB, error) {
 
 	w, payloads, err := openWAL(filepath.Join(dir, "wal.log"))
 	if err != nil {
-		db.releaseAll()
+		releaseAll(segs)
 		return nil, err
 	}
 	db.wal = w
+	mem := emptyMemtable
 	for _, p := range payloads {
 		b, err := decodeBatch(p)
 		if err != nil {
 			// openWAL already validated framing CRCs; a payload that
 			// fails structural decode means a writer bug, not a torn
 			// write. Refuse to guess.
-			db.releaseAll()
+			releaseAll(segs)
 			w.close()
 			return nil, fmt.Errorf("kv: corrupt WAL batch: %w", err)
 		}
-		db.applyToMem(b)
+		mem = mem.apply(sortedOps(b.ops))
 		db.stats.WALReplayed++
 	}
+	db.st = &state{mem: mem, segs: segs}
 	return db, nil
 }
 
-func (db *DB) releaseAll() {
-	for _, s := range db.segs {
+func releaseAll(segs []*segment) {
+	for _, s := range segs {
 		s.release()
 	}
-	db.segs = nil
 }
 
 // Batch is an ordered set of writes applied atomically by Apply.
 type Batch struct {
-	ops []op
-}
-
-type op struct {
-	key string
-	val []byte
-	del bool
+	ops []entry
 }
 
 // Put records a key/value write. The value is retained until Apply.
 func (b *Batch) Put(key string, val []byte) {
-	b.ops = append(b.ops, op{key: key, val: val})
+	b.ops = append(b.ops, entry{k: key, v: val})
 }
 
 // Delete records a key deletion.
 func (b *Batch) Delete(key string) {
-	b.ops = append(b.ops, op{key: key, del: true})
+	b.ops = append(b.ops, entry{k: key, del: true})
 }
 
 // Len returns the number of operations in the batch.
@@ -207,69 +222,69 @@ func (db *DB) Apply(b *Batch) error {
 	if len(b.ops) == 0 {
 		return nil
 	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
+	payload := encodeBatch(b)
+	ops := sortedOps(b.ops)
+	db.wmu.Lock()
+	defer db.wmu.Unlock()
 	if db.closed {
 		return errClosed
 	}
-	payload := encodeBatch(b)
 	if err := db.wal.append(payload, !db.opts.NoSync); err != nil {
 		return err
 	}
+	mem := db.st.mem.apply(ops)
+	db.mu.Lock()
+	db.st = &state{mem: mem, segs: db.st.segs}
 	db.stats.WALAppends++
 	db.stats.WALBytes += uint64(len(payload))
-	db.applyToMem(b)
-	if db.memBytes >= db.opts.MemtableBytes {
-		if err := db.flushLocked(); err != nil {
-			return err
-		}
+	db.mu.Unlock()
+	if mem.bytes >= db.opts.MemtableBytes {
+		return db.flushLocked()
 	}
 	return nil
 }
 
-func (db *DB) applyToMem(b *Batch) {
-	for _, o := range b.ops {
-		if prev, ok := db.mem[o.key]; ok {
-			db.memBytes -= len(prev.v)
-		} else {
-			db.memBytes += len(o.key) + memEntryOverhead
-		}
-		db.mem[o.key] = memval{v: o.val, del: o.del}
-		db.memBytes += len(o.val)
-	}
-}
-
-const memEntryOverhead = 32
-
 var errClosed = fmt.Errorf("kv: closed")
 
-// Get returns the newest value for key. The returned slice must not be
-// modified when it aliases the memtable; copy to retain.
-func (db *DB) Get(key string) ([]byte, bool) {
+// pin captures the current state with a reference on each segment, so
+// the caller can read the files after the state lock is gone.
+func (db *DB) pin() *state {
 	db.mu.Lock()
-	defer db.mu.Unlock()
-	if mv, ok := db.mem[key]; ok {
-		if mv.del {
-			return nil, false
-		}
-		return mv.v, true
+	st := db.st
+	for _, s := range st.segs {
+		s.acquire()
 	}
-	for i := len(db.segs) - 1; i >= 0; i-- {
-		if v, del, ok, err := db.segs[i].get(key); err == nil && ok {
-			if del {
-				return nil, false
-			}
-			return v, true
+	db.mu.Unlock()
+	return st
+}
+
+// get returns the newest value for key in st, reading newest segment
+// first. The caller holds references on st's segments.
+func (st *state) get(key string) ([]byte, bool) {
+	if e, ok := st.mem.get(key); ok {
+		return e.v, !e.del
+	}
+	for i := len(st.segs) - 1; i >= 0; i-- {
+		if v, del, ok, err := st.segs[i].get(key); err == nil && ok {
+			return v, !del
 		}
 	}
 	return nil, false
 }
 
+// Get returns the newest value for key. The returned slice must not be
+// modified when it aliases the memtable; copy to retain.
+func (db *DB) Get(key string) ([]byte, bool) {
+	st := db.pin()
+	defer releaseAll(st.segs)
+	return st.get(key)
+}
+
 // Flush forces the memtable into a new segment (even a small one) and
 // resets the WAL. A no-op on an empty memtable.
 func (db *DB) Flush() error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
+	db.wmu.Lock()
+	defer db.wmu.Unlock()
 	if db.closed {
 		return errClosed
 	}
@@ -277,25 +292,22 @@ func (db *DB) Flush() error {
 }
 
 // flushLocked writes the memtable as the newest segment, commits the
-// manifest, resets the WAL and may kick off background compaction.
+// manifest, publishes the state with an empty memtable, resets the WAL
+// and may kick off background compaction. The caller holds wmu.
 func (db *DB) flushLocked() error {
-	if len(db.mem) == 0 {
+	st := db.st
+	if st.mem.keys == 0 {
 		return nil
 	}
-	ents := make([]entry, 0, len(db.mem))
-	for k, mv := range db.mem {
-		ents = append(ents, entry{k: k, v: mv.v, del: mv.del})
-	}
-	sort.Slice(ents, func(i, j int) bool { return ents[i].k < ents[j].k })
-
 	name := fmt.Sprintf("seg-%06d.seg", db.nextSeq)
 	db.nextSeq++
 	sw, err := newSegWriter(filepath.Join(db.dir, name), db.opts.BlockBytes)
 	if err != nil {
 		return err
 	}
-	for _, e := range ents {
-		if err := sw.add(e.k, e.v, e.del); err != nil {
+	it := &memIter{m: st.mem}
+	for it.seek(""); it.next(); {
+		if err := sw.add(it.key(), it.value(), it.deleted()); err != nil {
 			sw.abort()
 			return err
 		}
@@ -304,17 +316,17 @@ func (db *DB) flushLocked() error {
 	if err != nil {
 		return err
 	}
-	db.segs = append(db.segs, seg)
-	if err := db.writeManifestLocked(); err != nil {
+	segs := append(st.segs[:len(st.segs):len(st.segs)], seg)
+	if err := db.writeManifest(segs); err != nil {
 		// The segment is orphaned; the next Open deletes it and the WAL
 		// still holds every batch.
-		db.segs = db.segs[:len(db.segs)-1]
 		seg.release()
 		return err
 	}
-	db.mem = make(map[string]memval)
-	db.memBytes = 0
+	db.mu.Lock()
+	db.st = &state{mem: emptyMemtable, segs: segs}
 	db.stats.Flushes++
+	db.mu.Unlock()
 	if err := db.wal.reset(); err != nil {
 		return err
 	}
@@ -322,9 +334,11 @@ func (db *DB) flushLocked() error {
 	return nil
 }
 
-func (db *DB) writeManifestLocked() error {
+// writeManifest commits segs as the live segment list. The caller
+// holds wmu.
+func (db *DB) writeManifest(segs []*segment) error {
 	m := manifest{NextSeq: db.nextSeq}
-	for _, s := range db.segs {
+	for _, s := range segs {
 		m.Segments = append(m.Segments, filepath.Base(s.path))
 	}
 	raw, err := json.MarshalIndent(m, "", "  ")
@@ -378,13 +392,14 @@ func syncDir(dir string) error {
 }
 
 // maybeCompactLocked starts a background full merge when the segment
-// list has grown past MaxSegments and no merge is already running.
+// list has grown past MaxSegments and no merge is already running. The
+// caller holds wmu, so the DB's own references keep the captured
+// segments open while they are pinned.
 func (db *DB) maybeCompactLocked() {
-	if db.compacting || len(db.segs) <= db.opts.MaxSegments {
+	if db.compacting || len(db.st.segs) <= db.opts.MaxSegments {
 		return
 	}
-	captured := make([]*segment, len(db.segs))
-	copy(captured, db.segs)
+	captured := db.st.segs
 	for _, s := range captured {
 		s.acquire()
 	}
@@ -399,18 +414,13 @@ func (db *DB) maybeCompactLocked() {
 // at capture time) into one. Tombstones are dropped: nothing older than
 // the captured set exists, so a deletion shadowing nothing is dead
 // weight. Segments flushed while the merge runs are newer and stay
-// above the merged result.
+// above the merged result. The merge itself runs under no lock.
 func (db *DB) compact(captured []*segment, seq uint64) {
 	defer db.compactWG.Done()
-	release := func() {
-		for _, s := range captured {
-			s.release()
-		}
-	}
+	defer releaseAll(captured)
 	name := fmt.Sprintf("seg-%06d.seg", seq)
 	sw, err := newSegWriter(filepath.Join(db.dir, name), db.opts.BlockBytes)
 	if err != nil {
-		release()
 		db.compactDone(nil, nil)
 		return
 	}
@@ -426,44 +436,41 @@ func (db *DB) compact(captured []*segment, seq uint64) {
 	})
 	if werr != nil {
 		sw.abort()
-		release()
 		db.compactDone(nil, nil)
 		return
 	}
 	merged, err := sw.finish()
 	if err != nil {
-		release()
 		db.compactDone(nil, nil)
 		return
 	}
 	db.compactDone(captured, merged)
-	release()
 }
 
-// compactDone swaps the merged segment in for the captured prefix of
-// the segment list (under the lock) and retires the old files. A nil
-// merged segment means the merge failed and the list is left alone.
+// compactDone commits the merged segment in place of the captured prefix
+// of the segment list — manifest first, under the writer lock, then the
+// published state — and retires the old files. A nil merged segment
+// means the merge failed and the list is left alone.
 func (db *DB) compactDone(captured []*segment, merged *segment) {
-	db.mu.Lock()
+	db.wmu.Lock()
+	defer db.wmu.Unlock()
 	db.compacting = false
 	if merged == nil {
-		db.mu.Unlock()
 		return
 	}
-	old := db.segs[:len(captured)]
-	rest := db.segs[len(captured):]
-	db.segs = append([]*segment{merged}, rest...)
-	if err := db.writeManifestLocked(); err != nil {
-		// Roll back: drop the merged segment, keep serving the old list.
-		db.segs = append(old[:len(old):len(old)], rest...)
-		db.mu.Unlock()
+	st := db.st
+	segs := append([]*segment{merged}, st.segs[len(captured):]...)
+	if err := db.writeManifest(segs); err != nil {
+		// Drop the merged segment, keep serving the old list.
 		merged.release()
 		os.Remove(merged.path)
 		return
 	}
+	db.mu.Lock()
+	db.st = &state{mem: st.mem, segs: segs}
 	db.stats.Compactions++
 	db.mu.Unlock()
-	for _, s := range old {
+	for _, s := range captured {
 		// Unlink first — open snapshots keep reading through their fd.
 		os.Remove(s.path)
 		s.release() // the DB's own reference
@@ -474,18 +481,22 @@ func (db *DB) compactDone(captured []*segment, merged *segment) {
 // The memtable is not flushed: the WAL already holds it durably and
 // replay restores it on the next Open.
 func (db *DB) Close() error {
-	db.mu.Lock()
+	db.wmu.Lock()
 	if db.closed {
-		db.mu.Unlock()
+		db.wmu.Unlock()
 		return nil
 	}
 	db.closed = true
-	db.mu.Unlock()
+	db.wmu.Unlock()
 	db.compactWG.Wait()
-	db.mu.Lock()
-	defer db.mu.Unlock()
+	db.wmu.Lock()
+	defer db.wmu.Unlock()
 	err := db.wal.close()
-	db.releaseAll()
+	db.mu.Lock()
+	segs := db.st.segs
+	db.st = &state{mem: db.st.mem}
+	db.mu.Unlock()
+	releaseAll(segs)
 	return err
 }
 
@@ -494,92 +505,55 @@ func (db *DB) Stats() Stats {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	st := db.stats
-	st.Segments = len(db.segs)
+	st.Segments = len(db.st.segs)
 	st.SegmentBytes = 0
-	for _, s := range db.segs {
+	for _, s := range db.st.segs {
 		st.SegmentBytes += s.size
 	}
-	st.MemtableKeys = len(db.mem)
-	st.MemtableBytes = db.memBytes
+	st.MemtableKeys = db.st.mem.keys
+	st.MemtableBytes = db.st.mem.bytes
 	return st
 }
 
-// Snap is a stable read view: a sorted copy of the memtable plus
-// references on every live segment. Release returns the references;
-// a finalizer backstops forgotten snapshots.
+// Snap is a stable read view: one published state — the memtable as it
+// was, by pointer — plus a reference on each of its segments. Release
+// returns the references; a finalizer backstops forgotten snapshots.
 type Snap struct {
-	mem  []entry    // sorted, includes tombstones
-	segs []*segment // newest → oldest
+	st   *state
 	once sync.Once
-}
-
-type entry struct {
-	k   string
-	v   []byte
-	del bool
 }
 
 // Snapshot captures a consistent view of the store. Readers on the
 // snapshot never block, and never see writes applied after this call.
+// It costs the same whatever the memtable holds.
 func (db *DB) Snapshot() *Snap {
-	db.mu.Lock()
-	sn := &Snap{}
-	if len(db.mem) > 0 {
-		sn.mem = make([]entry, 0, len(db.mem))
-		for k, mv := range db.mem {
-			sn.mem = append(sn.mem, entry{k: k, v: mv.v, del: mv.del})
-		}
-		sort.Slice(sn.mem, func(i, j int) bool { return sn.mem[i].k < sn.mem[j].k })
-	}
-	sn.segs = make([]*segment, len(db.segs))
-	for i, s := range db.segs {
-		s.acquire()
-		sn.segs[len(db.segs)-1-i] = s
-	}
-	db.mu.Unlock()
+	sn := &Snap{st: db.pin()}
 	setSnapFinalizer(sn)
 	return sn
 }
 
-// Release returns the snapshot's segment references. Idempotent.
+// Release returns the snapshot's segment references. Idempotent. The
+// snapshot must not be read afterwards.
 func (s *Snap) Release() {
 	s.once.Do(func() {
-		for _, seg := range s.segs {
-			seg.release()
-		}
-		s.segs = nil
+		releaseAll(s.st.segs)
+		s.st = releasedState
 		clearSnapFinalizer(s)
 	})
 }
 
 // Get returns the newest value for key visible in the snapshot.
-func (s *Snap) Get(key string) ([]byte, bool) {
-	i := sort.Search(len(s.mem), func(i int) bool { return s.mem[i].k >= key })
-	if i < len(s.mem) && s.mem[i].k == key {
-		if s.mem[i].del {
-			return nil, false
-		}
-		return s.mem[i].v, true
-	}
-	for _, seg := range s.segs {
-		if v, del, ok, err := seg.get(key); err == nil && ok {
-			if del {
-				return nil, false
-			}
-			return v, true
-		}
-	}
-	return nil, false
-}
+func (s *Snap) Get(key string) ([]byte, bool) { return s.st.get(key) }
 
 // Scan streams live keys in [start, end) in lexicographic order; an
 // empty end means unbounded. Returning false from fn stops the scan.
 // Values are only valid for the duration of the callback.
 func (s *Snap) Scan(start, end string, fn func(k string, v []byte) bool) {
-	sources := make([]iter, 0, len(s.segs)+1)
-	sources = append(sources, &memIter{ents: s.mem, pos: -1})
-	for _, seg := range s.segs {
-		sources = append(sources, seg.iterate())
+	st := s.st
+	sources := make([]iter, 0, len(st.segs)+1)
+	sources = append(sources, &memIter{m: st.mem})
+	for i := len(st.segs) - 1; i >= 0; i-- {
+		sources = append(sources, st.segs[i].iterate())
 	}
 	mergeScan(sources, start, end, false, func(k string, v []byte, del bool) bool {
 		return fn(k, v)
@@ -618,24 +592,6 @@ type iter interface {
 	value() []byte
 	deleted() bool
 }
-
-type memIter struct {
-	ents []entry
-	pos  int
-}
-
-func (m *memIter) seek(start string) {
-	m.pos = sort.Search(len(m.ents), func(i int) bool { return m.ents[i].k >= start }) - 1
-}
-
-func (m *memIter) next() bool {
-	m.pos++
-	return m.pos < len(m.ents)
-}
-
-func (m *memIter) key() string   { return m.ents[m.pos].k }
-func (m *memIter) value() []byte { return m.ents[m.pos].v }
-func (m *memIter) deleted() bool { return m.ents[m.pos].del }
 
 // mergeScan merges the sources (sources[i] shadows sources[j] for i<j)
 // and emits each distinct key once, newest version first, in key order
@@ -691,11 +647,11 @@ func encodeBatch(b *Batch) []byte {
 		} else {
 			buf = append(buf, 0)
 		}
-		buf = binary.AppendUvarint(buf, uint64(len(o.key)))
-		buf = append(buf, o.key...)
+		buf = binary.AppendUvarint(buf, uint64(len(o.k)))
+		buf = append(buf, o.k...)
 		if !o.del {
-			buf = binary.AppendUvarint(buf, uint64(len(o.val)))
-			buf = append(buf, o.val...)
+			buf = binary.AppendUvarint(buf, uint64(len(o.v)))
+			buf = append(buf, o.v...)
 		}
 	}
 	return buf

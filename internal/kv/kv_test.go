@@ -2,9 +2,11 @@ package kv
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 )
 
@@ -346,4 +348,272 @@ func TestRandomizedAgainstMap(t *testing.T) {
 	db = openT(t, dir, Options{NoSync: true})
 	defer db.Close()
 	check("after reopen")
+}
+
+// TestBatchLastOpWins pins Apply's reduction of a batch to its net
+// effect: ops on one key apply in order, the last one stands.
+func TestBatchLastOpWins(t *testing.T) {
+	dir := t.TempDir()
+	db := openT(t, dir, Options{NoSync: true})
+	var b Batch
+	b.Put("k", []byte("1"))
+	b.Delete("k")
+	b.Put("k", []byte("3"))
+	b.Put("gone", []byte("x"))
+	b.Delete("gone")
+	if err := db.Apply(&b); err != nil {
+		t.Fatal(err)
+	}
+	wantGet(t, db, "k", "3", true)
+	wantGet(t, db, "gone", "", false)
+	if st := db.Stats(); st.MemtableKeys != 2 {
+		t.Fatalf("MemtableKeys = %d, want 2 (one entry per key)", st.MemtableKeys)
+	}
+	// replay applies the same record the same way
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db = openT(t, dir, Options{NoSync: true})
+	defer db.Close()
+	wantGet(t, db, "k", "3", true)
+	wantGet(t, db, "gone", "", false)
+}
+
+// TestMemtableLeaves drives the copy-on-write memtable through leaf
+// splits with one-key and bulk batches in scrambled order, checking the
+// structure's invariants, its accounting and its contents against a map
+// — for the final version and for an earlier one kept aside, which the
+// later applies must have left exactly as it was.
+func TestMemtableLeaves(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	m := emptyMemtable
+	model := map[string]entry{}
+	apply := func(ops []entry) {
+		m = m.apply(sortedOps(ops))
+		for _, o := range ops {
+			model[o.k] = o
+		}
+	}
+	verify := func(stage string, m *memtable, model map[string]entry) {
+		t.Helper()
+		bytes, keys, prev := 0, 0, ""
+		for li, leaf := range m.leaves {
+			if len(leaf) == 0 || len(leaf) > leafMax {
+				t.Fatalf("%s: leaf %d has %d entries, want 1..%d", stage, li, len(leaf), leafMax)
+			}
+			for _, e := range leaf {
+				if keys > 0 && e.k <= prev {
+					t.Fatalf("%s: leaf %d: %q after %q", stage, li, e.k, prev)
+				}
+				prev = e.k
+				keys++
+				bytes += len(e.k) + memEntryOverhead + len(e.v)
+				if want, ok := model[e.k]; !ok || string(want.v) != string(e.v) || want.del != e.del {
+					t.Fatalf("%s: key %q = %q/%v, want %q/%v (present %v)", stage, e.k, e.v, e.del, want.v, want.del, ok)
+				}
+			}
+		}
+		if keys != len(model) || m.keys != keys || m.bytes != bytes {
+			t.Fatalf("%s: walked %d keys / %d bytes; memtable says %d / %d; model has %d", stage, keys, bytes, m.keys, m.bytes, len(model))
+		}
+		for k, want := range model {
+			if e, ok := m.get(k); !ok || string(e.v) != string(want.v) || e.del != want.del {
+				t.Fatalf("%s: get(%q) = %q/%v/%v", stage, k, e.v, e.del, ok)
+			}
+		}
+		if _, ok := m.get("absent"); ok {
+			t.Fatalf("%s: get found an absent key", stage)
+		}
+	}
+
+	for i := 0; i < 3000; i++ {
+		apply([]entry{{k: fmt.Sprintf("one-%05d", rng.Intn(4000)), v: []byte{byte(i)}}})
+	}
+	published, publishedModel := m, maps.Clone(model)
+	for round := 0; round < 5; round++ {
+		var ops []entry
+		for i := 0; i < 2000; i++ {
+			k := fmt.Sprintf("bulk-%06d", rng.Intn(20000))
+			if i%4 == 0 {
+				k = fmt.Sprintf("one-%05d", rng.Intn(4000)) // rewrite published leaves too
+			}
+			ops = append(ops, entry{k: k, v: []byte(k), del: rng.Intn(7) == 0})
+		}
+		apply(ops)
+	}
+	verify("final", m, model)
+	verify("published earlier", published, publishedModel)
+}
+
+// allocBytesPer returns the mean bytes allocated by one call of fn.
+func allocBytesPer(n int, fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		fn()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(n)
+}
+
+// TestSnapshotCostIndependentOfMemtable is the contract that Snapshot
+// copies nothing: it makes the same allocations, of the same size, at
+// 1 k and at 50 k buffered keys.
+func TestSnapshotCostIndependentOfMemtable(t *testing.T) {
+	db := openT(t, t.TempDir(), Options{NoSync: true, MemtableBytes: 1 << 30})
+	defer db.Close()
+	fill := func(from, to int) {
+		var b Batch
+		for i := from; i < to; i++ {
+			b.Put(fmt.Sprintf("key-%07d", i), []byte("v"))
+		}
+		if err := db.Apply(&b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snapshot := func() { db.Snapshot().Release() }
+	fill(0, 1000)
+	smallN, smallB := testing.AllocsPerRun(100, snapshot), allocBytesPer(100, snapshot)
+	fill(1000, 50000)
+	if st := db.Stats(); st.MemtableKeys != 50000 {
+		t.Fatalf("MemtableKeys = %d, want 50000", st.MemtableKeys)
+	}
+	largeN, largeB := testing.AllocsPerRun(100, snapshot), allocBytesPer(100, snapshot)
+	if largeN != smallN || largeB > smallB+64 {
+		t.Fatalf("Snapshot allocates %.0f objects / %d bytes at 1k keys, %.0f / %d at 50k", smallN, smallB, largeN, largeB)
+	}
+}
+
+// TestOneKeyBatchesStayCheap guards Apply's cost bound — batch plus
+// touched leaves, not the memtable — where it would show first: one-key
+// batches against a large memtable. Copying the memtable per Apply would
+// allocate megabytes each time.
+func TestOneKeyBatchesStayCheap(t *testing.T) {
+	db := openT(t, t.TempDir(), Options{NoSync: true, MemtableBytes: 1 << 30})
+	defer db.Close()
+	var b Batch
+	for i := 0; i < 50000; i++ {
+		b.Put(fmt.Sprintf("key-%07d", i), []byte("v"))
+	}
+	if err := db.Apply(&b); err != nil {
+		t.Fatal(err)
+	}
+	const n = 2000
+	i := 0
+	per := allocBytesPer(n, func() {
+		var b Batch
+		b.Put(fmt.Sprintf("key-%07d-x", (i*7919)%50000), []byte("v"))
+		if err := db.Apply(&b); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	// one leaf (≤ 256 entries) plus the directory (≈ 400 slice headers)
+	if per > 64<<10 {
+		t.Fatalf("a one-key Apply allocates %d bytes against a 50k-key memtable", per)
+	}
+	if st := db.Stats(); st.MemtableKeys != 50000+n {
+		t.Fatalf("MemtableKeys = %d, want %d", st.MemtableKeys, 50000+n)
+	}
+}
+
+// TestSnapshotSurvivesFlushAndCompaction: a snapshot taken before an
+// Apply sees none of it — not when the memtable it captured is flushed,
+// not when the segments it pinned are compacted away — while a second
+// goroutine scans it throughout.
+func TestSnapshotSurvivesFlushAndCompaction(t *testing.T) {
+	db := openT(t, t.TempDir(), Options{NoSync: true, MaxSegments: 2, BlockBytes: 64})
+	defer db.Close()
+	const n = 200
+	key := func(i int) string { return fmt.Sprintf("k%04d", i) }
+	for seg := 0; seg < 2; seg++ { // two segments and a memtable under the snapshot
+		var b Batch
+		for i := seg; i < n; i += 3 {
+			b.Put(key(i), []byte("old"))
+		}
+		if err := db.Apply(&b); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var b Batch
+	for i := 2; i < n; i += 3 {
+		b.Put(key(i), []byte("old"))
+	}
+	if err := db.Apply(&b); err != nil {
+		t.Fatal(err)
+	}
+	sn := db.Snapshot()
+	defer sn.Release()
+
+	check := func() error {
+		seen := 0
+		var bad error
+		sn.Scan("", "", func(k string, v []byte) bool {
+			if string(v) != "old" || k != key(seen) {
+				bad = fmt.Errorf("snapshot scan saw %q=%q at position %d", k, v, seen)
+				return false
+			}
+			seen++
+			return true
+		})
+		if bad == nil && seen != n {
+			bad = fmt.Errorf("snapshot scan saw %d keys, want %d", seen, n)
+		}
+		if v, ok := sn.Get(key(n / 2)); bad == nil && (!ok || string(v) != "old") {
+			bad = fmt.Errorf("snapshot Get = %q,%v", v, ok)
+		}
+		return bad
+	}
+
+	stop := make(chan struct{})
+	scanned := make(chan error, 1)
+	go func() {
+		for {
+			select {
+			case <-stop:
+				scanned <- nil
+				return
+			default:
+			}
+			if err := check(); err != nil {
+				scanned <- err
+				return
+			}
+		}
+	}()
+
+	// overwrite, delete and extend, through flushes and compactions
+	for round := 0; round < 6; round++ {
+		var b Batch
+		for i := 0; i < n; i++ {
+			switch {
+			case i%5 == round%5:
+				b.Delete(key(i))
+			default:
+				b.Put(key(i), []byte(fmt.Sprintf("new-%d", round)))
+			}
+		}
+		b.Put(fmt.Sprintf("later-%d", round), []byte("x"))
+		if err := db.Apply(&b); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	db.compactWG.Wait()
+	close(stop)
+	if err := <-scanned; err != nil {
+		t.Fatal(err)
+	}
+	if st := db.Stats(); st.Flushes < 8 || st.Compactions == 0 {
+		t.Fatalf("want flushes and a compaction behind the snapshot, got %+v", st)
+	}
+	if err := check(); err != nil {
+		t.Fatal(err)
+	}
+	wantGet(t, db, "later-5", "x", true)
 }

@@ -126,6 +126,15 @@ func newIDExec(st store.Queryable) *idExec {
 	}
 }
 
+// release returns what the snapshot holds (on the disk tier, its pins on
+// segment files); the executor must not read the store afterwards. The
+// memory tier's reader has nothing to release. Safe to call twice.
+func (e *idExec) release() {
+	if rd, ok := e.rd.(interface{ Release() }); ok {
+		rd.Release()
+	}
+}
+
 // intern returns the unique ID for t: the store's if it knows the term,
 // otherwise an executor-local one. Equal terms always map to equal IDs.
 func (e *idExec) intern(t rdf.Term) store.ID {
@@ -398,6 +407,7 @@ func (q *Query) compile(st store.Queryable) (*plan, error) {
 	comp := &compiler{ex: ex, slots: newSlotmap()}
 	root, err := comp.group(q.Where)
 	if err != nil {
+		ex.release()
 		return nil, err
 	}
 	p := &plan{q: q, ex: ex, root: root, grouped: q.needsGrouping()}
@@ -466,7 +476,11 @@ func (p *plan) binding(r []store.ID) Binding {
 // for on each query. That is why run only drives, the sink is one fused
 // closure rather than a chain of them, and the EXPLAIN hooks inside it
 // are leaf calls.
+//
+// A plan runs once: the snapshot it was compiled against is released
+// when run returns.
 func (p *plan) run(ctx context.Context, reg *obs.Registry, prof *profiler, emit func(Binding) bool) error {
+	defer p.ex.release()
 	se := &streamExec{ctx: ctx, ex: p.ex, prof: prof, orders: map[*cBGP][]int{}, minus: map[*cMinus]*rowbuf{}}
 	where := prof.addStage("where")
 	sink, finish := p.sink(se, reg, emit)

@@ -324,6 +324,8 @@ func (q *Query) Stream(ctx context.Context, st store.Queryable) (*RowSeq, error)
 		rs = NewRowSeq(p.vars, func(yield func(Binding) bool) {
 			streamErr = p.run(ctx, reg, nil, yield)
 		}, &streamErr)
+		// a stream closed before its first pull never enters run
+		rs.OnClose(p.ex.release)
 	} else {
 		if err := p.run(ctx, reg, nil, nil); err != nil {
 			return fail(err)

@@ -9,6 +9,8 @@ package store
 // reference implementation of every interface here.
 
 import (
+	"sync"
+
 	"repro/internal/rdf"
 )
 
@@ -65,7 +67,10 @@ type ReaderAPI interface {
 type Queryable interface {
 	// Snapshot returns a stable read view. Each query execution takes
 	// one snapshot, so a tier that accepts concurrent writes gives the
-	// query a consistent corpus for its whole run.
+	// query a consistent corpus for its whole run. A tier that buffers
+	// writes serves its last committed state: writes staged since the
+	// last Flush are not in the view. A view that also has a Release()
+	// method holds resources until it is called.
 	Snapshot() ReaderAPI
 	// Match streams every triple matching the term-level pattern.
 	Match(pat Pattern, fn func(rdf.Triple) bool)
@@ -90,6 +95,13 @@ type Backend interface {
 	// Flush commits and (for persistent tiers) makes durable every
 	// buffered insert.
 	Flush() error
+	// WriteLock returns the tier's request lock. Insert, Delete and
+	// Flush do not take it; a caller whose request is several of them
+	// holds it from its first write to its Flush, so that concurrent
+	// requests never interleave in one pending batch. A tier whose
+	// Match and Cardinality commit buffered writes first takes it there,
+	// so a holder reads through Snapshot instead.
+	WriteLock() sync.Locker
 	// Close flushes and releases the tier's resources.
 	Close() error
 }
@@ -105,6 +117,9 @@ func (s *Store) Delete(t rdf.Triple) (bool, error) { return s.Remove(t), nil }
 
 // Flush implements Backend; the in-memory tier has nothing to persist.
 func (s *Store) Flush() error { return nil }
+
+// WriteLock implements Backend.
+func (s *Store) WriteLock() sync.Locker { return &s.reqMu }
 
 // Close implements Backend; the in-memory tier holds no resources.
 func (s *Store) Close() error { return nil }

@@ -247,5 +247,9 @@ func TestDifferentialInsertPath(t *testing.T) {
 	for i := len(trs) - 1; i >= 0; i-- {
 		mustInsert(t, ds, trs[i])
 	}
+	// queries run on Snapshot, which serves committed state only
+	if err := ds.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	runDifferential(t, mem, ds, diffQueries)
 }

@@ -1,6 +1,7 @@
 package disk
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"sync"
@@ -29,15 +30,28 @@ type meta struct {
 }
 
 // Store is a disk-backed triple store implementing store.Backend.
-// Inserts accumulate in a pending batch and commit as one atomic WAL
-// record on Flush (or when the batch grows past a threshold); reads
-// flush first, so — like the in-memory tier — a write is visible to
-// every subsequent read. Readers run on KV snapshots and never block
-// writers.
+// Inserts and deletes accumulate in a pending batch and commit as one
+// atomic WAL record on Flush (or when the batch grows past a
+// threshold). Snapshot serves the last committed state: a reader sees
+// whole batches only, never the staging area, and taking one neither
+// writes nor waits for a write — it captures a KV snapshot and reads
+// the statistics out of that same snapshot, where each batch put them,
+// so the two agree by construction. A writer that must read its own
+// staged writes calls Flush first; Match and Cardinality, which promise
+// write-then-read, do that themselves.
 type Store struct {
-	mu sync.Mutex
 	db *kv.DB
 
+	// reqMu is WriteLock: held by a caller across one request's
+	// stage → Flush, so two requests never share the pending batch.
+	// Match and Cardinality take it for their flush.
+	reqMu sync.Mutex
+
+	// mu guards the staging area below; readers never take it.
+	mu sync.Mutex
+
+	// meta is the writer's working copy: committed state plus the
+	// pending batch's effect. Readers use committed instead.
 	meta meta
 
 	// Pending state since the last flush. pendingDict doubles as a
@@ -55,12 +69,25 @@ type Store struct {
 	pendingObj  map[store.ID]int
 	dirtyMeta   bool
 
+	// committed caches the decoded form of the newest meta record a
+	// reader has seen, keyed by its raw bytes.
+	committed atomic.Pointer[decodedMeta]
+
 	// term cache: ID → rdf.Term, shared by every Reader. IDs are never
 	// reused, so entries stay valid across snapshots and compactions.
 	terms     sync.Map
 	cacheHits atomic.Uint64
 	cacheMiss atomic.Uint64
 }
+
+// decodedMeta pairs a meta record's bytes with their decoded, shared,
+// read-only form.
+type decodedMeta struct {
+	raw []byte
+	m   *meta
+}
+
+var metaKey = string([]byte{kMeta})
 
 // maxBatchOps bounds the pending batch (and with it the un-flushed
 // memory footprint) between explicit Flush calls.
@@ -75,17 +102,15 @@ func Open(dir string, opts Options) (*Store, error) {
 	}
 	s := &Store{db: db}
 	s.resetPending()
-	if raw, ok := db.Get(string([]byte{kMeta})); ok {
-		if err := json.Unmarshal(raw, &s.meta); err != nil {
-			db.Close()
-			return nil, fmt.Errorf("disk: corrupt meta record: %w", err)
-		}
-	}
-	if s.meta.PredCount == nil {
-		s.meta.PredCount = make(map[store.ID]int)
+	if err := s.reloadMeta(); err != nil {
+		db.Close()
+		return nil, err
 	}
 	return s, nil
 }
+
+// WriteLock returns the request lock: see store.Backend.
+func (s *Store) WriteLock() sync.Locker { return &s.reqMu }
 
 func (s *Store) resetPending() {
 	s.batch = &kv.Batch{}
@@ -409,26 +434,29 @@ func (s *Store) flushLocked() error {
 	if err != nil {
 		return err
 	}
-	s.batch.Put(string([]byte{kMeta}), raw)
-	if err := s.db.Apply(s.batch); err != nil {
-		// The batch may be partially unknown to the KV layer; reload the
-		// committed meta so in-memory counters stay consistent with it.
-		s.reloadMeta()
-		s.resetPending()
-		return err
-	}
+	s.batch.Put(metaKey, raw)
+	err = s.db.Apply(s.batch)
 	s.resetPending()
-	return nil
+	if err != nil {
+		// The staging is gone, so the working meta must fall back to the
+		// committed one; a meta record that was committed decodes.
+		_ = s.reloadMeta()
+	}
+	return err
 }
 
-func (s *Store) reloadMeta() {
-	s.meta = meta{PredCount: make(map[store.ID]int)}
-	if raw, ok := s.db.Get(string([]byte{kMeta})); ok {
-		json.Unmarshal(raw, &s.meta)
+// reloadMeta sets the working meta to the committed one.
+func (s *Store) reloadMeta() error {
+	s.meta = meta{}
+	if raw, ok := s.db.Get(metaKey); ok {
+		if err := json.Unmarshal(raw, &s.meta); err != nil {
+			return fmt.Errorf("disk: corrupt meta record: %w", err)
+		}
 	}
 	if s.meta.PredCount == nil {
 		s.meta.PredCount = make(map[store.ID]int)
 	}
+	return nil
 }
 
 // Len returns the number of triples, including pending inserts.
@@ -450,45 +478,66 @@ func (s *Store) Close() error {
 	return cerr
 }
 
-// Snapshot returns a stable ReaderAPI view. Pending writes are flushed
-// first so, as with the in-memory tier, every prior Insert is visible.
-// The reader holds segment references released by a finalizer when the
-// reader is dropped.
+// Snapshot returns a stable ReaderAPI view of the last committed state.
+// Staged writes are not in it until Flush. It takes no lock a writer
+// holds across I/O and writes nothing. Call Release on the reader when
+// done; a finalizer backstops readers that are simply dropped.
 func (s *Store) Snapshot() store.ReaderAPI {
 	return s.snapshotReader()
 }
 
 func (s *Store) snapshotReader() *Reader {
-	s.mu.Lock()
-	if err := s.flushLocked(); err != nil {
-		// Serve the last committed state; the write path will surface
-		// the error on its own Flush.
-		s.reloadMeta()
-		s.resetPending()
-	}
-	m := s.meta
-	m.PredCount = make(map[store.ID]int, len(s.meta.PredCount))
-	for k, v := range s.meta.PredCount {
-		m.PredCount[k] = v
-	}
 	snap := s.db.Snapshot()
-	s.mu.Unlock()
-	return &Reader{snap: snap, meta: m, st: s}
+	return &Reader{snap: snap, meta: s.metaOf(snap), st: s}
+}
+
+// metaOf returns the statistics committed with the newest batch in snap.
+// Reading them from the snapshot itself — not from the Store — is what
+// keeps a reader's MaxID and counts in step with the keys it can see.
+func (s *Store) metaOf(snap *kv.Snap) *meta {
+	raw, ok := snap.Get(metaKey)
+	if !ok {
+		return &meta{}
+	}
+	if c := s.committed.Load(); c != nil && bytes.Equal(c.raw, raw) {
+		return c.m
+	}
+	m := new(meta)
+	if err := json.Unmarshal(raw, m); err != nil {
+		// Open decoded the record it found and every later one is this
+		// process's own json.Marshal output.
+		panic(fmt.Sprintf("disk: corrupt meta record: %v", err))
+	}
+	s.committed.Store(&decodedMeta{raw: raw, m: m})
+	return m
 }
 
 // Match streams every triple matching the term-level pattern, in the
-// same order as the in-memory tier.
+// same order as the in-memory tier, staged writes included.
 func (s *Store) Match(pat store.Pattern, fn func(rdf.Triple) bool) {
-	r := s.snapshotReader()
-	defer r.release()
+	r := s.flushedReader()
+	defer r.Release()
 	store.MatchOn(r, pat, fn)
 }
 
-// Cardinality returns the number of triples matching the pattern.
+// Cardinality returns the number of triples matching the pattern,
+// staged writes included.
 func (s *Store) Cardinality(pat store.Pattern) int {
-	r := s.snapshotReader()
-	defer r.release()
+	r := s.flushedReader()
+	defer r.Release()
 	return store.CardinalityOn(r, pat)
+}
+
+// flushedReader commits the pending batch and snapshots the result. It
+// takes the request lock for the flush, so a request another goroutine
+// is still staging commits whole, by its own Flush, not half, by this
+// one. A failed commit has discarded the staging and surfaces on the
+// writer's own Flush; the reader then serves the committed state.
+func (s *Store) flushedReader() *Reader {
+	s.reqMu.Lock()
+	_ = s.Flush()
+	s.reqMu.Unlock()
+	return s.snapshotReader()
 }
 
 // KVStats exposes the storage engine counters for the obs layer.

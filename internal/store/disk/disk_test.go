@@ -245,6 +245,9 @@ func TestMatchIDsEarlyStop(t *testing.T) {
 	for _, tr := range fixtureTriples() {
 		mustInsert(t, ds, tr)
 	}
+	if err := ds.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	r := ds.Snapshot()
 	n := 0
 	done := r.MatchIDs(store.IDPattern{}, func(_, _, _ store.ID) bool {

@@ -18,7 +18,7 @@ func kvPrefixEnd(prefix string) string { return kv.PrefixEnd(prefix) }
 // order is sorted-ID order.
 type Reader struct {
 	snap kvSnap
-	meta meta
+	meta *meta // shared with other readers of the same commit; read-only
 	st   *Store
 }
 
@@ -31,9 +31,10 @@ type kvSnap interface {
 	Release()
 }
 
-// release drops the snapshot's segment references early; the KV-layer
-// finalizer covers readers that are simply dropped.
-func (r *Reader) release() { r.snap.Release() }
+// Release drops the snapshot's segment references; the reader must not
+// be used afterwards. Idempotent. The KV-layer finalizer covers readers
+// that are simply dropped.
+func (r *Reader) Release() { r.snap.Release() }
 
 // Term materializes the term for id, through the store-wide cache.
 func (r *Reader) Term(id store.ID) rdf.Term {

@@ -30,7 +30,8 @@ const NoID = ID(0)
 // writes must not race with reads (the loaders in this repository build a
 // store fully before sharing it, matching how H-BOLD snapshots endpoints).
 type Store struct {
-	mu sync.RWMutex
+	mu    sync.RWMutex
+	reqMu sync.Mutex // Backend.WriteLock
 
 	dict   map[rdf.Term]ID
 	terms  []rdf.Term // terms[id-1] is the term for id

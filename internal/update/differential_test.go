@@ -160,3 +160,41 @@ func TestDifferentialUpdateFuzz(t *testing.T) {
 		})
 	}
 }
+
+// TestDifferentialMultiOpRequest: in one request each operation sees the
+// state the previous one left — a WHERE matches what an INSERT DATA
+// before it staged, and a later DELETE WHERE what that pattern operation
+// inserted — identically on both tiers, although the disk tier's queries
+// see committed state only.
+func TestDifferentialMultiOpRequest(t *testing.T) {
+	const request = `PREFIX ex: <http://ex/>
+		INSERT DATA { ex:dave ex:knows ex:alice . ex:dave ex:age 41 } ;
+		DELETE { ?s ex:age ?a } INSERT { ?s ex:years ?a . ?s ex:checked ex:yes } WHERE { ?s ex:age ?a . ?s ex:knows ?o } ;
+		DELETE WHERE { ex:bob ex:checked ?x }`
+	states := map[string][]string{}
+	for name, be := range backends(t) {
+		d := apply(t, be, request)
+		// dave, alice and bob each swap age for years and gain checked;
+		// dave's age and bob's checked come and go within the request,
+		// so neither is in the net delta
+		if len(d.Added) != 6 || len(d.Removed) != 2 {
+			t.Fatalf("%s: delta +%d/-%d, want +6/-2: %+v", name, len(d.Added), len(d.Removed), d)
+		}
+		if n := count(t, be, `SELECT ?a WHERE { <http://ex/dave> <http://ex/years> ?a }`); n != 1 {
+			t.Fatalf("%s: the WHERE did not see the INSERT DATA before it (dave has %d years)", name, n)
+		}
+		if n := count(t, be, `SELECT ?s WHERE { ?s <http://ex/checked> ?x }`); n != 2 {
+			t.Fatalf("%s: %d subjects checked, want 2 (the DELETE WHERE must see the pattern INSERT)", name, n)
+		}
+		for _, q := range []string{
+			`SELECT ?s ?p ?o WHERE { ?s ?p ?o } ORDER BY ?s ?p ?o`,
+			`SELECT ?p (COUNT(?s) AS ?n) WHERE { ?s ?p ?o } GROUP BY ?p ORDER BY ?p`,
+		} {
+			states[name] = append(states[name], engineAnswers(t, be, q))
+		}
+		states[name] = append(states[name], materialize(t, be)...)
+	}
+	if m, d := strings.Join(states["memory"], "\n"), strings.Join(states["disk"], "\n"); m != d {
+		t.Fatalf("tiers diverge after the multi-op request:\nmemory:\n%s\ndisk:\n%s", m, d)
+	}
+}

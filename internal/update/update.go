@@ -10,7 +10,12 @@
 // all deletes applied before any inserts. The whole request stays in the
 // tier's pending batch until one final Flush, so on the disk tier an
 // update commits as a single crash-safe WAL record (requests larger than
-// the tier's batch bound commit in ordered chunks).
+// the tier's batch bound commit in ordered chunks). Queries see committed
+// state only, so a WHERE that follows staged writes commits them first:
+// such a request is one record per WHERE-separated run of operations.
+// Apply holds the backend's WriteLock from the first staged write to the
+// last Flush, so concurrent requests commit one after the other, each
+// whole.
 package update
 
 import (
@@ -43,13 +48,16 @@ type applier struct {
 }
 
 // Apply executes a parsed update request against a backend and returns
-// the net delta. On error the pending batch is NOT flushed; the disk
+// the net delta. Requests against one backend are serialised. On error the pending batch is NOT flushed; the disk
 // tier discards un-flushed staging on its next write-path error
 // handling, and callers should not reuse the backend's pending state —
 // in practice every error here is a parse-shape or context error raised
 // before any triple landed, or a storage error that poisons the batch
 // anyway.
 func Apply(ctx context.Context, be store.Backend, u *sparql.Update) (*Delta, error) {
+	lock := be.WriteLock()
+	lock.Lock()
+	defer lock.Unlock()
 	a := &applier{
 		be:      be,
 		added:   make(map[rdf.Triple]bool),
@@ -150,6 +158,10 @@ func (a *applier) deleteGround(tmpl []sparql.TriplePattern) error {
 // templates must see the pre-operation state), then apply all deletes
 // followed by all inserts.
 func (a *applier) modify(ctx context.Context, u *sparql.Update, op *sparql.Modify) error {
+	// the WHERE must see what the previous operations staged
+	if err := a.be.Flush(); err != nil {
+		return err
+	}
 	q := &sparql.Query{
 		Form:     sparql.FormSelect,
 		Star:     true,

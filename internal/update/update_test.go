@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"sync"
 	"testing"
 
 	"repro/internal/rdf"
@@ -363,5 +364,96 @@ func TestFeedRingBound(t *testing.T) {
 	}
 	if backlog[0].Seq != 45 {
 		t.Fatalf("oldest retained seq = %d, want 45", backlog[0].Seq)
+	}
+}
+
+// TestConcurrentRequestsCommitWhole: requests racing on one backend
+// commit one after the other, so a reader sees each request whole or not
+// at all and the disk tier writes one WAL record per request. Without
+// the backend's write lock they would stage into the same pending batch
+// and the first Flush would commit half of the other's triples.
+func TestConcurrentRequestsCommitWhole(t *testing.T) {
+	const writers, perWriter, parts = 4, 15, 32
+	ds, err := disk.Open(t.TempDir(), disk.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ds.Close()
+	appends := ds.KVStats().WALAppends
+
+	ctx := context.Background()
+	var writing sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		writing.Add(1)
+		go func() {
+			defer writing.Done()
+			for i := 0; i < perWriter; i++ {
+				text := "INSERT DATA {"
+				for p := 0; p < parts; p++ {
+					text += fmt.Sprintf(" <http://ex/req-%d-%d> <http://ex/part> %d .", w, i, p)
+				}
+				d, err := update.ApplyText(ctx, ds, text+" }")
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if len(d.Added) != parts {
+					t.Errorf("request %d-%d added %d triples, want %d", w, i, len(d.Added), parts)
+				}
+			}
+		}()
+	}
+	done := make(chan struct{})
+	var reading sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		reading.Add(1)
+		go func() {
+			defer reading.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				res, err := sparql.Exec(ds, `SELECT ?s (COUNT(?o) AS ?n) WHERE { ?s <http://ex/part> ?o } GROUP BY ?s`)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for _, row := range res.Rows {
+					if n := row["n"].Value; n != fmt.Sprint(parts) {
+						t.Errorf("a reader saw %s of request %s's %d triples", n, row["s"].Value, parts)
+						return
+					}
+				}
+			}
+		}()
+	}
+	// Cardinality commits staged writes before it counts; it must wait
+	// for a request in flight rather than commit the half staged so far
+	reading.Add(1)
+	go func() {
+		defer reading.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			if n := ds.Cardinality(store.Pattern{}); n%parts != 0 {
+				t.Errorf("Cardinality counted %d triples, not a whole number of %d-triple requests", n, parts)
+				return
+			}
+		}
+	}()
+	writing.Wait()
+	close(done)
+	reading.Wait()
+
+	if got := ds.KVStats().WALAppends - appends; got != writers*perWriter {
+		t.Fatalf("%d requests made %d WAL records, want one each", writers*perWriter, got)
+	}
+	if n := count(t, ds, `SELECT ?s WHERE { ?s <http://ex/part> 0 }`); n != writers*perWriter {
+		t.Fatalf("%d requests landed, want %d", n, writers*perWriter)
 	}
 }
