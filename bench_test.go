@@ -706,9 +706,9 @@ func BenchmarkE14_QueryEngine(b *testing.B) {
 // off the HTTP response and folded into aggregation state one at a time,
 // so client-side live memory stays O(row) however large the result,
 // first-row latency is decoupled from last-row latency, and a canceled
-// context stops the transfer within one row. The materialized path reads
-// the entire results document into memory before the caller sees row one
-// — live memory O(result).
+// context stops the transfer within one row. The materialized path
+// (HTTPClient.Query) collects that same stream into a Result before the
+// caller sees row one — live memory O(result), no second decoder.
 
 var (
 	e15Once sync.Once

@@ -16,12 +16,13 @@
 //	hbold sparqld [-addr :8081] [-quiet] [-readonly] <file.ttl>
 //
 // Live mutation: sparqld accepts SPARQL 1.1 Update requests (POST with
-// Content-Type application/sparql-update or an update= form field) and
-// applies them to the serving tier in place — both the in-memory store
-// and a -data-dir disk store, where each request commits as one
-// crash-safe WAL record. serve and daemon expose the same path on
-// POST /api/update plus a change feed on GET /api/changes (NDJSON,
-// ?since= replay); both default to -readonly=true and answer updates
+// Content-Type application/sparql-update or an update= form field, at
+// most 10 MiB) and applies them to the serving tier in place — both the
+// in-memory store and a -data-dir disk store, where each request commits
+// as one crash-safe WAL record and a request that fails part-way is
+// undone. serve and daemon read the same two shapes with the same
+// function (endpoint.ServeUpdate) on POST /api/update and add a change
+// feed on GET /api/changes (NDJSON, ?since= replay); both default to -readonly=true and answer updates
 // with 403 until started with -readonly=false, while sparqld defaults
 // to writable and locks down with -readonly.
 //
@@ -38,8 +39,9 @@
 // query runs through the same context-aware client API the rest of the
 // tool uses: -timeout bounds the query with a context deadline, and
 // -stream prints rows as NDJSON the moment the engine produces them
-// (a head line {"vars": [...]}, then one binding object per row)
-// instead of collecting the result into an aligned table. Repeating
+// (a head line {"vars": [...]}, then one binding object per row —
+// results.Serve, the loop sparqld and /api/query answer with, writing
+// to stdout) instead of collecting the result into an aligned table. Repeating
 // -endpoint federates the query over several live SPARQL endpoints: all
 // of them evaluate concurrently and the row streams are merged
 // incrementally (internal/federation), with DISTINCT deduplicated on
@@ -58,7 +60,7 @@
 // the internal/sched worker pool (-workers wide, with -retries
 // exponential-backoff attempts per job and an optional -rate
 // per-endpoint dispatch limit). Live queue state is served on
-// /api/jobs and /api/metrics, a refresh can be forced with
+// /api/jobs and /metrics (hbold_sched_*), a refresh can be forced with
 // POST /api/refresh, and SIGINT/SIGTERM drains the pool before exit.
 // Unlike serve, daemon does not index anything up front — watching
 // /api/jobs right after startup shows the first cycle being worked off.
@@ -66,7 +68,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -93,6 +94,7 @@ import (
 	"repro/internal/schema"
 	"repro/internal/server"
 	"repro/internal/snapcache"
+	"repro/internal/sparql/results"
 	"repro/internal/store"
 	"repro/internal/store/disk"
 	"repro/internal/synth"
@@ -267,8 +269,10 @@ func usage() {
                                             -readonly, which answers updates with 403;
                                             a federation member for query -endpoint; one
                                             access-log record per request unless -quiet;
-                                            results as JSON, CSV, TSV or XML via the Accept
-                                            header or ?format=; -chaos-latency, -chaos-tail,
+                                            results as JSON, CSV, TSV, XML or NDJSON via the
+                                            Accept header or ?format=, CONSTRUCT and update
+                                            bodies over 10 MiB refused (400, 413);
+                                            -chaos-latency, -chaos-tail,
                                             -chaos-tail-prob, -chaos-error-rate,
                                             -chaos-blackhole-rate, -chaos-cut-rate,
                                             -chaos-cut-after, -chaos-garbage-rate,
@@ -466,7 +470,7 @@ func cmdDaemon(args []string) {
 	}
 	log.Printf("hbold: daemon on %s — %d endpoints, %d workers, polling every %s (refresh %s, retry %s)",
 		*addr, count, *workers, *poll, policy.RefreshInterval, policy.RetryInterval)
-	log.Printf("hbold: watch the queue on /api/jobs and /api/metrics")
+	log.Printf("hbold: watch the queue on /api/jobs and /metrics")
 
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
@@ -654,11 +658,6 @@ func cmdQuery(args []string) {
 		log.Fatalf("hbold: %v", err)
 	}
 	defer rs.Close()
-	out := json.NewEncoder(os.Stdout)
-	if rs.Ask {
-		out.Encode(map[string]bool{"ask": true, "boolean": rs.Boolean})
-		return
-	}
 	if rs.Graph != nil {
 		// CONSTRUCT has no row stream; print the graph as triples
 		for _, tr := range rs.Graph.Triples() {
@@ -666,13 +665,8 @@ func cmdQuery(args []string) {
 		}
 		return
 	}
-	out.Encode(map[string][]string{"vars": rs.Vars})
-	for row := range rs.All() {
-		if err := out.Encode(row); err != nil {
-			log.Fatalf("hbold: %v", err)
-		}
-	}
-	if err := rs.Err(); err != nil {
+	// the same NDJSON framing, written by the same loop, as /api/query
+	if _, err := results.Serve(os.Stdout, results.NDJSON, rs); err != nil {
 		log.Fatalf("hbold: stream failed: %v", err)
 	}
 }

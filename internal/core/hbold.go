@@ -395,15 +395,6 @@ func (h *HBOLD) SchedulerJobs() []sched.Job {
 	return []sched.Job{}
 }
 
-// SchedulerMetrics is the side-effect-free counterpart of
-// Scheduler().Metrics() for the observability API.
-func (h *HBOLD) SchedulerMetrics() sched.Metrics {
-	if s := h.peekScheduler(); s != nil {
-		return s.Metrics()
-	}
-	return sched.ZeroMetrics()
-}
-
 // submitDue enqueues every endpoint the §3.1 policy marks as due.
 // Manual §3.4 submissions still awaiting their notification are
 // enqueued ahead of routine refreshes.

@@ -2,7 +2,7 @@ package endpoint
 
 import (
 	"context"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -50,9 +50,10 @@ var defaultHTTPClient = &http.Client{
 
 // HTTPClient queries a SPARQL endpoint over the SPARQL protocol. It is
 // used against the in-process protocol servers in tests and examples, and
-// would work unchanged against a live endpoint. It implements both Client
-// (materialized results) and Streamer (incremental rows decoded token-wise
-// off the response body, so memory stays O(row) however large the result).
+// would work unchanged against a live endpoint. It implements both
+// Streamer (incremental rows decoded token-wise off the response body, so
+// memory stays O(row) however large the result) and Client (the same
+// stream, collected).
 type HTTPClient struct {
 	// URL is the endpoint URL.
 	URL string
@@ -200,8 +201,9 @@ func retryAfterHint(resp *http.Response) time.Duration {
 // c.Retries times with jittered exponential backoff — or the server's
 // Retry-After when it sent one — stopping early when the caller's
 // context dies or the shared retry budget is exhausted. Query and
-// Stream share this loop so the retry policy cannot drift between the
-// two paths.
+// Stream share this loop and the one attempt behind it (streamOnce), so
+// the retry policy cannot drift between the two paths: a failure is
+// worth another attempt as long as nothing has reached the caller.
 func retrying[T any](ctx context.Context, c *HTTPClient, attempt func(context.Context) (T, bool, time.Duration, error)) (T, error) {
 	var zero T
 	var lastErr error
@@ -231,11 +233,35 @@ func retrying[T any](ctx context.Context, c *HTTPClient, attempt func(context.Co
 	}
 }
 
-// Query implements Client by POSTing the query as a form and
-// materializing the full result document.
+// maxCollectBytes caps the response body Query will collect.
+const maxCollectBytes = 64 << 20
+
+// Query implements Client: each attempt opens the same stream Stream
+// does and collects it, so there is one decoder and one classification
+// of what the endpoint sent. Nothing reaches the caller before the last
+// row, so a body that breaks half-way is an attempt failure like a bad
+// head (Stream, whose rows are already out by then, can only report
+// it); a body over maxCollectBytes is not — it will not shrink. A caller
+// context without a deadline gets a per-attempt ceiling of
+// connectPatience: a collecting query has nothing to show until the
+// whole body arrived, so an unbounded read is just a hang.
 func (c *HTTPClient) Query(ctx context.Context, query string) (*sparql.Result, error) {
 	return retrying(ctx, c, func(ctx context.Context) (*sparql.Result, bool, time.Duration, error) {
-		return c.queryOnce(ctx, query)
+		if _, hasDeadline := ctx.Deadline(); !hasDeadline {
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithTimeout(ctx, connectPatience)
+			defer cancel()
+		}
+		rs, retry, hint, err := c.streamOnce(ctx, query, maxCollectBytes)
+		if err != nil {
+			return nil, retry, hint, err
+		}
+		res, err := rs.Collect()
+		if err != nil {
+			var tooBig *http.MaxBytesError
+			return nil, !errors.As(err, &tooBig), 0, err
+		}
+		return res, false, 0, nil
 	})
 }
 
@@ -257,37 +283,6 @@ func (c *HTTPClient) statusErr(resp *http.Response, body string) (retry bool, hi
 	return true, hint, err
 }
 
-// queryOnce runs a single materialized attempt; retry reports whether
-// the failure is worth another attempt. A caller context without a
-// deadline gets a per-attempt ceiling of connectPatience — unlike a
-// stream, a materialized query has nothing to show until the whole body
-// arrived, so an unbounded read is just a hang.
-func (c *HTTPClient) queryOnce(ctx context.Context, query string) (res *sparql.Result, retry bool, hint time.Duration, err error) {
-	if _, hasDeadline := ctx.Deadline(); !hasDeadline {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, connectPatience)
-		defer cancel()
-	}
-	resp, err := c.post(ctx, query)
-	if err != nil {
-		return nil, true, 0, err
-	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-	resp.Body.Close()
-	if err != nil {
-		return nil, true, 0, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		retry, hint, err := c.statusErr(resp, string(body))
-		return nil, retry, hint, err
-	}
-	var out sparql.Result
-	if err := json.Unmarshal(body, &out); err != nil {
-		return nil, false, 0, fmt.Errorf("endpoint: bad results document from %s: %w", c.URL, err)
-	}
-	return &out, false, 0, nil
-}
-
 // Stream implements Streamer: it opens the protocol request (retrying
 // transient failures like Query does, since no row has been delivered
 // yet) and then decodes bindings incrementally off the response body.
@@ -296,14 +291,20 @@ func (c *HTTPClient) queryOnce(ctx context.Context, query string) (res *sparql.R
 // silent end of results.
 func (c *HTTPClient) Stream(ctx context.Context, query string) (*sparql.RowSeq, error) {
 	return retrying(ctx, c, func(ctx context.Context) (*sparql.RowSeq, bool, time.Duration, error) {
-		return c.streamOnce(ctx, query)
+		return c.streamOnce(ctx, query, 0)
 	})
 }
 
-func (c *HTTPClient) streamOnce(ctx context.Context, query string) (rs *sparql.RowSeq, retry bool, hint time.Duration, err error) {
+// streamOnce runs a single attempt: the request, the status check and
+// the head of the results document; retry reports whether a failure is
+// worth another attempt. maxBody > 0 caps the body read.
+func (c *HTTPClient) streamOnce(ctx context.Context, query string, maxBody int64) (rs *sparql.RowSeq, retry bool, hint time.Duration, err error) {
 	resp, err := c.post(ctx, query)
 	if err != nil {
 		return nil, true, 0, err
+	}
+	if maxBody > 0 {
+		resp.Body = http.MaxBytesReader(nil, resp.Body, maxBody)
 	}
 	if resp.StatusCode != http.StatusOK {
 		body, _ := io.ReadAll(io.LimitReader(resp.Body, 8<<10))

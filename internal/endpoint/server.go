@@ -4,12 +4,23 @@
 // endpoints: intermittent availability, latency, and engine-specific
 // quirks (aggregate support, result-size caps) that the paper's Index
 // Extraction must work around with pattern strategies.
+//
+// Each step of the protocol has one implementation that every surface
+// calls: Handler is what sparqld mounts; its request side (ServeUpdate:
+// read an update out of a POST, the body cap, the read-only rule, the
+// acknowledgement) is also what the presentation layer's /api/update
+// runs, its response side is results.Serve, the loop /api/query and
+// `hbold query -stream` share, and HTTPClient decodes what that loop
+// wrote with one token-wise reader whether the caller streams or
+// collects.
 package endpoint
 
 import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -57,19 +68,13 @@ func QueryHash(q string) string {
 	return hex.EncodeToString(sum[:8])
 }
 
-// flushEvery is how many streamed result rows are written between
-// flushes: small enough that a consumer sees rows while the query still
-// runs, large enough that flushing is not per-row overhead.
-const flushEvery = 64
-
 // ServeHTTP implements the SPARQL 1.1 protocol subset: query via GET
-// parameter or POST form, responding in the SPARQL JSON results format.
-// The results document is written incrementally — one binding at a time
-// with periodic flushes — so the first row reaches the client while the
-// evaluation is still producing later ones, and a client that hangs up
-// cancels the evaluation through the request context. A mid-stream
-// evaluation failure leaves the JSON document unterminated, which is how
-// the streaming client distinguishes a broken stream from a short result.
+// parameter or POST form, update via POST (see ServeUpdate), the result
+// in the negotiated format (SPARQL JSON by default) through
+// results.Serve — rows are written and flushed as the evaluation yields
+// them, a client that hangs up cancels the evaluation through the
+// request context, and a mid-stream failure never ends as a well-formed
+// short result.
 func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	var query string
 	status := http.StatusOK
@@ -92,32 +97,18 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	var formatParam string
 	switch r.Method {
 	case http.MethodGet:
-		query = r.URL.Query().Get("query")
-		formatParam = r.URL.Query().Get("format")
+		form := r.URL.Query()
+		query, formatParam = form.Get("query"), form.Get("format")
 	case http.MethodPost:
-		// the raw-body update media type must be read before ParseForm,
-		// which would consume the body looking for form data
-		if strings.HasPrefix(r.Header.Get("Content-Type"), "application/sparql-update") {
-			body, err := io.ReadAll(r.Body)
-			if err != nil {
-				fail("reading request body", http.StatusBadRequest)
-				return
-			}
-			query = string(body)
-			status = h.serveUpdate(w, r, query)
+		query, status = ServeUpdate(w, r, h.ReadOnly || h.Update == nil, func(ctx context.Context, text string) (any, error) {
+			added, removed, err := h.Update(ctx, text)
+			return updateAck{added, removed}, err
+		})
+		if status != 0 {
 			return
 		}
-		if err := r.ParseForm(); err != nil {
-			fail("bad form", http.StatusBadRequest)
-			return
-		}
-		if upd := r.PostForm.Get("update"); upd != "" {
-			query = upd
-			status = h.serveUpdate(w, r, upd)
-			return
-		}
-		query = r.PostForm.Get("query")
-		formatParam = r.PostForm.Get("format")
+		status = http.StatusOK // not an update: the form carries a query
+		query, formatParam = r.PostForm.Get("query"), r.PostForm.Get("format")
 	default:
 		fail("method not allowed", http.StatusMethodNotAllowed)
 		return
@@ -137,56 +128,75 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer rs.Close()
-	w.Header().Set("Content-Type", format.ContentType())
-	if rs.Ask {
-		results.WriteAsk(format, w, rs.Boolean)
-		return
+	if rows, err = results.Serve(w, format, rs); errors.Is(err, results.ErrConstruct) {
+		fail(err.Error(), http.StatusBadRequest)
 	}
-	rw := results.NewWriter(format, w, rs.Vars)
-	flusher, _ := w.(http.Flusher)
-	for row := range rs.All() {
-		if rw.WriteRow(row) != nil {
-			return // client went away; the context unwinds the evaluation
-		}
-		rows++
-		if rows%flushEvery == 0 && flusher != nil {
-			flusher.Flush()
-		}
-	}
-	if rs.Err() != nil {
-		// Mid-stream failure after rows were sent. JSON and XML documents
-		// are left unterminated — parsers see a broken stream. CSV and TSV
-		// have no terminator, so a clean connection close would look like a
-		// complete short result: abort the connection instead.
-		if format == results.CSV || format == results.TSV {
-			panic(http.ErrAbortHandler)
-		}
-		return
-	}
-	rw.Close()
 }
 
-// serveUpdate applies one update request and answers with the net
-// delta, returning the HTTP status for the access log. A handler
-// without an UpdateFunc, or one serving read-only, answers 403 — the
-// endpoint exists but refuses mutation.
-func (h *Handler) serveUpdate(w http.ResponseWriter, r *http.Request, text string) int {
-	if h.Update == nil || h.ReadOnly {
-		http.Error(w, "read-only endpoint: updates are not accepted", http.StatusForbidden)
-		return http.StatusForbidden
+// updateAck is the protocol handler's update acknowledgement: the net
+// triple delta of the request.
+type updateAck struct {
+	Added   int `json:"added"`
+	Removed int `json:"removed"`
+}
+
+// MaxBodyBytes caps the request bodies the update and query-builder
+// surfaces read into memory; a larger one is answered 413. (An update
+// batch of 2000 triples with 500-character literals is about 1 MB.)
+const MaxBodyBytes = 10 << 20
+
+// BodyErrorStatus is the status for a request body that could not be
+// read or decoded: 413 when it outgrew MaxBodyBytes, 400 otherwise.
+func BodyErrorStatus(err error) int {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
+}
+
+// ServeUpdate is the request side of SPARQL 1.1 Update over HTTP. It
+// reads the update out of a POST — the raw body under Content-Type
+// application/sparql-update, otherwise the update= field of the form,
+// either capped at MaxBodyBytes — refuses it with 403 when readOnly (the
+// surface exists but does not accept mutation), runs apply and answers
+// with the acknowledgement it returns, JSON-encoded, or 400 with its
+// error. It returns the update text and the status it answered with; a
+// POST that carries no update at all is left unanswered (status 0) with
+// r.PostForm parsed, for a caller that serves queries on the same route.
+func ServeUpdate(w http.ResponseWriter, r *http.Request, readOnly bool, apply func(ctx context.Context, text string) (ack any, err error)) (text string, status int) {
+	fail := func(msg string, code int) (string, int) {
+		http.Error(w, msg, code)
+		return text, code
+	}
+	r.Body = http.MaxBytesReader(w, r.Body, MaxBodyBytes)
+	if strings.HasPrefix(r.Header.Get("Content-Type"), "application/sparql-update") {
+		body, err := io.ReadAll(r.Body)
+		if err != nil {
+			return fail("reading request body", BodyErrorStatus(err))
+		}
+		text = string(body)
+	} else {
+		if err := r.ParseForm(); err != nil {
+			return fail("bad form", BodyErrorStatus(err))
+		}
+		if text = r.PostForm.Get("update"); text == "" {
+			return "", 0
+		}
+	}
+	if readOnly {
+		return fail("read-only endpoint: updates are not accepted", http.StatusForbidden)
 	}
 	if text == "" {
-		http.Error(w, "empty update request", http.StatusBadRequest)
-		return http.StatusBadRequest
+		return fail("empty update request", http.StatusBadRequest)
 	}
-	added, removed, err := h.Update(r.Context(), text)
+	ack, err := apply(r.Context(), text)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return http.StatusBadRequest
+		return fail(err.Error(), http.StatusBadRequest)
 	}
 	w.Header().Set("Content-Type", "application/json")
-	fmt.Fprintf(w, "{\"added\":%d,\"removed\":%d}\n", added, removed)
-	return http.StatusOK
+	json.NewEncoder(w).Encode(ack)
+	return text, http.StatusOK
 }
 
 // Evaluate runs a query against st honouring the endpoint quirks,

@@ -341,3 +341,63 @@ func TestRemoteQueryHonorsCancel(t *testing.T) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
+
+// TestQueryAndStreamRetryAlike: Query collects the stream Stream opens,
+// inside the same retry attempt, so the two cannot classify what an
+// endpoint sent differently: a response that breaks before any row has
+// reached the caller — cut inside the head, or not a results document at
+// all — costs an attempt on either path and the retry delivers the
+// answer. (Before, Query called a malformed document permanent and
+// Stream retried it.) They differ only where they must: once a row is
+// out, Stream can but report the break; Query has handed nothing over
+// yet and still retries.
+func TestQueryAndStreamRetryAlike(t *testing.T) {
+	const good = `{"head":{"vars":["s"]},"results":{"bindings":[{"s":{"type":"uri","value":"http://ex/1"}}]}}`
+	for _, tc := range []struct {
+		name, bad      string
+		streamAttempts int32 // Query always takes all three
+	}{
+		{"body cut inside the head", `{"head":{"vars":["s"]},"resul`, 3},
+		{"malformed head", `<html>not a results document</html>`, 3},
+		{"body cut after the first row", `{"head":{"vars":["s"]},"results":{"bindings":[{"s":{"type":"uri","value":"http://ex/1"}},`, 1},
+	} {
+		for _, via := range []string{"Query", "Stream"} {
+			t.Run(tc.name+"/"+via, func(t *testing.T) {
+				var attempts atomic.Int32
+				srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+					w.Header().Set("Content-Type", "application/sparql-results+json")
+					if attempts.Add(1) < 3 {
+						fmt.Fprint(w, tc.bad)
+						return
+					}
+					fmt.Fprint(w, good)
+				}))
+				defer srv.Close()
+				c := NewHTTPClient(srv.URL)
+				c.Retries = 2
+				c.BaseBackoff, c.MaxBackoff = time.Millisecond, 2*time.Millisecond
+				var res *sparql.Result
+				var err error
+				want := int32(3)
+				if via == "Query" {
+					res, err = c.Query(context.Background(), `SELECT ?s WHERE { ?s ?p ?o }`)
+				} else {
+					var rs *sparql.RowSeq
+					if rs, err = c.Stream(context.Background(), `SELECT ?s WHERE { ?s ?p ?o }`); err == nil {
+						res, err = rs.Collect()
+					}
+					want = tc.streamAttempts
+				}
+				if got := attempts.Load(); got != want {
+					t.Fatalf("%d attempts, want %d (err %v)", got, want, err)
+				}
+				if want == 3 && (err != nil || len(res.Rows) != 1) {
+					t.Fatalf("after the retries: %v, err %v; want the one row", res, err)
+				}
+				if want == 1 && err == nil {
+					t.Fatal("a stream cut after its first row ended cleanly")
+				}
+			})
+		}
+	}
+}

@@ -477,6 +477,16 @@ func (p *Partial) Degraded() bool {
 	return len(p.dropped) > 0
 }
 
+// Refusal is the error for a query whose shape a same-query fan-out
+// cannot answer faithfully (CONSTRUCT, aggregates, OFFSET, an ORDER BY
+// key the projection drops, and ORDER BY or DISTINCT under partial
+// results). It is the request that is wrong, not a source: the HTTP
+// layer matches it with errors.As and answers 400 where any other open
+// failure is a 502.
+type Refusal string
+
+func (r Refusal) Error() string { return string(r) }
+
 // StreamPartial is Stream in partial-result mode: a failing branch —
 // down at open, erroring at open after retries, or dying mid-stream —
 // is dropped from the merge instead of failing it, and the returned
@@ -521,16 +531,16 @@ func (f *Client) stream(ctx context.Context, query string, partial *Partial) (*s
 		return nil, err
 	}
 	if q.Form == sparql.FormConstruct {
-		return nil, errors.New("federation: CONSTRUCT is not supported over a federation; query a single source")
+		return nil, Refusal("federation: CONSTRUCT is not supported over a federation; query a single source")
 	}
 	if partial != nil {
 		// shapes whose already-emitted rows a late branch drop would
 		// silently invalidate are refused rather than degraded
 		if len(q.OrderBy) > 0 {
-			return nil, errors.New("federation: partial results are not supported with ORDER BY (a dropped branch breaks the global-order guarantee mid-stream); retry without partial or without ORDER BY")
+			return nil, Refusal("federation: partial results are not supported with ORDER BY (a dropped branch breaks the global-order guarantee mid-stream); retry without partial or without ORDER BY")
 		}
 		if q.Distinct || q.Reduced || f.DistinctOnMerge {
-			return nil, errors.New("federation: partial results are not supported with DISTINCT/REDUCED (merge-level dedup outcomes may depend on a branch that later vanished); retry without partial or without DISTINCT")
+			return nil, Refusal("federation: partial results are not supported with DISTINCT/REDUCED (merge-level dedup outcomes may depend on a branch that later vanished); retry without partial or without DISTINCT")
 		}
 	}
 	// An aggregate fanned out unchanged would make every member
@@ -538,13 +548,13 @@ func (f *Client) stream(ctx context.Context, query string, partial *Partial) (*s
 	// results — silently wrong numbers. Refuse until decomposed
 	// execution (ROADMAP) can combine partials correctly.
 	if q.NeedsGrouping() {
-		return nil, errors.New("federation: GROUP BY/aggregate queries are not supported over a federation (members would aggregate their partitions independently); query a single source or aggregate client-side")
+		return nil, Refusal("federation: GROUP BY/aggregate queries are not supported over a federation (members would aggregate their partitions independently); query a single source or aggregate client-side")
 	}
 	// OFFSET fanned out unchanged makes every member skip its own first
 	// N rows, so the merged result drops up to (k-1)*N answers a union
 	// endpoint would return. Refuse like aggregates rather than mislead.
 	if q.Offset > 0 {
-		return nil, errors.New("federation: OFFSET is not supported over a federation (each member would skip rows independently); query a single source or skip client-side")
+		return nil, Refusal("federation: OFFSET is not supported over a federation (each member would skip rows independently); query a single source or skip client-side")
 	}
 	// The ordered merge compares *projected* rows, so every ORDER BY
 	// variable must survive projection — a sort key outside the SELECT
@@ -557,7 +567,7 @@ func (f *Client) stream(ctx context.Context, query string, partial *Partial) (*s
 		}
 		for _, v := range sparql.OrderByVars(q.OrderBy) {
 			if !proj[v] {
-				return nil, fmt.Errorf("federation: ORDER BY ?%s is not supported over a federation unless ?%s is projected (the merge orders by projected rows only); add it to the SELECT list or query a single source", v, v)
+				return nil, Refusal(fmt.Sprintf("federation: ORDER BY ?%s is not supported over a federation unless ?%s is projected (the merge orders by projected rows only); add it to the SELECT list or query a single source", v, v))
 			}
 		}
 	}

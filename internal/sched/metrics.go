@@ -8,8 +8,8 @@ import (
 
 // latBounds are the upper bounds of the attempt-latency histogram
 // buckets; a final overflow bucket catches everything slower. They are
-// the canonical duration form of obs.DurationBuckets, and the /api/metrics
-// JSON shape renders its le strings from them.
+// the canonical duration form of obs.DurationBuckets, and the Metrics
+// snapshot renders its le strings from them.
 var latBounds = []time.Duration{
 	time.Millisecond, 5 * time.Millisecond, 10 * time.Millisecond,
 	25 * time.Millisecond, 50 * time.Millisecond, 100 * time.Millisecond,
@@ -87,8 +87,9 @@ type Bucket struct {
 	Count int64  `json:"count"`
 }
 
-// Metrics is a point-in-time snapshot of the scheduler, shaped for the
-// /api/metrics observability endpoint.
+// Metrics is a point-in-time snapshot of the scheduler for in-process
+// callers (the daemon's shutdown line, tests); over HTTP the same series
+// are the hbold_sched_* families on /metrics.
 type Metrics struct {
 	Workers int `json:"workers"`
 
@@ -110,21 +111,8 @@ type Metrics struct {
 	Latency       []Bucket `json:"latency"`
 }
 
-// ZeroMetrics returns the snapshot an idle, never-started scheduler
-// would report — all counters zero, the histogram shaped but empty.
-// The observability API serves it before any scheduling has happened.
-func ZeroMetrics() Metrics {
-	out := Metrics{Latency: make([]Bucket, 0, len(latBounds)+1)}
-	for _, bound := range latBounds {
-		out.Latency = append(out.Latency, Bucket{Le: bound.String()})
-	}
-	out.Latency = append(out.Latency, Bucket{Le: "+Inf"})
-	return out
-}
-
 // Metrics returns a snapshot of counters, queue gauges and the attempt
-// latency histogram. The shape (and the le duration strings) predate the
-// obs registry and are kept stable for /api/metrics consumers.
+// latency histogram, read off the same registry handles /metrics renders.
 func (s *Scheduler) Metrics() Metrics {
 	s.mu.Lock()
 	workers := s.cfg.Workers

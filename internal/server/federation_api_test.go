@@ -207,8 +207,8 @@ func TestQuerySourcesRejectsAggregates(t *testing.T) {
 	srv, urls, _ := fedServer(t)
 	q := url.QueryEscape(`SELECT (COUNT(?s) AS ?n) WHERE { ?s ?p ?o }`)
 	code, body, _ := get(t, srv.URL+"/api/query?sources="+url.QueryEscape(strings.Join(urls, ","))+"&sparql="+q)
-	if code != http.StatusBadRequest {
-		t.Fatalf("status = %d, want 400 (%s)", code, body)
+	if code != http.StatusBadRequest || !strings.HasPrefix(body, "federation: ") {
+		t.Fatalf("status = %d, want 400 with the federation's own refusal (%s)", code, body)
 	}
 	// the same aggregate against a single dataset still works
 	resp, err := http.Get(srv.URL + "/api/query?dataset=" + url.QueryEscape(dsURL) + "&sparql=" + q)
@@ -227,8 +227,8 @@ func TestQuerySourcesRejectsOffset(t *testing.T) {
 	srv, urls, _ := fedServer(t)
 	q := url.QueryEscape(`SELECT ?s WHERE { ?s ?p ?o } OFFSET 3`)
 	code, body, _ := get(t, srv.URL+"/api/query?sources="+url.QueryEscape(strings.Join(urls, ","))+"&sparql="+q)
-	if code != http.StatusBadRequest {
-		t.Fatalf("status = %d, want 400 (%s)", code, body)
+	if code != http.StatusBadRequest || !strings.HasPrefix(body, "federation: ") {
+		t.Fatalf("status = %d, want 400 with the federation's own refusal (%s)", code, body)
 	}
 	// the same OFFSET against a single dataset still works
 	resp, err := http.Get(srv.URL + "/api/query?dataset=" + url.QueryEscape(dsURL) + "&sparql=" + q)
@@ -248,8 +248,8 @@ func TestQuerySourcesRejectsNonProjectedOrderBy(t *testing.T) {
 	srv, urls, _ := fedServer(t)
 	q := url.QueryEscape(`SELECT ?s WHERE { ?s a ?c } ORDER BY ?c LIMIT 5`)
 	code, body, _ := get(t, srv.URL+"/api/query?sources="+url.QueryEscape(strings.Join(urls, ","))+"&sparql="+q)
-	if code != http.StatusBadRequest {
-		t.Fatalf("status = %d, want 400 (%s)", code, body)
+	if code != http.StatusBadRequest || !strings.HasPrefix(body, "federation: ") {
+		t.Fatalf("status = %d, want 400 with the federation's own refusal (%s)", code, body)
 	}
 	// the same query against a single dataset still works
 	resp, err := http.Get(srv.URL + "/api/query?dataset=" + url.QueryEscape(dsURL) + "&sparql=" + q)

@@ -204,6 +204,10 @@ func TestQueryPartialParamValidation(t *testing.T) {
 		if code != http.StatusBadRequest {
 			t.Fatalf("%s: status = %d, want 400 (%s)", name, code, body)
 		}
+		// the shape refusals are the federation's, worded once, there
+		if shape := name == "order by" || name == "distinct"; shape != strings.HasPrefix(body, "federation: ") {
+			t.Fatalf("%s: refused by the wrong layer: %s", name, body)
+		}
 	}
 }
 

@@ -17,9 +17,9 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"html/template"
-	"io"
 	"log/slog"
 	"net/http"
 	"sort"
@@ -62,7 +62,6 @@ func New(tool *core.HBOLD) *Server {
 	s.mux.HandleFunc("/metrics", s.handlePromMetrics)
 	s.mux.HandleFunc("/api/datasets", s.handleDatasets)
 	s.mux.HandleFunc("/api/jobs", s.handleJobs)
-	s.mux.HandleFunc("/api/metrics", s.handleMetrics)
 	s.mux.HandleFunc("/api/federation/stats", s.handleFederationStats)
 	s.mux.HandleFunc("/api/cache", s.handleCache)
 	s.mux.HandleFunc("/api/refresh", s.handleRefresh)
@@ -149,12 +148,6 @@ func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
 // Reads are side-effect free: they never start a scheduler.
 func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, s.Tool.SchedulerJobs())
-}
-
-// handleMetrics reports scheduler counters, queue gauges and the
-// extraction latency histogram.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, s.Tool.SchedulerMetrics())
 }
 
 // handlePromMetrics renders the process metrics registry in the
@@ -491,27 +484,31 @@ func (s *Server) handleModel(kind string) http.HandlerFunc {
 // all|prune|cost selects the federation's source selection (default
 // prune: endpoints whose extracted index proves they cannot contribute —
 // a missing class, or a missing predicate when the index carries the
-// full-corpus predicate scan — are not contacted). GROUP BY/aggregates
-// and OFFSET are refused over sources= because same-query fan-out cannot
-// answer them faithfully.
+// full-corpus predicate scan — are not contacted). The shapes a
+// same-query fan-out cannot answer faithfully are refused by the
+// federation itself (federation.Refusal) and answered 400.
 //
-// Streamed responses are NDJSON (application/x-ndjson): a head line
-// {"vars": [...]}, then one SPARQL-JSON binding object per row, flushed
-// as they arrive, so a client reads row one while the endpoint is still
-// producing. The request context cancels the query when the client goes
-// away; ?timeout=30s adds a server-side deadline, and ?limit=N caps the
-// response at N rows — the stream ends cleanly and evaluation is
-// canceled through the same context path as a client hang-up. A
-// mid-stream failure appends a final {"error": ...} line — the status
-// code is long gone by then, which is the streaming trade-off.
+// Everything from the Content-Type to the last byte of the result is
+// results.Serve, the loop sparqld serves with too: NDJSON by default
+// (the streaming-native framing: a head line {"vars": [...]}, then one
+// SPARQL-JSON binding object per row), any W3C serialization via
+// ?format= / Accept, the first row flushed as soon as it exists, a
+// mid-stream failure reported the way the format allows (NDJSON: a final
+// {"error": ...} line — the status code is long gone by then, which is
+// the streaming trade-off). The request context cancels the query when
+// the client goes away; ?timeout=30s adds a server-side deadline, and
+// ?limit=N caps the response at N rows — the stream ends cleanly and
+// evaluation is canceled through the same context path as a client
+// hang-up.
 //
 // ?partial=ok (federated NDJSON only) degrades instead of aborting: a
 // member dying mid-stream is dropped from the merge, the healthy
 // branches keep streaming, the head line carries "partial":"ok" and a
 // final {"incomplete": [...]} trailer names every dropped source (empty
-// when all delivered). Refused for ORDER BY and DISTINCT/REDUCED, whose
-// already-emitted rows a silent drop would invalidate; the four W3C
-// formats ignore it and keep their hard-abort contract.
+// when all delivered). Only the NDJSON framing can report the
+// degradation honestly, so the four W3C formats ignore the parameter and
+// keep their hard-abort contract; and only a federation has branches to
+// drop, so partial=ok without sources= is a request error.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// the registry rides the context so the engine's per-query series
 	// (count, duration, rows by kind) record for local evaluations
@@ -529,143 +526,79 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			}
 		}()
 	}
-	switch r.Method {
-	case http.MethodPost:
-		if strings.HasPrefix(r.Header.Get("Content-Type"), "application/json") {
-			var q querybuilder.Query
-			if err := json.NewDecoder(r.Body).Decode(&q); err != nil {
-				http.Error(w, err.Error(), http.StatusBadRequest)
-				return
-			}
-			built, err := q.Build()
-			if err != nil {
-				http.Error(w, err.Error(), http.StatusBadRequest)
-				return
-			}
-			if (s.dataset(r) == "" && r.URL.Query().Get("sources") == "") || r.URL.Query().Get("build") == "only" {
-				writeJSON(w, map[string]string{"sparql": built})
-				return
-			}
-			text = built
-		} else {
-			if err := r.ParseForm(); err != nil {
-				http.Error(w, "bad form", http.StatusBadRequest)
-				return
-			}
-			// r.Form merges body and query string, so both documented
-			// placements of sparql= work
-			text = r.Form.Get("sparql")
-		}
-	case http.MethodGet:
-		text = r.URL.Query().Get("sparql")
-	default:
+	if r.Method != http.MethodGet && r.Method != http.MethodPost {
 		http.Error(w, "GET or POST a query", http.StatusMethodNotAllowed)
 		return
+	}
+	form := r.URL.Query()
+	switch {
+	case r.Method == http.MethodGet:
+	case strings.HasPrefix(r.Header.Get("Content-Type"), "application/json"):
+		var q querybuilder.Query
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, endpoint.MaxBodyBytes)).Decode(&q); err != nil {
+			http.Error(w, err.Error(), endpoint.BodyErrorStatus(err))
+			return
+		}
+		built, err := q.Build()
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		if (form.Get("dataset") == "" && form.Get("sources") == "") || form.Get("build") == "only" {
+			writeJSON(w, map[string]string{"sparql": built})
+			return
+		}
+		text = built
+	default:
+		if err := r.ParseForm(); err != nil {
+			http.Error(w, "bad form", http.StatusBadRequest)
+			return
+		}
+		// r.Form merges body and query string, so both documented
+		// placements of every parameter work
+		form = r.Form
+	}
+	if text == "" {
+		text = form.Get("sparql")
 	}
 	if text == "" {
 		http.Error(w, "missing sparql query", http.StatusBadRequest)
 		return
 	}
-	// Syntax errors in the user's query are the user's problem (400),
-	// not the endpoint's (502) — and CONSTRUCT has no row stream to
-	// serve on this route, so reject it up front rather than answering
-	// with a convincingly empty SELECT.
-	parsed, err := sparql.Parse(text)
+	// syntax errors in the user's query are the user's problem (400),
+	// not the endpoint's (502)
+	if _, err := sparql.Parse(text); err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	format, err := results.Negotiate(form.Get("format"), r.Header.Get("Accept"), results.NDJSON)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	if parsed.Form == sparql.FormConstruct {
-		http.Error(w, "CONSTRUCT is not supported on the streaming query API; use SELECT or ASK", http.StatusBadRequest)
-		return
-	}
-	// Result format: NDJSON by default (the streaming-native framing), or
-	// any of the W3C serializations via ?format= / Accept. formatNDJSON is
-	// a sentinel outside the results enum: Negotiate returns it untouched
-	// when neither the parameter nor the Accept header names a format.
-	const formatNDJSON = results.Format(-1)
-	formatParam := r.URL.Query().Get("format")
-	if formatParam == "" && r.Form != nil {
-		formatParam = r.Form.Get("format")
-	}
-	format, err := results.Negotiate(formatParam, r.Header.Get("Accept"), formatNDJSON)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	// Partial-result mode: ?partial=ok keeps a federated stream alive
-	// when a member dies mid-stream — the dead branch is dropped, the
-	// healthy ones keep merging, and the NDJSON trailer names the
-	// incomplete sources. Only the NDJSON framing can report the
-	// degradation honestly, so over the four W3C formats the parameter is
-	// ignored and a mid-stream failure still hard-aborts; and only a
-	// federation has branches to drop, so partial=ok without sources= is
-	// a request error.
-	partialParam := r.URL.Query().Get("partial")
-	if partialParam == "" && r.Form != nil {
-		partialParam = r.Form.Get("partial")
-	}
-	switch partialParam {
-	case "", "ok":
+	sel := form.Get("sources")
+	partialOK := false
+	switch form.Get("partial") {
+	case "":
+	case "ok":
+		if sel == "" {
+			http.Error(w, "partial=ok requires sources=; a single dataset has no branches to drop", http.StatusBadRequest)
+			return
+		}
+		partialOK = format == results.NDJSON
 	default:
 		http.Error(w, "bad partial parameter: the only mode is partial=ok", http.StatusBadRequest)
 		return
 	}
-	if partialParam == "ok" && r.URL.Query().Get("sources") == "" {
-		http.Error(w, "partial=ok requires sources=; a single dataset has no branches to drop", http.StatusBadRequest)
-		return
-	}
-	partialOK := partialParam == "ok" && format == formatNDJSON
-	if partialOK {
-		// shapes whose emitted rows a late branch drop would silently
-		// invalidate are refused up front (mirroring the federation
-		// layer's refusal, but as a 400 rather than a failed open)
-		if len(parsed.OrderBy) > 0 {
-			http.Error(w, "partial=ok is not supported with ORDER BY (a dropped branch breaks the global-order guarantee); retry without one of them", http.StatusBadRequest)
-			return
-		}
-		if parsed.Distinct || parsed.Reduced {
-			http.Error(w, "partial=ok is not supported with DISTINCT/REDUCED (dedup outcomes may depend on a branch that later vanishes); retry without one of them", http.StatusBadRequest)
-			return
-		}
-	}
 	var c endpoint.Client
 	var fed *federation.Client
-	if sel := r.URL.Query().Get("sources"); sel != "" {
-		// fanned-out aggregates would interleave per-source partials;
-		// the federation layer refuses them, so answer 400 here instead
-		// of a 502 from the open
-		if parsed.NeedsGrouping() {
-			http.Error(w, "GROUP BY/aggregate queries are not supported over sources=; query a single dataset", http.StatusBadRequest)
-			return
-		}
-		// likewise OFFSET: each member would skip rows independently,
-		// dropping answers from the merged stream
-		if parsed.Offset > 0 {
-			http.Error(w, "OFFSET is not supported over sources=; query a single dataset", http.StatusBadRequest)
-			return
-		}
-		// and ORDER BY on a variable the SELECT list drops: the ordered
-		// merge compares projected rows, so the sort key must be projected
-		if len(parsed.OrderBy) > 0 && !parsed.Star {
-			proj := map[string]bool{}
-			for _, it := range parsed.Select {
-				proj[it.Var] = true
+	if sel != "" {
+		policy := federation.IndexPrune
+		if p := form.Get("policy"); p != "" {
+			if policy, err = federation.ParsePolicy(p); err != nil {
+				http.Error(w, err.Error(), http.StatusBadRequest)
+				return
 			}
-			for _, v := range sparql.OrderByVars(parsed.OrderBy) {
-				if !proj[v] {
-					http.Error(w, fmt.Sprintf("ORDER BY ?%s over sources= requires ?%s in the SELECT list; project it or query a single dataset", v, v), http.StatusBadRequest)
-					return
-				}
-			}
-		}
-		policy, err := federation.ParsePolicy(r.URL.Query().Get("policy"))
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		if r.URL.Query().Get("policy") == "" {
-			policy = federation.IndexPrune
 		}
 		var urls []string
 		if sel != "all" && sel != "*" {
@@ -675,35 +608,30 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 				}
 			}
 		}
-		f, err := s.Tool.Federation(urls, policy)
-		if err != nil {
+		if fed, err = s.Tool.Federation(urls, policy); err != nil {
 			http.Error(w, err.Error(), http.StatusNotFound)
 			return
 		}
-		fed, c = f, f
+		c = fed
 	} else {
-		url := s.dataset(r)
+		url := form.Get("dataset")
 		if url == "" {
 			http.Error(w, "missing dataset or sources parameter", http.StatusBadRequest)
 			return
 		}
-		single, err := s.Tool.EndpointClient(url)
-		if err != nil {
+		if c, err = s.Tool.EndpointClient(url); err != nil {
 			http.Error(w, err.Error(), http.StatusNotFound)
 			return
 		}
-		c = single
 	}
 	limit := -1
-	if l := r.URL.Query().Get("limit"); l != "" {
-		n, err := strconv.Atoi(l)
-		if err != nil || n < 0 {
+	if l := form.Get("limit"); l != "" {
+		if limit, err = strconv.Atoi(l); err != nil || limit < 0 {
 			http.Error(w, "bad limit", http.StatusBadRequest)
 			return
 		}
-		limit = n
 	}
-	if t := r.URL.Query().Get("timeout"); t != "" {
+	if t := form.Get("timeout"); t != "" {
 		d, err := time.ParseDuration(t)
 		if err != nil || d <= 0 {
 			http.Error(w, "bad timeout", http.StatusBadRequest)
@@ -718,12 +646,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// branches exactly like a client hang-up would.
 	ctx, cancelQuery := context.WithCancel(ctx)
 	defer cancelQuery()
-	if e := r.URL.Query().Get("explain"); e == "1" || e == "true" {
+	if e := form.Get("explain"); e == "1" || e == "true" {
 		// EXPLAIN runs the query to completion with the profiler attached
 		// and answers with the annotated plan instead of rows. Only
 		// in-process evaluation can profile: a federated query spans
 		// engines (400), and the SPARQL protocol has no EXPLAIN verb.
-		if r.URL.Query().Get("sources") != "" {
+		if fed != nil {
 			http.Error(w, "explain is not supported over sources=; query a single dataset", http.StatusBadRequest)
 			return
 		}
@@ -749,7 +677,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		rs, err = endpoint.Stream(ctx, c, text)
 	}
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadGateway)
+		status := http.StatusBadGateway
+		if errors.As(err, new(federation.Refusal)) {
+			status = http.StatusBadRequest
+		}
+		http.Error(w, err.Error(), status)
 		return
 	}
 	defer rs.Close()
@@ -759,125 +691,52 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		// evaluating behind it
 		rs = rs.Limit(limit)
 	}
-	if format != formatNDJSON {
-		w.Header().Set("Content-Type", format.ContentType())
-		if rs.Ask {
-			results.WriteAsk(format, w, rs.Boolean)
-			return
+	if partial == nil {
+		if rows, err = results.Serve(w, format, rs); errors.Is(err, results.ErrConstruct) {
+			http.Error(w, err.Error(), http.StatusBadRequest)
 		}
-		rw := results.NewWriter(format, w, rs.Vars)
-		wflusher, _ := w.(http.Flusher)
-		for row := range rs.All() {
-			if rw.WriteRow(row) != nil {
-				return // client went away; ctx unwinds the query
-			}
-			rows++
-			if wflusher != nil && (rows == 1 || rows%64 == 0) {
-				wflusher.Flush()
-			}
-		}
-		if err := rs.Err(); err != nil {
-			// A mid-stream failure must not end as a well-formed short
-			// result. JSON/XML stay unterminated; CSV/TSV have no
-			// terminator, so abort the connection.
-			if format == results.CSV || format == results.TSV {
-				panic(http.ErrAbortHandler)
-			}
-			return
-		}
-		rw.Close()
 		return
 	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
+	// partial mode: the shared row loop between a head that announces the
+	// mode and the machine-readable degradation trailer — always present,
+	// empty when every selected source delivered in full
+	w.Header().Set("Content-Type", format.ContentType())
 	if rs.Ask {
-		if partial != nil {
-			enc.Encode(map[string]any{"ask": true, "boolean": rs.Boolean, "incomplete": incompleteSources(partial)})
-		} else {
-			enc.Encode(map[string]bool{"ask": true, "boolean": rs.Boolean})
-		}
+		json.NewEncoder(w).Encode(map[string]any{"ask": true, "boolean": rs.Boolean, "incomplete": incompleteSources(partial)})
 		return
 	}
-	if partial != nil {
-		enc.Encode(map[string]any{"partial": "ok", "vars": rs.Vars})
-	} else {
-		enc.Encode(map[string][]string{"vars": rs.Vars})
-	}
-	if flusher != nil {
-		flusher.Flush()
-	}
-	// flush the first row as soon as it exists (first-row latency), then
-	// in batches — per-row flushing would cost a chunked write per row
-	for row := range rs.All() {
-		if enc.Encode(row) != nil {
-			return // client went away; ctx unwinds the query
-		}
-		rows++
-		if flusher != nil && (rows == 1 || rows%64 == 0) {
-			flusher.Flush()
-		}
-	}
-	if err := rs.Err(); err != nil {
-		enc.Encode(map[string]string{"error": err.Error()})
-		return
-	}
-	if partial != nil {
-		// machine-readable degradation trailer: always present in partial
-		// mode, empty when every selected source delivered in full
-		enc.Encode(map[string][]string{"incomplete": incompleteSources(partial)})
+	rw := results.NewNDJSONWriter(w, map[string]any{"partial": "ok", "vars": rs.Vars})
+	if rows, err = results.WriteRows(w, rw, rs); err == nil {
+		json.NewEncoder(w).Encode(map[string][]string{"incomplete": incompleteSources(partial)})
 	}
 }
 
 // handleUpdate is the mutation API: POST a SPARQL 1.1 Update request —
 // raw body with Content-Type application/sparql-update, or an update=
-// form field — against ?dataset=. The update applies to the dataset's
-// writable local tier, every derived artifact (index, summary, cluster
-// schema, caches, ETags) is maintained incrementally, and the response
-// reports the net delta, the new generation and the change-feed
-// sequence number. A read-only instance answers 403.
+// form field; endpoint.ServeUpdate, the reader sparqld uses — against
+// ?dataset=. The update applies to the dataset's writable local tier,
+// every derived artifact (index, summary, cluster schema, caches, ETags)
+// is maintained incrementally, and the response reports the net delta,
+// the new generation and the change-feed sequence number. A read-only
+// instance answers 403.
 func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST a SPARQL update", http.StatusMethodNotAllowed)
 		return
 	}
-	if s.ReadOnly {
-		http.Error(w, "read-only instance: updates are not accepted", http.StatusForbidden)
-		return
-	}
-	url := s.dataset(r)
-	var text string
-	if strings.HasPrefix(r.Header.Get("Content-Type"), "application/sparql-update") {
-		body, err := io.ReadAll(r.Body)
-		if err != nil {
-			http.Error(w, "reading request body", http.StatusBadRequest)
-			return
-		}
-		text = string(body)
-	} else {
-		if err := r.ParseForm(); err != nil {
-			http.Error(w, "bad form", http.StatusBadRequest)
-			return
-		}
-		text = r.Form.Get("update")
+	_, status := endpoint.ServeUpdate(w, r, s.ReadOnly, func(ctx context.Context, text string) (any, error) {
+		url := s.dataset(r)
 		if url == "" {
-			url = r.Form.Get("dataset")
+			url = r.PostForm.Get("dataset")
 		}
-	}
-	if url == "" {
-		http.Error(w, "missing dataset parameter", http.StatusBadRequest)
-		return
-	}
-	if text == "" {
+		if url == "" {
+			return nil, errors.New("missing dataset parameter")
+		}
+		return s.Tool.ApplyUpdate(ctx, url, text)
+	})
+	if status == 0 {
 		http.Error(w, "missing update request", http.StatusBadRequest)
-		return
 	}
-	res, err := s.Tool.ApplyUpdate(r.Context(), url, text)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	writeJSON(w, res)
 }
 
 // handleChanges streams the change feed as NDJSON: one event object per

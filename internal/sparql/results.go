@@ -1,7 +1,6 @@
 package sparql
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
@@ -9,75 +8,14 @@ import (
 	"repro/internal/rdf"
 )
 
-// jsonResults mirrors the SPARQL 1.1 Query Results JSON Format, which is
-// what real endpoints return and what the endpoint client parses.
-type jsonResults struct {
-	Head struct {
-		Vars []string `json:"vars"`
-	} `json:"head"`
-	Boolean *bool `json:"boolean,omitempty"`
-	Results *struct {
-		Bindings []map[string]jsonTerm `json:"bindings"`
-	} `json:"results,omitempty"`
-}
-
+// jsonTerm is one RDF term in the SPARQL 1.1 Query Results JSON Format,
+// which is what real endpoints return and what the endpoint client
+// parses (streamjson.go holds the document-level writer and reader).
 type jsonTerm struct {
 	Type     string `json:"type"` // "uri" | "literal" | "bnode"
 	Value    string `json:"value"`
 	Datatype string `json:"datatype,omitempty"`
 	Lang     string `json:"xml:lang,omitempty"`
-}
-
-// MarshalJSON renders the result in the SPARQL 1.1 JSON results format.
-func (r *Result) MarshalJSON() ([]byte, error) {
-	var out jsonResults
-	if r.Ask {
-		b := r.Boolean
-		out.Boolean = &b
-		return json.Marshal(out)
-	}
-	out.Head.Vars = r.Vars
-	out.Results = &struct {
-		Bindings []map[string]jsonTerm `json:"bindings"`
-	}{Bindings: make([]map[string]jsonTerm, 0, len(r.Rows))}
-	for _, row := range r.Rows {
-		jb := make(map[string]jsonTerm, len(row))
-		for v, t := range row {
-			jb[v] = termToJSON(t)
-		}
-		out.Results.Bindings = append(out.Results.Bindings, jb)
-	}
-	return json.Marshal(out)
-}
-
-// UnmarshalJSON parses the SPARQL 1.1 JSON results format.
-func (r *Result) UnmarshalJSON(data []byte) error {
-	var in jsonResults
-	if err := json.Unmarshal(data, &in); err != nil {
-		return err
-	}
-	if in.Boolean != nil {
-		r.Ask = true
-		r.Boolean = *in.Boolean
-		return nil
-	}
-	r.Vars = in.Head.Vars
-	if in.Results == nil {
-		return nil
-	}
-	r.Rows = make([]Binding, 0, len(in.Results.Bindings))
-	for _, jb := range in.Results.Bindings {
-		row := Binding{}
-		for v, jt := range jb {
-			t, err := termFromJSON(jt)
-			if err != nil {
-				return err
-			}
-			row[v] = t
-		}
-		r.Rows = append(r.Rows, row)
-	}
-	return nil
 }
 
 func termToJSON(t rdf.Term) jsonTerm {
@@ -105,42 +43,6 @@ func termFromJSON(jt jsonTerm) (rdf.Term, error) {
 	default:
 		return rdf.Term{}, fmt.Errorf("sparql: unknown JSON term type %q", jt.Type)
 	}
-}
-
-// CSV renders the result as RFC 4180-ish CSV (SPARQL CSV results format).
-func (r *Result) CSV() string {
-	var sb strings.Builder
-	if r.Ask {
-		sb.WriteString("boolean\r\n")
-		sb.WriteString(fmt.Sprintf("%v\r\n", r.Boolean))
-		return sb.String()
-	}
-	for i, v := range r.Vars {
-		if i > 0 {
-			sb.WriteByte(',')
-		}
-		sb.WriteString(v)
-	}
-	sb.WriteString("\r\n")
-	for _, row := range r.Rows {
-		for i, v := range r.Vars {
-			if i > 0 {
-				sb.WriteByte(',')
-			}
-			if t, ok := row[v]; ok {
-				sb.WriteString(csvEscape(t.Value))
-			}
-		}
-		sb.WriteString("\r\n")
-	}
-	return sb.String()
-}
-
-func csvEscape(s string) string {
-	if strings.ContainsAny(s, ",\"\n\r") {
-		return `"` + strings.ReplaceAll(s, `"`, `""`) + `"`
-	}
-	return s
 }
 
 // Table renders the result as an aligned text table for CLI output.

@@ -1,21 +1,29 @@
-// Package results serializes SPARQL query results in the W3C interchange
-// formats — SPARQL 1.1 Query Results JSON, CSV, TSV and XML — through one
-// streaming Writer interface, and negotiates which of them a protocol
-// request gets. Every writer emits row-by-row with O(row) buffering, so
-// the HTTP handlers can flush bindings while the engine is still
-// producing them regardless of the format the client asked for.
+// Package results is the response side of SPARQL over HTTP: it
+// serializes query results in the W3C interchange formats — SPARQL 1.1
+// Query Results JSON, CSV, TSV and XML — and in NDJSON (one line per
+// row, the streaming-native framing) through one streaming Writer
+// interface, negotiates which of them a protocol request gets, and owns
+// the one loop (Serve) that turns a row stream into bytes on the wire
+// for every surface: sparqld, /api/query and `hbold query -stream`.
+// Every writer emits row-by-row with O(row) buffering, so rows are
+// flushed while the engine is still producing them regardless of the
+// format the client asked for.
 //
 // Mid-stream failure contract: a writer never buffers the document, so a
 // producer that dies after some rows leaves a truncated document behind.
-// For JSON that is detectable in-band (the document never closes); CSV
-// and TSV have no terminator, so the HTTP handlers abort the connection
-// instead of finishing the response — a short-but-valid-looking table
-// must never masquerade as a complete result.
+// NDJSON reports it in-band (a final {"error": ...} line); for JSON and
+// XML the document never closes; CSV and TSV have no terminator, so
+// Serve aborts the connection instead of finishing the response — a
+// short-but-valid-looking table must never masquerade as a complete
+// result.
 package results
 
 import (
+	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"net/http"
 	"strings"
 
 	"repro/internal/sparql"
@@ -25,10 +33,11 @@ import (
 type Format int
 
 const (
-	JSON Format = iota // SPARQL 1.1 Query Results JSON Format
-	CSV                // SPARQL 1.1 Query Results CSV Format
-	TSV                // SPARQL 1.1 Query Results TSV Format
-	XML                // SPARQL Query Results XML Format
+	JSON   Format = iota // SPARQL 1.1 Query Results JSON Format
+	CSV                  // SPARQL 1.1 Query Results CSV Format
+	TSV                  // SPARQL 1.1 Query Results TSV Format
+	XML                  // SPARQL Query Results XML Format
+	NDJSON               // a {"vars": [...]} head line, then one SPARQL-JSON binding object per line
 )
 
 // String returns the format's short name — the value the `format=` query
@@ -41,6 +50,8 @@ func (f Format) String() string {
 		return "tsv"
 	case XML:
 		return "xml"
+	case NDJSON:
+		return "ndjson"
 	default:
 		return "json"
 	}
@@ -55,6 +66,8 @@ func (f Format) ContentType() string {
 		return "text/tab-separated-values; charset=utf-8"
 	case XML:
 		return "application/sparql-results+xml"
+	case NDJSON:
+		return "application/x-ndjson"
 	default:
 		return "application/sparql-results+json"
 	}
@@ -62,7 +75,7 @@ func (f Format) ContentType() string {
 
 // byName maps `format=` parameter values to formats.
 var byName = map[string]Format{
-	"json": JSON, "csv": CSV, "tsv": TSV, "xml": XML,
+	"json": JSON, "csv": CSV, "tsv": TSV, "xml": XML, "ndjson": NDJSON,
 }
 
 // byMIME maps Accept media ranges to formats.
@@ -74,6 +87,7 @@ var byMIME = map[string]Format{
 	"application/sparql-results+xml":  XML,
 	"application/xml":                 XML,
 	"text/xml":                        XML,
+	"application/x-ndjson":            NDJSON,
 }
 
 // Negotiate picks the response format for a protocol request. An explicit
@@ -86,7 +100,7 @@ func Negotiate(formatParam, accept string, def Format) (Format, error) {
 	if formatParam != "" {
 		f, ok := byName[strings.ToLower(formatParam)]
 		if !ok {
-			return def, fmt.Errorf("results: unknown format %q (want json, csv, tsv or xml)", formatParam)
+			return def, fmt.Errorf("results: unknown format %q (want json, csv, tsv, xml or ndjson)", formatParam)
 		}
 		return f, nil
 	}
@@ -104,7 +118,7 @@ func Negotiate(formatParam, accept string, def Format) (Format, error) {
 
 // Writer emits one SELECT results document: the head is written on
 // construction, WriteRow appends one solution, Close terminates the
-// document (a no-op for the terminator-less CSV/TSV).
+// document (a no-op for the terminator-less CSV, TSV and NDJSON).
 type Writer interface {
 	WriteRow(sparql.Binding) error
 	Close() error
@@ -119,6 +133,8 @@ func NewWriter(f Format, w io.Writer, vars []string) Writer {
 		return newTSVWriter(w, vars)
 	case XML:
 		return newXMLWriter(w, vars)
+	case NDJSON:
+		return NewNDJSONWriter(w, map[string][]string{"vars": vars})
 	default:
 		return sparql.NewJSONRowWriter(w, vars)
 	}
@@ -138,7 +154,97 @@ func WriteAsk(f Format, w io.Writer, value bool) error {
 	case XML:
 		_, err := fmt.Fprintf(w, "%s<head/><boolean>%v</boolean></sparql>\n", xmlProlog, value)
 		return err
+	case NDJSON:
+		return json.NewEncoder(w).Encode(map[string]bool{"ask": true, "boolean": value})
 	default:
 		return sparql.WriteAskJSON(w, value)
 	}
+}
+
+// ndjsonWriter frames a result as newline-delimited JSON. There is no
+// terminator: every line is a complete value, and a failed stream ends
+// with the error line WriteRows appends.
+type ndjsonWriter struct {
+	enc *json.Encoder
+	err error
+}
+
+// NewNDJSONWriter starts an NDJSON results document whose first line is
+// head — {"vars": [...]} through NewWriter; a caller with more to say
+// up front (the federation's partial-result marker) passes its own.
+func NewNDJSONWriter(w io.Writer, head any) Writer {
+	out := &ndjsonWriter{enc: json.NewEncoder(w)}
+	out.err = out.enc.Encode(head)
+	return out
+}
+
+func (w *ndjsonWriter) WriteRow(b sparql.Binding) error {
+	if w.err == nil {
+		w.err = w.enc.Encode(b)
+	}
+	return w.err
+}
+
+func (w *ndjsonWriter) Close() error { return w.err }
+
+// flushEvery is the one flush cadence of every results surface: the
+// first row is flushed the moment it exists (a consumer sees it while
+// the query still runs, however slowly later rows trickle), then every
+// flushEvery-th — per-row flushing would cost a chunked write per row.
+const flushEvery = 64
+
+// ErrConstruct is Serve's refusal of a CONSTRUCT result: it is a graph,
+// not a row stream, and answering with a convincingly empty SELECT
+// document would be a lie. HTTP callers answer 400.
+var ErrConstruct = errors.New("CONSTRUCT is not supported on the results-serving surfaces; use SELECT or ASK")
+
+// Serve writes one query result to w in format f: the Content-Type
+// header when w is an http.ResponseWriter, then the ASK document or the
+// head, the rows and the terminator. Nothing has been written when it
+// returns ErrConstruct. See WriteRows for the rest of the contract.
+func Serve(w io.Writer, f Format, rs *sparql.RowSeq) (rows int, err error) {
+	if rs.Graph != nil {
+		return 0, ErrConstruct
+	}
+	if hw, ok := w.(http.ResponseWriter); ok {
+		hw.Header().Set("Content-Type", f.ContentType())
+	}
+	if rs.Ask {
+		return 0, WriteAsk(f, w, rs.Boolean)
+	}
+	return WriteRows(w, NewWriter(f, w, rs.Vars), rs)
+}
+
+// WriteRows drains rs into rw — a Writer over w, its head already
+// written — flushing w on the flushEvery cadence when it is an
+// http.Flusher, and returns the rows written for the caller's logs. A
+// write error means the consumer went away; the caller's context unwinds
+// the evaluation. A stream that fails after rows were sent must not end
+// as a well-formed short result: NDJSON gets a final {"error": ...}
+// line, JSON and XML stay unterminated, and CSV/TSV, which have no
+// terminator to withhold, abort the HTTP connection (off HTTP the
+// returned error is the only signal). Either error is returned.
+func WriteRows(w io.Writer, rw Writer, rs *sparql.RowSeq) (rows int, err error) {
+	flusher, _ := w.(http.Flusher)
+	for row := range rs.All() {
+		if err := rw.WriteRow(row); err != nil {
+			return rows, err
+		}
+		rows++
+		if flusher != nil && (rows == 1 || rows%flushEvery == 0) {
+			flusher.Flush()
+		}
+	}
+	if err := rs.Err(); err != nil {
+		switch rw := rw.(type) {
+		case *ndjsonWriter:
+			rw.enc.Encode(map[string]string{"error": err.Error()})
+		case *csvWriter, *tsvWriter:
+			if _, ok := w.(http.ResponseWriter); ok {
+				panic(http.ErrAbortHandler)
+			}
+		}
+		return rows, err
+	}
+	return rows, rw.Close()
 }

@@ -30,6 +30,8 @@ func TestNegotiate(t *testing.T) {
 		{"", "text/csv, application/sparql-results+xml", CSV, false},
 		{"", "*/*", JSON, false}, // wildcard falls through to the default
 		{"", "application/pdf", JSON, false},
+		{"ndjson", "", NDJSON, false},                               // a format like the other four, by name…
+		{"", "application/x-ndjson;q=0.5, text/csv", NDJSON, false}, // …and by media type
 	} {
 		got, err := Negotiate(tc.formatParam, tc.accept, JSON)
 		if (err != nil) != tc.wantErr {
@@ -143,6 +145,7 @@ func TestWriteAsk(t *testing.T) {
 		{CSV, "boolean\r\ntrue\r\n"},
 		{TSV, "?boolean\ntrue\n"},
 		{XML, xmlProlog + "<head/><boolean>true</boolean></sparql>\n"},
+		{NDJSON, `{"ask":true,"boolean":true}` + "\n"},
 	} {
 		var sb strings.Builder
 		if err := WriteAsk(tc.f, &sb, true); err != nil {
@@ -183,7 +186,7 @@ func (f *failAfter) Write(p []byte) (int, error) {
 // silently dropping rows — the handler relies on the error to stop
 // consuming the evaluation.
 func TestWriterSinkFailureSticks(t *testing.T) {
-	for _, f := range []Format{JSON, CSV, TSV, XML} {
+	for _, f := range []Format{JSON, CSV, TSV, XML, NDJSON} {
 		sink := &failAfter{n: 1} // the head goes through, the first row fails
 		w := NewWriter(f, sink, []string{"a"})
 		row := sparql.Binding{"a": rdf.NewLiteral("x")}
@@ -196,5 +199,54 @@ func TestWriterSinkFailureSticks(t *testing.T) {
 		if err := w.Close(); !errors.Is(err, errSink) {
 			t.Fatalf("%v: Close after sink failure = %v, want errSink", f, err)
 		}
+	}
+}
+
+// TestFormatNamesRoundTrip: every format negotiates back from its own
+// name and media type (NDJSON used to be a sentinel outside the enum
+// whose String and ContentType answered "json").
+func TestFormatNamesRoundTrip(t *testing.T) {
+	for _, f := range []Format{JSON, CSV, TSV, XML, NDJSON} {
+		if got, err := Negotiate(f.String(), "", -1); err != nil || got != f {
+			t.Errorf("Negotiate(%q) = %v, %v; want %v", f.String(), got, err, f)
+		}
+		if got, _ := Negotiate("", f.ContentType(), -1); got != f {
+			t.Errorf("Negotiate(Accept: %q) = %v, want %v", f.ContentType(), got, f)
+		}
+	}
+}
+
+// TestServeOffHTTP: `hbold query -stream` serves through the same loop
+// onto a plain writer — the NDJSON bytes /api/query sends, a failed
+// stream reported in-band and through the returned error, and no
+// connection to abort for the terminator-less formats.
+func TestServeOffHTTP(t *testing.T) {
+	rows := &sparql.Result{Vars: []string{"a"}, Rows: []sparql.Binding{{"a": rdf.NewIRI("http://ex/1")}, {"a": rdf.NewInteger(2)}}}
+	var sb strings.Builder
+	if n, err := Serve(&sb, NDJSON, sparql.ResultSeq(rows)); n != 2 || err != nil {
+		t.Fatalf("Serve = %d, %v", n, err)
+	}
+	want := `{"vars":["a"]}` + "\n" +
+		`{"a":{"type":"uri","value":"http://ex/1"}}` + "\n" +
+		`{"a":{"type":"literal","value":"2","datatype":"http://www.w3.org/2001/XMLSchema#integer"}}` + "\n"
+	if sb.String() != want {
+		t.Fatalf("NDJSON document:\n got %q\nwant %q", sb.String(), want)
+	}
+
+	broken := errors.New("source died")
+	failing := func() *sparql.RowSeq {
+		err := broken
+		return sparql.NewRowSeq([]string{"a"}, func(yield func(sparql.Binding) bool) { yield(rows.Rows[0]) }, &err)
+	}
+	sb.Reset()
+	if n, err := Serve(&sb, NDJSON, failing()); n != 1 || !errors.Is(err, broken) || !strings.HasSuffix(sb.String(), `{"error":"source died"}`+"\n") {
+		t.Fatalf("failed NDJSON stream: %d rows, err %v, document %q", n, err, sb.String())
+	}
+	sb.Reset()
+	if n, err := Serve(&sb, CSV, failing()); n != 1 || !errors.Is(err, broken) {
+		t.Fatalf("failed CSV stream off HTTP: %d rows, err %v; want the error returned", n, err)
+	}
+	if _, err := Serve(&sb, JSON, sparql.ResultSeq(&sparql.Result{Graph: rdf.NewGraph()})); !errors.Is(err, ErrConstruct) {
+		t.Fatalf("CONSTRUCT result: err %v, want ErrConstruct", err)
 	}
 }

@@ -1,7 +1,6 @@
 package sparql
 
 import (
-	"encoding/json"
 	"strings"
 	"testing"
 
@@ -438,61 +437,6 @@ func TestParseErrors(t *testing.T) {
 		if _, err := Parse(q); err == nil {
 			t.Errorf("Parse(%q) should fail", q)
 		}
-	}
-}
-
-func TestJSONRoundTrip(t *testing.T) {
-	st := fixtureStore(t)
-	res := exec(t, st, `PREFIX ex: <http://ex/>
-		SELECT ?p ?l WHERE { ?p <http://www.w3.org/2000/01/rdf-schema#label> ?l }`)
-	data, err := json.Marshal(res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back Result
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatal(err)
-	}
-	if len(back.Rows) != len(res.Rows) || len(back.Vars) != 2 {
-		t.Fatalf("round trip: %+v", back)
-	}
-	// every original row present
-	orig := map[string]bool{}
-	for _, r := range res.SortedRows() {
-		orig[bindingKey(r, res.Vars)] = true
-	}
-	for _, r := range back.SortedRows() {
-		if !orig[bindingKey(r, back.Vars)] {
-			t.Fatalf("row %v lost in round trip", r)
-		}
-	}
-}
-
-func TestJSONAskRoundTrip(t *testing.T) {
-	res := &Result{Ask: true, Boolean: true}
-	data, _ := json.Marshal(res)
-	if !strings.Contains(string(data), `"boolean":true`) {
-		t.Fatalf("ask json = %s", data)
-	}
-	var back Result
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatal(err)
-	}
-	if !back.Ask || !back.Boolean {
-		t.Fatalf("back = %+v", back)
-	}
-}
-
-func TestCSVOutput(t *testing.T) {
-	st := fixtureStore(t)
-	res := exec(t, st, `PREFIX ex: <http://ex/>
-		SELECT ?p ?a WHERE { ?p ex:age ?a } ORDER BY ?a LIMIT 1`)
-	csv := res.CSV()
-	if !strings.HasPrefix(csv, "p,a\r\n") {
-		t.Fatalf("csv header = %q", csv)
-	}
-	if !strings.Contains(csv, "25") {
-		t.Fatalf("csv = %q", csv)
 	}
 }
 

@@ -1,11 +1,11 @@
 package sparql
 
 // Incremental encoding and decoding of the SPARQL 1.1 Query Results JSON
-// Format. The materialized (Un)MarshalJSON in results.go builds the whole
-// document in memory; the writer and reader here move one binding at a
-// time, which is what lets the protocol server flush rows as they are
-// produced and the HTTP client hand rows to the application while the
-// response body is still arriving.
+// Format — the only codec of that format in the repo. The writer and
+// reader move one binding at a time, which is what lets the protocol
+// server flush rows as they are produced and the HTTP client hand rows to
+// the application while the response body is still arriving; a caller
+// that wants the whole result collects the reader's rows.
 
 import (
 	"encoding/json"

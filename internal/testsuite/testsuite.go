@@ -216,23 +216,12 @@ func canonicalTSV(t *testing.T, r *sparql.Result, ordered bool) string {
 	return sb.String()
 }
 
-// serialize writes the full results document for r in the given format.
+// serialize writes the full results document for r in the given format,
+// through the loop every serving surface uses.
 func serialize(t *testing.T, f results.Format, r *sparql.Result) string {
 	t.Helper()
 	var buf bytes.Buffer
-	if r.Ask {
-		if err := results.WriteAsk(f, &buf, r.Boolean); err != nil {
-			t.Fatal(err)
-		}
-		return buf.String()
-	}
-	w := results.NewWriter(f, &buf, r.Vars)
-	for _, row := range r.Rows {
-		if err := w.WriteRow(row); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
+	if _, err := results.Serve(&buf, f, sparql.ResultSeq(r)); err != nil {
 		t.Fatal(err)
 	}
 	return buf.String()

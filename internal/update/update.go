@@ -15,11 +15,14 @@
 // such a request is one record per WHERE-separated run of operations.
 // Apply holds the backend's WriteLock from the first staged write to the
 // last Flush, so concurrent requests commit one after the other, each
-// whole.
+// whole — and a request that fails part-way is undone under the same
+// lock, so once Apply returns a request has applied whole or not at
+// all, on either tier.
 package update
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 
@@ -48,12 +51,14 @@ type applier struct {
 }
 
 // Apply executes a parsed update request against a backend and returns
-// the net delta. Requests against one backend are serialised. On error the pending batch is NOT flushed; the disk
-// tier discards un-flushed staging on its next write-path error
-// handling, and callers should not reuse the backend's pending state —
-// in practice every error here is a parse-shape or context error raised
-// before any triple landed, or a storage error that poisons the batch
-// anyway.
+// the net delta. A request applies whole or not at all: Apply holds
+// the backend's WriteLock throughout, so requests against one backend
+// run one after the other, and when an operation, the context or a
+// Flush fails part-way — after earlier operations already landed (the
+// memory tier writes in place, and a WHERE commits the disk tier's
+// staging) — the net delta applied so far is undone before the error is
+// returned, so the triples never disagree with the index and summary
+// the caller derives from successful deltas only.
 func Apply(ctx context.Context, be store.Backend, u *sparql.Update) (*Delta, error) {
 	lock := be.WriteLock()
 	lock.Lock()
@@ -63,9 +68,23 @@ func Apply(ctx context.Context, be store.Backend, u *sparql.Update) (*Delta, err
 		added:   make(map[rdf.Triple]bool),
 		removed: make(map[rdf.Triple]bool),
 	}
+	if err := a.run(ctx, u); err != nil {
+		if uerr := a.undo(); uerr != nil {
+			err = errors.Join(err, fmt.Errorf("update: undoing the failed request: %w", uerr))
+		}
+		return nil, err
+	}
+	return &Delta{
+		Added:   sortedTriples(a.added),
+		Removed: sortedTriples(a.removed),
+	}, nil
+}
+
+// run applies the request's operations in order and commits them.
+func (a *applier) run(ctx context.Context, u *sparql.Update) error {
 	for _, op := range u.Ops {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return err
 		}
 		var err error
 		switch op := op.(type) {
@@ -79,17 +98,29 @@ func Apply(ctx context.Context, be store.Backend, u *sparql.Update) (*Delta, err
 			err = fmt.Errorf("update: unknown operation %T", op)
 		}
 		if err != nil {
-			return nil, err
+			return err
 		}
 	}
-	if err := a.be.Flush(); err != nil {
-		return nil, err
+	return a.be.Flush()
+}
+
+// undo restores every triple the request touched to its presence before
+// the request, through the same Insert/Delete/Flush a request uses.
+// Both are no-ops on a triple already in the wanted state, so it does
+// not matter how much of the tracked delta a failed disk Flush (which
+// drops its staging) had already thrown away.
+func (a *applier) undo() error {
+	for t := range a.added {
+		if _, err := a.be.Delete(t); err != nil {
+			return err
+		}
 	}
-	d := &Delta{
-		Added:   sortedTriples(a.added),
-		Removed: sortedTriples(a.removed),
+	for t := range a.removed {
+		if _, err := a.be.Insert(t); err != nil {
+			return err
+		}
 	}
-	return d, nil
+	return a.be.Flush()
 }
 
 // ApplyText parses and applies an update request string.
