@@ -111,6 +111,10 @@ func (h *HBOLD) corpusKVStats() kv.Stats {
 		sum.SegmentBytes += st.SegmentBytes
 		sum.MemtableKeys += st.MemtableKeys
 		sum.MemtableBytes += st.MemtableBytes
+		sum.BlockCacheHits += st.BlockCacheHits
+		sum.BlockCacheMisses += st.BlockCacheMisses
+		sum.BlockCacheBytes += st.BlockCacheBytes
+		sum.ReadErrors += st.ReadErrors
 	}
 	return sum
 }
@@ -167,6 +171,18 @@ func (h *HBOLD) registerCorpusMetrics() {
 	r.GaugeFunc("hbold_kv_memtable_keys",
 		"Keys in corpus memtables awaiting flush.",
 		func() float64 { return float64(h.corpusKVStats().MemtableKeys) })
+	r.CounterFunc("hbold_kv_block_cache_hits_total",
+		"Segment seeks answered from the decoded-block cache.",
+		func() float64 { return float64(h.corpusKVStats().BlockCacheHits) })
+	r.CounterFunc("hbold_kv_block_cache_misses_total",
+		"Segment seeks that read and indexed a block.",
+		func() float64 { return float64(h.corpusKVStats().BlockCacheMisses) })
+	r.GaugeFunc("hbold_kv_block_cache_bytes",
+		"Bytes of the process-wide decoded-block cache held for corpus stores.",
+		func() float64 { return float64(h.corpusKVStats().BlockCacheBytes) })
+	r.CounterFunc("hbold_kv_read_errors_total",
+		"Segment block reads or decodes that failed.",
+		func() float64 { return float64(h.corpusKVStats().ReadErrors) })
 	r.CounterFunc("hbold_corpus_term_cache_hits_total",
 		"Corpus term-dictionary cache hits.",
 		func() float64 { hits, _ := h.corpusCacheStats(); return float64(hits) })

@@ -107,6 +107,13 @@ func TestCorpusMirrorAndRestart(t *testing.T) {
 			t.Fatalf("reopened corpus diverges on %q:\n got %q\nwant %q", q, got, want[q])
 		}
 	}
+	// the read path's caches and its failures are on /metrics too
+	for _, fam := range []string{"hbold_kv_block_cache_hits_total", "hbold_kv_block_cache_misses_total", "hbold_kv_block_cache_bytes"} {
+		registryValue(t, tool, fam)
+	}
+	if n := registryValue(t, tool, "hbold_kv_read_errors_total"); n != 0 {
+		t.Fatalf("hbold_kv_read_errors_total = %v after clean reads", n)
+	}
 }
 
 // TestCorpusOffByDefault pins that the memory-only pipeline is untouched

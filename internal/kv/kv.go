@@ -26,6 +26,14 @@
 // instructions it takes to swap it or to capture it and pin its
 // segments, and is never held across a syscall. So Snapshot is O(1) in
 // the memtable's size, and neither it nor Get ever waits for an fsync.
+// A third lock, the block cache's (blockcache.go), is shared by every DB
+// in the process; it is held for a map operation and a list splice,
+// never across a read, and nothing else is taken under it.
+//
+// Memory model of what reads return: segment blocks are immutable
+// garbage-collected byte slices, and the keys and values Get and Scan
+// hand out alias them (or the memtable). They are read-only; they stay
+// valid for as long as they are held, each pinning at most one block.
 package kv
 
 import (
@@ -80,6 +88,11 @@ type Stats struct {
 	SegmentBytes  int64  // total bytes across live segments
 	MemtableKeys  int    // keys buffered in the memtable
 	MemtableBytes int    // approximate memtable footprint
+
+	BlockCacheHits   uint64 // seeks answered from the decoded-block cache
+	BlockCacheMisses uint64 // seeks that read and indexed a block
+	BlockCacheBytes  int64  // this DB's share of the process-wide cache
+	ReadErrors       uint64 // segment reads or decodes that failed
 }
 
 // state is what readers see: replaced whole, never modified.
@@ -114,6 +127,8 @@ type DB struct {
 	mu    sync.Mutex
 	st    *state
 	stats Stats
+
+	reads readCounters // bumped by this DB's segments, lock-free
 }
 
 const manifestName = "MANIFEST.json"
@@ -149,7 +164,7 @@ func Open(dir string, opts Options) (*DB, error) {
 	committed := make(map[string]bool, len(m.Segments))
 	for _, name := range m.Segments {
 		committed[name] = true
-		seg, err := openSegment(filepath.Join(dir, name))
+		seg, err := openSegment(filepath.Join(dir, name), &db.reads)
 		if err != nil {
 			releaseAll(segs)
 			return nil, fmt.Errorf("kv: segment %s: %w", name, err)
@@ -259,21 +274,25 @@ func (db *DB) pin() *state {
 }
 
 // get returns the newest value for key in st, reading newest segment
-// first. The caller holds references on st's segments.
+// first. The caller holds references on st's segments. A segment that
+// cannot be read ends the search as "absent" (the segment counted the
+// error): falling through to an older segment could answer with a value
+// the unreadable one had overwritten or deleted.
 func (st *state) get(key string) ([]byte, bool) {
 	if e, ok := st.mem.get(key); ok {
 		return e.v, !e.del
 	}
 	for i := len(st.segs) - 1; i >= 0; i-- {
-		if v, del, ok, err := st.segs[i].get(key); err == nil && ok {
-			return v, !del
+		if v, del, ok, err := st.segs[i].get(key); err != nil || ok {
+			return v, ok && !del
 		}
 	}
 	return nil, false
 }
 
-// Get returns the newest value for key. The returned slice must not be
-// modified when it aliases the memtable; copy to retain.
+// Get returns the newest value for key. The slice aliases shared
+// immutable memory — the memtable or a segment block — and is
+// read-only; it may be kept, and keeps that block alive while it is.
 func (db *DB) Get(key string) ([]byte, bool) {
 	st := db.pin()
 	defer releaseAll(st.segs)
@@ -312,7 +331,7 @@ func (db *DB) flushLocked() error {
 			return err
 		}
 	}
-	seg, err := sw.finish()
+	seg, err := sw.finish(&db.reads)
 	if err != nil {
 		return err
 	}
@@ -425,21 +444,31 @@ func (db *DB) compact(captured []*segment, seq uint64) {
 		return
 	}
 	// Newest segment wins ties: sources are ordered newest first.
+	cursors := make([]segIter, len(captured))
 	sources := make([]iter, len(captured))
 	for i := range captured {
-		sources[i] = captured[len(captured)-1-i].iterate()
+		cursors[i].s = captured[len(captured)-1-i]
+		sources[i] = &cursors[i]
 	}
 	werr := error(nil)
 	mergeScan(sources, "", "", false, func(k string, v []byte, del bool) bool {
 		werr = sw.add(k, v, del)
 		return werr == nil
 	})
+	// A cursor that failed looks exhausted to the merge: the output would
+	// be missing every key after the failure, and committing it would
+	// delete the only copies.
+	for i := range cursors {
+		if werr == nil {
+			werr = cursors[i].err
+		}
+	}
 	if werr != nil {
 		sw.abort()
 		db.compactDone(nil, nil)
 		return
 	}
-	merged, err := sw.finish()
+	merged, err := sw.finish(&db.reads)
 	if err != nil {
 		db.compactDone(nil, nil)
 		return
@@ -512,6 +541,10 @@ func (db *DB) Stats() Stats {
 	}
 	st.MemtableKeys = db.st.mem.keys
 	st.MemtableBytes = db.st.mem.bytes
+	st.BlockCacheHits = db.reads.cacheHits.Load()
+	st.BlockCacheMisses = db.reads.cacheMisses.Load()
+	st.BlockCacheBytes = db.reads.cacheBytes.Load()
+	st.ReadErrors = db.reads.readErrors.Load()
 	return st
 }
 
@@ -542,18 +575,23 @@ func (s *Snap) Release() {
 	})
 }
 
-// Get returns the newest value for key visible in the snapshot.
+// Get returns the newest value for key visible in the snapshot. The
+// slice is read-only and may be kept, as for DB.Get.
 func (s *Snap) Get(key string) ([]byte, bool) { return s.st.get(key) }
 
 // Scan streams live keys in [start, end) in lexicographic order; an
 // empty end means unbounded. Returning false from fn stops the scan.
-// Values are only valid for the duration of the callback.
+// Keys and values alias shared immutable memory (the memtable or a
+// segment block): they are read-only, and one kept past the callback —
+// or past Release — stays valid and keeps its block alive.
 func (s *Snap) Scan(start, end string, fn func(k string, v []byte) bool) {
 	st := s.st
+	cursors := make([]segIter, len(st.segs))
 	sources := make([]iter, 0, len(st.segs)+1)
 	sources = append(sources, &memIter{m: st.mem})
 	for i := len(st.segs) - 1; i >= 0; i-- {
-		sources = append(sources, st.segs[i].iterate())
+		cursors[i].s = st.segs[i]
+		sources = append(sources, &cursors[i])
 	}
 	mergeScan(sources, start, end, false, func(k string, v []byte, del bool) bool {
 		return fn(k, v)

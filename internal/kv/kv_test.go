@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -283,14 +284,58 @@ func TestPrefixEnd(t *testing.T) {
 	}
 }
 
+// setBlockCacheBudget shrinks the process-wide block cache for one test,
+// so that hits, misses and evictions all happen on a small store.
+func setBlockCacheBudget(t *testing.T, budget int64) {
+	t.Helper()
+	blocks.mu.Lock()
+	old := blocks.budget
+	blocks.budget = budget
+	blocks.mu.Unlock()
+	t.Cleanup(func() {
+		blocks.mu.Lock()
+		blocks.budget = old
+		blocks.mu.Unlock()
+	})
+}
+
+// cachedBlocksOf counts the cache's entries for seg.
+func cachedBlocksOf(seg *segment) int {
+	blocks.mu.Lock()
+	defer blocks.mu.Unlock()
+	n := 0
+	for k := range blocks.m {
+		if k.seg == seg {
+			n++
+		}
+	}
+	return n
+}
+
+// fewBlocks is a cache budget of about four of the 64-byte blocks the
+// small-store tests cut.
+const fewBlocks = 1 << 10
+
 // TestRandomizedAgainstMap drives random batches against the DB and a
-// plain map, comparing full contents through flush/compaction cycles
-// and a reopen.
+// plain map, comparing full contents, point reads, bounded and
+// early-stopped scans and counts through flush/compaction cycles and a
+// reopen — once with the block cache at its real budget (everything
+// fits: all hits after the first read) and once with room for a few
+// blocks (evictions interleave with the flushes and compactions).
 func TestRandomizedAgainstMap(t *testing.T) {
+	t.Run("cache=default", func(t *testing.T) { randomizedAgainstMap(t) })
+	t.Run("cache=few-blocks", func(t *testing.T) {
+		setBlockCacheBudget(t, fewBlocks)
+		randomizedAgainstMap(t)
+	})
+}
+
+func randomizedAgainstMap(t *testing.T) {
 	dir := t.TempDir()
 	db := openT(t, dir, Options{NoSync: true, MaxSegments: 2, BlockBytes: 64, MemtableBytes: 1 << 10})
 	model := map[string]string{}
 	rng := rand.New(rand.NewSource(42))
+	key := func(i int) string { return fmt.Sprintf("key-%03d", i) }
 
 	check := func(stage string) {
 		t.Helper()
@@ -315,12 +360,43 @@ func TestRandomizedAgainstMap(t *testing.T) {
 				t.Fatalf("%s: key %q = %q, want %q", stage, k, got[k], v)
 			}
 		}
+		sorted := slices.Sorted(maps.Keys(model))
+		for i := 0; i < 25; i++ {
+			// point reads, present and absent
+			k := key(rng.Intn(320))
+			want, present := model[k]
+			if v, ok := sn.Get(k); ok != present || string(v) != want {
+				t.Fatalf("%s: Get(%q) = %q,%v, want %q,%v", stage, k, v, ok, want, present)
+			}
+			// a bounded scan stopped after at most limit keys
+			lo, hi := key(rng.Intn(320)), key(rng.Intn(320))
+			if lo > hi {
+				lo, hi = hi, lo
+			}
+			from, _ := slices.BinarySearch(sorted, lo)
+			to, _ := slices.BinarySearch(sorted, hi)
+			limit := 1 + rng.Intn(8)
+			var seen []string
+			sn.Scan(lo, hi, func(k string, v []byte) bool {
+				if model[k] != string(v) {
+					t.Fatalf("%s: Scan(%q,%q) saw %q=%q, want %q", stage, lo, hi, k, v, model[k])
+				}
+				seen = append(seen, k)
+				return len(seen) < limit
+			})
+			if want := sorted[from:min(to, from+limit)]; !slices.Equal(seen, want) {
+				t.Fatalf("%s: Scan(%q,%q) limit %d = %v, want %v", stage, lo, hi, limit, seen, want)
+			}
+			if n := sn.Count(lo, hi); n != to-from {
+				t.Fatalf("%s: Count(%q,%q) = %d, want %d", stage, lo, hi, n, to-from)
+			}
+		}
 	}
 
 	for round := 0; round < 30; round++ {
 		var b Batch
 		for i := 0; i < 40; i++ {
-			k := fmt.Sprintf("key-%03d", rng.Intn(300))
+			k := key(rng.Intn(300))
 			if rng.Intn(5) == 0 {
 				b.Delete(k)
 				delete(model, k)
@@ -342,8 +418,21 @@ func TestRandomizedAgainstMap(t *testing.T) {
 	}
 	db.compactWG.Wait()
 	check("after compaction settles")
+	st := db.Stats()
+	if st.BlockCacheHits == 0 || st.BlockCacheMisses == 0 || st.ReadErrors != 0 {
+		t.Fatalf("want cache hits and misses and no read errors, got %+v", st)
+	}
+	blocks.mu.Lock()
+	total, budget := blocks.bytes, blocks.budget
+	blocks.mu.Unlock()
+	if st.BlockCacheBytes <= 0 || st.BlockCacheBytes > total || total > budget {
+		t.Fatalf("cache holds %d bytes (this DB %d) against a budget of %d", total, st.BlockCacheBytes, budget)
+	}
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
+	}
+	if held := db.Stats().BlockCacheBytes; held != 0 {
+		t.Fatalf("a closed DB still holds %d cache bytes", held)
 	}
 	db = openT(t, dir, Options{NoSync: true})
 	defer db.Close()
@@ -547,6 +636,7 @@ func TestSnapshotSurvivesFlushAndCompaction(t *testing.T) {
 	}
 	sn := db.Snapshot()
 	defer sn.Release()
+	pinned := sn.st.segs // retired by the compactions below, kept open by sn
 
 	check := func() error {
 		seen := 0
@@ -616,4 +706,21 @@ func TestSnapshotSurvivesFlushAndCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantGet(t, db, "later-5", "x", true)
+
+	// The snapshot's reads went through the block cache; the blocks of a
+	// retired segment stay there exactly as long as someone can still
+	// read the segment.
+	cached := func() (n int) {
+		for _, seg := range pinned {
+			n += cachedBlocksOf(seg)
+		}
+		return n
+	}
+	if cached() == 0 {
+		t.Fatal("the snapshot's Gets cached no block of its segments")
+	}
+	sn.Release()
+	if n := cached(); n != 0 {
+		t.Fatalf("%d blocks of retired segments still cached after the last snapshot was released", n)
+	}
 }

@@ -15,12 +15,36 @@ package kv
 //	index offset u64 BE | index length u64 BE | entry count u64 BE |
 //	index CRC32 u32 BE | magic "HBKVSEG1"
 //
-// Readers keep the index in memory and pread one block per lookup, so
-// opening a segment costs O(index), not O(data). Segments are
-// reference counted: the DB holds one reference, every snapshot one
-// more, and the file handle closes when the last drops — compaction
-// unlinks retired files immediately and live snapshots keep reading
-// through the open descriptor.
+// Readers keep the index in memory, so opening a segment costs
+// O(index), not O(data), and nothing is read ahead of the first lookup.
+// Blocks are reached two ways:
+//
+//   - by seek (segment.get, segIter.seek — every point lookup and the
+//     start of every range scan): through the process-wide cache of
+//     decoded blocks (blockcache.go). A hit costs a map lookup and a
+//     binary search over the block's entry offsets; a miss preads the
+//     block, indexes it once and inserts it.
+//   - by running off the end of the previous block (the rest of a long
+//     scan, and all of a compaction, whose cursors start before the
+//     first block): pread and decoded entry by entry, never inserted. A
+//     scan reads each block once, so caching it would only evict the
+//     blocks that probes come back to — a 28 MB merge would flush the
+//     readers' whole working set.
+//
+// Either way a block's bytes are written once, before anyone else can
+// see them, and then belong to the garbage collector; no buffer is
+// pooled or reused. The keys and values a reader is handed alias those
+// bytes: they are read-only, and stay valid for as long as the holder
+// keeps them — past the callback, the snapshot's release, the block's
+// eviction and the segment's retirement — at the price of keeping that
+// one block (≈ BlockBytes) alive. Code inside this package that keeps a
+// key for long must copy it for that reason (segWriter.add).
+//
+// Segments are reference counted: the DB holds one reference, every
+// snapshot one more; when the last drops the file handle closes and the
+// segment's blocks leave the cache — compaction unlinks retired files
+// immediately and live snapshots keep reading through the open
+// descriptor.
 
 import (
 	"bufio"
@@ -29,7 +53,9 @@ import (
 	"hash/crc32"
 	"os"
 	"sort"
+	"strings"
 	"sync/atomic"
+	"unsafe"
 )
 
 var segMagic = []byte("HBKVSEG1")
@@ -42,6 +68,15 @@ type blockMeta struct {
 	len   uint64
 }
 
+// readCounters are the read-path counters of one DB, bumped by its
+// segments and reported by Stats.
+type readCounters struct {
+	cacheHits   atomic.Uint64
+	cacheMisses atomic.Uint64
+	cacheBytes  atomic.Int64 // bytes the block cache holds for this DB's segments
+	readErrors  atomic.Uint64
+}
+
 type segment struct {
 	path   string
 	f      *os.File
@@ -49,6 +84,7 @@ type segment struct {
 	blocks []blockMeta
 	count  uint64
 	refs   int32
+	ctr    *readCounters // the owning DB's
 }
 
 func (s *segment) acquire() { atomic.AddInt32(&s.refs, 1) }
@@ -56,12 +92,13 @@ func (s *segment) acquire() { atomic.AddInt32(&s.refs, 1) }
 func (s *segment) release() {
 	if atomic.AddInt32(&s.refs, -1) == 0 {
 		s.f.Close()
+		blocks.drop(s)
 	}
 }
 
 // openSegment maps the index of the segment at path into memory. The
 // returned segment carries one reference (the caller's).
-func openSegment(path string) (*segment, error) {
+func openSegment(path string, ctr *readCounters) (*segment, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -104,7 +141,7 @@ func openSegment(path string) (*segment, error) {
 	}
 	return &segment{
 		path: path, f: f, size: fi.Size(),
-		blocks: blocks, count: count, refs: 1,
+		blocks: blocks, count: count, refs: 1, ctr: ctr,
 	}, nil
 }
 
@@ -143,40 +180,72 @@ func (s *segment) findBlock(key string) int {
 	return sort.Search(len(s.blocks), func(i int) bool { return s.blocks[i].first > key }) - 1
 }
 
+// readBlock preads block bi into a fresh buffer. A failure is counted
+// and returned: the caller must not carry on as if the block were
+// empty.
+func (s *segment) readBlock(bi int) ([]byte, error) {
+	buf := make([]byte, s.blocks[bi].len)
+	if _, err := s.f.ReadAt(buf, int64(s.blocks[bi].off)); err != nil {
+		return nil, s.failed(bi, err)
+	}
+	return buf, nil
+}
+
+// failed counts a read or decode failure in block bi and names it.
+func (s *segment) failed(bi int, err error) error {
+	s.ctr.readErrors.Add(1)
+	return fmt.Errorf("kv: %s block %d: %w", s.path, bi, err)
+}
+
+// seekBlock returns block bi decoded, from the cache or into it.
+func (s *segment) seekBlock(bi int) (*block, error) {
+	key := blockKey{seg: s, bi: bi}
+	if b := blocks.get(key); b != nil {
+		s.ctr.cacheHits.Add(1)
+		return b, nil
+	}
+	s.ctr.cacheMisses.Add(1)
+	buf, err := s.readBlock(bi)
+	if err != nil {
+		return nil, err
+	}
+	b, err := indexBlock(buf)
+	if err != nil {
+		return nil, s.failed(bi, err)
+	}
+	blocks.put(key, b)
+	return b, nil
+}
+
 // get returns the entry for key: its value, whether it is a tombstone,
-// and whether it was found at all.
+// and whether it was found at all. The value aliases the block.
 func (s *segment) get(key string) (val []byte, del, ok bool, err error) {
 	bi := s.findBlock(key)
 	if bi < 0 {
 		return nil, false, false, nil
 	}
-	buf := make([]byte, s.blocks[bi].len)
-	if _, err := s.f.ReadAt(buf, int64(s.blocks[bi].off)); err != nil {
+	b, err := s.seekBlock(bi)
+	if err != nil {
 		return nil, false, false, err
 	}
-	for len(buf) > 0 {
-		k, v, d, rest, err := decodeEntry(buf)
-		if err != nil {
-			return nil, false, false, err
-		}
-		if k == key {
-			return v, d, true, nil
-		}
-		if k > key {
-			return nil, false, false, nil
-		}
-		buf = rest
+	i := b.search(key)
+	if i == len(b.offs) || b.keyAt(i) != key {
+		return nil, false, false, nil
 	}
-	return nil, false, false, nil
+	_, val, del, _, err = decodeEntry(b.data[b.offs[i]:])
+	return val, del, err == nil, err
 }
 
+// decodeEntry splits the first entry off buf. The key and the value
+// alias buf.
 func decodeEntry(buf []byte) (key string, val []byte, del bool, rest []byte, err error) {
 	klen, w := binary.Uvarint(buf)
 	if w <= 0 || uint64(len(buf)-w) < klen {
 		return "", nil, false, nil, fmt.Errorf("bad entry key")
 	}
-	key = string(buf[w : w+int(klen)])
-	buf = buf[w+int(klen):]
+	buf = buf[w:]
+	key = unsafe.String(unsafe.SliceData(buf), int(klen))
+	buf = buf[klen:]
 	vtag, w := binary.Uvarint(buf)
 	if w <= 0 {
 		return "", nil, false, nil, fmt.Errorf("bad entry vtag")
@@ -192,73 +261,60 @@ func decodeEntry(buf []byte) (key string, val []byte, del bool, rest []byte, err
 	return key, buf[:vlen], false, buf[vlen:], nil
 }
 
-// iterate returns a cursor over the whole segment. The cursor reads one
-// block at a time; values alias its block buffer.
-func (s *segment) iterate() *segIter {
-	return &segIter{s: s, block: -1}
-}
-
+// segIter is a cursor over the segment s, positioned by seek. It holds
+// one block at a time; keys and values alias it.
 type segIter struct {
 	s     *segment
-	block int    // index of the block buf holds; -1 before the first
+	block int    // index of the block buf is in; -1 before the first
 	buf   []byte // remaining undecoded bytes of the current block
 	k     string
 	v     []byte
 	del   bool
+	// err is the read or decode failure that ended the cursor early. A
+	// cursor that stops with err set has not seen the rest of the
+	// segment: whoever needs all of it (compaction) must check.
+	err error
 }
 
+// seek positions the cursor so that the following next() lands on the
+// first key >= start.
 func (it *segIter) seek(start string) {
-	bi := it.s.findBlock(start)
-	if bi < 0 {
-		it.block = -1
-		it.buf = nil
+	it.block, it.buf = it.s.findBlock(start), nil
+	if it.block < 0 {
+		return // before the first block: next() reads on from block 0
+	}
+	b, err := it.s.seekBlock(it.block)
+	if err != nil {
+		it.fail(err)
 		return
 	}
-	// Load the candidate block and consume entries before start, so the
-	// following next() lands on the first key >= start.
-	if !it.load(bi) {
-		return
-	}
-	for len(it.buf) > 0 {
-		k, _, _, rest, err := decodeEntry(it.buf)
-		if err != nil || k >= start {
-			return
-		}
-		it.buf = rest
+	if i := b.search(start); i < len(b.offs) {
+		it.buf = b.data[b.offs[i]:]
 	}
 }
 
-// load positions the cursor at the beginning of block bi.
-func (it *segIter) load(bi int) bool {
-	if bi >= len(it.s.blocks) {
-		it.block = len(it.s.blocks)
-		it.buf = nil
-		return false
-	}
-	buf := make([]byte, it.s.blocks[bi].len)
-	if _, err := it.s.f.ReadAt(buf, int64(it.s.blocks[bi].off)); err != nil {
-		it.block = len(it.s.blocks)
-		it.buf = nil
-		return false
-	}
-	it.block = bi
-	it.buf = buf
-	return true
+func (it *segIter) fail(err error) {
+	it.err = err
+	it.block, it.buf = len(it.s.blocks), nil
 }
 
 func (it *segIter) next() bool {
 	for len(it.buf) == 0 {
-		if it.block >= len(it.s.blocks) {
+		if it.block+1 >= len(it.s.blocks) {
+			it.block = len(it.s.blocks)
 			return false
 		}
-		if !it.load(it.block + 1) {
+		buf, err := it.s.readBlock(it.block + 1)
+		if err != nil {
+			it.fail(err)
 			return false
 		}
+		it.block++
+		it.buf = buf
 	}
 	k, v, del, rest, err := decodeEntry(it.buf)
 	if err != nil {
-		it.buf = nil
-		it.block = len(it.s.blocks)
+		it.fail(it.s.failed(it.block, err))
 		return false
 	}
 	it.k, it.v, it.del = k, v, del
@@ -297,7 +353,9 @@ func newSegWriter(path string, blockBytes int) (*segWriter, error) {
 // add appends one entry; keys must arrive in strictly increasing order.
 func (sw *segWriter) add(k string, v []byte, del bool) error {
 	if !sw.inBlock {
-		sw.blockFirst = k
+		// k may alias a block of a segment being merged; holding it until
+		// finish() would keep every source block of the merge alive.
+		sw.blockFirst = strings.Clone(k)
 		sw.blockStart = sw.off
 		sw.inBlock = true
 	}
@@ -331,7 +389,7 @@ func (sw *segWriter) cutBlock() {
 
 // finish writes the index and footer, fsyncs, and reopens the file as a
 // live segment carrying one reference.
-func (sw *segWriter) finish() (*segment, error) {
+func (sw *segWriter) finish(ctr *readCounters) (*segment, error) {
 	if sw.inBlock {
 		sw.cutBlock()
 	}
@@ -369,7 +427,7 @@ func (sw *segWriter) finish() (*segment, error) {
 		os.Remove(sw.path)
 		return nil, err
 	}
-	seg, err := openSegment(sw.path)
+	seg, err := openSegment(sw.path, ctr)
 	if err != nil {
 		os.Remove(sw.path)
 		return nil, err

@@ -16,7 +16,19 @@ import (
 // i and stamps "head" with i, so from a snapshot's head the whole
 // expected content follows: a snapshot showing anything else has seen
 // part of a batch, or lost one.
+//
+// It runs twice: with the block cache at its real budget, and with room
+// for a few of its 512-byte blocks, so readers evict each other's blocks
+// while the writer retires the segments they came from.
 func TestSoakReadersSeeWholeBatches(t *testing.T) {
+	t.Run("cache=default", soakReadersSeeWholeBatches)
+	t.Run("cache=few-blocks", func(t *testing.T) {
+		setBlockCacheBudget(t, 4<<10)
+		soakReadersSeeWholeBatches(t)
+	})
+}
+
+func soakReadersSeeWholeBatches(t *testing.T) {
 	const (
 		groups  = 61
 		perGrp  = 16

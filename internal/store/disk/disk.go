@@ -73,11 +73,11 @@ type Store struct {
 	// reader has seen, keyed by its raw bytes.
 	committed atomic.Pointer[decodedMeta]
 
-	// term cache: ID → rdf.Term, shared by every Reader. IDs are never
-	// reused, so entries stay valid across snapshots and compactions.
-	terms     sync.Map
-	cacheHits atomic.Uint64
-	cacheMiss atomic.Uint64
+	// cacheOwner tells this store's entries in the process-wide term
+	// cache (termcache.go) from every other store's.
+	cacheOwner uint32
+	cacheHits  atomic.Uint64
+	cacheMiss  atomic.Uint64
 }
 
 // decodedMeta pairs a meta record's bytes with their decoded, shared,
@@ -100,7 +100,10 @@ func Open(dir string, opts Options) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Store{db: db}
+	if terms.Load() == nil {
+		terms.CompareAndSwap(nil, new(termCache))
+	}
+	s := &Store{db: db, cacheOwner: termCacheOwners.Add(1)}
 	s.resetPending()
 	if err := s.reloadMeta(); err != nil {
 		db.Close()

@@ -36,11 +36,12 @@ type kvSnap interface {
 // that are simply dropped.
 func (r *Reader) Release() { r.snap.Release() }
 
-// Term materializes the term for id, through the store-wide cache.
+// Term materializes the term for id, through the process-wide cache.
 func (r *Reader) Term(id store.ID) rdf.Term {
-	if v, ok := r.st.terms.Load(id); ok {
+	cache := terms.Load()
+	if t, ok := cache.get(r.st.cacheOwner, id); ok {
 		r.st.cacheHits.Add(1)
-		return v.(rdf.Term)
+		return t
 	}
 	r.st.cacheMiss.Add(1)
 	raw, ok := r.snap.Get(termKey(id))
@@ -51,7 +52,9 @@ func (r *Reader) Term(id store.ID) rdf.Term {
 	if err != nil {
 		panic(fmt.Sprintf("disk: Term(%d): %v", id, err))
 	}
-	r.st.terms.Store(id, t)
+	if len(raw) <= termCacheMaxEncoded {
+		cache.put(r.st.cacheOwner, id, t)
+	}
 	return t
 }
 
