@@ -9,11 +9,13 @@
 //
 // The cache layer (internal/snapcache) generalizes the paper's §3.2
 // lesson — precompute the Cluster Schema instead of recomputing it per
-// view — to every presentation read: summaries, cluster schemas, layout
-// models and rendered SVG are memoized per dataset generation, a counter
-// internal/core bumps whenever an extraction job succeeds, and
-// internal/server serves matching "<url>@<generation>" ETags so
-// unchanged datasets revalidate with 304 instead of recomputing.
+// view — to every presentation read: encoded summaries and cluster
+// schemas, layout models and rendered SVG are memoized per dataset
+// generation. internal/core publishes each dataset's derived state
+// (index, summary, cluster schema, generation) as one immutable value
+// that every successful extraction and every applied update replaces
+// whole, and internal/server serves matching "<url>@<generation>" ETags
+// so unchanged datasets revalidate with 304 instead of recomputing.
 //
 // The query layer (internal/sparql over internal/store) compiles each
 // query into an ID-space plan: solution rows are flat slot arrays of

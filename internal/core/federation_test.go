@@ -56,9 +56,9 @@ func fedTool(t *testing.T) (*HBOLD, []string, []*atomic.Int32) {
 }
 
 // TestCoreFederationOverRegistry: the tool builds a federation over its
-// connected endpoints, carrying generation metadata and docstore index
-// lookups, and IndexPrune keeps a class query away from the partitions
-// whose stored index lacks the class.
+// connected endpoints, each carrying the URL's shared breaker and hedge
+// tracker, and IndexPrune keeps a class query away from the partitions
+// whose published vocabulary lacks the class.
 func TestCoreFederationOverRegistry(t *testing.T) {
 	tool, urls, calls := fedTool(t)
 	fed, err := tool.Federation(nil, federation.IndexPrune)
@@ -70,8 +70,8 @@ func TestCoreFederationOverRegistry(t *testing.T) {
 		t.Fatalf("federation over %d sources, want 3", len(srcs))
 	}
 	for _, s := range srcs {
-		if s.Generation == 0 {
-			t.Fatalf("source %s has generation 0 after Process", s.URL)
+		if s.Breaker == nil || s.Hedge == nil {
+			t.Fatalf("source %s lacks its process-wide breaker or hedge tracker", s.URL)
 		}
 		if s.Name == s.URL {
 			t.Fatalf("source %s did not pick up its registry title", s.URL)

@@ -8,8 +8,9 @@ import (
 )
 
 // TestGenerationCounter: generation is 0 until the first successful
-// extraction, then increments once per successful Process — and cached
-// presentation reads at distinct generations are distinct snapshots.
+// extraction, then increments once per successful Process — and reads
+// within one generation share one value, reads at distinct generations
+// get distinct ones.
 func TestGenerationCounter(t *testing.T) {
 	h, _ := newTool(t)
 	url := connectScholarly(t, h)
@@ -27,38 +28,34 @@ func TestGenerationCounter(t *testing.T) {
 		t.Fatalf("generation after first extraction = %d, want 1", g)
 	}
 
-	// a cached read at generation 1…
-	if _, err := h.Summary(url); err != nil {
+	// a read at generation 1…
+	s1, err := h.Summary(url)
+	if err != nil {
 		t.Fatal(err)
 	}
-	misses := h.Cache.Stats().Misses
-	if _, err := h.Summary(url); err != nil {
-		t.Fatal(err)
+	if again, _ := h.Summary(url); again != s1 {
+		t.Fatal("repeated Summary within one generation returned a second value")
 	}
-	if got := h.Cache.Stats().Misses; got != misses {
-		t.Fatalf("repeated Summary recomputed: misses %d -> %d", misses, got)
+	if h.State(url) != h.State(url) {
+		t.Fatal("repeated State within one generation returned a second value")
 	}
 
-	// …stops being addressed after the refresh bumps to generation 2
+	// …is not what readers get after the refresh publishes generation 2
 	if err := h.Process(url); err != nil {
 		t.Fatal(err)
 	}
 	if g := h.Generation(url); g != 2 {
 		t.Fatalf("generation after refresh = %d, want 2", g)
 	}
-	if _, err := h.Summary(url); err != nil {
-		t.Fatal(err)
-	}
-	if got := h.Cache.Stats().Misses; got <= misses {
-		t.Fatalf("post-refresh Summary served stale snapshot: misses %d -> %d", misses, got)
+	if s2, err := h.Summary(url); err != nil || s2 == s1 {
+		t.Fatalf("post-refresh Summary served the previous generation's value (err %v)", err)
 	}
 }
 
-// TestSharedSummaryConcurrentLookups: the snapshot cache hands the same
-// decoded *schema.Summary to every reader, so concurrent IRI lookups on
-// a freshly cached summary must be race-free (run with -race; before
-// the eager Reindex in Summary's decode path this raced on the lazy
-// index build).
+// TestSharedSummaryConcurrentLookups: every reader gets the same
+// published *schema.Summary, so concurrent IRI lookups on it must be
+// race-free (run with -race; a summary published without its lookup
+// index races on the lazy index build).
 func TestSharedSummaryConcurrentLookups(t *testing.T) {
 	h, _ := newTool(t)
 	url := connectScholarly(t, h)

@@ -7,7 +7,6 @@ package core
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
@@ -40,6 +39,9 @@ const (
 	CollClusters  = "clusters"
 	CollRegistry  = "registry"
 	CollDiffs     = "diffs"
+	// CollGeneration holds each dataset's generation number, written by
+	// the commit that wrote its documents.
+	CollGeneration = "generation"
 )
 
 // DefaultCacheBudget is the byte budget of the snapshot cache a fresh
@@ -65,12 +67,11 @@ type HBOLD struct {
 	// registry's give-up policy.
 	SchedulerConfig sched.Config
 	// Cache is the versioned snapshot cache for the presentation read
-	// path: Summary and ClusterSchema memoize decoded documents in it,
-	// and internal/server additionally memoizes layout models and
-	// rendered SVG. Entries are keyed by dataset generation, so a
-	// successful re-extraction never serves stale data. New installs a
-	// DefaultCacheBudget cache; replace it (before serving traffic) to
-	// resize, or set snapcache.New(0) to disable caching.
+	// path: internal/server memoizes encoded JSON bodies, layout models
+	// and rendered SVG in it. Entries are keyed by dataset generation, so
+	// a commit never serves stale data. New installs a DefaultCacheBudget
+	// cache; replace it (before serving traffic) to resize, or set
+	// snapcache.New(0) to disable caching.
 	Cache *snapcache.Cache
 	// Metrics is the process-lifetime observability registry: the
 	// scheduler, the snapshot cache, federated queries, HTTP endpoint
@@ -105,8 +106,8 @@ type HBOLD struct {
 	corpusMu sync.Mutex
 	corpora  map[string]*disk.Store
 
-	genMu       sync.RWMutex
-	generations map[string]uint64
+	// datasets maps an endpoint URL to its *dataset record.
+	datasets sync.Map
 
 	// feed is the change feed ApplyUpdate publishes to; Changes exposes it.
 	feed *update.Feed
@@ -136,7 +137,6 @@ func New(db *docstore.DB, ck clock.Clock) *HBOLD {
 		Breakers:    resilience.NewBreakerSet(resilience.BreakerConfig{Clock: ck}, metrics),
 		RetryBudget: resilience.NewBudget(0, 0),
 		clients:     make(map[string]endpoint.Client),
-		generations: make(map[string]uint64),
 		corpora:     make(map[string]*disk.Store),
 		feed:        update.NewFeed(),
 	}
@@ -147,29 +147,8 @@ func New(db *docstore.DB, ck clock.Clock) *HBOLD {
 	return h
 }
 
-// Generation returns the dataset's extraction generation: 0 until the
-// first successful extraction of this instance's lifetime, incremented
-// by every subsequent success. The presentation layer keys snapshot
-// cache entries and HTTP ETags on it, so a bump is what invalidates
-// every materialized view of the dataset at once.
-func (h *HBOLD) Generation(url string) uint64 {
-	h.genMu.RLock()
-	defer h.genMu.RUnlock()
-	return h.generations[url]
-}
-
-// bumpGeneration records that a new extraction of url was persisted.
-func (h *HBOLD) bumpGeneration(url string) {
-	h.genMu.Lock()
-	h.generations[url]++
-	h.genMu.Unlock()
-}
-
-// snapKey addresses a materialized snapshot of url at its current
-// generation.
-func (h *HBOLD) snapKey(url, view, params string) snapcache.Key {
-	return snapcache.Key{URL: url, Generation: h.Generation(url), View: view, Params: params}
-}
+// Generation returns the dataset's generation (State.Generation).
+func (h *HBOLD) Generation(url string) uint64 { return h.State(url).Generation }
 
 // Connect associates a SPARQL client with an endpoint URL. In the
 // deployed tool this is the HTTP connection to the public endpoint; in
@@ -218,8 +197,12 @@ func (h *HBOLD) Process(url string) error {
 // a canceled pipeline is not an endpoint failure and records nothing.
 func (h *HBOLD) process(ctx context.Context, url string, recordFail bool) error {
 	now := h.Clock.Now()
-	c, err := h.client(url)
+	st, err := h.refresh(ctx, url, now)
 	if err != nil {
+		if cerr := ctx.Err(); cerr != nil {
+			// a canceled run says nothing about the endpoint
+			return cerr
+		}
 		// unconnectable endpoints go through the same failure path as
 		// extraction errors: the registry attempt is recorded and a
 		// waiting §3.4 submitter is notified
@@ -228,66 +211,6 @@ func (h *HBOLD) process(ctx context.Context, url string, recordFail bool) error 
 		}
 		return err
 	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	ix, err := h.Extractor.Extract(ctx, c, url, now)
-	if err != nil {
-		if cerr := ctx.Err(); cerr != nil {
-			// a canceled run says nothing about the endpoint
-			return cerr
-		}
-		if recordFail {
-			h.recordFailure(url, now, err)
-		}
-		return err
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	s := schema.Build(ix)
-	cs, err := cluster.Build(s, cluster.Options{Algorithm: h.Algorithm, Seed: h.Seed})
-	if err != nil {
-		if recordFail {
-			h.recordFailure(url, now, err)
-		}
-		return err
-	}
-	// record what this refresh changed (§3.1: sources evolve, which is
-	// why extraction re-runs at all)
-	if old, err := h.Summary(url); err == nil {
-		if d := schema.Compare(old, s); !d.Unchanged() {
-			if err := h.DB.Collection(CollDiffs).Put(url, d); err != nil {
-				return err
-			}
-		}
-	}
-	if err := h.DB.Collection(CollIndexes).Put(url, ix); err != nil {
-		return err
-	}
-	if err := h.DB.Collection(CollSummaries).Put(url, s); err != nil {
-		return err
-	}
-	if err := h.DB.Collection(CollClusters).Put(url, cs); err != nil {
-		return err
-	}
-	// with a persistent corpus tier configured, mirror the statement set
-	// too — page-at-a-time, each page one durable batch — so a restart
-	// serves this dataset's queries without re-extraction
-	if h.CorpusDir != "" {
-		if err := h.mirrorCorpus(ctx, url, c); err != nil {
-			if cerr := ctx.Err(); cerr != nil {
-				return cerr
-			}
-			if recordFail {
-				h.recordFailure(url, now, err)
-			}
-			return err
-		}
-	}
-	// the persisted state changed: bump the generation so every cached
-	// snapshot and ETag of this dataset stops validating
-	h.bumpGeneration(url)
 	if h.Registry.Has(url) {
 		if err := h.Registry.RecordSuccess(url, now); err != nil {
 			return err
@@ -298,9 +221,45 @@ func (h *HBOLD) process(ctx context.Context, url string, recordFail bool) error 
 	}
 	if email, ok := h.Registry.TakePendingEmail(url); ok {
 		h.Outbox.Send(email, "H-BOLD: extraction completed",
-			notify.SuccessBody(url, s.NumClasses(), s.TotalInstances), now)
+			notify.SuccessBody(url, st.summary.NumClasses(), st.summary.TotalInstances), now)
 	}
+	// a source whose refresh succeeds is healthy for federated queries too
+	h.Breakers.For(url).Success()
 	return nil
+}
+
+// refresh is the part of the pipeline that changes what readers see, one
+// critical section: an update of this dataset lands wholly before the
+// extraction reads the corpus or wholly after the refresh is published —
+// never between, where the refresh would publish an index predating it.
+func (h *HBOLD) refresh(ctx context.Context, url string, now time.Time) (*State, error) {
+	c, err := h.client(url)
+	if err != nil {
+		return nil, err
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	ds := h.dataset(url)
+	ds.mu.Lock()
+	defer ds.mu.Unlock()
+	ix, err := h.Extractor.Extract(ctx, c, url, now)
+	if err != nil {
+		return nil, err
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	// with a persistent corpus tier configured, mirror the statement set
+	// too — page-at-a-time, each page one durable batch — so a restart
+	// serves this dataset's queries without re-extraction
+	if h.CorpusDir != "" {
+		if err := h.mirrorCorpus(ctx, url, c); err != nil {
+			return nil, err
+		}
+	}
+	st, _, err := h.commit(ds, url, ix)
+	return st, err
 }
 
 func (h *HBOLD) recordFailure(url string, now time.Time, cause error) {
@@ -346,15 +305,6 @@ func (h *HBOLD) Scheduler() *sched.Scheduler {
 				// failing scheduled refreshes is held out of federated
 				// queries too
 				h.Breakers.For(url).Failure()
-			}
-		}
-		if cfg.OnJobSucceeded == nil {
-			cfg.OnJobSucceeded = func(url string) {
-				// the runner already bumped the generation; eagerly free
-				// the previous generation's snapshots instead of letting
-				// them age out of the LRU
-				h.Cache.InvalidateBefore(url, h.Generation(url))
-				h.Breakers.For(url).Success()
 			}
 		}
 		// the runner suppresses per-attempt failure recording; the
@@ -459,14 +409,13 @@ func (h *HBOLD) EndpointClient(url string) (endpoint.Client, error) {
 
 // Federation builds a federated client over the connected endpoints: one
 // endpoint.Source per URL (every connected endpoint when urls is empty),
-// carrying the dataset's current extraction generation so the
-// federation's index pruning knows which sources have a usable index,
-// with index lookups answered from this instance's document store. The
-// returned client implements endpoint.Client/Streamer like any single
-// endpoint; unavailable members are routed around rather than failing
-// the whole query. Build a fresh federation per request or hold one —
-// it is safe for concurrent queries, but source metadata (generations)
-// is a snapshot of construction time.
+// each sharing the URL's process-wide circuit breaker and hedge-delay
+// tracker, with index pruning answered from the datasets' published
+// State — whatever generation is current when a query selects its
+// sources. The returned client implements endpoint.Client/Streamer like
+// any single endpoint; unavailable members are routed around rather than
+// failing the whole query. Build a fresh federation per request or hold
+// one — it is safe for concurrent queries.
 func (h *HBOLD) Federation(urls []string, policy federation.Policy) (*federation.Client, error) {
 	if len(urls) == 0 {
 		h.mu.RLock()
@@ -487,7 +436,6 @@ func (h *HBOLD) Federation(urls []string, policy federation.Policy) (*federation
 		}
 		src := endpoint.NewSource(u, u, c)
 		src.Cost = endpoint.DefaultCost
-		src.Generation = h.Generation(u)
 		if r, ok := c.(*endpoint.Remote); ok {
 			src.Name, src.Cost, src.Up = r.Name, r.Cost, r.Up
 		}
@@ -497,13 +445,17 @@ func (h *HBOLD) Federation(urls []string, policy federation.Policy) (*federation
 			src.Name = e.Title
 		}
 		src.Breaker = h.Breakers.For(u)
+		src.Hedge = h.dataset(u).hedge
 		sources = append(sources, src)
 	}
 	f := federation.New(sources...)
 	f.Policy = policy
 	f.SkipUnavailable = true
 	f.Hedge = true
-	f.Lookup = h.Index
+	f.Vocabulary = func(url string) (extraction.Vocabulary, bool) {
+		st := h.State(url)
+		return st.Vocabulary, st.index != nil
+	}
 	// per-client SourceStats stay instance-local; the registry series
 	// they mirror into outlive any one federation
 	f.Metrics = h.Metrics
@@ -538,13 +490,14 @@ func (h *HBOLD) Datasets() []DatasetInfo {
 		if !e.Indexed {
 			continue
 		}
-		s, err := h.Summary(e.URL)
-		if err != nil {
+		st := h.State(e.URL)
+		s := st.summary
+		if s == nil {
 			continue
 		}
 		clusters := 0
-		if cs, err := h.ClusterSchema(e.URL); err == nil {
-			clusters = cs.NumClusters()
+		if st.clusters != nil {
+			clusters = st.clusters.NumClusters()
 		}
 		out = append(out, DatasetInfo{
 			URL: e.URL, Title: e.Title,
@@ -557,50 +510,14 @@ func (h *HBOLD) Datasets() []DatasetInfo {
 	return out
 }
 
-// Summary loads the stored Schema Summary of a dataset, memoized in
-// the snapshot cache for the current generation (the stored JSON size
-// stands in for the decoded footprint). The returned value is shared
-// across callers and must be treated as immutable.
-func (h *HBOLD) Summary(url string) (*schema.Summary, error) {
-	v, err := h.Cache.GetOrCompute(h.snapKey(url, "core:summary", ""), func() (any, int64, error) {
-		raw, err := h.DB.Collection(CollSummaries).GetRaw(url)
-		if err != nil {
-			return nil, 0, err
-		}
-		var s schema.Summary
-		if err := json.Unmarshal(raw, &s); err != nil {
-			return nil, 0, err
-		}
-		// the cached value is shared across goroutines: build the lazy
-		// lookup index now, while we are the only holder
-		s.Reindex()
-		return &s, int64(len(raw)), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*schema.Summary), nil
-}
+// Summary returns the dataset's Schema Summary (State.Summary). The
+// value is shared across callers and must be treated as immutable.
+func (h *HBOLD) Summary(url string) (*schema.Summary, error) { return h.State(url).Summary() }
 
-// ClusterSchema loads the stored (precomputed, §3.2) Cluster Schema,
-// memoized like Summary. The returned value is shared across callers
-// and must be treated as immutable.
+// ClusterSchema returns the dataset's precomputed (§3.2) Cluster Schema
+// (State.ClusterSchema), shared and immutable like Summary.
 func (h *HBOLD) ClusterSchema(url string) (*cluster.Schema, error) {
-	v, err := h.Cache.GetOrCompute(h.snapKey(url, "core:cluster", ""), func() (any, int64, error) {
-		raw, err := h.DB.Collection(CollClusters).GetRaw(url)
-		if err != nil {
-			return nil, 0, err
-		}
-		var cs cluster.Schema
-		if err := json.Unmarshal(raw, &cs); err != nil {
-			return nil, 0, err
-		}
-		return &cs, int64(len(raw)), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*cluster.Schema), nil
+	return h.State(url).ClusterSchema()
 }
 
 // ClusterSchemaOnTheFly recomputes the Cluster Schema from the stored
@@ -615,13 +532,9 @@ func (h *HBOLD) ClusterSchemaOnTheFly(url string) (*cluster.Schema, error) {
 }
 
 // Explore starts a presentation-layer exploration session on a dataset,
-// focused on a class (Figure 2 step 2).
+// focused on a class (State.Explore).
 func (h *HBOLD) Explore(url, focusIRI string) (*schema.Exploration, error) {
-	s, err := h.Summary(url)
-	if err != nil {
-		return nil, err
-	}
-	return schema.NewExploration(s, focusIRI)
+	return h.State(url).Explore(focusIRI)
 }
 
 // LastDiff returns the schema change recorded by the most recent
@@ -659,11 +572,6 @@ func (h *HBOLD) LoadState() error {
 	return nil
 }
 
-// Index loads the stored extraction index of a dataset.
-func (h *HBOLD) Index(url string) (*extraction.Index, error) {
-	var ix extraction.Index
-	if err := h.DB.Collection(CollIndexes).Get(url, &ix); err != nil {
-		return nil, err
-	}
-	return &ix, nil
-}
+// Index returns the dataset's extraction index (State.Index), shared
+// and immutable like Summary: Clone it before adjusting it.
+func (h *HBOLD) Index(url string) (*extraction.Index, error) { return h.State(url).Index() }

@@ -1,6 +1,10 @@
 package core
 
 import (
+	"context"
+	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -8,7 +12,9 @@ import (
 	"repro/internal/docstore"
 	"repro/internal/endpoint"
 	"repro/internal/registry"
+	"repro/internal/store"
 	"repro/internal/synth"
+	"repro/internal/update"
 )
 
 // TestRestartDurability verifies that a file-backed instance survives a
@@ -93,5 +99,74 @@ func TestLoadStateFreshInstance(t *testing.T) {
 	tool := New(docstore.MustOpenMem(), clock.NewSim(clock.Epoch))
 	if err := tool.LoadState(); err != nil {
 		t.Fatalf("fresh LoadState must be a no-op, got %v", err)
+	}
+}
+
+// TestRestartLoadNeverOverwritesACommit (run with -race): in a second
+// life the stored state is decoded by whoever touches the dataset first.
+// Readers and an update race for that on every round; no reader may see
+// less than the stored generation, see it go backwards, or end below the
+// update's — the load must never publish over a commit.
+func TestRestartLoadNeverOverwritesACommit(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	url := "http://scholarly.example.org/sparql"
+	const firstLife = `INSERT DATA { <http://ex/a2> a <http://ex/Author> }`
+	// a corpus whose documents take long enough to decode for the race
+	// to have a window
+	corpus := func() *store.Store { return synth.Scholarly(1) }
+	open := func(st *store.Store) *HBOLD {
+		db, err := docstore.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := New(db, clock.NewSim(clock.Epoch))
+		t.Cleanup(h.Close)
+		h.Connect(url, endpoint.LocalClient{Store: st})
+		return h
+	}
+	h := open(corpus())
+	if err := h.Process(url); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.ApplyUpdate(ctx, url, firstLife); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.SaveState(); err != nil {
+		t.Fatal(err)
+	}
+
+	for round := 0; round < 15; round++ {
+		st := corpus()
+		if _, err := update.ApplyText(ctx, st, firstLife); err != nil {
+			t.Fatal(err)
+		}
+		h := open(st)
+		var done atomic.Bool
+		var readers sync.WaitGroup
+		for r := 0; r < 3; r++ {
+			readers.Add(1)
+			go func() {
+				defer readers.Done()
+				last := uint64(2)
+				for !done.Load() {
+					g := h.Generation(url)
+					if g < last {
+						t.Errorf("round %d: generation %d after %d", round, g, last)
+						return
+					}
+					last = g
+				}
+			}()
+		}
+		res, err := h.ApplyUpdate(ctx, url, fmt.Sprintf(`INSERT DATA { <http://ex/r%d> a <http://ex/Author> }`, round))
+		done.Store(true)
+		readers.Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g := h.Generation(url); res.Generation != 3 || g != 3 {
+			t.Fatalf("round %d: update committed generation %d, readers now see %d, want 3", round, res.Generation, g)
+		}
 	}
 }

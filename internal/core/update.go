@@ -2,18 +2,16 @@ package core
 
 // The live mutation path: ApplyUpdate runs a SPARQL 1.1 Update request
 // against a dataset's writable local tier and then repairs every derived
-// artifact incrementally — the extraction index is adjusted by the net
-// triple delta (extraction.ApplyDelta) instead of re-extracted, the
-// Schema Summary and Cluster Schema are rebuilt from it, the schema diff
-// is recorded, the dataset generation is bumped (invalidating cached
-// snapshots and ETags), and a schema.Diff-shaped event is published on
-// the change feed.
+// artifact incrementally — a copy of the published extraction index is
+// adjusted by the net triple delta (extraction.ApplyDelta) instead of
+// re-extracted, commit derives and publishes the rest exactly as a
+// refresh does, and a schema.Diff-shaped event is published on the
+// change feed.
 
 import (
 	"context"
 	"fmt"
 
-	"repro/internal/cluster"
 	"repro/internal/endpoint"
 	"repro/internal/extraction"
 	"repro/internal/schema"
@@ -82,61 +80,45 @@ func (h *HBOLD) ApplyUpdate(ctx context.Context, url, text string) (*UpdateResul
 	if err != nil {
 		return nil, err
 	}
+	// the critical section spans triples and derived state: two updates of
+	// one dataset adjust the index in turn, never the same copy of it
+	ds := h.dataset(url)
+	ds.mu.Lock()
+	defer ds.mu.Unlock()
 	d, err := update.Apply(ctx, be, u)
 	if err != nil {
 		return nil, err
 	}
+	prev := h.loaded(ds, url)
 	res := &UpdateResult{
 		Dataset:    url,
 		Added:      len(d.Added),
 		Removed:    len(d.Removed),
-		Generation: h.Generation(url),
+		Generation: prev.Generation,
 	}
 	if d.Empty() {
 		return res, nil
 	}
 	now := h.Clock.Now()
-	var diff *schema.Diff
 	// Incremental maintenance of the derived artifacts: only datasets
 	// with an extracted index have any; for the rest (a bare corpus
 	// served before its first extraction) the triple tier alone changed.
-	if ix, err := h.Index(url); err == nil {
-		old, _ := h.Summary(url) // pre-update summary; nil is fine
+	// ApplyDelta edits in place; readers hold the published index.
+	var ix *extraction.Index
+	if prev.index != nil {
+		ix = prev.index.Clone()
 		extraction.ApplyDelta(ix, be, d.Added, d.Removed, now)
-		s := schema.Build(ix)
-		cs, err := cluster.Build(s, cluster.Options{Algorithm: h.Algorithm, Seed: h.Seed})
-		if err != nil {
-			return nil, err
-		}
-		if old != nil {
-			if dd := schema.Compare(old, s); !dd.Unchanged() {
-				diff = dd
-				if err := h.DB.Collection(CollDiffs).Put(url, dd); err != nil {
-					return nil, err
-				}
-			}
-		}
-		if err := h.DB.Collection(CollIndexes).Put(url, ix); err != nil {
-			return nil, err
-		}
-		if err := h.DB.Collection(CollSummaries).Put(url, s); err != nil {
-			return nil, err
-		}
-		if err := h.DB.Collection(CollClusters).Put(url, cs); err != nil {
-			return nil, err
-		}
 	}
-	// the persisted state changed: every cached snapshot and ETag of the
-	// dataset stops validating, exactly as after a re-extraction
-	h.bumpGeneration(url)
-	gen := h.Generation(url)
-	h.Cache.InvalidateBefore(url, gen)
-	res.Generation = gen
+	st, diff, err := h.commit(ds, url, ix)
+	if err != nil {
+		return nil, err
+	}
+	res.Generation = st.Generation
 	res.Diff = diff
 	ev := h.feed.Publish(update.Event{
 		Dataset:    url,
 		Time:       now,
-		Generation: gen,
+		Generation: st.Generation,
 		Added:      len(d.Added),
 		Removed:    len(d.Removed),
 		Diff:       diff,

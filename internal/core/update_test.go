@@ -78,10 +78,11 @@ INSERT DATA {
 
 	// the incrementally maintained index must equal a fresh extraction
 	// over the mutated store
-	ix, err := h.Index(url)
+	published, err := h.Index(url)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ix := published.Clone() // the published index is shared and immutable
 	fresh, err := extraction.New().Extract(context.Background(), endpoint.LocalClient{Store: st}, url, h.Clock.Now())
 	if err != nil {
 		t.Fatal(err)

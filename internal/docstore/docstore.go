@@ -138,19 +138,6 @@ func (c *Collection) Get(id string, out any) error {
 	return json.Unmarshal(raw, out)
 }
 
-// GetRaw returns the stored JSON bytes of a document without
-// unmarshaling. The returned slice is shared with the store and must
-// not be modified.
-func (c *Collection) GetRaw(id string) (json.RawMessage, error) {
-	c.mu.RLock()
-	raw, ok := c.docs[id]
-	c.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("%w: %s/%s", ErrNotFound, c.name, id)
-	}
-	return raw, nil
-}
-
 // Has reports whether a document exists.
 func (c *Collection) Has(id string) bool {
 	c.mu.RLock()

@@ -18,9 +18,6 @@ type Source struct {
 	// Cost is the virtual cost model used by cost-ordered selection.
 	// The zero value sorts as free; use DefaultCost for a realistic one.
 	Cost CostModel
-	// Generation is the extraction generation the source's index metadata
-	// was read at; 0 means never extracted (no index to prune by).
-	Generation uint64
 	// Up optionally probes availability before fan-out; nil means assumed
 	// up. A Remote's Up method fits directly.
 	Up func() bool
@@ -31,6 +28,11 @@ type Source struct {
 	// failures trip the one federation queries consult. Nil means no
 	// breaking — every call is admitted.
 	Breaker *resilience.Breaker
+	// Hedge, when set, learns the source's open-to-first-row latencies and
+	// times hedged second opens by them. Share one per URL for the life of
+	// the process, like Breaker: what one federated query observed times
+	// the next one's hedge. Nil learns nothing; hedges wait out the seed.
+	Hedge *resilience.HedgeDelay
 }
 
 // NewSource builds a source with the zero cost model and no availability

@@ -1,7 +1,9 @@
 package extraction_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"reflect"
 	"testing"
 	"time"
@@ -116,4 +118,50 @@ func TestApplyDeltaEmpty(t *testing.T) {
 	if !reflect.DeepEqual(before, *ix) {
 		t.Fatalf("empty delta changed the index:\n before %+v\n after %+v", before, *ix)
 	}
+}
+
+// TestIndexCloneSharesNothing: ApplyDelta edits in place, so the copy it
+// is handed must share no backing array with an index readers still
+// hold — every update of the battery runs on a clone while the original
+// has to keep marshalling to the bytes it had.
+func TestIndexCloneSharesNothing(t *testing.T) {
+	ctx := context.Background()
+	st := deltaFixture(t)
+	ix, err := extraction.New().Extract(ctx, endpoint.LocalClient{Store: st}, "mem://delta", time.Unix(0, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, text := range deltaUpdates {
+		before, err := json.Marshal(ix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		next := ix.Clone()
+		if same, _ := json.Marshal(next); !bytes.Equal(same, before) {
+			t.Fatalf("clone %d differs from its source:\n got %s\nwant %s", i, same, before)
+		}
+		if shared(next.Classes, ix.Classes) || shared(next.Predicates, ix.Predicates) {
+			t.Fatalf("clone %d shares a top-level slice with its source", i)
+		}
+		for c := range next.Classes {
+			if shared(next.Classes[c].DataProperties, ix.Classes[c].DataProperties) ||
+				shared(next.Classes[c].ObjectProperties, ix.Classes[c].ObjectProperties) {
+				t.Fatalf("clone %d shares class %s's property lists with its source", i, ix.Classes[c].IRI)
+			}
+		}
+		d, err := update.ApplyText(ctx, st, text)
+		if err != nil {
+			t.Fatalf("update %d: %v", i, err)
+		}
+		extraction.ApplyDelta(next, st, d.Added, d.Removed, time.Unix(int64(i+1), 0))
+		if after, _ := json.Marshal(ix); !bytes.Equal(after, before) {
+			t.Fatalf("update %d on the clone changed the source:\n got %s\nwant %s", i, after, before)
+		}
+		ix = next
+	}
+}
+
+// shared reports whether two non-empty slices start at the same element.
+func shared[T any](a, b []T) bool {
+	return len(a) > 0 && len(b) > 0 && &a[0] == &b[0]
 }

@@ -21,6 +21,7 @@ package extraction
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -64,6 +65,21 @@ type Index struct {
 
 // NumClasses returns the number of instantiated classes.
 func (ix *Index) NumClasses() int { return len(ix.Classes) }
+
+// Clone returns a deep copy sharing no backing array with ix, so
+// ApplyDelta can adjust the copy while readers hold the original. Nil
+// slices stay nil: a legacy index's missing predicate scan must survive.
+func (ix *Index) Clone() *Index {
+	c := *ix
+	c.Predicates = slices.Clone(ix.Predicates)
+	c.Classes = slices.Clone(ix.Classes)
+	for i := range c.Classes {
+		ci := &c.Classes[i]
+		ci.DataProperties = slices.Clone(ci.DataProperties)
+		ci.ObjectProperties = slices.Clone(ci.ObjectProperties)
+	}
+	return &c
+}
 
 // ClassIndex summarizes one instantiated class.
 type ClassIndex struct {

@@ -6,56 +6,54 @@ import (
 
 	"repro/internal/endpoint"
 	"repro/internal/rdf"
+	"repro/internal/store"
 )
 
-// TripleSink is where MirrorCorpus lands triples — in production the
-// disk-backed store.Backend, in tests anything that records them.
-// Insert stages one triple (reporting whether it was new) and Flush
-// makes everything staged so far durable as one atomic batch.
-type TripleSink interface {
-	Insert(rdf.Triple) (bool, error)
-	Flush() error
-}
-
-// MirrorCorpus replicates the endpoint's full statement set into sink,
+// MirrorCorpus replicates the endpoint's full statement set into dst,
 // paging `SELECT ?s ?p ?o` with the same ORDER BY + LIMIT/OFFSET
 // discipline the index extraction uses, so it works against endpoints
-// that truncate unordered results. Each page is flushed as one durable
-// batch: a crash mid-mirror loses at most the page in flight, and the
-// recovered sink is a consistent prefix of the corpus. It returns the
+// that truncate unordered results. Each page is read off the wire first
+// and then inserted and flushed as one durable batch under dst's request
+// lock, so a page never interleaves with an update's pending batch: a
+// crash mid-mirror loses at most the page in flight, and the recovered
+// store is a consistent prefix of the corpus. It returns the
 // number of rows mirrored (triples seen, not deduplicated).
-func (e *Extractor) MirrorCorpus(ctx context.Context, c endpoint.Client, sink TripleSink) (int, error) {
+func (e *Extractor) MirrorCorpus(ctx context.Context, c endpoint.Client, dst store.Backend) (int, error) {
 	page := e.PageSize
 	if page <= 0 {
 		page = 1000
 	}
 	total := 0
-	off := 0
-	for {
-		got := 0
-		var sinkErr error
+	batch := make([]rdf.Triple, 0, page)
+	for off := 0; ; off += page {
+		batch = batch[:0]
 		err := e.streamRows(ctx, c, fmt.Sprintf(
 			`SELECT ?s ?p ?o WHERE { ?s ?p ?o } ORDER BY ?s ?p ?o LIMIT %d OFFSET %d`, page, off),
 			func(row sparqlBinding) {
-				got++
-				if sinkErr != nil {
-					return
-				}
-				_, sinkErr = sink.Insert(rdf.Triple{S: row["s"], P: row["p"], O: row["o"]})
+				batch = append(batch, rdf.Triple{S: row["s"], P: row["p"], O: row["o"]})
 			})
 		if err != nil {
 			return total, err
 		}
-		if sinkErr != nil {
-			return total, sinkErr
-		}
-		total += got
-		if err := sink.Flush(); err != nil {
+		if err := flushPage(dst, batch); err != nil {
 			return total, err
 		}
-		if got < page {
+		total += len(batch)
+		if len(batch) < page {
 			return total, nil
 		}
-		off += page
 	}
+}
+
+// flushPage lands one page in dst as one batch under its request lock.
+func flushPage(dst store.Backend, page []rdf.Triple) error {
+	lock := dst.WriteLock()
+	lock.Lock()
+	defer lock.Unlock()
+	for _, t := range page {
+		if _, err := dst.Insert(t); err != nil {
+			return err
+		}
+	}
+	return dst.Flush()
 }

@@ -51,7 +51,6 @@ import (
 	"repro/internal/endpoint"
 	"repro/internal/extraction"
 	"repro/internal/obs"
-	"repro/internal/resilience"
 	"repro/internal/sparql"
 )
 
@@ -94,11 +93,6 @@ func ParsePolicy(s string) (Policy, error) {
 	}
 	return All, fmt.Errorf("federation: unknown policy %q (want all, prune, or cost)", s)
 }
-
-// IndexFunc looks up the extracted index describing the endpoint at url.
-// Returning an error (or a nil index) means "no usable index": the source
-// is kept in the fan-out rather than pruned.
-type IndexFunc func(url string) (*extraction.Index, error)
 
 // DefaultBuffer is the per-branch row buffer of the merge: deep enough
 // that a momentarily slow consumer does not stall every producer, small
@@ -149,9 +143,11 @@ type SourceStats struct {
 type Client struct {
 	// Policy selects sources per query; default All.
 	Policy Policy
-	// Lookup resolves extracted indexes for IndexPrune/CostOrdered; nil
-	// disables pruning (every available source is queried).
-	Lookup IndexFunc
+	// Vocabulary answers what the endpoint at url advertises, for
+	// IndexPrune/CostOrdered — per source per query, so make it a lookup.
+	// ok false means "no usable index": the source stays in the fan-out.
+	// nil disables pruning (every available source is queried).
+	Vocabulary func(url string) (v extraction.Vocabulary, ok bool)
 	// Buffer is the per-branch row buffer; 0 means DefaultBuffer.
 	Buffer int
 	// SkipUnavailable routes around sources that report
@@ -184,10 +180,8 @@ type Client struct {
 
 	sources []*endpoint.Source
 
-	mu     sync.Mutex
-	stats  map[string]*SourceStats
-	vocab  map[string]vocabEntry
-	hedges map[string]*resilience.HedgeDelay
+	mu    sync.Mutex
+	stats map[string]*SourceStats
 
 	fmOnce sync.Once
 	fm     *fedMetrics
@@ -229,45 +223,28 @@ func newFedMetrics(r *obs.Registry) *fedMetrics {
 	}
 }
 
-type vocabEntry struct {
-	gen uint64
-	v   extraction.Vocabulary
-}
-
 // New builds a federated client over the given sources.
 func New(sources ...*endpoint.Source) *Client {
 	return &Client{
 		sources: sources,
 		stats:   make(map[string]*SourceStats, len(sources)),
-		vocab:   make(map[string]vocabEntry, len(sources)),
-		hedges:  make(map[string]*resilience.HedgeDelay, len(sources)),
 	}
 }
 
 // hedgeDelay returns when a hedged second attempt for src should launch:
-// the fixed HedgeAfter when configured, otherwise the source's learned
-// p90 first-row latency (seeded at twice the cost model's base latency —
-// the pre-observation expectation of "slower than this is tail-slow").
+// the fixed HedgeAfter when configured, otherwise the p90 first-row
+// latency src.Hedge has learned (seeded at twice the cost model's base
+// latency — the pre-observation expectation of "slower than this is
+// tail-slow").
 func (f *Client) hedgeDelay(src *endpoint.Source) time.Duration {
 	if f.HedgeAfter > 0 {
 		return f.HedgeAfter
 	}
-	return f.hedgeTracker(src).Delay()
-}
-
-func (f *Client) hedgeTracker(src *endpoint.Source) *resilience.HedgeDelay {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	h, ok := f.hedges[src.URL]
-	if !ok {
-		seed := 2 * src.Cost.BaseLatency
-		if seed <= 0 {
-			seed = 2 * endpoint.DefaultCost.BaseLatency
-		}
-		h = resilience.NewHedgeDelay(seed, 0)
-		f.hedges[src.URL] = h
+	seed := 2 * src.Cost.BaseLatency
+	if seed <= 0 {
+		seed = 2 * endpoint.DefaultCost.BaseLatency
 	}
-	return h
+	return src.Hedge.Delay(seed)
 }
 
 // Sources returns the member sources, in configuration order.
@@ -346,31 +323,6 @@ func (f *Client) mirror(url string, before, after SourceStats) {
 	}
 }
 
-// vocabulary returns the source's advertised vocabulary at its current
-// generation, memoized so repeated queries do not re-derive it from the
-// index. ok is false when the source has no usable index.
-func (f *Client) vocabulary(src *endpoint.Source) (extraction.Vocabulary, bool) {
-	if f.Lookup == nil || src.Generation == 0 {
-		// never extracted (or no index access): nothing to prune by
-		return extraction.Vocabulary{}, false
-	}
-	f.mu.Lock()
-	if e, hit := f.vocab[src.URL]; hit && e.gen == src.Generation {
-		f.mu.Unlock()
-		return e.v, true
-	}
-	f.mu.Unlock()
-	ix, err := f.Lookup(src.URL)
-	if err != nil || ix == nil {
-		return extraction.Vocabulary{}, false
-	}
-	v := ix.Vocabulary()
-	f.mu.Lock()
-	f.vocab[src.URL] = vocabEntry{gen: src.Generation, v: v}
-	f.mu.Unlock()
-	return v, true
-}
-
 // selectSources applies the availability probe, the selection policy and
 // the per-source circuit breaker, in that order — a pruned source
 // provably cannot contribute, so it must not consume the breaker's
@@ -391,8 +343,8 @@ func (f *Client) selectSources(q *sparql.Query, partial *Partial) (selected []*e
 			partial.drop(src.Label())
 			continue
 		}
-		if f.Policy != All && len(preds)+len(classes) > 0 {
-			if v, ok := f.vocabulary(src); ok && !v.CanAnswer(preds, classes) {
+		if f.Policy != All && f.Vocabulary != nil && len(preds)+len(classes) > 0 {
+			if v, ok := f.Vocabulary(src.URL); ok && !v.CanAnswer(preds, classes) {
 				f.bump(src, func(st *SourceStats) { st.Pruned++ })
 				continue
 			}
@@ -1140,7 +1092,7 @@ func (f *Client) runBranch(mctx context.Context, wg *sync.WaitGroup, b *branch, 
 	if att.hasRow {
 		d := time.Since(start)
 		f.bump(src, func(st *SourceStats) { st.FirstRow = d })
-		f.hedgeTracker(src).Observe(d)
+		src.Hedge.Observe(d)
 		select {
 		case b.ch <- att.row:
 			rows++
@@ -1174,7 +1126,7 @@ func (f *Client) runBranch(mctx context.Context, wg *sync.WaitGroup, b *branch, 
 		if rows == 0 {
 			d := time.Since(start)
 			f.bump(src, func(st *SourceStats) { st.FirstRow = d })
-			f.hedgeTracker(src).Observe(d)
+			src.Hedge.Observe(d)
 		}
 		select {
 		case b.ch <- row:

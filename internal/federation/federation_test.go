@@ -400,6 +400,18 @@ func indexOf(t *testing.T, st *store.Store, url string) *extraction.Index {
 	return ix
 }
 
+// vocabularyOf answers Client.Vocabulary from a map of extracted indexes;
+// a URL without one has no usable index.
+func vocabularyOf(indexes map[string]*extraction.Index) func(string) (extraction.Vocabulary, bool) {
+	return func(url string) (extraction.Vocabulary, bool) {
+		ix, ok := indexes[url]
+		if !ok {
+			return extraction.Vocabulary{}, false
+		}
+		return ix.Vocabulary(), true
+	}
+}
+
 // TestIndexPruneSkipsIrrelevantSource is the source-selection acceptance
 // test: under IndexPrune, a source whose extracted index lacks the
 // queried predicate/class receives zero requests, while the same query
@@ -415,17 +427,10 @@ func TestIndexPruneSkipsIrrelevantSource(t *testing.T) {
 		indexes[url] = indexOf(t, p, url)
 		sources[i] = endpoint.NewSource(fmt.Sprintf("cls%d", i), url,
 			countingClient{inner: endpoint.LocalClient{Store: p}, calls: &calls[i]})
-		sources[i].Generation = 1
 	}
 	fed := New(sources...)
 	fed.Policy = IndexPrune
-	fed.Lookup = func(url string) (*extraction.Index, error) {
-		ix, ok := indexes[url]
-		if !ok {
-			return nil, errors.New("no index")
-		}
-		return ix, nil
-	}
+	fed.Vocabulary = vocabularyOf(indexes)
 
 	// pick a class that lives in exactly one partition
 	var homeIdx int
@@ -493,7 +498,7 @@ func TestIndexPruneSkipsIrrelevantSource(t *testing.T) {
 }
 
 // TestIndexPruneFallsBackWithoutIndex: a source with no usable index
-// (Generation 0 or failing lookup) is never pruned.
+// (Vocabulary answers ok=false) is never pruned.
 func TestIndexPruneFallsBackWithoutIndex(t *testing.T) {
 	_, parts := unionAndParts(2)
 	var calls [2]atomic.Int32
@@ -502,11 +507,10 @@ func TestIndexPruneFallsBackWithoutIndex(t *testing.T) {
 		url := fmt.Sprintf("http://noix%d.example.org/sparql", i)
 		sources[i] = endpoint.NewSource("", url,
 			countingClient{inner: endpoint.LocalClient{Store: p}, calls: &calls[i]})
-		// Generation stays 0: never extracted
 	}
 	fed := New(sources...)
 	fed.Policy = IndexPrune
-	fed.Lookup = func(string) (*extraction.Index, error) { return nil, errors.New("no index") }
+	fed.Vocabulary = vocabularyOf(nil)
 	if _, err := fed.Query(context.Background(), `SELECT ?s WHERE { ?s <http://nowhere.example.org/p> ?o }`); err != nil {
 		t.Fatal(err)
 	}
@@ -529,11 +533,10 @@ func TestAllPrunedYieldsEmptyResult(t *testing.T) {
 		indexes[url] = indexOf(t, p, url)
 		sources[i] = endpoint.NewSource("", url,
 			countingClient{inner: endpoint.LocalClient{Store: p}, calls: &calls[i]})
-		sources[i].Generation = 1
 	}
 	fed := New(sources...)
 	fed.Policy = IndexPrune
-	fed.Lookup = func(url string) (*extraction.Index, error) { return indexes[url], nil }
+	fed.Vocabulary = vocabularyOf(indexes)
 	res, err := fed.Query(context.Background(), `SELECT ?s WHERE { ?s <http://nowhere.example.org/p> ?o }`)
 	if err != nil {
 		t.Fatal(err)
@@ -712,11 +715,10 @@ func TestIndexPruneKeepsUntypedSubjectPredicates(t *testing.T) {
 		indexes[url] = indexOf(t, p, url)
 		sources[i] = endpoint.NewSource(fmt.Sprintf("untyped%d", i), url,
 			countingClient{inner: endpoint.LocalClient{Store: p}, calls: &calls[i]})
-		sources[i].Generation = 1
 	}
 	fed := New(sources...)
 	fed.Policy = IndexPrune
-	fed.Lookup = func(url string) (*extraction.Index, error) { return indexes[url], nil }
+	fed.Vocabulary = vocabularyOf(indexes)
 
 	query := fmt.Sprintf(`SELECT ?s ?v WHERE { ?s <%s> ?v }`, shadow)
 	want, err := endpoint.LocalClient{Store: union}.Query(context.Background(), query)

@@ -24,25 +24,25 @@ const (
 // HedgeDelay derives when a hedged second attempt should launch: the
 // p90 of the source's recent first-row latencies, so hedges fire only
 // on tail-slow opens (~10% of them) rather than doubling every
-// request. Until enough samples accumulate it answers with the seed —
-// the cost model's expectation of the source (federation seeds it from
-// CostModel.BaseLatency), which is exactly the information available
-// before any row has been observed. Safe for concurrent use.
+// request. Until enough samples accumulate it answers with the caller's
+// seed — the cost model's expectation of the source (federation passes
+// twice CostModel.BaseLatency), which is exactly the information
+// available before any row has been observed. Safe for concurrent use; a
+// nil tracker learns nothing and always answers the seed.
 type HedgeDelay struct {
 	mu      sync.Mutex
 	samples []time.Duration // ring of recent first-row latencies
 	n       int             // samples recorded, saturating
 	i       int             // next ring slot
-	seed    time.Duration
 }
 
-// NewHedgeDelay builds a tracker answering seed until window samples
-// accumulate; window <= 0 means DefaultHedgeWindow.
-func NewHedgeDelay(seed time.Duration, window int) *HedgeDelay {
+// NewHedgeDelay builds a tracker over the last window samples; window
+// <= 0 means DefaultHedgeWindow.
+func NewHedgeDelay(window int) *HedgeDelay {
 	if window <= 0 {
 		window = DefaultHedgeWindow
 	}
-	return &HedgeDelay{samples: make([]time.Duration, window), seed: seed}
+	return &HedgeDelay{samples: make([]time.Duration, window)}
 }
 
 // Observe records one open-to-first-row latency.
@@ -59,17 +59,17 @@ func (h *HedgeDelay) Observe(d time.Duration) {
 	h.mu.Unlock()
 }
 
-// Delay returns the current hedge delay: the seed until hedgeMinSamples
+// Delay returns the current hedge delay: seed until hedgeMinSamples
 // observations exist, the windowed p90 of observed first-row latencies
 // afterwards.
-func (h *HedgeDelay) Delay() time.Duration {
+func (h *HedgeDelay) Delay(seed time.Duration) time.Duration {
 	if h == nil {
-		return 0
+		return seed
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.n < hedgeMinSamples {
-		return h.seed
+		return seed
 	}
 	sorted := make([]time.Duration, h.n)
 	copy(sorted, h.samples[:h.n])

@@ -225,33 +225,34 @@ func TestBudget(t *testing.T) {
 }
 
 func TestHedgeDelay(t *testing.T) {
-	h := NewHedgeDelay(100*time.Millisecond, 10)
-	if got := h.Delay(); got != 100*time.Millisecond {
+	const seed = 100 * time.Millisecond
+	h := NewHedgeDelay(10)
+	if got := h.Delay(seed); got != seed {
 		t.Fatalf("empty tracker delay = %v, want the seed", got)
 	}
 	// below the sample floor the seed still answers
 	for i := 0; i < hedgeMinSamples-1; i++ {
 		h.Observe(time.Millisecond)
 	}
-	if got := h.Delay(); got != 100*time.Millisecond {
+	if got := h.Delay(seed); got != seed {
 		t.Fatalf("under-sampled delay = %v, want the seed", got)
 	}
 	h.Observe(time.Millisecond)
-	if got := h.Delay(); got != time.Millisecond {
+	if got := h.Delay(seed); got != time.Millisecond {
 		t.Fatalf("uniform samples delay = %v, want 1ms", got)
 	}
 	// one slow outlier in ten: p90 picks it up
-	h2 := NewHedgeDelay(0, 10)
+	h2 := NewHedgeDelay(10)
 	for i := 0; i < 9; i++ {
 		h2.Observe(time.Millisecond)
 	}
 	h2.Observe(time.Second)
-	if got := h2.Delay(); got != time.Second {
+	if got := h2.Delay(0); got != time.Second {
 		t.Fatalf("p90 over [9x1ms, 1s] = %v, want 1s", got)
 	}
 	var nilH *HedgeDelay
 	nilH.Observe(time.Second)
-	if nilH.Delay() != 0 {
-		t.Fatal("nil tracker delay must be 0")
+	if nilH.Delay(seed) != seed {
+		t.Fatal("nil tracker must answer the seed")
 	}
 }

@@ -135,15 +135,6 @@ type Config struct {
 	// wires this to the registry failure record, keeping one record
 	// per job however many in-run attempts it took.
 	OnJobFailed func(url string, err error)
-	// OnJobSucceeded, when set, runs once per job whose runner
-	// completed without error, immediately before the job is marked
-	// succeeded — state readers woken by the terminal transition are
-	// guaranteed to observe its effects. Like OnJobFailed it is called
-	// with the scheduler's internal lock held and must not call back
-	// into the Scheduler. core wires this to the snapshot cache's
-	// invalidation flow, so a completed refresh eagerly drops the
-	// dataset's stale presentation snapshots.
-	OnJobSucceeded func(url string)
 }
 
 func (c *Config) applyDefaults() {
@@ -513,11 +504,6 @@ func (s *Scheduler) runJob(j *job) {
 	s.m.observeLatency(now.Sub(j.startedAt))
 	switch {
 	case err == nil:
-		// the success hook runs under the lock, atomically with the
-		// terminal transition, mirroring OnJobFailed below
-		if s.cfg.OnJobSucceeded != nil {
-			s.cfg.OnJobSucceeded(j.url)
-		}
 		s.finishLocked(j, StateSucceeded, nil, now)
 	case retry && !s.stopped:
 		j.state = StateWaiting

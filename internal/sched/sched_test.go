@@ -569,33 +569,3 @@ func TestDoneRingBounded(t *testing.T) {
 		t.Fatalf("newest retained id = %d, want 20", jobs[len(jobs)-1].ID)
 	}
 }
-
-func TestOnJobSucceededFiresOncePerJob(t *testing.T) {
-	var succeeded, failed int32
-	s := New(Config{
-		Workers:        2,
-		OnJobSucceeded: func(url string) { atomic.AddInt32(&succeeded, 1) },
-		OnJobFailed:    func(url string, err error) { atomic.AddInt32(&failed, 1) },
-	}, func(ctx context.Context, url string) error {
-		if url == "http://bad/sparql" {
-			return errors.New("down")
-		}
-		return nil
-	})
-	s.Start(context.Background())
-	defer s.Stop()
-	okTk, _ := s.Submit("http://ok/sparql", Routine)
-	badTk, _ := s.Submit("http://bad/sparql", Routine)
-	if st, err := okTk.Wait(context.Background()); st != StateSucceeded || err != nil {
-		t.Fatalf("ok job = %s, %v", st, err)
-	}
-	if st, _ := badTk.Wait(context.Background()); st != StateFailed {
-		t.Fatalf("bad job = %s", st)
-	}
-	if got := atomic.LoadInt32(&succeeded); got != 1 {
-		t.Fatalf("OnJobSucceeded calls = %d, want 1 (failed jobs must not fire it)", got)
-	}
-	if got := atomic.LoadInt32(&failed); got != 1 {
-		t.Fatalf("OnJobFailed calls = %d, want 1", got)
-	}
-}

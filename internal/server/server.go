@@ -260,35 +260,34 @@ func etagMatches(header, etag string) bool {
 	return false
 }
 
-// preflight stamps the dataset's versioned validator headers
-// (ETag "<url>@<generation>" and Cache-Control) and answers a matching
-// If-None-Match revalidation with 304 Not Modified, reporting whether
-// the request is already fully handled. It returns the generation it
-// validated against so the handler's cache key and the served ETag
-// cannot drift apart under a concurrent refresh. Datasets that never
-// completed an extraction in this instance's lifetime (generation 0)
-// get no validator and no 304 — the handler then 404s or serves as
-// usual.
-func (s *Server) preflight(w http.ResponseWriter, r *http.Request, url string) (gen uint64, done bool) {
-	gen = s.Tool.Generation(url)
-	if gen == 0 {
-		return 0, false
+// preflight stamps the versioned validator headers of the state the
+// handler is about to serve (ETag "<url>@<generation>" and
+// Cache-Control) and answers a matching If-None-Match revalidation with
+// 304 Not Modified, reporting whether the request is already fully
+// handled. The handler takes its cache key and its builder's inputs from
+// the same State, so a validator never names bytes of another
+// generation, whatever commits meanwhile. Datasets that never had a
+// commit (generation 0) get no validator and no 304 — the handler then
+// 404s or serves as usual.
+func (s *Server) preflight(w http.ResponseWriter, r *http.Request, st *core.State) (done bool) {
+	if st.Generation == 0 {
+		return false
 	}
-	etag := fmt.Sprintf("%q", fmt.Sprintf("%s@%d", url, gen))
+	etag := fmt.Sprintf("%q", fmt.Sprintf("%s@%d", st.URL, st.Generation))
 	w.Header().Set("ETag", etag)
 	w.Header().Set("Cache-Control", "public, max-age=0, must-revalidate")
 	if inm := r.Header.Get("If-None-Match"); inm != "" && etagMatches(inm, etag) {
 		w.WriteHeader(http.StatusNotModified)
-		return gen, true
+		return true
 	}
-	return gen, false
+	return false
 }
 
 // snapshotJSON serves a JSON response memoized in the snapshot cache as
-// encoded bytes, keyed by (url, gen, view, params); build runs only on
-// a cache miss.
-func (s *Server) snapshotJSON(w http.ResponseWriter, url string, gen uint64, view, params string, build func() (any, error)) {
-	key := snapcache.Key{URL: url, Generation: gen, View: view, Params: params}
+// encoded bytes, keyed by (st.URL, st.Generation, view, params); build
+// runs only on a cache miss and must read the dataset through st alone.
+func (s *Server) snapshotJSON(w http.ResponseWriter, st *core.State, view, params string, build func() (any, error)) {
+	key := snapcache.Key{URL: st.URL, Generation: st.Generation, View: view, Params: params}
 	v, err := s.Tool.Cache.GetOrCompute(key, func() (any, int64, error) {
 		model, err := build()
 		if err != nil {
@@ -304,28 +303,14 @@ func (s *Server) snapshotJSON(w http.ResponseWriter, url string, gen uint64, vie
 		http.Error(w, err.Error(), http.StatusNotFound)
 		return
 	}
-	s.dropIfRefreshRaced(url, gen)
 	w.Header().Set("Content-Type", "application/json")
 	w.Write(v.([]byte))
 	w.Write([]byte("\n"))
 }
 
-// dropIfRefreshRaced handles a refresh completing between preflight and
-// the snapshot build: the body just computed (and cached) under gen may
-// actually reflect newer persisted state, so the entry keyed at the old
-// generation is dead weight — free it now rather than waiting for LRU
-// pressure. The response itself is still served (it is never *older*
-// than its validator), and the client's next revalidation misses and
-// picks up the new generation's ETag.
-func (s *Server) dropIfRefreshRaced(url string, gen uint64) {
-	if cur := s.Tool.Generation(url); cur != gen {
-		s.Tool.Cache.InvalidateBefore(url, cur)
-	}
-}
-
 // snapshotSVG is snapshotJSON's counterpart for rendered SVG views.
-func (s *Server) snapshotSVG(w http.ResponseWriter, url string, gen uint64, view, params string, render func() (string, error)) {
-	key := snapcache.Key{URL: url, Generation: gen, View: view, Params: params}
+func (s *Server) snapshotSVG(w http.ResponseWriter, st *core.State, view, params string, render func() (string, error)) {
+	key := snapcache.Key{URL: st.URL, Generation: st.Generation, View: view, Params: params}
 	v, err := s.Tool.Cache.GetOrCompute(key, func() (any, int64, error) {
 		out, err := render()
 		if err != nil {
@@ -337,31 +322,24 @@ func (s *Server) snapshotSVG(w http.ResponseWriter, url string, gen uint64, view
 		http.Error(w, err.Error(), http.StatusNotFound)
 		return
 	}
-	s.dropIfRefreshRaced(url, gen)
 	w.Header().Set("Content-Type", "image/svg+xml")
 	fmt.Fprint(w, v.(string))
 }
 
 func (s *Server) handleSummary(w http.ResponseWriter, r *http.Request) {
-	url := s.dataset(r)
-	gen, done := s.preflight(w, r, url)
-	if done {
+	st := s.Tool.State(s.dataset(r))
+	if s.preflight(w, r, st) {
 		return
 	}
-	s.snapshotJSON(w, url, gen, "api:summary", "", func() (any, error) {
-		return s.Tool.Summary(url)
-	})
+	s.snapshotJSON(w, st, "api:summary", "", func() (any, error) { return st.Summary() })
 }
 
 func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
-	url := s.dataset(r)
-	gen, done := s.preflight(w, r, url)
-	if done {
+	st := s.Tool.State(s.dataset(r))
+	if s.preflight(w, r, st) {
 		return
 	}
-	s.snapshotJSON(w, url, gen, "api:cluster", "", func() (any, error) {
-		return s.Tool.ClusterSchema(url)
-	})
+	s.snapshotJSON(w, st, "api:cluster", "", func() (any, error) { return st.ClusterSchema() })
 }
 
 // exploreResponse is the JSON shape of one exploration step: the visible
@@ -378,11 +356,12 @@ type exploreResponse struct {
 // handleExplore starts at ?focus= and applies ?expand= (comma-separated
 // class IRIs, expanded in order), returning the resulting partial view.
 func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
-	if _, done := s.preflight(w, r, s.dataset(r)); done {
+	st := s.Tool.State(s.dataset(r))
+	if s.preflight(w, r, st) {
 		return
 	}
 	focus := r.URL.Query().Get("focus")
-	ex, err := s.Tool.Explore(s.dataset(r), focus)
+	ex, err := st.Explore(focus)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusNotFound)
 		return
@@ -411,18 +390,13 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 // handleClass returns the class detail panel of Figure 2 step 2:
 // attributes plus incoming and outgoing properties.
 func (s *Server) handleClass(w http.ResponseWriter, r *http.Request) {
-	url := s.dataset(r)
-	gen, done := s.preflight(w, r, url)
-	if done {
+	st := s.Tool.State(s.dataset(r))
+	if s.preflight(w, r, st) {
 		return
 	}
 	class := r.URL.Query().Get("class")
-	s.snapshotJSON(w, url, gen, "api:class", class, func() (any, error) {
-		sum, err := s.Tool.Summary(url)
-		if err != nil {
-			return nil, err
-		}
-		cs, err := s.Tool.ClusterSchema(url)
+	s.snapshotJSON(w, st, "api:class", class, func() (any, error) {
+		sum, cs, err := st.Schemas()
 		if err != nil {
 			return nil, err
 		}
@@ -439,17 +413,12 @@ func (s *Server) handleClass(w http.ResponseWriter, r *http.Request) {
 // did).
 func (s *Server) handleModel(kind string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		url := s.dataset(r)
-		gen, done := s.preflight(w, r, url)
-		if done {
+		st := s.Tool.State(s.dataset(r))
+		if s.preflight(w, r, st) {
 			return
 		}
-		s.snapshotJSON(w, url, gen, "model:"+kind, "", func() (any, error) {
-			sum, err := s.Tool.Summary(url)
-			if err != nil {
-				return nil, err
-			}
-			cs, err := s.Tool.ClusterSchema(url)
+		s.snapshotJSON(w, st, "model:"+kind, "", func() (any, error) {
+			sum, cs, err := st.Schemas()
 			if err != nil {
 				return nil, err
 			}
@@ -815,9 +784,8 @@ func incompleteSources(p *federation.Partial) []string {
 // the cache key, canonicalized so equivalent requests share one entry.
 func (s *Server) handleView(kind string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		url := s.dataset(r)
-		gen, done := s.preflight(w, r, url)
-		if done {
+		st := s.Tool.State(s.dataset(r))
+		if s.preflight(w, r, st) {
 			return
 		}
 		params := ""
@@ -834,12 +802,8 @@ func (s *Server) handleView(kind string) http.HandlerFunc {
 				params = "visible=" + strings.Join(classes, ",")
 			}
 		}
-		s.snapshotSVG(w, url, gen, "view:"+kind, params, func() (string, error) {
-			sum, err := s.Tool.Summary(url)
-			if err != nil {
-				return "", err
-			}
-			cs, err := s.Tool.ClusterSchema(url)
+		s.snapshotSVG(w, st, "view:"+kind, params, func() (string, error) {
+			sum, cs, err := st.Schemas()
 			if err != nil {
 				return "", err
 			}

@@ -1,13 +1,12 @@
 // Package snapcache is H-BOLD's versioned snapshot cache for the
 // presentation read path. Every presentation-layer read (Schema
 // Summary, Cluster Schema, layout model, rendered SVG) is a pure
-// function of the dataset's persisted state, which only changes when an
-// extraction job succeeds. The cache therefore keys each materialized
-// result by (dataset URL, dataset generation, view, params): a refresh
-// bumps the generation in internal/core, so stale entries are never
-// served — they simply stop being addressed and age out of the LRU (or
-// are dropped eagerly by InvalidateBefore on the scheduler's job
-// completion path).
+// function of the dataset's published state, which only changes when
+// internal/core commits a new generation of it (a successful extraction
+// or an applied update). The cache therefore keys each materialized
+// result by (dataset URL, dataset generation, view, params): stale
+// entries are never served — they simply stop being addressed, and the
+// commit drops them eagerly with InvalidateBefore.
 //
 // Concurrent misses for the same key collapse singleflight-style: one
 // caller computes while the rest wait for its result, so a thundering
@@ -204,9 +203,9 @@ func (c *Cache) removeLocked(e *entry) {
 }
 
 // InvalidateBefore drops every resident snapshot of url with a
-// generation older than gen and returns how many were dropped. The
-// scheduler's job-success path calls it (while holding the scheduler's
-// own lock) so a refreshed dataset's stale snapshots free their bytes
+// generation older than gen and returns how many were dropped. core's
+// commit calls it right after publishing generation gen, so the stale
+// snapshots of a refreshed or updated dataset free their bytes
 // immediately instead of aging out; the per-URL index keeps the scan
 // proportional to that one dataset's entries, not the whole cache.
 func (c *Cache) InvalidateBefore(url string, gen uint64) int {
