@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/clock"
+	"repro/internal/rdf"
 	"repro/internal/sparql"
 	"repro/internal/store"
 )
@@ -204,7 +205,7 @@ func (r *Remote) Stream(ctx context.Context, query string) (*sparql.RowSeq, erro
 	if err != nil {
 		return nil, err
 	}
-	return rs.Tap(func(sparql.Binding) {
+	return rs.Tap(func([]rdf.Term) {
 		r.mu.Lock()
 		r.virtual += r.Cost.PerRow
 		r.mu.Unlock()

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/endpoint"
+	"repro/internal/rdf"
 	"repro/internal/sparql"
 	"repro/internal/synth"
 )
@@ -33,7 +34,7 @@ func (cc *cancelAfterRows) Stream(ctx context.Context, q string) (*sparql.RowSeq
 	if err != nil {
 		return nil, err
 	}
-	return rs.Tap(func(sparql.Binding) {
+	return rs.Tap(func([]rdf.Term) {
 		cc.left--
 		if cc.left == 0 {
 			cc.cancel()

@@ -374,19 +374,6 @@ func (f *Client) Query(ctx context.Context, query string) (*sparql.Result, error
 	return rs.Collect()
 }
 
-// projVars returns the projected variable names a parsed SELECT promises,
-// used to head an empty merged stream when every source was pruned.
-func projVars(q *sparql.Query) []string {
-	if q.Star {
-		return nil
-	}
-	vars := make([]string, 0, len(q.Select))
-	for _, it := range q.Select {
-		vars = append(vars, it.Var)
-	}
-	return vars
-}
-
 // Partial is the accounting of one partial-result query: which selected
 // sources failed and were dropped from the merge instead of failing it.
 // Read it only after the merged stream ends (or is closed) — drops can
@@ -514,7 +501,7 @@ func (f *Client) stream(ctx context.Context, query string, partial *Partial) (*s
 	// degrade to branch concatenation (wrong row set under LIMIT).
 	if len(q.OrderBy) > 0 && !q.Star {
 		proj := map[string]bool{}
-		for _, v := range projVars(q) {
+		for _, v := range q.Vars() {
 			proj[v] = true
 		}
 		for _, v := range sparql.OrderByVars(q.OrderBy) {
@@ -531,7 +518,7 @@ func (f *Client) stream(ctx context.Context, query string, partial *Partial) (*s
 			return nil, fmt.Errorf("federation: all %d sources unavailable: %w", len(f.sources), endpoint.ErrUnavailable)
 		}
 		// every source was provably pruned: the federated answer is empty
-		return sparql.ResultSeq(&sparql.Result{Vars: projVars(q)}), nil
+		return sparql.ResultSeq(&sparql.Result{Vars: q.Vars()}), nil
 	}
 	if q.Form == sparql.FormAsk {
 		return f.fanAsk(ctx, query, selected, partial)
@@ -628,7 +615,6 @@ func (f *Client) fanAsk(ctx context.Context, query string, selected []*endpoint.
 type branch struct {
 	src     *endpoint.Source
 	ch      chan sparql.Binding
-	vars    []string
 	opened  bool
 	skipped bool
 	err     error
@@ -655,19 +641,15 @@ func (f *Client) fanSelect(ctx context.Context, q *sparql.Query, query string, s
 		}()
 	}
 
-	// The stream's head (Vars) comes from the parsed query when the
-	// SELECT list is explicit — deterministic no matter which branch
-	// opens first; only SELECT * falls back to the first branch to open,
-	// there being nothing else to derive it from. Either way, wait for
-	// one branch to open before returning: a fatal open failure before
-	// any branch opened fails the whole stream immediately (branches
-	// canceled), and every branch skipping as unavailable must surface
-	// as ErrUnavailable, not as an empty success.
-	explicit := !q.Star
-	var vars []string
-	if explicit {
-		vars = projVars(q)
-	}
+	// The stream's head (Vars) comes from the parsed query — for SELECT *
+	// every variable of its pattern — so it is the same no matter which
+	// branch opens first, and a source that heads its rows differently
+	// loses no cell the query can bind. Still wait for one branch to open
+	// before returning: a fatal open failure before any branch opened
+	// fails the whole stream immediately (branches canceled), and every
+	// branch skipping as unavailable must surface as ErrUnavailable, not
+	// as an empty success.
+	vars := q.Vars()
 	opened := false
 	reported := 0
 	var openErr error
@@ -678,9 +660,6 @@ func (f *Client) fanSelect(ctx context.Context, q *sparql.Query, query string, s
 			switch {
 			case b.opened:
 				opened = true
-				if !explicit {
-					vars = b.vars
-				}
 			case b.err != nil:
 				openErr = b.err
 			}
@@ -701,20 +680,14 @@ func (f *Client) fanSelect(ctx context.Context, q *sparql.Query, query string, s
 	}
 
 	dedupe := q.Distinct || q.Reduced || f.DistinctOnMerge
-	// Dedup keys are positional over the projected vars when explicit;
-	// SELECT * keys on all bound (name, value) pairs of each row —
-	// deterministic even when heterogeneous sources head their rows
-	// differently.
-	var keyVars []string
-	if explicit {
-		keyVars = vars
-	}
+	// Dedup keys are positional over the head: what the consumer sees
+	// of a row is what makes it a duplicate.
 	var streamErr error
 	var seq func(func(sparql.Binding) bool)
 	if len(q.OrderBy) > 0 {
-		seq = mergeOrdered(ctx, q, branches, dedupe, keyVars, &streamErr)
+		seq = mergeOrdered(ctx, q, branches, dedupe, vars, &streamErr)
 	} else {
-		seq = mergeInterleave(ctx, q, branches, dedupe, keyVars, &streamErr)
+		seq = mergeInterleave(ctx, q, branches, dedupe, vars, &streamErr)
 	}
 	out := sparql.NewRowSeq(vars, seq, &streamErr)
 	// Exhaustion, a fatal branch error, a satisfied LIMIT, and consumer
@@ -1078,7 +1051,7 @@ func (f *Client) runBranch(mctx context.Context, wg *sync.WaitGroup, b *branch, 
 		return
 	}
 	rs := att.rs
-	b.opened, b.vars = true, rs.Vars
+	b.opened = true
 	f.bump(src, func(st *SourceStats) { st.Queries++ })
 	openCh <- b
 	defer rs.Close()

@@ -219,7 +219,7 @@ func (s slowClient) Stream(ctx context.Context, query string) (*sparql.RowSeq, e
 	if err != nil {
 		return nil, err
 	}
-	return inner.Tap(func(sparql.Binding) { time.Sleep(s.delay) }), nil
+	return inner.Tap(func([]rdf.Term) { time.Sleep(s.delay) }), nil
 }
 
 // TestFederatedBranchFailureSurfaces is the mid-stream failure variant:
@@ -901,6 +901,41 @@ func TestFederatedHeadVarsDeterministic(t *testing.T) {
 			t.Fatalf("merged head vars = %v, want [s o] from the query's SELECT list", rs.Vars)
 		}
 		rs.Close()
+	}
+}
+
+// fixedClient answers every query with one fixed result.
+type fixedClient struct{ res *sparql.Result }
+
+func (f fixedClient) Query(context.Context, string) (*sparql.Result, error) { return f.res, nil }
+
+// TestFederatedStarHeadKeepsEveryCell: SELECT * heads the merged stream
+// with the query's own variables, not with the head of whichever branch
+// opens first — so when members head their rows differently, no member's
+// cells are dropped on the way into the positional row.
+func TestFederatedStarHeadKeepsEveryCell(t *testing.T) {
+	a, b, c := rdf.NewIRI("http://ex/a"), rdf.NewIRI("http://ex/b"), rdf.NewIRI("http://ex/c")
+	fed := New(
+		endpoint.NewSource("narrow", "http://narrow/sparql", fixedClient{&sparql.Result{
+			Vars: []string{"s"}, Rows: []sparql.Binding{{"s": a}}}}),
+		endpoint.NewSource("wide", "http://wide/sparql", fixedClient{&sparql.Result{
+			Vars: []string{"s", "o"}, Rows: []sparql.Binding{{"s": b, "o": c}}}}),
+	)
+	for i := 0; i < 10; i++ {
+		res, err := fed.Query(context.Background(), `SELECT * WHERE { ?s ?p ?o }`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := strings.Join(res.Vars, " "); got != "o p s" {
+			t.Fatalf("merged head vars = [%s], want [o p s] from the query's pattern", got)
+		}
+		cells := 0
+		for _, row := range res.Rows {
+			cells += len(row)
+		}
+		if len(res.Rows) != 2 || cells != 3 {
+			t.Fatalf("merged rows %v: want both members' rows with all 3 cells", res.Rows)
+		}
 	}
 }
 

@@ -674,7 +674,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		json.NewEncoder(w).Encode(map[string]any{"ask": true, "boolean": rs.Boolean, "incomplete": incompleteSources(partial)})
 		return
 	}
-	rw := results.NewNDJSONWriter(w, map[string]any{"partial": "ok", "vars": rs.Vars})
+	rw := results.NewNDJSONWriter(w, rs.Vars, map[string]any{"partial": "ok", "vars": rs.Vars})
 	if rows, err = results.WriteRows(w, rw, rs); err == nil {
 		json.NewEncoder(w).Encode(map[string][]string{"incomplete": incompleteSources(partial)})
 	}

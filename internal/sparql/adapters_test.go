@@ -3,15 +3,21 @@ package sparql_test
 // RowSeq adapter error paths: a mid-stream producer failure must stay
 // visible through every adapter (Collect, Limit, Tap) and never be
 // laundered into a clean-looking short result, and Close must be safe
-// to call twice at any point in an adapter chain.
+// to call twice at any point in an adapter chain. Then the row-lifetime
+// contract of the two ways to pull.
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"iter"
 	"testing"
 
+	"repro/internal/obs"
+	"repro/internal/rdf"
 	"repro/internal/sparql"
+	"repro/internal/store"
+	"repro/internal/synth"
 )
 
 var errMidStream = errors.New("producer failed mid-stream")
@@ -67,7 +73,7 @@ func TestLimitPropagatesMidStreamError(t *testing.T) {
 
 func TestTapPropagatesMidStreamError(t *testing.T) {
 	tapped := 0
-	rs := failingSeq(3).Tap(func(sparql.Binding) { tapped++ })
+	rs := failingSeq(3).Tap(func([]rdf.Term) { tapped++ })
 	for range rs.All() {
 	}
 	if tapped != 3 {
@@ -80,7 +86,7 @@ func TestTapPropagatesMidStreamError(t *testing.T) {
 
 func TestAdapterChainPropagatesMidStreamError(t *testing.T) {
 	// the full chain: failure travels Tap → Limit → Collect
-	rs := failingSeq(5).Tap(func(sparql.Binding) {}).Limit(10)
+	rs := failingSeq(5).Tap(func([]rdf.Term) {}).Limit(10)
 	if _, err := rs.Collect(); !errors.Is(err, errMidStream) {
 		t.Fatalf("chained Collect err = %v, want errMidStream", err)
 	}
@@ -93,9 +99,9 @@ func TestAdapterDoubleCloseSafe(t *testing.T) {
 	shapes := map[string]func(*sparql.RowSeq) *sparql.RowSeq{
 		"plain": func(rs *sparql.RowSeq) *sparql.RowSeq { return rs },
 		"limit": func(rs *sparql.RowSeq) *sparql.RowSeq { return rs.Limit(5) },
-		"tap":   func(rs *sparql.RowSeq) *sparql.RowSeq { return rs.Tap(func(sparql.Binding) {}) },
+		"tap":   func(rs *sparql.RowSeq) *sparql.RowSeq { return rs.Tap(func([]rdf.Term) {}) },
 		"chain": func(rs *sparql.RowSeq) *sparql.RowSeq {
-			return rs.Tap(func(sparql.Binding) {}).Limit(5)
+			return rs.Tap(func([]rdf.Term) {}).Limit(5)
 		},
 	}
 	for name, wrap := range shapes {
@@ -134,5 +140,96 @@ func TestCollectAfterCloseIsEmpty(t *testing.T) {
 	}
 	if len(res.Rows) != 0 {
 		t.Fatalf("Collect after Close returned %d rows", len(res.Rows))
+	}
+}
+
+// --- row lifetime: the executor fills one positional buffer per run ---
+
+const lifetimeQuery = `SELECT ?s ?p ?o WHERE { ?s ?p ?o }`
+
+func lifetimeStore() *store.Store {
+	return synth.Generate(synth.Spec{Name: "lifetime", Classes: 4, Instances: 60, ObjectProps: 4, DataProps: 3, LinkFactor: 2, Seed: 5})
+}
+
+// TestRetainedBindingsSurviveTheDrain: a Binding from Next/All/Collect is
+// the consumer's to keep, although the positional row it was built from
+// (NextTerms) is overwritten by the next pull — so a consumer that keeps
+// positional rows copies them, and the copies are the same rows.
+func TestRetainedBindingsSurviveTheDrain(t *testing.T) {
+	st := lifetimeStore()
+	want, err := sparql.Exec(st, lifetimeQuery)
+	if err != nil || len(want.Rows) < 100 {
+		t.Fatalf("Exec: %d rows, err %v", len(want.Rows), err)
+	}
+	key := func(b sparql.Binding) string { return fmt.Sprint(b["s"], b["p"], b["o"]) }
+
+	rs, err := sparql.StreamExec(context.Background(), st, lifetimeQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var kept []sparql.Binding
+	var atPull []string
+	for b := range rs.All() {
+		kept, atPull = append(kept, b), append(atPull, key(b))
+		// interleave positional pulls: they reuse the buffer under the
+		// Bindings already handed out
+		if row, ok := rs.NextTerms(); ok {
+			copied := append([]rdf.Term(nil), row...)
+			kept, atPull = append(kept, sparql.Binding{"s": copied[0], "p": copied[1], "o": copied[2]}), append(atPull, fmt.Sprint(row[0], row[1], row[2]))
+		}
+	}
+	if err := rs.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if len(kept) != len(want.Rows) {
+		t.Fatalf("streamed %d rows, Exec has %d", len(kept), len(want.Rows))
+	}
+	for i, b := range kept {
+		if key(b) != atPull[i] || key(b) != key(want.Rows[i]) {
+			t.Fatalf("row %d changed after the drain: now %s, at pull %s, Exec %s", i, key(b), atPull[i], key(want.Rows[i]))
+		}
+	}
+
+	rs, _ = sparql.StreamExec(context.Background(), st, lifetimeQuery)
+	res, err := rs.Collect()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, b := range res.Rows {
+		if key(b) != key(want.Rows[i]) {
+			t.Fatalf("Collect row %d = %s, Exec %s", i, key(b), key(want.Rows[i]))
+		}
+	}
+}
+
+// TestAdaptersCountRowsEitherWay: Limit, Tap and the registry's row
+// counter wrap the one positional pull, so they see the same rows whether
+// the consumer pulls Bindings or positional terms.
+func TestAdaptersCountRowsEitherWay(t *testing.T) {
+	st := lifetimeStore()
+	for _, positional := range []bool{false, true} {
+		reg := obs.NewRegistry()
+		rs, err := sparql.StreamExec(obs.WithRegistry(context.Background(), reg), st, lifetimeQuery)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tapped, pulled := 0, 0
+		rs = rs.Tap(func([]rdf.Term) { tapped++ }).Limit(17)
+		for {
+			var ok bool
+			if positional {
+				_, ok = rs.NextTerms()
+			} else {
+				_, ok = rs.Next()
+			}
+			if !ok {
+				break
+			}
+			pulled++
+		}
+		counted := reg.CounterVec("hbold_query_rows_total", "", "kind").With("select").Value()
+		if pulled != 17 || tapped != 17 || counted != 17 {
+			t.Fatalf("positional=%v: pulled %d, tapped %d, registry counted %v; want 17 each", positional, pulled, tapped, counted)
+		}
 	}
 }

@@ -5,12 +5,14 @@ package sparql
 // maps and compares variables with uint32 equality. Joins run as
 // depth-first index nested loops over the store's sorted posting lists
 // (fully-bound patterns degrade to a binary search — a merge against the
-// sorted list). Terms are materialized only at projection,
-// FILTER/BIND/ORDER BY expression evaluation, and result serialization.
+// sorted list). Terms are materialized only at FILTER/BIND/ORDER BY
+// expression evaluation and at projection, where a finished ID row
+// becomes one positional []rdf.Term aligned with the projected variables
+// (the zero Term marks an unbound one) in a buffer the run reuses.
 //
 // There is one evaluator of compiled plans: Exec, Stream and Explain all
 // compile a plan and run it through the same push pipeline; they differ
-// only in where the finished Bindings go. Every solution modifier is a
+// only in where the finished rows go. Every solution modifier is a
 // sink on that pipeline, chosen from the query's own shape.
 
 import (
@@ -54,8 +56,8 @@ func (q *Query) Exec(st store.Queryable) (*Result, error) {
 		return nil, err
 	}
 	var rows []Binding
-	err = p.run(context.Background(), nil, nil, func(b Binding) bool {
-		rows = append(rows, b)
+	err = p.run(context.Background(), nil, nil, func(row []rdf.Term) bool {
+		rows = append(rows, BindingOf(p.vars, row))
 		return true
 	})
 	if err != nil {
@@ -337,8 +339,8 @@ func (e *idExec) sortRows(rb *rowbuf, conds []OrderCond, condVars [][]varslot) {
 	rb.data = sorted
 }
 
-// bindAll materializes every bound variable of a row — what SELECT *,
-// CONSTRUCT templates and the general aggregation see.
+// bindAll materializes every bound variable of a row — what CONSTRUCT
+// templates and the general aggregation see.
 func (e *idExec) bindAll(r []store.ID) Binding {
 	b := make(Binding, len(r))
 	for s, v := range r {
@@ -349,8 +351,7 @@ func (e *idExec) bindAll(r []store.ID) Binding {
 	return b
 }
 
-// materializeAll converts rows into Bindings over every bound variable —
-// the serialization boundary.
+// materializeAll converts rows into Bindings over every bound variable.
 func (e *idExec) materializeAll(rb *rowbuf) []Binding {
 	out := make([]Binding, rb.n)
 	for i := range out {
@@ -366,6 +367,15 @@ type aliasProj struct {
 	expr Expression
 	vars []varslot
 	slot int
+}
+
+// Vars is the variable list a SELECT heads its rows with: the SELECT
+// clause's, or for SELECT * every variable of the pattern, sorted.
+func (q *Query) Vars() []string {
+	if q.Star {
+		return q.starVars()
+	}
+	return q.selectVars()
 }
 
 // selectVars is the variable list of an explicit SELECT clause.
@@ -427,11 +437,7 @@ func (q *Query) compile(st store.Queryable) (*plan, error) {
 				p.aliases = append(p.aliases, aliasProj{expr: it.Expr, vars: comp.exprVars(it.Expr), slot: comp.slots.slot(it.Var)})
 			}
 		}
-		if q.Star {
-			p.vars = q.starVars()
-		} else {
-			p.vars = q.selectVars()
-		}
+		p.vars = q.Vars()
 		p.projSlots = make([]int, len(p.vars))
 		for i, v := range p.vars {
 			p.projSlots[i] = comp.slots.lookup(v)
@@ -448,25 +454,24 @@ func (p *plan) result(rows []Binding) *Result {
 	return &Result{Vars: p.vars, Rows: rows, Ask: p.q.Form == FormAsk, Boolean: p.boolean, Graph: p.graph}
 }
 
-// binding materializes one output row of a non-grouped SELECT: every
-// bound variable for SELECT *, like the reference evaluator, the
-// projected slots otherwise.
-func (p *plan) binding(r []store.ID) Binding {
-	if p.q.Star {
-		return p.ex.bindAll(r)
-	}
-	b := make(Binding, len(p.vars))
+// project materializes one output row of a non-grouped SELECT into out,
+// aligned with p.vars (for SELECT * every variable the pattern can bind,
+// like the reference evaluator).
+func (p *plan) project(r []store.ID, out []rdf.Term) []rdf.Term {
 	for j, s := range p.projSlots {
+		out[j] = rdf.Term{}
 		if s >= 0 && r[s] != store.NoID {
-			b[p.vars[j]] = p.ex.term(r[s])
+			out[j] = p.ex.term(r[s])
 		}
 	}
-	return b
+	return out
 }
 
 // run drives the plan's pattern tree depth-first into the sink its shape
 // selects (see sink), then runs the blocking sink's finisher, if any.
-// Finished Bindings go to emit (false abandons the run); ASK and
+// Finished rows go to emit (false abandons the run) as positional terms
+// aligned with p.vars, in one buffer the run reuses: a row is the
+// receiver's only until emit returns. ASK and
 // CONSTRUCT answers land in the plan. ctx is consulted on every row
 // reaching the sink, on every row emitted and periodically inside index
 // scans, so no shape outruns a cancellation. reg and prof are optional.
@@ -479,9 +484,9 @@ func (p *plan) binding(r []store.ID) Binding {
 //
 // A plan runs once: the snapshot it was compiled against is released
 // when run returns.
-func (p *plan) run(ctx context.Context, reg *obs.Registry, prof *profiler, emit func(Binding) bool) error {
+func (p *plan) run(ctx context.Context, reg *obs.Registry, prof *profiler, emit func([]rdf.Term) bool) error {
 	defer p.ex.release()
-	se := &streamExec{ctx: ctx, ex: p.ex, prof: prof, orders: map[*cBGP][]int{}, minus: map[*cMinus]*rowbuf{}}
+	se := &streamExec{ctx: ctx, done: ctx.Done(), ex: p.ex, prof: prof, orders: map[*cBGP][]int{}, minus: map[*cMinus]*rowbuf{}}
 	where := prof.addStage("where")
 	sink, finish := p.sink(se, reg, emit)
 	drive := func(yield streamYield) bool {
@@ -508,8 +513,9 @@ func (p *plan) run(ctx context.Context, reg *obs.Registry, prof *profiler, emit 
 // general aggregation, CONSTRUCT) in a rowbuf arena — and comes with the
 // finisher to call once the pattern is exhausted: it runs the batch
 // stages over the collected set and emits the result.
-func (p *plan) sink(se *streamExec, reg *obs.Registry, emit func(Binding) bool) (sink streamYield, finish func() error) {
+func (p *plan) sink(se *streamExec, reg *obs.Registry, emit func([]rdf.Term) bool) (sink streamYield, finish func() error) {
 	q, ex, prof := p.q, p.ex, se.prof
+	out := make([]rdf.Term, len(p.vars))
 	if q.Form == FormAsk {
 		return func([]store.ID, int) bool {
 			p.boolean = true
@@ -604,9 +610,9 @@ func (p *plan) sink(se *streamExec, reg *obs.Registry, emit func(Binding) bool) 
 				return false
 			}
 			prof.lap(stWindow, true)
-			b := p.binding(r)
+			p.project(r, out)
 			prof.lap(stProject, true)
-			if !emit(b) {
+			if !emit(out) {
 				return false
 			}
 			emitted++
@@ -690,6 +696,12 @@ func (p *plan) sink(se *streamExec, reg *obs.Registry, emit func(Binding) bool) 
 			end := prof.stage("window", int64(len(sols)))
 			sols = windowBindings(sols, q.Offset, q.Limit)
 			end(int64(len(sols)))
+			// the few rows a grouping produces are adapted once, here
+			for _, b := range sols {
+				if !se.alive() || !emit(FillRow(out, p.vars, b)) {
+					break
+				}
+			}
 		} else {
 			if q.Distinct || q.Reduced {
 				end := prof.stage("distinct", int64(buf.n))
@@ -700,21 +712,14 @@ func (p *plan) sink(se *streamExec, reg *obs.Registry, emit func(Binding) bool) 
 			buf.window(q.Offset, q.Limit)
 			end(int64(buf.n))
 			end = prof.stage("project", int64(buf.n))
-			sols = make([]Binding, buf.n)
-			for i := range sols {
-				sols[i] = p.binding(buf.row(i))
+			for i := 0; i < buf.n; i++ {
+				if !se.alive() || !emit(p.project(buf.row(i), out)) {
+					break
+				}
 			}
 			end(int64(buf.n))
 		}
-		for _, b := range sols {
-			if err := se.ctx.Err(); err != nil {
-				return err
-			}
-			if !emit(b) {
-				break
-			}
-		}
-		return nil
+		return se.err
 	}
 }
 

@@ -21,6 +21,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/rdf"
 	"repro/internal/store"
 )
 
@@ -275,7 +276,7 @@ func (q *Query) Explain(st store.Queryable) (*Explain, error) {
 	prof := &profiler{nodes: make(map[any]*ExplainNode)}
 	out := &Explain{Engine: "id-space", Form: q.Form.String(), Vars: p.vars, PlanningNs: time.Since(t0).Nanoseconds()}
 	prof.build(p.root, p.ex)
-	err = p.run(context.Background(), nil, prof, func(Binding) bool {
+	err = p.run(context.Background(), nil, prof, func([]rdf.Term) bool {
 		out.Rows++
 		return true
 	})

@@ -7,7 +7,7 @@ package sparql
 // solution row is then a flat []store.ID of length nslots — no maps, no
 // rdf.Term values — and the whole pattern algebra executes on rows in that
 // encoded space (see stream.go). Terms are materialized only at the
-// projection / FILTER / serialization boundaries.
+// FILTER / BIND / ORDER BY boundaries and at projection (exec.go).
 //
 // Constants the store has never seen (and terms produced by BIND/VALUES
 // that are not in the store) are interned into a small executor-local

@@ -10,23 +10,12 @@ import (
 
 // jsonTerm is one RDF term in the SPARQL 1.1 Query Results JSON Format,
 // which is what real endpoints return and what the endpoint client
-// parses (streamjson.go holds the document-level writer and reader).
+// parses (streamjson.go holds the row encoder and the document reader).
 type jsonTerm struct {
 	Type     string `json:"type"` // "uri" | "literal" | "bnode"
 	Value    string `json:"value"`
 	Datatype string `json:"datatype,omitempty"`
 	Lang     string `json:"xml:lang,omitempty"`
-}
-
-func termToJSON(t rdf.Term) jsonTerm {
-	switch t.Kind {
-	case rdf.KindIRI:
-		return jsonTerm{Type: "uri", Value: t.Value}
-	case rdf.KindBlank:
-		return jsonTerm{Type: "bnode", Value: t.Value}
-	default:
-		return jsonTerm{Type: "literal", Value: t.Value, Datatype: t.Datatype, Lang: t.Lang}
-	}
 }
 
 func termFromJSON(jt jsonTerm) (rdf.Term, error) {

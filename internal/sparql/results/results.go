@@ -1,8 +1,8 @@
 // Package results is the response side of SPARQL over HTTP: it
 // serializes query results in the W3C interchange formats — SPARQL 1.1
 // Query Results JSON, CSV, TSV and XML — and in NDJSON (one line per
-// row, the streaming-native framing) through one streaming Writer
-// interface, negotiates which of them a protocol request gets, and owns
+// row, the streaming-native framing) through one streaming Writer,
+// negotiates which of them a protocol request gets, and owns
 // the one loop (Serve) that turns a row stream into bytes on the wire
 // for every surface: sparqld, /api/query and `hbold query -stream`.
 // Every writer emits row-by-row with O(row) buffering, so rows are
@@ -26,6 +26,7 @@ import (
 	"net/http"
 	"strings"
 
+	"repro/internal/rdf"
 	"repro/internal/sparql"
 )
 
@@ -117,27 +118,108 @@ func Negotiate(formatParam, accept string, def Format) (Format, error) {
 }
 
 // Writer emits one SELECT results document: the head is written on
-// construction, WriteRow appends one solution, Close terminates the
-// document (a no-op for the terminator-less CSV, TSV and NDJSON).
-type Writer interface {
-	WriteRow(sparql.Binding) error
-	Close() error
+// construction, each row is appended into one reused buffer and handed
+// to the sink in a single Write, Close terminates the document (a no-op
+// for the terminator-less CSV, TSV and NDJSON). The sink's first error
+// sticks: every later call reports it.
+type Writer struct {
+	w    io.Writer
+	f    Format
+	vars []string
+	enc  *sparql.JSONRowEncoder // JSON, NDJSON
+	buf  []byte                 // the row being encoded
+	row  []rdf.Term             // WriteRow's positional copy of a Binding
+	rows int
+	err  error
 }
 
 // NewWriter starts a SELECT results document in the given format.
-func NewWriter(f Format, w io.Writer, vars []string) Writer {
+func NewWriter(f Format, w io.Writer, vars []string) *Writer {
+	var head []byte
 	switch f {
-	case CSV:
-		return newCSVWriter(w, vars)
-	case TSV:
-		return newTSVWriter(w, vars)
-	case XML:
-		return newXMLWriter(w, vars)
 	case NDJSON:
-		return NewNDJSONWriter(w, map[string][]string{"vars": vars})
+		return NewNDJSONWriter(w, vars, map[string][]string{"vars": vars})
+	case CSV:
+		head = appendCSVHead(head, vars)
+	case TSV:
+		head = appendTSVHead(head, vars)
+	case XML:
+		head = appendXMLHead(head, vars)
 	default:
-		return sparql.NewJSONRowWriter(w, vars)
+		f = JSON
+		names, _ := json.Marshal(vars) // a []string cannot fail to marshal
+		head = append(append(append(head, `{"head":{"vars":`...), names...), `},"results":{"bindings":[`...)
 	}
+	return newWriter(f, w, vars, head, nil)
+}
+
+// NewNDJSONWriter starts an NDJSON results document whose first line is
+// head — {"vars": [...]} through NewWriter; a caller with more to say
+// up front (the federation's partial-result marker) passes its own.
+func NewNDJSONWriter(w io.Writer, vars []string, head any) *Writer {
+	line, err := json.Marshal(head)
+	return newWriter(NDJSON, w, vars, append(line, '\n'), err)
+}
+
+func newWriter(f Format, w io.Writer, vars []string, head []byte, err error) *Writer {
+	out := &Writer{w: w, f: f, vars: vars, buf: head, err: err}
+	if f == JSON || f == NDJSON {
+		out.enc = sparql.NewJSONRowEncoder(vars)
+	}
+	if err == nil {
+		_, out.err = w.Write(head)
+	}
+	return out
+}
+
+// WriteTerms appends one solution given as positional terms aligned with
+// the head's variables, the zero Term where one is unbound — the form a
+// RowSeq yields. The row is not retained.
+func (w *Writer) WriteTerms(row []rdf.Term) error {
+	if w.err != nil {
+		return w.err
+	}
+	b := w.buf[:0]
+	switch w.f {
+	case JSON:
+		if w.rows > 0 {
+			b = append(b, ',')
+		}
+		b = w.enc.AppendRow(b, row)
+	case NDJSON:
+		b = append(w.enc.AppendRow(b, row), '\n')
+	case CSV:
+		b = appendCSVRow(b, row)
+	case TSV:
+		b = appendTSVRow(b, row)
+	case XML:
+		b = appendXMLRow(b, w.vars, row)
+	}
+	w.rows++
+	w.buf = b
+	_, w.err = w.w.Write(b)
+	return w.err
+}
+
+// WriteRow appends one solution given as a Binding.
+func (w *Writer) WriteRow(b sparql.Binding) error {
+	if w.row == nil {
+		w.row = make([]rdf.Term, len(w.vars))
+	}
+	return w.WriteTerms(sparql.FillRow(w.row, w.vars, b))
+}
+
+// Close terminates the document. An unterminated JSON or XML document
+// (Close never called, e.g. because the producer died mid-stream) is how
+// a peer detects a broken stream: it fails to parse to completion.
+func (w *Writer) Close() error {
+	if w.err == nil && w.f == JSON {
+		_, w.err = io.WriteString(w.w, "]}}")
+	}
+	if w.err == nil && w.f == XML {
+		_, w.err = io.WriteString(w.w, "</results></sparql>\n")
+	}
+	return w.err
 }
 
 // WriteAsk writes a complete ASK results document in the given format.
@@ -160,32 +242,6 @@ func WriteAsk(f Format, w io.Writer, value bool) error {
 		return sparql.WriteAskJSON(w, value)
 	}
 }
-
-// ndjsonWriter frames a result as newline-delimited JSON. There is no
-// terminator: every line is a complete value, and a failed stream ends
-// with the error line WriteRows appends.
-type ndjsonWriter struct {
-	enc *json.Encoder
-	err error
-}
-
-// NewNDJSONWriter starts an NDJSON results document whose first line is
-// head — {"vars": [...]} through NewWriter; a caller with more to say
-// up front (the federation's partial-result marker) passes its own.
-func NewNDJSONWriter(w io.Writer, head any) Writer {
-	out := &ndjsonWriter{enc: json.NewEncoder(w)}
-	out.err = out.enc.Encode(head)
-	return out
-}
-
-func (w *ndjsonWriter) WriteRow(b sparql.Binding) error {
-	if w.err == nil {
-		w.err = w.enc.Encode(b)
-	}
-	return w.err
-}
-
-func (w *ndjsonWriter) Close() error { return w.err }
 
 // flushEvery is the one flush cadence of every results surface: the
 // first row is flushed the moment it exists (a consumer sees it while
@@ -224,10 +280,14 @@ func Serve(w io.Writer, f Format, rs *sparql.RowSeq) (rows int, err error) {
 // line, JSON and XML stay unterminated, and CSV/TSV, which have no
 // terminator to withhold, abort the HTTP connection (off HTTP the
 // returned error is the only signal). Either error is returned.
-func WriteRows(w io.Writer, rw Writer, rs *sparql.RowSeq) (rows int, err error) {
+func WriteRows(w io.Writer, rw *Writer, rs *sparql.RowSeq) (rows int, err error) {
 	flusher, _ := w.(http.Flusher)
-	for row := range rs.All() {
-		if err := rw.WriteRow(row); err != nil {
+	for {
+		row, ok := rs.NextTerms()
+		if !ok {
+			break
+		}
+		if err := rw.WriteTerms(row); err != nil {
 			return rows, err
 		}
 		rows++
@@ -236,10 +296,10 @@ func WriteRows(w io.Writer, rw Writer, rs *sparql.RowSeq) (rows int, err error) 
 		}
 	}
 	if err := rs.Err(); err != nil {
-		switch rw := rw.(type) {
-		case *ndjsonWriter:
-			rw.enc.Encode(map[string]string{"error": err.Error()})
-		case *csvWriter, *tsvWriter:
+		switch rw.f {
+		case NDJSON:
+			json.NewEncoder(rw.w).Encode(map[string]string{"error": err.Error()})
+		case CSV, TSV:
 			if _, ok := w.(http.ResponseWriter); ok {
 				panic(http.ErrAbortHandler)
 			}

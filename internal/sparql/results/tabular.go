@@ -6,15 +6,13 @@ package results
 // information but opens in anything. TSV keeps full fidelity: terms are
 // written in SPARQL surface syntax (<iri>, "literal"^^<dt>, "lit"@lang)
 // with tab/newline/backslash escapes inside quoted literals, one row per
-// line. Both write each row straight through; an unbound variable is an
-// empty field.
+// line. Both append each row to the writer's buffer; an unbound variable
+// is an empty field.
 
 import (
-	"io"
 	"strings"
 
 	"repro/internal/rdf"
-	"repro/internal/sparql"
 )
 
 // The CSV field encoding is hand-rolled rather than encoding/csv:
@@ -22,141 +20,97 @@ import (
 // dropped, \n becomes \r\n under UseCRLF), but a results serialization
 // must reproduce literal values byte-for-byte.
 
-type csvWriter struct {
-	w    io.Writer
-	vars []string
-	sb   strings.Builder
-	err  error
-}
-
-func newCSVWriter(w io.Writer, vars []string) *csvWriter {
-	out := &csvWriter{w: w, vars: vars}
+func appendCSVHead(b []byte, vars []string) []byte {
 	for i, v := range vars {
 		if i > 0 {
-			out.sb.WriteByte(',')
+			b = append(b, ',')
 		}
-		csvField(&out.sb, v)
+		b = appendCSVField(b, "", v)
 	}
-	out.sb.WriteString("\r\n")
-	_, out.err = io.WriteString(w, out.sb.String())
-	return out
+	return append(b, "\r\n"...)
 }
 
-// csvField appends one RFC 4180 field: quoted (with doubled quotes) only
-// when the value contains a separator, quote or line break.
-func csvField(sb *strings.Builder, s string) {
+// appendCSVField appends prefix+s as one RFC 4180 field: quoted (with
+// doubled quotes) only when s contains a separator, quote or line break.
+// No prefix in use holds one.
+func appendCSVField(b []byte, prefix, s string) []byte {
 	if !strings.ContainsAny(s, ",\"\n\r") {
-		sb.WriteString(s)
-		return
+		return append(append(b, prefix...), s...)
 	}
-	sb.WriteByte('"')
+	b = append(append(b, '"'), prefix...)
 	for i := 0; i < len(s); i++ {
 		if s[i] == '"' {
-			sb.WriteByte('"')
+			b = append(b, '"')
 		}
-		sb.WriteByte(s[i])
+		b = append(b, s[i])
 	}
-	sb.WriteByte('"')
+	return append(b, '"')
 }
 
-// csvValue is the CSV cell encoding of one term: the raw value, no
-// angle brackets, quotes or datatype — blank nodes keep their _: prefix
-// so they remain distinguishable from plain literals.
-func csvValue(t rdf.Term) string {
-	if t.Kind == rdf.KindBlank {
-		return "_:" + t.Value
-	}
-	return t.Value
-}
-
-func (w *csvWriter) WriteRow(b sparql.Binding) error {
-	if w.err != nil {
-		return w.err
-	}
-	w.sb.Reset()
-	for i, v := range w.vars {
+// appendCSVRow appends one row: each term as its raw value, no angle
+// brackets, quotes or datatype — blank nodes keep their _: prefix so they
+// remain distinguishable from plain literals.
+func appendCSVRow(b []byte, row []rdf.Term) []byte {
+	for i, t := range row {
 		if i > 0 {
-			w.sb.WriteByte(',')
+			b = append(b, ',')
 		}
-		if t, ok := b[v]; ok {
-			csvField(&w.sb, csvValue(t))
+		if t.Kind == rdf.KindBlank {
+			b = appendCSVField(b, "_:", t.Value)
+		} else {
+			b = appendCSVField(b, "", t.Value)
 		}
 	}
-	w.sb.WriteString("\r\n")
-	_, w.err = io.WriteString(w.w, w.sb.String())
-	return w.err
+	return append(b, "\r\n"...)
 }
 
-func (w *csvWriter) Close() error { return w.err }
-
-type tsvWriter struct {
-	w    io.Writer
-	vars []string
-	sb   strings.Builder
-	err  error
-}
-
-func newTSVWriter(w io.Writer, vars []string) *tsvWriter {
-	out := &tsvWriter{w: w, vars: vars}
+func appendTSVHead(b []byte, vars []string) []byte {
 	for i, v := range vars {
 		if i > 0 {
-			out.sb.WriteByte('\t')
+			b = append(b, '\t')
 		}
-		out.sb.WriteByte('?')
-		out.sb.WriteString(v)
+		b = append(append(b, '?'), v...)
 	}
-	out.sb.WriteByte('\n')
-	_, out.err = io.WriteString(w, out.sb.String())
-	return out
+	return append(b, '\n')
 }
 
-// tsvEscaper rewrites the characters that would break the row/field
-// structure (or the quoted literal) into their backslash escapes.
-var tsvEscaper = strings.NewReplacer(
-	"\\", `\\`, "\t", `\t`, "\n", `\n`, "\r", `\r`, `"`, `\"`,
-)
-
-// tsvTerm renders one term in the SPARQL surface syntax TSV carries.
-func tsvTerm(sb *strings.Builder, t rdf.Term) {
-	switch t.Kind {
-	case rdf.KindIRI:
-		sb.WriteByte('<')
-		sb.WriteString(t.Value)
-		sb.WriteByte('>')
-	case rdf.KindBlank:
-		sb.WriteString("_:")
-		sb.WriteString(t.Value)
-	default:
-		sb.WriteByte('"')
-		tsvEscaper.WriteString(sb, t.Value)
-		sb.WriteByte('"')
-		if t.Lang != "" {
-			sb.WriteByte('@')
-			sb.WriteString(t.Lang)
-		} else if t.Datatype != "" {
-			sb.WriteString("^^<")
-			sb.WriteString(t.Datatype)
-			sb.WriteByte('>')
-		}
-	}
-}
-
-func (w *tsvWriter) WriteRow(b sparql.Binding) error {
-	if w.err != nil {
-		return w.err
-	}
-	w.sb.Reset()
-	for i, v := range w.vars {
+// appendTSVRow appends one row, each term in the SPARQL surface syntax
+// TSV carries; inside a quoted literal the characters that would break
+// the row/field structure (or the literal) become backslash escapes.
+func appendTSVRow(b []byte, row []rdf.Term) []byte {
+	for i, t := range row {
 		if i > 0 {
-			w.sb.WriteByte('\t')
+			b = append(b, '\t')
 		}
-		if t, ok := b[v]; ok {
-			tsvTerm(&w.sb, t)
+		switch t.Kind {
+		case rdf.KindInvalid:
+		case rdf.KindIRI:
+			b = append(append(append(b, '<'), t.Value...), '>')
+		case rdf.KindBlank:
+			b = append(append(b, "_:"...), t.Value...)
+		default:
+			b = append(b, '"')
+			for j := 0; j < len(t.Value); j++ {
+				switch c := t.Value[j]; c {
+				case '\\', '"':
+					b = append(b, '\\', c)
+				case '\t':
+					b = append(b, '\\', 't')
+				case '\n':
+					b = append(b, '\\', 'n')
+				case '\r':
+					b = append(b, '\\', 'r')
+				default:
+					b = append(b, c)
+				}
+			}
+			b = append(b, '"')
+			if t.Lang != "" {
+				b = append(append(b, '@'), t.Lang...)
+			} else if t.Datatype != "" {
+				b = append(append(append(b, "^^<"...), t.Datatype...), '>')
+			}
 		}
 	}
-	w.sb.WriteByte('\n')
-	_, w.err = io.WriteString(w.w, w.sb.String())
-	return w.err
+	return append(b, '\n')
 }
-
-func (w *tsvWriter) Close() error { return w.err }

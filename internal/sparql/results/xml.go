@@ -5,104 +5,94 @@ package results
 // one <result> element per row, the closing tags on Close — so a
 // truncated document (missing </sparql>) is the in-band signal of a
 // producer that died mid-stream. All character content and attribute
-// values go through encoding/xml's escaper.
+// values are escaped as encoding/xml's EscapeText escapes them.
 
 import (
-	"encoding/xml"
-	"io"
-	"strings"
+	"unicode/utf8"
 
 	"repro/internal/rdf"
-	"repro/internal/sparql"
 )
 
 const xmlProlog = `<?xml version="1.0"?>` + "\n" +
 	`<sparql xmlns="http://www.w3.org/2005/sparql-results#">`
 
-type xmlWriter struct {
-	w    io.Writer
-	vars []string
-	sb   strings.Builder
-	err  error
-}
-
-func newXMLWriter(w io.Writer, vars []string) *xmlWriter {
-	out := &xmlWriter{w: w, vars: vars}
-	out.sb.WriteString(xmlProlog)
-	out.sb.WriteString("<head>")
+func appendXMLHead(b []byte, vars []string) []byte {
+	b = append(append(b, xmlProlog...), "<head>"...)
 	for _, v := range vars {
-		out.sb.WriteString(`<variable name="`)
-		out.attr(v)
-		out.sb.WriteString(`"/>`)
+		b = append(appendXMLText(append(b, `<variable name="`...), v), `"/>`...)
 	}
-	out.sb.WriteString("</head><results>")
-	_, out.err = io.WriteString(w, out.sb.String())
-	return out
+	return append(b, "</head><results>"...)
 }
 
-// attr appends s to the document buffer attribute-escaped.
-func (w *xmlWriter) attr(s string) {
-	xml.EscapeText(&w.sb, []byte(s))
-}
-
-// text appends s to the document buffer content-escaped.
-func (w *xmlWriter) text(s string) {
-	xml.EscapeText(&w.sb, []byte(s))
-}
-
-func (w *xmlWriter) binding(name string, t rdf.Term) {
-	w.sb.WriteString(`<binding name="`)
-	w.attr(name)
-	w.sb.WriteString(`">`)
-	switch t.Kind {
-	case rdf.KindIRI:
-		w.sb.WriteString("<uri>")
-		w.text(t.Value)
-		w.sb.WriteString("</uri>")
-	case rdf.KindBlank:
-		w.sb.WriteString("<bnode>")
-		w.text(t.Value)
-		w.sb.WriteString("</bnode>")
-	default:
-		switch {
-		case t.Lang != "":
-			w.sb.WriteString(`<literal xml:lang="`)
-			w.attr(t.Lang)
-			w.sb.WriteString(`">`)
-		case t.Datatype != "":
-			w.sb.WriteString(`<literal datatype="`)
-			w.attr(t.Datatype)
-			w.sb.WriteString(`">`)
+// appendXMLRow appends one <result>: a <binding> per bound variable, in
+// head order like the other writers, so documents are deterministic.
+func appendXMLRow(b []byte, vars []string, row []rdf.Term) []byte {
+	b = append(b, "<result>"...)
+	for i, t := range row {
+		if t.IsZero() {
+			continue
+		}
+		b = append(appendXMLText(append(b, `<binding name="`...), vars[i]), `">`...)
+		switch t.Kind {
+		case rdf.KindIRI:
+			b = append(appendXMLText(append(b, "<uri>"...), t.Value), "</uri>"...)
+		case rdf.KindBlank:
+			b = append(appendXMLText(append(b, "<bnode>"...), t.Value), "</bnode>"...)
 		default:
-			w.sb.WriteString("<literal>")
+			switch {
+			case t.Lang != "":
+				b = append(appendXMLText(append(b, `<literal xml:lang="`...), t.Lang), `">`...)
+			case t.Datatype != "":
+				b = append(appendXMLText(append(b, `<literal datatype="`...), t.Datatype), `">`...)
+			default:
+				b = append(b, "<literal>"...)
+			}
+			b = append(appendXMLText(b, t.Value), "</literal>"...)
 		}
-		w.text(t.Value)
-		w.sb.WriteString("</literal>")
+		b = append(b, "</binding>"...)
 	}
-	w.sb.WriteString("</binding>")
+	return append(b, "</result>"...)
 }
 
-func (w *xmlWriter) WriteRow(b sparql.Binding) error {
-	if w.err != nil {
-		return w.err
-	}
-	w.sb.Reset()
-	w.sb.WriteString("<result>")
-	// head order, like the other writers, so documents are deterministic
-	for _, v := range w.vars {
-		if t, ok := b[v]; ok {
-			w.binding(v, t)
+// appendXMLText appends s escaped for character content and attribute
+// values alike, byte for byte what xml.EscapeText writes: the five
+// markup characters and tab, newline and carriage return as references,
+// anything outside XML's character range (and invalid UTF-8) as U+FFFD.
+func appendXMLText(b []byte, s string) []byte {
+	last := 0
+	for i := 0; i < len(s); {
+		if c := s[i]; c >= 0x20 && c < utf8.RuneSelf && c != '"' && c != '\'' && c != '&' && c != '<' && c != '>' {
+			i++
+			continue
 		}
+		r, width := utf8.DecodeRuneInString(s[i:])
+		var esc string
+		switch {
+		case r == '"':
+			esc = "&#34;"
+		case r == '\'':
+			esc = "&#39;"
+		case r == '&':
+			esc = "&amp;"
+		case r == '<':
+			esc = "&lt;"
+		case r == '>':
+			esc = "&gt;"
+		case r == '\t':
+			esc = "&#x9;"
+		case r == '\n':
+			esc = "&#xA;"
+		case r == '\r':
+			esc = "&#xD;"
+		case r < 0x20, r == 0xFFFE, r == 0xFFFF, r == utf8.RuneError && width == 1:
+			esc = "\uFFFD"
+		default:
+			i += width
+			continue
+		}
+		b = append(append(b, s[last:i]...), esc...)
+		i += width
+		last = i
 	}
-	w.sb.WriteString("</result>")
-	_, w.err = io.WriteString(w.w, w.sb.String())
-	return w.err
-}
-
-func (w *xmlWriter) Close() error {
-	if w.err != nil {
-		return w.err
-	}
-	_, w.err = io.WriteString(w.w, "</results></sparql>\n")
-	return w.err
+	return append(b, s[last:]...)
 }

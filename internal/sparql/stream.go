@@ -27,12 +27,18 @@ import (
 // known up front, rows arrive incrementally. The zero value is an empty
 // stream.
 //
-// Contract: iterate with Next or All; after the stream is exhausted (or
-// abandoned) check Err for the reason it stopped early, and call Close
-// when abandoning a stream before exhaustion so the producer can release
-// its resources (an HTTP body, a store snapshot). Close is idempotent
-// and safe after exhaustion. A RowSeq is single-consumer and not safe
-// for concurrent use.
+// A row is pulled as positional terms (NextTerms: one []rdf.Term aligned
+// with Vars, the zero Term where a variable is unbound, in a buffer the
+// producer reuses) — what the executor emits and a results writer
+// encodes. Next, All and Collect build a fresh Binding from it for the
+// consumers that want a map to keep.
+//
+// Contract: iterate with NextTerms, Next or All; after the stream is
+// exhausted (or abandoned) check Err for the reason it stopped early, and
+// call Close when abandoning a stream before exhaustion so the producer
+// can release its resources (an HTTP body, a store snapshot). Close is
+// idempotent and safe after exhaustion. A RowSeq is single-consumer and
+// not safe for concurrent use.
 type RowSeq struct {
 	// Vars is the projected variable list, in projection order.
 	Vars []string
@@ -43,7 +49,7 @@ type RowSeq struct {
 	// (such queries have no row stream to speak of).
 	Graph *rdf.Graph
 
-	next    func() (Binding, bool)
+	next    func() ([]rdf.Term, bool)
 	stop    func()
 	onClose func()
 	errp    *error
@@ -64,38 +70,73 @@ func (rs *RowSeq) OnClose(fn func()) {
 	rs.onClose = fn
 }
 
-// NewRowSeq builds a RowSeq over a push iterator. The producer reports a
-// mid-stream failure by setting *errp before returning; errp may be nil
-// for infallible producers. The producer runs on the consumer's
-// goroutine (via iter.Pull), so no synchronization is needed around errp.
+// NewRowSeq builds a RowSeq over a push iterator of Bindings — for the
+// producers that hold maps anyway (the remote client, the federated
+// merge); each is copied into the positional row once, so a key outside
+// vars is dropped: head the stream with every variable it may bind. The
+// producer reports a mid-stream failure by setting *errp before
+// returning; errp may be nil for infallible producers. The producer runs
+// on the consumer's goroutine (via iter.Pull), so no synchronization is
+// needed around errp.
 func NewRowSeq(vars []string, seq iter.Seq[Binding], errp *error) *RowSeq {
+	row := make([]rdf.Term, len(vars))
+	return newTermSeq(vars, func(yield func([]rdf.Term) bool) {
+		seq(func(b Binding) bool { return yield(FillRow(row, vars, b)) })
+	}, errp)
+}
+
+// newTermSeq is NewRowSeq over a producer of positional rows, which may
+// reuse one buffer for all of them.
+func newTermSeq(vars []string, seq iter.Seq[[]rdf.Term], errp *error) *RowSeq {
 	next, stop := iter.Pull(seq)
 	return &RowSeq{Vars: vars, next: next, stop: stop, errp: errp}
 }
 
+// FillRow writes b into row aligned with vars, the zero Term where b
+// leaves a variable unbound; a key of b outside vars has no column and
+// is dropped. With BindingOf it is the one map↔row adapter.
+func FillRow(row []rdf.Term, vars []string, b Binding) []rdf.Term {
+	for i, v := range vars {
+		row[i] = b[v]
+	}
+	return row
+}
+
+// BindingOf is FillRow's inverse: a fresh Binding of the row's bound terms.
+func BindingOf(vars []string, row []rdf.Term) Binding {
+	b := make(Binding, len(row))
+	for i, t := range row {
+		if !t.IsZero() {
+			b[vars[i]] = t
+		}
+	}
+	return b
+}
+
 // ResultSeq adapts a materialized Result to the streaming interface.
 func ResultSeq(res *Result) *RowSeq {
-	i := 0
+	i, row := 0, make([]rdf.Term, len(res.Vars))
 	return &RowSeq{
 		Vars: res.Vars, Ask: res.Ask, Boolean: res.Boolean, Graph: res.Graph,
-		next: func() (Binding, bool) {
+		next: func() ([]rdf.Term, bool) {
 			if i >= len(res.Rows) {
 				return nil, false
 			}
-			b := res.Rows[i]
 			i++
-			return b, true
+			return FillRow(row, res.Vars, res.Rows[i-1]), true
 		},
 	}
 }
 
-// Next pulls the next row. ok is false once the stream is exhausted,
-// failed (see Err) or closed.
-func (rs *RowSeq) Next() (Binding, bool) {
+// NextTerms pulls the next row as positional terms aligned with Vars.
+// The slice is the producer's buffer: it is valid only until the next
+// pull, so a consumer that keeps a row copies it (or pulls with Next).
+// ok is false once the stream is exhausted, failed (see Err) or closed.
+func (rs *RowSeq) NextTerms() ([]rdf.Term, bool) {
 	if rs.done || rs.next == nil {
 		return nil, false
 	}
-	b, ok := rs.next()
+	row, ok := rs.next()
 	if !ok {
 		rs.done = true
 		if rs.stop != nil {
@@ -106,7 +147,16 @@ func (rs *RowSeq) Next() (Binding, bool) {
 			rs.onClose = nil
 		}
 	}
-	return b, ok
+	return row, ok
+}
+
+// Next pulls the next row as a fresh Binding the caller may keep.
+func (rs *RowSeq) Next() (Binding, bool) {
+	row, ok := rs.NextTerms()
+	if !ok {
+		return nil, false
+	}
+	return BindingOf(rs.Vars, row), true
 }
 
 // All returns the remaining rows as a range-over-func iterator. Breaking
@@ -176,29 +226,30 @@ func (rs *RowSeq) Collect() (*Result, error) {
 func (rs *RowSeq) Limit(n int) *RowSeq {
 	out := &RowSeq{Vars: rs.Vars, Ask: rs.Ask, Boolean: rs.Boolean, Graph: rs.Graph, errp: rs.errp}
 	left := n
-	out.next = func() (Binding, bool) {
+	out.next = func() ([]rdf.Term, bool) {
 		if left <= 0 {
 			rs.Close()
 			return nil, false
 		}
 		left--
-		return rs.Next()
+		return rs.NextTerms()
 	}
 	out.stop = rs.Close
 	return out
 }
 
 // Tap returns a stream identical to rs that additionally calls fn for
-// every row pulled through it; the endpoint simulation uses it to charge
-// per-row virtual cost at the moment a row crosses the wire.
-func (rs *RowSeq) Tap(fn func(Binding)) *RowSeq {
+// every row pulled through it (the row is fn's only for the call); the
+// endpoint simulation uses it to charge per-row virtual cost at the
+// moment a row crosses the wire.
+func (rs *RowSeq) Tap(fn func([]rdf.Term)) *RowSeq {
 	out := &RowSeq{Vars: rs.Vars, Ask: rs.Ask, Boolean: rs.Boolean, Graph: rs.Graph, errp: rs.errp}
-	out.next = func() (Binding, bool) {
-		b, ok := rs.Next()
+	out.next = func() ([]rdf.Term, bool) {
+		row, ok := rs.NextTerms()
 		if ok {
-			fn(b)
+			fn(row)
 		}
-		return b, ok
+		return row, ok
 	}
 	out.stop = rs.Close
 	return out
@@ -234,12 +285,12 @@ func instrumentStream(rs *RowSeq, reg *obs.Registry, sp *obs.Span, kind string, 
 	}
 	var rows int64
 	if inner := rs.next; inner != nil {
-		rs.next = func() (Binding, bool) {
-			b, ok := inner()
+		rs.next = func() ([]rdf.Term, bool) {
+			row, ok := inner()
 			if ok {
 				rows++
 			}
-			return b, ok
+			return row, ok
 		}
 	}
 	rs.OnClose(func() {
@@ -321,7 +372,7 @@ func (q *Query) Stream(ctx context.Context, st store.Queryable) (*RowSeq, error)
 	var rs *RowSeq
 	if q.Form == FormSelect {
 		var streamErr error
-		rs = NewRowSeq(p.vars, func(yield func(Binding) bool) {
+		rs = newTermSeq(p.vars, func(yield func([]rdf.Term) bool) {
 			streamErr = p.run(ctx, reg, nil, yield)
 		}, &streamErr)
 		// a stream closed before its first pull never enters run
@@ -346,6 +397,7 @@ type streamYield func(r []store.ID, free int) bool
 // iterate.
 type streamExec struct {
 	ctx    context.Context
+	done   <-chan struct{} // ctx.Done(), fetched once per run for alive
 	ex     *idExec
 	levels [][]store.ID
 	orders map[*cBGP][]int
@@ -366,13 +418,17 @@ func (s *streamExec) scratch(d int) []store.ID {
 	return s.levels[d]
 }
 
-// alive consults the context for a row that reached the sink.
+// alive polls the context for a row that reached the sink: a
+// non-blocking receive, where ctx.Err() would take the context's mutex
+// once per row.
 func (s *streamExec) alive() bool {
-	if err := s.ctx.Err(); err != nil {
-		s.err = err
+	select {
+	case <-s.done:
+		s.err = s.ctx.Err()
 		return false
+	default:
+		return true
 	}
-	return true
 }
 
 // tickOK samples the context during index scans so a cancellation is

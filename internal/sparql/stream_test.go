@@ -17,7 +17,9 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/rdf"
 	"repro/internal/sparql"
+	"repro/internal/sparql/results"
 	"repro/internal/store"
 	"repro/internal/synth"
 )
@@ -150,20 +152,34 @@ func TestStreamCancelMidStream(t *testing.T) {
 	}
 }
 
-// trippingCtx reports cancellation once Err has been consulted more than
-// `after` times. It makes mid-evaluation cancellation deterministic: the
-// trip happens at a fixed point of the scan, not whenever a timer fires.
-type trippingCtx struct {
-	context.Context
-	calls, after int
+// trippingStore cancels the query's context at the moment the index scan
+// hands over its `after`-th triple, and counts the triples scanned. It
+// makes mid-evaluation cancellation deterministic — the trip happens at a
+// fixed row, not whenever a timer fires — and it trips between the scan's
+// own context samples (one per 256 steps), so only a sink that polls the
+// context for every row stops the scan there.
+type trippingStore struct {
+	*store.Store
+	cancel         context.CancelFunc
+	scanned, after int
 }
 
-func (c *trippingCtx) Err() error {
-	c.calls++
-	if c.calls > c.after {
-		return context.Canceled
-	}
-	return nil
+func (ts *trippingStore) Snapshot() store.ReaderAPI {
+	return trippingReader{ts.Store.Snapshot(), ts}
+}
+
+type trippingReader struct {
+	store.ReaderAPI
+	ts *trippingStore
+}
+
+func (r trippingReader) MatchIDs(pat store.IDPattern, fn func(s, p, o store.ID) bool) bool {
+	return r.ReaderAPI.MatchIDs(pat, func(s, p, o store.ID) bool {
+		if r.ts.scanned++; r.ts.scanned == r.ts.after {
+			r.ts.cancel()
+		}
+		return fn(s, p, o)
+	})
 }
 
 // TestStreamTopKCancelsPreSort: every shape whose sink holds rows back
@@ -186,10 +202,12 @@ func TestStreamTopKCancelsPreSort(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ctx := &trippingCtx{Context: context.Background(), after: 50}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			ts := &trippingStore{Store: st, cancel: cancel, after: 50}
 			rows := 0
 			// ASK and CONSTRUCT run inside Stream; the rest on the drain
-			rs, err := q.Stream(ctx, st)
+			rs, err := q.Stream(ctx, ts)
 			if err == nil {
 				for range rs.All() {
 					rows++
@@ -203,10 +221,11 @@ func TestStreamTopKCancelsPreSort(t *testing.T) {
 			if err != context.Canceled {
 				t.Fatalf("err = %v, want context.Canceled", err)
 			}
-			// the evaluation must have stopped at the trip point, not scanned
-			// the full pattern and noticed the cancellation at emission
-			if total := st.Len(); ctx.calls >= total {
-				t.Fatalf("context consulted %d times over a %d-triple store: evaluation ran to completion before cancelling", ctx.calls, total)
+			// the evaluation must have stopped at the row that tripped: the
+			// sink polls per row. Not at the scan's next sample, and not by
+			// scanning the full pattern and noticing at emission.
+			if ts.scanned != ts.after {
+				t.Fatalf("scan handed over %d triples of %d after a cancel at triple %d: the sink did not stop it there", ts.scanned, st.Len(), ts.after)
 			}
 		})
 	}
@@ -241,7 +260,7 @@ func TestRowSeqLimitAndTap(t *testing.T) {
 		res.Rows = append(res.Rows, sparql.Binding{})
 	}
 	tapped := 0
-	rs := sparql.ResultSeq(res).Tap(func(sparql.Binding) { tapped++ }).Limit(4)
+	rs := sparql.ResultSeq(res).Tap(func([]rdf.Term) { tapped++ }).Limit(4)
 	out, err := rs.Collect()
 	if err != nil {
 		t.Fatal(err)
@@ -275,7 +294,7 @@ func streamDoc(t *testing.T, query string) string {
 		t.Fatal(err)
 	}
 	var sb strings.Builder
-	jw := sparql.NewJSONRowWriter(&sb, rs.Vars)
+	jw := results.NewWriter(results.JSON, &sb, rs.Vars)
 	for row := range rs.All() {
 		if err := jw.WriteRow(row); err != nil {
 			t.Fatal(err)

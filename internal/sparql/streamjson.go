@@ -1,9 +1,10 @@
 package sparql
 
 // Incremental encoding and decoding of the SPARQL 1.1 Query Results JSON
-// Format — the only codec of that format in the repo. The writer and
-// reader move one binding at a time, which is what lets the protocol
-// server flush rows as they are produced and the HTTP client hand rows to
+// Format — the only codec of that format in the repo. The row encoder
+// and the reader move one binding at a time, which is what lets the
+// protocol server flush rows as they are produced (results.Writer frames
+// the encoder's rows into a document) and the HTTP client hand rows to
 // the application while the response body is still arriving; a caller
 // that wants the whole result collects the reader's rows.
 
@@ -11,16 +12,20 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"sort"
+	"unicode/utf8"
+
+	"repro/internal/rdf"
 )
 
 // MarshalJSON encodes one solution binding in the SPARQL JSON results
-// term encoding ({"v": {"type": ..., "value": ...}, ...}).
+// term encoding, through the row encoder.
 func (b Binding) MarshalJSON() ([]byte, error) {
-	jb := make(map[string]jsonTerm, len(b))
+	vars, row := make([]string, 0, len(b)), make([]rdf.Term, 0, len(b))
 	for v, t := range b {
-		jb[v] = termToJSON(t)
+		vars, row = append(vars, v), append(row, t)
 	}
-	return json.Marshal(jb)
+	return NewJSONRowEncoder(vars).AppendRow(nil, row), nil
 }
 
 // UnmarshalJSON decodes one solution binding from the SPARQL JSON
@@ -42,60 +47,114 @@ func (b *Binding) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// JSONRowWriter writes a SPARQL JSON results document incrementally:
-// the head is emitted on construction, each WriteRow appends one
-// binding, and Close terminates the document. Nothing is buffered
-// beyond the row being encoded.
-type JSONRowWriter struct {
-	w    io.Writer
-	rows int
-	err  error
+// JSONRowEncoder appends solution rows in the SPARQL JSON results term
+// encoding ({"v": {"type": ..., "value": ...}, ...}) — the one encoder
+// behind the JSON and NDJSON writers and Binding.MarshalJSON. The bytes
+// are encoding/json's for a map of terms: members in sorted-name order
+// (the permutation and the quoted names are computed once per document),
+// strings escaped as appendJSONString does.
+type JSONRowEncoder struct {
+	keys []string // `"name":` per member, in sorted-name order
+	cols []int    // the row column keys[i] reads
 }
 
-// NewJSONRowWriter starts a SELECT results document with the given head.
-func NewJSONRowWriter(w io.Writer, vars []string) *JSONRowWriter {
-	jw := &JSONRowWriter{w: w}
-	head, err := json.Marshal(vars)
-	if err == nil {
-		_, err = fmt.Fprintf(w, `{"head":{"vars":%s},"results":{"bindings":[`, head)
+// NewJSONRowEncoder prepares the encoder for rows aligned with vars.
+func NewJSONRowEncoder(vars []string) *JSONRowEncoder {
+	cols := make([]int, len(vars))
+	for i := range cols {
+		cols[i] = i
 	}
-	jw.err = err
-	return jw
-}
-
-// WriteRow appends one binding to the document.
-func (jw *JSONRowWriter) WriteRow(b Binding) error {
-	if jw.err != nil {
-		return jw.err
-	}
-	enc, err := b.MarshalJSON()
-	if err != nil {
-		jw.err = err
-		return err
-	}
-	if jw.rows > 0 {
-		if _, err := io.WriteString(jw.w, ","); err != nil {
-			jw.err = err
-			return err
+	sort.SliceStable(cols, func(a, b int) bool { return vars[cols[a]] < vars[cols[b]] })
+	e := &JSONRowEncoder{}
+	for i, c := range cols {
+		if i > 0 && vars[c] == vars[cols[i-1]] {
+			continue // a name projected twice is one member
 		}
+		e.cols = append(e.cols, c)
+		e.keys = append(e.keys, string(append(appendJSONString(nil, vars[c]), ':')))
 	}
-	if _, err := jw.w.Write(enc); err != nil {
-		jw.err = err
-		return err
-	}
-	jw.rows++
-	return nil
+	return e
 }
 
-// Close terminates the document. An unterminated document (Close never
-// called, e.g. because the producer died mid-stream) is how a peer
-// detects a broken stream: the JSON fails to parse to completion.
-func (jw *JSONRowWriter) Close() error {
-	if jw.err != nil {
-		return jw.err
+// AppendRow appends one row's JSON object to dst; zero Terms (unbound
+// variables) are left out.
+func (e *JSONRowEncoder) AppendRow(dst []byte, row []rdf.Term) []byte {
+	dst = append(dst, '{')
+	sep := false
+	for i, c := range e.cols {
+		t := row[c]
+		if t.IsZero() {
+			continue
+		}
+		if sep {
+			dst = append(dst, ',')
+		}
+		sep = true
+		dst = append(dst, e.keys[i]...)
+		switch t.Kind {
+		case rdf.KindIRI:
+			dst = append(dst, `{"type":"uri","value":`...)
+		case rdf.KindBlank:
+			dst = append(dst, `{"type":"bnode","value":`...)
+		default:
+			dst = append(dst, `{"type":"literal","value":`...)
+		}
+		dst = appendJSONString(dst, t.Value)
+		if t.Kind == rdf.KindLiteral && t.Datatype != "" {
+			dst = appendJSONString(append(dst, `,"datatype":`...), t.Datatype)
+		}
+		if t.Kind == rdf.KindLiteral && t.Lang != "" {
+			dst = appendJSONString(append(dst, `,"xml:lang":`...), t.Lang)
+		}
+		dst = append(dst, '}')
 	}
-	_, jw.err = io.WriteString(jw.w, "]}}")
-	return jw.err
+	return append(dst, '}')
+}
+
+// appendJSONString appends s as a JSON string exactly as encoding/json
+// marshals one: control bytes, `"` and `\` escaped, `<`, `>`, `&`,
+// U+2028 and U+2029 as \u escapes, invalid UTF-8 as \ufffd. FuzzRowJSON
+// holds it to that byte for byte.
+func appendJSONString(dst []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	dst = append(dst, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		b := s[i]
+		if b >= 0x20 && b < utf8.RuneSelf && b != '"' && b != '\\' && b != '<' && b != '>' && b != '&' {
+			i++
+			continue
+		}
+		c, size := rune(b), 1
+		if b >= utf8.RuneSelf {
+			if c, size = utf8.DecodeRuneInString(s[i:]); !(c == utf8.RuneError && size == 1) && c != '\u2028' && c != '\u2029' {
+				i += size
+				continue
+			}
+		}
+		dst = append(dst, s[start:i]...)
+		switch c {
+		case '\\', '"':
+			dst = append(dst, '\\', b)
+		case '\b':
+			dst = append(dst, '\\', 'b')
+		case '\f':
+			dst = append(dst, '\\', 'f')
+		case '\n':
+			dst = append(dst, '\\', 'n')
+		case '\r':
+			dst = append(dst, '\\', 'r')
+		case '\t':
+			dst = append(dst, '\\', 't')
+		case utf8.RuneError:
+			dst = append(dst, `\ufffd`...)
+		default: // the remaining control bytes, < > &, U+2028/9
+			dst = append(dst, '\\', 'u', hex[c>>12], hex[c>>8&0xF], hex[c>>4&0xF], hex[c&0xF])
+		}
+		i += size
+		start = i
+	}
+	return append(append(dst, s[start:]...), '"')
 }
 
 // WriteAskJSON writes a complete ASK results document.

@@ -111,8 +111,9 @@ func deletedSegmentFDs(t *testing.T, dir string) int {
 }
 
 // TestQueriesReleaseTheirSnapshot: every way a query can end — Exec,
-// Explain, ASK, a drained stream, a stream closed half way, a stream
-// closed before its first pull — gives the segment pins back then, not
+// Explain, ASK, a drained stream, a stream closed half way (pulled as
+// Bindings or as positional rows), a stream closed before its first
+// pull — gives the segment pins back then, not
 // at some later garbage collection. The streams are opened first and a
 // compaction retires the segments under them; with the collector off,
 // the retired files must be closed the moment the last stream is.
@@ -143,14 +144,15 @@ func TestQueriesReleaseTheirSnapshot(t *testing.T) {
 	const q = `SELECT ?s ?o WHERE { ?s <http://example.org/p> ?o }`
 	ctx := context.Background()
 	var open []*sparql.RowSeq
-	for i := 0; i < 3; i++ {
+	for i := 0; i < 4; i++ {
 		rs, err := sparql.StreamExec(ctx, ds, q)
 		if err != nil {
 			t.Fatal(err)
 		}
 		open = append(open, rs)
 	}
-	open[0].Next() // one is mid-stream, one will be drained, one is never pulled
+	open[0].Next() // two are mid-stream, one will be drained, one is never pulled
+	open[3].NextTerms()
 
 	addSegment() // third segment: past MaxSegments, a compaction starts
 	deadline := time.Now().Add(10 * time.Second)
@@ -179,6 +181,7 @@ func TestQueriesReleaseTheirSnapshot(t *testing.T) {
 		t.Fatalf("drained stream: %v rows, err %v", res, err)
 	}
 	open[2].Close()
+	open[3].Close()
 	if n := deletedSegmentFDs(t, dir); n != 0 {
 		t.Fatalf("%d retired segment files still open after every query ended", n)
 	}
