@@ -170,7 +170,7 @@ func BenchmarkE3_PortalCrawl(b *testing.B) {
 
 // --- E4–E7: the §3.5 visualization layouts (Figures 4–7) ---
 
-func benchView(b *testing.B, render func(cs *cluster.Schema, s *schema.Summary) string) {
+func benchView(b *testing.B, render func(cs *cluster.Schema, s *schema.Summary) []byte) {
 	tool := scholarlyFixture(b)
 	s, err := tool.Summary(scholarlyURL)
 	if err != nil {
@@ -189,25 +189,25 @@ func benchView(b *testing.B, render func(cs *cluster.Schema, s *schema.Summary) 
 }
 
 func BenchmarkE4_Treemap(b *testing.B) {
-	benchView(b, func(cs *cluster.Schema, s *schema.Summary) string {
+	benchView(b, func(cs *cluster.Schema, s *schema.Summary) []byte {
 		return viz.TreemapView(cs, s, 1000, 700)
 	})
 }
 
 func BenchmarkE5_Sunburst(b *testing.B) {
-	benchView(b, func(cs *cluster.Schema, s *schema.Summary) string {
+	benchView(b, func(cs *cluster.Schema, s *schema.Summary) []byte {
 		return viz.SunburstView(cs, s, 800)
 	})
 }
 
 func BenchmarkE6_CirclePack(b *testing.B) {
-	benchView(b, func(cs *cluster.Schema, s *schema.Summary) string {
+	benchView(b, func(cs *cluster.Schema, s *schema.Summary) []byte {
 		return viz.CirclePackView(cs, s, 800)
 	})
 }
 
 func BenchmarkE7_EdgeBundling(b *testing.B) {
-	benchView(b, func(cs *cluster.Schema, s *schema.Summary) string {
+	benchView(b, func(cs *cluster.Schema, s *schema.Summary) []byte {
 		return viz.BundleView(cs, s, synth.ScholarlyNS+"Event", 900)
 	})
 }

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"flag"
 	"fmt"
@@ -195,12 +196,12 @@ func e4to7(run func(string) bool) {
 	if err := os.MkdirAll(*outDir, 0o755); err != nil {
 		log.Fatal(err)
 	}
-	write := func(name, content string) {
+	write := func(name string, content []byte) {
 		path := filepath.Join(*outDir, name)
-		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+		if err := os.WriteFile(path, content, 0o644); err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("rendered %-18s %6d bytes, %4d elements\n", path, len(content), strings.Count(content, "<"))
+		fmt.Printf("rendered %-18s %6d bytes, %4d elements\n", path, len(content), bytes.Count(content, []byte("<")))
 	}
 	if run("E4") {
 		header("E4", "Figure 4 — treemap of the Cluster Schema (area ∝ instances)")

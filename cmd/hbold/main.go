@@ -551,7 +551,7 @@ func cmdRender(args []string) {
 		}
 		focus = best
 	}
-	files := map[string]string{
+	files := map[string][]byte{
 		"treemap.svg":       viz.TreemapView(cs, s, 1000, 700),
 		"sunburst.svg":      viz.SunburstView(cs, s, 800),
 		"circlepack.svg":    viz.CirclePackView(cs, s, 800),
@@ -561,7 +561,7 @@ func cmdRender(args []string) {
 	}
 	for name, content := range files {
 		path := filepath.Join(outdir, name)
-		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+		if err := os.WriteFile(path, content, 0o644); err != nil {
 			log.Fatalf("hbold: %v", err)
 		}
 		fmt.Printf("wrote %s (%d bytes)\n", path, len(content))

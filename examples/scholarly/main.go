@@ -40,9 +40,9 @@ func main() {
 	s, _ := tool.Summary(url)
 	cs, _ := tool.ClusterSchema(url)
 
-	write := func(name, content string) {
+	write := func(name string, content []byte) {
 		path := filepath.Join(outdir, name)
-		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+		if err := os.WriteFile(path, content, 0o644); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("    wrote %s\n", path)

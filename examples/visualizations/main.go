@@ -41,7 +41,8 @@ func main() {
 	cs, _ := tool.ClusterSchema(url)
 
 	figures := []struct {
-		file, figure, content string
+		file, figure string
+		content      []byte
 	}{
 		{"figure4-treemap.svg", "Figure 4 (treemap)", viz.TreemapView(cs, s, 1000, 700)},
 		{"figure5-sunburst.svg", "Figure 5 (sunburst)", viz.SunburstView(cs, s, 800)},
@@ -51,7 +52,7 @@ func main() {
 	}
 	for _, f := range figures {
 		path := filepath.Join(outdir, f.file)
-		if err := os.WriteFile(path, []byte(f.content), 0o644); err != nil {
+		if err := os.WriteFile(path, f.content, 0o644); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("%-40s → %s (%d bytes)\n", f.figure, path, len(f.content))

@@ -439,6 +439,44 @@ func TestForceLayoutDeterministic(t *testing.T) {
 	}
 }
 
+// TestForceLayoutIgnoresNodePayload pins what viz's placement memo rests
+// on: a node contributes its index and nothing else. Labels, refs and
+// sizes shuffled among the nodes, or blanked, leave every position
+// bit-identical, so (len(nodes), edges, cfg) determines the result.
+func TestForceLayoutIgnoresNodePayload(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 20; trial++ {
+		n := 2 + rng.Intn(30)
+		nodes := make([]ForceNode, n)
+		for i := range nodes {
+			nodes[i] = ForceNode{
+				Label: fmt.Sprintf("n%d", i), Ref: fmt.Sprintf("http://x/%d", i),
+				Size: float64(rng.Intn(5000)), Pos: Point{X: rng.Float64(), Y: rng.Float64()},
+			}
+		}
+		var edges []ForceEdge
+		for e := rng.Intn(3 * n); e > 0; e-- {
+			edges = append(edges, ForceEdge{From: rng.Intn(n), To: rng.Intn(n), Weight: float64(rng.Intn(9))})
+		}
+		cfg := ForceConfig{Width: 900, Height: 900, Iterations: 40, Seed: int64(trial)}
+		want := ForceLayout(nodes, edges, cfg)
+
+		shuffled := append([]ForceNode(nil), nodes...)
+		rng.Shuffle(n, func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+		for name, variant := range map[string][]ForceNode{"shuffled": shuffled, "blank": make([]ForceNode, n)} {
+			got := ForceLayout(variant, edges, cfg)
+			for i := range want {
+				if got[i].Pos != want[i].Pos {
+					t.Fatalf("trial %d, %s payload: node %d at %+v, want %+v", trial, name, i, got[i].Pos, want[i].Pos)
+				}
+				if got[i].Label != variant[i].Label || got[i].Size != variant[i].Size {
+					t.Fatalf("trial %d, %s payload: node %d lost its label or size", trial, name, i)
+				}
+			}
+		}
+	}
+}
+
 func TestForceLayoutSingleNodeCentered(t *testing.T) {
 	out := ForceLayout([]ForceNode{{}}, nil, ForceConfig{Width: 100, Height: 100})
 	if out[0].Pos.X != 50 || out[0].Pos.Y != 50 {

@@ -53,11 +53,27 @@ type Server struct {
 	// stays readable. The serve CLI mode defaults to read-only.
 	ReadOnly bool
 	mux      *http.ServeMux
+	// stages is hbold_stage_seconds: time spent in the stages of a
+	// request this package owns, labeled by stage (see stage).
+	stages *obs.HistogramVec
 }
+
+// stageBuckets are hbold_stage_seconds' bounds, in seconds. A stage is a
+// part of a request — rendering a view takes 0.2–2 ms — so they start
+// two decades below obs.DurationBuckets.
+var stageBuckets = []float64{0.00005, 0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.5, 2.5}
 
 // New builds the server and its routes.
 func New(tool *core.HBOLD) *Server {
 	s := &Server{Tool: tool, mux: http.NewServeMux()}
+	s.stages = tool.Metrics.HistogramVec("hbold_stage_seconds",
+		"Time spent per request stage; stage names are the benchmark's layer names.", stageBuckets, "stage")
+	tool.Metrics.CounterFunc("hbold_viz_placement_reuses_total",
+		"Graph-view renders that took their node positions from the placement memo.",
+		func() float64 { reused, _ := viz.PlacementStats(); return float64(reused) })
+	tool.Metrics.CounterFunc("hbold_viz_placement_computes_total",
+		"Graph-view renders that ran the force-directed simulation.",
+		func() float64 { _, computed := viz.PlacementStats(); return float64(computed) })
 	s.mux.HandleFunc("/", s.handleHome)
 	s.mux.HandleFunc("/metrics", s.handlePromMetrics)
 	s.mux.HandleFunc("/api/datasets", s.handleDatasets)
@@ -260,6 +276,19 @@ func etagMatches(header, etag string) bool {
 	return false
 }
 
+// etagOf spells the validator of one dataset generation: the quoted
+// string strconv.Quote(url + "@" + generation) — so a URL holding a
+// quote or a comma still yields one well-formed opaque tag — built by
+// appending (quoting is per rune, so the quoted URL minus its closing
+// quote is the prefix of the quoted whole).
+func etagOf(url string, generation uint64) string {
+	var buf [128]byte
+	b := strconv.AppendQuote(buf[:0], url)
+	b = append(b[:len(b)-1], '@')
+	b = strconv.AppendUint(b, generation, 10)
+	return string(append(b, '"'))
+}
+
 // preflight stamps the versioned validator headers of the state the
 // handler is about to serve (ETag "<url>@<generation>" and
 // Cache-Control) and answers a matching If-None-Match revalidation with
@@ -273,7 +302,7 @@ func (s *Server) preflight(w http.ResponseWriter, r *http.Request, st *core.Stat
 	if st.Generation == 0 {
 		return false
 	}
-	etag := fmt.Sprintf("%q", fmt.Sprintf("%s@%d", st.URL, st.Generation))
+	etag := etagOf(st.URL, st.Generation)
 	w.Header().Set("ETag", etag)
 	w.Header().Set("Cache-Control", "public, max-age=0, must-revalidate")
 	if inm := r.Header.Get("If-None-Match"); inm != "" && etagMatches(inm, etag) {
@@ -283,47 +312,53 @@ func (s *Server) preflight(w http.ResponseWriter, r *http.Request, st *core.Stat
 	return false
 }
 
-// snapshotJSON serves a JSON response memoized in the snapshot cache as
-// encoded bytes, keyed by (st.URL, st.Generation, view, params); build
-// runs only on a cache miss and must read the dataset through st alone.
-func (s *Server) snapshotJSON(w http.ResponseWriter, st *core.State, view, params string, build func() (any, error)) {
+// snapshot serves a response memoized in the snapshot cache, keyed by
+// (st.URL, st.Generation, view, params). What is cached is the wire body
+// itself: a hit is a lookup, a Content-Length and one Write of the
+// shared slice. body runs only on a miss, must read the dataset through
+// st alone, and gives up ownership of what it returns.
+func (s *Server) snapshot(w http.ResponseWriter, st *core.State, view, params, contentType string, body func() ([]byte, error)) {
 	key := snapcache.Key{URL: st.URL, Generation: st.Generation, View: view, Params: params}
 	v, err := s.Tool.Cache.GetOrCompute(key, func() (any, int64, error) {
-		model, err := build()
+		b, err := body()
 		if err != nil {
 			return nil, 0, err
+		}
+		return b, int64(cap(b)), nil
+	})
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusNotFound)
+		return
+	}
+	b := v.([]byte)
+	w.Header().Set("Content-Type", contentType)
+	w.Header().Set("Content-Length", strconv.Itoa(len(b)))
+	w.Write(b)
+}
+
+// snapshotJSON is snapshot for a JSON model: the cached body is the
+// encoding with its trailing newline already on it.
+func (s *Server) snapshotJSON(w http.ResponseWriter, st *core.State, view, params string, build func() (any, error)) {
+	s.snapshot(w, st, view, params, "application/json", func() ([]byte, error) {
+		model, err := build()
+		if err != nil {
+			return nil, err
 		}
 		body, err := json.Marshal(model)
 		if err != nil {
-			return nil, 0, err
+			return nil, err
 		}
-		return body, int64(len(body)), nil
+		return append(body, '\n'), nil
 	})
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusNotFound)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(v.([]byte))
-	w.Write([]byte("\n"))
 }
 
-// snapshotSVG is snapshotJSON's counterpart for rendered SVG views.
-func (s *Server) snapshotSVG(w http.ResponseWriter, st *core.State, view, params string, render func() (string, error)) {
-	key := snapcache.Key{URL: st.URL, Generation: st.Generation, View: view, Params: params}
-	v, err := s.Tool.Cache.GetOrCompute(key, func() (any, int64, error) {
-		out, err := render()
-		if err != nil {
-			return nil, 0, err
-		}
-		return out, int64(len(out)), nil
-	})
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusNotFound)
-		return
-	}
-	w.Header().Set("Content-Type", "image/svg+xml")
-	fmt.Fprint(w, v.(string))
+// stage returns a function that observes the time since this call under
+// hbold_stage_seconds{stage=name}. The names are bench/layers.go's layer
+// names, so a production histogram and a benchmark row are the same
+// quantity.
+func (s *Server) stage(name string) (done func()) {
+	start := time.Now()
+	return func() { s.stages.With(name).Observe(time.Since(start).Seconds()) }
 }
 
 func (s *Server) handleSummary(w http.ResponseWriter, r *http.Request) {
@@ -422,6 +457,7 @@ func (s *Server) handleModel(kind string) http.HandlerFunc {
 			if err != nil {
 				return nil, err
 			}
+			defer s.stage("viz.model." + kind)()
 			switch kind {
 			case "treemap":
 				return viz.TreemapModelOf(cs, sum, 1000, 700), nil
@@ -783,17 +819,19 @@ func incompleteSources(p *federation.Partial) []string {
 // bundle's focus class and the summary graph's visible set are part of
 // the cache key, canonicalized so equivalent requests share one entry.
 func (s *Server) handleView(kind string) http.HandlerFunc {
+	view := "view:" + kind
 	return func(w http.ResponseWriter, r *http.Request) {
-		st := s.Tool.State(s.dataset(r))
+		q := r.URL.Query()
+		st := s.Tool.State(q.Get("dataset"))
 		if s.preflight(w, r, st) {
 			return
 		}
 		params := ""
 		switch kind {
 		case "bundle":
-			params = "focus=" + r.URL.Query().Get("focus")
+			params = "focus=" + q.Get("focus")
 		case "summary-graph":
-			if vis := r.URL.Query().Get("visible"); vis != "" {
+			if vis := q.Get("visible"); vis != "" {
 				classes := strings.Split(vis, ",")
 				for i, c := range classes {
 					classes[i] = strings.TrimSpace(c)
@@ -802,11 +840,12 @@ func (s *Server) handleView(kind string) http.HandlerFunc {
 				params = "visible=" + strings.Join(classes, ",")
 			}
 		}
-		s.snapshotSVG(w, st, "view:"+kind, params, func() (string, error) {
+		s.snapshot(w, st, view, params, "image/svg+xml", func() ([]byte, error) {
 			sum, cs, err := st.Schemas()
 			if err != nil {
-				return "", err
+				return nil, err
 			}
+			defer s.stage("viz.render." + kind)()
 			switch kind {
 			case "treemap":
 				return viz.TreemapView(cs, sum, 1000, 700), nil
@@ -815,7 +854,7 @@ func (s *Server) handleView(kind string) http.HandlerFunc {
 			case "circlepack":
 				return viz.CirclePackView(cs, sum, 800), nil
 			case "bundle":
-				return viz.BundleView(cs, sum, r.URL.Query().Get("focus"), 900), nil
+				return viz.BundleView(cs, sum, q.Get("focus"), 900), nil
 			case "cluster-graph":
 				return viz.ClusterGraphView(cs, 900), nil
 			case "summary-graph":
@@ -828,7 +867,7 @@ func (s *Server) handleView(kind string) http.HandlerFunc {
 				}
 				return viz.SummaryGraphView(sum, visible, 900), nil
 			}
-			return "", fmt.Errorf("unknown view %q", kind)
+			return nil, fmt.Errorf("unknown view %q", kind)
 		})
 	}
 }

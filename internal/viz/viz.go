@@ -8,8 +8,8 @@
 package viz
 
 import (
-	"fmt"
 	"math"
+	"strconv"
 
 	"repro/internal/cluster"
 	"repro/internal/layout"
@@ -58,12 +58,12 @@ func clusterColor(cs *cluster.Schema, classIRI string) string {
 // TreemapView renders the Cluster Schema treemap: each cluster is a
 // colored rectangle with its classes nested inside, areas proportional
 // to instance counts.
-func TreemapView(cs *cluster.Schema, s *schema.Summary, w, h float64) string {
+func TreemapView(cs *cluster.Schema, s *schema.Summary, w, h float64) []byte {
 	root := Hierarchy(cs, s)
 	root.SortChildrenByValue()
 	cells := layout.Treemap(root, layout.Rect{X: 0, Y: 0, W: w, H: h}, 3)
 	doc := svg.New(w, h)
-	doc.Comment(fmt.Sprintf("Treemap of the Cluster Schema: %s", cs.Dataset))
+	doc.Comment("Treemap of the Cluster Schema: " + cs.Dataset)
 	clusterIdx := map[string]int{}
 	for i, c := range cs.Clusters {
 		clusterIdx["cluster:"+c.Label] = i
@@ -88,25 +88,25 @@ func TreemapView(cs *cluster.Schema, s *schema.Summary, w, h float64) string {
 				svg.Lighten(svg.Color(ci), 0.25), "#fff", "data-kind", "class", "data-iri", cell.Node.Ref)
 			if cell.Rect.W > 50 && cell.Rect.H > 14 {
 				doc.Text(cell.Rect.X+3, cell.Rect.Y+12, 10, "start", "#111",
-					fmt.Sprintf("%s (%.0f)", cell.Node.Label, cell.Node.Value))
+					cell.Node.Label+" ("+strconv.FormatFloat(cell.Node.Value, 'f', 0, 64)+")")
 			}
 		}
 	}
-	return doc.String()
+	return doc.Bytes()
 }
 
 // --- Sunburst (Figure 5) ---
 
 // SunburstView renders the Cluster Schema sunburst: inner ring clusters,
 // outer ring classes grouped by cluster.
-func SunburstView(cs *cluster.Schema, s *schema.Summary, size float64) string {
+func SunburstView(cs *cluster.Schema, s *schema.Summary, size float64) []byte {
 	root := Hierarchy(cs, s)
 	root.SortChildrenByValue()
 	radius := size/2 - 10
 	arcs := layout.Sunburst(root, radius)
 	cx, cy := size/2, size/2
 	doc := svg.New(size, size)
-	doc.Comment(fmt.Sprintf("Sunburst of the Cluster Schema: %s", cs.Dataset))
+	doc.Comment("Sunburst of the Cluster Schema: " + cs.Dataset)
 	clusterIdx := map[string]int{}
 	for i, c := range cs.Clusters {
 		clusterIdx["cluster:"+c.Label] = i
@@ -125,7 +125,7 @@ func SunburstView(cs *cluster.Schema, s *schema.Summary, size float64) string {
 			doc.Text(p.X, p.Y, 9, "middle", "#000", a.Node.Label)
 		}
 	}
-	return doc.String()
+	return doc.Bytes()
 }
 
 // --- Circle packing (Figure 6) ---
@@ -133,12 +133,12 @@ func SunburstView(cs *cluster.Schema, s *schema.Summary, size float64) string {
 // CirclePackView renders the Cluster Schema circle packing: the external
 // circle is the dataset, intermediate circles the clusters, inner
 // circles the classes.
-func CirclePackView(cs *cluster.Schema, s *schema.Summary, size float64) string {
+func CirclePackView(cs *cluster.Schema, s *schema.Summary, size float64) []byte {
 	root := Hierarchy(cs, s)
 	root.SortChildrenByValue()
 	circles := layout.CirclePack(root, size/2, size/2, size/2-8, 3)
 	doc := svg.New(size, size)
-	doc.Comment(fmt.Sprintf("Circle packing of the Cluster Schema: %s", cs.Dataset))
+	doc.Comment("Circle packing of the Cluster Schema: " + cs.Dataset)
 	clusterIdx := map[string]int{}
 	for i, c := range cs.Clusters {
 		clusterIdx["cluster:"+c.Label] = i
@@ -160,7 +160,7 @@ func CirclePackView(cs *cluster.Schema, s *schema.Summary, size float64) string 
 			}
 		}
 	}
-	return doc.String()
+	return doc.Bytes()
 }
 
 // --- Hierarchical edge bundling (Figure 7) ---
@@ -170,7 +170,7 @@ func CirclePackView(cs *cluster.Schema, s *schema.Summary, size float64) string 
 // highlighting: the focus class bold, rdfs:Range classes of its outgoing
 // properties in green, and rdfs:Domain classes of properties pointing at
 // it in red.
-func BundleView(cs *cluster.Schema, s *schema.Summary, focus string, size float64) string {
+func BundleView(cs *cluster.Schema, s *schema.Summary, focus string, size float64) []byte {
 	root := Hierarchy(cs, s)
 	var adjacency [][2]string
 	for _, e := range s.Edges {
@@ -197,7 +197,8 @@ func BundleView(cs *cluster.Schema, s *schema.Summary, focus string, size float6
 	}
 
 	doc := svg.New(size, size)
-	doc.Comment(fmt.Sprintf("Hierarchical edge bundling of the Schema Summary: %s (focus %s)", s.Dataset, focus))
+	doc.Comment("Hierarchical edge bundling of the Schema Summary: " + s.Dataset + " (focus " + focus + ")")
+	var flat []float64
 	for _, e := range eb.Edges {
 		fromIRI := eb.Leaves[e.From].Node.Ref
 		toIRI := eb.Leaves[e.To].Node.Ref
@@ -210,7 +211,7 @@ func BundleView(cs *cluster.Schema, s *schema.Summary, focus string, size float6
 				color, width, opacity = "#d62728", 1.6, "0.9" // from domains
 			}
 		}
-		flat := make([]float64, 0, 2*len(e.Points))
+		flat = flat[:0]
 		for _, p := range e.Points {
 			flat = append(flat, p.X, p.Y)
 		}
@@ -236,7 +237,7 @@ func BundleView(cs *cluster.Schema, s *schema.Summary, focus string, size float6
 		doc.Text(lp.X, lp.Y+3, 10, anchor, color, l.Node.Label, "font-weight", weight)
 		doc.Circle(l.Pos.X, l.Pos.Y, 2.5, color, "none")
 	}
-	return doc.String()
+	return doc.Bytes()
 }
 
 // --- Graph views (Figure 2) ---
@@ -244,41 +245,35 @@ func BundleView(cs *cluster.Schema, s *schema.Summary, focus string, size float6
 // ClusterGraphView renders the Cluster Schema as a node-link diagram:
 // nodes are clusters (sized by instances), arcs are inter-cluster
 // connections — Figure 2 step 1.
-func ClusterGraphView(cs *cluster.Schema, size float64) string {
-	nodes := make([]layout.ForceNode, len(cs.Clusters))
-	for i, c := range cs.Clusters {
-		nodes[i] = layout.ForceNode{Label: c.Label, Ref: c.Label, Size: float64(c.Instances)}
-	}
+func ClusterGraphView(cs *cluster.Schema, size float64) []byte {
 	edges := make([]layout.ForceEdge, len(cs.Edges))
 	for i, e := range cs.Edges {
 		edges[i] = layout.ForceEdge{From: e.From, To: e.To, Weight: float64(e.Links)}
 	}
-	placed := layout.ForceLayout(nodes, edges, layout.ForceConfig{Width: size, Height: size, Seed: 42})
+	pos := place(len(cs.Clusters), edges, layout.ForceConfig{Width: size, Height: size, Seed: 42})
 	doc := svg.New(size, size)
-	doc.Comment(fmt.Sprintf("Cluster Schema graph: %s (%d clusters)", cs.Dataset, len(cs.Clusters)))
+	doc.Comment("Cluster Schema graph: " + cs.Dataset + " (" + strconv.Itoa(len(cs.Clusters)) + " clusters)")
 	for _, e := range cs.Edges {
-		a, b := placed[e.From].Pos, placed[e.To].Pos
+		a, b := pos[e.From], pos[e.To]
 		doc.Line(a.X, a.Y, b.X, b.Y, "#bbb", 1+float64(e.Links)/4)
 	}
 	maxInst := 1.0
-	for _, n := range placed {
-		if n.Size > maxInst {
-			maxInst = n.Size
-		}
+	for _, c := range cs.Clusters {
+		maxInst = math.Max(maxInst, float64(c.Instances))
 	}
-	for i, n := range placed {
-		r := 12 + 28*sqrtRatio(n.Size, maxInst)
-		doc.Circle(n.Pos.X, n.Pos.Y, r, svg.Lighten(svg.Color(i), 0.3), "#333")
-		doc.Text(n.Pos.X, n.Pos.Y+4, 11, "middle", "#000", n.Label)
+	for i, c := range cs.Clusters {
+		r := 12 + 28*sqrtRatio(float64(c.Instances), maxInst)
+		doc.Circle(pos[i].X, pos[i].Y, r, svg.Lighten(svg.Color(i), 0.3), "#333")
+		doc.Text(pos[i].X, pos[i].Y+4, 11, "middle", "#000", c.Label)
 	}
-	return doc.String()
+	return doc.Bytes()
 }
 
 // SummaryGraphView renders a (possibly partial) Schema Summary as a
 // node-link diagram — Figure 2 steps 2–4. visible selects the classes to
 // draw (nil = all); the header line reports nodes shown and instance
 // coverage, as the tool does.
-func SummaryGraphView(s *schema.Summary, visible map[string]bool, size float64) string {
+func SummaryGraphView(s *schema.Summary, visible map[string]bool, size float64) []byte {
 	if visible == nil {
 		visible = map[string]bool{}
 		for _, n := range s.Nodes {
@@ -293,37 +288,31 @@ func SummaryGraphView(s *schema.Summary, visible map[string]bool, size float64) 
 			shown = append(shown, n)
 		}
 	}
-	nodes := make([]layout.ForceNode, len(shown))
-	for i, n := range shown {
-		nodes[i] = layout.ForceNode{Label: n.Label, Ref: n.IRI, Size: float64(n.Instances)}
+	between := s.EdgesBetween(visible)
+	edges := make([]layout.ForceEdge, len(between))
+	for i, e := range between {
+		edges[i] = layout.ForceEdge{From: idx[e.From], To: idx[e.To], Weight: float64(e.Count)}
 	}
-	var edges []layout.ForceEdge
-	for _, e := range s.EdgesBetween(visible) {
-		edges = append(edges, layout.ForceEdge{From: idx[e.From], To: idx[e.To], Weight: float64(e.Count)})
-	}
-	placed := layout.ForceLayout(nodes, edges, layout.ForceConfig{Width: size, Height: size, Seed: 7})
+	pos := place(len(shown), edges, layout.ForceConfig{Width: size, Height: size, Seed: 7})
 
 	doc := svg.New(size, size)
-	coverage := s.CoveragePercent(visible)
-	doc.Comment(fmt.Sprintf("Schema Summary graph: %s", s.Dataset))
-	doc.Text(10, 18, 13, "start", "#333",
-		fmt.Sprintf("%d classes shown — %.1f%% of instances", len(shown), coverage))
-	for _, e := range s.EdgesBetween(visible) {
-		a, b := placed[idx[e.From]].Pos, placed[idx[e.To]].Pos
+	doc.Comment("Schema Summary graph: " + s.Dataset)
+	doc.Text(10, 18, 13, "start", "#333", strconv.Itoa(len(shown))+" classes shown — "+
+		strconv.FormatFloat(s.CoveragePercent(visible), 'f', 1, 64)+"% of instances")
+	for _, e := range edges {
+		a, b := pos[e.From], pos[e.To]
 		doc.Line(a.X, a.Y, b.X, b.Y, "#ccc", 1)
 	}
 	maxInst := 1.0
-	for _, n := range placed {
-		if n.Size > maxInst {
-			maxInst = n.Size
-		}
+	for _, n := range shown {
+		maxInst = math.Max(maxInst, float64(n.Instances))
 	}
-	for _, n := range placed {
-		r := 8 + 20*sqrtRatio(n.Size, maxInst)
-		doc.Circle(n.Pos.X, n.Pos.Y, r, "#9ecae1", "#3182bd", "data-iri", n.Ref)
-		doc.Text(n.Pos.X, n.Pos.Y-r-3, 10, "middle", "#111", n.Label)
+	for i, n := range shown {
+		r := 8 + 20*sqrtRatio(float64(n.Instances), maxInst)
+		doc.Circle(pos[i].X, pos[i].Y, r, "#9ecae1", "#3182bd", "data-iri", n.IRI)
+		doc.Text(pos[i].X, pos[i].Y-r-3, 10, "middle", "#111", n.Label)
 	}
-	return doc.String()
+	return doc.Bytes()
 }
 
 func sqrtRatio(v, max float64) float64 {

@@ -1,31 +1,18 @@
 package viz
 
 import (
-	"context"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/endpoint"
-	"repro/internal/extraction"
 	"repro/internal/schema"
 	"repro/internal/synth"
 )
 
 func artifacts(t testing.TB) (*cluster.Schema, *schema.Summary) {
 	t.Helper()
-	st := synth.Scholarly(1)
-	ix, err := extraction.New().Extract(context.Background(), endpoint.LocalClient{Store: st}, "scholarly", time.Now())
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := schema.Build(ix)
-	cs, err := cluster.Build(s, cluster.Options{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return cs, s
+	set := extractSet(t, "scholarly", synth.Scholarly(1))
+	return set.cs, set.s
 }
 
 func TestHierarchyShape(t *testing.T) {
@@ -62,7 +49,7 @@ func validSVG(t *testing.T, out string) {
 
 func TestTreemapView(t *testing.T) {
 	cs, s := artifacts(t)
-	out := TreemapView(cs, s, 1000, 700)
+	out := string(TreemapView(cs, s, 1000, 700))
 	validSVG(t, out)
 	if !strings.Contains(out, `data-kind="cluster"`) || !strings.Contains(out, `data-kind="class"`) {
 		t.Fatal("treemap missing cluster/class cells")
@@ -75,7 +62,7 @@ func TestTreemapView(t *testing.T) {
 
 func TestSunburstView(t *testing.T) {
 	cs, s := artifacts(t)
-	out := SunburstView(cs, s, 800)
+	out := string(SunburstView(cs, s, 800))
 	validSVG(t, out)
 	if strings.Count(out, "<path") < s.NumClasses() {
 		t.Fatalf("sunburst has too few arcs: %d", strings.Count(out, "<path"))
@@ -84,7 +71,7 @@ func TestSunburstView(t *testing.T) {
 
 func TestCirclePackView(t *testing.T) {
 	cs, s := artifacts(t)
-	out := CirclePackView(cs, s, 800)
+	out := string(CirclePackView(cs, s, 800))
 	validSVG(t, out)
 	// one circle per node of the hierarchy (root + clusters + classes)
 	want := 1 + cs.NumClusters() + s.NumClasses()
@@ -95,7 +82,7 @@ func TestCirclePackView(t *testing.T) {
 
 func TestBundleViewFocusColors(t *testing.T) {
 	cs, s := artifacts(t)
-	out := BundleView(cs, s, synth.ScholarlyNS+"Event", 900)
+	out := string(BundleView(cs, s, synth.ScholarlyNS+"Event", 900))
 	validSVG(t, out)
 	// Figure 7 highlighting: green range edges, red domain edges, bold focus
 	if !strings.Contains(out, "#2ca02c") {
@@ -114,7 +101,7 @@ func TestBundleViewFocusColors(t *testing.T) {
 
 func TestBundleViewNoFocus(t *testing.T) {
 	cs, s := artifacts(t)
-	out := BundleView(cs, s, "", 900)
+	out := string(BundleView(cs, s, "", 900))
 	validSVG(t, out)
 	if strings.Contains(out, `font-weight="bold"`) {
 		t.Fatal("no class should be bold without focus")
@@ -123,7 +110,7 @@ func TestBundleViewNoFocus(t *testing.T) {
 
 func TestClusterGraphView(t *testing.T) {
 	cs, _ := artifacts(t)
-	out := ClusterGraphView(cs, 900)
+	out := string(ClusterGraphView(cs, 900))
 	validSVG(t, out)
 	if got := strings.Count(out, "<circle"); got != cs.NumClusters() {
 		t.Fatalf("cluster nodes = %d, want %d", got, cs.NumClusters())
@@ -132,7 +119,7 @@ func TestClusterGraphView(t *testing.T) {
 
 func TestSummaryGraphViewFull(t *testing.T) {
 	_, s := artifacts(t)
-	out := SummaryGraphView(s, nil, 900)
+	out := string(SummaryGraphView(s, nil, 900))
 	validSVG(t, out)
 	if !strings.Contains(out, "100.0% of instances") {
 		t.Fatal("full view must report 100% coverage")
@@ -149,7 +136,7 @@ func TestSummaryGraphViewPartialCoverage(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.Expand(synth.ScholarlyNS + "Event")
-	out := SummaryGraphView(s, e.VisibleSet(), 900)
+	out := string(SummaryGraphView(s, e.VisibleSet(), 900))
 	validSVG(t, out)
 	if strings.Contains(out, "100.0% of instances") {
 		t.Fatal("partial view must not report 100%")
@@ -172,7 +159,7 @@ func TestViewsEscapeXML(t *testing.T) {
 		Nodes:          []schema.Node{{IRI: "http://x/a", Label: `A<&>"B`, Instances: 5}},
 		TotalInstances: 5,
 	}
-	out := TreemapView(cs, s, 400, 300)
+	out := string(TreemapView(cs, s, 400, 300))
 	if strings.Contains(out, `>A<&>`) {
 		t.Fatal("unescaped XML in output")
 	}
