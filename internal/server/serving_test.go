@@ -313,9 +313,14 @@ func TestOneServingLoopThroughBothMounts(t *testing.T) {
 				readUntil(t, resp.Body, &body, firstRow, "the first row")
 				resp.Body.Close()
 				st.mu.Lock()
-				request := st.request
+				request, cancel := st.request, st.cancel
 				st.mu.Unlock()
 				await(t, request.Done(), "the hang-up reaching the request context")
+				// Done closes before the cancellation is handed down to the
+				// contexts derived from request (the one the evaluation
+				// polls), under request's lock; a second cancel waits for
+				// that lock, so the scan is not released into the gap
+				cancel()
 				release()
 				await(t, returned, "handler return")
 				st.mu.Lock()

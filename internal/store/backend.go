@@ -65,12 +65,16 @@ type ReaderAPI interface {
 // tiers implement it, which is what lets sparql.Exec / Query.Stream /
 // Query.Explain run unmodified over memory or disk.
 type Queryable interface {
-	// Snapshot returns a stable read view. Each query execution takes
-	// one snapshot, so a tier that accepts concurrent writes gives the
-	// query a consistent corpus for its whole run. A tier that buffers
-	// writes serves its last committed state: writes staged since the
-	// last Flush are not in the view. A view that also has a Release()
-	// method holds resources until it is called.
+	// Snapshot returns a stable read view of the tier's last committed
+	// state, and the rule is the same on both tiers: a view holds whole
+	// Flushes only — never part of one, never writes staged since the
+	// last — it does not change while later writes land, and taking one
+	// never waits for a writer or for a request that holds WriteLock.
+	// Each query execution takes one snapshot, so it runs over one
+	// consistent corpus however long it streams. (Writes made to the
+	// memory tier outside any request — a loader's bare Adds — are
+	// committed by the next read that finds WriteLock free.) A view that
+	// also has a Release() method holds resources until it is called.
 	Snapshot() ReaderAPI
 	// Match streams every triple matching the term-level pattern.
 	Match(pat Pattern, fn func(rdf.Triple) bool)
@@ -80,7 +84,7 @@ type Queryable interface {
 
 // Backend is a writable storage tier: Queryable plus the insert/flush
 // lifecycle the extraction path drives. The in-memory *Store implements
-// it with no-op durability; disk.Store implements it over the WAL.
+// it with nothing to make durable; disk.Store implements it over the WAL.
 type Backend interface {
 	Queryable
 	// Insert adds one triple, reporting whether it was new. Writable
@@ -90,7 +94,9 @@ type Backend interface {
 	// Like Insert it may buffer; Flush commits the whole pending
 	// insert+delete batch atomically on persistent tiers.
 	Delete(t rdf.Triple) (bool, error)
-	// Len returns the number of triples, including buffered inserts.
+	// Len returns the number of triples: the disk tier counts writes
+	// staged since the last Flush, the memory tier answers from committed
+	// state like every other read.
 	Len() int
 	// Flush commits and (for persistent tiers) makes durable every
 	// buffered insert.
@@ -98,9 +104,10 @@ type Backend interface {
 	// WriteLock returns the tier's request lock. Insert, Delete and
 	// Flush do not take it; a caller whose request is several of them
 	// holds it from its first write to its Flush, so that concurrent
-	// requests never interleave in one pending batch. A tier whose
-	// Match and Cardinality commit buffered writes first takes it there,
-	// so a holder reads through Snapshot instead.
+	// requests never interleave in one pending batch, and readers never
+	// see part of it. Match and Cardinality answer from committed state
+	// like Snapshot; the disk tier's take this lock to commit staged
+	// writes first, so a holder reads through Snapshot instead.
 	WriteLock() sync.Locker
 	// Close flushes and releases the tier's resources.
 	Close() error
@@ -114,9 +121,6 @@ func (s *Store) Insert(t rdf.Triple) (bool, error) { return s.Add(t), nil }
 
 // Delete implements Backend for the in-memory tier.
 func (s *Store) Delete(t rdf.Triple) (bool, error) { return s.Remove(t), nil }
-
-// Flush implements Backend; the in-memory tier has nothing to persist.
-func (s *Store) Flush() error { return nil }
 
 // WriteLock implements Backend.
 func (s *Store) WriteLock() sync.Locker { return &s.reqMu }

@@ -1,9 +1,9 @@
 package store
 
 // This file is the ID-level read API: triple matching, cardinality and
-// posting-list access over interned IDs, plus the lock-once Reader
-// snapshot the SPARQL execution engine runs its join loops on. None of it
-// materializes rdf.Term values.
+// posting-list access over interned IDs, on the generation value the
+// SPARQL execution engine runs its join loops on. None of it materializes
+// rdf.Term values.
 
 import (
 	"repro/internal/rdf"
@@ -15,63 +15,54 @@ type IDPattern struct {
 	S, P, O ID
 }
 
-// Reader is a read-only view of a store, resolved once so hot loops pay no
-// per-call lock or map indirection. It shares the store's internals: it is
-// valid for as long as the store is not written to, matching the store's
-// own contract that writes must not race with reads. Loaders in this
-// repository build stores fully before sharing them.
+// Reader is one generation of a store: the terms, the three permutation
+// indexes and the triple count as one Flush published them. It never
+// changes, so any number of goroutines may read it for as long as they
+// like while the store is written to; holding one keeps alive only the
+// memory later generations no longer share with it.
 type Reader struct {
-	terms     []rdf.Term
-	dict      map[rdf.Term]ID
-	spo       index
-	pos       index
-	osp       index
-	nTrips    int
-	predCount map[ID]int
+	terms []rdf.Term // terms[id-1] is the term for id
+	spo   index
+	pos   index
+	osp   index
+	n     int
+	st    *Store // for the dictionary
 }
 
-// Reader returns a snapshot view of the store.
-func (s *Store) Reader() *Reader {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	r := s.reader()
-	return &r
-}
-
-// reader builds the view without locking; callers hold s.mu.
-func (s *Store) reader() Reader {
-	return Reader{
-		terms: s.terms, dict: s.dict,
-		spo: s.spo, pos: s.pos, osp: s.osp,
-		nTrips: s.nTrips, predCount: s.predCount,
-	}
-}
-
-// Term returns the term for id without locking. It panics on NoID or an ID
-// the store never issued, which always indicates a programming error.
+// Term returns the term for id. It panics on NoID or an ID above MaxID,
+// which always indicates a programming error.
 func (r *Reader) Term(id ID) rdf.Term { return r.terms[id-1] }
 
-// Lookup returns the ID of t, or NoID.
-func (r *Reader) Lookup(t rdf.Term) ID { return r.dict[t] }
+// Lookup returns the ID of t, or NoID. A term interned after this
+// generation was published has an ID above MaxID and is unknown to it.
+func (r *Reader) Lookup(t rdf.Term) ID {
+	r.st.dictMu.RLock()
+	id := r.st.dict[t]
+	r.st.dictMu.RUnlock()
+	if id > r.MaxID() {
+		return NoID
+	}
+	return id
+}
 
-// MaxID returns the highest ID the dictionary has issued; valid IDs are
+// MaxID returns the highest ID the dictionary had issued; valid IDs are
 // 1..MaxID.
 func (r *Reader) MaxID() ID { return ID(len(r.terms)) }
 
 // Len returns the number of triples.
-func (r *Reader) Len() int { return r.nTrips }
+func (r *Reader) Len() int { return r.n }
 
 // DistinctSubjects returns the number of distinct subjects.
-func (r *Reader) DistinctSubjects() int { return len(r.spo.m) }
+func (r *Reader) DistinctSubjects() int { return r.spo.n }
 
 // DistinctPredicates returns the number of distinct predicates.
-func (r *Reader) DistinctPredicates() int { return len(r.pos.m) }
+func (r *Reader) DistinctPredicates() int { return r.pos.n }
 
 // DistinctObjects returns the number of distinct objects.
-func (r *Reader) DistinctObjects() int { return len(r.osp.m) }
+func (r *Reader) DistinctObjects() int { return r.osp.n }
 
 // PredCount returns the number of triples with predicate p.
-func (r *Reader) PredCount(p ID) int { return r.predCount[p] }
+func (r *Reader) PredCount(p ID) int { return r.pos.get(p).size() }
 
 // Objects returns the sorted object IDs under (s, p). The slice is shared
 // with the index and must not be modified.
@@ -99,7 +90,7 @@ func (r *Reader) MatchIDs(pat IDPattern, fn func(s, p, o ID) bool) bool {
 	si, pi, oi := pat.S, pat.P, pat.O
 	switch {
 	case si != NoID && pi != NoID && oi != NoID:
-		if containsSorted(r.spo.lists(si, pi), oi) {
+		if r.HasID(si, pi, oi) {
 			return fn(si, pi, oi)
 		}
 		return true
@@ -125,30 +116,34 @@ func (r *Reader) MatchIDs(pat IDPattern, fn func(s, p, o ID) bool) bool {
 		}
 		return true
 	case si != NoID:
-		return r.spo.m[si].iterate(func(p, o ID) bool { return fn(si, p, o) })
+		return r.spo.get(si).eachLeaf(func(leaf *postings) bool {
+			return leaf.walk(func(p, o ID) bool { return fn(si, p, o) })
+		})
 	case pi != NoID:
-		return r.pos.m[pi].iterate(func(o, sub ID) bool { return fn(sub, pi, o) })
+		return r.pos.get(pi).eachLeaf(func(leaf *postings) bool {
+			return leaf.walk(func(o, sub ID) bool { return fn(sub, pi, o) })
+		})
 	case oi != NoID:
-		return r.osp.m[oi].iterate(func(sub, p ID) bool { return fn(sub, p, oi) })
+		return r.osp.get(oi).eachLeaf(func(leaf *postings) bool {
+			return leaf.walk(func(sub, p ID) bool { return fn(sub, p, oi) })
+		})
 	default:
-		for _, sub := range r.spo.keys {
-			if !r.spo.m[sub].iterate(func(p, o ID) bool { return fn(sub, p, o) }) {
-				return false
-			}
-		}
-		return true
+		return r.spo.each(func(sub ID, ps *postings) bool {
+			return ps.eachLeaf(func(leaf *postings) bool {
+				return leaf.walk(func(p, o ID) bool { return fn(sub, p, o) })
+			})
+		})
 	}
 }
 
 // CardinalityIDs returns how many triples match the pattern. It is exact
-// for every shape and never scans a posting list: all shapes are answered
-// from index sizes except the two single-wildcard-pair shapes, which sum
-// list lengths.
+// for every shape and never scans a posting list: every shape is answered
+// from a list length or a pair count.
 func (r *Reader) CardinalityIDs(pat IDPattern) int {
 	si, pi, oi := pat.S, pat.P, pat.O
 	switch {
 	case si != NoID && pi != NoID && oi != NoID:
-		if containsSorted(r.spo.lists(si, pi), oi) {
+		if r.HasID(si, pi, oi) {
 			return 1
 		}
 		return 0
@@ -159,29 +154,21 @@ func (r *Reader) CardinalityIDs(pat IDPattern) int {
 	case si != NoID && oi != NoID:
 		return len(r.osp.lists(oi, si))
 	case si != NoID:
-		return r.spo.m[si].size()
+		return r.spo.get(si).size()
 	case pi != NoID:
-		return r.predCount[pi]
+		return r.pos.get(pi).size()
 	case oi != NoID:
-		return r.osp.m[oi].size()
+		return r.osp.get(oi).size()
 	default:
-		return r.nTrips
+		return r.n
 	}
 }
 
-// MatchIDs streams matching triples as IDs under the store's read lock.
-// For repeated calls on a loaded store, prefer taking a Reader once.
+// MatchIDs streams matching triples as IDs from the last published
+// generation. For repeated calls, prefer taking a Reader once.
 func (s *Store) MatchIDs(pat IDPattern, fn func(sub, pred, obj ID) bool) bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	r := s.reader()
-	return r.MatchIDs(pat, fn)
+	return s.Reader().MatchIDs(pat, fn)
 }
 
 // CardinalityIDs returns the exact match count of the ID pattern.
-func (s *Store) CardinalityIDs(pat IDPattern) int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	r := s.reader()
-	return r.CardinalityIDs(pat)
-}
+func (s *Store) CardinalityIDs(pat IDPattern) int { return s.Reader().CardinalityIDs(pat) }

@@ -152,7 +152,7 @@ func TestRandomizedInsertDeleteEquivalence(t *testing.T) {
 				}
 			}
 
-			checkIndexInvariants(t, mutated)
+			checkGeneration(t, mutated.Reader())
 		})
 	}
 }
@@ -183,52 +183,95 @@ func equalTriples(a, b []rdf.Triple) bool {
 	return true
 }
 
-// checkIndexInvariants asserts the structural invariants deletion must
-// preserve: sorted, duplicate-free key slices that exactly mirror the
-// maps at both index levels, no empty posting lists, and the three
-// permutations all the same size.
-func checkIndexInvariants(t *testing.T, s *Store) {
+// checkGeneration asserts what every published generation must satisfy:
+// at every level keys are strictly sorted, no empty list, leaf, postings
+// or chunk is retained, leaves respect leafMax, pair counts equal the
+// list lengths below them, the distinct counts equal the occupied slots,
+// and the three permutations all hold exactly Len triples.
+func checkGeneration(t *testing.T, r *Reader) {
 	t.Helper()
-	total := -1
-	for name, ix := range map[string]*index{"spo": &s.spo, "pos": &s.pos, "osp": &s.osp} {
-		if len(ix.keys) != len(ix.m) {
-			t.Fatalf("%s: %d keys vs %d map entries", name, len(ix.keys), len(ix.m))
+	for name, ix := range map[string]*index{"spo": &r.spo, "pos": &r.pos, "osp": &r.osp} {
+		total, keys := 0, 0
+		for ci, c := range ix.chunks {
+			if c == nil {
+				continue
+			}
+			slots := 0
+			for j, p := range &c.p {
+				if p == nil {
+					continue
+				}
+				slots++
+				a := ID(ci*chunkSize + j + 1)
+				if a > r.MaxID() {
+					t.Fatalf("%s[%d]: key above MaxID %d", name, a, r.MaxID())
+				}
+				total += checkPostings(t, fmt.Sprintf("%s[%d]", name, a), p)
+			}
+			if slots == 0 {
+				t.Fatalf("%s: empty chunk %d retained", name, ci)
+			}
+			if slots != c.n {
+				t.Fatalf("%s: chunk %d counts %d slots, has %d", name, ci, c.n, slots)
+			}
+			keys += slots
+		}
+		if keys != ix.n {
+			t.Fatalf("%s: distinct count %d, %d occupied slots", name, ix.n, keys)
+		}
+		if total != r.n {
+			t.Fatalf("%s: %d entries, generation has %d triples", name, total, r.n)
+		}
+	}
+}
+
+// checkPostings checks one second-level node and returns its pair count.
+func checkPostings(t *testing.T, at string, p *postings) int {
+	t.Helper()
+	leaves := []*postings{p}
+	if p.kids != nil {
+		if p.ents != nil {
+			t.Fatalf("%s: a directory with entries of its own", at)
+		}
+		leaves = p.kids
+	}
+	if len(leaves) == 0 {
+		t.Fatalf("%s: empty postings retained", at)
+	}
+	sum, prev := 0, NoID
+	for _, leaf := range leaves {
+		if leaf.kids != nil {
+			t.Fatalf("%s: a directory below a directory", at)
+		}
+		if len(leaf.ents) == 0 {
+			t.Fatalf("%s: empty leaf retained", at)
+		}
+		if len(leaf.ents) > leafMax {
+			t.Fatalf("%s: leaf of %d entries, leafMax is %d", at, len(leaf.ents), leafMax)
 		}
 		n := 0
-		for i, a := range ix.keys {
-			if i > 0 && ix.keys[i-1] >= a {
-				t.Fatalf("%s: first-level keys not strictly sorted", name)
+		for _, e := range leaf.ents {
+			if e.key <= prev {
+				t.Fatalf("%s: second-level keys not strictly sorted at %d", at, e.key)
 			}
-			p := ix.m[a]
-			if p == nil || len(p.m) == 0 {
-				t.Fatalf("%s[%d]: empty postings retained", name, a)
+			prev = e.key
+			if len(e.list) == 0 {
+				t.Fatalf("%s[%d]: empty third-key list retained", at, e.key)
 			}
-			if len(p.keys) != len(p.m) {
-				t.Fatalf("%s[%d]: %d keys vs %d map entries", name, a, len(p.keys), len(p.m))
-			}
-			for j, b := range p.keys {
-				if j > 0 && p.keys[j-1] >= b {
-					t.Fatalf("%s[%d]: second-level keys not strictly sorted", name, a)
+			for k := 1; k < len(e.list); k++ {
+				if e.list[k-1] >= e.list[k] {
+					t.Fatalf("%s[%d]: third-key list not strictly sorted", at, e.key)
 				}
-				list := p.m[b]
-				if len(list) == 0 {
-					t.Fatalf("%s[%d][%d]: empty third-key list retained", name, a, b)
-				}
-				for k := 1; k < len(list); k++ {
-					if list[k-1] >= list[k] {
-						t.Fatalf("%s[%d][%d]: third-key list not strictly sorted", name, a, b)
-					}
-				}
-				n += len(list)
 			}
+			n += len(e.list)
 		}
-		if total == -1 {
-			total = n
-		} else if n != total {
-			t.Fatalf("%s: %d entries, other permutation has %d", name, n, total)
+		if n != leaf.pairs {
+			t.Fatalf("%s: leaf counts %d pairs, holds %d", at, leaf.pairs, n)
 		}
+		sum += n
 	}
-	if total != s.nTrips {
-		t.Fatalf("index entries %d != nTrips %d", total, s.nTrips)
+	if sum != p.pairs {
+		t.Fatalf("%s: postings count %d pairs, hold %d", at, p.pairs, sum)
 	}
+	return sum
 }

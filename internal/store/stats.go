@@ -14,17 +14,19 @@ type ClassStat struct {
 
 // Classes returns the instantiated classes (objects of rdf:type) with
 // their instance counts, sorted by descending count then IRI. This mirrors
-// the first queries of H-BOLD's Index Extraction.
+// the first queries of H-BOLD's Index Extraction. The counts are read off
+// one generation's pos[rdf:type]: one entry per class, as long as its list
+// of instances.
 func (s *Store) Classes() []ClassStat {
-	typeT := rdf.NewIRI(rdf.RDFType)
-	counts := make(map[rdf.Term]int)
-	s.Match(Pattern{P: typeT}, func(t rdf.Triple) bool {
-		counts[t.O]++
-		return true
-	})
-	out := make([]ClassStat, 0, len(counts))
-	for c, n := range counts {
-		out = append(out, ClassStat{Class: c, Instances: n})
+	r := s.Reader()
+	var out []ClassStat
+	if typeID := r.Lookup(rdf.NewIRI(rdf.RDFType)); typeID != NoID {
+		r.pos.get(typeID).eachLeaf(func(leaf *postings) bool {
+			for _, e := range leaf.ents {
+				out = append(out, ClassStat{Class: r.Term(e.key), Instances: len(e.list)})
+			}
+			return true
+		})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Instances != out[j].Instances {
@@ -49,8 +51,4 @@ func (s *Store) CountInstances(class rdf.Term) int {
 
 // DistinctSubjects returns the number of distinct subjects, a proxy for
 // the "number of entities" index of H-BOLD.
-func (s *Store) DistinctSubjects() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.spo.m)
-}
+func (s *Store) DistinctSubjects() int { return s.Reader().DistinctSubjects() }

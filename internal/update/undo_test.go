@@ -49,8 +49,8 @@ func allTriples(t *testing.T, be store.Backend) []string {
 }
 
 // TestFailedRequestIsUndone: a request that fails after some of its
-// operations landed — the memory tier writes in place, and the WHERE of
-// the second operation commits the disk tier's staging — leaves the
+// operations landed — they are staged, and the WHERE of the second
+// operation commits the staging, on either tier — leaves the
 // store exactly as an untouched twin: same triples, same Len, and the
 // next request nets the same delta. On the parent the first operation's
 // insert survived the error (memory) or was committed by the next

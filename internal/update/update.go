@@ -8,11 +8,13 @@
 // through the same compiled-plan path as a SELECT query — and both
 // templates are instantiated against that single solution sequence, with
 // all deletes applied before any inserts. The whole request stays in the
-// tier's pending batch until one final Flush, so on the disk tier an
-// update commits as a single crash-safe WAL record (requests larger than
-// the tier's batch bound commit in ordered chunks). Queries see committed
-// state only, so a WHERE that follows staged writes commits them first:
-// such a request is one record per WHERE-separated run of operations.
+// tier's staging (the disk tier's pending batch, the memory tier's
+// working generation) until one final Flush, so readers see it whole or
+// not at all, and on the disk tier it commits as a single crash-safe WAL
+// record (requests larger than the tier's batch bound commit in ordered
+// chunks). Queries see committed state only, so a WHERE that follows
+// staged writes commits them first: such a request is one visible step,
+// and one record, per WHERE-separated run of operations.
 // Apply holds the backend's WriteLock from the first staged write to the
 // last Flush, so concurrent requests commit one after the other, each
 // whole — and a request that fails part-way is undone under the same
@@ -54,11 +56,13 @@ type applier struct {
 // the net delta. A request applies whole or not at all: Apply holds
 // the backend's WriteLock throughout, so requests against one backend
 // run one after the other, and when an operation, the context or a
-// Flush fails part-way — after earlier operations already landed (the
-// memory tier writes in place, and a WHERE commits the disk tier's
-// staging) — the net delta applied so far is undone before the error is
-// returned, so the triples never disagree with the index and summary
-// the caller derives from successful deltas only.
+// Flush fails part-way — after earlier operations already landed (they
+// sit in the tier's staging: the disk tier's pending batch, the memory
+// tier's working generation; and a WHERE has committed whatever was
+// staged before it, on either tier) — the net delta applied so far is
+// undone before the error is returned, so the triples never disagree
+// with the index and summary the caller derives from successful deltas
+// only.
 func Apply(ctx context.Context, be store.Backend, u *sparql.Update) (*Delta, error) {
 	lock := be.WriteLock()
 	lock.Lock()
