@@ -313,25 +313,6 @@ func newTool(dataDir string) *core.HBOLD {
 	return tool
 }
 
-// indexedOnDisk reports whether url can be served from persistent state
-// alone: its registry entry was restored as indexed, its summary loads
-// from the document store, and its mirrored corpus is populated — in
-// which case serve skips the startup extraction entirely.
-func indexedOnDisk(tool *core.HBOLD, url string) bool {
-	if tool.CorpusDir == "" {
-		return false
-	}
-	e, ok := tool.Registry.Get(url)
-	if !ok || !e.Indexed {
-		return false
-	}
-	if _, err := tool.Summary(url); err != nil {
-		return false
-	}
-	ds, err := tool.Corpus(url)
-	return err == nil && ds.Len() > 0
-}
-
 // pipeline runs extract → summary → cluster over a local store.
 func pipeline(name string, st *store.Store) (*schema.Summary, *cluster.Schema) {
 	tool := core.New(docstore.MustOpenMem(), clock.NewSim(clock.Epoch))
@@ -357,13 +338,19 @@ func cmdServe(args []string) {
 
 	tool := newTool(*dataDir)
 	tool.Cache = snapcache.New(*cacheMB << 20)
-	surl := "http://scholarly.example.org/sparql"
-	tool.Registry.Add(registry.Entry{URL: surl, Title: "Scholarly LD"})
-	tool.Connect(surl, endpoint.LocalClient{Store: synth.Scholarly(1)})
+	// a dataset a previous life left on disk is served from there: no
+	// store is built for it and nothing is connected or extracted
 	reused := 0
-	if indexedOnDisk(tool, surl) {
-		reused++
-	} else if err := tool.Process(surl); err != nil {
+	index := func(url, title string, build func() *store.Store) error {
+		tool.Registry.Add(registry.Entry{URL: url, Title: title})
+		if tool.ServedFromDisk(url) {
+			reused++
+			return nil
+		}
+		tool.Connect(url, endpoint.LocalClient{Store: build()})
+		return tool.Process(url)
+	}
+	if err := index("http://scholarly.example.org/sparql", "Scholarly LD", func() *store.Store { return synth.Scholarly(1) }); err != nil {
 		log.Fatalf("hbold: %v", err)
 	}
 	count := 0
@@ -374,14 +361,7 @@ func cmdServe(args []string) {
 		if !d.Indexable || d.Dead || d.OutageProb > 0 {
 			continue
 		}
-		tool.Registry.Add(registry.Entry{URL: d.URL, Title: d.Title})
-		tool.Connect(d.URL, endpoint.LocalClient{Store: synth.BuildStore(d)})
-		if indexedOnDisk(tool, d.URL) {
-			reused++
-			count++
-			continue
-		}
-		if err := tool.Process(d.URL); err != nil {
+		if err := index(d.URL, d.Title, func() *store.Store { return synth.BuildStore(d) }); err != nil {
 			log.Printf("hbold: skip %s: %v", d.URL, err)
 			continue
 		}
@@ -393,14 +373,56 @@ func cmdServe(args []string) {
 		}
 		log.Printf("hbold: persistent data in %s (%d datasets served from disk without re-extraction)", *dataDir, reused)
 	}
-	srv := server.New(tool)
-	srv.ReadOnly = *readonly
-	if *slowQuery > 0 {
-		srv.Log = newLogger()
-		srv.SlowQuery = *slowQuery
-	}
+	srv, stop := listen(*addr, tool, *readonly, *slowQuery)
 	log.Printf("hbold: serving %d datasets on %s", len(tool.Datasets()), *addr)
-	log.Fatal(http.ListenAndServe(*addr, srv))
+	log.Printf("hbold: %s — shutting down", <-stop)
+	shutdown(srv, tool, *dataDir)
+}
+
+// listen serves the presentation layer over tool on addr in the
+// background, and returns the server beside the channel a SIGINT or
+// SIGTERM arrives on.
+func listen(addr string, tool *core.HBOLD, readonly bool, slowQuery time.Duration) (*http.Server, <-chan os.Signal) {
+	handler := server.New(tool)
+	handler.ReadOnly = readonly
+	if slowQuery > 0 {
+		handler.Log = newLogger()
+		handler.SlowQuery = slowQuery
+	}
+	srv := &http.Server{Addr: addr, Handler: handler}
+	go func() {
+		if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
+			log.Fatalf("hbold: %v", err)
+		}
+	}()
+	stop := make(chan os.Signal, 1)
+	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
+	return srv, stop
+}
+
+// shutdown stops HTTP ingress first, so /api/refresh cannot keep
+// re-enqueuing jobs while the pool drains (each phase gets its own
+// budget), then closes the replicas and — with a data directory —
+// persists the registry and the document store: the derived state of
+// every update since start-up reaches disk here, beside triples that were
+// durable when the update was acknowledged.
+func shutdown(srv *http.Server, tool *core.HBOLD, dataDir string) {
+	httpCtx, cancelHTTP := context.WithTimeout(context.Background(), 5*time.Second)
+	if err := srv.Shutdown(httpCtx); err != nil {
+		log.Printf("hbold: http shutdown: %v", err)
+	}
+	cancelHTTP()
+	drainCtx, cancelDrain := context.WithTimeout(context.Background(), 30*time.Second)
+	if err := tool.Scheduler().Drain(drainCtx); err != nil {
+		log.Printf("hbold: drain incomplete: %v", err)
+	}
+	cancelDrain()
+	tool.Close()
+	if dataDir != "" {
+		if err := tool.SaveState(); err != nil {
+			log.Printf("hbold: save state: %v", err)
+		}
+	}
 }
 
 // cmdDaemon runs the server layer the way the deployed tool does:
@@ -449,18 +471,7 @@ func cmdDaemon(args []string) {
 		count++
 	}
 
-	handler := server.New(tool)
-	handler.ReadOnly = *readonly
-	if *slowQuery > 0 {
-		handler.Log = newLogger()
-		handler.SlowQuery = *slowQuery
-	}
-	srv := &http.Server{Addr: *addr, Handler: handler}
-	go func() {
-		if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-			log.Fatalf("hbold: %v", err)
-		}
-	}()
+	srv, stop := listen(*addr, tool, *readonly, *slowQuery)
 	policy := tool.Registry.Policy()
 	if *dataDir != "" {
 		// restored entries keep their schedule state: a dataset extracted
@@ -472,8 +483,6 @@ func cmdDaemon(args []string) {
 		*addr, count, *workers, *poll, policy.RefreshInterval, policy.RetryInterval)
 	log.Printf("hbold: watch the queue on /api/jobs and /metrics")
 
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
 	ticker := time.NewTicker(*poll)
 	defer ticker.Stop()
 	if enq := tool.SubmitDue(); enq > 0 {
@@ -487,25 +496,7 @@ func cmdDaemon(args []string) {
 			}
 		case sig := <-stop:
 			log.Printf("hbold: %s — shutting down", sig)
-			// stop HTTP ingress first so /api/refresh cannot keep
-			// re-enqueuing jobs while the pool drains; each phase gets
-			// its own budget
-			httpCtx, cancelHTTP := context.WithTimeout(context.Background(), 5*time.Second)
-			if err := srv.Shutdown(httpCtx); err != nil {
-				log.Printf("hbold: http shutdown: %v", err)
-			}
-			cancelHTTP()
-			drainCtx, cancelDrain := context.WithTimeout(context.Background(), 30*time.Second)
-			if err := tool.Scheduler().Drain(drainCtx); err != nil {
-				log.Printf("hbold: drain incomplete: %v", err)
-			}
-			cancelDrain()
-			if *dataDir != "" {
-				if err := tool.SaveState(); err != nil {
-					log.Printf("hbold: save state: %v", err)
-				}
-			}
-			tool.Close()
+			shutdown(srv, tool, *dataDir)
 			m := tool.Scheduler().Metrics()
 			log.Printf("hbold: done — %d succeeded, %d failed, %d retries", m.Succeeded, m.Failed, m.Retries)
 			return

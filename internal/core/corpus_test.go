@@ -1,13 +1,16 @@
 package core
 
 import (
+	"context"
+	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
 
 	"repro/internal/clock"
+	"repro/internal/docstore"
 	"repro/internal/endpoint"
-	"repro/internal/sparql"
 	"repro/internal/store"
 	"repro/internal/synth"
 )
@@ -19,13 +22,22 @@ var corpusQueries = []string{
 	`SELECT (COUNT(*) AS ?n) WHERE { ?s ?p ?o }`,
 }
 
-func queryTSV(t *testing.T, st store.Queryable, query string) string {
+// openLife opens one life of a corpus-mode instance over dir: the document
+// store under docs/, the replicas under corpus/. The caller closes it.
+func openLife(t *testing.T, dir string) *HBOLD {
 	t.Helper()
-	q, err := sparql.Parse(query)
+	db, err := docstore.Open(filepath.Join(dir, "docs"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := q.Exec(st)
+	h := New(db, clock.NewSim(clock.Epoch))
+	h.CorpusDir = filepath.Join(dir, "corpus")
+	return h
+}
+
+func queryTSV(t *testing.T, c endpoint.Client, query string) string {
+	t.Helper()
+	res, err := c.Query(context.Background(), query)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,46 +52,50 @@ func queryTSV(t *testing.T, st store.Queryable, query string) string {
 		}
 		lines = append(lines, sb.String())
 	}
-	if len(q.OrderBy) == 0 {
+	if !strings.Contains(query, "ORDER BY") {
 		sort.Strings(lines)
 	}
 	return strings.Join(lines, "\n")
 }
 
 // TestCorpusMirrorAndRestart is the end-to-end instant-restart check:
-// Process mirrors the endpoint's statements into the persistent corpus,
-// and a fresh instance over the same directory answers the same queries
-// from disk — with no client connected, so provably without
-// re-extraction.
+// Process mirrors the endpoint's statements into the replica, which then
+// answers the dataset's queries, and a fresh instance over the same
+// directories answers the same queries through the same path — with no
+// client connected, so provably from disk and without re-extraction.
 func TestCorpusMirrorAndRestart(t *testing.T) {
 	dir := t.TempDir()
 	url := "http://scholarly.example.org/sparql"
 	src := synth.Scholarly(1)
-
+	// answers reads the dataset the way /api/query does
+	answers := func(tool *HBOLD) map[string]string {
+		c, err := tool.EndpointClient(url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if lc, ok := c.(endpoint.LocalClient); !ok || lc.Store == store.Queryable(src) {
+			t.Fatalf("the dataset's queries are answered by %#v, want its replica", c)
+		}
+		out := make(map[string]string)
+		for _, q := range corpusQueries {
+			out[q] = queryTSV(t, c, q)
+		}
+		return out
+	}
 	want := make(map[string]string)
 	for _, q := range corpusQueries {
-		want[q] = queryTSV(t, src, q)
+		want[q] = queryTSV(t, endpoint.LocalClient{Store: src}, q)
 	}
 
 	// first life: extract, mirror, shut down cleanly
 	{
-		tool := New(nil, clock.NewSim(clock.Epoch))
-		tool.CorpusDir = dir
+		tool := openLife(t, dir)
 		tool.Connect(url, endpoint.LocalClient{Store: src})
 		if err := tool.Process(url); err != nil {
 			t.Fatal(err)
 		}
-		ds, err := tool.Corpus(url)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ds.Len() != src.Len() {
-			t.Fatalf("mirrored corpus has %d triples, endpoint has %d", ds.Len(), src.Len())
-		}
-		for _, q := range corpusQueries {
-			if got := queryTSV(t, ds, q); got != want[q] {
-				t.Fatalf("corpus diverges from endpoint on %q:\n got %q\nwant %q", q, got, want[q])
-			}
+		if got := answers(tool); !reflect.DeepEqual(got, want) {
+			t.Fatalf("replica diverges from endpoint:\n got %q\nwant %q", got, want)
 		}
 		// the persistent tier shows up on /metrics
 		if n := registryValue(t, tool, "hbold_corpus_triples"); int(n) != src.Len() {
@@ -88,24 +104,23 @@ func TestCorpusMirrorAndRestart(t *testing.T) {
 		if registryValue(t, tool, "hbold_kv_wal_appends_total") == 0 {
 			t.Fatal("hbold_kv_wal_appends_total stayed zero through a mirror")
 		}
+		if err := tool.DB.Flush(); err != nil {
+			t.Fatal(err)
+		}
 		tool.Close()
 	}
 
-	// second life: no client, same directory — answers come from disk
-	tool := New(nil, clock.NewSim(clock.Epoch))
-	tool.CorpusDir = dir
+	// second life: no client, same directories — answers come from disk
+	tool := openLife(t, dir)
 	defer tool.Close()
-	ds, err := tool.Corpus(url)
-	if err != nil {
-		t.Fatal(err)
+	if n := registryValue(t, tool, "hbold_corpus_open"); n != 0 {
+		t.Fatalf("hbold_corpus_open = %v before anything asked for the dataset", n)
 	}
-	if ds.Len() != src.Len() {
-		t.Fatalf("reopened corpus has %d triples, want %d", ds.Len(), src.Len())
+	if got := answers(tool); !reflect.DeepEqual(got, want) {
+		t.Fatalf("reopened replica diverges:\n got %q\nwant %q", got, want)
 	}
-	for _, q := range corpusQueries {
-		if got := queryTSV(t, ds, q); got != want[q] {
-			t.Fatalf("reopened corpus diverges on %q:\n got %q\nwant %q", q, got, want[q])
-		}
+	if n := registryValue(t, tool, "hbold_corpus_triples"); int(n) != src.Len() {
+		t.Fatalf("hbold_corpus_triples = %v after a restart, want %d", n, src.Len())
 	}
 	// the read path's caches and its failures are on /metrics too
 	for _, fam := range []string{"hbold_kv_block_cache_hits_total", "hbold_kv_block_cache_misses_total", "hbold_kv_block_cache_bytes"} {

@@ -149,3 +149,36 @@ func TestCoreFederationExplicitSubset(t *testing.T) {
 		t.Fatal("federating with no connected endpoints did not error")
 	}
 }
+
+// TestFederationSourceDescribesWhatAnswers: a Remote's name, cost model
+// and availability probe describe the remote, so a source carries them
+// only while the dataset's queries are forwarded to it — before the first
+// refresh has committed an index over the replica, not after.
+func TestFederationSourceDescribesWhatAnswers(t *testing.T) {
+	tool := New(docstore.MustOpenMem(), clock.NewSim(clock.Epoch))
+	tool.CorpusDir = t.TempDir()
+	t.Cleanup(tool.Close)
+	url := "http://remote.example.org/sparql"
+	remote := endpoint.NewRemote("the remote", url, synth.Scholarly(1), nil, nil, tool.Clock)
+	tool.Connect(url, remote)
+	source := func() *endpoint.Source {
+		fed, err := tool.Federation(nil, federation.All)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(fed.Sources()) != 1 {
+			t.Fatalf("federation over %d sources, want 1", len(fed.Sources()))
+		}
+		return fed.Sources()[0]
+	}
+	if s := source(); s.Client != endpoint.Client(remote) || s.Name != remote.Name || s.Up == nil {
+		t.Fatalf("before the first refresh the source is %+v, want the remote itself", s)
+	}
+	if err := tool.Process(url); err != nil {
+		t.Fatal(err)
+	}
+	s := source()
+	if _, local := s.Client.(endpoint.LocalClient); !local || s.Up != nil || s.Name == remote.Name {
+		t.Fatalf("with the replica answering the source is %+v, want nothing of the remote's", s)
+	}
+}

@@ -9,6 +9,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -28,7 +29,6 @@ import (
 	"repro/internal/sched"
 	"repro/internal/schema"
 	"repro/internal/snapcache"
-	"repro/internal/store/disk"
 	"repro/internal/update"
 )
 
@@ -58,8 +58,6 @@ type HBOLD struct {
 	Clock     clock.Clock
 	// Seed drives community detection determinism.
 	Seed int64
-	// Algorithm selects the community detection method (default Louvain).
-	Algorithm cluster.Algorithm
 	// SchedulerConfig parameterizes the shared extraction scheduler; it
 	// is consulted once, on the first Scheduler() call, so set it before
 	// any scheduling method runs. The zero value gets sched defaults
@@ -92,19 +90,14 @@ type HBOLD struct {
 	// retry amplification during a shared outage. New installs a
 	// default-size budget; nil disables budgeting.
 	RetryBudget *resilience.Budget
-	// CorpusDir, when non-empty, turns on the persistent corpus tier:
-	// every successful extraction also mirrors the endpoint's statement
-	// set into a disk-backed store under this directory (one data dir
-	// per endpoint), and a restarted instance serves SPARQL over the
-	// reopened stores without re-extraction. Set it before the first
+	// CorpusDir, when non-empty, makes every dataset's local tier
+	// persistent: a refresh mirrors the endpoint's statement set into a
+	// disk-backed replica under this directory (one data dir per
+	// endpoint) and indexes the replica, which from then on answers the
+	// dataset's queries and takes its updates — in a restarted instance
+	// too, with nothing connected (see tier). Set it before the first
 	// Process call; empty keeps the pipeline memory-only.
 	CorpusDir string
-
-	mu      sync.RWMutex
-	clients map[string]endpoint.Client
-
-	corpusMu sync.Mutex
-	corpora  map[string]*disk.Store
 
 	// datasets maps an endpoint URL to its *dataset record.
 	datasets sync.Map
@@ -136,8 +129,6 @@ func New(db *docstore.DB, ck clock.Clock) *HBOLD {
 		Metrics:     metrics,
 		Breakers:    resilience.NewBreakerSet(resilience.BreakerConfig{Clock: ck}, metrics),
 		RetryBudget: resilience.NewBudget(0, 0),
-		clients:     make(map[string]endpoint.Client),
-		corpora:     make(map[string]*disk.Store),
 		feed:        update.NewFeed(),
 	}
 	// read through h so a later Cache replacement is picked up by the
@@ -164,19 +155,7 @@ func (h *HBOLD) Connect(url string, c endpoint.Client) {
 			hc.Budget = h.RetryBudget
 		}
 	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.clients[url] = c
-}
-
-func (h *HBOLD) client(url string) (endpoint.Client, error) {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	c, ok := h.clients[url]
-	if !ok {
-		return nil, fmt.Errorf("core: no client connected for %s", url)
-	}
-	return c, nil
+	h.dataset(url).upstream.Store(&c)
 }
 
 // Process runs the full server-layer pipeline for one endpoint: index
@@ -230,33 +209,44 @@ func (h *HBOLD) process(ctx context.Context, url string, recordFail bool) error 
 
 // refresh is the part of the pipeline that changes what readers see, one
 // critical section: an update of this dataset lands wholly before the
-// extraction reads the corpus or wholly after the refresh is published —
+// refresh reads the corpus or wholly after the refresh is published —
 // never between, where the refresh would publish an index predating it.
+// With a corpus directory the upstream only feeds the mirror — page at a
+// time, each page one durable batch — and the index is extracted from the
+// replica; a restored dataset, with nothing connected, re-extracts from
+// its replica alone.
 func (h *HBOLD) refresh(ctx context.Context, url string, now time.Time) (*State, error) {
-	c, err := h.client(url)
-	if err != nil {
-		return nil, err
-	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	ds := h.dataset(url)
+	ds, err := h.known(url)
+	if err != nil {
+		return nil, err
+	}
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
+	up := ds.upstream.Load()
+	mirrored := h.CorpusDir != "" && up != nil
+	if mirrored {
+		// Insert dedups, so re-mirroring only adds what changed
+		r, err := h.openReplica(ds, url)
+		if err == nil {
+			_, err = h.Extractor.MirrorCorpus(ctx, *up, r)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("core: mirroring %s: %w", url, err)
+		}
+	}
+	c, err := h.tier(url, mirrored)
+	if err != nil {
+		return nil, err
+	}
 	ix, err := h.Extractor.Extract(ctx, c, url, now)
 	if err != nil {
 		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
-	}
-	// with a persistent corpus tier configured, mirror the statement set
-	// too — page-at-a-time, each page one durable batch — so a restart
-	// serves this dataset's queries without re-extraction
-	if h.CorpusDir != "" {
-		if err := h.mirrorCorpus(ctx, url, c); err != nil {
-			return nil, err
-		}
 	}
 	st, _, err := h.commit(ds, url, ix)
 	return st, err
@@ -325,7 +315,7 @@ func (h *HBOLD) Close() {
 	if s := h.peekScheduler(); s != nil {
 		s.Stop()
 	}
-	h.closeCorpora()
+	h.closeReplicas()
 }
 
 // peekScheduler returns the scheduler only if one has been started.
@@ -400,15 +390,32 @@ func (h *HBOLD) CrawlPortals(ctx context.Context, portals []*portal.Portal) (*cr
 	return crawler.Crawl(ctx, portals, h.Registry, h.Clock.Now())
 }
 
-// EndpointClient returns the SPARQL client connected for url, for
-// callers that run their own queries against the dataset's endpoint —
+// EndpointClient returns the SPARQL client over url's local tier (see
+// tier), for callers that run their own queries against the dataset —
 // the server's streaming /api/query route and the query builder UI.
 func (h *HBOLD) EndpointClient(url string) (endpoint.Client, error) {
-	return h.client(url)
+	return h.tier(url, false)
 }
 
-// Federation builds a federated client over the connected endpoints: one
-// endpoint.Source per URL (every connected endpoint when urls is empty),
+// served lists, sorted, the URLs that resolve to a tier: every connected
+// one and, with a corpus directory, every one with a committed index.
+func (h *HBOLD) served() []string {
+	var urls []string
+	if h.CorpusDir != "" {
+		urls = h.DB.Collection(CollIndexes).IDs()
+	}
+	h.datasets.Range(func(url, ds any) bool {
+		if ds.(*dataset).upstream.Load() != nil {
+			urls = append(urls, url.(string))
+		}
+		return true
+	})
+	sort.Strings(urls)
+	return slices.Compact(urls)
+}
+
+// Federation builds a federated client over datasets' local tiers: one
+// endpoint.Source per URL (every served dataset when urls is empty),
 // each sharing the URL's process-wide circuit breaker and hedge-delay
 // tracker, with index pruning answered from the datasets' published
 // State — whatever generation is current when a query selects its
@@ -418,24 +425,21 @@ func (h *HBOLD) EndpointClient(url string) (endpoint.Client, error) {
 // one — it is safe for concurrent queries.
 func (h *HBOLD) Federation(urls []string, policy federation.Policy) (*federation.Client, error) {
 	if len(urls) == 0 {
-		h.mu.RLock()
-		for u := range h.clients {
-			urls = append(urls, u)
-		}
-		h.mu.RUnlock()
-		sort.Strings(urls)
+		urls = h.served()
 	}
 	if len(urls) == 0 {
 		return nil, errors.New("core: no endpoints connected to federate over")
 	}
 	sources := make([]*endpoint.Source, 0, len(urls))
 	for _, u := range urls {
-		c, err := h.client(u)
+		c, err := h.tier(u, false)
 		if err != nil {
 			return nil, err
 		}
 		src := endpoint.NewSource(u, u, c)
 		src.Cost = endpoint.DefaultCost
+		// a Remote's name, cost and availability describe the remote: they
+		// apply when queries are forwarded to it, not when a replica answers
 		if r, ok := c.(*endpoint.Remote); ok {
 			src.Name, src.Cost, src.Up = r.Name, r.Cost, r.Up
 		}
@@ -528,7 +532,7 @@ func (h *HBOLD) ClusterSchemaOnTheFly(url string) (*cluster.Schema, error) {
 	if err != nil {
 		return nil, err
 	}
-	return cluster.Build(s, cluster.Options{Algorithm: h.Algorithm, Seed: h.Seed})
+	return cluster.Build(s, cluster.Options{Seed: h.Seed})
 }
 
 // Explore starts a presentation-layer exploration session on a dataset,

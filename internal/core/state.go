@@ -14,9 +14,11 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/docstore"
+	"repro/internal/endpoint"
 	"repro/internal/extraction"
 	"repro/internal/resilience"
 	"repro/internal/schema"
+	"repro/internal/store/disk"
 )
 
 // State is everything derived from one dataset at one generation. It is
@@ -76,18 +78,28 @@ func (st *State) Explore(focusIRI string) (*schema.Exploration, error) {
 	return schema.NewExploration(s, focusIRI)
 }
 
-// dataset is the process-lifetime record of one endpoint URL.
+// dataset is the process-lifetime record of one endpoint URL — the only
+// per-URL state the instance keeps.
 type dataset struct {
 	// mu is the dataset's critical section: an update holds it from
 	// before the triples change until its State is published, a refresh
-	// around extract + mirror + commit. Readers never take it — a refresh
-	// can hold it for a whole extraction.
+	// around mirror + extract + commit. Readers never take it — a refresh
+	// can hold it for a whole extraction — so everything below is
+	// published the way state is: behind an atomic pointer.
 	mu sync.Mutex
 	// load decodes and publishes what a previous life stored, once. commit
 	// passes through it before its first Put, so the decode never sees
 	// half of a commit's documents and never publishes over one.
 	load  sync.Once
 	state atomic.Pointer[State]
+	// upstream is the client Connect associated with the URL: the public
+	// endpoint (or its stand-in) a refresh reads from. Nil for a dataset
+	// restored from disk with nothing connected.
+	upstream atomic.Pointer[endpoint.Client]
+	// replica is the dataset's disk store under CorpusDir once opened;
+	// open serializes the opening.
+	replica atomic.Pointer[disk.Store]
+	open    sync.Mutex
 	// hedge learns the endpoint's first-row latencies across federated
 	// queries, with the lifetime the circuit breaker has.
 	hedge *resilience.HedgeDelay
@@ -102,19 +114,32 @@ func (h *HBOLD) dataset(url string) *dataset {
 	return ds.(*dataset)
 }
 
+// known returns url's record if the instance knows the dataset — a
+// client is connected for it, a corpus was opened for it, or the document
+// store holds its state. A URL that is none of these (it may be arbitrary
+// request input) gets the error every path answers it with, no record,
+// and leaves nothing behind.
+func (h *HBOLD) known(url string) (*dataset, error) {
+	if ds, ok := h.datasets.Load(url); ok {
+		return ds.(*dataset), nil
+	}
+	if !h.stored(url) {
+		return nil, errNoClient(url)
+	}
+	return h.dataset(url), nil
+}
+
+func errNoClient(url string) error { return fmt.Errorf("core: no client connected for %s", url) }
+
 // State returns the dataset's published state: a map lookup and a
 // pointer load, after the first read of a life has decoded what the last
-// one stored. A URL nothing is known or stored about — it may be
-// arbitrary request input — gets an empty State and leaves no record.
+// one stored. An unknown URL gets an empty State.
 func (h *HBOLD) State(url string) *State {
-	v, ok := h.datasets.Load(url)
-	if !ok {
-		if !h.stored(url) {
-			return &State{URL: url}
-		}
-		v = h.dataset(url)
+	ds, err := h.known(url)
+	if err != nil {
+		return &State{URL: url}
 	}
-	return h.loaded(v.(*dataset), url)
+	return h.loaded(ds, url)
 }
 
 // stored reports whether the document store holds anything for url: an
@@ -166,7 +191,7 @@ func (h *HBOLD) commit(ds *dataset, url string, ix *extraction.Index) (*State, *
 	var diff *schema.Diff
 	if ix != nil {
 		s := schema.Build(ix)
-		cs, err := cluster.Build(s, cluster.Options{Algorithm: h.Algorithm, Seed: h.Seed})
+		cs, err := cluster.Build(s, cluster.Options{Seed: h.Seed})
 		if err != nil {
 			return nil, nil, err
 		}

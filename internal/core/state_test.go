@@ -15,13 +15,13 @@ import (
 	"time"
 
 	"repro/internal/clock"
-	"repro/internal/docstore"
 	"repro/internal/endpoint"
 	"repro/internal/extraction"
 	"repro/internal/federation"
 	"repro/internal/rdf"
 	"repro/internal/registry"
 	"repro/internal/sparql"
+	"repro/internal/store"
 )
 
 func mustJSON(t *testing.T, v any) []byte {
@@ -109,43 +109,50 @@ INSERT DATA { ex:w%d_%d a ex:Author ; ex:name "n" ; ex:wrote ex:b1 }`, w, i)
 }
 
 // TestRefreshAndUpdateShareOneCriticalSection (run with -race): with a
-// corpus directory a refresh mirrors pages into the store updates write
-// to. Process and ApplyUpdate of one dataset run side by side; afterwards
-// the published index must equal a fresh extraction over the final
-// corpus — no mirror page interleaved with an update's batch, and no
-// refresh published an index that predates an update.
+// corpus directory a refresh mirrors pages into the replica updates write
+// to and indexes it. Process and ApplyUpdate of one dataset run side by
+// side — with the upstream connected, and in a restarted instance that has
+// only the replica; afterwards the published index must equal a fresh
+// extraction over what the dataset's queries read — no mirror page
+// interleaved with an update's batch, and no refresh published an index
+// that predates an update.
 func TestRefreshAndUpdateShareOneCriticalSection(t *testing.T) {
-	h := New(docstore.MustOpenMem(), clock.NewSim(clock.Epoch))
-	h.CorpusDir = t.TempDir()
-	h.Extractor.PageSize = 16 // several mirror pages per refresh
-	t.Cleanup(h.Close)
-	url := "http://mirrored.example.org/sparql"
-	ds, err := h.Corpus(url)
-	if err != nil {
-		t.Fatal(err)
+	for _, restored := range []bool{false, true} {
+		t.Run(fmt.Sprintf("restored=%v", restored), func(t *testing.T) {
+			refreshRacesUpdates(t, restored)
+		})
 	}
+}
+
+func refreshRacesUpdates(t *testing.T, restored bool) {
+	dir := t.TempDir()
+	open := func() *HBOLD {
+		h := openLife(t, dir)
+		h.Extractor.PageSize = 16 // several mirror pages per refresh
+		return h
+	}
+	url := "http://mirrored.example.org/sparql"
+	upstream := store.New()
 	for i := 0; i < 20; i++ {
 		s := rdf.NewIRI(fmt.Sprintf("http://ex/s%d", i))
-		for _, tr := range []rdf.Triple{
-			rdf.NewTriple(s, rdf.NewIRI(rdf.RDFType), rdf.NewIRI(fmt.Sprintf("http://ex/C%d", i%3))),
-			rdf.NewTriple(s, rdf.NewIRI("http://ex/name"), rdf.NewLiteral(fmt.Sprint("n", i))),
-			rdf.NewTriple(s, rdf.NewIRI("http://ex/next"), rdf.NewIRI(fmt.Sprintf("http://ex/s%d", (i+1)%20))),
-		} {
-			if _, err := ds.Insert(tr); err != nil {
-				t.Fatal(err)
-			}
-		}
+		upstream.Add(rdf.NewTriple(s, rdf.NewIRI(rdf.RDFType), rdf.NewIRI(fmt.Sprintf("http://ex/C%d", i%3))))
+		upstream.Add(rdf.NewTriple(s, rdf.NewIRI("http://ex/name"), rdf.NewLiteral(fmt.Sprint("n", i))))
+		upstream.Add(rdf.NewTriple(s, rdf.NewIRI("http://ex/next"), rdf.NewIRI(fmt.Sprintf("http://ex/s%d", (i+1)%20))))
 	}
-	if err := ds.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	// the restart shape: the dataset's endpoint is its own corpus store
-	client := endpoint.LocalClient{Store: ds}
+	h := open()
 	h.Registry.Add(registry.Entry{URL: url, AddedAt: clock.Epoch})
-	h.Connect(url, client)
+	h.Connect(url, endpoint.LocalClient{Store: upstream})
 	if err := h.Process(url); err != nil {
 		t.Fatal(err)
 	}
+	if restored {
+		if err := h.DB.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		h.Close()
+		h = open() // nothing connected: refreshes re-extract from the replica
+	}
+	t.Cleanup(h.Close)
 
 	ctx := context.Background()
 	const rounds = 150
@@ -182,6 +189,10 @@ INSERT DATA { ex:u%d a ex:C%d ; ex:name "u" ; ex:next ex:s%d }`, i, i%4, i%20)
 	wg.Wait()
 
 	got, err := h.Index(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	client, err := h.EndpointClient(url)
 	if err != nil {
 		t.Fatal(err)
 	}

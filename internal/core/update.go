@@ -1,12 +1,12 @@
 package core
 
 // The live mutation path: ApplyUpdate runs a SPARQL 1.1 Update request
-// against a dataset's writable local tier and then repairs every derived
-// artifact incrementally — a copy of the published extraction index is
-// adjusted by the net triple delta (extraction.ApplyDelta) instead of
-// re-extracted, commit derives and publishes the rest exactly as a
-// refresh does, and a schema.Diff-shaped event is published on the
-// change feed.
+// against a dataset's local tier — the store its queries read (see tier)
+// — and then repairs every derived artifact incrementally: a copy of the
+// published extraction index is adjusted by the net triple delta
+// (extraction.ApplyDelta) instead of re-extracted, commit derives and
+// publishes the rest exactly as a refresh does, and a schema.Diff-shaped
+// event is published on the change feed.
 
 import (
 	"context"
@@ -42,49 +42,37 @@ type UpdateResult struct {
 // update that changed anything, subscribable with replay.
 func (h *HBOLD) Changes() *update.Feed { return h.feed }
 
-// writableBackend resolves the storage tier an update to url mutates:
-// the persistent corpus store when the instance has one (it is the
-// authoritative local replica of the dataset), otherwise the connected
-// client's local store when it is writable. Updates cannot be forwarded
-// to remote endpoints — this is a local mutation subsystem.
-func (h *HBOLD) writableBackend(url string) (store.Backend, error) {
-	if h.CorpusDir != "" {
-		return h.Corpus(url)
-	}
-	c, err := h.client(url)
-	if err != nil {
-		return nil, err
-	}
-	lc, ok := c.(endpoint.LocalClient)
-	if !ok {
-		return nil, fmt.Errorf("core: %s has no writable local tier (remote endpoint, no corpus directory)", url)
-	}
-	be, ok := lc.Store.(store.Backend)
-	if !ok {
-		return nil, fmt.Errorf("core: %s's local store is read-only", url)
-	}
-	return be, nil
-}
-
-// ApplyUpdate parses and applies a SPARQL Update request to url's
-// writable tier, maintains the dataset's derived artifacts
-// incrementally, and publishes the change event. A request that nets to
-// no change (all inserts duplicate, all deletes absent) leaves the
-// generation, caches and feed untouched.
+// ApplyUpdate parses and applies a SPARQL Update request to url's local
+// tier, maintains the dataset's derived artifacts incrementally, and
+// publishes the change event. A dataset with no local tier — a remote
+// endpoint with nothing committed over a replica, or an unknown URL — is
+// refused: updates are never forwarded. A request that nets to no change
+// (all inserts duplicate, all deletes absent) leaves the generation,
+// caches and feed untouched.
 func (h *HBOLD) ApplyUpdate(ctx context.Context, url, text string) (*UpdateResult, error) {
 	u, err := sparql.ParseUpdate(text)
 	if err != nil {
-		return nil, err // syntax errors before any tier is opened or created
+		return nil, err // syntax errors before any tier is opened
 	}
-	be, err := h.writableBackend(url)
+	// the critical section spans triples and derived state: two updates of
+	// one dataset adjust the index in turn, never the same copy of it — and
+	// the tier is resolved inside it, so an update that waited out a first
+	// refresh writes to the replica that refresh made the tier
+	ds, err := h.known(url)
 	if err != nil {
 		return nil, err
 	}
-	// the critical section spans triples and derived state: two updates of
-	// one dataset adjust the index in turn, never the same copy of it
-	ds := h.dataset(url)
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
+	c, err := h.tier(url, false)
+	if err != nil {
+		return nil, err
+	}
+	lc, _ := c.(endpoint.LocalClient)
+	be, ok := lc.Store.(store.Backend)
+	if !ok {
+		return nil, fmt.Errorf("core: %s has no writable local tier (a remote endpoint, or a read-only local store)", url)
+	}
 	d, err := update.Apply(ctx, be, u)
 	if err != nil {
 		return nil, err

@@ -4,11 +4,12 @@ package core
 // tier, repairs every derived artifact incrementally (the maintained
 // index must equal a fresh extraction), bumps the generation so cached
 // snapshots stop validating, records the schema diff, and publishes a
-// change-feed event. Corpus mode writes through to the persistent
-// replica.
+// change-feed event. In corpus mode the tier it mutates is the persistent
+// replica, which is also what the dataset's queries read.
 
 import (
 	"context"
+	"os"
 	"reflect"
 	"testing"
 
@@ -157,48 +158,77 @@ func TestApplyUpdateErrors(t *testing.T) {
 	if _, err := h.ApplyUpdate(ctx, url, "INSERT GARBAGE"); err == nil {
 		t.Fatal("syntax error not reported")
 	}
-	if _, err := h.ApplyUpdate(ctx, "http://unknown/sparql", `INSERT DATA { <http://x/a> a <http://x/C> }`); err == nil {
+	const insert = `INSERT DATA { <http://x/a> a <http://x/C> }`
+	if _, err := h.ApplyUpdate(ctx, "http://unknown/sparql", insert); err == nil {
 		t.Fatal("unknown dataset not reported")
+	}
+	// with a corpus directory too: the URL may be request input, and
+	// refusing it must not have created its data directory on the way
+	h.CorpusDir = t.TempDir()
+	if _, err := h.ApplyUpdate(ctx, "http://unknown/sparql", insert); err == nil {
+		t.Fatal("unknown dataset not reported in corpus mode")
+	}
+	if entries, _ := os.ReadDir(h.CorpusDir); len(entries) != 0 {
+		t.Fatalf("refusing an unknown dataset left %d entries in the corpus directory", len(entries))
 	}
 }
 
-// TestApplyUpdateCorpusMode: with a corpus directory the update writes
-// through to the persistent replica — a fresh instance over the same
-// directory serves the post-update statements with no client connected.
-func TestApplyUpdateCorpusMode(t *testing.T) {
-	dir := t.TempDir()
-	url := "http://evolving.example.org/sparql"
-	src := store.FromGraph(turtle.MustParse(`
-@prefix ex: <http://ex/> .
-ex:a1 a ex:Author ; ex:name "A1" .
-`))
-	{
-		h := New(docstore.MustOpenMem(), clock.NewSim(clock.Epoch))
-		h.CorpusDir = dir
-		h.Registry.Add(registry.Entry{URL: url, AddedAt: clock.Epoch})
-		h.Connect(url, endpoint.LocalClient{Store: src})
-		if err := h.Process(url); err != nil {
-			t.Fatal(err)
-		}
-		res, err := h.ApplyUpdate(context.Background(), url, `
-INSERT DATA { <http://ex/a2> a <http://ex/Author> }`)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Added != 1 {
-			t.Fatalf("delta = %+v", res)
-		}
-		h.Close()
-	}
-	// second life: no client, just the directory
-	h := New(docstore.MustOpenMem(), clock.NewSim(clock.Epoch))
-	h.CorpusDir = dir
-	t.Cleanup(h.Close)
-	ds, err := h.Corpus(url)
+// countAuthors asks the dataset's own query path — the client /api/query
+// streams from — how many authors there are.
+func countAuthors(t *testing.T, h *HBOLD, url string) string {
+	t.Helper()
+	c, err := h.EndpointClient(url)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ds.Len() != 3 {
-		t.Fatalf("recovered corpus len = %d, want 3 (2 seeded + 1 updated)", ds.Len())
+	res, err := c.Query(context.Background(), `SELECT (COUNT(?s) AS ?n) WHERE { ?s a <http://ex/Author> }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Rows[0]["n"].Value
+}
+
+// TestApplyUpdateCorpusMode: with a corpus directory the update lands in
+// the replica the dataset's queries read — in this life, and in a fresh
+// instance over the same directories with no client connected.
+func TestApplyUpdateCorpusMode(t *testing.T) {
+	dir := t.TempDir()
+	url := "http://evolving.example.org/sparql"
+	h := openLife(t, dir)
+	h.Registry.Add(registry.Entry{URL: url, AddedAt: clock.Epoch})
+	h.Connect(url, endpoint.LocalClient{Store: store.FromGraph(turtle.MustParse(`
+@prefix ex: <http://ex/> .
+ex:a1 a ex:Author ; ex:name "A1" .
+`))})
+	if err := h.Process(url); err != nil {
+		t.Fatal(err)
+	}
+	res, err := h.ApplyUpdate(context.Background(), url, `
+INSERT DATA { <http://ex/a2> a <http://ex/Author> }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Added != 1 {
+		t.Fatalf("delta = %+v", res)
+	}
+	if n := countAuthors(t, h, url); n != "2" {
+		t.Fatalf("the dataset's queries see %s authors after the update, want 2", n)
+	}
+	if err := h.DB.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	h.Close()
+
+	// second life: no client, just the directories
+	h = openLife(t, dir)
+	t.Cleanup(h.Close)
+	if n := countAuthors(t, h, url); n != "2" {
+		t.Fatalf("the restarted dataset's queries see %s authors, want 2", n)
+	}
+	if _, err := h.ApplyUpdate(context.Background(), url, `DELETE DATA { <http://ex/a2> a <http://ex/Author> }`); err != nil {
+		t.Fatal(err)
+	}
+	if n := countAuthors(t, h, url); n != "1" {
+		t.Fatalf("the restarted dataset's queries see %s authors after a delete, want 1", n)
 	}
 }

@@ -148,17 +148,11 @@ type Client struct {
 	// ok false means "no usable index": the source stays in the fan-out.
 	// nil disables pruning (every available source is queried).
 	Vocabulary func(url string) (v extraction.Vocabulary, ok bool)
-	// Buffer is the per-branch row buffer; 0 means DefaultBuffer.
-	Buffer int
 	// SkipUnavailable routes around sources that report
 	// endpoint.ErrUnavailable when the stream opens, instead of failing
 	// the whole federated query. Sources with an Up probe are skipped
 	// before fan-out either way.
 	SkipUnavailable bool
-	// DistinctOnMerge forces merge-level deduplication even for queries
-	// that do not ask for DISTINCT; DISTINCT/REDUCED queries always
-	// deduplicate on the merge.
-	DistinctOnMerge bool
 	// Hedge enables hedged stream opens: when a branch's first row has
 	// not arrived within the source's hedge delay (the p90 of its
 	// observed open-to-first-row latencies, seeded from the cost model
@@ -433,10 +427,10 @@ func (r Refusal) Error() string { return string(r) }
 // incomplete result honestly rather than not at all. A query whose
 // semantics a silent drop would corrupt is refused: ORDER BY (a dropped
 // branch breaks the global-order guarantee mid-stream) and
-// DISTINCT/REDUCED or DistinctOnMerge (rows already emitted may owe
-// their dedup outcome to a branch that later vanished). All selected
-// sources failing at open is still an error — partial mode degrades
-// results, it does not fabricate empty ones.
+// DISTINCT/REDUCED (rows already emitted may owe their dedup outcome to
+// a branch that later vanished). All selected sources failing at open is
+// still an error — partial mode degrades results, it does not fabricate
+// empty ones.
 func (f *Client) StreamPartial(ctx context.Context, query string) (*sparql.RowSeq, *Partial, error) {
 	p := &Partial{}
 	rs, err := f.stream(ctx, query, p)
@@ -478,7 +472,7 @@ func (f *Client) stream(ctx context.Context, query string, partial *Partial) (*s
 		if len(q.OrderBy) > 0 {
 			return nil, Refusal("federation: partial results are not supported with ORDER BY (a dropped branch breaks the global-order guarantee mid-stream); retry without partial or without ORDER BY")
 		}
-		if q.Distinct || q.Reduced || f.DistinctOnMerge {
+		if q.Distinct || q.Reduced {
 			return nil, Refusal("federation: partial results are not supported with DISTINCT/REDUCED (merge-level dedup outcomes may depend on a branch that later vanished); retry without partial or without DISTINCT")
 		}
 	}
@@ -622,16 +616,12 @@ type branch struct {
 
 // fanSelect runs the streaming k-way merge for SELECT queries.
 func (f *Client) fanSelect(ctx context.Context, q *sparql.Query, query string, selected []*endpoint.Source, partial *Partial) (*sparql.RowSeq, error) {
-	buffer := f.Buffer
-	if buffer <= 0 {
-		buffer = DefaultBuffer
-	}
 	mctx, cancel := context.WithCancel(ctx)
 	var wg sync.WaitGroup
 	branches := make([]*branch, len(selected))
 	openCh := make(chan *branch, len(selected))
 	for i, src := range selected {
-		b := &branch{src: src, ch: make(chan sparql.Binding, buffer)}
+		b := &branch{src: src, ch: make(chan sparql.Binding, DefaultBuffer)}
 		branches[i] = b
 		wg.Add(1)
 		go func() {
@@ -679,7 +669,7 @@ func (f *Client) fanSelect(ctx context.Context, q *sparql.Query, query string, s
 		return nil, fmt.Errorf("federation: all %d selected sources unavailable: %w", len(selected), endpoint.ErrUnavailable)
 	}
 
-	dedupe := q.Distinct || q.Reduced || f.DistinctOnMerge
+	dedupe := q.Distinct || q.Reduced
 	// Dedup keys are positional over the head: what the consumer sees
 	// of a row is what makes it a duplicate.
 	var streamErr error

@@ -124,11 +124,6 @@ func TestPartialRefusesOrderSensitiveShapes(t *testing.T) {
 			t.Fatalf("%s: partial mode accepted an order/dedup-sensitive shape", q)
 		}
 	}
-	fed2 := New(localSources(parts)...)
-	fed2.DistinctOnMerge = true
-	if _, _, err := fed2.StreamPartial(ctx, `SELECT ?s WHERE { ?s ?p ?o }`); err == nil {
-		t.Fatal("partial mode accepted DistinctOnMerge")
-	}
 }
 
 func TestPartialAllOpenFailuresStillError(t *testing.T) {
