@@ -38,6 +38,7 @@ import (
 	"repro/internal/server"
 	"repro/internal/snapcache"
 	"repro/internal/sparql"
+	"repro/internal/sparql/reference"
 	"repro/internal/store"
 	"repro/internal/store/disk"
 	"repro/internal/synth"
@@ -695,7 +696,7 @@ func BenchmarkE14_QueryEngine(b *testing.B) {
 	for _, mix := range e14Mixes {
 		mix := mix
 		b.Run(mix.name+"/exec", func(b *testing.B) { benchE14(b, mix.queries, (*sparql.Query).Exec) })
-		b.Run(mix.name+"/reference", func(b *testing.B) { benchE14(b, mix.queries, (*sparql.Query).ExecReference) })
+		b.Run(mix.name+"/reference", func(b *testing.B) { benchE14(b, mix.queries, reference.Exec) })
 	}
 }
 

@@ -86,7 +86,6 @@ import (
 	"repro/internal/crawler"
 	"repro/internal/docstore"
 	"repro/internal/endpoint"
-	"repro/internal/faultinject"
 	"repro/internal/federation"
 	"repro/internal/portal"
 	"repro/internal/registry"
@@ -138,20 +137,6 @@ func cmdSparqld(args []string) {
 	dataDir := fs.String("data-dir", "", "persistent data directory: an empty one is seeded from the Turtle file, a populated one serves from disk (file arg optional)")
 	quiet := fs.Bool("quiet", false, "disable the per-request access log")
 	readonly := fs.Bool("readonly", false, "refuse SPARQL updates with 403 (the query surface stays up)")
-	// -chaos-* make this member misbehave on a deterministic schedule, so
-	// a CLI-assembled federation exercises the resilience layer (breaker
-	// trips, hedged opens, partial results) without real outages
-	chaosSeed := fs.Int64("chaos-seed", 1, "seed for the chaos schedule (same seed, same misbehavior)")
-	chaosLatency := fs.Duration("chaos-latency", 0, "fixed latency added to every response")
-	chaosTail := fs.Duration("chaos-tail", 0, "extra tail latency (with -chaos-tail-prob)")
-	chaosTailProb := fs.Float64("chaos-tail-prob", 0, "probability a request draws -chaos-tail extra latency")
-	chaosErr := fs.Float64("chaos-error-rate", 0, "probability a request answers 500")
-	chaosHole := fs.Float64("chaos-blackhole-rate", 0, "probability a request hangs until the client gives up")
-	chaosCut := fs.Float64("chaos-cut-rate", 0, "probability the response is cut mid-stream")
-	chaosCutAfter := fs.Int("chaos-cut-after", 0, "bytes to deliver before a cut (0 = faultinject default)")
-	chaosGarbage := fs.Float64("chaos-garbage-rate", 0, "probability the response body is garbage bytes")
-	chaosFlap := fs.Duration("chaos-flap-period", 0, "flapping period: each period the member is down with -chaos-flap-down-prob")
-	chaosFlapDown := fs.Float64("chaos-flap-down-prob", 0.5, "probability of being down in a flap period")
 	fs.Parse(args)
 	var st store.Queryable
 	var be store.Backend
@@ -204,26 +189,8 @@ func cmdSparqld(args []string) {
 		// streamed, duration, status
 		h.Log = newLogger()
 	}
-	var handler http.Handler = h
-	inj := faultinject.New(faultinject.Config{
-		Seed:          *chaosSeed,
-		Latency:       *chaosLatency,
-		Tail:          *chaosTail,
-		TailProb:      *chaosTailProb,
-		ErrorRate:     *chaosErr,
-		BlackholeRate: *chaosHole,
-		CutRate:       *chaosCut,
-		CutAfter:      *chaosCutAfter,
-		GarbageRate:   *chaosGarbage,
-		FlapPeriod:    *chaosFlap,
-		FlapDownProb:  *chaosFlapDown,
-	})
-	if inj.Enabled() {
-		handler = inj.Middleware(handler)
-		log.Printf("hbold: chaos injection enabled (seed %d)", *chaosSeed)
-	}
 	log.Printf("hbold: serving %s (%d triples) as a SPARQL endpoint on %s", source, triples, *addr)
-	log.Fatal(http.ListenAndServe(*addr, handler))
+	log.Fatal(http.ListenAndServe(*addr, h))
 }
 
 // newLogger builds the CLI's structured logger: text records on stderr,
@@ -259,7 +226,7 @@ func usage() {
   hbold query -endpoint URL [-endpoint URL ...] [-policy all|prune|cost] <sparql>
                                             federate the query over several live endpoints,
                                             merging the row streams incrementally
-  hbold sparqld [-addr :8081] [-data-dir DIR] [-quiet] [-readonly] [-chaos-*] [file.ttl]
+  hbold sparqld [-addr :8081] [-data-dir DIR] [-quiet] [-readonly] [file.ttl]
                                             serve a Turtle file as a SPARQL protocol endpoint
                                             (-data-dir: disk-backed store — an empty DIR is
                                             seeded from file.ttl, a populated one serves
@@ -271,14 +238,7 @@ func usage() {
                                             access-log record per request unless -quiet;
                                             results as JSON, CSV, TSV, XML or NDJSON via the
                                             Accept header or ?format=, CONSTRUCT and update
-                                            bodies over 10 MiB refused (400, 413);
-                                            -chaos-latency, -chaos-tail,
-                                            -chaos-tail-prob, -chaos-error-rate,
-                                            -chaos-blackhole-rate, -chaos-cut-rate,
-                                            -chaos-cut-after, -chaos-garbage-rate,
-                                            -chaos-flap-period, -chaos-flap-down-prob and
-                                            -chaos-seed make the member misbehave on a
-                                            deterministic schedule for resilience testing)`)
+                                            bodies over 10 MiB refused (400, 413))`)
 	os.Exit(2)
 }
 

@@ -23,9 +23,10 @@
 // through a lock-once store.Reader, and terms materialize only at
 // projection and expression boundaries. One push pipeline evaluates
 // every plan — Exec, Stream and Explain differ only in where the rows
-// go — and the original term-space evaluator survives as
-// Query.ExecReference, the oracle of the differential and conformance
-// suites.
+// go, and every grouped shape folds into one accumulator per group —
+// and the original term-space evaluator survives in its own package,
+// internal/sparql/reference, which only tests import: the oracle of the
+// differential and conformance suites.
 //
 // Queries execute through a context-aware streaming surface:
 // endpoint.Client carries the caller's deadline and cancellation to the
@@ -48,6 +49,5 @@
 // See README.md for the quickstart and HTTP API, DESIGN.md for the
 // system inventory and EXPERIMENTS.md for the paper-vs-measured record.
 // The benchmarks in bench_test.go regenerate every figure and
-// quantitative claim of the paper; cmd/hbold is the CLI and
-// cmd/hbold-bench the experiment harness.
+// quantitative claim of the paper; cmd/hbold is the CLI.
 package repro

@@ -3,6 +3,7 @@ package endpoint
 import (
 	"context"
 	"errors"
+	"io"
 	"net/http"
 	"net/url"
 	"strings"
@@ -90,6 +91,29 @@ func TestHandlerMissingQuery(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("status = %d", resp.StatusCode)
+	}
+}
+
+// TestHandlerRejectsUnanswerableGroupedShapes: SELECT * beside GROUP BY
+// and an aggregate in ORDER BY used to come back 200 with a wrong answer;
+// the parser refuses both, so the protocol handler (sparqld's) says 400
+// and names the reason.
+func TestHandlerRejectsUnanswerableGroupedShapes(t *testing.T) {
+	srv := Serve(testStore(t), nil)
+	defer srv.Close()
+	for query, reason := range map[string]string{
+		`SELECT * WHERE { ?s a ?c } GROUP BY ?c`:                                          "SELECT * is not legal with GROUP BY",
+		`SELECT ?c (COUNT(*) AS ?n) WHERE { ?s a ?c } GROUP BY ?c ORDER BY ASC(COUNT(*))`: "aggregate in ORDER BY",
+	} {
+		resp, err := http.Get(srv.URL + "?query=" + url.QueryEscape(query))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), reason) {
+			t.Errorf("%s: status %d, body %q; want 400 naming %q", query, resp.StatusCode, body, reason)
+		}
 	}
 }
 

@@ -168,6 +168,22 @@ func TestQueryLimitRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestQueryRejectsUnanswerableGroupedShapes: the two grouped shapes the
+// parser refuses (they used to be answered silently wrong) are a 400 on
+// /api/query, with the reason in the body.
+func TestQueryRejectsUnanswerableGroupedShapes(t *testing.T) {
+	srv, _, _ := fedServer(t)
+	for query, reason := range map[string]string{
+		`SELECT * WHERE { ?s a ?c } GROUP BY ?c`:                                          "SELECT * is not legal with GROUP BY",
+		`SELECT ?c (COUNT(*) AS ?n) WHERE { ?s a ?c } GROUP BY ?c ORDER BY ASC(COUNT(*))`: "aggregate in ORDER BY",
+	} {
+		code, body, _ := get(t, srv.URL+"/api/query?dataset="+url.QueryEscape(dsURL)+"&sparql="+url.QueryEscape(query))
+		if code != http.StatusBadRequest || !strings.Contains(body, reason) {
+			t.Errorf("%s: status %d, body %q; want 400 naming %q", query, code, body, reason)
+		}
+	}
+}
+
 // TestQuerySourcesTolerantSplitting: spaces around commas and trailing
 // commas in sources= must not mangle the endpoint lookup.
 func TestQuerySourcesTolerantSplitting(t *testing.T) {

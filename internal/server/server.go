@@ -319,18 +319,11 @@ func (s *Server) preflight(w http.ResponseWriter, r *http.Request, st *core.Stat
 // st alone, and gives up ownership of what it returns.
 func (s *Server) snapshot(w http.ResponseWriter, st *core.State, view, params, contentType string, body func() ([]byte, error)) {
 	key := snapcache.Key{URL: st.URL, Generation: st.Generation, View: view, Params: params}
-	v, err := s.Tool.Cache.GetOrCompute(key, func() (any, int64, error) {
-		b, err := body()
-		if err != nil {
-			return nil, 0, err
-		}
-		return b, int64(cap(b)), nil
-	})
+	b, err := s.Tool.Cache.GetOrCompute(key, body)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusNotFound)
 		return
 	}
-	b := v.([]byte)
 	w.Header().Set("Content-Type", contentType)
 	w.Header().Set("Content-Length", strconv.Itoa(len(b)))
 	w.Write(b)

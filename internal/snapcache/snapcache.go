@@ -59,15 +59,14 @@ type Stats struct {
 // entry is one resident snapshot; elem is its LRU list element.
 type entry struct {
 	key  Key
-	val  any
-	size int64
+	val  []byte
 	elem *list.Element
 }
 
 // call is one in-flight compute that concurrent misses wait on.
 type call struct {
 	wg  sync.WaitGroup
-	val any
+	val []byte
 	err error
 }
 
@@ -106,14 +105,14 @@ func New(budget int64) *Cache {
 func (c *Cache) Enabled() bool { return c != nil && c.budget > 0 }
 
 // GetOrCompute returns the snapshot for key, running compute on a miss.
-// compute returns the value, its resident size in bytes, and an error;
-// errors are returned to every collapsed waiter and nothing is cached.
-// Values handed out are shared across callers and must be treated as
+// A snapshot is bytes — the wire body of a view — and occupies its
+// capacity; compute gives up ownership of what it returns. An error is
+// returned to every collapsed waiter and nothing is cached. Slices
+// handed out are shared across callers and must be treated as
 // immutable. On a disabled cache compute runs unconditionally.
-func (c *Cache) GetOrCompute(key Key, compute func() (any, int64, error)) (any, error) {
+func (c *Cache) GetOrCompute(key Key, compute func() ([]byte, error)) ([]byte, error) {
 	if !c.Enabled() {
-		v, _, err := compute()
-		return v, err
+		return compute()
 	}
 	c.mu.Lock()
 	if e, ok := c.entries[key]; ok {
@@ -137,7 +136,6 @@ func (c *Cache) GetOrCompute(key Key, compute func() (any, int64, error)) (any, 
 	// the cleanup is deferred so a panicking compute cannot wedge the
 	// key: the flight entry is always removed and waiters are always
 	// released — with an error, letting the panic keep unwinding
-	var size int64
 	returned := false
 	defer func() {
 		if !returned {
@@ -146,25 +144,21 @@ func (c *Cache) GetOrCompute(key Key, compute func() (any, int64, error)) (any, 
 		c.mu.Lock()
 		delete(c.flight, key)
 		if returned && f.err == nil {
-			c.insertLocked(key, f.val, size)
+			c.insertLocked(key, f.val)
 		}
 		c.mu.Unlock()
 		f.wg.Done()
 	}()
-	v, sz, err := compute()
-	f.val, f.err, size = v, err, sz
+	f.val, f.err = compute()
 	returned = true
-	return v, err
+	return f.val, f.err
 }
 
 // insertLocked adds a computed snapshot and evicts from the LRU tail
 // until the budget holds. A snapshot larger than the whole budget is
 // not cached at all.
-func (c *Cache) insertLocked(key Key, v any, size int64) {
-	if size < 0 {
-		size = 0
-	}
-	if size > c.budget {
+func (c *Cache) insertLocked(key Key, v []byte) {
+	if int64(cap(v)) > c.budget {
 		return
 	}
 	if old, ok := c.entries[key]; ok {
@@ -172,14 +166,14 @@ func (c *Cache) insertLocked(key Key, v any, size int64) {
 		// flight; keep the newer value
 		c.removeLocked(old)
 	}
-	e := &entry{key: key, val: v, size: size}
+	e := &entry{key: key, val: v}
 	e.elem = c.lru.PushFront(e)
 	c.entries[key] = e
 	if c.byURL[key.URL] == nil {
 		c.byURL[key.URL] = make(map[Key]*entry)
 	}
 	c.byURL[key.URL][key] = e
-	c.bytes += size
+	c.bytes += int64(cap(v))
 	for c.bytes > c.budget {
 		tail := c.lru.Back()
 		if tail == nil {
@@ -199,7 +193,7 @@ func (c *Cache) removeLocked(e *entry) {
 			delete(c.byURL, e.key.URL)
 		}
 	}
-	c.bytes -= e.size
+	c.bytes -= int64(cap(e.val))
 }
 
 // InvalidateBefore drops every resident snapshot of url with a

@@ -13,18 +13,21 @@ func k(url string, gen uint64, view string) Key {
 	return Key{URL: url, Generation: gen, View: view}
 }
 
+// val is a snapshot reading s that occupies size bytes of the budget.
+func val(s string, size int) []byte { return append(make([]byte, 0, size), s...) }
+
 func TestHitMiss(t *testing.T) {
 	c := New(1 << 20)
 	computes := 0
-	get := func() (any, error) {
-		return c.GetOrCompute(k("u", 1, "v"), func() (any, int64, error) {
+	get := func() ([]byte, error) {
+		return c.GetOrCompute(k("u", 1, "v"), func() ([]byte, error) {
 			computes++
-			return "payload", 7, nil
+			return val("payload", 7), nil
 		})
 	}
 	for i := 0; i < 3; i++ {
 		v, err := get()
-		if err != nil || v != "payload" {
+		if err != nil || string(v) != "payload" {
 			t.Fatalf("get = %v, %v", v, err)
 		}
 	}
@@ -40,10 +43,10 @@ func TestHitMiss(t *testing.T) {
 func TestGenerationKeysDistinct(t *testing.T) {
 	c := New(1 << 20)
 	for gen := uint64(1); gen <= 3; gen++ {
-		v, err := c.GetOrCompute(k("u", gen, "v"), func() (any, int64, error) {
-			return fmt.Sprintf("gen%d", gen), 4, nil
+		v, err := c.GetOrCompute(k("u", gen, "v"), func() ([]byte, error) {
+			return val(fmt.Sprintf("gen%d", gen), 4), nil
 		})
-		if err != nil || v != fmt.Sprintf("gen%d", gen) {
+		if err != nil || string(v) != fmt.Sprintf("gen%d", gen) {
 			t.Fatalf("gen %d: got %v, %v", gen, v, err)
 		}
 	}
@@ -55,14 +58,14 @@ func TestGenerationKeysDistinct(t *testing.T) {
 func TestLRUEviction(t *testing.T) {
 	c := New(100)
 	put := func(view string) {
-		c.GetOrCompute(k("u", 1, view), func() (any, int64, error) { return view, 40, nil })
+		c.GetOrCompute(k("u", 1, view), func() ([]byte, error) { return val(view, 40), nil })
 	}
 	put("a")
 	put("b")
 	// touch "a" so "b" is the LRU victim when "c" overflows the budget
-	c.GetOrCompute(k("u", 1, "a"), func() (any, int64, error) {
+	c.GetOrCompute(k("u", 1, "a"), func() ([]byte, error) {
 		t.Fatal("expected a to be resident")
-		return nil, 0, nil
+		return nil, nil
 	})
 	put("c")
 	st := c.Stats()
@@ -71,9 +74,9 @@ func TestLRUEviction(t *testing.T) {
 	}
 	// "b" must be gone, "a" and "c" resident
 	recomputed := false
-	c.GetOrCompute(k("u", 1, "b"), func() (any, int64, error) {
+	c.GetOrCompute(k("u", 1, "b"), func() ([]byte, error) {
 		recomputed = true
-		return "b", 40, nil
+		return val("b", 40), nil
 	})
 	if !recomputed {
 		t.Fatal("LRU victim was not b")
@@ -83,8 +86,8 @@ func TestLRUEviction(t *testing.T) {
 func TestOversizeValueNotCached(t *testing.T) {
 	c := New(10)
 	for i := 0; i < 2; i++ {
-		if _, err := c.GetOrCompute(k("u", 1, "big"), func() (any, int64, error) {
-			return "big", 100, nil
+		if _, err := c.GetOrCompute(k("u", 1, "big"), func() ([]byte, error) {
+			return val("big", 100), nil
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -98,8 +101,8 @@ func TestErrorsNotCached(t *testing.T) {
 	c := New(1 << 20)
 	boom := errors.New("boom")
 	for i := 0; i < 2; i++ {
-		if _, err := c.GetOrCompute(k("u", 1, "v"), func() (any, int64, error) {
-			return nil, 0, boom
+		if _, err := c.GetOrCompute(k("u", 1, "v"), func() ([]byte, error) {
+			return nil, boom
 		}); !errors.Is(err, boom) {
 			t.Fatalf("err = %v", err)
 		}
@@ -120,22 +123,22 @@ func TestSingleflightCollapse(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		c.GetOrCompute(k("u", 1, "v"), func() (any, int64, error) {
+		c.GetOrCompute(k("u", 1, "v"), func() ([]byte, error) {
 			computes.Add(1)
 			close(started)
 			<-gate
-			return "once", 4, nil
+			return val("once", 4), nil
 		})
 	}()
 	<-started
-	results := make([]any, readers)
+	results := make([][]byte, readers)
 	for i := 0; i < readers; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], _ = c.GetOrCompute(k("u", 1, "v"), func() (any, int64, error) {
+			results[i], _ = c.GetOrCompute(k("u", 1, "v"), func() ([]byte, error) {
 				computes.Add(1)
-				return "once", 4, nil
+				return val("once", 4), nil
 			})
 		}(i)
 	}
@@ -145,7 +148,7 @@ func TestSingleflightCollapse(t *testing.T) {
 		t.Fatalf("computes = %d, want 1", n)
 	}
 	for i, v := range results {
-		if v != "once" {
+		if string(v) != "once" {
 			t.Fatalf("reader %d got %v", i, v)
 		}
 	}
@@ -153,10 +156,10 @@ func TestSingleflightCollapse(t *testing.T) {
 
 func TestInvalidateBefore(t *testing.T) {
 	c := New(1 << 20)
-	c.GetOrCompute(k("u", 1, "a"), func() (any, int64, error) { return "a1", 4, nil })
-	c.GetOrCompute(k("u", 1, "b"), func() (any, int64, error) { return "b1", 4, nil })
-	c.GetOrCompute(k("u", 2, "a"), func() (any, int64, error) { return "a2", 4, nil })
-	c.GetOrCompute(k("other", 1, "a"), func() (any, int64, error) { return "o1", 4, nil })
+	c.GetOrCompute(k("u", 1, "a"), func() ([]byte, error) { return val("a1", 4), nil })
+	c.GetOrCompute(k("u", 1, "b"), func() ([]byte, error) { return val("b1", 4), nil })
+	c.GetOrCompute(k("u", 2, "a"), func() ([]byte, error) { return val("a2", 4), nil })
+	c.GetOrCompute(k("other", 1, "a"), func() ([]byte, error) { return val("o1", 4), nil })
 	if n := c.InvalidateBefore("u", 2); n != 2 {
 		t.Fatalf("invalidated %d, want 2", n)
 	}
@@ -166,13 +169,13 @@ func TestInvalidateBefore(t *testing.T) {
 	}
 	// the current generation and the other URL survive
 	hits := st.Hits
-	c.GetOrCompute(k("u", 2, "a"), func() (any, int64, error) {
+	c.GetOrCompute(k("u", 2, "a"), func() ([]byte, error) {
 		t.Fatal("current generation was invalidated")
-		return nil, 0, nil
+		return nil, nil
 	})
-	c.GetOrCompute(k("other", 1, "a"), func() (any, int64, error) {
+	c.GetOrCompute(k("other", 1, "a"), func() ([]byte, error) {
 		t.Fatal("unrelated URL was invalidated")
-		return nil, 0, nil
+		return nil, nil
 	})
 	if got := c.Stats().Hits; got != hits+2 {
 		t.Fatalf("hits = %d, want %d", got, hits+2)
@@ -194,7 +197,7 @@ func TestComputePanicDoesNotWedgeKey(t *testing.T) {
 				t.Error("panic did not propagate to the computing caller")
 			}
 		}()
-		c.GetOrCompute(k("u", 1, "v"), func() (any, int64, error) {
+		c.GetOrCompute(k("u", 1, "v"), func() ([]byte, error) {
 			close(started)
 			<-gate
 			panic("boom")
@@ -203,8 +206,8 @@ func TestComputePanicDoesNotWedgeKey(t *testing.T) {
 	<-started
 	waiter := make(chan error, 1)
 	go func() {
-		_, err := c.GetOrCompute(k("u", 1, "v"), func() (any, int64, error) {
-			return "late", 4, nil
+		_, err := c.GetOrCompute(k("u", 1, "v"), func() ([]byte, error) {
+			return val("late", 4), nil
 		})
 		waiter <- err
 	}()
@@ -219,10 +222,10 @@ func TestComputePanicDoesNotWedgeKey(t *testing.T) {
 		t.Fatal("collapsed waiter got nil error from a panicked compute")
 	}
 	// the key must be retryable, not wedged
-	v, err := c.GetOrCompute(k("u", 1, "v"), func() (any, int64, error) {
-		return "ok", 2, nil
+	v, err := c.GetOrCompute(k("u", 1, "v"), func() ([]byte, error) {
+		return val("ok", 2), nil
 	})
-	if err != nil || v != "ok" {
+	if err != nil || string(v) != "ok" {
 		t.Fatalf("retry after panic = %v, %v", v, err)
 	}
 	if st := c.Stats(); st.Entries != 1 {
@@ -237,11 +240,11 @@ func TestDisabledAndNil(t *testing.T) {
 		}
 		computes := 0
 		for i := 0; i < 2; i++ {
-			v, err := c.GetOrCompute(k("u", 1, "v"), func() (any, int64, error) {
+			v, err := c.GetOrCompute(k("u", 1, "v"), func() ([]byte, error) {
 				computes++
-				return "x", 1, nil
+				return val("x", 1), nil
 			})
-			if err != nil || v != "x" {
+			if err != nil || string(v) != "x" {
 				t.Fatalf("get = %v, %v", v, err)
 			}
 		}

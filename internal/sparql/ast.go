@@ -192,3 +192,25 @@ func HasAggregate(e Expression) bool {
 	}
 	return false
 }
+
+// walkVars calls visit for every variable reference in e, in source order
+// and repeats included; an aggregate's argument counts.
+func walkVars(e Expression, visit func(name string)) {
+	switch x := e.(type) {
+	case *ExprVar:
+		visit(x.Name)
+	case *ExprBinary:
+		walkVars(x.L, visit)
+		walkVars(x.R, visit)
+	case *ExprUnary:
+		walkVars(x.X, visit)
+	case *ExprCall:
+		for _, a := range x.Args {
+			walkVars(a, visit)
+		}
+	case *ExprAggregate:
+		if x.Arg != nil {
+			walkVars(x.Arg, visit)
+		}
+	}
+}

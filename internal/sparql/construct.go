@@ -6,11 +6,13 @@ import (
 	"repro/internal/rdf"
 )
 
-// execConstruct instantiates the CONSTRUCT template once per solution,
+// Construct instantiates the CONSTRUCT template once per solution,
 // skipping template triples with unbound variables or positions whose
 // instantiation is not a valid RDF triple (literal subjects/predicates).
-// Blank nodes in the template are scoped per solution.
-func (q *Query) execConstruct(sols []Binding) *rdf.Graph {
+// Blank nodes in the template are scoped per solution. Exported for the
+// reference evaluator, which produces its solutions its own way and
+// shares only the templating.
+func (q *Query) Construct(sols []Binding) *rdf.Graph {
 	g := rdf.NewGraph()
 	for i, s := range sols {
 		scope := fmt.Sprintf("s%d", i)

@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/rdf"
 	"repro/internal/sparql"
+	"repro/internal/sparql/reference"
 	"repro/internal/store"
 	"repro/internal/synth"
 	"repro/internal/turtle"
@@ -170,7 +171,7 @@ func assertEngineAgreement(t *testing.T, st *store.Store, query string, ordered 
 		t.Fatalf("parse %q: %v", query, err)
 	}
 	idRes, idErr := q.Exec(st)
-	lgRes, lgErr := q.ExecReference(st)
+	lgRes, lgErr := reference.Exec(q, st)
 	var smRes *sparql.Result
 	smErr := func() error {
 		rs, err := q.Stream(context.Background(), st)

@@ -290,15 +290,15 @@ func (e *idExec) distinctRows(rb *rowbuf, slots []int) *rowbuf {
 }
 
 // packIDKey appends the 4-byte little-endian encoding of the row's IDs at
-// the given slots (a slot of -1 encodes as NoID) — the tuple key shared by
-// ID-space DISTINCT and GROUP BY.
+// the given slots (a slot of -1 encodes as NoID) — the tuple key of
+// ID-space DISTINCT.
 func packIDKey(buf []byte, r []store.ID, slots []int) []byte {
 	for _, s := range slots {
 		var v store.ID
 		if s >= 0 {
 			v = r[s]
 		}
-		buf = append(buf, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
+		buf = appendID(buf, v)
 	}
 	return buf
 }
@@ -306,8 +306,8 @@ func packIDKey(buf []byte, r []store.ID, slots []int) []byte {
 // sortRows orders the rows by the ORDER BY conditions, materializing one
 // key term per (row, condition) — the boundary where terms are needed.
 // The flat key storage is viewed as one OrderKey per row so the
-// comparison is CompareOrderKeys, shared with sortSolutions and the
-// federated ordered merge — the three sorts cannot drift apart.
+// comparison is CompareOrderKeys, shared with the top-k heap and the
+// federated ordered merge — the three orders cannot drift apart.
 func (e *idExec) sortRows(rb *rowbuf, conds []OrderCond, condVars [][]varslot) {
 	nc := len(conds)
 	keys := make([]rdf.Term, rb.n*nc)
@@ -316,7 +316,7 @@ func (e *idExec) sortRows(rb *rowbuf, conds []OrderCond, condVars [][]varslot) {
 	for i := 0; i < rb.n; i++ {
 		r := rb.row(i)
 		for ci, c := range conds {
-			t, err := evalExpr(c.Expr, e.bindScratch(condVars[ci], r))
+			t, err := EvalExpr(c.Expr, e.bindScratch(condVars[ci], r))
 			if err != nil {
 				errs[i*nc+ci] = true
 			} else {
@@ -339,23 +339,17 @@ func (e *idExec) sortRows(rb *rowbuf, conds []OrderCond, condVars [][]varslot) {
 	rb.data = sorted
 }
 
-// bindAll materializes every bound variable of a row — what CONSTRUCT
-// templates and the general aggregation see.
-func (e *idExec) bindAll(r []store.ID) Binding {
-	b := make(Binding, len(r))
-	for s, v := range r {
-		if v != store.NoID {
-			b[e.names[s]] = e.term(v)
-		}
-	}
-	return b
-}
-
-// materializeAll converts rows into Bindings over every bound variable.
+// materializeAll converts rows into Bindings over every bound variable —
+// what CONSTRUCT templates see.
 func (e *idExec) materializeAll(rb *rowbuf) []Binding {
 	out := make([]Binding, rb.n)
 	for i := range out {
-		out[i] = e.bindAll(rb.row(i))
+		out[i] = make(Binding, rb.stride)
+		for s, v := range rb.row(i) {
+			if v != store.NoID {
+				out[i][e.names[s]] = e.term(v)
+			}
+		}
 	}
 	return out
 }
@@ -364,8 +358,7 @@ func (e *idExec) materializeAll(rb *rowbuf) []Binding {
 
 // aliasProj is a compiled (expr AS ?var) projection element.
 type aliasProj struct {
-	expr Expression
-	vars []varslot
+	val  slotExpr
 	slot int
 }
 
@@ -375,11 +368,6 @@ func (q *Query) Vars() []string {
 	if q.Star {
 		return q.starVars()
 	}
-	return q.selectVars()
-}
-
-// selectVars is the variable list of an explicit SELECT clause.
-func (q *Query) selectVars() []string {
 	vars := make([]string, len(q.Select))
 	for i, it := range q.Select {
 		vars[i] = it.Var
@@ -387,22 +375,62 @@ func (q *Query) selectVars() []string {
 	return vars
 }
 
+// starVars is every variable the pattern can bind, sorted.
+func (q *Query) starVars() []string {
+	seen := map[string]bool{}
+	var vars []string
+	collectVars(q.Where, func(v string) {
+		if !seen[v] {
+			seen[v] = true
+			vars = append(vars, v)
+		}
+	})
+	sort.Strings(vars)
+	return vars
+}
+
+func collectVars(p GraphPattern, add func(string)) {
+	switch x := p.(type) {
+	case *BGP:
+		for _, tp := range x.Patterns {
+			for _, v := range tp.Vars() {
+				add(v)
+			}
+		}
+	case *GroupPattern:
+		for _, el := range x.Elems {
+			collectVars(el, add)
+		}
+	case *OptionalPattern:
+		collectVars(x.Inner, add)
+	case *UnionPattern:
+		collectVars(x.Left, add)
+		collectVars(x.Right, add)
+	case *MinusPattern:
+		// MINUS does not bind
+	case *BindPattern:
+		add(x.Var)
+	case *ValuesPattern:
+		for _, v := range x.Vars {
+			add(v)
+		}
+	}
+}
+
 // plan is a query compiled against one store snapshot: the pattern tree,
-// the projection surface of a non-grouped SELECT, and the streaming
-// aggregation spec when the grouping surface has one.
+// the grouping surface of a grouped SELECT or the projection aliases of a
+// plain one, and the slots the shared tail sorts, deduplicates and
+// projects on.
 type plan struct {
 	q    *Query
 	ex   *idExec
 	root *cgroup
 	vars []string // projected variables (SELECT)
 
-	aliases   []aliasProj
-	projSlots []int // slot per projected variable; -1 = never bound
+	agg       *groupSpec  // non-nil: GROUP BY / HAVING / aggregate projections
+	aliases   []aliasProj // of a SELECT without grouping
+	projSlots []int       // slot per projected variable; -1 = never bound
 	obVars    [][]varslot
-
-	grouped bool           // GROUP BY / HAVING / aggregate projections
-	agg     *streamAggSpec // non-nil: the grouping folds into the streaming hash-group
-	gslots  []int
 
 	// answers of the non-SELECT forms, set by run
 	boolean bool
@@ -420,21 +448,18 @@ func (q *Query) compile(st store.Queryable) (*plan, error) {
 		ex.release()
 		return nil, err
 	}
-	p := &plan{q: q, ex: ex, root: root, grouped: q.needsGrouping()}
-	switch {
-	case q.Form != FormSelect:
-	case p.grouped:
-		if p.agg = q.streamAggSpec(); p.agg != nil {
-			p.gslots = p.agg.resolve(comp.slots)
-		}
-		p.vars = q.selectVars()
-	default:
+	p := &plan{q: q, ex: ex, root: root}
+	if q.Form == FormSelect {
 		for _, c := range q.OrderBy {
 			p.obVars = append(p.obVars, comp.exprVars(c.Expr))
 		}
-		for _, it := range q.Select {
-			if it.Expr != nil {
-				p.aliases = append(p.aliases, aliasProj{expr: it.Expr, vars: comp.exprVars(it.Expr), slot: comp.slots.slot(it.Var)})
+		if q.NeedsGrouping() {
+			p.agg = comp.grouping(q)
+		} else {
+			for _, it := range q.Select {
+				if it.Expr != nil {
+					p.aliases = append(p.aliases, aliasProj{val: comp.slotExpr(it.Expr), slot: comp.slots.slot(it.Var)})
+				}
 			}
 		}
 		p.vars = q.Vars()
@@ -454,9 +479,8 @@ func (p *plan) result(rows []Binding) *Result {
 	return &Result{Vars: p.vars, Rows: rows, Ask: p.q.Form == FormAsk, Boolean: p.boolean, Graph: p.graph}
 }
 
-// project materializes one output row of a non-grouped SELECT into out,
-// aligned with p.vars (for SELECT * every variable the pattern can bind,
-// like the reference evaluator).
+// project materializes one output row of a SELECT into out, aligned with
+// p.vars (for SELECT * every variable the pattern can bind).
 func (p *plan) project(r []store.ID, out []rdf.Term) []rdf.Term {
 	for j, s := range p.projSlots {
 		out[j] = rdf.Term{}
@@ -508,11 +532,12 @@ func (p *plan) run(ctx context.Context, reg *obs.Registry, prof *profiler, emit 
 // DISTINCT, the window and the projection row by row and stops the
 // pipeline the moment the window is full. Every other shape ends in a
 // sink that holds rows back — ORDER BY … LIMIT without DISTINCT in the
-// bounded top-k heap, accumulator-friendly grouping in the streaming
-// hash-group, the rest (unwindowed ORDER BY, ORDER BY + DISTINCT, the
-// general aggregation, CONSTRUCT) in a rowbuf arena — and comes with the
-// finisher to call once the pattern is exhausted: it runs the batch
-// stages over the collected set and emits the result.
+// bounded top-k heap, every grouped shape in the streaming hash-group, the
+// rest (unwindowed ORDER BY, ORDER BY + DISTINCT, CONSTRUCT) in a rowbuf
+// arena — and comes with the finisher to call once the pattern is
+// exhausted: it leaves the held rows (one per group, for a grouping) in
+// that arena and runs the one batch tail over it — sort, deduplicate,
+// window, project.
 func (p *plan) sink(se *streamExec, reg *obs.Registry, emit func([]rdf.Term) bool) (sink streamYield, finish func() error) {
 	q, ex, prof := p.q, p.ex, se.prof
 	out := make([]rdf.Term, len(p.vars))
@@ -536,10 +561,6 @@ func (p *plan) sink(se *streamExec, reg *obs.Registry, emit func([]rdf.Term) boo
 		agg      *streamAgg
 		buf      = &rowbuf{stride: ex.nslots}
 	)
-	buffer := func(r []store.ID) bool {
-		buf.add(r)
-		return true
-	}
 	switch {
 	case q.Form == FormConstruct:
 		// the window applies to the solution sequence, so the buffer can
@@ -551,13 +572,11 @@ func (p *plan) sink(se *streamExec, reg *obs.Registry, emit func([]rdf.Term) boo
 		}
 	case p.agg != nil:
 		blocking, streamOp = "aggregate", "hash-group"
-		agg = newStreamAgg(ex, p.agg, p.gslots)
+		agg = newStreamAgg(ex, p.agg)
 		hold = func(r []store.ID) bool {
 			agg.add(r)
 			return true
 		}
-	case p.grouped:
-		blocking, hold = "aggregate", buffer
 	case len(q.OrderBy) > 0 && q.topKBound() >= 0 && !q.Distinct && !q.Reduced:
 		// DISTINCT is excluded: deduplication after the heap could shrink
 		// the window below k.
@@ -569,7 +588,11 @@ func (p *plan) sink(se *streamExec, reg *obs.Registry, emit func([]rdf.Term) boo
 			return true
 		}
 	case len(q.OrderBy) > 0:
-		blocking, hold = "order-by", buffer
+		blocking = "order-by"
+		hold = func(r []store.ID) bool {
+			buf.add(r)
+			return true
+		}
 	}
 
 	if blocking == "" {
@@ -645,80 +668,49 @@ func (p *plan) sink(se *streamExec, reg *obs.Registry, emit func([]rdf.Term) boo
 			if heap != nil {
 				reg.Histogram("hbold_stream_topk_heap_rows", "Rows retained by the streaming top-k heap at emit.", nil).Observe(float64(heap.size()))
 			} else {
-				reg.Histogram("hbold_stream_group_count", "Groups live in the streaming hash aggregation at emit.", nil).Observe(float64(agg.groupCount()))
+				reg.Histogram("hbold_stream_group_count", "Groups live in the streaming hash aggregation at emit.", nil).Observe(float64(len(agg.order)))
 			}
 		}
 		// The blocking sink's stage stays open across its own finisher;
-		// the rest are batch stages over the finished set — ID rows for a
-		// plain SELECT, Bindings for a grouped one.
+		// the rest are batch stages over the finished set of ID rows.
 		end := prof.resume(stBlocking)
-		var sols []Binding
 		switch {
 		case blocking == "construct":
-			p.graph = q.execConstruct(ex.materializeAll(buf.window(q.Offset, q.Limit)))
+			p.graph = q.Construct(ex.materializeAll(buf.window(q.Offset, q.Limit)))
 			end(int64(p.graph.Len()))
 			return nil
 		case heap != nil:
 			for _, en := range heap.sorted() {
 				buf.add(en.row)
 			}
-			end(int64(buf.n))
-		case blocking == "order-by":
+		case agg != nil:
+			agg.emit(buf)
+		default: // "order-by": the sort is the blocking stage itself
+			ex.sortRows(buf, q.OrderBy, p.obVars)
+		}
+		end(int64(buf.n))
+		if agg != nil && len(q.OrderBy) > 0 {
+			// ORDER BY on a grouped query sees the rows the grouping
+			// produced: the projected keys and aliases
+			end := prof.stage("order-by", int64(buf.n))
 			ex.sortRows(buf, q.OrderBy, p.obVars)
 			end(int64(buf.n))
-		case agg != nil:
-			sols = agg.emit()
-			end(int64(len(sols)))
-		default:
-			// Anything richer than the streaming aggregation surface
-			// (HAVING, expression keys, SAMPLE, …) computes fresh terms per
-			// group and runs at the term boundary over materialized
-			// solutions.
-			var err error
-			if _, sols, err = q.aggregate(ex.materializeAll(buf)); err != nil {
-				return err
-			}
-			end(int64(len(sols)))
 		}
-		if blocking == "aggregate" {
-			// ORDER BY on a grouped query references group keys or
-			// aggregate aliases, both present in the produced rows.
-			if len(q.OrderBy) > 0 {
-				end := prof.stage("order-by", int64(len(sols)))
-				sortSolutions(sols, q.OrderBy)
-				end(int64(len(sols)))
-			}
-			if q.Distinct || q.Reduced {
-				end := prof.stage("distinct", int64(len(sols)))
-				sols = distinct(sols, p.vars)
-				end(int64(len(sols)))
-			}
-			end := prof.stage("window", int64(len(sols)))
-			sols = windowBindings(sols, q.Offset, q.Limit)
-			end(int64(len(sols)))
-			// the few rows a grouping produces are adapted once, here
-			for _, b := range sols {
-				if !se.alive() || !emit(FillRow(out, p.vars, b)) {
-					break
-				}
-			}
-		} else {
-			if q.Distinct || q.Reduced {
-				end := prof.stage("distinct", int64(buf.n))
-				buf = ex.distinctRows(buf, p.projSlots)
-				end(int64(buf.n))
-			}
-			end := prof.stage("window", int64(buf.n))
-			buf.window(q.Offset, q.Limit)
-			end(int64(buf.n))
-			end = prof.stage("project", int64(buf.n))
-			for i := 0; i < buf.n; i++ {
-				if !se.alive() || !emit(p.project(buf.row(i), out)) {
-					break
-				}
-			}
+		if q.Distinct || q.Reduced {
+			end := prof.stage("distinct", int64(buf.n))
+			buf = ex.distinctRows(buf, p.projSlots)
 			end(int64(buf.n))
 		}
+		end = prof.stage("window", int64(buf.n))
+		buf.window(q.Offset, q.Limit)
+		end(int64(buf.n))
+		end = prof.stage("project", int64(buf.n))
+		for i := 0; i < buf.n; i++ {
+			if !se.alive() || !emit(p.project(buf.row(i), out)) {
+				break
+			}
+		}
+		end(int64(buf.n))
 		return se.err
 	}
 }
@@ -726,29 +718,12 @@ func (p *plan) sink(se *streamExec, reg *obs.Registry, emit func([]rdf.Term) boo
 // applyAliases evaluates the projection aliases against the pre-alias row
 // (aliases cannot see each other), then writes them into their slots.
 func (p *plan) applyAliases(r, tmp []store.ID) {
-	for j, a := range p.aliases {
-		tmp[j] = store.NoID
-		if t, err := evalExpr(a.expr, p.ex.bindScratch(a.vars, r)); err == nil {
-			tmp[j] = p.ex.intern(t)
-		}
+	for j := range p.aliases {
+		tmp[j] = p.aliases[j].val.id(p.ex, r)
 	}
 	for j, a := range p.aliases {
 		if tmp[j] != store.NoID {
 			r[a.slot] = tmp[j]
 		}
 	}
-}
-
-func windowBindings(rows []Binding, offset, limit int) []Binding {
-	if offset > 0 {
-		if offset >= len(rows) {
-			rows = nil
-		} else {
-			rows = rows[offset:]
-		}
-	}
-	if limit >= 0 && limit < len(rows) {
-		rows = rows[:limit]
-	}
-	return rows
 }

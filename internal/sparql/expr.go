@@ -14,15 +14,6 @@ import (
 // Binding maps variable names to terms. A missing key means unbound.
 type Binding map[string]rdf.Term
 
-// clone copies a binding.
-func (b Binding) clone() Binding {
-	out := make(Binding, len(b)+2)
-	for k, v := range b {
-		out[k] = v
-	}
-	return out
-}
-
 // errExpr is the SPARQL expression-error sentinel: filters treat it as
 // false, BIND leaves the variable unbound, aggregates skip the row.
 var errExpr = errors.New("sparql: expression error")
@@ -39,9 +30,14 @@ func exprErrf(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", errExpr, fmt.Sprintf(format, args...))
 }
 
-// evalExpr evaluates an expression against one binding. Aggregates must
-// have been rewritten away before this is called.
-func evalExpr(e Expression, b Binding) (rdf.Term, error) {
+// EvalExpr evaluates an expression against one binding; an error is the
+// SPARQL expression error (FILTER reads it as false, BIND and a projection
+// leave their variable unbound). An aggregate node is an error here: the
+// grouped sink lifts aggregates out of an expression before evaluating it.
+// Exported for the reference evaluator (internal/sparql/reference), which
+// shares the expression language and nothing of the execution with the
+// executor.
+func EvalExpr(e Expression, b Binding) (rdf.Term, error) {
 	switch x := e.(type) {
 	case *ExprTerm:
 		return x.Term, nil
@@ -86,7 +82,7 @@ func EffectiveBool(t rdf.Term) (bool, error) {
 }
 
 func evalBool(e Expression, b Binding) (bool, error) {
-	t, err := evalExpr(e, b)
+	t, err := EvalExpr(e, b)
 	if err != nil {
 		return false, err
 	}
@@ -102,7 +98,7 @@ func evalUnary(x *ExprUnary, b Binding) (rdf.Term, error) {
 		}
 		return rdf.NewBoolean(!v), nil
 	case "-":
-		t, err := evalExpr(x.X, b)
+		t, err := EvalExpr(x.X, b)
 		if err != nil {
 			return rdf.Term{}, err
 		}
@@ -146,11 +142,11 @@ func evalBinary(x *ExprBinary, b Binding) (rdf.Term, error) {
 		return rdf.NewBoolean(true), nil
 	}
 
-	l, err := evalExpr(x.L, b)
+	l, err := EvalExpr(x.L, b)
 	if err != nil {
 		return rdf.Term{}, err
 	}
-	r, err := evalExpr(x.R, b)
+	r, err := EvalExpr(x.R, b)
 	if err != nil {
 		return rdf.Term{}, err
 	}
@@ -166,7 +162,7 @@ func evalBinary(x *ExprBinary, b Binding) (rdf.Term, error) {
 		}
 		return rdf.NewBoolean(eq), nil
 	case "<", ">", "<=", ">=":
-		c, err := termOrder(l, r)
+		c, err := TermOrder(l, r)
 		if err != nil {
 			return rdf.Term{}, err
 		}
@@ -247,9 +243,9 @@ func termsEqual(l, r rdf.Term) (bool, error) {
 	return false, nil
 }
 
-// termOrder implements SPARQL "<" family semantics. It errors on
-// incomparable operands.
-func termOrder(l, r rdf.Term) (int, error) {
+// TermOrder implements SPARQL "<" family semantics. It errors on
+// incomparable operands. Exported for the reference evaluator's MIN/MAX.
+func TermOrder(l, r rdf.Term) (int, error) {
 	if l.IsNumeric() && r.IsNumeric() {
 		lf, lok := l.Float()
 		rf, rok := r.Float()
@@ -337,7 +333,7 @@ func evalCall(x *ExprCall, b Binding) (rdf.Term, error) {
 		return rdf.NewBoolean(bound), nil
 	case "COALESCE":
 		for _, a := range x.Args {
-			if t, err := evalExpr(a, b); err == nil {
+			if t, err := EvalExpr(a, b); err == nil {
 				return t, nil
 			}
 		}
@@ -348,14 +344,14 @@ func evalCall(x *ExprCall, b Binding) (rdf.Term, error) {
 			return rdf.Term{}, err
 		}
 		if c {
-			return evalExpr(x.Args[1], b)
+			return EvalExpr(x.Args[1], b)
 		}
-		return evalExpr(x.Args[2], b)
+		return EvalExpr(x.Args[2], b)
 	}
 
 	args := make([]rdf.Term, len(x.Args))
 	for i, a := range x.Args {
-		t, err := evalExpr(a, b)
+		t, err := EvalExpr(a, b)
 		if err != nil {
 			return rdf.Term{}, err
 		}

@@ -14,7 +14,7 @@ func evalString(t *testing.T, expr string, b Binding) (rdf.Term, error) {
 	if err != nil {
 		t.Fatalf("parse %q: %v", expr, err)
 	}
-	return evalExpr(q.Where.Filters[0], b)
+	return EvalExpr(q.Where.Filters[0], b)
 }
 
 func TestEffectiveBool(t *testing.T) {
@@ -248,7 +248,7 @@ func TestQuickEffectiveBoolIntegers(t *testing.T) {
 // Property: termOrder agrees with numeric order on random pairs.
 func TestQuickTermOrderNumeric(t *testing.T) {
 	f := func(a, b int32) bool {
-		c, err := termOrder(rdf.NewInteger(int64(a)), rdf.NewInteger(int64(b)))
+		c, err := TermOrder(rdf.NewInteger(int64(a)), rdf.NewInteger(int64(b)))
 		if err != nil {
 			return false
 		}

@@ -2,6 +2,7 @@ package sparql
 
 import (
 	"sort"
+	"strings"
 
 	"repro/internal/rdf"
 )
@@ -75,7 +76,28 @@ func sortedKeys(m map[string]struct{}) []string {
 // not collide. The federated merge uses it for DISTINCT-on-merge
 // deduplication across sources; it is the same key the engines use for
 // DISTINCT, so a merged federated DISTINCT equals a single-endpoint
-// DISTINCT row-for-row.
+// DISTINCT row-for-row. With an explicit vars list the key is positional.
 func BindingKey(b Binding, vars []string) string {
-	return bindingKey(b, vars)
+	var sb strings.Builder
+	if vars == nil {
+		vars = make([]string, 0, len(b))
+		for v := range b {
+			vars = append(vars, v)
+		}
+		sort.Strings(vars)
+		for _, v := range vars {
+			sb.WriteString(v)
+			sb.WriteByte('\x01')
+			sb.WriteString(b[v].String())
+			sb.WriteByte('\x00')
+		}
+		return sb.String()
+	}
+	for _, v := range vars {
+		if t, ok := b[v]; ok {
+			sb.WriteString(t.String())
+		}
+		sb.WriteByte('\x00')
+	}
+	return sb.String()
 }

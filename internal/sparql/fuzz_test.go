@@ -1,4 +1,4 @@
-package sparql
+package sparql_test
 
 import (
 	"context"
@@ -8,6 +8,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/sparql"
+	"repro/internal/sparql/reference"
 )
 
 // FuzzQuery: Parse never panics on any input, and a query that parses
@@ -31,9 +34,9 @@ func FuzzQuery(f *testing.F) {
 		}
 		f.Add(string(raw))
 	}
-	st := fixtureStore(f)
+	st := diffStore(f)
 	f.Fuzz(func(t *testing.T, text string) {
-		q, err := Parse(text)
+		q, err := sparql.Parse(text)
 		if err != nil {
 			return
 		}
@@ -48,7 +51,7 @@ func FuzzQuery(f *testing.F) {
 			return
 		}
 		// evaluation errors are legitimate; the two must agree on having one
-		if _, rerr := q.ExecReference(st); (rerr == nil) != (err == nil) {
+		if _, rerr := reference.Exec(q, st); (rerr == nil) != (err == nil) {
 			t.Fatalf("errors disagree on %q: executor=%v reference=%v", text, err, rerr)
 		}
 	})
@@ -78,20 +81,20 @@ func TestParseBoundsNesting(t *testing.T) {
 			return "SELECT * WHERE { ?s ?p " + strings.Repeat("[ ?p ", n) + "?o" + strings.Repeat(" ]", n) + " }"
 		},
 	}
-	st := fixtureStore(t)
+	st := diffStore(t)
 	for name, shape := range shapes {
-		if _, err := Parse(shape(4 * maxNesting)); err == nil || !strings.Contains(err.Error(), "nesting") {
-			t.Errorf("%s: %d levels: err = %v, want the nesting bound", name, 4*maxNesting, err)
+		if _, err := sparql.Parse(shape(4 * sparql.MaxNesting)); err == nil || !strings.Contains(err.Error(), "nesting") {
+			t.Errorf("%s: %d levels: err = %v, want the nesting bound", name, 4*sparql.MaxNesting, err)
 		}
-		q, err := Parse(shape(maxNesting / 2))
+		q, err := sparql.Parse(shape(sparql.MaxNesting / 2))
 		if err != nil {
-			t.Errorf("%s: %d levels rejected: %v", name, maxNesting/2, err)
+			t.Errorf("%s: %d levels rejected: %v", name, sparql.MaxNesting/2, err)
 			continue
 		}
 		if _, err := q.Exec(st); err != nil {
 			t.Errorf("%s: exec: %v", name, err)
 		}
-		if _, err := q.ExecReference(st); err != nil {
+		if _, err := reference.Exec(q, st); err != nil {
 			t.Errorf("%s: reference: %v", name, err)
 		}
 	}

@@ -7,8 +7,8 @@ import "repro/internal/rdf"
 // conditions with exactly the engines' comparison semantics — otherwise
 // an ordered k-way merge of locally-sorted branches would not reproduce
 // the order a single endpoint over the union corpus establishes. The
-// helpers here share their comparison with sortSolutions, the engines'
-// materialized sort, so the two cannot drift apart.
+// helpers here share their comparison with sortRows and the top-k heap,
+// the executor's own sorts, so the two cannot drift apart.
 
 // OrderKey is a row's precomputed ORDER BY sort key: every condition
 // expression evaluated once, so repeated comparisons during a k-way
@@ -25,7 +25,7 @@ type OrderKey struct {
 func OrderKeyOf(conds []OrderCond, row Binding) OrderKey {
 	k := OrderKey{keys: make([]rdf.Term, len(conds)), errs: make([]bool, len(conds))}
 	for i, c := range conds {
-		t, err := evalExpr(c.Expr, row)
+		t, err := EvalExpr(c.Expr, row)
 		if err != nil {
 			k.errs[i] = true
 		} else {
@@ -61,31 +61,13 @@ func CompareOrderKeys(conds []OrderCond, a, b OrderKey) int {
 func OrderByVars(conds []OrderCond) []string {
 	var out []string
 	seen := map[string]bool{}
-	var walk func(Expression)
-	walk = func(e Expression) {
-		switch x := e.(type) {
-		case *ExprVar:
-			if !seen[x.Name] {
-				seen[x.Name] = true
-				out = append(out, x.Name)
-			}
-		case *ExprBinary:
-			walk(x.L)
-			walk(x.R)
-		case *ExprUnary:
-			walk(x.X)
-		case *ExprCall:
-			for _, a := range x.Args {
-				walk(a)
-			}
-		case *ExprAggregate:
-			if x.Arg != nil {
-				walk(x.Arg)
-			}
-		}
-	}
 	for _, c := range conds {
-		walk(c.Expr)
+		walkVars(c.Expr, func(name string) {
+			if !seen[name] {
+				seen[name] = true
+				out = append(out, name)
+			}
+		})
 	}
 	return out
 }
@@ -103,7 +85,7 @@ func compareOrderCond(a, b OrderKey, i int) int {
 	case eb:
 		return 1
 	}
-	cmp, err := termOrder(a.keys[i], b.keys[i])
+	cmp, err := TermOrder(a.keys[i], b.keys[i])
 	if err != nil {
 		cmp = a.keys[i].Compare(b.keys[i])
 	}

@@ -300,6 +300,17 @@ func (p *parser) query() (*Query, error) {
 	if p.cur().kind != tokEOF {
 		return nil, p.errf("unexpected trailing input %s", p.cur())
 	}
+	// two grouped shapes that would otherwise be answered silently wrong:
+	// a group has no column for SELECT * to name, and an ORDER BY key is
+	// evaluated on a finished row, where an aggregate has nothing to fold
+	if q.Star && q.NeedsGrouping() {
+		return nil, p.errf("SELECT * is not legal with GROUP BY")
+	}
+	for _, c := range q.OrderBy {
+		if HasAggregate(c.Expr) {
+			return nil, p.errf("aggregate in ORDER BY: project it AS ?v and order by ?v")
+		}
+	}
 	return q, nil
 }
 

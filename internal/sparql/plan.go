@@ -229,29 +229,11 @@ func (c *compiler) pattern(tp TriplePattern) cpattern {
 func (c *compiler) exprVars(e Expression) []varslot {
 	var out []varslot
 	seen := map[string]bool{}
-	var walk func(Expression)
-	walk = func(e Expression) {
-		switch x := e.(type) {
-		case *ExprVar:
-			if !seen[x.Name] {
-				seen[x.Name] = true
-				out = append(out, varslot{name: x.Name, slot: c.slots.slot(x.Name)})
-			}
-		case *ExprBinary:
-			walk(x.L)
-			walk(x.R)
-		case *ExprUnary:
-			walk(x.X)
-		case *ExprCall:
-			for _, a := range x.Args {
-				walk(a)
-			}
-		case *ExprAggregate:
-			if x.Arg != nil {
-				walk(x.Arg)
-			}
+	walkVars(e, func(name string) {
+		if !seen[name] {
+			seen[name] = true
+			out = append(out, varslot{name: name, slot: c.slots.slot(name)})
 		}
-	}
-	walk(e)
+	})
 	return out
 }

@@ -1,57 +1,46 @@
-package sparql
-
-// The term-space reference evaluator: the pattern algebra joined over
-// map-based Bindings, straight from the parsed AST with no plan, no slots
-// and no ID space. It shares nothing with the executor's join and sink
-// code, which is what makes it the oracle the differential and
-// conformance suites compare the executor against. The grouping, sorting
-// and deduplication helpers further down serve both.
+// Package reference is the term-space reference evaluator: the pattern
+// algebra joined over map-based Bindings, straight from the parsed AST
+// with no plan, no slots and no ID space, then grouping, ordering and
+// deduplication over the materialized solutions. It shares the parser and
+// the expression language with internal/sparql (of ORDER BY, the key
+// comparison the federated merge also uses) and nothing of the execution —
+// no join, sink, grouping, aggregation or deduplication code — which is
+// what makes it the oracle the differential and conformance suites compare
+// the executor against. Only _test.go files and internal/testsuite import it
+// (CI checks that no binary does); internal/sparql cannot import it back.
+package reference
 
 import (
-	"fmt"
+	"errors"
+	"math"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/rdf"
+	"repro/internal/sparql"
 	"repro/internal/store"
 )
 
-// ExecReference executes the query on the term-space reference evaluator.
-// It materializes every intermediate solution set and ignores contexts:
-// it exists for tests and is not reachable from any serving path.
-func (q *Query) ExecReference(st store.Queryable) (*Result, error) {
+// Exec executes the query on the reference evaluator. It materializes
+// every intermediate solution set and ignores contexts.
+func Exec(q *sparql.Query, st store.Queryable) (*sparql.Result, error) {
 	ev := &evaluator{st: st}
-	sols := ev.evalGroup(q.Where, []Binding{{}})
+	sols := ev.evalGroup(q.Where, []sparql.Binding{{}})
 
-	if q.Form == FormAsk {
-		return &Result{Ask: true, Boolean: len(sols) > 0}, nil
+	if q.Form == sparql.FormAsk {
+		return &sparql.Result{Ask: true, Boolean: len(sols) > 0}, nil
 	}
-	if q.Form == FormConstruct {
+	if q.Form == sparql.FormConstruct {
 		// solution modifiers apply to the solution sequence before
 		// templating
-		if q.Offset > 0 {
-			if q.Offset >= len(sols) {
-				sols = nil
-			} else {
-				sols = sols[q.Offset:]
-			}
-		}
-		if q.Limit >= 0 && q.Limit < len(sols) {
-			sols = sols[:q.Limit]
-		}
-		return &Result{Graph: q.execConstruct(sols)}, nil
+		return &sparql.Result{Graph: q.Construct(window(sols, q.Offset, q.Limit))}, nil
 	}
 
-	needsGroup := q.needsGrouping()
-
-	var vars []string
-	var rows []Binding
-	if needsGroup {
-		var err error
-		vars, rows, err = q.aggregate(sols)
-		if err != nil {
-			return nil, err
-		}
+	vars := q.Vars()
+	var rows []sparql.Binding
+	if q.NeedsGrouping() {
+		rows = aggregate(q, sols)
 		// In the grouped path ORDER BY references group keys or aggregate
 		// aliases, both present in the produced rows.
 		if len(q.OrderBy) > 0 {
@@ -63,14 +52,14 @@ func (q *Query) ExecReference(st store.Queryable) (*Result, error) {
 		// the projection aliases, sort, then restrict.
 		extended := sols
 		if len(q.OrderBy) > 0 || hasAliases(q.Select) {
-			extended = make([]Binding, len(sols))
+			extended = make([]sparql.Binding, len(sols))
 			for i, s := range sols {
-				ns := s.clone()
+				ns := clone(s)
 				for _, it := range q.Select {
 					if it.Expr == nil {
 						continue
 					}
-					if t, err := evalExpr(it.Expr, s); err == nil {
+					if t, err := sparql.EvalExpr(it.Expr, s); err == nil {
 						ns[it.Var] = t
 					}
 				}
@@ -80,27 +69,48 @@ func (q *Query) ExecReference(st store.Queryable) (*Result, error) {
 				sortSolutions(extended, q.OrderBy)
 			}
 		}
-		vars, rows = q.projectPrepared(extended)
+		rows = project(q, vars, extended)
 	}
-	// DISTINCT
 	if q.Distinct || q.Reduced {
 		rows = distinct(rows, vars)
 	}
-	// OFFSET / LIMIT
-	if q.Offset > 0 {
-		if q.Offset >= len(rows) {
-			rows = nil
-		} else {
-			rows = rows[q.Offset:]
-		}
-	}
-	if q.Limit >= 0 && q.Limit < len(rows) {
-		rows = rows[:q.Limit]
-	}
-	return &Result{Vars: vars, Rows: rows}, nil
+	return &sparql.Result{Vars: vars, Rows: window(rows, q.Offset, q.Limit)}, nil
 }
 
-func hasAliases(items []SelectItem) bool {
+// window applies OFFSET / LIMIT.
+func window(rows []sparql.Binding, offset, limit int) []sparql.Binding {
+	if offset > 0 {
+		if offset >= len(rows) {
+			rows = nil
+		} else {
+			rows = rows[offset:]
+		}
+	}
+	if limit >= 0 && limit < len(rows) {
+		rows = rows[:limit]
+	}
+	return rows
+}
+
+// holds reports whether the condition is true on b; an error is false.
+func holds(e sparql.Expression, b sparql.Binding) bool {
+	t, err := sparql.EvalExpr(e, b)
+	if err != nil {
+		return false
+	}
+	v, err := sparql.EffectiveBool(t)
+	return err == nil && v
+}
+
+func clone(b sparql.Binding) sparql.Binding {
+	out := make(sparql.Binding, len(b)+2)
+	for k, v := range b {
+		out[k] = v
+	}
+	return out
+}
+
+func hasAliases(items []sparql.SelectItem) bool {
 	for _, it := range items {
 		if it.Expr != nil {
 			return true
@@ -109,19 +119,15 @@ func hasAliases(items []SelectItem) bool {
 	return false
 }
 
-// projectPrepared applies the SELECT clause to solutions whose expression
+// project applies the SELECT clause to solutions whose expression
 // aliases have already been materialized into the bindings.
-func (q *Query) projectPrepared(sols []Binding) ([]string, []Binding) {
+func project(q *sparql.Query, vars []string, sols []sparql.Binding) []sparql.Binding {
 	if q.Star {
-		return q.starVars(), sols
+		return sols
 	}
-	vars := make([]string, len(q.Select))
-	for i, it := range q.Select {
-		vars[i] = it.Var
-	}
-	rows := make([]Binding, 0, len(sols))
+	rows := make([]sparql.Binding, 0, len(sols))
 	for _, s := range sols {
-		out := Binding{}
+		out := sparql.Binding{}
 		for _, v := range vars {
 			if t, ok := s[v]; ok {
 				out[v] = t
@@ -129,88 +135,58 @@ func (q *Query) projectPrepared(sols []Binding) ([]string, []Binding) {
 		}
 		rows = append(rows, out)
 	}
-	return vars, rows
+	return rows
 }
 
-func (q *Query) starVars() []string {
-	seen := map[string]bool{}
-	var vars []string
-	collectVars(q.Where, func(v string) {
-		if !seen[v] {
-			seen[v] = true
-			vars = append(vars, v)
-		}
-	})
-	sort.Strings(vars)
-	return vars
-}
-
-// aggregate applies GROUP BY / HAVING and aggregate projections.
-func (q *Query) aggregate(sols []Binding) ([]string, []Binding, error) {
+// aggregate applies GROUP BY / HAVING and aggregate projections: the
+// solutions are partitioned into materialized groups, and each group's
+// conditions and projections are evaluated over its whole row set.
+func aggregate(q *sparql.Query, sols []sparql.Binding) []sparql.Binding {
 	type group struct {
-		key  string
-		base Binding // group-key bindings
-		rows []Binding
+		base sparql.Binding // group-key bindings
+		rows []sparql.Binding
 	}
 	groups := map[string]*group{}
-	var order []string
+	var order []*group
 
-	keyFor := func(s Binding) (string, Binding) {
+	keyOf := func(s sparql.Binding) (string, sparql.Binding) {
 		var sb strings.Builder
-		base := Binding{}
+		base := sparql.Binding{}
 		for _, ge := range q.GroupBy {
-			t, err := evalExpr(ge, s)
+			t, err := sparql.EvalExpr(ge, s)
 			if err != nil {
 				sb.WriteString("\x00!")
 				continue
 			}
 			sb.WriteString(t.String())
 			sb.WriteByte('\x00')
-			if v, ok := ge.(*ExprVar); ok {
+			if v, ok := ge.(*sparql.ExprVar); ok {
 				base[v.Name] = t
 			}
 		}
 		return sb.String(), base
 	}
-
 	if len(q.GroupBy) == 0 {
-		g := &group{key: "", base: Binding{}, rows: sols}
-		groups[""] = g
-		order = append(order, "")
+		// one group, present even over zero solutions (COUNT(*) = 0)
+		order = append(order, &group{base: sparql.Binding{}, rows: sols})
 	} else {
 		for _, s := range sols {
-			k, base := keyFor(s)
+			k, base := keyOf(s)
 			g, ok := groups[k]
 			if !ok {
-				g = &group{key: k, base: base}
+				g = &group{base: base}
 				groups[k] = g
-				order = append(order, k)
+				order = append(order, g)
 			}
 			g.rows = append(g.rows, s)
 		}
 	}
 
-	vars := make([]string, len(q.Select))
-	for i, it := range q.Select {
-		vars[i] = it.Var
-		if it.Var == "" {
-			return nil, nil, fmt.Errorf("sparql: aggregate projection requires AS")
-		}
-	}
-
-	var rows []Binding
-	for _, k := range order {
-		g := groups[k]
-		// HAVING
+	var rows []sparql.Binding
+	for _, g := range order {
 		keep := true
 		for _, h := range q.Having {
-			t, err := evalAggExpr(h, g.rows, g.base)
-			if err != nil {
-				keep = false
-				break
-			}
-			v, err := EffectiveBool(t)
-			if err != nil || !v {
+			if !holds(substAggregates(h, g.rows), g.base) {
 				keep = false
 				break
 			}
@@ -218,7 +194,7 @@ func (q *Query) aggregate(sols []Binding) ([]string, []Binding, error) {
 		if !keep {
 			continue
 		}
-		out := Binding{}
+		out := sparql.Binding{}
 		for _, it := range q.Select {
 			if it.Expr == nil {
 				if t, ok := g.base[it.Var]; ok {
@@ -232,82 +208,56 @@ func (q *Query) aggregate(sols []Binding) ([]string, []Binding, error) {
 				}
 				continue
 			}
-			if t, err := evalAggExpr(it.Expr, g.rows, g.base); err == nil {
+			if t, err := sparql.EvalExpr(substAggregates(it.Expr, g.rows), g.base); err == nil {
 				out[it.Var] = t
 			}
 		}
 		rows = append(rows, out)
 	}
-	// A grouped query over zero solutions with no GROUP BY yields one row
-	// (e.g. COUNT(*) = 0).
-	if len(q.GroupBy) == 0 && len(sols) == 0 && len(rows) == 1 {
-		// keep the single all-aggregate row
-		_ = rows
-	}
-	return vars, rows, nil
+	return rows
 }
 
-// evalAggExpr evaluates an expression that may contain aggregates over the
-// rows of one group.
-func evalAggExpr(e Expression, rows []Binding, base Binding) (rdf.Term, error) {
+// substAggregates returns e with every aggregate replaced by its value
+// over the rows of one group, so the rest of the expression evaluates
+// with the ordinary rules (an error under || or COALESCE included). An
+// aggregate that errors stays in place: evaluating the node is an error.
+func substAggregates(e sparql.Expression, rows []sparql.Binding) sparql.Expression {
 	switch x := e.(type) {
-	case *ExprAggregate:
-		return evalAggregate(x, rows)
-	case *ExprBinary:
-		l, err := evalAggExpr(x.L, rows, base)
-		if err != nil {
-			return rdf.Term{}, err
+	case *sparql.ExprAggregate:
+		if t, err := evalAggregate(x, rows); err == nil {
+			return &sparql.ExprTerm{Term: t}
 		}
-		r, err := evalAggExpr(x.R, rows, base)
-		if err != nil {
-			return rdf.Term{}, err
-		}
-		return evalBinary(&ExprBinary{Op: x.Op, L: &ExprTerm{Term: l}, R: &ExprTerm{Term: r}}, base)
-	case *ExprUnary:
-		v, err := evalAggExpr(x.X, rows, base)
-		if err != nil {
-			return rdf.Term{}, err
-		}
-		return evalUnary(&ExprUnary{Op: x.Op, X: &ExprTerm{Term: v}}, base)
-	case *ExprCall:
-		args := make([]Expression, len(x.Args))
+	case *sparql.ExprBinary:
+		return &sparql.ExprBinary{Op: x.Op, L: substAggregates(x.L, rows), R: substAggregates(x.R, rows)}
+	case *sparql.ExprUnary:
+		return &sparql.ExprUnary{Op: x.Op, X: substAggregates(x.X, rows)}
+	case *sparql.ExprCall:
+		args := make([]sparql.Expression, len(x.Args))
 		for i, a := range x.Args {
-			if HasAggregate(a) {
-				v, err := evalAggExpr(a, rows, base)
-				if err != nil {
-					return rdf.Term{}, err
-				}
-				args[i] = &ExprTerm{Term: v}
-			} else {
-				args[i] = a
-			}
+			args[i] = substAggregates(a, rows)
 		}
-		return evalCall(&ExprCall{Fn: x.Fn, Args: args}, base)
-	default:
-		return evalExpr(e, base)
+		return &sparql.ExprCall{Fn: x.Fn, Args: args}
 	}
+	return e
 }
 
-func evalAggregate(x *ExprAggregate, rows []Binding) (rdf.Term, error) {
+var errAggregate = errors.New("sparql: aggregate error")
+
+func evalAggregate(x *sparql.ExprAggregate, rows []sparql.Binding) (rdf.Term, error) {
 	// collect argument values
 	var vals []rdf.Term
 	if x.Arg == nil { // COUNT(*)
 		if x.Distinct {
 			seen := map[string]bool{}
-			n := 0
 			for _, r := range rows {
-				k := bindingKey(r, nil)
-				if !seen[k] {
-					seen[k] = true
-					n++
-				}
+				seen[sparql.BindingKey(r, nil)] = true
 			}
-			return rdf.NewInteger(int64(n)), nil
+			return rdf.NewInteger(int64(len(seen))), nil
 		}
 		return rdf.NewInteger(int64(len(rows))), nil
 	}
 	for _, r := range rows {
-		if t, err := evalExpr(x.Arg, r); err == nil {
+		if t, err := sparql.EvalExpr(x.Arg, r); err == nil {
 			vals = append(vals, t)
 		}
 	}
@@ -325,36 +275,29 @@ func evalAggregate(x *ExprAggregate, rows []Binding) (rdf.Term, error) {
 	switch x.Fn {
 	case "COUNT":
 		return rdf.NewInteger(int64(len(vals))), nil
-	case "SUM":
-		sum := 0.0
-		for _, v := range vals {
-			f, ok := v.Float()
-			if !ok {
-				return rdf.Term{}, exprErrf("SUM over non-numeric")
-			}
-			sum += f
-		}
-		return formatFloat(sum), nil
-	case "AVG":
-		if len(vals) == 0 {
+	case "SUM", "AVG":
+		if x.Fn == "AVG" && len(vals) == 0 {
 			return rdf.NewInteger(0), nil
 		}
 		sum := 0.0
 		for _, v := range vals {
 			f, ok := v.Float()
 			if !ok {
-				return rdf.Term{}, exprErrf("AVG over non-numeric")
+				return rdf.Term{}, errAggregate // over a non-number
 			}
 			sum += f
 		}
-		return formatFloat(sum / float64(len(vals))), nil
+		if x.Fn == "AVG" {
+			sum /= float64(len(vals))
+		}
+		return formatFloat(sum), nil
 	case "MIN", "MAX":
 		if len(vals) == 0 {
-			return rdf.Term{}, exprErrf("%s of empty group", x.Fn)
+			return rdf.Term{}, errAggregate // of an empty group
 		}
 		best := vals[0]
 		for _, v := range vals[1:] {
-			c, err := termOrder(v, best)
+			c, err := sparql.TermOrder(v, best)
 			if err != nil {
 				c = v.Compare(best)
 			}
@@ -365,7 +308,7 @@ func evalAggregate(x *ExprAggregate, rows []Binding) (rdf.Term, error) {
 		return best, nil
 	case "SAMPLE":
 		if len(vals) == 0 {
-			return rdf.Term{}, exprErrf("SAMPLE of empty group")
+			return rdf.Term{}, errAggregate // of an empty group
 		}
 		return vals[0], nil
 	case "GROUP_CONCAT":
@@ -375,7 +318,15 @@ func evalAggregate(x *ExprAggregate, rows []Binding) (rdf.Term, error) {
 		}
 		return rdf.NewLiteral(strings.Join(parts, x.Separator)), nil
 	}
-	return rdf.Term{}, exprErrf("unknown aggregate %s", x.Fn)
+	return rdf.Term{}, errAggregate
+}
+
+// formatFloat renders an aggregate numeric result: integer when integral.
+func formatFloat(f float64) rdf.Term {
+	if f == math.Trunc(f) && math.Abs(f) < 1e15 {
+		return rdf.NewInteger(int64(f))
+	}
+	return rdf.NewTypedLiteral(strconv.FormatFloat(f, 'f', -1, 64), rdf.XSDDecimal)
 }
 
 // --- pattern evaluation ---
@@ -384,7 +335,7 @@ type evaluator struct {
 	st store.Queryable
 }
 
-func (ev *evaluator) evalGroup(g *GroupPattern, input []Binding) []Binding {
+func (ev *evaluator) evalGroup(g *sparql.GroupPattern, input []sparql.Binding) []sparql.Binding {
 	sols := input
 	for _, el := range g.Elems {
 		sols = ev.evalPattern(el, sols)
@@ -400,8 +351,7 @@ func (ev *evaluator) evalGroup(g *GroupPattern, input []Binding) []Binding {
 		for _, s := range sols {
 			ok := true
 			for _, f := range g.Filters {
-				v, err := evalBool(f, s)
-				if err != nil || !v {
+				if !holds(f, s) {
 					ok = false
 					break
 				}
@@ -415,16 +365,16 @@ func (ev *evaluator) evalGroup(g *GroupPattern, input []Binding) []Binding {
 	return sols
 }
 
-func (ev *evaluator) evalPattern(p GraphPattern, input []Binding) []Binding {
+func (ev *evaluator) evalPattern(p sparql.GraphPattern, input []sparql.Binding) []sparql.Binding {
 	switch x := p.(type) {
-	case *BGP:
+	case *sparql.BGP:
 		return ev.evalBGP(x, input)
-	case *GroupPattern:
+	case *sparql.GroupPattern:
 		return ev.evalGroup(x, input)
-	case *OptionalPattern:
-		var out []Binding
+	case *sparql.OptionalPattern:
+		var out []sparql.Binding
 		for _, left := range input {
-			ext := ev.evalGroup(x.Inner, []Binding{left})
+			ext := ev.evalGroup(x.Inner, []sparql.Binding{left})
 			if len(ext) == 0 {
 				out = append(out, left)
 			} else {
@@ -432,13 +382,13 @@ func (ev *evaluator) evalPattern(p GraphPattern, input []Binding) []Binding {
 			}
 		}
 		return out
-	case *UnionPattern:
+	case *sparql.UnionPattern:
 		l := ev.evalGroup(x.Left, input)
 		r := ev.evalGroup(x.Right, input)
 		return append(l, r...)
-	case *MinusPattern:
-		right := ev.evalGroup(x.Inner, []Binding{{}})
-		var out []Binding
+	case *sparql.MinusPattern:
+		right := ev.evalGroup(x.Inner, []sparql.Binding{{}})
+		var out []sparql.Binding
 		for _, left := range input {
 			removed := false
 			for _, r := range right {
@@ -452,21 +402,21 @@ func (ev *evaluator) evalPattern(p GraphPattern, input []Binding) []Binding {
 			}
 		}
 		return out
-	case *BindPattern:
-		out := make([]Binding, 0, len(input))
+	case *sparql.BindPattern:
+		out := make([]sparql.Binding, 0, len(input))
 		for _, s := range input {
-			ns := s.clone()
-			if t, err := evalExpr(x.Expr, s); err == nil {
+			ns := clone(s)
+			if t, err := sparql.EvalExpr(x.Expr, s); err == nil {
 				ns[x.Var] = t
 			}
 			out = append(out, ns)
 		}
 		return out
-	case *ValuesPattern:
-		var out []Binding
+	case *sparql.ValuesPattern:
+		var out []sparql.Binding
 		for _, s := range input {
 			for _, row := range x.Rows {
-				ns := s.clone()
+				ns := clone(s)
 				ok := true
 				for i, v := range x.Vars {
 					t := row[i]
@@ -494,7 +444,7 @@ func (ev *evaluator) evalPattern(p GraphPattern, input []Binding) []Binding {
 
 // compatibleSharing reports whether two bindings share at least one
 // variable and agree on all shared variables (MINUS semantics).
-func compatibleSharing(l, r Binding) bool {
+func compatibleSharing(l, r sparql.Binding) bool {
 	shared := false
 	for k, v := range r {
 		if lv, ok := l[k]; ok {
@@ -508,16 +458,16 @@ func compatibleSharing(l, r Binding) bool {
 }
 
 // evalBGP joins the triple patterns with greedy selectivity ordering.
-func (ev *evaluator) evalBGP(bgp *BGP, input []Binding) []Binding {
+func (ev *evaluator) evalBGP(bgp *sparql.BGP, input []sparql.Binding) []sparql.Binding {
 	if len(bgp.Patterns) == 0 {
 		return input
 	}
 	sols := input
-	remaining := make([]TriplePattern, len(bgp.Patterns))
+	remaining := make([]sparql.TriplePattern, len(bgp.Patterns))
 	copy(remaining, bgp.Patterns)
 	// The estimate depends only on the pattern's constants, so one store
 	// call per pattern suffices; re-estimating every remaining pattern on
-	// every iteration cost O(k²) Cardinality calls per BGP.
+	// every iteration cost O(k²) Cardinality calls per sparql.BGP.
 	cards := make([]int, len(remaining))
 	for i, tp := range remaining {
 		cards[i] = ev.st.Cardinality(patternFor(tp))
@@ -564,7 +514,7 @@ func (ev *evaluator) evalBGP(bgp *BGP, input []Binding) []Binding {
 // patternFor builds a store pattern for cardinality estimation from the
 // pattern's constants (row-bound variables are approximated as free, which
 // over-estimates but never changes results).
-func patternFor(tp TriplePattern) store.Pattern {
+func patternFor(tp sparql.TriplePattern) store.Pattern {
 	var pat store.Pattern
 	if !tp.S.IsVar() {
 		pat.S = tp.S.Term
@@ -579,11 +529,11 @@ func patternFor(tp TriplePattern) store.Pattern {
 }
 
 // joinPattern extends each solution with all matches of tp.
-func (ev *evaluator) joinPattern(tp TriplePattern, sols []Binding) []Binding {
-	var out []Binding
+func (ev *evaluator) joinPattern(tp sparql.TriplePattern, sols []sparql.Binding) []sparql.Binding {
+	var out []sparql.Binding
 	for _, s := range sols {
 		pat := store.Pattern{}
-		resolve := func(n NodePattern) (rdf.Term, bool) { // term, isConcrete
+		resolve := func(n sparql.NodePattern) (rdf.Term, bool) { // term, isConcrete
 			if !n.IsVar() {
 				return n.Term, true
 			}
@@ -602,7 +552,7 @@ func (ev *evaluator) joinPattern(tp TriplePattern, sols []Binding) []Binding {
 			pat.O = t
 		}
 		ev.st.Match(pat, func(tr rdf.Triple) bool {
-			ns := s.clone()
+			ns := clone(s)
 			if unify(tp, tr, ns) {
 				out = append(out, ns)
 			}
@@ -614,8 +564,8 @@ func (ev *evaluator) joinPattern(tp TriplePattern, sols []Binding) []Binding {
 
 // unify binds the pattern's variables to the triple's terms, checking
 // repeated variables for consistency.
-func unify(tp TriplePattern, tr rdf.Triple, b Binding) bool {
-	bind := func(n NodePattern, t rdf.Term) bool {
+func unify(tp sparql.TriplePattern, tr rdf.Triple, b sparql.Binding) bool {
+	bind := func(n sparql.NodePattern, t rdf.Term) bool {
 		if !n.IsVar() {
 			return n.Term == t
 		}
@@ -630,95 +580,36 @@ func unify(tp TriplePattern, tr rdf.Triple, b Binding) bool {
 
 // --- helpers ---
 
-func collectVars(p GraphPattern, add func(string)) {
-	switch x := p.(type) {
-	case *BGP:
-		for _, tp := range x.Patterns {
-			for _, v := range tp.Vars() {
-				add(v)
-			}
-		}
-	case *GroupPattern:
-		for _, el := range x.Elems {
-			collectVars(el, add)
-		}
-	case *OptionalPattern:
-		collectVars(x.Inner, add)
-	case *UnionPattern:
-		collectVars(x.Left, add)
-		collectVars(x.Right, add)
-	case *MinusPattern:
-		// MINUS does not bind
-	case *BindPattern:
-		add(x.Var)
-	case *ValuesPattern:
-		for _, v := range x.Vars {
-			add(v)
-		}
-	}
-}
-
-func sortSolutions(rows []Binding, conds []OrderCond) {
+func sortSolutions(rows []sparql.Binding, conds []sparql.OrderCond) {
 	// Precompute the sort keys once per row: evaluating expressions
 	// inside the comparator would cost O(n log n) evaluations. The
-	// comparison itself is CompareOrderKeys, shared with the federated
+	// comparison itself is sparql.CompareOrderKeys, shared with the federated
 	// ordered merge so both establish the same order.
 	type keyed struct {
-		row Binding
-		key OrderKey
+		row sparql.Binding
+		key sparql.OrderKey
 	}
 	ks := make([]keyed, len(rows))
 	for i, r := range rows {
-		ks[i] = keyed{row: r, key: OrderKeyOf(conds, r)}
+		ks[i] = keyed{row: r, key: sparql.OrderKeyOf(conds, r)}
 	}
 	sort.SliceStable(ks, func(i, j int) bool {
-		return CompareOrderKeys(conds, ks[i].key, ks[j].key) < 0
+		return sparql.CompareOrderKeys(conds, ks[i].key, ks[j].key) < 0
 	})
 	for i := range ks {
 		rows[i] = ks[i].row
 	}
 }
 
-func distinct(rows []Binding, vars []string) []Binding {
+func distinct(rows []sparql.Binding, vars []string) []sparql.Binding {
 	seen := map[string]bool{}
 	out := rows[:0:0]
 	for _, r := range rows {
-		k := bindingKey(r, vars)
+		k := sparql.BindingKey(r, vars)
 		if !seen[k] {
 			seen[k] = true
 			out = append(out, r)
 		}
 	}
 	return out
-}
-
-// bindingKey builds a canonical string key of a binding restricted to vars
-// (nil means all bound variables, sorted). With an explicit vars list the
-// key is positional; with nil it carries the variable names too, so two
-// rows binding the same value under different variables — possible when
-// rows from heterogeneous sources meet in a federated merge, or under
-// OPTIONAL in COUNT(DISTINCT *) — do not collide.
-func bindingKey(b Binding, vars []string) string {
-	var sb strings.Builder
-	if vars == nil {
-		vars = make([]string, 0, len(b))
-		for v := range b {
-			vars = append(vars, v)
-		}
-		sort.Strings(vars)
-		for _, v := range vars {
-			sb.WriteString(v)
-			sb.WriteByte('\x01')
-			sb.WriteString(b[v].String())
-			sb.WriteByte('\x00')
-		}
-		return sb.String()
-	}
-	for _, v := range vars {
-		if t, ok := b[v]; ok {
-			sb.WriteString(t.String())
-		}
-		sb.WriteByte('\x00')
-	}
-	return sb.String()
 }

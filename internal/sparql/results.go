@@ -79,7 +79,7 @@ func (r *Result) SortedRows() []Binding {
 	rows := make([]Binding, len(r.Rows))
 	copy(rows, r.Rows)
 	sort.Slice(rows, func(i, j int) bool {
-		return bindingKey(rows[i], r.Vars) < bindingKey(rows[j], r.Vars)
+		return BindingKey(rows[i], r.Vars) < BindingKey(rows[j], r.Vars)
 	})
 	return rows
 }

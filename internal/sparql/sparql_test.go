@@ -440,6 +440,33 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestParseRejectsUnanswerableGroupedShapes: two grouped shapes used to
+// parse and be answered silently wrong — SELECT * beside grouping came
+// back as one zero-column row per group, and an aggregate in ORDER BY
+// errored on every row, so the "sort" kept arrival order. Both are
+// syntax errors now; their legal neighbours still parse.
+func TestParseRejectsUnanswerableGroupedShapes(t *testing.T) {
+	for _, tc := range []struct{ query, want string }{
+		{`SELECT * WHERE { ?s <http://ex/dept> ?d } GROUP BY ?d`, "SELECT * is not legal with GROUP BY"},
+		{`SELECT * WHERE { ?s ?p ?o } HAVING (COUNT(*) > 1)`, "SELECT * is not legal with GROUP BY"},
+		{`SELECT ?d (COUNT(*) AS ?n) WHERE { ?s <http://ex/dept> ?d } GROUP BY ?d ORDER BY ASC(COUNT(*))`, "aggregate in ORDER BY"},
+		{`SELECT ?d WHERE { ?s <http://ex/dept> ?d } GROUP BY ?d ORDER BY DESC(1 + MAX(?s)) ?d`, "aggregate in ORDER BY"},
+		{`SELECT ?s WHERE { ?s ?p ?o } ORDER BY COUNT(?o)`, ""}, // the grammar has no bare-call condition: an error either way
+		{`SELECT ?d (COUNT(*) AS ?n) WHERE { ?s <http://ex/dept> ?d } GROUP BY ?d ORDER BY DESC(?n) ?d`, "ok"},
+		{`SELECT * WHERE { ?s ?p ?o } ORDER BY ?s`, "ok"},
+	} {
+		_, err := Parse(tc.query)
+		switch {
+		case tc.want == "ok":
+			if err != nil {
+				t.Errorf("Parse(%q): %v", tc.query, err)
+			}
+		case err == nil || !strings.Contains(err.Error(), tc.want):
+			t.Errorf("Parse(%q): err = %v, want one containing %q", tc.query, err, tc.want)
+		}
+	}
+}
+
 func TestTableOutput(t *testing.T) {
 	st := fixtureStore(t)
 	res := exec(t, st, `PREFIX ex: <http://ex/> SELECT ?p WHERE { ?p a ex:Event } ORDER BY ?p`)

@@ -9,7 +9,7 @@ package sparql
 // The pipeline drives the compiled plan of plan.go depth-first: each row
 // travels the entire pattern tree alone and reaches the sinks of exec.go
 // at the end. Solution modifiers that inherently need the full solution
-// set (unwindowed ORDER BY, the general aggregation, CONSTRUCT) hold rows
+// set (unwindowed ORDER BY, grouping, CONSTRUCT) hold rows
 // back in a blocking sink and emit once the pattern is exhausted, so every
 // query streams — just not every query streams incrementally.
 
@@ -262,7 +262,7 @@ func (q *Query) kind() string {
 		return "ask"
 	case q.Form == FormConstruct:
 		return "construct"
-	case q.needsGrouping():
+	case q.NeedsGrouping():
 		return "aggregate"
 	case len(q.OrderBy) > 0:
 		return "ordered"
@@ -318,11 +318,7 @@ func StreamExec(ctx context.Context, st store.Queryable, query string) (*RowSeq,
 // federation layer uses it to reject fan-out of aggregates — each
 // member would aggregate its own partition and the merge would
 // interleave partial results, not combine them.
-func (q *Query) NeedsGrouping() bool { return q.needsGrouping() }
-
-// needsGrouping reports whether the query requires the grouping/
-// aggregation machinery (which needs the full solution set).
-func (q *Query) needsGrouping() bool {
+func (q *Query) NeedsGrouping() bool {
 	if len(q.GroupBy) > 0 || len(q.Having) > 0 {
 		return true
 	}
@@ -561,7 +557,7 @@ func (s *streamExec) streamNode(n cnode, row []store.ID, free int, yield streamY
 	case *cBind:
 		nr := s.scratch(free)
 		copy(nr, row)
-		if t, err := evalExpr(x.expr, s.ex.bindScratch(x.vars, row)); err == nil {
+		if t, err := EvalExpr(x.expr, s.ex.bindScratch(x.vars, row)); err == nil {
 			nr[x.slot] = s.ex.intern(t)
 		}
 		return yield(nr, free+1)

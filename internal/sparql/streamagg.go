@@ -1,152 +1,198 @@
 package sparql
 
-// Streaming hash aggregation for GROUP BY queries. The grouped shapes
-// the exploration workloads lean on — class histograms, top predicates —
-// have low group cardinality over large solution sets, so holding one
-// accumulator per group while rows stream past turns an O(rows)
-// materialization into O(groups) live state. Rows never materialize as
-// Bindings: groups are keyed on packed group-slot ID tuples and the
-// accumulators fold each row in as the pipeline produces it; the finished
-// groups are emitted at stream end through the same ORDER BY / DISTINCT /
-// window finishers as the general aggregation (q.aggregate over the
-// buffered solution set), so the two cannot produce different answers.
+// The grouped sink: streaming hash aggregation for every GROUP BY /
+// HAVING / aggregate shape. Exploration leans on grouped queries with low
+// group cardinality over large solution sets (class histograms, top
+// predicates — H-BOLD's index extraction is a stream of them), so the
+// sink holds one accumulator per (group, aggregate) while rows stream
+// past: live state is O(groups), never O(rows), and no solution row is
+// ever materialized as a Binding.
 //
-// Not every grouped query streams: the operator handles plain-variable
-// group keys and direct COUNT/SUM/MIN/MAX/AVG projections (COUNT also
-// with DISTINCT), which is exactly the aggregate surface the executor
-// and the reference evaluate identically. HAVING, expression keys,
-// nested aggregate arithmetic, GROUP_CONCAT and SAMPLE take the general
-// aggregation over the buffering sink — SAMPLE and GROUP_CONCAT because
-// their result depends on row arrival order.
+// At compile time every aggregate of SELECT and HAVING is lifted out of
+// its expression into one aggSpec with a hidden slot; the expression keeps
+// a variable reference in its place. Keys and aggregate arguments that
+// are plain variables read their slot of the ID row; anything richer is
+// evaluated through the scratch Binding and interned. When the pattern is
+// exhausted each group writes its finished aggregates into the hidden
+// slots of an ID row beside its key variables, evaluates HAVING and the
+// projection expressions on that row once, and emits an ID row of the
+// projected variables into the same ORDER BY / DISTINCT / window / project
+// tail every other blocking sink ends in.
 
 import (
+	"strconv"
+
 	"repro/internal/rdf"
 	"repro/internal/store"
 )
 
-// aggKind is what one projection of a streamed grouped query computes.
-type aggKind uint8
+type aggFn uint8
 
 const (
-	aggKey   aggKind = iota // a group-key variable
-	aggCount                // COUNT(*) or COUNT(?v), optionally DISTINCT
+	aggCount aggFn = iota
 	aggSum
+	aggAvg
 	aggMin
 	aggMax
-	aggAvg
+	aggSample
+	aggConcat
 )
 
-// aggProj is one compiled projection of a streamed grouped query.
-type aggProj struct {
-	kind     aggKind
-	outVar   string
-	argVar   string // aggregate argument variable; "" = COUNT(*)
-	distinct bool
-	slot     int // resolved at runtime: key slot or argument slot; -1/-2 per lookup
+var aggFns = map[string]aggFn{
+	"COUNT": aggCount, "SUM": aggSum, "AVG": aggAvg, "MIN": aggMin, "MAX": aggMax,
+	"SAMPLE": aggSample, "GROUP_CONCAT": aggConcat,
 }
 
-// streamAggSpec is the AST-level plan of a streamable grouped query; nil
-// means the shape needs the general aggregation.
-type streamAggSpec struct {
-	groupVars []string
-	projs     []aggProj
+// slotExpr is an expression compiled to where its value comes from: a
+// plain variable reads slot (-1: a variable nothing binds), anything else
+// evaluates expr over vars. Group keys, aggregate arguments and every
+// (expr AS ?v) projection, grouped or not, are slotExprs.
+type slotExpr struct {
+	slot int
+	expr Expression // nil for a plain variable
+	vars []varslot
 }
 
-// streamAggSpec analyzes the query's grouping surface. It is purely
-// syntactic — slots are resolved later against the compiled plan.
-func (q *Query) streamAggSpec() *streamAggSpec {
-	if len(q.Having) > 0 || q.Star {
-		return nil
+func (c *compiler) slotExpr(e Expression) slotExpr {
+	if v, ok := e.(*ExprVar); ok {
+		return slotExpr{slot: c.slots.lookup(v.Name)}
 	}
-	spec := &streamAggSpec{}
-	keys := map[string]bool{}
-	for _, ge := range q.GroupBy {
-		v, ok := ge.(*ExprVar)
-		if !ok {
-			return nil
-		}
-		spec.groupVars = append(spec.groupVars, v.Name)
-		keys[v.Name] = true
+	return slotExpr{slot: -1, expr: e, vars: c.exprVars(e)}
+}
+
+// id returns the expression's value on row r as an ID; NoID for an
+// unbound variable or an expression error. Small enough to inline: a
+// plain variable — every key and argument of the grouped queries the
+// product issues — costs an index, not a call.
+func (e *slotExpr) id(ex *idExec, r []store.ID) store.ID {
+	if e.expr != nil {
+		return e.eval(ex, r)
+	}
+	if e.slot < 0 {
+		return store.NoID
+	}
+	return r[e.slot]
+}
+
+func (e *slotExpr) eval(ex *idExec, r []store.ID) store.ID {
+	t, err := EvalExpr(e.expr, ex.bindScratch(e.vars, r))
+	if err != nil {
+		return store.NoID
+	}
+	return ex.intern(t)
+}
+
+// aggSpec is one aggregate of the query: what it folds and the hidden
+// slot its finished value is written to.
+type aggSpec struct {
+	fn       aggFn
+	distinct bool
+	star     bool     // COUNT(*)
+	arg      slotExpr // unused under star
+	sep      string   // GROUP_CONCAT
+	slot     int
+}
+
+// groupProj is one SELECT item of a grouped query, emitted to slot out
+// (-1: a variable nothing binds). A plain variable is read off the
+// group's first row — a key reads its own value, any other variable is
+// sampled; an expression, its aggregates lifted, is evaluated over the
+// group's keys and finished aggregates.
+type groupProj struct {
+	val   slotExpr
+	plain bool
+	out   int
+}
+
+// groupSpec is the compiled grouping surface of a query.
+type groupSpec struct {
+	keys   []slotExpr
+	aggs   []aggSpec
+	having []cfilter // aggregates lifted
+	projs  []groupProj
+}
+
+// grouping compiles the query's GROUP BY keys, HAVING conditions and
+// projections. The parser has refused a projection expression without AS
+// and SELECT * beside grouping, so there is no shape to decline.
+func (c *compiler) grouping(q *Query) *groupSpec {
+	g := &groupSpec{}
+	for _, k := range q.GroupBy {
+		g.keys = append(g.keys, c.slotExpr(k))
+	}
+	for _, h := range q.Having {
+		h = c.liftAggregates(h, g)
+		g.having = append(g.having, cfilter{expr: h, vars: c.exprVars(h)})
 	}
 	for _, it := range q.Select {
 		if it.Expr == nil {
-			if !keys[it.Var] {
-				return nil // sampling a non-key variable: general aggregation
-			}
-			spec.projs = append(spec.projs, aggProj{kind: aggKey, outVar: it.Var, argVar: it.Var})
+			g.projs = append(g.projs, groupProj{plain: true, out: c.slots.lookup(it.Var)})
 			continue
 		}
-		if it.Var == "" {
-			return nil // missing AS: the general aggregation raises the error
+		g.projs = append(g.projs, groupProj{val: c.slotExpr(c.liftAggregates(it.Expr, g)), out: c.slots.slot(it.Var)})
+	}
+	return g
+}
+
+// liftAggregates returns e with every aggregate replaced by a reference
+// to the hidden variable its finished value is bound to. An aggregate
+// nested in another's argument stays: evaluated per row it is an error,
+// like anywhere else outside a group. So does BOUND's argument, which
+// must stay a variable of the query's.
+func (c *compiler) liftAggregates(e Expression, g *groupSpec) Expression {
+	switch x := e.(type) {
+	case *ExprAggregate:
+		return &ExprVar{Name: c.slots.names[c.accumulator(x, g)]}
+	case *ExprBinary:
+		return &ExprBinary{Op: x.Op, L: c.liftAggregates(x.L, g), R: c.liftAggregates(x.R, g)}
+	case *ExprUnary:
+		return &ExprUnary{Op: x.Op, X: c.liftAggregates(x.X, g)}
+	case *ExprCall:
+		if x.Fn == "BOUND" {
+			return x
 		}
-		agg, ok := it.Expr.(*ExprAggregate)
-		if !ok {
-			return nil
+		args := make([]Expression, len(x.Args))
+		for i, a := range x.Args {
+			args[i] = c.liftAggregates(a, g)
 		}
-		p := aggProj{outVar: it.Var, distinct: agg.Distinct}
-		switch agg.Fn {
-		case "COUNT":
-			p.kind = aggCount
-		case "SUM":
-			p.kind = aggSum
-		case "MIN":
-			p.kind = aggMin
-		case "MAX":
-			p.kind = aggMax
-		case "AVG":
-			p.kind = aggAvg
-		default:
-			return nil // SAMPLE/GROUP_CONCAT: arrival-order dependent
-		}
-		if p.kind != aggCount && p.distinct {
-			return nil // SUM(DISTINCT …) and friends: general aggregation
-		}
-		if agg.Arg != nil {
-			av, ok := agg.Arg.(*ExprVar)
-			if !ok {
-				return nil
+		return &ExprCall{Fn: x.Fn, Args: args}
+	}
+	return e
+}
+
+// accumulator returns the hidden slot of x's accumulator ('#' cannot occur
+// in a query's own variable names), sharing one between equal aggregates
+// over a plain variable: HAVING usually repeats a projected one.
+func (c *compiler) accumulator(x *ExprAggregate, g *groupSpec) int {
+	s := aggSpec{fn: aggFns[x.Fn], distinct: x.Distinct, star: x.Arg == nil, sep: x.Separator}
+	if !s.star {
+		s.arg = c.slotExpr(x.Arg)
+	}
+	if s.arg.expr == nil {
+		for _, o := range g.aggs {
+			if o.arg.expr == nil && o.fn == s.fn && o.distinct == s.distinct && o.star == s.star && o.arg.slot == s.arg.slot && o.sep == s.sep {
+				return o.slot
 			}
-			p.argVar = av.Name
-		} else if p.kind != aggCount {
-			return nil // only COUNT takes *
-		}
-		spec.projs = append(spec.projs, p)
-	}
-	return spec
-}
-
-// resolve binds the spec's variables to compiled slots. A variable the
-// WHERE clause never binds resolves to -1 and behaves as always-unbound.
-func (s *streamAggSpec) resolve(sm *slotmap) (gslots []int) {
-	gslots = make([]int, len(s.groupVars))
-	for i, v := range s.groupVars {
-		gslots[i] = sm.lookup(v)
-	}
-	for i := range s.projs {
-		p := &s.projs[i]
-		if p.argVar != "" {
-			p.slot = sm.lookup(p.argVar)
-		} else {
-			p.slot = -1
 		}
 	}
-	return gslots
+	s.slot = c.slots.slot("#agg" + strconv.Itoa(len(g.aggs)))
+	g.aggs = append(g.aggs, s)
+	return s.slot
 }
 
-// aggAcc is one projection's accumulator within one group.
+// aggAcc is one aggregate's accumulator within one group.
 type aggAcc struct {
-	count   int64
-	sum     float64
-	sumN    int64 // values folded into sum (AVG denominator, SUM presence)
-	numErr  bool  // a non-numeric value poisoned SUM/AVG, like q.aggregate
-	best    rdf.Term
-	bestSet bool
-	seenID  map[store.ID]struct{} // COUNT(DISTINCT ?v)
-	seenRow map[string]struct{}   // COUNT(DISTINCT *)
+	n      int64 // values folded: COUNT's result, AVG's denominator
+	sum    float64
+	numErr bool                  // a non-numeric value poisons SUM/AVG: the binding is omitted
+	best   store.ID              // MIN/MAX so far, SAMPLE's first value
+	concat []byte                // GROUP_CONCAT
+	seen   map[store.ID]struct{} // DISTINCT values
+	rows   map[string]struct{}   // COUNT(DISTINCT *)
 }
 
-// aggGroup is one group's state: the representative row (for key slots)
-// and one accumulator per projection.
+// aggGroup is one group's state: its first row (key variables and sampled
+// non-key ones read it) and one accumulator per aggregate.
 type aggGroup struct {
 	rep  []store.ID
 	accs []aggAcc
@@ -155,151 +201,189 @@ type aggGroup struct {
 // streamAgg folds streamed ID-space rows into per-group accumulators.
 type streamAgg struct {
 	ex     *idExec
-	spec   *streamAggSpec
-	gslots []int
+	spec   *groupSpec
 	groups map[string]*aggGroup
-	order  []*aggGroup
+	order  []*aggGroup // first-appearance order
 	keyBuf []byte
-	rowBuf []byte
 }
 
-func newStreamAgg(ex *idExec, spec *streamAggSpec, gslots []int) *streamAgg {
-	a := &streamAgg{ex: ex, spec: spec, gslots: gslots, groups: map[string]*aggGroup{}}
-	if len(gslots) == 0 {
+func newStreamAgg(ex *idExec, spec *groupSpec) *streamAgg {
+	a := &streamAgg{ex: ex, spec: spec, groups: map[string]*aggGroup{}}
+	if len(spec.keys) == 0 {
 		// a grouped query without GROUP BY has exactly one group, present
 		// even over zero rows (COUNT(*) = 0)
-		a.group(nil)
+		a.order = []*aggGroup{{accs: make([]aggAcc, len(spec.aggs))}}
 	}
 	return a
 }
 
-// group returns (creating on first sight) the accumulator group for row r.
+func appendID(buf []byte, v store.ID) []byte {
+	return append(buf, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
+}
+
+// group returns (creating on first sight) the group of row r, keyed on
+// the packed key IDs; an unbound or erroring key is NoID, a key of its own.
 func (a *streamAgg) group(r []store.ID) *aggGroup {
-	a.keyBuf = packIDKey(a.keyBuf[:0], r, a.gslots)
-	g, ok := a.groups[string(a.keyBuf)]
-	if !ok {
-		g = &aggGroup{accs: make([]aggAcc, len(a.spec.projs))}
-		if r != nil {
+	if len(a.spec.keys) == 0 {
+		g := a.order[0] // the one implicit group: nothing to hash
+		if g.rep == nil {
 			g.rep = append([]store.ID(nil), r...)
 		}
+		return g
+	}
+	a.keyBuf = a.keyBuf[:0]
+	for i := range a.spec.keys {
+		a.keyBuf = appendID(a.keyBuf, a.spec.keys[i].id(a.ex, r))
+	}
+	g := a.groups[string(a.keyBuf)]
+	if g == nil {
+		g = &aggGroup{rep: append([]store.ID(nil), r...), accs: make([]aggAcc, len(a.spec.aggs))}
 		a.groups[string(a.keyBuf)] = g
 		a.order = append(a.order, g)
 	}
 	return g
 }
 
-// add folds one pipeline row into its group's accumulators.
+// add folds one pipeline row into its group's accumulators. One loop, no
+// call per aggregate: at ~20 ns a row for the whole pipeline, a call is
+// what a COUNT costs.
 func (a *streamAgg) add(r []store.ID) {
 	g := a.group(r)
-	for pi := range a.spec.projs {
-		p := &a.spec.projs[pi]
-		acc := &g.accs[pi]
-		switch p.kind {
-		case aggKey:
-			// nothing to accumulate
-		case aggCount:
-			switch {
-			case p.argVar == "" && p.distinct: // COUNT(DISTINCT *)
-				if acc.seenRow == nil {
-					acc.seenRow = map[string]struct{}{}
-				}
-				a.rowBuf = packIDKeyAll(a.rowBuf[:0], r)
-				acc.seenRow[string(a.rowBuf)] = struct{}{}
-			case p.argVar == "": // COUNT(*)
-				acc.count++
-			case p.slot >= 0 && r[p.slot] != store.NoID:
-				if p.distinct {
-					if acc.seenID == nil {
-						acc.seenID = map[store.ID]struct{}{}
-					}
-					acc.seenID[r[p.slot]] = struct{}{}
-				} else {
-					acc.count++
-				}
+	for i := range a.spec.aggs {
+		s, acc := &a.spec.aggs[i], &g.accs[i]
+		if s.star {
+			if !s.distinct {
+				acc.n++
+				continue
 			}
+			// slot order is fixed per plan, so equal packed rows are equal
+			// solutions
+			a.keyBuf = a.keyBuf[:0]
+			for _, v := range r {
+				a.keyBuf = appendID(a.keyBuf, v)
+			}
+			if acc.rows == nil {
+				acc.rows = map[string]struct{}{}
+			}
+			acc.rows[string(a.keyBuf)] = struct{}{}
+			continue
+		}
+		id := s.arg.id(a.ex, r)
+		if id == store.NoID {
+			continue // unbound or erroring argument: the row contributes nothing
+		}
+		if s.distinct {
+			if _, dup := acc.seen[id]; dup {
+				continue
+			}
+			if acc.seen == nil {
+				acc.seen = map[store.ID]struct{}{}
+			}
+			acc.seen[id] = struct{}{}
+		}
+		switch s.fn {
 		case aggSum, aggAvg:
-			if p.slot >= 0 && r[p.slot] != store.NoID && !acc.numErr {
-				f, ok := a.ex.term(r[p.slot]).Float()
-				if !ok {
-					acc.numErr = true // poison: the binding is omitted
-					break
-				}
-				acc.sum += f
-				acc.sumN++
+			if acc.numErr {
+				continue
 			}
+			f, ok := a.ex.term(id).Float()
+			if !ok {
+				acc.numErr = true
+				continue
+			}
+			acc.sum += f
 		case aggMin, aggMax:
-			if p.slot >= 0 && r[p.slot] != store.NoID {
-				t := a.ex.term(r[p.slot])
-				if !acc.bestSet {
-					acc.best, acc.bestSet = t, true
+			if acc.n > 0 {
+				t, best := a.ex.term(id), a.ex.term(acc.best)
+				c, err := TermOrder(t, best)
+				if err != nil {
+					c = t.Compare(best)
+				}
+				if (s.fn == aggMin && c >= 0) || (s.fn == aggMax && c <= 0) {
 					break
 				}
-				c, err := termOrder(t, acc.best)
-				if err != nil {
-					c = t.Compare(acc.best)
-				}
-				if (p.kind == aggMin && c < 0) || (p.kind == aggMax && c > 0) {
-					acc.best = t
-				}
 			}
+			acc.best = id
+		case aggSample:
+			if acc.n == 0 {
+				acc.best = id
+			}
+		case aggConcat:
+			if acc.n > 0 {
+				acc.concat = append(acc.concat, s.sep...)
+			}
+			acc.concat = append(acc.concat, a.ex.term(id).Value...)
 		}
+		acc.n++
 	}
 }
 
-// groupCount reports the number of groups currently held.
-func (a *streamAgg) groupCount() int { return len(a.order) }
+// result is the accumulator's finished value as an ID; NoID is the
+// aggregate's error (MIN of nothing, SUM over a non-number), which leaves
+// whatever it feeds unbound.
+func (a *streamAgg) result(s *aggSpec, acc *aggAcc) store.ID {
+	var t rdf.Term
+	switch s.fn {
+	case aggCount:
+		n := acc.n
+		if acc.rows != nil {
+			n = int64(len(acc.rows))
+		}
+		t = rdf.NewInteger(n)
+	case aggSum, aggAvg:
+		if acc.numErr {
+			return store.NoID
+		}
+		v := acc.sum // an empty group sums, and averages, to 0
+		if s.fn == aggAvg && acc.n > 0 {
+			v /= float64(acc.n)
+		}
+		t = formatFloat(v)
+	case aggMin, aggMax, aggSample:
+		return acc.best // NoID over an empty group
+	case aggConcat:
+		t = rdf.NewLiteral(string(acc.concat))
+	}
+	return a.ex.intern(t)
+}
 
-// emit materializes the finished groups as Bindings, in first-appearance
-// order like q.aggregate.
-func (a *streamAgg) emit() []Binding {
-	out := make([]Binding, 0, len(a.order))
+// emit appends one ID row per group that passes HAVING to buf, in
+// first-appearance order. Conditions and projection expressions see the
+// group's key variables and finished aggregates and nothing else; the
+// emitted row carries the projected variables only, which is what ORDER
+// BY on a grouped query may refer to.
+func (a *streamAgg) emit(buf *rowbuf) {
+	ex, spec := a.ex, a.spec
+	env, out := make([]store.ID, ex.nslots), make([]store.ID, ex.nslots)
+groups:
 	for _, g := range a.order {
-		b := make(Binding, len(a.spec.projs))
-		for pi := range a.spec.projs {
-			p := &a.spec.projs[pi]
-			acc := &g.accs[pi]
-			switch p.kind {
-			case aggKey:
-				if p.slot >= 0 && g.rep != nil && g.rep[p.slot] != store.NoID {
-					b[p.outVar] = a.ex.term(g.rep[p.slot])
-				}
-			case aggCount:
-				n := acc.count
-				if acc.seenID != nil {
-					n = int64(len(acc.seenID))
-				}
-				if acc.seenRow != nil {
-					n = int64(len(acc.seenRow))
-				}
-				b[p.outVar] = rdf.NewInteger(n)
-			case aggSum:
-				if !acc.numErr {
-					b[p.outVar] = formatFloat(acc.sum) // empty group sums to 0
-				}
-			case aggAvg:
-				switch {
-				case acc.numErr:
-				case acc.sumN == 0:
-					b[p.outVar] = rdf.NewInteger(0)
-				default:
-					b[p.outVar] = formatFloat(acc.sum / float64(acc.sumN))
-				}
-			case aggMin, aggMax:
-				if acc.bestSet {
-					b[p.outVar] = acc.best // empty group: binding omitted
-				}
+		clear(env)
+		for i := range spec.keys {
+			if k := &spec.keys[i]; k.expr == nil && k.slot >= 0 {
+				env[k.slot] = g.rep[k.slot]
 			}
 		}
-		out = append(out, b)
+		for i := range spec.aggs {
+			env[spec.aggs[i].slot] = a.result(&spec.aggs[i], &g.accs[i])
+		}
+		for _, h := range spec.having {
+			if ok, err := evalBool(h.expr, ex.bindScratch(h.vars, env)); err != nil || !ok {
+				continue groups
+			}
+		}
+		clear(out)
+		for i := range spec.projs {
+			p := &spec.projs[i]
+			switch {
+			case p.out < 0:
+			case p.plain:
+				if g.rep != nil { // nil: the implicit group of zero solutions
+					out[p.out] = g.rep[p.out]
+				}
+			default:
+				out[p.out] = p.val.id(ex, env)
+			}
+		}
+		buf.add(out)
 	}
-	return out
-}
-
-// packIDKeyAll packs every slot of the row — the COUNT(DISTINCT *) key.
-// Slot order is fixed per plan, so equal packed rows are equal solutions.
-func packIDKeyAll(buf []byte, r []store.ID) []byte {
-	for _, v := range r {
-		buf = append(buf, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-	}
-	return buf
 }

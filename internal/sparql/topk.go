@@ -141,7 +141,7 @@ func (e *idExec) orderKeyOfRowInto(conds []OrderCond, condVars [][]varslot, r []
 	k.keys = k.keys[:0]
 	k.errs = k.errs[:0]
 	for ci, c := range conds {
-		t, err := evalExpr(c.Expr, e.bindScratch(condVars[ci], r))
+		t, err := EvalExpr(c.Expr, e.bindScratch(condVars[ci], r))
 		k.errs = append(k.errs, err != nil)
 		if err != nil {
 			t = rdf.Term{}

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/rdf"
 	"repro/internal/sparql"
+	"repro/internal/sparql/reference"
 	"repro/internal/store"
 	"repro/internal/store/disk"
 	"repro/internal/synth"
@@ -87,7 +88,7 @@ func runEngines(t *testing.T, q *sparql.Query, st store.Queryable) map[string]*s
 	if out["exec"], err = q.Exec(st); err != nil {
 		t.Fatalf("exec: %v", err)
 	}
-	if out["reference"], err = q.ExecReference(st); err != nil {
+	if out["reference"], err = reference.Exec(q, st); err != nil {
 		t.Fatalf("reference: %v", err)
 	}
 	return out

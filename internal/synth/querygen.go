@@ -8,7 +8,7 @@ package synth
 // typed subjects, OPTIONAL/MINUS/BIND/VALUES/FILTER, nested groups) and
 // the full solution-modifier surface: ORDER BY (with DESC and multi-key),
 // LIMIT/OFFSET windows over ordered and unordered queries, DISTINCT, and
-// GROUP BY with COUNT/SUM/MIN/MAX/AVG aggregates.
+// every grouped shape (see grouped).
 
 import (
 	"fmt"
@@ -127,30 +127,58 @@ func (g *QueryGen) window() string {
 // grouped builds a GROUP BY/aggregate query over body. The shapes mix
 // plain COUNT with SUM/MIN/MAX/AVG over an object variable — over synth
 // data these hit IRIs (non-numeric → binding omitted) and literals alike
-// — plus DISTINCT counting, HAVING, and ordered/windowed group output.
+// — with DISTINCT on each of them, arithmetic over several aggregates,
+// SAMPLE and GROUP_CONCAT, an expression key, a projected non-key
+// variable, the one implicit group of a query without GROUP BY (over a
+// class nothing has, too), HAVING on projected and unprojected
+// aggregates, and ordered/windowed group output. Two engines produce
+// rows in different orders, so what depends on arrival order (SAMPLE,
+// GROUP_CONCAT, a non-key variable) only ever sees one value per group.
 func (g *QueryGen) grouped(body string) string {
 	r := g.rng
-	var agg, order string
-	switch r.Intn(5) {
+	sel, where, groupBy, order := "?c", "?v0 a ?c . "+body, " GROUP BY ?c", "?c"
+	agg := "(COUNT(?v0) AS ?n)"
+	switch r.Intn(12) {
 	case 0:
-		agg = "(COUNT(?v0) AS ?n)"
 	case 1:
 		agg = "(COUNT(DISTINCT ?v0) AS ?n)"
 	case 2:
 		agg = "(SUM(?v1) AS ?n)"
 	case 3:
 		agg = "(MIN(?v1) AS ?n) (MAX(?v1) AS ?m)"
-	default:
+	case 4:
 		agg = "(AVG(?v1) AS ?n)"
+	case 5:
+		agg = "(SUM(DISTINCT ?v1) AS ?n) (AVG(DISTINCT ?v1) AS ?m)"
+	case 6:
+		agg = "(MIN(DISTINCT ?v1) AS ?n) (MAX(DISTINCT ?v1) AS ?m)"
+	case 7:
+		agg = "(SUM(?v1) / COUNT(?v1) AS ?n) (COUNT(?v0) + COUNT(DISTINCT ?v1) AS ?m) (COALESCE(MIN(?opt), 0) AS ?o)"
+	case 8:
+		agg = `(SAMPLE(?c) AS ?n) (GROUP_CONCAT(DISTINCT STR(?c) ; SEPARATOR = "|") AS ?m)`
+	case 9: // the key is not a variable, so the projection cannot name it
+		sel, groupBy, order = "(MIN(STR(?c)) AS ?k)", " GROUP BY (STR(?c))", "?k"
+	case 10: // ?k is not a key, but the key determines it
+		sel, where = "?c ?k", where+" BIND(STR(?c) AS ?k)"
+	default:
+		sel, groupBy, order = "", "", ""
+		if r.Intn(2) == 0 {
+			where = "?v0 a <http://nothing.example/C> . " + body
+		}
 	}
 	having := ""
-	if r.Intn(5) == 0 {
+	switch r.Intn(10) {
+	case 0, 1:
 		having = " HAVING (COUNT(?v0) > 1)"
+	case 2:
+		having = " HAVING (MIN(?v0) != MAX(?v0))"
+	case 3:
+		having = " HAVING (COUNT(?v0) = 0 || MAX(?v1) > 3)"
 	}
-	if r.Intn(3) == 0 {
-		order = " ORDER BY ?c" + g.window()
+	if order != "" && r.Intn(3) == 0 {
+		having += " ORDER BY " + order + g.window()
 	}
-	return fmt.Sprintf("SELECT ?c %s WHERE { ?v0 a ?c . %s } GROUP BY ?c%s%s", agg, body, having, order)
+	return fmt.Sprintf("SELECT %s %s WHERE { %s }%s%s", sel, agg, where, groupBy, having)
 }
 
 // Query builds one random SELECT/ASK query from the store vocabulary.

@@ -27,6 +27,7 @@ import (
 	"testing"
 
 	"repro/internal/sparql"
+	"repro/internal/sparql/reference"
 	"repro/internal/sparql/results"
 	"repro/internal/store"
 	"repro/internal/turtle"
@@ -128,7 +129,7 @@ func engineResults(t *testing.T, q *sparql.Query, st store.Queryable) map[string
 		t.Fatalf("stream collect: %v", err)
 	}
 	out["stream"] = res
-	if res, err = q.ExecReference(st); err != nil {
+	if res, err = reference.Exec(q, st); err != nil {
 		t.Fatalf("reference: %v", err)
 	}
 	out["reference"] = res

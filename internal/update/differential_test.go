@@ -19,6 +19,7 @@ import (
 
 	"repro/internal/rdf"
 	"repro/internal/sparql"
+	"repro/internal/sparql/reference"
 	"repro/internal/store"
 	"repro/internal/store/disk"
 	"repro/internal/synth"
@@ -62,7 +63,7 @@ func engineAnswers(t *testing.T, st store.Queryable, query string) string {
 	if err != nil {
 		t.Fatalf("exec: %v", err)
 	}
-	reference, err := q.ExecReference(st)
+	reference, err := reference.Exec(q, st)
 	if err != nil {
 		t.Fatalf("reference: %v", err)
 	}

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/rdf"
 	"repro/internal/sparql"
+	"repro/internal/sparql/reference"
 	"repro/internal/store"
 	"repro/internal/store/disk"
 	"repro/internal/update"
@@ -282,7 +283,7 @@ func TestBothTiersConvergeUnderUpdates(t *testing.T) {
 		var want []string
 		for _, name := range []string{"memory", "disk"} {
 			be := bes[name]
-			for engine, run := range map[string]func(store.Queryable) (*sparql.Result, error){"exec": q.Exec, "reference": q.ExecReference} {
+			for engine, run := range map[string]func(store.Queryable) (*sparql.Result, error){"exec": q.Exec, "reference": func(st store.Queryable) (*sparql.Result, error) { return reference.Exec(q, st) }} {
 				res, err := run(be)
 				if err != nil {
 					t.Fatalf("%s/%s: %v", name, engine, err)
