@@ -162,6 +162,10 @@ var corpusFamilies = []struct {
 		kvStat(func(s kv.Stats) float64 { return float64(s.BlockCacheBytes) })},
 	{"hbold_kv_read_errors_total", "Segment block reads or decodes that failed.", false,
 		kvStat(func(s kv.Stats) float64 { return float64(s.ReadErrors) })},
+	{"hbold_kv_seeks_total", "Child seeks the merged cursors of corpus stores attempted.", false,
+		kvStat(func(s kv.Stats) float64 { return float64(s.Seeks) })},
+	{"hbold_kv_seeks_in_place_total", "Child seeks answered without moving: the child already stood at or past the target.", false,
+		kvStat(func(s kv.Stats) float64 { return float64(s.SeeksInPlace) })},
 	{"hbold_corpus_term_cache_hits_total", "Corpus term-dictionary cache hits.", false,
 		func(r *disk.Store) float64 { hits, _ := r.CacheStats(); return float64(hits) }},
 	{"hbold_corpus_term_cache_misses_total", "Corpus term-dictionary cache misses.", false,

@@ -129,6 +129,11 @@ func TestCorpusMirrorAndRestart(t *testing.T) {
 	if n := registryValue(t, tool, "hbold_kv_read_errors_total"); n != 0 {
 		t.Fatalf("hbold_kv_read_errors_total = %v after clean reads", n)
 	}
+	// and so is the cursor's work: seeks attempted, and the useful share
+	seeks, inPlace := registryValue(t, tool, "hbold_kv_seeks_total"), registryValue(t, tool, "hbold_kv_seeks_in_place_total")
+	if seeks == 0 || inPlace > seeks {
+		t.Fatalf("hbold_kv_seeks_total = %v, hbold_kv_seeks_in_place_total = %v after queries on the replica", seeks, inPlace)
+	}
 }
 
 // TestCorpusOffByDefault pins that the memory-only pipeline is untouched

@@ -78,6 +78,46 @@ func BenchmarkProbe(b *testing.B) {
 	}
 }
 
+// ascendingProbes returns the key range of every third subject, in
+// ascending order: the probes a join makes, built ahead of time so that
+// what is measured is the cursor.
+func ascendingProbes() (prefixes, ends []string) {
+	for s := uint32(0); s < benchSubjects; s += 3 {
+		prefix := benchKey('s', s, 0, 0)[:5]
+		prefixes = append(prefixes, prefix)
+		ends = append(ends, PrefixEnd(prefix))
+	}
+	return prefixes, ends
+}
+
+// probe reads every key of one subject on a standing cursor.
+func probe(tb testing.TB, it *Iter, prefix, end string) {
+	n := 0
+	for it.Seek(prefix); it.Valid() && it.Key() < end; it.Next() {
+		n++
+	}
+	if n != benchPerSubj {
+		tb.Fatalf("prefix %x: %d keys, want %d", prefix, n, benchPerSubj)
+	}
+	benchSink += n
+}
+
+// BenchmarkProbeAscending is the probe a join makes: BenchmarkProbe's
+// keys, subjects in ascending order (wrapping round), on one cursor that
+// stays standing between probes.
+func BenchmarkProbeAscending(b *testing.B) {
+	db := benchDB(b)
+	sn := db.Snapshot()
+	defer sn.Release()
+	it := sn.Iter()
+	prefixes, ends := ascendingProbes()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		probe(b, it, prefixes[i%len(prefixes)], ends[i%len(prefixes)])
+	}
+}
+
 // BenchmarkGetAbsent is the intern path of an update: a key that sorts
 // inside every segment's range and that none of them holds.
 func BenchmarkGetAbsent(b *testing.B) {

@@ -31,9 +31,10 @@
 // never across a read, and nothing else is taken under it.
 //
 // Memory model of what reads return: segment blocks are immutable
-// garbage-collected byte slices, and the keys and values Get and Scan
-// hand out alias them (or the memtable). They are read-only; they stay
-// valid for as long as they are held, each pinning at most one block.
+// garbage-collected byte slices, and the keys and values Get, Scan and
+// an Iter hand out alias them (or the memtable). They are read-only;
+// they stay valid for as long as they are held, each pinning at most one
+// block.
 package kv
 
 import (
@@ -93,6 +94,9 @@ type Stats struct {
 	BlockCacheMisses uint64 // seeks that read and indexed a block
 	BlockCacheBytes  int64  // this DB's share of the process-wide cache
 	ReadErrors       uint64 // segment reads or decodes that failed
+
+	Seeks        uint64 // times a merged cursor's Seek asked one of its children to position itself
+	SeeksInPlace uint64 // of those, answered without moving: the child already stood at or past the target
 }
 
 // state is what readers see: replaced whole, never modified.
@@ -443,25 +447,18 @@ func (db *DB) compact(captured []*segment, seq uint64) {
 		db.compactDone(nil, nil)
 		return
 	}
-	// Newest segment wins ties: sources are ordered newest first.
-	cursors := make([]segIter, len(captured))
-	sources := make([]iter, len(captured))
-	for i := range captured {
-		cursors[i].s = captured[len(captured)-1-i]
-		sources[i] = &cursors[i]
+	it := newIter(nil, captured, &db.reads)
+	var werr error
+	for it.Seek(""); it.Valid(); it.Next() {
+		if werr = sw.add(it.Key(), it.Value(), false); werr != nil {
+			break
+		}
 	}
-	werr := error(nil)
-	mergeScan(sources, "", "", false, func(k string, v []byte, del bool) bool {
-		werr = sw.add(k, v, del)
-		return werr == nil
-	})
-	// A cursor that failed looks exhausted to the merge: the output would
+	// A segment that failed looks exhausted to the merge: the output would
 	// be missing every key after the failure, and committing it would
 	// delete the only copies.
-	for i := range cursors {
-		if werr == nil {
-			werr = cursors[i].err
-		}
+	if werr == nil {
+		werr = it.Err()
 	}
 	if werr != nil {
 		sw.abort()
@@ -545,6 +542,8 @@ func (db *DB) Stats() Stats {
 	st.BlockCacheMisses = db.reads.cacheMisses.Load()
 	st.BlockCacheBytes = db.reads.cacheBytes.Load()
 	st.ReadErrors = db.reads.readErrors.Load()
+	st.Seeks = db.reads.seeks.Load()
+	st.SeeksInPlace = db.reads.seeksInPlace.Load()
 	return st
 }
 
@@ -553,6 +552,7 @@ func (db *DB) Stats() Stats {
 // returns the references; a finalizer backstops forgotten snapshots.
 type Snap struct {
 	st   *state
+	ctr  *readCounters // the DB's
 	once sync.Once
 }
 
@@ -560,7 +560,7 @@ type Snap struct {
 // snapshot never block, and never see writes applied after this call.
 // It costs the same whatever the memtable holds.
 func (db *DB) Snapshot() *Snap {
-	sn := &Snap{st: db.pin()}
+	sn := &Snap{st: db.pin(), ctr: &db.reads}
 	setSnapFinalizer(sn)
 	return sn
 }
@@ -585,24 +585,12 @@ func (s *Snap) Get(key string) ([]byte, bool) { return s.st.get(key) }
 // segment block): they are read-only, and one kept past the callback —
 // or past Release — stays valid and keeps its block alive.
 func (s *Snap) Scan(start, end string, fn func(k string, v []byte) bool) {
-	st := s.st
-	cursors := make([]segIter, len(st.segs))
-	sources := make([]iter, 0, len(st.segs)+1)
-	sources = append(sources, &memIter{m: st.mem})
-	for i := len(st.segs) - 1; i >= 0; i-- {
-		cursors[i].s = st.segs[i]
-		sources = append(sources, &cursors[i])
+	it := s.Iter()
+	for it.Seek(start); it.Valid(); it.Next() {
+		if k := it.Key(); (end != "" && k >= end) || !fn(k, it.Value()) {
+			return
+		}
 	}
-	mergeScan(sources, start, end, false, func(k string, v []byte, del bool) bool {
-		return fn(k, v)
-	})
-}
-
-// Count returns the number of live keys in [start, end).
-func (s *Snap) Count(start, end string) int {
-	n := 0
-	s.Scan(start, end, func(string, []byte) bool { n++; return true })
-	return n
 }
 
 // PrefixEnd returns the smallest key greater than every key with the
@@ -616,62 +604,6 @@ func PrefixEnd(prefix string) string {
 		}
 	}
 	return ""
-}
-
-// --- merge machinery ---
-
-// iter is a positioned cursor over sorted (key, value, deleted) entries.
-// next advances and reports validity; seek positions at the first key
-// >= start.
-type iter interface {
-	seek(start string)
-	next() bool
-	key() string
-	value() []byte
-	deleted() bool
-}
-
-// mergeScan merges the sources (sources[i] shadows sources[j] for i<j)
-// and emits each distinct key once, newest version first, in key order
-// within [start, end). Tombstoned keys are emitted only when
-// includeDeleted is set (segment flush and debugging); a false return
-// from fn stops the merge.
-func mergeScan(sources []iter, start, end string, includeDeleted bool, fn func(k string, v []byte, del bool) bool) {
-	valid := make([]bool, len(sources))
-	for i, it := range sources {
-		it.seek(start)
-		valid[i] = it.next()
-	}
-	for {
-		best := -1
-		for i, it := range sources {
-			if !valid[i] {
-				continue
-			}
-			if best == -1 || it.key() < sources[best].key() {
-				best = i
-			}
-		}
-		if best == -1 {
-			return
-		}
-		k := sources[best].key()
-		if end != "" && k >= end {
-			return
-		}
-		v, del := sources[best].value(), sources[best].deleted()
-		for i, it := range sources {
-			if valid[i] && it.key() == k {
-				valid[i] = it.next()
-			}
-		}
-		if del && !includeDeleted {
-			continue
-		}
-		if !fn(k, v, del) {
-			return
-		}
-	}
 }
 
 // --- batch encoding (shared by WAL records and replay) ---

@@ -19,13 +19,13 @@ package kv
 // O(index), not O(data), and nothing is read ahead of the first lookup.
 // Blocks are reached two ways:
 //
-//   - by seek (segment.get, segIter.seek — every point lookup and the
-//     start of every range scan): through the process-wide cache of
+//   - by seek (segment.get, segIter.seek — every point lookup and every
+//     child a merged cursor has to move): through the process-wide cache of
 //     decoded blocks (blockcache.go). A hit costs a map lookup and a
 //     binary search over the block's entry offsets; a miss preads the
 //     block, indexes it once and inserts it.
 //   - by running off the end of the previous block (the rest of a long
-//     scan, and all of a compaction, whose cursors start before the
+//     scan, and all of a compaction, whose cursor starts before the
 //     first block): pread and decoded entry by entry, never inserted. A
 //     scan reads each block once, so caching it would only evict the
 //     blocks that probes come back to — a 28 MB merge would flush the
@@ -71,10 +71,12 @@ type blockMeta struct {
 // readCounters are the read-path counters of one DB, bumped by its
 // segments and reported by Stats.
 type readCounters struct {
-	cacheHits   atomic.Uint64
-	cacheMisses atomic.Uint64
-	cacheBytes  atomic.Int64 // bytes the block cache holds for this DB's segments
-	readErrors  atomic.Uint64
+	cacheHits    atomic.Uint64
+	cacheMisses  atomic.Uint64
+	cacheBytes   atomic.Int64 // bytes the block cache holds for this DB's segments
+	readErrors   atomic.Uint64
+	seeks        atomic.Uint64 // child seeks the DB's merged cursors attempted
+	seeksInPlace atomic.Uint64 // and answered without moving
 }
 
 type segment struct {

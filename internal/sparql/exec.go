@@ -178,10 +178,10 @@ func (e *idExec) bindScratch(vars []varslot, r []store.ID) Binding {
 
 // --- join support ---
 
-// estimate returns the expected number of matches of p given the current
-// bound set: the exact index cardinality over the constant positions,
-// refined by an average-fanout division for every row-bound variable.
-func (e *idExec) estimate(p *cpattern, bound []bool) int {
+// cardinality returns the exact index cardinality of p over its constant
+// positions — the one store call an estimate costs, and on the disk tier
+// a walk of the range.
+func (e *idExec) cardinality(p *cpattern) int {
 	var pat store.IDPattern
 	if !p.s.isVar() {
 		pat.S = p.s.id
@@ -195,7 +195,13 @@ func (e *idExec) estimate(p *cpattern, bound []bool) int {
 	if pat.S > e.maxStore || pat.P > e.maxStore || pat.O > e.maxStore {
 		return 0 // a constant the store has never seen matches nothing
 	}
-	card := e.rd.CardinalityIDs(pat)
+	return e.rd.CardinalityIDs(pat)
+}
+
+// refine turns p's cardinality into the expected number of matches given
+// the current bound set: an average-fanout division for every row-bound
+// variable.
+func (e *idExec) refine(card int, p *cpattern, bound []bool) int {
 	if card == 0 {
 		return 0
 	}

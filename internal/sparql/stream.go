@@ -592,10 +592,20 @@ func (s *streamExec) streamNode(n cnode, row []store.ID, free int, yield streamY
 // bgpOrder computes (once per node) the greedy join order, seeded with
 // the bound slots of the first row to reach the node: patterns connected
 // to an already-bound variable first (a disconnected pattern builds a
-// cartesian product), then the smallest estimated cardinality.
+// cartesian product), then the smallest estimated cardinality. Each
+// pattern's cardinality is read from the store once — the rounds re-run
+// only the arithmetic on it — and a one-pattern BGP, which has nothing
+// to order, asks nothing.
 func (s *streamExec) bgpOrder(b *cBGP, row []store.ID) []int {
 	if o, ok := s.orders[b]; ok {
 		return o
+	}
+	n := len(b.pats)
+	cards := make([]int, n)
+	if n > 1 {
+		for i := range b.pats {
+			cards[i] = s.ex.cardinality(&b.pats[i])
+		}
 	}
 	bound := make([]bool, s.ex.nslots)
 	for sl, v := range row {
@@ -603,7 +613,6 @@ func (s *streamExec) bgpOrder(b *cBGP, row []store.ID) []int {
 			bound[sl] = true
 		}
 	}
-	n := len(b.pats)
 	used := make([]bool, n)
 	order := make([]int, 0, n)
 	for len(order) < n {
@@ -621,7 +630,7 @@ func (s *streamExec) bgpOrder(b *cBGP, row []store.ID) []int {
 					break
 				}
 			}
-			card := s.ex.estimate(p, bound)
+			card := s.ex.refine(cards[i], p, bound)
 			if best == -1 || (conn && !bestConn) || (conn == bestConn && card < bestCard) {
 				best, bestCard, bestConn = i, card, conn
 			}

@@ -298,15 +298,24 @@ func (s *Store) resolveDeletedRolesLocked() {
 	}
 	snap := s.db.Snapshot()
 	defer snap.Release()
+	it := snap.Iter()
+	// gone reports committed count + pending <= 0 for the triples under
+	// prefix, walking only as far as the pending deletes could cancel: the
+	// key that outweighs them settles it.
+	gone := func(prefix string, pending int) bool {
+		n, limit := 0, 1-pending
+		if limit > 0 {
+			scanPrefix(it, prefix, func(string) bool { n++; return n < limit })
+		}
+		return n < limit
+	}
 	for id := range touchedS {
-		p := prefix1(kSPO, id)
-		if snap.Count(p, kv.PrefixEnd(p))+s.pendingSubj[id] <= 0 {
+		if gone(prefix1(kSPO, id), s.pendingSubj[id]) {
 			s.clearRole(id, roleSubject, &s.meta.DistinctS)
 		}
 	}
 	for id := range touchedO {
-		p := prefix1(kOSP, id)
-		if snap.Count(p, kv.PrefixEnd(p))+s.pendingObj[id] <= 0 {
+		if gone(prefix1(kOSP, id), s.pendingObj[id]) {
 			s.clearRole(id, roleObject, &s.meta.DistinctO)
 		}
 	}

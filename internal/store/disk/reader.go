@@ -2,39 +2,80 @@ package disk
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/kv"
 	"repro/internal/rdf"
 	"repro/internal/store"
 )
 
-// kvPrefixEnd is kv.PrefixEnd under a local name the scan helpers read
-// naturally.
-func kvPrefixEnd(prefix string) string { return kv.PrefixEnd(prefix) }
-
 // Reader is a stable ID-level view over one KV snapshot, implementing
 // store.ReaderAPI. Iteration orders match the in-memory Reader exactly:
 // every MatchIDs shape walks a permutation prefix whose big-endian key
 // order is sorted-ID order.
 type Reader struct {
-	snap kvSnap
+	snap *kv.Snap
 	meta *meta // shared with other readers of the same commit; read-only
 	st   *Store
+
+	// idle holds the standing cursors no scan is using, last returned
+	// on top. A join scans in nested callbacks, and every depth probes in
+	// ascending key order: taking and returning at the top hands each
+	// depth the cursor its previous probe at that depth left standing,
+	// which is what lets kv.Iter answer the re-seek in place. It is a
+	// list behind a mutex and not a field because ReaderAPI promises
+	// concurrent readers, and two goroutines must never share a cursor.
+	mu   sync.Mutex
+	idle []*kv.Iter
 }
 
-// kvSnap is the slice of the KV snapshot surface the reader uses;
-// a named interface keeps the dependency explicit and testable.
-type kvSnap interface {
-	Get(key string) ([]byte, bool)
-	Scan(start, end string, fn func(k string, v []byte) bool)
-	Count(start, end string) int
-	Release()
+// Release drops the standing cursors and the snapshot's segment
+// references; the reader must not be used afterwards. Idempotent. The
+// KV-layer finalizer covers readers that are simply dropped: a cursor
+// keeps its snapshot reachable, so no file closes under one.
+func (r *Reader) Release() {
+	r.mu.Lock()
+	r.idle = nil
+	r.mu.Unlock()
+	r.snap.Release()
 }
 
-// Release drops the snapshot's segment references; the reader must not
-// be used afterwards. Idempotent. The KV-layer finalizer covers readers
-// that are simply dropped.
-func (r *Reader) Release() { r.snap.Release() }
+// scanPrefix hands fn every live key under prefix, in key order, until
+// fn returns false; it reports run-to-completion.
+func scanPrefix(it *kv.Iter, prefix string, fn func(k string) bool) bool {
+	end := kv.PrefixEnd(prefix)
+	for it.Seek(prefix); it.Valid(); it.Next() {
+		k := it.Key()
+		if end != "" && k >= end {
+			break
+		}
+		if !fn(k) {
+			return false
+		}
+	}
+	return true
+}
+
+// scan is scanPrefix on a standing cursor taken off the idle list for the
+// length of the scan. A cursor that met a read error is not put back.
+func (r *Reader) scan(prefix string, fn func(k string) bool) bool {
+	r.mu.Lock()
+	var it *kv.Iter
+	if n := len(r.idle); n > 0 {
+		it, r.idle = r.idle[n-1], r.idle[:n-1]
+	}
+	r.mu.Unlock()
+	if it == nil {
+		it = r.snap.Iter()
+	}
+	done := scanPrefix(it, prefix, fn)
+	if it.Err() == nil {
+		r.mu.Lock()
+		r.idle = append(r.idle, it)
+		r.mu.Unlock()
+	}
+	return done
+}
 
 // Term materializes the term for id, through the process-wide cache.
 func (r *Reader) Term(id store.ID) rdf.Term {
@@ -85,7 +126,7 @@ func (r *Reader) PredCount(p store.ID) int { return r.meta.PredCount[p] }
 // prefix — sorted by construction.
 func (r *Reader) scanIDs(prefix string) []store.ID {
 	var out []store.ID
-	r.snap.Scan(prefix, kvPrefixEnd(prefix), func(k string, _ []byte) bool {
+	r.scan(prefix, func(k string) bool {
 		_, _, c := splitTriple(k)
 		out = append(out, c)
 		return true
@@ -117,16 +158,7 @@ func (r *Reader) HasID(s, p, o store.ID) bool {
 // scanTriples walks a permutation range, handing fn the three key
 // components in permutation order; it reports run-to-completion.
 func (r *Reader) scanTriples(prefix string, fn func(a, b, c store.ID) bool) bool {
-	done := true
-	r.snap.Scan(prefix, kvPrefixEnd(prefix), func(k string, _ []byte) bool {
-		a, b, c := splitTriple(k)
-		if !fn(a, b, c) {
-			done = false
-			return false
-		}
-		return true
-	})
-	return done
+	return r.scan(prefix, func(k string) bool { return fn(splitTriple(k)) })
 }
 
 // MatchIDs streams matching triples in the same deterministic order as
@@ -174,7 +206,10 @@ func (r *Reader) MatchIDs(pat store.IDPattern, fn func(s, p, o store.ID) bool) b
 // count one bounded key range.
 func (r *Reader) CardinalityIDs(pat store.IDPattern) int {
 	si, pi, oi := pat.S, pat.P, pat.O
-	count := func(prefix string) int { return r.snap.Count(prefix, kvPrefixEnd(prefix)) }
+	count := func(prefix string) (n int) {
+		r.scan(prefix, func(string) bool { n++; return true })
+		return n
+	}
 	switch {
 	case si != store.NoID && pi != store.NoID && oi != store.NoID:
 		if r.HasID(si, pi, oi) {
