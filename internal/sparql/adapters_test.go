@@ -153,8 +153,8 @@ func lifetimeStore() *store.Store {
 
 // TestRetainedBindingsSurviveTheDrain: a Binding from Next/All/Collect is
 // the consumer's to keep, although the positional row it was built from
-// (NextTerms) is overwritten by the next pull — so a consumer that keeps
-// positional rows copies them, and the copies are the same rows.
+// (NextTerms, Terms) is overwritten by the next row — so a consumer that
+// keeps positional rows copies them, and the copies are the same rows.
 func TestRetainedBindingsSurviveTheDrain(t *testing.T) {
 	st := lifetimeStore()
 	want, err := sparql.Exec(st, lifetimeQuery)
@@ -162,17 +162,32 @@ func TestRetainedBindingsSurviveTheDrain(t *testing.T) {
 		t.Fatalf("Exec: %d rows, err %v", len(want.Rows), err)
 	}
 	key := func(b sparql.Binding) string { return fmt.Sprint(b["s"], b["p"], b["o"]) }
+	check := func(how string, kept []sparql.Binding, atPull []string) {
+		t.Helper()
+		if len(kept) != len(want.Rows) {
+			t.Fatalf("%s: streamed %d rows, Exec has %d", how, len(kept), len(want.Rows))
+		}
+		for i, b := range kept {
+			if key(b) != atPull[i] || key(b) != key(want.Rows[i]) {
+				t.Fatalf("%s: row %d changed after the drain: now %s, at pull %s, Exec %s", how, i, key(b), atPull[i], key(want.Rows[i]))
+			}
+		}
+	}
 
+	// pulled: positional pulls interleave with Next and reuse the buffer
+	// under the Bindings already handed out
 	rs, err := sparql.StreamExec(context.Background(), st, lifetimeQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var kept []sparql.Binding
 	var atPull []string
-	for b := range rs.All() {
+	for {
+		b, ok := rs.Next()
+		if !ok {
+			break
+		}
 		kept, atPull = append(kept, b), append(atPull, key(b))
-		// interleave positional pulls: they reuse the buffer under the
-		// Bindings already handed out
 		if row, ok := rs.NextTerms(); ok {
 			copied := append([]rdf.Term(nil), row...)
 			kept, atPull = append(kept, sparql.Binding{"s": copied[0], "p": copied[1], "o": copied[2]}), append(atPull, fmt.Sprint(row[0], row[1], row[2]))
@@ -181,14 +196,18 @@ func TestRetainedBindingsSurviveTheDrain(t *testing.T) {
 	if err := rs.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if len(kept) != len(want.Rows) {
-		t.Fatalf("streamed %d rows, Exec has %d", len(kept), len(want.Rows))
+	check("pulled", kept, atPull)
+
+	// pushed: the producer refills its buffer for every row of the range
+	rs, _ = sparql.StreamExec(context.Background(), st, lifetimeQuery)
+	kept, atPull = nil, nil
+	for b := range rs.All() {
+		kept, atPull = append(kept, b), append(atPull, key(b))
 	}
-	for i, b := range kept {
-		if key(b) != atPull[i] || key(b) != key(want.Rows[i]) {
-			t.Fatalf("row %d changed after the drain: now %s, at pull %s, Exec %s", i, key(b), atPull[i], key(want.Rows[i]))
-		}
+	if err := rs.Err(); err != nil {
+		t.Fatal(err)
 	}
+	check("ranged", kept, atPull)
 
 	rs, _ = sparql.StreamExec(context.Background(), st, lifetimeQuery)
 	res, err := rs.Collect()
@@ -203,33 +222,51 @@ func TestRetainedBindingsSurviveTheDrain(t *testing.T) {
 }
 
 // TestAdaptersCountRowsEitherWay: Limit, Tap and the registry's row
-// counter wrap the one positional pull, so they see the same rows whether
-// the consumer pulls Bindings or positional terms.
+// counter wrap the one sequence, so they see the same rows however the
+// consumer takes them — pulled as Bindings or as positional terms, ranged,
+// or pulled once and then ranged — and the stream ends once, cleanly.
 func TestAdaptersCountRowsEitherWay(t *testing.T) {
 	st := lifetimeStore()
-	for _, positional := range []bool{false, true} {
+	pull := func(next func() bool) (n int) {
+		for next() {
+			n++
+		}
+		return n
+	}
+	terms := func(rs *sparql.RowSeq) (n int) {
+		for range rs.Terms() {
+			n++
+		}
+		return n
+	}
+	for _, mode := range []struct {
+		name  string
+		drain func(*sparql.RowSeq) int
+	}{
+		{"Next", func(rs *sparql.RowSeq) int { return pull(func() bool { _, ok := rs.Next(); return ok }) }},
+		{"NextTerms", func(rs *sparql.RowSeq) int { return pull(func() bool { _, ok := rs.NextTerms(); return ok }) }},
+		{"Terms", terms},
+		{"NextTerms+Terms", func(rs *sparql.RowSeq) int {
+			if _, ok := rs.NextTerms(); !ok {
+				return 0
+			}
+			return 1 + terms(rs)
+		}},
+	} {
 		reg := obs.NewRegistry()
 		rs, err := sparql.StreamExec(obs.WithRegistry(context.Background(), reg), st, lifetimeQuery)
 		if err != nil {
 			t.Fatal(err)
 		}
-		tapped, pulled := 0, 0
+		tapped, closed := 0, 0
+		rs.OnClose(func() { closed++ })
 		rs = rs.Tap(func([]rdf.Term) { tapped++ }).Limit(17)
-		for {
-			var ok bool
-			if positional {
-				_, ok = rs.NextTerms()
-			} else {
-				_, ok = rs.Next()
-			}
-			if !ok {
-				break
-			}
-			pulled++
-		}
+		got := mode.drain(rs)
+		rs.Close()
 		counted := reg.CounterVec("hbold_query_rows_total", "", "kind").With("select").Value()
-		if pulled != 17 || tapped != 17 || counted != 17 {
-			t.Fatalf("positional=%v: pulled %d, tapped %d, registry counted %v; want 17 each", positional, pulled, tapped, counted)
+		if got != 17 || tapped != 17 || counted != 17 || closed != 1 || rs.Err() != nil {
+			t.Fatalf("%s: took %d rows, tapped %d, registry counted %v, OnClose ran %d times, Err %v; want 17 rows each, one close, no error",
+				mode.name, got, tapped, counted, closed, rs.Err())
 		}
 	}
 }

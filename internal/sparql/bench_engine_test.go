@@ -66,6 +66,63 @@ func BenchmarkJoinInnerLoop(b *testing.B) {
 	}
 }
 
+// sinkBenchStore has the benchmark corpus's shape at a smaller size: 20
+// classes of 500 typed instances, each with four integer data properties
+// and two links into the next classes.
+func sinkBenchStore() *store.Store {
+	st := store.New()
+	typ := rdf.NewIRI(rdf.RDFType)
+	inst := func(c, i int) rdf.Term { return rdf.NewIRI(fmt.Sprintf("http://b/C%d/i%d", c%20, i%500)) }
+	for c := 0; c < 20; c++ {
+		cls := rdf.NewIRI(fmt.Sprintf("http://b/C%d", c))
+		for i := 0; i < 500; i++ {
+			st.AddSPO(inst(c, i), typ, cls)
+			for d := 0; d < 4; d++ {
+				st.AddSPO(inst(c, i), rdf.NewIRI(fmt.Sprintf("http://b/C%d/d%d", c, d)), rdf.NewInteger(int64((i*7919+d)%5003)))
+			}
+			for l := 1; l <= 2; l++ {
+				st.AddSPO(inst(c, i), rdf.NewIRI(fmt.Sprintf("http://b/C%d/l%d", c, l)), inst(c+l, i*31+l))
+			}
+		}
+	}
+	return st
+}
+
+// BenchmarkSinks drains the blocking sinks' query shapes of the
+// benchmark's sparql workloads through Stream, on the caller's goroutine:
+// the class histogram and the per-class GROUP BY ?p (the hash-group),
+// DISTINCT ?p (the streaming distinct) and ORDER BY ?v LIMIT 10 (top-k).
+func BenchmarkSinks(b *testing.B) {
+	st := sinkBenchStore()
+	for _, sh := range []struct {
+		name, query string
+		rows        int
+	}{
+		{"histogram", `SELECT ?c (COUNT(?s) AS ?n) WHERE { ?s a ?c } GROUP BY ?c`, 20},
+		{"group", `SELECT ?p (COUNT(?o) AS ?n) WHERE { ?s a <http://b/C3> . ?s ?p ?o } GROUP BY ?p`, 7},
+		{"distinct", `SELECT DISTINCT ?p WHERE { ?s a <http://b/C3> . ?s ?p ?o }`, 7},
+		{"topk", `SELECT ?s ?v WHERE { ?s <http://b/C3/d0> ?v } ORDER BY ?v LIMIT 10`, 10},
+	} {
+		q := MustParse(sh.query)
+		b.Run(sh.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				rs, err := q.Stream(context.Background(), st)
+				if err != nil {
+					b.Fatal(err)
+				}
+				rows := 0
+				for range rs.Terms() {
+					rows++
+				}
+				if rows != sh.rows || rs.Err() != nil {
+					b.Fatalf("%d rows, err %v; want %d", rows, rs.Err(), sh.rows)
+				}
+			}
+		})
+	}
+}
+
 // TestGroupedStateIsPerGroup: a grouped query's live state is its groups,
 // whatever the shape. HAVING used to send the query down a path that
 // buffered every solution and materialized each as a Binding before

@@ -259,54 +259,32 @@ func bindPos(t cterm, v store.ID, r []store.ID) bool {
 // --- result shaping ---
 
 // distinctRows deduplicates rows on the given slot tuple (a slot of -1
-// reads as unbound). Keys are ID tuples — comparable arrays for narrow
-// projections, packed bytes otherwise — so no term is materialized.
-func (e *idExec) distinctRows(rb *rowbuf, slots []int) *rowbuf {
+// reads as unbound), keeping first occurrences in order; no term is
+// materialized.
+func distinctRows(rb *rowbuf, slots []int) *rowbuf {
 	out := &rowbuf{stride: rb.stride}
-	if len(slots) <= 4 {
-		seen := make(map[[4]store.ID]struct{}, rb.n)
-		for i := 0; i < rb.n; i++ {
-			r := rb.row(i)
-			var key [4]store.ID
-			for j, s := range slots {
-				if s >= 0 {
-					key[j] = r[s]
-				}
-			}
-			if _, dup := seen[key]; dup {
-				continue
-			}
-			seen[key] = struct{}{}
-			out.add(r)
-		}
-		return out
-	}
-	seen := make(map[string]struct{}, rb.n)
-	buf := make([]byte, 0, len(slots)*4)
+	seen := idTable{width: len(slots)}
 	for i := 0; i < rb.n; i++ {
-		r := rb.row(i)
-		buf = packIDKey(buf[:0], r, slots)
-		if _, dup := seen[string(buf)]; dup {
-			continue
+		if _, added := seen.addAt(rb.row(i), slots); added {
+			out.add(rb.row(i))
 		}
-		seen[string(buf)] = struct{}{}
-		out.add(r)
 	}
 	return out
 }
 
-// packIDKey appends the 4-byte little-endian encoding of the row's IDs at
-// the given slots (a slot of -1 encodes as NoID) — the tuple key of
-// ID-space DISTINCT.
-func packIDKey(buf []byte, r []store.ID, slots []int) []byte {
-	for _, s := range slots {
-		var v store.ID
-		if s >= 0 {
-			v = r[s]
+// orderTerm is ORDER BY condition c's key on row r; false is an
+// evaluation error, which sorts first (the term is then never read). A
+// bare ?v reads its slot (unbound is EvalExpr's errUnbound); any other
+// expression is evaluated over the scratch Binding of its variables.
+func (e *idExec) orderTerm(c *OrderCond, vars []varslot, r []store.ID) (rdf.Term, bool) {
+	if _, plain := c.Expr.(*ExprVar); plain {
+		if id := r[vars[0].slot]; id != store.NoID {
+			return e.term(id), true
 		}
-		buf = appendID(buf, v)
+		return rdf.Term{}, false
 	}
-	return buf
+	t, err := EvalExpr(c.Expr, e.bindScratch(vars, r))
+	return t, err == nil
 }
 
 // sortRows orders the rows by the ORDER BY conditions, materializing one
@@ -321,13 +299,9 @@ func (e *idExec) sortRows(rb *rowbuf, conds []OrderCond, condVars [][]varslot) {
 	oks := make([]OrderKey, rb.n)
 	for i := 0; i < rb.n; i++ {
 		r := rb.row(i)
-		for ci, c := range conds {
-			t, err := EvalExpr(c.Expr, e.bindScratch(condVars[ci], r))
-			if err != nil {
-				errs[i*nc+ci] = true
-			} else {
-				keys[i*nc+ci] = t
-			}
+		for ci := range conds {
+			t, ok := e.orderTerm(&conds[ci], condVars[ci], r)
+			keys[i*nc+ci], errs[i*nc+ci] = t, !ok
 		}
 		oks[i] = OrderKey{keys: keys[i*nc : (i+1)*nc], errs: errs[i*nc : (i+1)*nc]}
 	}
@@ -506,11 +480,12 @@ func (p *plan) project(r []store.ID, out []rdf.Term) []rdf.Term {
 // reaching the sink, on every row emitted and periodically inside index
 // scans, so no shape outruns a cancellation. reg and prof are optional.
 //
-// Under Stream this runs on a fresh iter.Pull coroutine, whose small
-// stack grows by copying: every frame between here and the sink is paid
-// for on each query. That is why run only drives, the sink is one fused
-// closure rather than a chain of them, and the EXPLAIN hooks inside it
-// are leaf calls.
+// Under Stream this runs on the consumer's goroutine — a server's request
+// goroutine, whose stack, once grown, persists across the keep-alive
+// requests of its connection — and every frame between here and the sink
+// is a call on each row. That is why run only drives, the sink is one
+// fused closure rather than a chain of them, and the EXPLAIN hooks inside
+// it are leaf calls.
 //
 // A plan runs once: the snapshot it was compiled against is released
 // when run returns.
@@ -602,14 +577,13 @@ func (p *plan) sink(se *streamExec, reg *obs.Registry, emit func([]rdf.Term) boo
 	}
 
 	if blocking == "" {
-		var seen map[string]struct{}
+		var seen *idTable
 		var stDistinct *ExplainStage
 		if q.Distinct || q.Reduced {
-			seen = make(map[string]struct{})
+			seen = &idTable{width: len(p.projSlots)}
 			stDistinct = prof.addStage("distinct")
 		}
 		stWindow, stProject := prof.addStage("window"), prof.addStage("project")
-		var key []byte
 		skipped, emitted := 0, 0
 		return func(r []store.ID, _ int) bool {
 			if !se.alive() {
@@ -621,13 +595,11 @@ func (p *plan) sink(se *streamExec, reg *obs.Registry, emit func([]rdf.Term) boo
 				prof.lap(stAliases, true)
 			}
 			if seen != nil {
-				key = packIDKey(key[:0], r, p.projSlots)
-				_, dup := seen[string(key)]
-				prof.lap(stDistinct, !dup)
-				if dup {
+				_, added := seen.addAt(r, p.projSlots)
+				prof.lap(stDistinct, added)
+				if !added {
 					return true
 				}
-				seen[string(key)] = struct{}{}
 			}
 			if skipped < q.Offset {
 				skipped++
@@ -704,7 +676,7 @@ func (p *plan) sink(se *streamExec, reg *obs.Registry, emit func([]rdf.Term) boo
 		}
 		if q.Distinct || q.Reduced {
 			end := prof.stage("distinct", int64(buf.n))
-			buf = ex.distinctRows(buf, p.projSlots)
+			buf = distinctRows(buf, p.projSlots)
 			end(int64(buf.n))
 		}
 		end = prof.stage("window", int64(buf.n))

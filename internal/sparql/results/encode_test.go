@@ -238,8 +238,52 @@ func serve(tb testing.TB, st store.Queryable, f Format, query string) int {
 	return n
 }
 
+// stackProbe is a store whose index scans record whether WriteRows is on
+// the stack of the goroutine that runs them.
+type stackProbe struct {
+	*store.Store
+	scans, underWriteRows int
+}
+
+func (p *stackProbe) Snapshot() store.ReaderAPI { return probedReader{p.Store.Snapshot(), p} }
+
+type probedReader struct {
+	store.ReaderAPI
+	p *stackProbe
+}
+
+func (r probedReader) MatchIDs(pat store.IDPattern, fn func(s, p, o store.ID) bool) bool {
+	pcs := make([]uintptr, 512)
+	frames := runtime.CallersFrames(pcs[:runtime.Callers(2, pcs)])
+	r.p.scans++
+	for more := true; more; {
+		var f runtime.Frame
+		if f, more = frames.Next(); f.Function == "repro/internal/sparql/results.WriteRows" {
+			r.p.underWriteRows++
+			break
+		}
+	}
+	return r.ReaderAPI.MatchIDs(pat, fn)
+}
+
+// TestServeRunsOnCallerGoroutine: a served query runs inside WriteRows'
+// range, on the caller's goroutine — every index scan of a join, in every
+// format, has WriteRows on its stack. A stream pulled through a coroutine
+// runs the plan on a stack of its own.
+func TestServeRunsOnCallerGoroutine(t *testing.T) {
+	p := &stackProbe{Store: allocStore()}
+	for _, f := range allFormats {
+		if n := serve(t, p, f, joinQuery); n != 200 {
+			t.Fatalf("%v: join served %d rows, want 200", f, n)
+		}
+	}
+	if p.scans == 0 || p.underWriteRows != p.scans {
+		t.Fatalf("%d of %d index scans ran under WriteRows; want all", p.underWriteRows, p.scans)
+	}
+}
+
 // TestServeAllocationsConstantInRows: what serving allocates belongs to
-// the query (parse, plan, the coroutine, the writer's one buffer), not to
+// the query (parse, plan, the stream's closures, the writer's one buffer), not to
 // its rows — a 2000-row scan may not allocate more than a 200-row join
 // plus a fixed slack, in any format.
 func TestServeAllocationsConstantInRows(t *testing.T) {

@@ -273,20 +273,17 @@ func Serve(w io.Writer, f Format, rs *sparql.RowSeq) (rows int, err error) {
 
 // WriteRows drains rs into rw — a Writer over w, its head already
 // written — flushing w on the flushEvery cadence when it is an
-// http.Flusher, and returns the rows written for the caller's logs. A
-// write error means the consumer went away; the caller's context unwinds
-// the evaluation. A stream that fails after rows were sent must not end
+// http.Flusher, and returns the rows written for the caller's logs. The
+// query runs inside the range, on the caller's goroutine. A write error
+// means the consumer went away: it ends the stream and is returned. A
+// stream that fails after rows were sent must not end
 // as a well-formed short result: NDJSON gets a final {"error": ...}
 // line, JSON and XML stay unterminated, and CSV/TSV, which have no
 // terminator to withhold, abort the HTTP connection (off HTTP the
 // returned error is the only signal). Either error is returned.
 func WriteRows(w io.Writer, rw *Writer, rs *sparql.RowSeq) (rows int, err error) {
 	flusher, _ := w.(http.Flusher)
-	for {
-		row, ok := rs.NextTerms()
-		if !ok {
-			break
-		}
+	for row := range rs.Terms() {
 		if err := rw.WriteTerms(row); err != nil {
 			return rows, err
 		}

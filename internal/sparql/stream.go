@@ -4,7 +4,7 @@ package sparql
 // Result: rows are produced one at a time, straight out of the ID-space
 // executor's join pipeline, so a consumer that stops early (LIMIT, a
 // canceled context, an abandoned HTTP connection) costs only the rows it
-// actually pulled and memory stays O(row) instead of O(result).
+// actually took and memory stays O(row) instead of O(result).
 //
 // The pipeline drives the compiled plan of plan.go depth-first: each row
 // travels the entire pattern tree alone and reaches the sinks of exec.go
@@ -16,6 +16,7 @@ package sparql
 import (
 	"context"
 	"iter"
+	"slices"
 	"time"
 
 	"repro/internal/obs"
@@ -27,18 +28,21 @@ import (
 // known up front, rows arrive incrementally. The zero value is an empty
 // stream.
 //
-// A row is pulled as positional terms (NextTerms: one []rdf.Term aligned
-// with Vars, the zero Term where a variable is unbound, in a buffer the
-// producer reuses) — what the executor emits and a results writer
-// encodes. Next, All and Collect build a fresh Binding from it for the
-// consumers that want a map to keep.
+// The stream is a push sequence of positional rows (one []rdf.Term
+// aligned with Vars, the zero Term where a variable is unbound, in a
+// buffer the producer reuses) — what the executor emits and a results
+// writer encodes. Terms ranges over it on the caller's goroutine;
+// NextTerms pulls it through an iter.Pull adapter built on first use.
+// Next, All and Collect build a fresh Binding per row for the consumers
+// that want a map to keep.
 //
-// Contract: iterate with NextTerms, Next or All; after the stream is
+// Contract: iterate with Terms, All, NextTerms or Next (a range over a
+// stream already pulled carries on pulling); after the stream is
 // exhausted (or abandoned) check Err for the reason it stopped early, and
 // call Close when abandoning a stream before exhaustion so the producer
 // can release its resources (an HTTP body, a store snapshot). Close is
-// idempotent and safe after exhaustion. A RowSeq is single-consumer and
-// not safe for concurrent use.
+// idempotent and safe after exhaustion and inside a range's loop body. A
+// RowSeq is single-consumer and not safe for concurrent use.
 type RowSeq struct {
 	// Vars is the projected variable list, in projection order.
 	Vars []string
@@ -49,11 +53,13 @@ type RowSeq struct {
 	// (such queries have no row stream to speak of).
 	Graph *rdf.Graph
 
+	seq     iter.Seq[[]rdf.Term] // the producer; nil once a range or NextTerms took it
 	next    func() ([]rdf.Term, bool)
 	stop    func()
 	onClose func()
 	errp    *error
 	done    bool
+	pushing bool // a Terms range is running seq
 }
 
 // OnClose registers fn to run exactly once when the stream ends — by
@@ -76,20 +82,13 @@ func (rs *RowSeq) OnClose(fn func()) {
 // vars is dropped: head the stream with every variable it may bind. The
 // producer reports a mid-stream failure by setting *errp before
 // returning; errp may be nil for infallible producers. The producer runs
-// on the consumer's goroutine (via iter.Pull), so no synchronization is
-// needed around errp.
+// on the consumer's goroutine (in its range, or in NextTerms' pull
+// adapter), so no synchronization is needed around errp.
 func NewRowSeq(vars []string, seq iter.Seq[Binding], errp *error) *RowSeq {
 	row := make([]rdf.Term, len(vars))
-	return newTermSeq(vars, func(yield func([]rdf.Term) bool) {
+	return &RowSeq{Vars: vars, errp: errp, seq: func(yield func([]rdf.Term) bool) {
 		seq(func(b Binding) bool { return yield(FillRow(row, vars, b)) })
-	}, errp)
-}
-
-// newTermSeq is NewRowSeq over a producer of positional rows, which may
-// reuse one buffer for all of them.
-func newTermSeq(vars []string, seq iter.Seq[[]rdf.Term], errp *error) *RowSeq {
-	next, stop := iter.Pull(seq)
-	return &RowSeq{Vars: vars, next: next, stop: stop, errp: errp}
+	}}
 }
 
 // FillRow writes b into row aligned with vars, the zero Term where b
@@ -115,39 +114,71 @@ func BindingOf(vars []string, row []rdf.Term) Binding {
 
 // ResultSeq adapts a materialized Result to the streaming interface.
 func ResultSeq(res *Result) *RowSeq {
-	i, row := 0, make([]rdf.Term, len(res.Vars))
-	return &RowSeq{
-		Vars: res.Vars, Ask: res.Ask, Boolean: res.Boolean, Graph: res.Graph,
-		next: func() ([]rdf.Term, bool) {
-			if i >= len(res.Rows) {
-				return nil, false
+	rs := NewRowSeq(res.Vars, slices.Values(res.Rows), nil)
+	rs.Ask, rs.Boolean, rs.Graph = res.Ask, res.Boolean, res.Graph
+	return rs
+}
+
+// Terms returns the remaining rows as a range-over-func iterator that
+// runs the producer on the caller's goroutine. The slice is the
+// producer's buffer, valid for one iteration: a consumer that keeps a row
+// copies it (or ranges over All). Breaking out of the range ends the
+// stream, as Close does; a Close inside the loop body ends it once the
+// producer has unwound, so OnClose never runs under a live producer frame.
+func (rs *RowSeq) Terms() iter.Seq[[]rdf.Term] {
+	return func(yield func([]rdf.Term) bool) {
+		if rs.done || rs.pushing {
+			return
+		}
+		for rs.seq == nil { // pulled before (or no producer): carry on pulling
+			row, ok := rs.NextTerms()
+			if !ok || !yield(row) {
+				rs.Close()
+				return
 			}
-			i++
-			return FillRow(row, res.Vars, res.Rows[i-1]), true
-		},
+		}
+		seq := rs.seq
+		rs.seq, rs.pushing = nil, true
+		defer rs.end()
+		seq(func(row []rdf.Term) bool { return yield(row) && !rs.done })
 	}
 }
 
 // NextTerms pulls the next row as positional terms aligned with Vars.
 // The slice is the producer's buffer: it is valid only until the next
 // pull, so a consumer that keeps a row copies it (or pulls with Next).
-// ok is false once the stream is exhausted, failed (see Err) or closed.
+// ok is false once the stream is exhausted, failed (see Err) or closed,
+// and inside a Terms range, which owns the producer.
 func (rs *RowSeq) NextTerms() ([]rdf.Term, bool) {
-	if rs.done || rs.next == nil {
+	if rs.done || rs.pushing {
 		return nil, false
+	}
+	if rs.next == nil {
+		if rs.seq == nil {
+			rs.end()
+			return nil, false
+		}
+		rs.next, rs.stop = iter.Pull(rs.seq)
+		rs.seq = nil
 	}
 	row, ok := rs.next()
 	if !ok {
-		rs.done = true
-		if rs.stop != nil {
-			rs.stop()
-		}
-		if rs.onClose != nil {
-			rs.onClose()
-			rs.onClose = nil
-		}
+		rs.end()
 	}
 	return row, ok
+}
+
+// end ends the stream: the pull adapter's producer unwinds, then the
+// OnClose hooks run, once.
+func (rs *RowSeq) end() {
+	rs.done, rs.pushing = true, false
+	if rs.stop != nil {
+		rs.stop()
+	}
+	if fn := rs.onClose; fn != nil {
+		rs.onClose = nil
+		fn()
+	}
 }
 
 // Next pulls the next row as a fresh Binding the caller may keep.
@@ -159,16 +190,12 @@ func (rs *RowSeq) Next() (Binding, bool) {
 	return BindingOf(rs.Vars, row), true
 }
 
-// All returns the remaining rows as a range-over-func iterator. Breaking
-// out of the range leaves the stream open; call Close to release it.
+// All returns the remaining rows as a range-over-func iterator over
+// Terms. Breaking out of the range ends the stream.
 func (rs *RowSeq) All() iter.Seq[Binding] {
 	return func(yield func(Binding) bool) {
-		for {
-			b, ok := rs.Next()
-			if !ok {
-				return
-			}
-			if !yield(b) {
+		for row := range rs.Terms() {
+			if !yield(BindingOf(rs.Vars, row)) {
 				return
 			}
 		}
@@ -186,18 +213,16 @@ func (rs *RowSeq) Err() error {
 }
 
 // Close releases the stream's resources. It is idempotent and safe to
-// call at any point; rows cannot be pulled afterwards.
+// call at any point; rows cannot be pulled afterwards. Inside a Terms
+// range the producer stops at its next row and the range ends the stream
+// once the producer has unwound.
 func (rs *RowSeq) Close() {
 	if rs.done {
 		return
 	}
 	rs.done = true
-	if rs.stop != nil {
-		rs.stop()
-	}
-	if rs.onClose != nil {
-		rs.onClose()
-		rs.onClose = nil
+	if !rs.pushing {
+		rs.end()
 	}
 }
 
@@ -208,11 +233,7 @@ func (rs *RowSeq) Collect() (*Result, error) {
 		return &Result{Ask: true, Boolean: rs.Boolean}, rs.Err()
 	}
 	res := &Result{Vars: rs.Vars, Graph: rs.Graph}
-	for {
-		b, ok := rs.Next()
-		if !ok {
-			break
-		}
+	for b := range rs.All() {
 		res.Rows = append(res.Rows, b)
 	}
 	if err := rs.Err(); err != nil {
@@ -221,38 +242,42 @@ func (rs *RowSeq) Collect() (*Result, error) {
 	return res, nil
 }
 
-// Limit returns a stream that yields at most n rows of rs, then stops
-// cleanly — the streaming counterpart of an endpoint's silent result cap.
-func (rs *RowSeq) Limit(n int) *RowSeq {
-	out := &RowSeq{Vars: rs.Vars, Ask: rs.Ask, Boolean: rs.Boolean, Graph: rs.Graph, errp: rs.errp}
-	left := n
-	out.next = func() ([]rdf.Term, bool) {
-		if left <= 0 {
-			rs.Close()
-			return nil, false
-		}
-		left--
-		return rs.NextTerms()
-	}
-	out.stop = rs.Close
+// wrap returns a stream with rs's head and error whose producer is seq, a
+// range over rs. Ending it ends rs, ranged or not.
+func (rs *RowSeq) wrap(seq iter.Seq[[]rdf.Term]) *RowSeq {
+	out := &RowSeq{Vars: rs.Vars, Ask: rs.Ask, Boolean: rs.Boolean, Graph: rs.Graph, seq: seq, errp: rs.errp}
+	out.OnClose(rs.Close)
 	return out
 }
 
+// Limit returns a stream that yields at most n rows of rs, then stops
+// cleanly — the streaming counterpart of an endpoint's silent result cap.
+func (rs *RowSeq) Limit(n int) *RowSeq {
+	return rs.wrap(func(yield func([]rdf.Term) bool) {
+		if n <= 0 {
+			return
+		}
+		seen := 0
+		for row := range rs.Terms() {
+			if seen++; !yield(row) || seen == n {
+				return
+			}
+		}
+	})
+}
+
 // Tap returns a stream identical to rs that additionally calls fn for
-// every row pulled through it (the row is fn's only for the call); the
-// endpoint simulation uses it to charge per-row virtual cost at the
+// every row that passes through it (the row is fn's only for the call);
+// the endpoint simulation uses it to charge per-row virtual cost at the
 // moment a row crosses the wire.
 func (rs *RowSeq) Tap(fn func([]rdf.Term)) *RowSeq {
-	out := &RowSeq{Vars: rs.Vars, Ask: rs.Ask, Boolean: rs.Boolean, Graph: rs.Graph, errp: rs.errp}
-	out.next = func() ([]rdf.Term, bool) {
-		row, ok := rs.NextTerms()
-		if ok {
-			fn(row)
+	return rs.wrap(func(yield func([]rdf.Term) bool) {
+		for row := range rs.Terms() {
+			if fn(row); !yield(row) {
+				return
+			}
 		}
-		return row, ok
-	}
-	out.stop = rs.Close
-	return out
+	})
 }
 
 // kind buckets the query for the engine's registry series.
@@ -274,23 +299,22 @@ func (q *Query) kind() string {
 }
 
 // instrumentStream attaches per-query engine accounting to rs: rows are
-// counted as they are pulled, and at stream end (exhaustion or Close) the
-// query count, row count and duration land in kind-labeled registry
-// families; sp, when non-nil, is closed with the yielded row count. With
-// reg and sp both nil (the uninstrumented path) this is a no-op — no
-// wrapper, no per-row work.
+// counted as the producer yields them, and at stream end (exhaustion or
+// Close) the query count, row count and duration land in kind-labeled
+// registry families; sp, when non-nil, is closed with the yielded row
+// count. With reg and sp both nil (the uninstrumented path) this is a
+// no-op — no wrapper, no per-row work.
 func instrumentStream(rs *RowSeq, reg *obs.Registry, sp *obs.Span, kind string, start time.Time) {
 	if reg == nil && sp == nil {
 		return
 	}
 	var rows int64
-	if inner := rs.next; inner != nil {
-		rs.next = func() ([]rdf.Term, bool) {
-			row, ok := inner()
-			if ok {
+	if inner := rs.seq; inner != nil {
+		rs.seq = func(yield func([]rdf.Term) bool) {
+			inner(func(row []rdf.Term) bool {
 				rows++
-			}
-			return row, ok
+				return yield(row)
+			})
 		}
 	}
 	rs.OnClose(func() {
@@ -331,7 +355,8 @@ func (q *Query) NeedsGrouping() bool {
 }
 
 // Stream executes the parsed query incrementally against st: the plan is
-// compiled here, and the pipeline runs as the consumer pulls. A plain
+// compiled here, and the pipeline runs, on the consumer's goroutine, as
+// the consumer ranges over (or pulls) the stream. A plain
 // SELECT yields each solution as it is produced; shapes with a blocking
 // sink (ORDER BY, aggregation) yield once the pattern is exhausted. ASK
 // and CONSTRUCT answers travel in the stream's head, so those forms run
@@ -368,10 +393,10 @@ func (q *Query) Stream(ctx context.Context, st store.Queryable) (*RowSeq, error)
 	var rs *RowSeq
 	if q.Form == FormSelect {
 		var streamErr error
-		rs = newTermSeq(p.vars, func(yield func([]rdf.Term) bool) {
+		rs = &RowSeq{Vars: p.vars, errp: &streamErr, seq: func(yield func([]rdf.Term) bool) {
 			streamErr = p.run(ctx, reg, nil, yield)
-		}, &streamErr)
-		// a stream closed before its first pull never enters run
+		}}
+		// a stream closed before its first row never enters run
 		rs.OnClose(p.ex.release)
 	} else {
 		if err := p.run(ctx, reg, nil, nil); err != nil {

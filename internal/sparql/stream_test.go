@@ -3,8 +3,8 @@ package sparql_test
 // Differential harness over the executor's two drains plus unit coverage
 // for the RowSeq contract and the incremental JSON results codec. The
 // differential runs the full fixed corpus and randomized synth queries
-// through Query.Stream (pulled through iter.Pull) and Query.Exec (drained
-// directly) and asserts identical results (up to row order, which SPARQL
+// through Query.Stream (collected through its Terms range) and Query.Exec
+// (drained directly) and asserts identical results (up to row order, which SPARQL
 // leaves undefined without ORDER BY). CI runs this under -race like the
 // engine differential.
 

@@ -184,11 +184,10 @@ func (c *compiler) accumulator(x *ExprAggregate, g *groupSpec) int {
 type aggAcc struct {
 	n      int64 // values folded: COUNT's result, AVG's denominator
 	sum    float64
-	numErr bool                  // a non-numeric value poisons SUM/AVG: the binding is omitted
-	best   store.ID              // MIN/MAX so far, SAMPLE's first value
-	concat []byte                // GROUP_CONCAT
-	seen   map[store.ID]struct{} // DISTINCT values
-	rows   map[string]struct{}   // COUNT(DISTINCT *)
+	numErr bool     // a non-numeric value poisons SUM/AVG: the binding is omitted
+	best   store.ID // MIN/MAX so far, SAMPLE's first value
+	concat []byte   // GROUP_CONCAT
+	seen   *idTable // DISTINCT values; COUNT(DISTINCT *)'s rows
 }
 
 // aggGroup is one group's state: its first row (key variables and sampled
@@ -202,44 +201,36 @@ type aggGroup struct {
 type streamAgg struct {
 	ex     *idExec
 	spec   *groupSpec
-	groups map[string]*aggGroup
-	order  []*aggGroup // first-appearance order
-	keyBuf []byte
+	groups idTable    // key tuples; a group's index is its place in order
+	order  []aggGroup // first-appearance order
+	keyBuf []store.ID
 }
 
 func newStreamAgg(ex *idExec, spec *groupSpec) *streamAgg {
-	a := &streamAgg{ex: ex, spec: spec, groups: map[string]*aggGroup{}}
+	a := &streamAgg{ex: ex, spec: spec, groups: idTable{width: len(spec.keys)}, keyBuf: make([]store.ID, len(spec.keys))}
 	if len(spec.keys) == 0 {
 		// a grouped query without GROUP BY has exactly one group, present
 		// even over zero rows (COUNT(*) = 0)
-		a.order = []*aggGroup{{accs: make([]aggAcc, len(spec.aggs))}}
+		a.groups.add(nil)
+		a.order = []aggGroup{{accs: make([]aggAcc, len(spec.aggs))}}
 	}
 	return a
 }
 
-func appendID(buf []byte, v store.ID) []byte {
-	return append(buf, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-}
-
 // group returns (creating on first sight) the group of row r, keyed on
-// the packed key IDs; an unbound or erroring key is NoID, a key of its own.
+// the tuple of key IDs; an unbound or erroring key is NoID, a key of its
+// own.
 func (a *streamAgg) group(r []store.ID) *aggGroup {
-	if len(a.spec.keys) == 0 {
-		g := a.order[0] // the one implicit group: nothing to hash
-		if g.rep == nil {
-			g.rep = append([]store.ID(nil), r...)
-		}
-		return g
-	}
-	a.keyBuf = a.keyBuf[:0]
 	for i := range a.spec.keys {
-		a.keyBuf = appendID(a.keyBuf, a.spec.keys[i].id(a.ex, r))
+		a.keyBuf[i] = a.spec.keys[i].id(a.ex, r)
 	}
-	g := a.groups[string(a.keyBuf)]
-	if g == nil {
-		g = &aggGroup{rep: append([]store.ID(nil), r...), accs: make([]aggAcc, len(a.spec.aggs))}
-		a.groups[string(a.keyBuf)] = g
-		a.order = append(a.order, g)
+	i, added := a.groups.add(a.keyBuf)
+	if added {
+		a.order = append(a.order, aggGroup{accs: make([]aggAcc, len(a.spec.aggs))})
+	}
+	g := &a.order[i]
+	if g.rep == nil {
+		g.rep = append([]store.ID(nil), r...)
 	}
 	return g
 }
@@ -256,16 +247,12 @@ func (a *streamAgg) add(r []store.ID) {
 				acc.n++
 				continue
 			}
-			// slot order is fixed per plan, so equal packed rows are equal
+			// slot order is fixed per plan, so equal rows are equal
 			// solutions
-			a.keyBuf = a.keyBuf[:0]
-			for _, v := range r {
-				a.keyBuf = appendID(a.keyBuf, v)
+			if acc.seen == nil {
+				acc.seen = &idTable{width: len(r)}
 			}
-			if acc.rows == nil {
-				acc.rows = map[string]struct{}{}
-			}
-			acc.rows[string(a.keyBuf)] = struct{}{}
+			acc.seen.add(r)
 			continue
 		}
 		id := s.arg.id(a.ex, r)
@@ -273,13 +260,12 @@ func (a *streamAgg) add(r []store.ID) {
 			continue // unbound or erroring argument: the row contributes nothing
 		}
 		if s.distinct {
-			if _, dup := acc.seen[id]; dup {
+			if acc.seen == nil {
+				acc.seen = &idTable{width: 1}
+			}
+			if _, added := acc.seen.add([]store.ID{id}); !added {
 				continue
 			}
-			if acc.seen == nil {
-				acc.seen = map[store.ID]struct{}{}
-			}
-			acc.seen[id] = struct{}{}
 		}
 		switch s.fn {
 		case aggSum, aggAvg:
@@ -326,8 +312,8 @@ func (a *streamAgg) result(s *aggSpec, acc *aggAcc) store.ID {
 	switch s.fn {
 	case aggCount:
 		n := acc.n
-		if acc.rows != nil {
-			n = int64(len(acc.rows))
+		if acc.seen != nil { // DISTINCT: the table's size (COUNT(DISTINCT *) bumps no n)
+			n = int64(acc.seen.n)
 		}
 		t = rdf.NewInteger(n)
 	case aggSum, aggAvg:

@@ -140,12 +140,9 @@ func (k OrderKey) clone(into *OrderKey) OrderKey {
 func (e *idExec) orderKeyOfRowInto(conds []OrderCond, condVars [][]varslot, r []store.ID, k *OrderKey) OrderKey {
 	k.keys = k.keys[:0]
 	k.errs = k.errs[:0]
-	for ci, c := range conds {
-		t, err := EvalExpr(c.Expr, e.bindScratch(condVars[ci], r))
-		k.errs = append(k.errs, err != nil)
-		if err != nil {
-			t = rdf.Term{}
-		}
+	for ci := range conds {
+		t, ok := e.orderTerm(&conds[ci], condVars[ci], r)
+		k.errs = append(k.errs, !ok)
 		k.keys = append(k.keys, t)
 	}
 	return *k

@@ -1,6 +1,7 @@
 package disk
 
 import (
+	"context"
 	"fmt"
 	"slices"
 	"sync"
@@ -8,6 +9,7 @@ import (
 
 	"repro/internal/kv"
 	"repro/internal/rdf"
+	"repro/internal/sparql"
 	"repro/internal/store"
 	"repro/internal/synth"
 )
@@ -40,6 +42,79 @@ func nestedWalk(r store.ReaderAPI, skip int) []store.ID {
 		return outer < skip+40
 	})
 	return seen
+}
+
+// guardedReader counts the MatchIDs calls in progress on a Reader and
+// records the most that were live when Release ran; guardedStore hands
+// one out as each query's snapshot.
+type guardedReader struct {
+	*Reader
+	live, releases, liveAtRelease int
+}
+
+func (g *guardedReader) MatchIDs(pat store.IDPattern, fn func(s, p, o store.ID) bool) bool {
+	g.live++
+	defer func() { g.live-- }()
+	return g.Reader.MatchIDs(pat, fn)
+}
+
+func (g *guardedReader) Release() {
+	g.releases++
+	g.liveAtRelease = max(g.liveAtRelease, g.live)
+	g.Reader.Release()
+}
+
+type guardedStore struct {
+	*Store
+	rd *guardedReader
+}
+
+func (s *guardedStore) Snapshot() store.ReaderAPI {
+	s.rd = &guardedReader{Reader: s.snapshotReader()}
+	return s.rd
+}
+
+// TestCloseInsideRangeEndsAfterTheProducer: Close from inside a Terms
+// loop body, in the middle of a nested join, stops the stream at once,
+// but OnClose — and with it the snapshot's Release — runs only after the
+// producer has unwound: no scan is in progress when the reader goes, and
+// none puts a cursor back on it afterwards. Run under -race.
+func TestCloseInsideRangeEndsAfterTheProducer(t *testing.T) {
+	mem := synth.Generate(synth.Spec{Name: "closeinside", Classes: 4, Instances: 200, ObjectProps: 4, DataProps: 3, LinkFactor: 2, Seed: 7})
+	ds, err := Open(t.TempDir(), Options{KV: kv.Options{NoSync: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ds.Close()
+	if err := ds.CopyFrom(mem.Reader()); err != nil {
+		t.Fatal(err)
+	}
+	gs := &guardedStore{Store: ds}
+	rs, err := sparql.StreamExec(context.Background(), gs, `SELECT ?s ?c ?p ?o WHERE { ?s a ?c . ?s ?p ?o }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	closes, liveAtClose := 0, -1
+	rs.OnClose(func() { closes, liveAtClose = closes+1, gs.rd.live })
+	const stopAt = 50
+	rows := 0
+	for range rs.Terms() {
+		if rows++; rows == stopAt {
+			rs.Close()
+			if closes != 0 || gs.rd.releases != 0 {
+				t.Fatalf("Close inside the loop body ran OnClose (%d) or Release (%d) under %d live scans", closes, gs.rd.releases, gs.rd.live)
+			}
+		}
+	}
+	if rows != stopAt || rs.Err() != nil {
+		t.Fatalf("%d rows, Err %v; want the %d before Close and no error", rows, rs.Err(), stopAt)
+	}
+	if closes != 1 || liveAtClose != 0 {
+		t.Fatalf("OnClose ran %d times, with %d scans live; want once, with none", closes, liveAtClose)
+	}
+	if gs.rd.releases == 0 || gs.rd.liveAtRelease != 0 || len(gs.rd.idle) != 0 {
+		t.Fatalf("Release ran %d times, with up to %d scans live, leaving %d cursors on the reader; want it run with none live and none left", gs.rd.releases, gs.rd.liveAtRelease, len(gs.rd.idle))
+	}
 }
 
 // TestReaderNestedAndConcurrentScans: one Reader, eight goroutines, each
