@@ -7,10 +7,12 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
-	"repro/internal/community"
 	"repro/internal/schema"
 )
 
@@ -71,84 +73,79 @@ type Options struct {
 	Seed int64
 }
 
-// Build computes the Cluster Schema of a Schema Summary.
+// Build computes the Cluster Schema of a Schema Summary. The partition
+// comes from the memo when the clustering graph and options are exactly
+// those of a recent call (see partition); labels, member and cluster order,
+// instance totals and aggregated edges are always derived from s.
 func Build(s *schema.Summary, opts Options) (*Schema, error) {
 	if opts.Algorithm == "" {
 		opts.Algorithm = Louvain
 	}
-	n := s.NumClasses()
-	idx := make(map[string]int, n)
+	// canon[i] is where the lookup by IRI lands for node i: i itself, or
+	// the last listing of a class a malformed summary lists twice
+	canon := make([]int, len(s.Nodes))
 	for i, node := range s.Nodes {
-		idx[node.IRI] = i
+		canon[i], _ = s.NodeIndex(node.IRI)
 	}
-	g := community.NewGraph(n)
-	for _, e := range s.Edges {
-		u, okU := idx[e.From]
-		v, okV := idx[e.To]
+	// the clustering graph is undirected and weighted by link count;
+	// log-ish dampening is unnecessary at Schema Summary scale. degree is
+	// H-BOLD's label measure: in + out, parallel edges counted.
+	edges := make([]weightedEdge, len(s.Edges))
+	degree := make([]int, len(s.Nodes))
+	for i, e := range s.Edges {
+		u, okU := s.NodeIndex(e.From)
+		v, okV := s.NodeIndex(e.To)
 		if !okU || !okV {
 			return nil, fmt.Errorf("cluster: edge references unknown class %s→%s", e.From, e.To)
 		}
-		// the clustering graph is undirected and weighted by link count;
-		// log-ish dampening is unnecessary at Schema Summary scale
 		w := float64(e.Count)
 		if w <= 0 {
 			w = 1
 		}
-		g.AddEdge(u, v, w)
+		edges[i] = weightedEdge{u, v, w}
+		degree[u]++
+		degree[v]++
 	}
-
-	var part community.Partition
 	switch opts.Algorithm {
-	case Louvain:
-		part = community.Louvain(g, opts.Seed)
-	case LabelPropagation:
-		part = community.LabelPropagation(g, opts.Seed)
-	case GirvanNewman:
-		part = community.GirvanNewman(g)
+	case Louvain, LabelPropagation, GirvanNewman:
 	default:
 		return nil, fmt.Errorf("cluster: unknown algorithm %q", opts.Algorithm)
 	}
+	part, modularity := partition(len(s.Nodes), edges, opts)
 
 	cs := &Schema{
 		Dataset:        s.Dataset,
 		Algorithm:      opts.Algorithm,
-		Modularity:     community.Modularity(g, part),
+		Modularity:     modularity,
 		TotalInstances: s.TotalInstances,
 	}
-
-	members := part.Members()
 	// build clusters with degree-based labels
 	type clusterAccum struct {
-		classes   []string
+		members   []int
 		instances int
 		label     string
-		maxDegree int
 	}
-	accum := make([]clusterAccum, 0, len(members))
-	for _, m := range members {
+	before := func(a, b int) int { // descending instances, then IRI
+		na, nb := &s.Nodes[canon[a]], &s.Nodes[canon[b]]
+		if na.Instances != nb.Instances {
+			return cmp.Compare(nb.Instances, na.Instances)
+		}
+		return strings.Compare(na.IRI, nb.IRI)
+	}
+	var accum []clusterAccum
+	for _, m := range part.Members() {
 		if len(m) == 0 {
 			continue
 		}
-		var ca clusterAccum
-		ca.maxDegree = -1
-		for _, nodeIdx := range m {
-			node := s.Nodes[nodeIdx]
-			ca.classes = append(ca.classes, node.IRI)
-			ca.instances += node.Instances
-			if d := s.Degree(node.IRI); d > ca.maxDegree {
-				ca.maxDegree = d
-				ca.label = node.Label
+		ca := clusterAccum{members: m}
+		maxDegree := -1
+		for _, i := range m {
+			ca.instances += s.Nodes[i].Instances
+			if d := degree[canon[i]]; d > maxDegree {
+				maxDegree, ca.label = d, s.Nodes[i].Label
 			}
 		}
-		// sort member classes by descending instances then IRI
-		sort.Slice(ca.classes, func(i, j int) bool {
-			a, _ := s.NodeByIRI(ca.classes[i])
-			b, _ := s.NodeByIRI(ca.classes[j])
-			if a.Instances != b.Instances {
-				return a.Instances > b.Instances
-			}
-			return a.IRI < b.IRI
-		})
+		slices.SortFunc(ca.members, before)
 		accum = append(accum, ca)
 	}
 	// sort clusters by descending instances then label for stable output
@@ -158,20 +155,20 @@ func Build(s *schema.Summary, opts Options) (*Schema, error) {
 		}
 		return accum[i].label < accum[j].label
 	})
-	classCluster := map[string]int{}
+	clusterOf := make([]int, len(s.Nodes)) // by canonical node index
 	for ci, ca := range accum {
-		cs.Clusters = append(cs.Clusters, Cluster{
-			Label: ca.label, Classes: ca.classes, Instances: ca.instances,
-		})
-		for _, c := range ca.classes {
-			classCluster[c] = ci
+		classes := make([]string, len(ca.members))
+		for k, i := range ca.members {
+			classes[k] = s.Nodes[i].IRI
+			clusterOf[canon[i]] = ci
 		}
+		cs.Clusters = append(cs.Clusters, Cluster{Label: ca.label, Classes: classes, Instances: ca.instances})
 	}
 
 	// aggregate inter-cluster edges
 	agg := map[[2]int]*Edge{}
-	for _, e := range s.Edges {
-		cu, cv := classCluster[e.From], classCluster[e.To]
+	for i, e := range edges {
+		cu, cv := clusterOf[e.u], clusterOf[e.v]
 		if cu == cv {
 			continue
 		}
@@ -185,7 +182,7 @@ func Build(s *schema.Summary, opts Options) (*Schema, error) {
 			agg[key] = a
 		}
 		a.Links++
-		a.Count += e.Count
+		a.Count += s.Edges[i].Count
 	}
 	keys := make([][2]int, 0, len(agg))
 	for k := range agg {

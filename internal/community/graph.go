@@ -149,6 +149,8 @@ func (p Partition) Members() [][]int {
 }
 
 // Modularity computes Newman modularity Q of the partition on g.
+// Community ids must be non-negative; the sums run in id order, so equal
+// inputs give the same Q to the last bit.
 func Modularity(g *Graph, p Partition) float64 {
 	if g.total == 0 {
 		return 0
@@ -156,8 +158,12 @@ func Modularity(g *Graph, p Partition) float64 {
 	m2 := 2 * g.total
 	// Q = Σ_ij [A_ij − k_i k_j / 2m] δ(c_i,c_j) / 2m over ordered pairs,
 	// with A_uu = 2w for a self loop of weight w (matching Degree).
-	in := map[int]float64{}
-	deg := map[int]float64{}
+	k := 0
+	for _, c := range p {
+		k = max(k, c+1)
+	}
+	in := make([]float64, k)
+	deg := make([]float64, k)
 	for u := 0; u < g.n; u++ {
 		deg[p[u]] += g.degrees[u]
 	}
@@ -167,11 +173,9 @@ func Modularity(g *Graph, p Partition) float64 {
 		}
 	})
 	q := 0.0
-	for _, inW := range in {
-		q += 2 * inW / m2
-	}
-	for _, d := range deg {
-		q -= (d / m2) * (d / m2)
+	for c := range k {
+		q += 2 * in[c] / m2
+		q -= (deg[c] / m2) * (deg[c] / m2)
 	}
 	return q
 }

@@ -9,6 +9,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -28,9 +29,14 @@ type State struct {
 	URL string
 	// Generation is 0 until the dataset's first commit (a successful
 	// extraction, or an update), incremented by every later one and
-	// restored across a clean restart. Snapshot cache entries and HTTP
-	// ETags are keyed on it.
+	// restored across a clean restart. HTTP ETags and most snapshot cache
+	// entries are keyed on it.
 	Generation uint64
+	// Topology is the generation at which the inputs of the bundle view
+	// last changed (see sameBundleTopology); its snapshot cache entries are
+	// keyed on it, so they outlive updates that only move counts. A
+	// restart starts it at Generation.
+	Topology uint64
 	// Vocabulary is what the index advertises to federated source
 	// selection; empty when the dataset has no index.
 	Vocabulary extraction.Vocabulary
@@ -156,6 +162,7 @@ func (h *HBOLD) loaded(ds *dataset, url string) *State {
 	ds.load.Do(func() {
 		st := &State{URL: url}
 		h.DB.Collection(CollGeneration).Get(url, &st.Generation) // absent: generation 0
+		st.Topology = st.Generation
 		decode(h.DB, CollIndexes, url, &st.index)
 		decode(h.DB, CollSummaries, url, &st.summary)
 		decode(h.DB, CollClusters, url, &st.clusters)
@@ -178,12 +185,15 @@ func decode[T any](db *docstore.DB, coll, url string, out **T) {
 }
 
 // commit makes ix the dataset's index at the next generation: it derives
-// the Schema Summary and the Cluster Schema (server-side, per §3.2),
+// the Schema Summary and the Cluster Schema (server-side, per §3.2; the
+// partition is reused while the class graph stands, see cluster.Build),
 // records what changed against the published summary, persists the
-// documents with the generation beside them, publishes the new State and
-// drops every cached snapshot older than it. A nil ix (an update to a
-// never-extracted corpus) advances the generation alone. Callers hold
-// ds.mu and hand over ix: it becomes part of a published State here.
+// documents with the generation beside them, carries the topology epoch
+// forward when the bundle's inputs are unchanged, publishes the new State
+// and drops every cached snapshot keyed on an epoch it no longer has. A
+// nil ix (an update to a never-extracted corpus) advances the generation
+// alone. Callers hold ds.mu and hand over ix: it becomes part of a
+// published State here.
 func (h *HBOLD) commit(ds *dataset, url string, ix *extraction.Index) (*State, *schema.Diff, error) {
 	prev := h.loaded(ds, url)
 	next := *prev
@@ -213,10 +223,50 @@ func (h *HBOLD) commit(ds *dataset, url string, ix *extraction.Index) (*State, *
 		}
 		next.index, next.summary, next.clusters, next.Vocabulary = ix, s, cs, ix.Vocabulary()
 	}
+	if !sameBundleTopology(prev, &next) {
+		next.Topology = next.Generation
+	}
 	if err := h.DB.Collection(CollGeneration).Put(url, next.Generation); err != nil {
 		return nil, nil, err
 	}
 	ds.state.Store(&next)
-	h.Cache.InvalidateBefore(url, next.Generation)
+	h.Cache.InvalidateBefore(url, next.Generation, next.Topology)
 	return &next, diff, nil
+}
+
+// sameBundleTopology reports whether a and b give viz.BundleView the same
+// inputs, compared field by field: the cluster order with labels, each
+// cluster's member order with the members' class labels, and the
+// summary's arcs as (From, To) in order (plus the dataset names the
+// document prints). Instance and link counts are not among them — the
+// bundle places leaves by hierarchy order alone — so an update that only
+// moves counts leaves the bundle's bytes, and its cache entries, alone.
+func sameBundleTopology(a, b *State) bool {
+	sa, sb, ca, cb := a.summary, b.summary, a.clusters, b.clusters
+	if sa == nil || sb == nil || ca == nil || cb == nil {
+		return false
+	}
+	if sa.Dataset != sb.Dataset || ca.Dataset != cb.Dataset ||
+		len(ca.Clusters) != len(cb.Clusters) || len(sa.Edges) != len(sb.Edges) {
+		return false
+	}
+	for i := range ca.Clusters {
+		x, y := &ca.Clusters[i], &cb.Clusters[i]
+		if x.Label != y.Label || !slices.Equal(x.Classes, y.Classes) {
+			return false
+		}
+		for _, c := range x.Classes {
+			nx, okX := sa.NodeByIRI(c)
+			ny, okY := sb.NodeByIRI(c)
+			if okX != okY || nx.Label != ny.Label {
+				return false
+			}
+		}
+	}
+	for i := range sa.Edges {
+		if sa.Edges[i].From != sb.Edges[i].From || sa.Edges[i].To != sb.Edges[i].To {
+			return false
+		}
+	}
+	return true
 }

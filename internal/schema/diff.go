@@ -2,6 +2,7 @@ package schema
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -36,62 +37,112 @@ func (d *Diff) Unchanged() bool {
 		len(d.RemovedEdges) == 0 && d.TriplesDelta == 0
 }
 
-// Compare diffs the new summary against the old one.
+// Compare diffs the new summary against the old one in one ordered walk.
+// Classes are looked up through each summary's IRI index; arcs are merged
+// in Build's (From, To, Property) order, and only an arc present in one
+// summary alone is spelled out. A summary whose arcs are not in that order
+// (a literal, say) is walked through a sorted copy.
 func Compare(old, new *Summary) *Diff {
-	d := &Diff{
-		InstanceDelta: map[string]int{},
-		TriplesDelta:  new.Triples - old.Triples,
-	}
-	oldNodes := map[string]Node{}
-	for _, n := range old.Nodes {
-		oldNodes[n.IRI] = n
-	}
-	newNodes := map[string]Node{}
-	for _, n := range new.Nodes {
-		newNodes[n.IRI] = n
-	}
-	for iri, n := range newNodes {
-		if o, ok := oldNodes[iri]; !ok {
-			d.AddedClasses = append(d.AddedClasses, iri)
-		} else if delta := n.Instances - o.Instances; delta != 0 {
-			d.InstanceDelta[iri] = delta
+	d := &Diff{TriplesDelta: new.Triples - old.Triples}
+	for i, n := range new.Nodes {
+		if last, _ := new.NodeIndex(n.IRI); last != i {
+			continue // a class listed twice counts once, as its last listing
+		}
+		if j, ok := old.NodeIndex(n.IRI); !ok {
+			d.AddedClasses = append(d.AddedClasses, n.IRI)
+		} else if delta := n.Instances - old.Nodes[j].Instances; delta != 0 {
+			if d.InstanceDelta == nil {
+				d.InstanceDelta = map[string]int{}
+			}
+			d.InstanceDelta[n.IRI] = delta
 		}
 	}
-	for iri := range oldNodes {
-		if _, ok := newNodes[iri]; !ok {
-			d.RemovedClasses = append(d.RemovedClasses, iri)
+	for i, n := range old.Nodes {
+		if last, _ := old.NodeIndex(n.IRI); last == i {
+			if _, ok := new.NodeIndex(n.IRI); !ok {
+				d.RemovedClasses = append(d.RemovedClasses, n.IRI)
+			}
 		}
 	}
 	sort.Strings(d.AddedClasses)
 	sort.Strings(d.RemovedClasses)
 
-	edgeKey := func(e Edge) string {
-		return fmt.Sprintf("%s --%s--> %s", e.From, e.Property, e.To)
-	}
-	oldEdges := map[string]bool{}
-	for _, e := range old.Edges {
-		oldEdges[edgeKey(e)] = true
-	}
-	newEdges := map[string]bool{}
-	for _, e := range new.Edges {
-		newEdges[edgeKey(e)] = true
-	}
-	for k := range newEdges {
-		if !oldEdges[k] {
-			d.AddedEdges = append(d.AddedEdges, k)
+	oldArcs, newArcs := sortedArcs(old.Edges), sortedArcs(new.Edges)
+	i, j := 0, 0
+	for i < len(oldArcs) || j < len(newArcs) {
+		c := 0
+		switch {
+		case i == len(oldArcs):
+			c = 1
+		case j == len(newArcs):
+			c = -1
+		default:
+			c = compareArcs(oldArcs[i], newArcs[j])
+		}
+		if c < 0 {
+			d.RemovedEdges = append(d.RemovedEdges, arcKey(oldArcs[i]))
+		} else if c > 0 {
+			d.AddedEdges = append(d.AddedEdges, arcKey(newArcs[j]))
+		}
+		if c <= 0 {
+			i = pastArc(oldArcs, i)
+		}
+		if c >= 0 {
+			j = pastArc(newArcs, j)
 		}
 	}
-	for k := range oldEdges {
-		if !newEdges[k] {
-			d.RemovedEdges = append(d.RemovedEdges, k)
-		}
-	}
-	sort.Strings(d.AddedEdges)
-	sort.Strings(d.RemovedEdges)
-	if len(d.InstanceDelta) == 0 {
-		d.InstanceDelta = nil
-	}
+	d.AddedEdges = unspelled(d.AddedEdges, oldArcs)
+	d.RemovedEdges = unspelled(d.RemovedEdges, newArcs)
 	return d
+}
+
+// arcKey spells an arc the way a Diff reports it.
+func arcKey(e Edge) string { return e.From + " --" + e.Property + "--> " + e.To }
+
+// sortedArcs returns arcs in compareArcs order, copying only if they are
+// not in it already.
+func sortedArcs(arcs []Edge) []Edge {
+	if slices.IsSortedFunc(arcs, compareArcs) {
+		return arcs
+	}
+	arcs = slices.Clone(arcs)
+	slices.SortFunc(arcs, compareArcs)
+	return arcs
+}
+
+// pastArc returns the index after arcs[i] and its duplicates.
+func pastArc(arcs []Edge, i int) int {
+	j := i + 1
+	for j < len(arcs) && compareArcs(arcs[i], arcs[j]) == 0 {
+		j++
+	}
+	return j
+}
+
+// unspelled sorts the keys of arcs found in one summary alone, drops
+// repeats, and drops any key an arc of the other summary spells too. Two
+// different arcs spell one key only when an IRI holds a separator, so a
+// key with exactly one " --" and one "--> " is kept without looking.
+func unspelled(keys []string, other []Edge) []string {
+	sort.Strings(keys)
+	keys = slices.Compact(keys)
+	var spelled map[string]bool
+	keys = slices.DeleteFunc(keys, func(k string) bool {
+		if strings.Count(k, " --") == 1 && strings.Count(k, "--> ") == 1 {
+			return false
+		}
+		if spelled == nil {
+			spelled = make(map[string]bool, len(other))
+			for _, e := range other {
+				spelled[arcKey(e)] = true
+			}
+		}
+		return spelled[k]
+	})
+	if len(keys) == 0 {
+		return nil
+	}
+	return keys
 }
 
 // String renders a compact human-readable change report.

@@ -13,6 +13,7 @@ package schema
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"repro/internal/extraction"
 )
@@ -85,18 +86,21 @@ func Build(ix *extraction.Index) *Summary {
 			})
 		}
 	}
-	sort.Slice(s.Edges, func(i, j int) bool {
-		a, b := s.Edges[i], s.Edges[j]
-		if a.From != b.From {
-			return a.From < b.From
-		}
-		if a.To != b.To {
-			return a.To < b.To
-		}
-		return a.Property < b.Property
-	})
+	sort.Slice(s.Edges, func(i, j int) bool { return compareArcs(s.Edges[i], s.Edges[j]) < 0 })
 	s.reindex()
 	return s
+}
+
+// compareArcs orders arcs by (From, To, Property), the order Build leaves
+// Edges in and Compare walks them in.
+func compareArcs(a, b Edge) int {
+	if c := strings.Compare(a.From, b.From); c != 0 {
+		return c
+	}
+	if c := strings.Compare(a.To, b.To); c != 0 {
+		return c
+	}
+	return strings.Compare(a.Property, b.Property)
 }
 
 func (s *Summary) reindex() {
@@ -116,14 +120,21 @@ func (s *Summary) Reindex() { s.reindex() }
 
 // NodeByIRI returns the node for a class IRI.
 func (s *Summary) NodeByIRI(iri string) (Node, bool) {
-	if s.nodeByIRI == nil {
-		s.reindex()
-	}
-	i, ok := s.nodeByIRI[iri]
+	i, ok := s.NodeIndex(iri)
 	if !ok {
 		return Node{}, false
 	}
 	return s.Nodes[i], true
+}
+
+// NodeIndex returns the position in Nodes of a class IRI (the last, if a
+// malformed summary lists it twice).
+func (s *Summary) NodeIndex(iri string) (int, bool) {
+	if s.nodeByIRI == nil {
+		s.reindex()
+	}
+	i, ok := s.nodeByIRI[iri]
+	return i, ok
 }
 
 // NumClasses returns the number of class nodes.

@@ -6,12 +6,15 @@
 // manual insertion form. It is a thin adapter over internal/core.
 //
 // Dataset-derived responses (summary, cluster, class detail, layout
-// models, SVG views) are versioned by the dataset's extraction
-// generation: each carries an ETag of the form "<url>@<generation>"
-// plus Cache-Control, answers If-None-Match revalidations with 304
-// without recomputing anything, and is memoized in the instance's
-// snapshot cache (internal/snapcache) keyed by that same generation,
-// so a completed refresh atomically invalidates every view.
+// models, SVG views) are versioned by the dataset's generation: each
+// carries an ETag of the form "<url>@<generation>" plus Cache-Control,
+// answers If-None-Match revalidations with 304 without recomputing
+// anything, and is memoized in the instance's snapshot cache
+// (internal/snapcache) keyed by that same generation — except the bundle
+// view, whose bytes read only the dataset's topology and which is keyed by
+// the topology epoch (core.State.Topology), so its entries outlive updates
+// that only move counts. A commit thus invalidates every view whose
+// inputs it may have changed, and only those.
 package server
 
 import (
@@ -22,11 +25,12 @@ import (
 	"html/template"
 	"log/slog"
 	"net/http"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/endpoint"
 	"repro/internal/federation"
@@ -74,6 +78,12 @@ func New(tool *core.HBOLD) *Server {
 	tool.Metrics.CounterFunc("hbold_viz_placement_computes_total",
 		"Graph-view renders that ran the force-directed simulation.",
 		func() float64 { _, computed := viz.PlacementStats(); return float64(computed) })
+	tool.Metrics.CounterFunc("hbold_cluster_partition_reuses_total",
+		"Cluster Schema builds that took their partition from the memo.",
+		func() float64 { reused, _ := cluster.PartitionStats(); return float64(reused) })
+	tool.Metrics.CounterFunc("hbold_cluster_partition_computes_total",
+		"Cluster Schema builds that ran community detection.",
+		func() float64 { _, computed := cluster.PartitionStats(); return float64(computed) })
 	s.mux.HandleFunc("/", s.handleHome)
 	s.mux.HandleFunc("/metrics", s.handlePromMetrics)
 	s.mux.HandleFunc("/api/datasets", s.handleDatasets)
@@ -313,12 +323,16 @@ func (s *Server) preflight(w http.ResponseWriter, r *http.Request, st *core.Stat
 }
 
 // snapshot serves a response memoized in the snapshot cache, keyed by
-// (st.URL, st.Generation, view, params). What is cached is the wire body
+// (st.URL, st.Generation, view, params) — or, for the bundle view, by
+// st.Topology in place of the generation. What is cached is the wire body
 // itself: a hit is a lookup, a Content-Length and one Write of the
 // shared slice. body runs only on a miss, must read the dataset through
 // st alone, and gives up ownership of what it returns.
 func (s *Server) snapshot(w http.ResponseWriter, st *core.State, view, params, contentType string, body func() ([]byte, error)) {
 	key := snapcache.Key{URL: st.URL, Generation: st.Generation, View: view, Params: params}
+	if view == "view:bundle" {
+		key.Generation, key.Topology = st.Topology, true
+	}
 	b, err := s.Tool.Cache.GetOrCompute(key, body)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusNotFound)
@@ -808,9 +822,11 @@ func incompleteSources(p *federation.Partial) []string {
 }
 
 // handleView serves one §3.5 visualization as rendered SVG. The render
-// is memoized per (dataset, generation, kind, view parameters): the
-// bundle's focus class and the summary graph's visible set are part of
-// the cache key, canonicalized so equivalent requests share one entry.
+// is memoized per (dataset, generation, kind, view parameters) — the
+// bundle per topology epoch instead of generation: the bundle's focus
+// class and the summary graph's visible set are part of the cache key,
+// the visible set canonicalized (trimmed, empty names and repeats
+// dropped, sorted) so equivalent requests share one entry.
 func (s *Server) handleView(kind string) http.HandlerFunc {
 	view := "view:" + kind
 	return func(w http.ResponseWriter, r *http.Request) {
@@ -825,12 +841,14 @@ func (s *Server) handleView(kind string) http.HandlerFunc {
 			params = "focus=" + q.Get("focus")
 		case "summary-graph":
 			if vis := q.Get("visible"); vis != "" {
-				classes := strings.Split(vis, ",")
-				for i, c := range classes {
-					classes[i] = strings.TrimSpace(c)
+				var classes []string
+				for _, c := range strings.Split(vis, ",") {
+					if c = strings.TrimSpace(c); c != "" {
+						classes = append(classes, c)
+					}
 				}
-				sort.Strings(classes)
-				params = "visible=" + strings.Join(classes, ",")
+				slices.Sort(classes)
+				params = "visible=" + strings.Join(slices.Compact(classes), ",")
 			}
 		}
 		s.snapshot(w, st, view, params, "image/svg+xml", func() ([]byte, error) {

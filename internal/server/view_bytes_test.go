@@ -251,7 +251,7 @@ func TestETagSpelling(t *testing.T) {
 
 // TestMissStagesOnMetrics: a render and a model build each leave one
 // observation under the benchmark's layer name; hits leave none; the
-// placement counters are on the scrape surface.
+// placement and partition counters are on the scrape surface.
 func TestMissStagesOnMetrics(t *testing.T) {
 	_, srv := cacheTestTool(t)
 	q := "?dataset=" + url.QueryEscape(dsURL)
@@ -269,6 +269,8 @@ func TestMissStagesOnMetrics(t *testing.T) {
 		`hbold_stage_seconds_count{stage="viz.model.circlepack"} 1`,
 		"hbold_viz_placement_reuses_total ",
 		"hbold_viz_placement_computes_total ",
+		"hbold_cluster_partition_reuses_total ",
+		"hbold_cluster_partition_computes_total ",
 	} {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("/metrics lacks %q", want)

@@ -4,9 +4,12 @@
 // function of the dataset's published state, which only changes when
 // internal/core commits a new generation of it (a successful extraction
 // or an applied update). The cache therefore keys each materialized
-// result by (dataset URL, dataset generation, view, params): stale
-// entries are never served — they simply stop being addressed, and the
-// commit drops them eagerly with InvalidateBefore.
+// result by (dataset URL, epoch, view, params), where the epoch is the
+// dataset's generation — or, for a result that reads only the dataset's
+// topology (the bundle view), its topology epoch, the generation at which
+// that topology last changed, so the entry outlives updates that only
+// move counts. Stale entries are never served — they simply stop being
+// addressed, and the commit drops them eagerly with InvalidateBefore.
 //
 // Concurrent misses for the same key collapse singleflight-style: one
 // caller computes while the rest wait for its result, so a thundering
@@ -24,13 +27,14 @@ import (
 )
 
 // Key addresses one materialized snapshot. Generation is the dataset's
-// extraction generation from internal/core; View names the materialized
-// artifact (e.g. "api:summary", "view:treemap"); Params carries any
-// request parameters the artifact depends on (e.g. the bundle focus
-// class), canonicalized by the caller.
+// generation from internal/core, or its topology epoch when Topology is
+// set; View names the materialized artifact (e.g. "api:summary",
+// "view:treemap"); Params carries any request parameters the artifact
+// depends on (e.g. the bundle focus class), canonicalized by the caller.
 type Key struct {
 	URL        string
 	Generation uint64
+	Topology   bool
 	View       string
 	Params     string
 }
@@ -196,13 +200,15 @@ func (c *Cache) removeLocked(e *entry) {
 	c.bytes -= int64(cap(e.val))
 }
 
-// InvalidateBefore drops every resident snapshot of url with a
-// generation older than gen and returns how many were dropped. core's
-// commit calls it right after publishing generation gen, so the stale
-// snapshots of a refreshed or updated dataset free their bytes
-// immediately instead of aging out; the per-URL index keeps the scan
+// InvalidateBefore drops every resident snapshot of url keyed on an epoch
+// older than the current one of its kind — generation gen, or topology
+// epoch topology for a Topology key — and returns how many were dropped.
+// core's commit calls it right after publishing the state with those
+// epochs, so the stale snapshots of a refreshed or updated dataset free
+// their bytes immediately instead of aging out, and nothing that can no
+// longer be addressed stays resident; the per-URL index keeps the scan
 // proportional to that one dataset's entries, not the whole cache.
-func (c *Cache) InvalidateBefore(url string, gen uint64) int {
+func (c *Cache) InvalidateBefore(url string, gen, topology uint64) int {
 	if !c.Enabled() {
 		return 0
 	}
@@ -210,7 +216,11 @@ func (c *Cache) InvalidateBefore(url string, gen uint64) int {
 	defer c.mu.Unlock()
 	n := 0
 	for key, e := range c.byURL[url] {
-		if key.Generation < gen {
+		current := gen
+		if key.Topology {
+			current = topology
+		}
+		if key.Generation < current {
 			c.removeLocked(e)
 			n++
 		}

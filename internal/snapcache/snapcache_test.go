@@ -160,7 +160,7 @@ func TestInvalidateBefore(t *testing.T) {
 	c.GetOrCompute(k("u", 1, "b"), func() ([]byte, error) { return val("b1", 4), nil })
 	c.GetOrCompute(k("u", 2, "a"), func() ([]byte, error) { return val("a2", 4), nil })
 	c.GetOrCompute(k("other", 1, "a"), func() ([]byte, error) { return val("o1", 4), nil })
-	if n := c.InvalidateBefore("u", 2); n != 2 {
+	if n := c.InvalidateBefore("u", 2, 2); n != 2 {
 		t.Fatalf("invalidated %d, want 2", n)
 	}
 	st := c.Stats()
@@ -179,6 +179,41 @@ func TestInvalidateBefore(t *testing.T) {
 	})
 	if got := c.Stats().Hits; got != hits+2 {
 		t.Fatalf("hits = %d, want %d", got, hits+2)
+	}
+}
+
+// TestInvalidateBeforeTopology: a Topology key is measured against the
+// topology epoch and a generation key against the generation, so a commit
+// that carries the topology forward keeps exactly the topology entries.
+func TestInvalidateBeforeTopology(t *testing.T) {
+	c := New(1 << 20)
+	topo := func(gen uint64, params string) Key {
+		return Key{URL: "u", Generation: gen, Topology: true, View: "view:bundle", Params: params}
+	}
+	put := func(key Key) {
+		c.GetOrCompute(key, func() ([]byte, error) { return val("x", 4), nil })
+	}
+	put(k("u", 3, "a"))
+	put(topo(3, "f1"))
+	put(topo(3, "f2"))
+	// generation 4, topology still 3: only the generation entry goes
+	if n := c.InvalidateBefore("u", 4, 3); n != 1 {
+		t.Fatalf("invalidated %d, want 1 (the generation-3 entry)", n)
+	}
+	misses := c.Stats().Misses
+	put(topo(3, "f1"))
+	put(topo(3, "f2"))
+	if got := c.Stats().Misses; got != misses {
+		t.Fatalf("a carried-forward topology entry was dropped (%d misses)", got-misses)
+	}
+	// a generation entry whose number equals the topology epoch is still
+	// stale: the kinds are not mixed up
+	put(k("u", 4, "a"))
+	if n := c.InvalidateBefore("u", 5, 4); n != 3 {
+		t.Fatalf("invalidated %d, want 3 (generation 4 and both topology-3 entries)", n)
+	}
+	if st := c.Stats(); st.Entries != 0 {
+		t.Fatalf("entries = %d after both epochs moved", st.Entries)
 	}
 }
 
@@ -251,7 +286,7 @@ func TestDisabledAndNil(t *testing.T) {
 		if computes != 2 {
 			t.Fatalf("computes = %d, want 2 (pass-through)", computes)
 		}
-		if n := c.InvalidateBefore("u", 9); n != 0 {
+		if n := c.InvalidateBefore("u", 9, 9); n != 0 {
 			t.Fatalf("invalidate on disabled cache = %d", n)
 		}
 	}

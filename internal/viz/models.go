@@ -38,10 +38,11 @@ func TreemapModelOf(cs *cluster.Schema, s *schema.Summary, w, h float64) *Treema
 	root.SortChildrenByValue()
 	cells := layout.Treemap(root, layout.Rect{W: w, H: h}, 3)
 	m := &TreemapModel{Dataset: cs.Dataset}
+	byClass := clustersByClass(cs)
 	for _, c := range cells {
 		m.Cells = append(m.Cells, TreemapCell{
 			Label: c.Node.Label, IRI: classIRI(c.Node.Ref),
-			Depth: c.Depth, Cluster: cs.ClusterOf(c.Node.Ref),
+			Depth: c.Depth, Cluster: byClass.of(c.Node.Ref),
 			Instances: c.Node.Value,
 			X:         c.Rect.X, Y: c.Rect.Y, W: c.Rect.W, H: c.Rect.H,
 		})
@@ -72,10 +73,11 @@ func SunburstModelOf(cs *cluster.Schema, s *schema.Summary, radius float64) *Sun
 	root := Hierarchy(cs, s)
 	root.SortChildrenByValue()
 	m := &SunburstModel{Dataset: cs.Dataset}
+	byClass := clustersByClass(cs)
 	for _, a := range layout.Sunburst(root, radius) {
 		m.Arcs = append(m.Arcs, SunburstArc{
 			Label: a.Node.Label, IRI: classIRI(a.Node.Ref),
-			Depth: a.Depth, Cluster: cs.ClusterOf(a.Node.Ref),
+			Depth: a.Depth, Cluster: byClass.of(a.Node.Ref),
 			Start: a.Start, End: a.End, Inner: a.Inner, Outer: a.Outer,
 		})
 	}
@@ -104,10 +106,11 @@ func CirclePackModelOf(cs *cluster.Schema, s *schema.Summary, size float64) *Cir
 	root := Hierarchy(cs, s)
 	root.SortChildrenByValue()
 	m := &CirclePackModel{Dataset: cs.Dataset}
+	byClass := clustersByClass(cs)
 	for _, pc := range layout.CirclePack(root, size/2, size/2, size/2-8, 3) {
 		m.Circles = append(m.Circles, PackedCircle{
 			Label: pc.Node.Label, IRI: classIRI(pc.Node.Ref),
-			Depth: pc.Depth, Cluster: cs.ClusterOf(pc.Node.Ref),
+			Depth: pc.Depth, Cluster: byClass.of(pc.Node.Ref),
 			X: pc.Circle.X, Y: pc.Circle.Y, R: pc.Circle.R,
 		})
 	}

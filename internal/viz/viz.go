@@ -47,10 +47,29 @@ func datasetLabel(url string) string {
 	return url
 }
 
-// clusterIndexByRef maps "cluster:<label>" refs back to cluster indexes
-// for coloring.
-func clusterColor(cs *cluster.Schema, classIRI string) string {
-	return svg.Color(cs.ClusterOf(classIRI))
+// clusterIndex maps each member class to the index of the cluster
+// listing it — what cluster.Schema.ClusterOf answers, built once per
+// render instead of scanning every member list per cell.
+type clusterIndex map[string]int
+
+func clustersByClass(cs *cluster.Schema) clusterIndex {
+	ci := make(clusterIndex)
+	for i, c := range cs.Clusters {
+		for _, m := range c.Classes {
+			if _, dup := ci[m]; !dup { // ClusterOf answers the first
+				ci[m] = i
+			}
+		}
+	}
+	return ci
+}
+
+// of returns the cluster of a class IRI, or -1 (a cluster or dataset ref).
+func (ci clusterIndex) of(classIRI string) int {
+	if i, ok := ci[classIRI]; ok {
+		return i
+	}
+	return -1
 }
 
 // --- Treemap (Figure 4) ---
@@ -68,6 +87,7 @@ func TreemapView(cs *cluster.Schema, s *schema.Summary, w, h float64) []byte {
 	for i, c := range cs.Clusters {
 		clusterIdx["cluster:"+c.Label] = i
 	}
+	byClass := clustersByClass(cs)
 	currentCluster := 0
 	for _, cell := range cells {
 		switch cell.Depth {
@@ -83,7 +103,7 @@ func TreemapView(cs *cluster.Schema, s *schema.Summary, w, h float64) []byte {
 				doc.Text(cell.Rect.X+4, cell.Rect.Y+13, 12, "start", "#000", cell.Node.Label)
 			}
 		default:
-			ci := cs.ClusterOf(cell.Node.Ref)
+			ci := byClass.of(cell.Node.Ref)
 			doc.Rect(cell.Rect.X, cell.Rect.Y, cell.Rect.W, cell.Rect.H,
 				svg.Lighten(svg.Color(ci), 0.25), "#fff", "data-kind", "class", "data-iri", cell.Node.Ref)
 			if cell.Rect.W > 50 && cell.Rect.H > 14 {
@@ -111,12 +131,13 @@ func SunburstView(cs *cluster.Schema, s *schema.Summary, size float64) []byte {
 	for i, c := range cs.Clusters {
 		clusterIdx["cluster:"+c.Label] = i
 	}
+	byClass := clustersByClass(cs)
 	for _, a := range arcs {
 		var fill string
 		if a.Depth == 1 {
 			fill = svg.Color(clusterIdx[a.Node.Ref])
 		} else {
-			fill = svg.Lighten(clusterColor(cs, a.Node.Ref), 0.35)
+			fill = svg.Lighten(svg.Color(byClass.of(a.Node.Ref)), 0.35)
 		}
 		doc.Arc(cx, cy, a.Start, a.End, a.Inner, a.Outer, fill, "#fff",
 			"data-label", a.Node.Label)
@@ -143,6 +164,7 @@ func CirclePackView(cs *cluster.Schema, s *schema.Summary, size float64) []byte 
 	for i, c := range cs.Clusters {
 		clusterIdx["cluster:"+c.Label] = i
 	}
+	byClass := clustersByClass(cs)
 	for _, pc := range circles {
 		switch pc.Depth {
 		case 0:
@@ -153,7 +175,7 @@ func CirclePackView(cs *cluster.Schema, s *schema.Summary, size float64) []byte 
 				"data-kind", "cluster")
 		default:
 			doc.Circle(pc.Circle.X, pc.Circle.Y, pc.Circle.R,
-				svg.Lighten(clusterColor(cs, pc.Node.Ref), 0.2), "#fff",
+				svg.Lighten(svg.Color(byClass.of(pc.Node.Ref)), 0.2), "#fff",
 				"data-kind", "class", "data-iri", pc.Node.Ref)
 			if pc.Circle.R > 14 {
 				doc.Text(pc.Circle.X, pc.Circle.Y+3, 9, "middle", "#000", pc.Node.Label)
