@@ -15,6 +15,8 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"strings"
+	"time"
 
 	"repro/internal/clock"
 	"repro/internal/core"
@@ -77,11 +79,27 @@ func main() {
 	}
 	fmt.Printf("instances of %s: %d rows\n", sample, len(res.Rows))
 
-	// 5. Per-source accounting shows the pruning at work: shards whose
+	// 5. Per-source accounting — the process registry behind /metrics and
+	// /api/federation/stats — shows the pruning at work: shards whose
 	// index lacks the class record a prune, not a query.
+	stats := map[string]map[string]float64{}
+	for _, fam := range tool.Metrics.Snapshot() {
+		name, ok := strings.CutPrefix(fam.Name, "hbold_federation_")
+		if !ok {
+			continue
+		}
+		for _, se := range fam.Series {
+			url := se.Labels["source"]
+			if stats[url] == nil {
+				stats[url] = map[string]float64{}
+			}
+			stats[url][name] = se.Value
+		}
+	}
 	for _, src := range fed.Sources() {
-		st := fed.Stats().Sources[src.URL]
-		fmt.Printf("  %-20s queries=%d rows=%-5d pruned=%d firstRow=%s\n",
-			src.Name, st.Queries, st.Rows, st.Pruned, st.FirstRow.Round(1000))
+		st := stats[src.URL]
+		firstRow := time.Duration(st["first_row_seconds"] * float64(time.Second))
+		fmt.Printf("  %-20s queries=%.0f rows=%-5.0f pruned=%.0f firstRow=%s\n",
+			src.Name, st["queries_total"], st["rows_total"], st["pruned_total"], firstRow.Round(1000))
 	}
 }

@@ -460,10 +460,8 @@ func (h *HBOLD) Federation(urls []string, policy federation.Policy) (*federation
 		st := h.State(url)
 		return st.Vocabulary, st.index != nil
 	}
-	// per-client SourceStats stay instance-local; the registry series
-	// they mirror into outlive any one federation
+	// the per-source series outlive this per-request federation
 	f.Metrics = h.Metrics
-	f.Clock = h.Clock
 	return f, nil
 }
 

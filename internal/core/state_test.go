@@ -238,6 +238,22 @@ func TestHedgeDelayOutlivesTheFederation(t *testing.T) {
 	h.Connect(url, slow)
 	ctx := context.Background()
 	const query = `SELECT ?s WHERE { ?s a <http://ex/Author> }`
+	// hedges reads the source's process-lifetime hedge series
+	hedges := func() (hedged, won float64) {
+		for _, fam := range h.Metrics.Snapshot() {
+			for _, se := range fam.Series {
+				switch {
+				case se.Labels["source"] != url:
+				case fam.Name == "hbold_federation_hedged_total":
+					hedged = se.Value
+				case fam.Name == "hbold_federation_hedge_won_total":
+					won = se.Value
+				}
+			}
+		}
+		return hedged, won
+	}
+	hedged0, won0 := hedges()
 
 	first, err := h.Federation(nil, federation.All)
 	if err != nil {
@@ -248,8 +264,8 @@ func TestHedgeDelayOutlivesTheFederation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n := first.Stats().Sources[url].Hedged; n != 0 {
-		t.Fatalf("learning opens hedged %d times", n)
+	if n, _ := hedges(); n != hedged0 {
+		t.Fatalf("learning opens hedged %v times", n-hedged0)
 	}
 
 	slow.stall.Store(slow.calls.Load() + 1)
@@ -264,7 +280,7 @@ func TestHedgeDelayOutlivesTheFederation(t *testing.T) {
 	if len(res.Rows) != 1 {
 		t.Fatalf("rows = %d, want 1", len(res.Rows))
 	}
-	if st := second.Stats().Sources[url]; st.Hedged != 1 || st.HedgeWon != 1 {
-		t.Fatalf("second client's stats = %+v: the stalled open was not hedged on the first client's observations", st)
+	if n, w := hedges(); n-hedged0 != 1 || w-won0 != 1 {
+		t.Fatalf("hedged %v, won %v: the stalled open was not hedged on the first client's observations", n-hedged0, w-won0)
 	}
 }

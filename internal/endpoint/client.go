@@ -344,8 +344,8 @@ func (c *HTTPClient) streamOnce(ctx context.Context, query string, maxBody int64
 		}
 	}
 	out := sparql.NewRowSeq(rr.Vars(), seq, &streamErr)
-	// if the consumer closes without ever pulling a row, the producer
-	// never ran and its deferred close never fires
+	// if the consumer closes without ever ranging, the producer never
+	// ran and its deferred close never fires
 	out.OnClose(func() { resp.Body.Close() })
 	return out, false, 0, nil
 }

@@ -66,10 +66,14 @@ func TestRemoteCostEarlyClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 5; i++ {
-		if _, ok := rs.Next(); !ok {
-			t.Fatal("stream ended early")
+	n := 0
+	for range rs.Terms() {
+		if n++; n == 5 {
+			break
 		}
+	}
+	if n != 5 {
+		t.Fatal("stream ended early")
 	}
 	rs.Close()
 	wantVirtual(t, r, 5)

@@ -318,10 +318,14 @@ func TestRemoteStreamCostPerRow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 3; i++ {
-		if _, ok := rs.Next(); !ok {
-			t.Fatal("stream ended early")
+	n := 0
+	for range rs.Terms() {
+		if n++; n == 3 {
+			break
 		}
+	}
+	if n != 3 {
+		t.Fatal("stream ended early")
 	}
 	rs.Close()
 	queries, virtual := r.Stats()

@@ -5,23 +5,24 @@
 // landscape is many independent endpoints; the extracted indexes are what
 // lets a tool route queries instead of blind-broadcasting them).
 //
-// The merge is a k-way interleave over bounded per-branch buffers: every
-// member evaluates concurrently under its own context derived from the
-// caller's, rows surface in completion order, and the whole fan-out is
-// torn down — all branch contexts canceled, all goroutines joined — on
-// the first fatal branch error, on consumer Close, or when a merged
-// LIMIT is satisfied. DISTINCT queries deduplicate on the merge with the
-// same binding key the engines use, so a federated DISTINCT equals a
-// single-endpoint DISTINCT over the union corpus row-for-row. ORDER BY
-// queries switch the merge to an ordered k-way heap merge: each branch
-// is locally sorted by the member engine, so popping the least head row
-// re-establishes the global order — and makes ORDER BY + LIMIT return
-// the true global top-N rather than the first N rows to complete.
-// Queries fan-out cannot answer faithfully are refused up front:
-// GROUP BY/aggregates (members would aggregate their partitions
-// independently), OFFSET (each member would skip rows independently),
-// and ORDER BY on variables the SELECT list drops (the merge orders by
-// projected rows only).
+// Each selected source is one leg, and one branch runner serves every
+// leg, SELECT and ASK alike: it opens the member's stream under a
+// context derived from the caller's, ranges over it on the leg's own
+// goroutine and pushes every row into the merge, so rows surface in
+// completion order. The whole fan-out is torn down — every leg's context
+// canceled, every goroutine joined — on the first fatal leg error, on
+// consumer Close, or when a merged LIMIT is satisfied. DISTINCT queries
+// deduplicate on the merge with the same binding key the engines use, so
+// a federated DISTINCT equals a single-endpoint DISTINCT over the union
+// corpus row-for-row. ORDER BY queries switch the merge to an ordered
+// k-way heap merge: each leg is locally sorted by the member engine, so
+// popping the least head row re-establishes the global order — and makes
+// ORDER BY + LIMIT return the true global top-N rather than the first N
+// rows to complete. Queries fan-out cannot answer faithfully are refused
+// up front: GROUP BY/aggregates (members would aggregate their
+// partitions independently), OFFSET (each member would skip rows
+// independently), and ORDER BY on variables the SELECT list drops (the
+// merge orders by projected rows only).
 //
 // Source selection runs before fan-out: under IndexPrune (and
 // CostOrdered, which additionally opens cheap sources first) the client
@@ -42,12 +43,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"reflect"
 	"sort"
 	"sync"
 	"time"
 
-	"repro/internal/clock"
 	"repro/internal/endpoint"
 	"repro/internal/extraction"
 	"repro/internal/obs"
@@ -94,45 +93,11 @@ func ParsePolicy(s string) (Policy, error) {
 	return All, fmt.Errorf("federation: unknown policy %q (want all, prune, or cost)", s)
 }
 
-// DefaultBuffer is the per-branch row buffer of the merge: deep enough
+// DefaultBuffer is the row buffer the merge keeps per leg: deep enough
 // that a momentarily slow consumer does not stall every producer, small
 // enough that abandoning the stream wastes at most this many rows per
-// branch.
+// leg.
 const DefaultBuffer = 16
-
-// SourceStats is the per-source accounting one federation accumulates.
-type SourceStats struct {
-	// Queries counts fan-outs that actually reached the source.
-	Queries int `json:"queries"`
-	// Rows counts rows the source delivered into the merge.
-	Rows int64 `json:"rows"`
-	// Errors counts fatal branch failures attributed to the source.
-	Errors int `json:"errors"`
-	// Unavailable counts openings skipped because the source was down.
-	Unavailable int `json:"unavailable"`
-	// Pruned counts queries source selection proved the source could not
-	// contribute to.
-	Pruned int `json:"pruned"`
-	// Tripped counts fan-outs that skipped the source because its circuit
-	// breaker was open — outages the federation rode out at zero request
-	// cost.
-	Tripped int `json:"tripped"`
-	// Hedged counts opens where the first attempt was slow enough that a
-	// hedged second attempt launched.
-	Hedged int `json:"hedged"`
-	// HedgeWon counts hedged opens the second attempt won.
-	HedgeWon int `json:"hedgeWon"`
-	// HedgeWasted counts hedged opens where the first attempt delivered
-	// before the hedge — the hedge's request was pure overhead.
-	HedgeWasted int `json:"hedgeWasted"`
-	// Dropped counts branch failures dropped (rather than made fatal)
-	// under partial-result mode.
-	Dropped int `json:"dropped"`
-	// FirstRow is the open-to-first-row latency of the most recent query.
-	FirstRow time.Duration `json:"firstRowNs"`
-	// Elapsed is the cumulative wall time spent streaming from the source.
-	Elapsed time.Duration `json:"elapsedNs"`
-}
 
 // Client federates queries over a set of sources. It implements
 // endpoint.Client and endpoint.Streamer, so anything that can point at
@@ -153,36 +118,30 @@ type Client struct {
 	// the whole federated query. Sources with an Up probe are skipped
 	// before fan-out either way.
 	SkipUnavailable bool
-	// Hedge enables hedged stream opens: when a branch's first row has
-	// not arrived within the source's hedge delay (the p90 of its
-	// observed open-to-first-row latencies, seeded from the cost model
-	// before any observation exists), a second attempt opens and
-	// whichever delivers first wins; the loser is canceled. Tail-slow
-	// opens stop gating the merge at the price of ~10% extra opens.
+	// Hedge enables hedged stream opens: when a leg's first row has not
+	// arrived within the source's hedge delay (the p90 of its observed
+	// open-to-first-row latencies, seeded from the cost model before any
+	// observation exists), a second attempt opens and whichever delivers
+	// first wins; the loser is canceled. Tail-slow opens stop gating the
+	// merge at the price of ~10% extra opens.
 	Hedge bool
 	// HedgeAfter, when > 0, fixes the hedge delay instead of deriving it
 	// per source — for tests and benchmarks that need a deterministic
 	// trigger.
 	HedgeAfter time.Duration
-	// Metrics, when set, mirrors every SourceStats mutation into
-	// registry-backed, per-source labeled series — promoting the
-	// instance-local accounting into process-lifetime observability that
-	// outlives this client. nil disables mirroring.
+	// Metrics is the per-source accounting: every leg outcome increments
+	// source-labeled registry series, which outlive this client. nil
+	// records nothing.
 	Metrics *obs.Registry
-	// Clock stamps Stats snapshots; nil means the wall clock.
-	Clock clock.Clock
 
 	sources []*endpoint.Source
-
-	mu    sync.Mutex
-	stats map[string]*SourceStats
 
 	fmOnce sync.Once
 	fm     *fedMetrics
 }
 
-// fedMetrics are the registry handles the per-source accounting mirrors
-// into, one labeled series per source URL.
+// fedMetrics are the registry handles of the per-source accounting, one
+// labeled series per source URL.
 type fedMetrics struct {
 	queries     *obs.CounterVec
 	rows        *obs.CounterVec
@@ -217,12 +176,16 @@ func newFedMetrics(r *obs.Registry) *fedMetrics {
 	}
 }
 
+// metrics returns the registry handles, made on first use because
+// Metrics is set after New; off a nil Metrics every handle is a no-op.
+func (f *Client) metrics() *fedMetrics {
+	f.fmOnce.Do(func() { f.fm = newFedMetrics(f.Metrics) })
+	return f.fm
+}
+
 // New builds a federated client over the given sources.
 func New(sources ...*endpoint.Source) *Client {
-	return &Client{
-		sources: sources,
-		stats:   make(map[string]*SourceStats, len(sources)),
-	}
+	return &Client{sources: sources}
 }
 
 // hedgeDelay returns when a hedged second attempt for src should launch:
@@ -248,75 +211,6 @@ func (f *Client) Sources() []*endpoint.Source {
 	return out
 }
 
-// StatsSnapshot is a point-in-time copy of the per-source accounting.
-// CapturedAt is the client clock's reading at snapshot time, so callers
-// racing with an active stream (and dashboards sampling repeatedly) can
-// order samples.
-type StatsSnapshot struct {
-	CapturedAt time.Time              `json:"capturedAt"`
-	Sources    map[string]SourceStats `json:"sources"`
-}
-
-// Stats returns a timestamped snapshot of the per-source accounting,
-// keyed by source URL. Sources never touched by any query are absent.
-func (f *Client) Stats() StatsSnapshot {
-	ck := f.Clock
-	if ck == nil {
-		ck = clock.Real{}
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	out := StatsSnapshot{CapturedAt: ck.Now(), Sources: make(map[string]SourceStats, len(f.stats))}
-	for url, st := range f.stats {
-		out.Sources[url] = *st
-	}
-	return out
-}
-
-func (f *Client) bump(src *endpoint.Source, fn func(*SourceStats)) {
-	f.mu.Lock()
-	st, ok := f.stats[src.URL]
-	if !ok {
-		st = &SourceStats{}
-		f.stats[src.URL] = st
-	}
-	before := *st
-	fn(st)
-	after := *st
-	f.mu.Unlock()
-	f.mirror(src.URL, before, after)
-}
-
-// mirror forwards the delta of one accounting mutation into the registry,
-// outside the stats mutex (registry updates are atomic).
-func (f *Client) mirror(url string, before, after SourceStats) {
-	if f.Metrics == nil {
-		return
-	}
-	f.fmOnce.Do(func() { f.fm = newFedMetrics(f.Metrics) })
-	addInt := func(v *obs.CounterVec, d int64) {
-		if d > 0 {
-			v.With(url).Add(float64(d))
-		}
-	}
-	addInt(f.fm.queries, int64(after.Queries-before.Queries))
-	addInt(f.fm.rows, after.Rows-before.Rows)
-	addInt(f.fm.errors, int64(after.Errors-before.Errors))
-	addInt(f.fm.unavailable, int64(after.Unavailable-before.Unavailable))
-	addInt(f.fm.pruned, int64(after.Pruned-before.Pruned))
-	addInt(f.fm.tripped, int64(after.Tripped-before.Tripped))
-	addInt(f.fm.hedged, int64(after.Hedged-before.Hedged))
-	addInt(f.fm.hedgeWon, int64(after.HedgeWon-before.HedgeWon))
-	addInt(f.fm.hedgeWasted, int64(after.HedgeWasted-before.HedgeWasted))
-	addInt(f.fm.dropped, int64(after.Dropped-before.Dropped))
-	if after.FirstRow != before.FirstRow {
-		f.fm.firstRow.With(url).Set(after.FirstRow.Seconds())
-	}
-	if d := after.Elapsed - before.Elapsed; d > 0 {
-		f.fm.elapsed.With(url).Add(d.Seconds())
-	}
-}
-
 // selectSources applies the availability probe, the selection policy and
 // the per-source circuit breaker, in that order — a pruned source
 // provably cannot contribute, so it must not consume the breaker's
@@ -330,21 +224,22 @@ func (f *Client) selectSources(q *sparql.Query, partial *Partial) (selected []*e
 	if f.Policy != All {
 		preds, classes = sparql.Footprint(q)
 	}
+	m := f.metrics()
 	selected = make([]*endpoint.Source, 0, len(f.sources))
 	for _, src := range f.sources {
 		if !src.Available() {
-			f.bump(src, func(st *SourceStats) { st.Unavailable++ })
+			m.unavailable.With(src.URL).Inc()
 			partial.drop(src.Label())
 			continue
 		}
 		if f.Policy != All && f.Vocabulary != nil && len(preds)+len(classes) > 0 {
 			if v, ok := f.Vocabulary(src.URL); ok && !v.CanAnswer(preds, classes) {
-				f.bump(src, func(st *SourceStats) { st.Pruned++ })
+				m.pruned.With(src.URL).Inc()
 				continue
 			}
 		}
 		if !src.Breaker.Allow() {
-			f.bump(src, func(st *SourceStats) { st.Tripped++ })
+			m.tripped.With(src.URL).Inc()
 			partial.drop(src.Label())
 			tripped++
 			continue
@@ -420,17 +315,16 @@ type Refusal string
 
 func (r Refusal) Error() string { return string(r) }
 
-// StreamPartial is Stream in partial-result mode: a failing branch —
-// down at open, erroring at open after retries, or dying mid-stream —
-// is dropped from the merge instead of failing it, and the returned
-// Partial names every dropped source so the caller can report an
-// incomplete result honestly rather than not at all. A query whose
-// semantics a silent drop would corrupt is refused: ORDER BY (a dropped
-// branch breaks the global-order guarantee mid-stream) and
-// DISTINCT/REDUCED (rows already emitted may owe their dedup outcome to
-// a branch that later vanished). All selected sources failing at open is
-// still an error — partial mode degrades results, it does not fabricate
-// empty ones.
+// StreamPartial is Stream in partial-result mode: a failing leg — down
+// at open, erroring at open after retries, or dying mid-stream — is
+// dropped from the merge instead of failing it, and the returned Partial
+// names every dropped source so the caller can report an incomplete
+// result honestly rather than not at all. A query whose semantics a
+// silent drop would corrupt is refused: ORDER BY (a dropped leg breaks
+// the global-order guarantee mid-stream) and DISTINCT/REDUCED (rows
+// already emitted may owe their dedup outcome to a leg that later
+// vanished). All selected sources failing at open is still an error —
+// partial mode degrades results, it does not fabricate empty ones.
 func (f *Client) StreamPartial(ctx context.Context, query string) (*sparql.RowSeq, *Partial, error) {
 	p := &Partial{}
 	rs, err := f.stream(ctx, query, p)
@@ -440,17 +334,16 @@ func (f *Client) StreamPartial(ctx context.Context, query string) (*sparql.RowSe
 	return rs, p, nil
 }
 
-// Stream implements endpoint.Streamer: it selects sources, fans the
-// query out to each under a per-branch context derived from ctx, and
-// returns the merged row stream. Without ORDER BY, member results arrive
-// interleaved in completion order; with ORDER BY, the merge is an
-// ordered k-way heap merge over the locally-sorted branches, so the
-// merged stream preserves the global order and ORDER BY + LIMIT yields
-// the same top-N a single endpoint over the union corpus would. LIMIT is
-// re-applied on the merge either way (each source also applies it
-// locally, bounding per-branch work). The merged stream fails, with
-// every branch canceled, on the first fatal branch error; it ends
-// cleanly when all branches are exhausted.
+// Stream implements endpoint.Streamer: it selects sources, runs one leg
+// per source under a context derived from ctx, and returns the merged
+// row stream. Without ORDER BY, member results arrive interleaved in
+// completion order; with ORDER BY, the merge is an ordered k-way heap
+// merge over the locally-sorted legs, so the merged stream preserves the
+// global order and ORDER BY + LIMIT yields the same top-N a single
+// endpoint over the union corpus would. LIMIT is re-applied on the merge
+// either way (each source also applies it locally, bounding per-leg
+// work). The merged stream fails, with every leg canceled, on the first
+// fatal leg error; it ends cleanly when all legs are exhausted.
 func (f *Client) Stream(ctx context.Context, query string) (*sparql.RowSeq, error) {
 	return f.stream(ctx, query, nil)
 }
@@ -467,7 +360,7 @@ func (f *Client) stream(ctx context.Context, query string, partial *Partial) (*s
 		return nil, Refusal("federation: CONSTRUCT is not supported over a federation; query a single source")
 	}
 	if partial != nil {
-		// shapes whose already-emitted rows a late branch drop would
+		// shapes whose already-emitted rows a late leg drop would
 		// silently invalidate are refused rather than degraded
 		if len(q.OrderBy) > 0 {
 			return nil, Refusal("federation: partial results are not supported with ORDER BY (a dropped branch breaks the global-order guarantee mid-stream); retry without partial or without ORDER BY")
@@ -492,7 +385,7 @@ func (f *Client) stream(ctx context.Context, query string, partial *Partial) (*s
 	// The ordered merge compares *projected* rows, so every ORDER BY
 	// variable must survive projection — a sort key outside the SELECT
 	// list is unbound on every merged row and the merge would silently
-	// degrade to branch concatenation (wrong row set under LIMIT).
+	// degrade to leg concatenation (wrong row set under LIMIT).
 	if len(q.OrderBy) > 0 && !q.Star {
 		proj := map[string]bool{}
 		for _, v := range q.Vars() {
@@ -514,10 +407,7 @@ func (f *Client) stream(ctx context.Context, query string, partial *Partial) (*s
 		// every source was provably pruned: the federated answer is empty
 		return sparql.ResultSeq(&sparql.Result{Vars: q.Vars()}), nil
 	}
-	if q.Form == sparql.FormAsk {
-		return f.fanAsk(ctx, query, selected, partial)
-	}
-	return f.fanSelect(ctx, q, query, selected, partial)
+	return f.fan(ctx, q, query, selected, partial)
 }
 
 func (f *Client) allDown() bool {
@@ -529,164 +419,135 @@ func (f *Client) allDown() bool {
 	return true
 }
 
-// fanAsk answers a federated ASK: true iff any source answers true. All
-// sources are asked concurrently; the first fatal error cancels the rest
-// — except under partial-result mode, where a failing source is dropped
-// (and named in the Partial) and the remaining answers decide.
-func (f *Client) fanAsk(ctx context.Context, query string, selected []*endpoint.Source, partial *Partial) (*sparql.RowSeq, error) {
-	actx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var (
-		mu       sync.Mutex
-		boolean  bool
-		fatal    error
-		answered int
-		wg       sync.WaitGroup
-	)
-	for _, src := range selected {
-		wg.Add(1)
-		go func(src *endpoint.Source) {
-			defer wg.Done()
-			start := time.Now()
-			res, err := src.Client.Query(actx, query)
-			elapsed := time.Since(start)
-			if err != nil {
-				// stats mirror runBranch: teardown is nobody's failure, a
-				// skipped outage is Unavailable, anything else reached the
-				// source and errored
-				switch {
-				case actx.Err() != nil:
-				case f.SkipUnavailable && errors.Is(err, endpoint.ErrUnavailable):
-					f.bump(src, func(st *SourceStats) { st.Queries++; st.Unavailable++; st.Elapsed += elapsed })
-					src.Breaker.Failure()
-					partial.drop(src.Label())
-				case partial != nil:
-					f.bump(src, func(st *SourceStats) { st.Queries++; st.Errors++; st.Dropped++; st.Elapsed += elapsed })
-					src.Breaker.Failure()
-					partial.drop(src.Label())
-				default:
-					f.bump(src, func(st *SourceStats) { st.Queries++; st.Errors++; st.Elapsed += elapsed })
-					src.Breaker.Failure()
-					mu.Lock()
-					if fatal == nil {
-						fatal = fmt.Errorf("federation: source %s: %w", src.Label(), err)
-						cancel()
-					}
-					mu.Unlock()
-				}
-				return
-			}
-			f.bump(src, func(st *SourceStats) { st.Queries++; st.Elapsed += elapsed })
-			src.Breaker.Success()
-			mu.Lock()
-			answered++
-			if res.Ask && res.Boolean {
-				boolean = true
-			}
-			mu.Unlock()
-		}(src)
-	}
-	wg.Wait()
-	if fatal != nil {
-		return nil, fatal
-	}
-	// a dead caller context makes every branch fail with its error and
-	// the fatal guard skip them all — that is a cancellation, not an
-	// outage of the sources
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if answered == 0 {
-		return nil, fmt.Errorf("federation: all %d selected sources unavailable: %w", len(selected), endpoint.ErrUnavailable)
-	}
-	f.noteDegraded(partial)
-	return sparql.ResultSeq(&sparql.Result{Ask: true, Boolean: boolean}), nil
+// leg is one selected source's part of a fan-out. Exactly one goroutine
+// settles it — the attempt that claimed it, or the last attempt to fail
+// — and that goroutine writes answer and err before it sends the leg's
+// closing message, which publishes them to the merge.
+type leg struct {
+	src    *endpoint.Source
+	out    chan legMsg // the shared fan-in, or the leg's own channel under ORDER BY
+	answer bool        // ASK: the member's answer
+	err    error       // fatal: the merged stream fails with it
 }
 
-// branch is one source's leg of a fan-out. The producer goroutine owns
-// every field until it closes ch; the merge loop reads err/skipped only
-// after the close, so no lock is needed.
-type branch struct {
-	src     *endpoint.Source
-	ch      chan sparql.Binding
-	opened  bool
-	skipped bool
-	err     error
+// legMsg is what a leg sends the merge: one row, or (end) the leg's
+// closing message.
+type legMsg struct {
+	leg *leg
+	row sparql.Binding
+	end bool
 }
 
-// fanSelect runs the streaming k-way merge for SELECT queries.
-func (f *Client) fanSelect(ctx context.Context, q *sparql.Query, query string, selected []*endpoint.Source, partial *Partial) (*sparql.RowSeq, error) {
+// push sends m to the merge unless the merge is torn down first.
+func (l *leg) push(mctx context.Context, m legMsg) bool {
+	select {
+	case l.out <- m:
+		return true
+	case <-mctx.Done():
+		return false
+	}
+}
+
+// errDropped is what a leg that never opened reports on the open channel
+// when its failure is not fatal: torn down, skipped or dropped.
+var errDropped = errors.New("federation: leg dropped")
+
+// fan runs one leg per selected source and merges what they push. The
+// legs of an unordered query send into one shared fan-in channel; under
+// ORDER BY each leg keeps its own channel for the ordered merge's heap.
+func (f *Client) fan(ctx context.Context, q *sparql.Query, query string, selected []*endpoint.Source, partial *Partial) (*sparql.RowSeq, error) {
 	mctx, cancel := context.WithCancel(ctx)
 	var wg sync.WaitGroup
-	branches := make([]*branch, len(selected))
-	openCh := make(chan *branch, len(selected))
+	stop := func() {
+		cancel()
+		wg.Wait()
+	}
+	ordered := len(q.OrderBy) > 0
+	var fanIn chan legMsg
+	if !ordered {
+		// DefaultBuffer rows per leg, as the ordered merge's channels hold
+		fanIn = make(chan legMsg, DefaultBuffer*len(selected))
+	}
+	opens := make(chan error, len(selected)) // one report per leg
+	legs := make([]*leg, len(selected))
 	for i, src := range selected {
-		b := &branch{src: src, ch: make(chan sparql.Binding, DefaultBuffer)}
-		branches[i] = b
+		l := &leg{src: src, out: fanIn}
+		if ordered {
+			l.out = make(chan legMsg, DefaultBuffer)
+		}
+		legs[i] = l
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			defer close(b.ch)
-			f.runBranch(mctx, &wg, b, query, openCh, partial)
+			f.run(mctx, &wg, l, query, opens, partial)
 		}()
 	}
 
 	// The stream's head (Vars) comes from the parsed query — for SELECT *
 	// every variable of its pattern — so it is the same no matter which
-	// branch opens first, and a source that heads its rows differently
-	// loses no cell the query can bind. Still wait for one branch to open
-	// before returning: a fatal open failure before any branch opened
-	// fails the whole stream immediately (branches canceled), and every
-	// branch skipping as unavailable must surface as ErrUnavailable, not
-	// as an empty success.
-	vars := q.Vars()
-	opened := false
-	reported := 0
-	var openErr error
-	for reported < len(branches) && !opened && openErr == nil {
-		select {
-		case b := <-openCh:
-			reported++
-			switch {
-			case b.opened:
-				opened = true
-			case b.err != nil:
-				openErr = b.err
+	// leg opens first, and a source that heads its rows differently loses
+	// no cell the query can bind. Still wait for one leg to open before
+	// returning: a fatal failure before any leg opened fails the whole
+	// stream immediately (legs canceled), and every leg skipping as
+	// unavailable must surface as ErrUnavailable, not as an empty success
+	// — unless the caller's context died, which tears every leg down.
+	for reported := 0; ; reported++ {
+		if reported == len(legs) {
+			stop()
+			if err := ctx.Err(); err != nil {
+				return nil, err
 			}
+			return nil, fmt.Errorf("federation: all %d selected sources unavailable: %w", len(selected), endpoint.ErrUnavailable)
+		}
+		var err error
+		select {
+		case err = <-opens:
 		case <-ctx.Done():
-			openErr = ctx.Err()
+			err = ctx.Err()
+		}
+		if err == nil {
+			break
+		}
+		if err != errDropped {
+			stop()
+			return nil, err
 		}
 	}
-	if openErr != nil {
-		cancel()
-		wg.Wait()
-		return nil, openErr
-	}
-	if !opened {
-		// every branch reported without opening: all skipped as unavailable
-		cancel()
-		wg.Wait()
-		return nil, fmt.Errorf("federation: all %d selected sources unavailable: %w", len(selected), endpoint.ErrUnavailable)
-	}
 
-	dedupe := q.Distinct || q.Reduced
+	vars := q.Vars()
 	// Dedup keys are positional over the head: what the consumer sees
 	// of a row is what makes it a duplicate.
+	dedupe := q.Distinct || q.Reduced
 	var streamErr error
 	var seq func(func(sparql.Binding) bool)
-	if len(q.OrderBy) > 0 {
-		seq = mergeOrdered(ctx, q, branches, dedupe, vars, &streamErr)
+	if ordered {
+		seq = mergeOrdered(ctx, q, legs, dedupe, vars, &streamErr)
 	} else {
-		seq = mergeInterleave(ctx, q, branches, dedupe, vars, &streamErr)
+		seq = mergeInterleave(ctx, q, fanIn, len(legs), dedupe, vars, &streamErr)
+	}
+	if q.Form == sparql.FormAsk {
+		// an ASK leg's answer travels in its member's head: run the merge
+		// to its end, then OR the answers of the legs that opened
+		for range seq {
+		}
+		stop()
+		if streamErr != nil {
+			return nil, streamErr
+		}
+		answer := false
+		for _, l := range legs {
+			answer = answer || l.answer
+		}
+		f.noteDegraded(partial)
+		return sparql.ResultSeq(&sparql.Result{Ask: true, Boolean: answer}), nil
 	}
 	out := sparql.NewRowSeq(vars, seq, &streamErr)
-	// Exhaustion, a fatal branch error, a satisfied LIMIT, and consumer
-	// Close all funnel through OnClose: cancel every branch context and
-	// join the producers, so no goroutine outlives the stream and the
-	// stats are final when Close returns.
+	// Exhaustion, a fatal leg error, a satisfied LIMIT, and consumer
+	// Close all funnel through OnClose: cancel every leg's context and
+	// join every goroutine, so none outlives the stream and the registry
+	// holds the final accounting when Close returns.
 	out.OnClose(func() {
-		cancel()
-		wg.Wait()
+		stop()
 		f.noteDegraded(partial)
 	})
 	return out, nil
@@ -696,66 +557,50 @@ func (f *Client) fanSelect(ctx context.Context, q *sparql.Query, query string, s
 // partial accounting recorded a drop, after the fan-out is joined (so
 // the drop list is final).
 func (f *Client) noteDegraded(partial *Partial) {
-	if f.Metrics == nil || !partial.Degraded() {
-		return
+	if partial.Degraded() {
+		f.metrics().degraded.Inc()
 	}
-	f.fmOnce.Do(func() { f.fm = newFedMetrics(f.Metrics) })
-	f.fm.degraded.Inc()
 }
 
-// mergeInterleave is the unordered merge: one select case per open
-// branch plus the caller's ctx last; reflect.Select picks uniformly
-// among ready branches, which is the k-way interleave. Cases are rebuilt
-// only when a branch ends.
-func mergeInterleave(ctx context.Context, q *sparql.Query, branches []*branch, dedupe bool, keyVars []string, streamErr *error) func(func(sparql.Binding) bool) {
+// mergeInterleave is the unordered merge. Every leg sends into the one
+// shared fan-in channel, so a plain receive takes rows in completion
+// order across legs — the k-way interleave. A closing message retires
+// its leg, or fails the merge with the leg's error. The merge returns as
+// soon as LIMIT is satisfied, before any row for LIMIT 0, without
+// waiting on a leg that has not delivered.
+func mergeInterleave(ctx context.Context, q *sparql.Query, fanIn <-chan legMsg, legs int, dedupe bool, keyVars []string, streamErr *error) func(func(sparql.Binding) bool) {
 	limit := q.Limit
 	return func(yield func(sparql.Binding) bool) {
-		open := make([]*branch, len(branches))
-		copy(open, branches)
 		var seen map[string]struct{}
 		if dedupe {
 			seen = map[string]struct{}{}
 		}
-		var cases []reflect.SelectCase
-		rebuild := func() {
-			cases = cases[:0]
-			for _, b := range open {
-				cases = append(cases, reflect.SelectCase{Dir: reflect.SelectRecv, Chan: reflect.ValueOf(b.ch)})
-			}
-			cases = append(cases, reflect.SelectCase{Dir: reflect.SelectRecv, Chan: reflect.ValueOf(ctx.Done())})
-		}
-		rebuild()
-		emitted := 0
-		for len(open) > 0 {
-			i, v, ok := reflect.Select(cases)
-			if i == len(open) { // caller's ctx died
+		// the merge applies LIMIT itself, so it holds even against a
+		// member that ignores its local LIMIT (quirky engines do)
+		for emitted, open := 0, legs; open > 0 && (limit < 0 || emitted < limit); {
+			var m legMsg
+			select {
+			case m = <-fanIn:
+			case <-ctx.Done():
 				*streamErr = ctx.Err()
 				return
 			}
-			if !ok { // branch ended; err/skipped published by the close
-				if b := open[i]; b.err != nil {
-					*streamErr = b.err
+			if m.end {
+				if m.leg.err != nil {
+					*streamErr = m.leg.err
 					return
 				}
-				open = append(open[:i], open[i+1:]...)
-				rebuild()
+				open--
 				continue
 			}
-			row := v.Interface().(sparql.Binding)
 			if seen != nil {
-				k := sparql.BindingKey(row, keyVars)
+				k := sparql.BindingKey(m.row, keyVars)
 				if _, dup := seen[k]; dup {
 					continue
 				}
 				seen[k] = struct{}{}
 			}
-			// cap before yielding, so the merge-level LIMIT holds even
-			// against a member that ignores its local LIMIT (quirky
-			// engines do) and for LIMIT 0
-			if limit >= 0 && emitted >= limit {
-				return
-			}
-			if !yield(row) {
+			if !yield(m.row) {
 				return
 			}
 			emitted++
@@ -763,17 +608,17 @@ func mergeInterleave(ctx context.Context, q *sparql.Query, branches []*branch, d
 	}
 }
 
-// orderedHead is one branch's current least row in the ordered merge.
+// orderedHead is one leg's current least row in the ordered merge.
 type orderedHead struct {
-	b   *branch
-	idx int // branch position, the deterministic tie-break
+	l   *leg
+	idx int // leg position, the deterministic tie-break
 	row sparql.Binding
 	key sparql.OrderKey
 }
 
 // headHeap is the ordered merge's min-heap: least ORDER BY key first,
-// ties broken by branch index so the merged order is deterministic given
-// the branch contents.
+// ties broken by leg index so the merged order is deterministic given
+// the legs' contents.
 type headHeap struct {
 	conds []sparql.OrderCond
 	hs    []orderedHead
@@ -798,45 +643,45 @@ func (h *headHeap) Pop() any {
 
 // mergeOrdered is the ordered k-way merge for ORDER BY queries. Each
 // member establishes the order locally (the engines materialize and sort
-// for ORDER BY), so the branch channels deliver sorted runs; a min-heap
-// over the branch heads yields the global order — and, with LIMIT, the
+// for ORDER BY), so each leg's channel delivers a sorted run; a min-heap
+// over the legs' heads yields the global order — and, with LIMIT, the
 // true global top-N, where completion-order interleaving would return
 // whichever N rows arrived first. The price is head-of-line fill: no row
-// can surface before every branch has delivered its first row or ended,
-// since any branch might still hold the least one.
-func mergeOrdered(ctx context.Context, q *sparql.Query, branches []*branch, dedupe bool, keyVars []string, streamErr *error) func(func(sparql.Binding) bool) {
+// can surface before every leg has delivered its first row or ended,
+// since any leg might still hold the least one.
+func mergeOrdered(ctx context.Context, q *sparql.Query, legs []*leg, dedupe bool, keyVars []string, streamErr *error) func(func(sparql.Binding) bool) {
 	conds := q.OrderBy
 	limit := q.Limit
 	return func(yield func(sparql.Binding) bool) {
-		// pull blocks for the branch's next row. ok is false when the
-		// branch ended (its err, if fatal, goes to streamErr) or the
-		// caller's ctx died; fatal==true means stop the whole merge.
-		pull := func(b *branch) (row sparql.Binding, ok, fatal bool) {
+		// pull blocks for the leg's next row. ok is false when the leg
+		// ended (its err, if fatal, goes to streamErr) or the caller's
+		// ctx died; fatal==true means stop the whole merge.
+		pull := func(l *leg) (row sparql.Binding, ok, fatal bool) {
 			select {
-			case row, chOk := <-b.ch:
-				if !chOk {
-					if b.err != nil {
-						*streamErr = b.err
-						return nil, false, true
-					}
-					return nil, false, false
+			case m := <-l.out:
+				if !m.end {
+					return m.row, true, false
 				}
-				return row, true, false
+				if l.err != nil {
+					*streamErr = l.err
+					return nil, false, true
+				}
+				return nil, false, false
 			case <-ctx.Done():
 				*streamErr = ctx.Err()
 				return nil, false, true
 			}
 		}
-		h := &headHeap{conds: conds, hs: make([]orderedHead, 0, len(branches))}
-		for i, b := range branches {
-			row, ok, fatal := pull(b)
+		h := &headHeap{conds: conds, hs: make([]orderedHead, 0, len(legs))}
+		for i, l := range legs {
+			row, ok, fatal := pull(l)
 			if fatal {
 				return
 			}
-			if !ok { // empty or skipped branch
+			if !ok { // empty or skipped leg
 				continue
 			}
-			heap.Push(h, orderedHead{b: b, idx: i, row: row, key: sparql.OrderKeyOf(conds, row)})
+			heap.Push(h, orderedHead{l: l, idx: i, row: row, key: sparql.OrderKeyOf(conds, row)})
 		}
 		var seen map[string]struct{}
 		if dedupe {
@@ -846,7 +691,7 @@ func mergeOrdered(ctx context.Context, q *sparql.Query, branches []*branch, dedu
 		for h.Len() > 0 {
 			hd := h.hs[0]
 			// yield the current global minimum before blocking on its
-			// branch's next row: a member that trickles rows must not gate
+			// leg's next row: a member that trickles rows must not gate
 			// the row already known to be least
 			emit := true
 			if seen != nil {
@@ -870,13 +715,13 @@ func mergeOrdered(ctx context.Context, q *sparql.Query, branches []*branch, dedu
 					return
 				}
 			}
-			// advance the consumed branch in place (Fix beats Pop+Push)
-			row, ok, fatal := pull(hd.b)
+			// advance the consumed leg in place (Fix beats Pop+Push)
+			row, ok, fatal := pull(hd.l)
 			if fatal {
 				return
 			}
 			if ok {
-				h.hs[0] = orderedHead{b: hd.b, idx: hd.idx, row: row, key: sparql.OrderKeyOf(conds, row)}
+				h.hs[0] = orderedHead{l: hd.l, idx: hd.idx, row: row, key: sparql.OrderKeyOf(conds, row)}
 				heap.Fix(h, 0)
 			} else {
 				heap.Pop(h)
@@ -885,217 +730,214 @@ func mergeOrdered(ctx context.Context, q *sparql.Query, branches []*branch, dedu
 	}
 }
 
-// attemptResult is one open attempt's outcome in a (possibly hedged)
-// branch open: the opened stream with its pre-pulled first row, or the
-// open error.
-type attemptResult struct {
-	rs      *sparql.RowSeq
-	row     sparql.Binding
-	hasRow  bool
-	cancel  context.CancelFunc
-	hedged  bool // this was the second attempt
-	openErr error
+// race is the claim race between a leg's attempts: the primary and, once
+// the hedge delay passes without a claim, the hedge. The first attempt to
+// reach its first row or a clean end claims the leg and cancels the
+// other. An attempt that fails while its sibling still runs decides
+// nothing; the leg fails when no launched attempt is left, with the
+// primary's error. One mutex orders the claim against the hedge's launch
+// and against a failure before any claim.
+type race struct {
+	start  time.Time
+	cancel [2]context.CancelFunc // each attempt's context; [1] is nil without hedging
+
+	mu       sync.Mutex
+	hedged   bool // the hedge launched
+	decided  bool // an attempt claimed the leg, or the leg failed
+	failures int
+	err      error // the primary's failure
 }
 
-// openBranch opens src's stream, hedging the open when the client is
-// configured to: if the first attempt has not delivered its first row
-// within the source's hedge delay, a second attempt launches and
-// whichever delivers first wins; the loser's context is canceled and its
-// stream drained on a fan-out-joined goroutine, so the Close-joins-
-// everything contract holds. Each attempt pulls the first row before
-// reporting — "open" for hedging purposes means rows are actually
-// flowing, not just that headers arrived. An attempt that errors while
-// the other is still running does not decide the open; only both
-// failing does.
-func (f *Client) openBranch(mctx context.Context, wg *sync.WaitGroup, src *endpoint.Source, query string) attemptResult {
-	results := make(chan attemptResult, 2)
-	// cancels[i] is attempt i's context cancel, created synchronously in
-	// launch so the select loop can abort a still-opening loser without
-	// waiting for it to report
-	var cancels [2]context.CancelFunc
-	launch := func(hedged bool) {
-		actx, cancel := context.WithCancel(mctx)
-		idx := 0
-		if hedged {
-			idx = 1
+// launch admits the hedge unless the leg is already decided.
+func (r *race) launch() bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.hedged = !r.decided
+	return r.hedged
+}
+
+// claim decides the leg for attempt i unless it is decided already, and
+// cancels the sibling, so the sibling's range ends at its next row or
+// its open aborts. hedged reports whether the hedge had launched.
+func (r *race) claim(i int) (won, hedged bool) {
+	r.mu.Lock()
+	won, hedged, r.decided = !r.decided, r.hedged, true
+	r.mu.Unlock()
+	if won {
+		r.stop(1 - i)
+	}
+	return won, hedged
+}
+
+// fail records attempt i failing before it claimed the leg. failed
+// reports that the leg has failed, and err is then the primary's error;
+// a hedge that has not launched by then never will.
+func (r *race) fail(i int, err error) (failed bool, _ error) {
+	r.mu.Lock()
+	if !r.decided {
+		if i == 0 {
+			r.err = err
 		}
-		cancels[idx] = cancel
+		r.failures++
+		failed = !r.hedged || r.failures == 2
+		r.decided = failed
+	}
+	r.mu.Unlock()
+	if !failed {
+		return false, nil
+	}
+	r.stop(1)
+	return true, r.err
+}
+
+func (r *race) stop(i int) {
+	if c := r.cancel[i]; c != nil {
+		c()
+	}
+}
+
+// run is the branch runner for one leg. The primary attempt runs on the
+// calling goroutine; when the client hedges, a second goroutine waits out
+// the hedge delay and, unless the leg was decided first, races a second
+// attempt against it. Every goroutine it starts is joined through wg.
+func (f *Client) run(mctx context.Context, wg *sync.WaitGroup, l *leg, query string, opens chan<- error, partial *Partial) {
+	r := &race{start: time.Now()}
+	pctx, pcancel := context.WithCancel(mctx)
+	defer pcancel()
+	r.cancel[0] = pcancel
+	if f.Hedge {
+		hctx, hcancel := context.WithCancel(mctx)
+		r.cancel[1] = hcancel
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			rs, err := endpoint.Stream(actx, src.Client, query)
-			if err != nil {
-				cancel()
-				results <- attemptResult{openErr: err, hedged: hedged}
+			defer hcancel()
+			t := time.NewTimer(f.hedgeDelay(l.src))
+			defer t.Stop()
+			select {
+			case <-t.C:
+			case <-hctx.Done(): // decided before the delay, or torn down
 				return
 			}
-			// the attempt's context must die with its stream however the
-			// stream ends; registering before the first pull covers the
-			// exhaustion, error and Close paths alike
-			rs.OnClose(cancel)
-			row, ok := rs.Next()
-			results <- attemptResult{rs: rs, row: row, hasRow: ok, cancel: cancel, hedged: hedged}
+			if r.launch() {
+				f.metrics().hedged.With(l.src.URL).Inc()
+				f.attempt(hctx, mctx, l, r, 1, query, opens, partial)
+			}
 		}()
 	}
-	launch(false)
-	if !f.Hedge {
-		return <-results
-	}
-	hedgeTimer := time.NewTimer(f.hedgeDelay(src))
-	defer hedgeTimer.Stop()
-	launched := 1
-	var firstErr *attemptResult
-	for {
-		select {
-		case <-hedgeTimer.C:
-			if launched == 1 {
-				launched = 2
-				f.bump(src, func(st *SourceStats) { st.Hedged++ })
-				launch(true)
-			}
-		case res := <-results:
-			if res.openErr != nil {
-				if launched == 2 && firstErr == nil {
-					// the sibling attempt may still win; remember the error
-					firstErr = &res
-					continue
-				}
-				if launched == 2 && firstErr != nil {
-					// both attempts failed: surface the primary's error
-					if res.hedged {
-						return *firstErr
-					}
-					return res
-				}
-				return res
-			}
-			if launched == 2 {
-				f.bump(src, func(st *SourceStats) {
-					if res.hedged {
-						st.HedgeWon++
-					} else {
-						st.HedgeWasted++
-					}
-				})
-				if firstErr == nil {
-					// the loser is still running: cancel its context now
-					// (it may be blocked mid-open) and drain its stream off
-					// the fan-out's WaitGroup
-					loserCancel := cancels[1]
-					if res.hedged {
-						loserCancel = cancels[0]
-					}
-					loserCancel()
-					wg.Add(1)
-					go func() {
-						defer wg.Done()
-						loser := <-results
-						if loser.rs != nil {
-							loser.rs.Close()
-						}
-					}()
-				}
-			}
-			return res
-		}
-	}
+	f.attempt(pctx, mctx, l, r, 0, query, opens, partial)
 }
 
-// runBranch opens one source's stream under the merge context and pumps
-// its rows into the branch buffer. It reports on openCh exactly once,
-// after the open attempt, and sets err/skipped before returning — the
-// deferred channel close in the caller publishes them to the merge loop.
-// The source's circuit breaker records the outcome: a failed open or a
-// mid-stream death is a Failure, a cleanly exhausted stream a Success —
-// an open alone earns nothing, so a source that always dies mid-stream
-// still trips. Under partial-result mode failures drop the branch (and
-// name the source in the Partial) instead of failing the merge.
-func (f *Client) runBranch(mctx context.Context, wg *sync.WaitGroup, b *branch, query string, openCh chan<- *branch, partial *Partial) {
-	src := b.src
-	start := time.Now()
-	att := f.openBranch(mctx, wg, src, query)
-	if att.openErr != nil {
-		err := att.openErr
-		switch {
-		case mctx.Err() != nil:
-			// the merge tore down (consumer Close, satisfied LIMIT, a
-			// sibling's fatal error) while this branch was still opening:
-			// not this source's failure, and not worth an error stat
-			b.skipped = true
-		case f.SkipUnavailable && errors.Is(err, endpoint.ErrUnavailable):
-			b.skipped = true
-			f.bump(src, func(st *SourceStats) { st.Queries++; st.Unavailable++; st.Elapsed += time.Since(start) })
-			src.Breaker.Failure()
-			partial.drop(src.Label())
-		case partial != nil:
-			b.skipped = true
-			f.bump(src, func(st *SourceStats) { st.Queries++; st.Errors++; st.Dropped++; st.Elapsed += time.Since(start) })
-			src.Breaker.Failure()
-			partial.drop(src.Label())
-		default:
-			b.err = fmt.Errorf("federation: source %s: %w", src.Label(), err)
-			f.bump(src, func(st *SourceStats) { st.Queries++; st.Errors++ })
-			src.Breaker.Failure()
+// attempt is one try at a leg: it opens the member's stream under actx
+// and ranges over it on the calling goroutine. Its first row, or a clean
+// end, claims the leg; the claimant pushes every row into the merge and
+// settles the leg when its stream ends. A loser stops at its next row or
+// when its canceled open aborts, and settles the leg only when it was
+// the last attempt left and failed.
+func (f *Client) attempt(actx, mctx context.Context, l *leg, r *race, i int, query string, opens chan<- error, partial *Partial) {
+	fail := func(err error) {
+		if failed, err := r.fail(i, err); failed {
+			f.settle(mctx, l, r.start, false, 0, err, opens, partial)
 		}
-		openCh <- b
+	}
+	rs, err := endpoint.Stream(actx, l.src.Client, query)
+	if err != nil {
+		fail(err)
 		return
 	}
-	rs := att.rs
-	b.opened = true
-	f.bump(src, func(st *SourceStats) { st.Queries++ })
-	openCh <- b
 	defer rs.Close()
+	claimed := false
 	var rows int64
-	defer func() {
-		f.bump(src, func(st *SourceStats) {
-			st.Rows += rows
-			st.Elapsed += time.Since(start)
-		})
-	}()
-	if att.hasRow {
-		d := time.Since(start)
-		f.bump(src, func(st *SourceStats) { st.FirstRow = d })
-		src.Hedge.Observe(d)
-		select {
-		case b.ch <- att.row:
-			rows++
-		case <-mctx.Done():
-			return
-		}
-	}
-	for {
-		row, ok := rs.Next()
-		if !ok {
-			// a failure caused by the merge's own teardown is not the
-			// source's error
-			if err := rs.Err(); err != nil && mctx.Err() == nil {
-				src.Breaker.Failure()
-				if partial != nil {
-					f.bump(src, func(st *SourceStats) { st.Errors++; st.Dropped++ })
-					partial.drop(src.Label())
-				} else {
-					b.err = fmt.Errorf("federation: source %s: %w", src.Label(), err)
-					f.bump(src, func(st *SourceStats) { st.Errors++ })
-				}
+	for row := range rs.All() {
+		if !claimed {
+			if claimed = f.claim(l, r, i, true, opens); !claimed {
 				return
 			}
-			if mctx.Err() == nil {
-				// clean end of stream: the only outcome that earns the
-				// breaker a success
-				src.Breaker.Success()
-			}
+		}
+		if !l.push(mctx, legMsg{leg: l, row: row}) {
+			break // torn down: breaking the range ends the stream
+		}
+		rows++
+	}
+	err = rs.Err()
+	if !claimed {
+		if err != nil {
+			fail(err)
 			return
 		}
-		if rows == 0 {
-			d := time.Since(start)
-			f.bump(src, func(st *SourceStats) { st.FirstRow = d })
-			src.Hedge.Observe(d)
-		}
-		select {
-		case b.ch <- row:
-			rows++
-		case <-mctx.Done():
+		if !f.claim(l, r, i, false, opens) {
 			return
 		}
 	}
+	l.answer = rs.Ask && rs.Boolean
+	f.settle(mctx, l, r.start, true, rows, err, opens, partial)
+}
+
+// claim makes attempt i the leg's claimant, at its first row (firstRow)
+// or its clean end, and reports the leg open; it is false for the loser
+// of the race.
+func (f *Client) claim(l *leg, r *race, i int, firstRow bool, opens chan<- error) bool {
+	won, hedged := r.claim(i)
+	if !won {
+		return false
+	}
+	m, url := f.metrics(), l.src.URL
+	switch {
+	case hedged && i == 1:
+		m.hedgeWon.With(url).Inc()
+	case hedged:
+		m.hedgeWasted.With(url).Inc()
+	}
+	if firstRow {
+		d := time.Since(r.start)
+		m.firstRow.With(url).Set(d.Seconds())
+		l.src.Hedge.Observe(d)
+	}
+	opens <- nil
+	return true
+}
+
+// settle ends a leg, and is the one place its outcome is classified. A
+// leg torn down by the merge (consumer Close, a satisfied LIMIT, a
+// sibling's fatal error) is nobody's failure. Otherwise a clean end is
+// the only outcome that earns the source's breaker a success, and a
+// failure is a breaker failure that is skipped as unavailable (before
+// the leg opened, under SkipUnavailable), dropped under partial-result
+// mode, or fatal. Every leg that reached its source adds its query, its
+// rows and its elapsed time to the registry. A leg that never opened
+// reports its outcome on opens; every leg ends with its closing message.
+func (f *Client) settle(mctx context.Context, l *leg, start time.Time, opened bool, rows int64, err error, opens chan<- error, partial *Partial) {
+	m, src := f.metrics(), l.src
+	torn := mctx.Err() != nil
+	if opened || !torn {
+		m.queries.With(src.URL).Inc()
+		m.elapsed.With(src.URL).Add(time.Since(start).Seconds())
+		if rows > 0 {
+			m.rows.With(src.URL).Add(float64(rows))
+		}
+	}
+	report := errDropped
+	switch {
+	case torn:
+	case err == nil:
+		src.Breaker.Success()
+	case !opened && f.SkipUnavailable && errors.Is(err, endpoint.ErrUnavailable):
+		src.Breaker.Failure()
+		m.unavailable.With(src.URL).Inc()
+		partial.drop(src.Label())
+	case partial != nil:
+		src.Breaker.Failure()
+		m.errors.With(src.URL).Inc()
+		m.dropped.With(src.URL).Inc()
+		partial.drop(src.Label())
+	default:
+		src.Breaker.Failure()
+		m.errors.With(src.URL).Inc()
+		l.err = fmt.Errorf("federation: source %s: %w", src.Label(), err)
+		report = l.err
+	}
+	if !opened {
+		opens <- report
+	}
+	l.push(mctx, legMsg{leg: l, end: true})
 }

@@ -61,28 +61,30 @@ var differentialQueries = []string{
 // TestFederatedEqualsUnion is the differential acceptance test: a query
 // federated over the partitions yields exactly the union endpoint's
 // solution multiset (same rows up to order; identical sets under
-// DISTINCT).
+// DISTINCT), with 3 and with 8 legs sending into the shared fan-in.
 func TestFederatedEqualsUnion(t *testing.T) {
-	union, parts := unionAndParts(3)
-	fed := New(localSources(parts)...)
-	single := endpoint.LocalClient{Store: union}
-	ctx := context.Background()
-	for _, q := range differentialQueries {
-		want, err := single.Query(ctx, q)
-		if err != nil {
-			t.Fatalf("%s: union: %v", q, err)
-		}
-		got, err := fed.Query(ctx, q)
-		if err != nil {
-			t.Fatalf("%s: federated: %v", q, err)
-		}
-		wk, gk := sortedKeysOf(t, want), sortedKeysOf(t, got)
-		if len(wk) != len(gk) {
-			t.Fatalf("%s: federated %d rows, union %d rows", q, len(gk), len(wk))
-		}
-		for i := range wk {
-			if wk[i] != gk[i] {
-				t.Fatalf("%s: row %d differs:\n  fed   %q\n  union %q", q, i, gk[i], wk[i])
+	for _, k := range []int{3, 8} {
+		union, parts := unionAndParts(k)
+		fed := New(localSources(parts)...)
+		single := endpoint.LocalClient{Store: union}
+		ctx := context.Background()
+		for _, q := range differentialQueries {
+			want, err := single.Query(ctx, q)
+			if err != nil {
+				t.Fatalf("%s: union: %v", q, err)
+			}
+			got, err := fed.Query(ctx, q)
+			if err != nil {
+				t.Fatalf("%d legs, %s: federated: %v", k, q, err)
+			}
+			wk, gk := sortedKeysOf(t, want), sortedKeysOf(t, got)
+			if len(wk) != len(gk) {
+				t.Fatalf("%d legs, %s: federated %d rows, union %d rows", k, q, len(gk), len(wk))
+			}
+			for i := range wk {
+				if wk[i] != gk[i] {
+					t.Fatalf("%d legs, %s: row %d differs:\n  fed   %q\n  union %q", k, q, i, gk[i], wk[i])
+				}
 			}
 		}
 	}
@@ -93,7 +95,10 @@ func TestFederatedEqualsUnion(t *testing.T) {
 // rather than concatenating a materialized fan-out).
 func TestFederatedStreamIncremental(t *testing.T) {
 	_, parts := unionAndParts(3)
-	fed := New(localSources(parts)...)
+	srcs := localSources(parts)
+	fed := New(srcs...)
+	reg := obs.NewRegistry()
+	fed.Metrics = reg
 	rs, err := fed.Stream(context.Background(), `SELECT ?s ?p ?o WHERE { ?s ?p ?o }`)
 	if err != nil {
 		t.Fatal(err)
@@ -113,17 +118,17 @@ func TestFederatedStreamIncremental(t *testing.T) {
 	if n != total {
 		t.Fatalf("merged %d rows, partitions hold %d triples", n, total)
 	}
-	stats := fed.Stats().Sources
 	contributing := 0
-	for url, st := range stats {
-		if st.Rows > 0 {
+	for _, src := range srcs {
+		rows := stat(reg, "rows_total", src.URL)
+		if rows > 0 {
 			contributing++
 		}
-		if st.Queries != 1 {
-			t.Fatalf("%s: %d queries, want 1", url, st.Queries)
+		if q := stat(reg, "queries_total", src.URL); q != 1 {
+			t.Fatalf("%s: %v queries, want 1", src.URL, q)
 		}
-		if st.Rows > 0 && (st.FirstRow <= 0 || st.Elapsed <= 0) {
-			t.Fatalf("%s: latency stats not recorded: %+v", url, st)
+		if rows > 0 && (stat(reg, "first_row_seconds", src.URL) <= 0 || stat(reg, "elapsed_seconds_total", src.URL) <= 0) {
+			t.Fatalf("%s: latency not recorded", src.URL)
 		}
 	}
 	if contributing < 2 {
@@ -234,6 +239,8 @@ func TestFederatedBranchFailureSurfaces(t *testing.T) {
 		endpoint.NewSource("ok1", "http://ok1/sparql", slowClient{st: parts[2], delay: 100 * time.Microsecond}),
 	}
 	fed := New(sources...)
+	reg := obs.NewRegistry()
+	fed.Metrics = reg
 	rs, err := fed.Stream(context.Background(), `SELECT ?s ?p ?o WHERE { ?s ?p ?o }`)
 	if err != nil {
 		t.Fatal(err)
@@ -258,15 +265,15 @@ func TestFederatedBranchFailureSurfaces(t *testing.T) {
 	if got := closed.Load(); got != 1 {
 		t.Fatalf("failing branch closed %d times, want 1", got)
 	}
-	if st := fed.Stats().Sources["http://bad/sparql"]; st.Errors != 1 {
-		t.Fatalf("failing source stats = %+v, want Errors=1", st)
+	if n := stat(reg, "errors_total", "http://bad/sparql"); n != 1 {
+		t.Fatalf("failing source errors = %v, want 1", n)
 	}
 }
 
 // TestFederatedConsumerCloseCancelsBranches: abandoning the merged
-// stream early tears every branch down (Close returns only after all
-// branch goroutines joined — run under -race this also proves no
-// goroutine outlives the stream).
+// stream early tears every leg down (Close returns only after all leg
+// goroutines joined — run under -race this also proves no goroutine
+// outlives the stream).
 func TestFederatedConsumerCloseCancelsBranches(t *testing.T) {
 	_, parts := unionAndParts(3)
 	fed := New(localSources(parts)...)
@@ -274,15 +281,18 @@ func TestFederatedConsumerCloseCancelsBranches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 3; i++ {
-		if _, ok := rs.Next(); !ok {
-			t.Fatal("stream ended early")
+	n := 0
+	for range rs.All() {
+		if n++; n == 3 {
+			rs.Close()
 		}
 	}
-	rs.Close()
+	if n != 3 {
+		t.Fatalf("took %d rows, want 3 then none after the Close", n)
+	}
 	rs.Close() // double-Close must be safe
-	if _, ok := rs.Next(); ok {
-		t.Fatal("Next after Close yielded a row")
+	for range rs.All() {
+		t.Fatal("a range after Close yielded a row")
 	}
 }
 
@@ -335,25 +345,34 @@ func TestFederatedEarlyCloseRecordsNoSourceErrors(t *testing.T) {
 	srcs = append(srcs, endpoint.NewSource("slowopen", "http://slowopen/sparql",
 		slowOpenClient{st: parts[2], delay: 20 * time.Millisecond}))
 	fed := New(srcs...)
+	reg := obs.NewRegistry()
+	fed.Metrics = reg
 	rs, err := fed.Stream(context.Background(), `SELECT ?s ?p ?o WHERE { ?s ?p ?o }`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := rs.Next(); !ok {
+	first := false
+	for range rs.All() {
+		first = true
+		break // joins all legs, including the still-opening one
+	}
+	if !first {
 		t.Fatal("no first row")
 	}
-	rs.Close() // joins all branches, including the still-opening one
-	for url, st := range fed.Stats().Sources {
-		if st.Errors != 0 {
-			t.Fatalf("%s: Errors = %d after consumer Close, want 0 (%+v)", url, st.Errors, st)
+	rs.Close()
+	for _, src := range srcs {
+		if n := stat(reg, "errors_total", src.URL); n != 0 {
+			t.Fatalf("%s: errors = %v after consumer Close, want 0", src.URL, n)
 		}
 	}
 }
 
-// slowOpenClient delays the stream open, not the rows.
+// slowOpenClient delays the stream open, not the rows; canceled, when
+// set, counts the opens whose context ended first.
 type slowOpenClient struct {
-	st    *store.Store
-	delay time.Duration
+	st       *store.Store
+	delay    time.Duration
+	canceled *atomic.Int32
 }
 
 func (s slowOpenClient) Query(ctx context.Context, query string) (*sparql.Result, error) {
@@ -368,6 +387,9 @@ func (s slowOpenClient) Stream(ctx context.Context, query string) (*sparql.RowSe
 	select {
 	case <-time.After(s.delay):
 	case <-ctx.Done():
+		if s.canceled != nil {
+			s.canceled.Add(1)
+		}
 		return nil, ctx.Err()
 	}
 	return endpoint.LocalClient{Store: s.st}.Stream(ctx, query)
@@ -431,6 +453,8 @@ func TestIndexPruneSkipsIrrelevantSource(t *testing.T) {
 	fed := New(sources...)
 	fed.Policy = IndexPrune
 	fed.Vocabulary = vocabularyOf(indexes)
+	reg := obs.NewRegistry()
+	fed.Metrics = reg
 
 	// pick a class that lives in exactly one partition
 	var homeIdx int
@@ -475,9 +499,8 @@ func TestIndexPruneSkipsIrrelevantSource(t *testing.T) {
 		}
 	}
 	for i, src := range sources {
-		st := fed.Stats().Sources[src.URL]
-		if i != homeIdx && st.Pruned != 1 {
-			t.Fatalf("source %d stats = %+v, want Pruned=1", i, st)
+		if n := stat(reg, "pruned_total", src.URL); i != homeIdx && n != 1 {
+			t.Fatalf("source %d pruned = %v, want 1", i, n)
 		}
 	}
 
@@ -561,6 +584,8 @@ func TestSkipUnavailableRoutesAround(t *testing.T) {
 	}
 	fed := New(mk()...)
 	fed.SkipUnavailable = true
+	reg := obs.NewRegistry()
+	fed.Metrics = reg
 	res, err := fed.Query(context.Background(), `SELECT ?s ?p ?o WHERE { ?s ?p ?o }`)
 	if err != nil {
 		t.Fatal(err)
@@ -568,8 +593,8 @@ func TestSkipUnavailableRoutesAround(t *testing.T) {
 	if want := parts[0].Len() + parts[1].Len(); len(res.Rows) != want {
 		t.Fatalf("got %d rows, want %d from the two live members", len(res.Rows), want)
 	}
-	if st := fed.Stats().Sources["http://down/sparql"]; st.Unavailable != 1 {
-		t.Fatalf("down source stats = %+v, want Unavailable=1", st)
+	if n := stat(reg, "unavailable_total", "http://down/sparql"); n != 1 {
+		t.Fatalf("down source unavailable = %v, want 1", n)
 	}
 
 	strict := New(mk()...)
@@ -646,10 +671,11 @@ func TestCostOrderedOpensCheapestFirst(t *testing.T) {
 }
 
 // TestFederatedConcurrentQueries: one federation, many concurrent
-// queries — stats and vocab caches are shared state under -race.
+// queries — its registry handles are shared state under -race.
 func TestFederatedConcurrentQueries(t *testing.T) {
 	_, parts := unionAndParts(3)
 	fed := New(localSources(parts)...)
+	fed.Metrics = obs.NewRegistry()
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
@@ -719,6 +745,8 @@ func TestIndexPruneKeepsUntypedSubjectPredicates(t *testing.T) {
 	fed := New(sources...)
 	fed.Policy = IndexPrune
 	fed.Vocabulary = vocabularyOf(indexes)
+	reg := obs.NewRegistry()
+	fed.Metrics = reg
 
 	query := fmt.Sprintf(`SELECT ?s ?v WHERE { ?s <%s> ?v }`, shadow)
 	want, err := endpoint.LocalClient{Store: union}.Query(context.Background(), query)
@@ -747,8 +775,8 @@ func TestIndexPruneKeepsUntypedSubjectPredicates(t *testing.T) {
 		if got := calls[i].Load(); got != 0 {
 			t.Fatalf("partition %d received %d requests, want 0 (provably irrelevant)", i, got)
 		}
-		if st := fed.Stats().Sources[sources[i].URL]; st.Pruned != 1 {
-			t.Fatalf("partition %d stats = %+v, want Pruned=1", i, st)
+		if n := stat(reg, "pruned_total", sources[i].URL); n != 1 {
+			t.Fatalf("partition %d pruned = %v, want 1", i, n)
 		}
 	}
 }
@@ -757,36 +785,39 @@ func TestIndexPruneKeepsUntypedSubjectPredicates(t *testing.T) {
 // LIMIT — must reproduce the union endpoint's rows *in order*. The LIMIT
 // variants are the sharp edge: a completion-order merge returns the
 // first N rows to arrive, which is a wrong row set, not just a lost
-// ordering; the ordered k-way merge must return the global top-N.
+// ordering; the ordered k-way merge must return the global top-N. It
+// runs with 3 and with 8 legs, each with its own channel into the heap.
 func TestFederatedOrderByEqualsUnion(t *testing.T) {
-	union, parts := unionAndParts(3)
-	fed := New(localSources(parts)...)
-	single := endpoint.LocalClient{Store: union}
-	for _, q := range []string{
-		`SELECT ?s ?p ?o WHERE { ?s ?p ?o } ORDER BY ?s ?p ?o`,
-		`SELECT ?s ?p ?o WHERE { ?s ?p ?o } ORDER BY ?s ?p ?o LIMIT 25`,
-		`SELECT ?s ?p ?o WHERE { ?s ?p ?o } ORDER BY DESC(?s) ?p ?o LIMIT 10`,
-		`SELECT DISTINCT ?c WHERE { ?s a ?c } ORDER BY ?c`,
-		`SELECT DISTINCT ?c WHERE { ?s a ?c } ORDER BY DESC(?c) LIMIT 3`,
-	} {
-		want, err := single.Query(context.Background(), q)
-		if err != nil {
-			t.Fatalf("%s: union: %v", q, err)
-		}
-		got, err := fed.Query(context.Background(), q)
-		if err != nil {
-			t.Fatalf("%s: federated: %v", q, err)
-		}
-		if len(got.Rows) != len(want.Rows) {
-			t.Fatalf("%s: federated %d rows, union %d rows", q, len(got.Rows), len(want.Rows))
-		}
-		// compare in delivered order: the ordered merge must establish
-		// the same global order the union endpoint does
-		for i := range want.Rows {
-			wk := sparql.BindingKey(want.Rows[i], want.Vars)
-			gk := sparql.BindingKey(got.Rows[i], want.Vars)
-			if wk != gk {
-				t.Fatalf("%s: row %d out of order:\n  fed   %q\n  union %q", q, i, gk, wk)
+	for _, k := range []int{3, 8} {
+		union, parts := unionAndParts(k)
+		fed := New(localSources(parts)...)
+		single := endpoint.LocalClient{Store: union}
+		for _, q := range []string{
+			`SELECT ?s ?p ?o WHERE { ?s ?p ?o } ORDER BY ?s ?p ?o`,
+			`SELECT ?s ?p ?o WHERE { ?s ?p ?o } ORDER BY ?s ?p ?o LIMIT 25`,
+			`SELECT ?s ?p ?o WHERE { ?s ?p ?o } ORDER BY DESC(?s) ?p ?o LIMIT 10`,
+			`SELECT DISTINCT ?c WHERE { ?s a ?c } ORDER BY ?c`,
+			`SELECT DISTINCT ?c WHERE { ?s a ?c } ORDER BY DESC(?c) LIMIT 3`,
+		} {
+			want, err := single.Query(context.Background(), q)
+			if err != nil {
+				t.Fatalf("%s: union: %v", q, err)
+			}
+			got, err := fed.Query(context.Background(), q)
+			if err != nil {
+				t.Fatalf("%d legs, %s: federated: %v", k, q, err)
+			}
+			if len(got.Rows) != len(want.Rows) {
+				t.Fatalf("%d legs, %s: federated %d rows, union %d rows", k, q, len(got.Rows), len(want.Rows))
+			}
+			// compare in delivered order: the ordered merge must establish
+			// the same global order the union endpoint does
+			for i := range want.Rows {
+				wk := sparql.BindingKey(want.Rows[i], want.Vars)
+				gk := sparql.BindingKey(got.Rows[i], want.Vars)
+				if wk != gk {
+					t.Fatalf("%d legs, %s: row %d out of order:\n  fed   %q\n  union %q", k, q, i, gk, wk)
+				}
 			}
 		}
 	}
@@ -979,7 +1010,8 @@ func TestFederatedLimitHoldsAgainstQuirkyMember(t *testing.T) {
 func TestFederatedTopKComposesWithBranchHeaps(t *testing.T) {
 	const k = 25
 	union, parts := unionAndParts(3)
-	fed := New(localSources(parts)...)
+	srcs := localSources(parts)
+	fed := New(srcs...)
 	q := fmt.Sprintf(`SELECT ?s ?p ?o WHERE { ?s ?p ?o } ORDER BY ?o ?s ?p LIMIT %d`, k)
 
 	want, err := endpoint.LocalClient{Store: union}.Query(context.Background(), q)
@@ -991,6 +1023,7 @@ func TestFederatedTopKComposesWithBranchHeaps(t *testing.T) {
 	}
 
 	reg := obs.NewRegistry()
+	fed.Metrics = reg
 	got, err := fed.Query(obs.WithRegistry(context.Background(), reg), q)
 	if err != nil {
 		t.Fatalf("federated: %v", err)
@@ -1012,9 +1045,56 @@ func TestFederatedTopKComposesWithBranchHeaps(t *testing.T) {
 		t.Fatalf("top-k operator activations = %v, want %d (one per branch)", n, len(parts))
 	}
 	// … and therefore handed the merge at most k rows each
-	for url, st := range fed.Stats().Sources {
-		if st.Rows > k {
-			t.Fatalf("%s delivered %d rows into the merge; branch top-k should cap at %d", url, st.Rows, k)
+	for _, src := range srcs {
+		if n := stat(reg, "rows_total", src.URL); n > k {
+			t.Fatalf("%s delivered %v rows into the merge; branch top-k should cap at %d", src.URL, n, k)
 		}
+	}
+}
+
+// TestFederatedLimitDoesNotWaitForTheStall: a satisfied LIMIT ends the
+// merged stream at once — before any row for LIMIT 0, right after the
+// n-th row otherwise — and cancels a member that has not delivered
+// instead of waiting it out.
+func TestFederatedLimitDoesNotWaitForTheStall(t *testing.T) {
+	_, parts := unionAndParts(1)
+	for _, limit := range []int{1, 0} {
+		var canceled atomic.Int32
+		fed := New(localSources(parts)[0], endpoint.NewSource("stall", "http://stall/sparql",
+			slowOpenClient{st: parts[0], delay: 5 * time.Second, canceled: &canceled}))
+		start := time.Now()
+		res, err := fed.Query(context.Background(), fmt.Sprintf(`SELECT ?s WHERE { ?s ?p ?o } LIMIT %d`, limit))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if elapsed := time.Since(start); elapsed > time.Second {
+			t.Fatalf("LIMIT %d took %v: the merge waited for the stalled member", limit, elapsed)
+		}
+		if len(res.Rows) != limit {
+			t.Fatalf("LIMIT %d: %d rows", limit, len(res.Rows))
+		}
+		if n := canceled.Load(); n != 1 {
+			t.Fatalf("LIMIT %d: the stalled member's context ended %d times, want 1", limit, n)
+		}
+	}
+}
+
+// TestFatalOpenFailureAddsElapsed: a leg that fails fatally at open adds
+// its time to the source's elapsed series, like every other outcome.
+func TestFatalOpenFailureAddsElapsed(t *testing.T) {
+	_, parts := unionAndParts(1)
+	down := endpoint.NewRemote("down", "http://down/sparql", parts[0], nil, endpoint.AlwaysDown(), nil)
+	bad := endpoint.NewSource("down", "http://down/sparql", down)
+	fed := New(bad)
+	reg := obs.NewRegistry()
+	fed.Metrics = reg
+	if _, err := fed.Query(context.Background(), `SELECT ?s WHERE { ?s ?p ?o }`); !errors.Is(err, endpoint.ErrUnavailable) {
+		t.Fatalf("err = %v, want the open failure", err)
+	}
+	if n := stat(reg, "errors_total", bad.URL); n != 1 {
+		t.Fatalf("errors = %v, want 1", n)
+	}
+	if s := stat(reg, "elapsed_seconds_total", bad.URL); s <= 0 {
+		t.Fatalf("elapsed = %v s after a fatal open failure, want > 0", s)
 	}
 }

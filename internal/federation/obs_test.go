@@ -3,45 +3,31 @@ package federation
 import (
 	"context"
 	"testing"
-	"time"
 
-	"repro/internal/clock"
 	"repro/internal/obs"
 )
 
-// TestStatsCapturedAt: the snapshot is stamped by the injected clock, so
-// simulated runs report simulated capture times.
-func TestStatsCapturedAt(t *testing.T) {
-	_, parts := unionAndParts(2)
-	fed := New(localSources(parts)...)
-	ck := clock.NewSim(clock.Epoch)
-	fed.Clock = ck
-	snap := fed.Stats()
-	if !snap.CapturedAt.Equal(clock.Epoch) {
-		t.Fatalf("capturedAt = %v, want %v", snap.CapturedAt, clock.Epoch)
+// stat reads one source's series of the family hbold_federation_<name>
+// off reg: the per-source accounting, read the way /api/federation/stats
+// reads it. A series never touched reads 0.
+func stat(reg *obs.Registry, name, url string) float64 {
+	for _, fam := range reg.Snapshot() {
+		if fam.Name != "hbold_federation_"+name {
+			continue
+		}
+		for _, se := range fam.Series {
+			if se.Labels["source"] == url {
+				return se.Value
+			}
+		}
 	}
-	ck.Advance(3 * time.Hour)
-	if got := fed.Stats().CapturedAt; !got.Equal(clock.Epoch.Add(3 * time.Hour)) {
-		t.Fatalf("capturedAt = %v, want epoch+3h", got)
-	}
+	return 0
 }
 
-// TestStatsCapturedAtDefaultsToWallClock: a nil Clock must not produce a
-// zero timestamp.
-func TestStatsCapturedAtDefaultsToWallClock(t *testing.T) {
-	_, parts := unionAndParts(2)
-	fed := New(localSources(parts)...)
-	before := time.Now()
-	snap := fed.Stats()
-	if snap.CapturedAt.Before(before.Add(-time.Minute)) || snap.CapturedAt.IsZero() {
-		t.Fatalf("capturedAt = %v, want roughly now", snap.CapturedAt)
-	}
-}
-
-// TestRegistryMirrorsSourceStats: every per-source counter the client
-// tracks locally must also land in the process registry, keyed by the
-// source URL, so the series outlive the client.
-func TestRegistryMirrorsSourceStats(t *testing.T) {
+// TestRegistryCountsPerSource: the registry is the per-source
+// accounting — one series per source a query reached, keyed by the
+// source URL, summing to what the query returned.
+func TestRegistryCountsPerSource(t *testing.T) {
 	_, parts := unionAndParts(2)
 	srcs := localSources(parts)
 	reg := obs.NewRegistry()
@@ -51,27 +37,24 @@ func TestRegistryMirrorsSourceStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap := fed.Stats()
 	var queries, rows float64
-	for _, fam := range reg.Snapshot() {
-		switch fam.Name {
-		case "hbold_federation_queries_total":
-			for _, se := range fam.Series {
-				queries += se.Value
-				if _, known := snap.Sources[se.Labels["source"]]; !known {
-					t.Errorf("registry series for unknown source %q", se.Labels["source"])
-				}
-			}
-		case "hbold_federation_rows_total":
-			for _, se := range fam.Series {
-				rows += se.Value
-			}
-		}
+	known := map[string]bool{}
+	for _, src := range srcs {
+		queries += stat(reg, "queries_total", src.URL)
+		rows += stat(reg, "rows_total", src.URL)
+		known[src.URL] = true
 	}
 	if int(queries) != len(srcs) {
 		t.Fatalf("registry queries = %v, want %d", queries, len(srcs))
 	}
 	if int(rows) != len(res.Rows) {
 		t.Fatalf("registry rows = %v, result rows = %d", rows, len(res.Rows))
+	}
+	for _, fam := range reg.Snapshot() {
+		for _, se := range fam.Series {
+			if u, ok := se.Labels["source"]; ok && !known[u] {
+				t.Errorf("%s: series for unknown source %q", fam.Name, u)
+			}
+		}
 	}
 }

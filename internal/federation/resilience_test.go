@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -14,7 +15,9 @@ import (
 	"repro/internal/clock"
 	"repro/internal/endpoint"
 	"repro/internal/faultinject"
+	"repro/internal/obs"
 	"repro/internal/resilience"
+	"repro/internal/sparql"
 	"repro/internal/store"
 )
 
@@ -85,6 +88,8 @@ func TestPartialOKMidStreamDeath(t *testing.T) {
 
 	// partial mode: healthy rows survive, the dead source is named
 	fed2 := New(srcs...)
+	reg := obs.NewRegistry()
+	fed2.Metrics = reg
 	rs2, p, err := fed2.StreamPartial(ctx, allRowsQuery)
 	if err != nil {
 		t.Fatal(err)
@@ -106,9 +111,8 @@ func TestPartialOKMidStreamDeath(t *testing.T) {
 	if !p.Degraded() {
 		t.Fatal("partial with a dropped source must report degraded")
 	}
-	st := fed2.Stats().Sources[srcs[1].URL]
-	if st.Dropped != 1 || st.Errors != 1 {
-		t.Fatalf("dead source stats = %+v, want Dropped=1 Errors=1", st)
+	if d, e := stat(reg, "dropped_total", srcs[1].URL), stat(reg, "errors_total", srcs[1].URL); d != 1 || e != 1 {
+		t.Fatalf("dead source dropped = %v, errors = %v, want 1 and 1", d, e)
 	}
 }
 
@@ -155,6 +159,8 @@ func TestBreakerZeroRequestsDuringOpenWindow(t *testing.T) {
 	}
 	fed := New(srcs...)
 	fed.SkipUnavailable = true
+	reg := obs.NewRegistry()
+	fed.Metrics = reg
 	ctx := context.Background()
 
 	run := func() {
@@ -181,8 +187,8 @@ func TestBreakerZeroRequestsDuringOpenWindow(t *testing.T) {
 	if got := hits[1].Load(); got != before {
 		t.Fatalf("tripped source received %d requests during the open window, want 0", got-before)
 	}
-	if st := fed.Stats().Sources[srcs[1].URL]; st.Tripped != 5 {
-		t.Fatalf("Tripped = %d, want 5", st.Tripped)
+	if n := stat(reg, "breaker_skipped_total", srcs[1].URL); n != 5 {
+		t.Fatalf("breaker skips = %v, want 5", n)
 	}
 	// after the window, exactly one probe goes through
 	ck.Advance(31 * time.Second)
@@ -220,6 +226,8 @@ func TestHedgedOpenWins(t *testing.T) {
 	fed := New(src)
 	fed.Hedge = true
 	fed.HedgeAfter = 30 * time.Millisecond
+	reg := obs.NewRegistry()
+	fed.Metrics = reg
 	start := time.Now()
 	res, err := fed.Query(context.Background(), allRowsQuery)
 	if err != nil {
@@ -231,9 +239,8 @@ func TestHedgedOpenWins(t *testing.T) {
 	if len(res.Rows) != parts[0].Len() {
 		t.Fatalf("rows = %d, want %d", len(res.Rows), parts[0].Len())
 	}
-	st := fed.Stats().Sources[src.URL]
-	if st.Hedged != 1 || st.HedgeWon != 1 {
-		t.Fatalf("hedge stats = %+v, want Hedged=1 HedgeWon=1", st)
+	if h, w := stat(reg, "hedged_total", src.URL), stat(reg, "hedge_won_total", src.URL); h != 1 || w != 1 {
+		t.Fatalf("hedged = %v, won = %v, want 1 and 1", h, w)
 	}
 }
 
@@ -265,6 +272,8 @@ func TestHedgeWastedWhenPrimaryWins(t *testing.T) {
 	fed := New(src)
 	fed.Hedge = true
 	fed.HedgeAfter = 10 * time.Millisecond
+	reg := obs.NewRegistry()
+	fed.Metrics = reg
 	res, err := fed.Query(context.Background(), allRowsQuery)
 	if err != nil {
 		t.Fatal(err)
@@ -272,9 +281,99 @@ func TestHedgeWastedWhenPrimaryWins(t *testing.T) {
 	if len(res.Rows) != parts[0].Len() {
 		t.Fatalf("rows = %d, want %d (hedge must not duplicate or drop rows)", len(res.Rows), parts[0].Len())
 	}
-	st := fed.Stats().Sources[src.URL]
-	if st.Hedged != 1 || st.HedgeWasted != 1 || st.HedgeWon != 0 {
-		t.Fatalf("hedge stats = %+v, want Hedged=1 HedgeWasted=1", st)
+	h, wasted, won := stat(reg, "hedged_total", src.URL), stat(reg, "hedge_wasted_total", src.URL), stat(reg, "hedge_won_total", src.URL)
+	if h != 1 || wasted != 1 || won != 0 {
+		t.Fatalf("hedged = %v, wasted = %v, won = %v, want 1, 1, 0", h, wasted, won)
+	}
+}
+
+// stallFirst answers from its store, except that the stream of its first
+// call holds its first row (or its ASK answer) until the context ends;
+// closed counts that stream's OnClose.
+type stallFirst struct {
+	st     *store.Store
+	calls  atomic.Int32
+	closed atomic.Int32
+}
+
+func (s *stallFirst) Query(ctx context.Context, query string) (*sparql.Result, error) {
+	rs, err := s.Stream(ctx, query)
+	if err != nil {
+		return nil, err
+	}
+	return rs.Collect()
+}
+
+func (s *stallFirst) Stream(ctx context.Context, query string) (*sparql.RowSeq, error) {
+	if s.calls.Add(1) > 1 {
+		return endpoint.LocalClient{Store: s.st}.Stream(ctx, query)
+	}
+	var streamErr error
+	rs := sparql.NewRowSeq([]string{"s", "p", "o"}, func(func(sparql.Binding) bool) {
+		<-ctx.Done()
+		streamErr = ctx.Err()
+	}, &streamErr)
+	rs.OnClose(func() { s.closed.Add(1) })
+	return rs, nil
+}
+
+// TestHedgedTeardownJoinsTheLoser: the consumer breaks after the first
+// row while the hedge's loser is still waiting for its own. When Close
+// returns, the loser's stream has been closed, and the goroutines are
+// back at their baseline.
+func TestHedgedTeardownJoinsTheLoser(t *testing.T) {
+	_, parts := unionAndParts(1)
+	member := &stallFirst{st: parts[0]}
+	fed := New(endpoint.NewSource("stalls", "http://stalls/sparql", member))
+	fed.Hedge = true
+	fed.HedgeAfter = 10 * time.Millisecond
+	baseline := runtime.NumGoroutine()
+	rs, err := fed.Stream(context.Background(), allRowsQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := false
+	for range rs.All() {
+		first = true
+		break
+	}
+	rs.Close()
+	if !first {
+		t.Fatalf("no first row: %v", rs.Err())
+	}
+	if n := member.closed.Load(); n != 1 {
+		t.Fatalf("the loser's stream was closed %d times when Close returned, want 1", n)
+	}
+	// a goroutine the fan-out joined may still be unwinding its last frame
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > baseline; {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines: %d before the query, %d after Close", baseline, runtime.NumGoroutine())
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestHedgedAsk: an ASK opens through the same legs as a SELECT, so a
+// primary that stalls past HedgeAfter is answered by the hedge.
+func TestHedgedAsk(t *testing.T) {
+	_, parts := unionAndParts(1)
+	src := endpoint.NewSource("stalls", "http://stalls/sparql", &stallFirst{st: parts[0]})
+	fed := New(src)
+	fed.Hedge = true
+	fed.HedgeAfter = 20 * time.Millisecond
+	reg := obs.NewRegistry()
+	fed.Metrics = reg
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	res, err := fed.Query(ctx, `ASK { ?s ?p ?o }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Ask || !res.Boolean {
+		t.Fatalf("ASK = %+v, want true", res)
+	}
+	if h, w := stat(reg, "hedged_total", src.URL), stat(reg, "hedge_won_total", src.URL); h != 1 || w != 1 {
+		t.Fatalf("hedged = %v, won = %v, want 1 and 1", h, w)
 	}
 }
 
@@ -292,6 +391,8 @@ func TestSkipUnavailableRecordsStatsFirst(t *testing.T) {
 	defer cleanup()
 	fed := New(srcs...)
 	fed.SkipUnavailable = true
+	reg := obs.NewRegistry()
+	fed.Metrics = reg
 	res, err := fed.Query(context.Background(), allRowsQuery)
 	if err != nil {
 		t.Fatal(err)
@@ -299,12 +400,11 @@ func TestSkipUnavailableRecordsStatsFirst(t *testing.T) {
 	if len(res.Rows) != parts[0].Len() {
 		t.Fatalf("rows = %d, want the healthy member's %d", len(res.Rows), parts[0].Len())
 	}
-	st := fed.Stats().Sources[srcs[1].URL]
-	if st.Queries != 1 || st.Unavailable != 1 {
-		t.Fatalf("skipped source stats = %+v, want Queries=1 Unavailable=1", st)
+	if q, u := stat(reg, "queries_total", srcs[1].URL), stat(reg, "unavailable_total", srcs[1].URL); q != 1 || u != 1 {
+		t.Fatalf("skipped source queries = %v, unavailable = %v, want 1 and 1", q, u)
 	}
-	if st.Elapsed <= 0 {
-		t.Fatalf("skipped source Elapsed = %v, want > 0", st.Elapsed)
+	if s := stat(reg, "elapsed_seconds_total", srcs[1].URL); s <= 0 {
+		t.Fatalf("skipped source elapsed = %v s, want > 0", s)
 	}
 }
 

@@ -187,9 +187,8 @@ func (s *Server) handlePromMetrics(w http.ResponseWriter, r *http.Request) {
 
 // handleFederationStats reports the process-lifetime per-source
 // federation series from the metrics registry, stamped with the capture
-// time. Unlike federation.Client.Stats(), which lives and dies with one
-// client, these accumulate across every federated query the process
-// served.
+// time. The registry is the only per-source accounting, accumulated
+// across every federated query the process served.
 func (s *Server) handleFederationStats(w http.ResponseWriter, r *http.Request) {
 	fields := map[string]string{
 		"hbold_federation_queries_total":         "queries",

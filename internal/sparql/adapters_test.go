@@ -4,7 +4,7 @@ package sparql_test
 // visible through every adapter (Collect, Limit, Tap) and never be
 // laundered into a clean-looking short result, and Close must be safe
 // to call twice at any point in an adapter chain. Then the row-lifetime
-// contract of the two ways to pull.
+// contract of the two ways to range.
 
 import (
 	"context"
@@ -93,7 +93,8 @@ func TestAdapterChainPropagatesMidStreamError(t *testing.T) {
 }
 
 // TestAdapterDoubleCloseSafe: Close twice, at several points in the
-// consumption, for each adapter — no panic, no further rows, and the
+// consumption — before any range, and inside a range's loop body after
+// some rows — for each adapter: no panic, no further rows, and the
 // producer's OnClose fires exactly once.
 func TestAdapterDoubleCloseSafe(t *testing.T) {
 	shapes := map[string]func(*sparql.RowSeq) *sparql.RowSeq{
@@ -111,15 +112,21 @@ func TestAdapterDoubleCloseSafe(t *testing.T) {
 				closed := 0
 				inner.OnClose(func() { closed++ })
 				rs := wrap(inner)
-				for i := 0; i < pulls; i++ {
-					if _, ok := rs.Next(); !ok {
-						t.Fatal("stream ended early")
+				if pulls > 0 {
+					n := 0
+					for range rs.Terms() {
+						if n++; n == pulls {
+							rs.Close()
+						}
+					}
+					if n != pulls {
+						t.Fatalf("took %d rows, want %d then none after the Close", n, pulls)
 					}
 				}
 				rs.Close()
 				rs.Close()
-				if _, ok := rs.Next(); ok {
-					t.Fatal("Next after Close yielded a row")
+				for range rs.Terms() {
+					t.Fatal("a range after Close yielded a row")
 				}
 				if closed != 1 {
 					t.Fatalf("producer OnClose ran %d times, want 1", closed)
@@ -151,10 +158,10 @@ func lifetimeStore() *store.Store {
 	return synth.Generate(synth.Spec{Name: "lifetime", Classes: 4, Instances: 60, ObjectProps: 4, DataProps: 3, LinkFactor: 2, Seed: 5})
 }
 
-// TestRetainedBindingsSurviveTheDrain: a Binding from Next/All/Collect is
-// the consumer's to keep, although the positional row it was built from
-// (NextTerms, Terms) is overwritten by the next row — so a consumer that
-// keeps positional rows copies them, and the copies are the same rows.
+// TestRetainedBindingsSurviveTheDrain: a Binding from All/Collect is the
+// consumer's to keep, although the positional row it was built from
+// (Terms) is overwritten by the next row — so a consumer that keeps
+// positional rows copies them, and the copies are the same rows.
 func TestRetainedBindingsSurviveTheDrain(t *testing.T) {
 	st := lifetimeStore()
 	want, err := sparql.Exec(st, lifetimeQuery)
@@ -174,31 +181,24 @@ func TestRetainedBindingsSurviveTheDrain(t *testing.T) {
 		}
 	}
 
-	// pulled: positional pulls interleave with Next and reuse the buffer
-	// under the Bindings already handed out
+	// positional: the producer refills one buffer for every row of the
+	// range, so the consumer keeps copies
 	rs, err := sparql.StreamExec(context.Background(), st, lifetimeQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var kept []sparql.Binding
 	var atPull []string
-	for {
-		b, ok := rs.Next()
-		if !ok {
-			break
-		}
-		kept, atPull = append(kept, b), append(atPull, key(b))
-		if row, ok := rs.NextTerms(); ok {
-			copied := append([]rdf.Term(nil), row...)
-			kept, atPull = append(kept, sparql.Binding{"s": copied[0], "p": copied[1], "o": copied[2]}), append(atPull, fmt.Sprint(row[0], row[1], row[2]))
-		}
+	for row := range rs.Terms() {
+		copied := append([]rdf.Term(nil), row...)
+		kept, atPull = append(kept, sparql.Binding{"s": copied[0], "p": copied[1], "o": copied[2]}), append(atPull, fmt.Sprint(row[0], row[1], row[2]))
 	}
 	if err := rs.Err(); err != nil {
 		t.Fatal(err)
 	}
-	check("pulled", kept, atPull)
+	check("positional", kept, atPull)
 
-	// pushed: the producer refills its buffer for every row of the range
+	// Bindings: each is built fresh from the buffer
 	rs, _ = sparql.StreamExec(context.Background(), st, lifetimeQuery)
 	kept, atPull = nil, nil
 	for b := range rs.All() {
@@ -223,34 +223,25 @@ func TestRetainedBindingsSurviveTheDrain(t *testing.T) {
 
 // TestAdaptersCountRowsEitherWay: Limit, Tap and the registry's row
 // counter wrap the one sequence, so they see the same rows however the
-// consumer takes them — pulled as Bindings or as positional terms, ranged,
-// or pulled once and then ranged — and the stream ends once, cleanly.
+// consumer ranges — as positional terms or as Bindings — and the stream
+// ends once, cleanly.
 func TestAdaptersCountRowsEitherWay(t *testing.T) {
 	st := lifetimeStore()
-	pull := func(next func() bool) (n int) {
-		for next() {
-			n++
-		}
-		return n
-	}
-	terms := func(rs *sparql.RowSeq) (n int) {
-		for range rs.Terms() {
-			n++
-		}
-		return n
-	}
 	for _, mode := range []struct {
 		name  string
 		drain func(*sparql.RowSeq) int
 	}{
-		{"Next", func(rs *sparql.RowSeq) int { return pull(func() bool { _, ok := rs.Next(); return ok }) }},
-		{"NextTerms", func(rs *sparql.RowSeq) int { return pull(func() bool { _, ok := rs.NextTerms(); return ok }) }},
-		{"Terms", terms},
-		{"NextTerms+Terms", func(rs *sparql.RowSeq) int {
-			if _, ok := rs.NextTerms(); !ok {
-				return 0
+		{"Terms", func(rs *sparql.RowSeq) (n int) {
+			for range rs.Terms() {
+				n++
 			}
-			return 1 + terms(rs)
+			return n
+		}},
+		{"All", func(rs *sparql.RowSeq) (n int) {
+			for range rs.All() {
+				n++
+			}
+			return n
 		}},
 	} {
 		reg := obs.NewRegistry()

@@ -31,18 +31,17 @@ import (
 // The stream is a push sequence of positional rows (one []rdf.Term
 // aligned with Vars, the zero Term where a variable is unbound, in a
 // buffer the producer reuses) — what the executor emits and a results
-// writer encodes. Terms ranges over it on the caller's goroutine;
-// NextTerms pulls it through an iter.Pull adapter built on first use.
-// Next, All and Collect build a fresh Binding per row for the consumers
-// that want a map to keep.
+// writer encodes. Terms ranges over it on the caller's goroutine; All
+// and Collect build a fresh Binding per row for the consumers that want
+// a map to keep.
 //
-// Contract: iterate with Terms, All, NextTerms or Next (a range over a
-// stream already pulled carries on pulling); after the stream is
-// exhausted (or abandoned) check Err for the reason it stopped early, and
-// call Close when abandoning a stream before exhaustion so the producer
-// can release its resources (an HTTP body, a store snapshot). Close is
-// idempotent and safe after exhaustion and inside a range's loop body. A
-// RowSeq is single-consumer and not safe for concurrent use.
+// Contract: a stream has one way to be consumed — range over Terms or
+// All, once, and break or Close to stop early; after the range check Err
+// for the reason the stream stopped. Close a stream abandoned before it
+// is ranged, so the producer can release its resources (an HTTP body, a
+// store snapshot). Close is idempotent and safe after exhaustion and
+// inside a range's loop body. A RowSeq is single-consumer and not safe
+// for concurrent use.
 type RowSeq struct {
 	// Vars is the projected variable list, in projection order.
 	Vars []string
@@ -53,9 +52,7 @@ type RowSeq struct {
 	// (such queries have no row stream to speak of).
 	Graph *rdf.Graph
 
-	seq     iter.Seq[[]rdf.Term] // the producer; nil once a range or NextTerms took it
-	next    func() ([]rdf.Term, bool)
-	stop    func()
+	seq     iter.Seq[[]rdf.Term] // the producer; nil once a range took it
 	onClose func()
 	errp    *error
 	done    bool
@@ -64,8 +61,8 @@ type RowSeq struct {
 
 // OnClose registers fn to run exactly once when the stream ends — by
 // exhaustion or by Close — so producers can release resources (an HTTP
-// body, a file) even if the consumer abandons the stream before pulling
-// a single row. Multiple registrations compose: each fn runs once, in
+// body, a file) even if the consumer abandons the stream before ranging
+// over it. Multiple registrations compose: each fn runs once, in
 // registration order, so a producer's cleanup and an observer's
 // accounting can coexist on one stream.
 func (rs *RowSeq) OnClose(fn func()) {
@@ -82,8 +79,8 @@ func (rs *RowSeq) OnClose(fn func()) {
 // vars is dropped: head the stream with every variable it may bind. The
 // producer reports a mid-stream failure by setting *errp before
 // returning; errp may be nil for infallible producers. The producer runs
-// on the consumer's goroutine (in its range, or in NextTerms' pull
-// adapter), so no synchronization is needed around errp.
+// on the consumer's goroutine, in its range, so no synchronization is
+// needed around errp.
 func NewRowSeq(vars []string, seq iter.Seq[Binding], errp *error) *RowSeq {
 	row := make([]rdf.Term, len(vars))
 	return &RowSeq{Vars: vars, errp: errp, seq: func(yield func([]rdf.Term) bool) {
@@ -130,64 +127,22 @@ func (rs *RowSeq) Terms() iter.Seq[[]rdf.Term] {
 		if rs.done || rs.pushing {
 			return
 		}
-		for rs.seq == nil { // pulled before (or no producer): carry on pulling
-			row, ok := rs.NextTerms()
-			if !ok || !yield(row) {
-				rs.Close()
-				return
-			}
-		}
 		seq := rs.seq
 		rs.seq, rs.pushing = nil, true
 		defer rs.end()
-		seq(func(row []rdf.Term) bool { return yield(row) && !rs.done })
-	}
-}
-
-// NextTerms pulls the next row as positional terms aligned with Vars.
-// The slice is the producer's buffer: it is valid only until the next
-// pull, so a consumer that keeps a row copies it (or pulls with Next).
-// ok is false once the stream is exhausted, failed (see Err) or closed,
-// and inside a Terms range, which owns the producer.
-func (rs *RowSeq) NextTerms() ([]rdf.Term, bool) {
-	if rs.done || rs.pushing {
-		return nil, false
-	}
-	if rs.next == nil {
-		if rs.seq == nil {
-			rs.end()
-			return nil, false
+		if seq != nil {
+			seq(func(row []rdf.Term) bool { return yield(row) && !rs.done })
 		}
-		rs.next, rs.stop = iter.Pull(rs.seq)
-		rs.seq = nil
 	}
-	row, ok := rs.next()
-	if !ok {
-		rs.end()
-	}
-	return row, ok
 }
 
-// end ends the stream: the pull adapter's producer unwinds, then the
-// OnClose hooks run, once.
+// end ends the stream: the OnClose hooks run, once.
 func (rs *RowSeq) end() {
 	rs.done, rs.pushing = true, false
-	if rs.stop != nil {
-		rs.stop()
-	}
 	if fn := rs.onClose; fn != nil {
 		rs.onClose = nil
 		fn()
 	}
-}
-
-// Next pulls the next row as a fresh Binding the caller may keep.
-func (rs *RowSeq) Next() (Binding, bool) {
-	row, ok := rs.NextTerms()
-	if !ok {
-		return nil, false
-	}
-	return BindingOf(rs.Vars, row), true
 }
 
 // All returns the remaining rows as a range-over-func iterator over
@@ -213,7 +168,7 @@ func (rs *RowSeq) Err() error {
 }
 
 // Close releases the stream's resources. It is idempotent and safe to
-// call at any point; rows cannot be pulled afterwards. Inside a Terms
+// call at any point; a range afterwards yields nothing. Inside a Terms
 // range the producer stops at its next row and the range ends the stream
 // once the producer has unwound.
 func (rs *RowSeq) Close() {
@@ -356,7 +311,7 @@ func (q *Query) NeedsGrouping() bool {
 
 // Stream executes the parsed query incrementally against st: the plan is
 // compiled here, and the pipeline runs, on the consumer's goroutine, as
-// the consumer ranges over (or pulls) the stream. A plain
+// the consumer ranges over the stream. A plain
 // SELECT yields each solution as it is produced; shapes with a blocking
 // sink (ORDER BY, aggregation) yield once the pattern is exhausted. ASK
 // and CONSTRUCT answers travel in the stream's head, so those forms run

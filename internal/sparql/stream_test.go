@@ -276,8 +276,8 @@ func TestRowSeqCloseIdempotent(t *testing.T) {
 	rs.OnClose(func() { closed++ })
 	rs.Close()
 	rs.Close()
-	if _, ok := rs.Next(); ok {
-		t.Fatal("Next after Close yielded a row")
+	for range rs.Terms() {
+		t.Fatal("a range after Close yielded a row")
 	}
 	if closed != 1 {
 		t.Fatalf("OnClose ran %d times", closed)

@@ -151,37 +151,45 @@ func TestQueriesReleaseTheirSnapshot(t *testing.T) {
 		}
 		open = append(open, rs)
 	}
-	open[0].Next() // two are mid-stream, one will be drained, one is never pulled
-	open[3].NextTerms()
+	// two are held mid-stream inside nested ranges, one will be drained,
+	// one is never ranged
+	held := false
+	for range open[0].Terms() {
+		for range open[3].Terms() {
+			held = true
+			addSegment() // third segment: past MaxSegments, a compaction starts
+			deadline := time.Now().Add(10 * time.Second)
+			for ds.KVStats().Compactions == 0 {
+				if time.Now().After(deadline) {
+					t.Fatalf("no compaction: %+v", ds.KVStats())
+				}
+				time.Sleep(time.Millisecond)
+			}
+			if n := deletedSegmentFDs(t, dir); n == 0 {
+				t.Fatal("the open streams pin no retired segment; the test observes nothing")
+			}
 
-	addSegment() // third segment: past MaxSegments, a compaction starts
-	deadline := time.Now().Add(10 * time.Second)
-	for ds.KVStats().Compactions == 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("no compaction: %+v", ds.KVStats())
+			// queries that start and end after the compaction hold nothing over
+			if _, err := sparql.Exec(ds, q); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sparql.Exec(ds, `ASK { ?s <http://example.org/p> 3 }`); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sparql.MustParse(q).Explain(ds); err != nil {
+				t.Fatal(err)
+			}
+			break
 		}
-		time.Sleep(time.Millisecond)
+		break
 	}
-	if n := deletedSegmentFDs(t, dir); n == 0 {
-		t.Fatal("the open streams pin no retired segment; the test observes nothing")
+	if !held {
+		t.Fatal("the held streams yielded no row")
 	}
-
-	// queries that start and end after the compaction hold nothing over
-	if _, err := sparql.Exec(ds, q); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sparql.Exec(ds, `ASK { ?s <http://example.org/p> 3 }`); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sparql.MustParse(q).Explain(ds); err != nil {
-		t.Fatal(err)
-	}
-	open[0].Close()
 	if res, err := open[1].Collect(); err != nil || len(res.Rows) != 40 {
 		t.Fatalf("drained stream: %v rows, err %v", res, err)
 	}
 	open[2].Close()
-	open[3].Close()
 	if n := deletedSegmentFDs(t, dir); n != 0 {
 		t.Fatalf("%d retired segment files still open after every query ended", n)
 	}
