@@ -73,7 +73,8 @@ func QueryHash(q string) string {
 // in the negotiated format (SPARQL JSON by default) through
 // results.Serve — rows are written and flushed as the evaluation yields
 // them, a client that hangs up cancels the evaluation through the
-// request context, and a mid-stream failure never ends as a well-formed
+// request context, a failure before the first row is answered (and
+// logged) as a 500, and a mid-stream failure never ends as a well-formed
 // short result.
 func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	var query string
@@ -128,8 +129,12 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer rs.Close()
-	if rows, err = results.Serve(w, format, rs); errors.Is(err, results.ErrConstruct) {
+	var se *results.StatusError
+	switch rows, err = results.Serve(w, format, rs); {
+	case errors.Is(err, results.ErrConstruct):
 		fail(err.Error(), http.StatusBadRequest)
+	case errors.As(err, &se):
+		status = se.Status
 	}
 }
 

@@ -53,20 +53,29 @@ type steeredReader struct {
 	n  int
 }
 
-func (r *steeredReader) MatchIDs(pat store.IDPattern, fn func(s, p, o store.ID) bool) bool {
-	return r.ReaderAPI.MatchIDs(pat, func(s, p, o store.ID) bool {
-		r.n++
-		r.st.mu.Lock()
-		hold, failAt, cancel := r.st.hold, r.st.failAt, r.st.cancel
-		r.st.scanned = r.n
-		r.st.mu.Unlock()
-		if r.n == 2 && hold != nil {
-			<-hold
+// Runs hands each run on one ID at a time, so a hold or a kill lands on
+// the triple it names, not on the run that holds it.
+func (r *steeredReader) Runs(pat store.IDPattern, fn func(store.Run) bool) error {
+	return r.ReaderAPI.Runs(pat, func(rn store.Run) bool {
+		for i := range rn.IDs {
+			r.n++
+			r.st.mu.Lock()
+			hold, failAt, cancel := r.st.hold, r.st.failAt, r.st.cancel
+			r.st.scanned = r.n
+			r.st.mu.Unlock()
+			if r.n == 2 && hold != nil {
+				<-hold
+			}
+			if r.n == failAt {
+				cancel()
+			}
+			one := rn
+			one.IDs = rn.IDs[i : i+1]
+			if !fn(one) {
+				return false
+			}
 		}
-		if r.n == failAt {
-			cancel()
-		}
-		return fn(s, p, o)
+		return true
 	})
 }
 

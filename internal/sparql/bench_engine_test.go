@@ -3,10 +3,10 @@ package sparql
 // Engine micro-benchmarks. BenchmarkJoinInnerLoop drives the compiled
 // plan through the pipeline into a counting sink — no projection, no
 // Result materialization — so its allocs/op number is the allocation
-// cost of the join inner loop itself: one index-callback closure per
-// pattern invocation (~0.4 per produced row over the 16k rows), no maps
-// and no row arena; the reference twin (BenchmarkJoinInnerLoopReference,
-// in internal/sparql/reference) allocates one map clone per candidate row.
+// cost of the join inner loop itself: a frame per pipeline level and
+// nothing per probe or per row, no maps and no row arena; the reference
+// twin (BenchmarkJoinInnerLoopReference, in internal/sparql/reference)
+// allocates one map clone per candidate row.
 
 import (
 	"context"
@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/rdf"
 	"repro/internal/store"
+	"repro/internal/store/disk"
 )
 
 // joinBenchStore is a two-hop graph: 1000 subjects → 4 mids each via p1,
@@ -56,8 +57,8 @@ func BenchmarkJoinInnerLoop(b *testing.B) {
 		}
 		se := &streamExec{ctx: context.Background(), ex: p.ex, orders: map[*cBGP][]int{}, minus: map[*cMinus]*rowbuf{}}
 		rows := 0
-		se.streamGroup(p.root, make([]store.ID, p.ex.nslots), 0, func([]store.ID, int) bool {
-			rows++
+		se.streamGroup(p.root, make([]store.ID, p.ex.nslots), 0, func(_ []store.ID, _ int, rn idRun) bool {
+			rows += max(len(rn.ids), 1) // a single row has no ids
 			return true
 		})
 		if rows != joinBenchRows {
@@ -89,11 +90,20 @@ func sinkBenchStore() *store.Store {
 }
 
 // BenchmarkSinks drains the blocking sinks' query shapes of the
-// benchmark's sparql workloads through Stream, on the caller's goroutine:
-// the class histogram and the per-class GROUP BY ?p (the hash-group),
-// DISTINCT ?p (the streaming distinct) and ORDER BY ?v LIMIT 10 (top-k).
+// benchmark's sparql workloads through Stream, on the caller's goroutine,
+// on both tiers: the class histogram and the per-class GROUP BY ?p (the
+// hash-group), DISTINCT ?p (the streaming distinct) and ORDER BY ?v
+// LIMIT 10 (top-k) — the three sinks that fold a run.
 func BenchmarkSinks(b *testing.B) {
-	st := sinkBenchStore()
+	mem := sinkBenchStore()
+	ds, err := disk.Open(b.TempDir(), disk.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer ds.Close()
+	if err := ds.CopyFrom(mem.Reader()); err != nil {
+		b.Fatal(err)
+	}
 	for _, sh := range []struct {
 		name, query string
 		rows        int
@@ -104,22 +114,27 @@ func BenchmarkSinks(b *testing.B) {
 		{"topk", `SELECT ?s ?v WHERE { ?s <http://b/C3/d0> ?v } ORDER BY ?v LIMIT 10`, 10},
 	} {
 		q := MustParse(sh.query)
-		b.Run(sh.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				rs, err := q.Stream(context.Background(), st)
-				if err != nil {
-					b.Fatal(err)
+		for _, tier := range []struct {
+			name string
+			st   store.Queryable
+		}{{"memory", mem}, {"disk", ds}} {
+			b.Run(tier.name+"/"+sh.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					rs, err := q.Stream(context.Background(), tier.st)
+					if err != nil {
+						b.Fatal(err)
+					}
+					rows := 0
+					for range rs.Terms() {
+						rows++
+					}
+					if rows != sh.rows || rs.Err() != nil {
+						b.Fatalf("%d rows, err %v; want %d", rows, rs.Err(), sh.rows)
+					}
 				}
-				rows := 0
-				for range rs.Terms() {
-					rows++
-				}
-				if rows != sh.rows || rs.Err() != nil {
-					b.Fatalf("%d rows, err %v; want %d", rows, rs.Err(), sh.rows)
-				}
-			}
-		})
+			})
+		}
 	}
 }
 

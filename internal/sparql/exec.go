@@ -244,9 +244,10 @@ func resolvePos(t cterm, r []store.ID, dst *store.ID) bool {
 }
 
 // bindPos binds a matched ID into the row, checking repeated-variable
-// consistency. Constant positions were already matched by the index.
+// consistency. Constant positions were already matched by the index, and
+// NoID — a run's varying position — binds nothing.
 func bindPos(t cterm, v store.ID, r []store.ID) bool {
-	if !t.isVar() {
+	if !t.isVar() || v == store.NoID {
 		return true
 	}
 	if cur := r[t.slot]; cur != store.NoID {
@@ -519,25 +520,56 @@ func (p *plan) run(ctx context.Context, reg *obs.Registry, prof *profiler, emit 
 // exhausted: it leaves the held rows (one per group, for a grouping) in
 // that arena and runs the one batch tail over it — sort, deduplicate,
 // window, project.
+//
+// Three sinks fold a run (see idRun) whose varying slot they do not read
+// row by row: the hash-group looks its group up once and adds the run's
+// length to a count, DISTINCT probes once, and top-k evaluates one key.
+// They see the run's rows in the order they would have seen them one at
+// a time, so every answer, counter and tie is what the rows would give.
+// A run over a slot the sink reads, and every run of another sink, is
+// taken apart into rows.
 func (p *plan) sink(se *streamExec, reg *obs.Registry, emit func([]rdf.Term) bool) (sink streamYield, finish func() error) {
 	q, ex, prof := p.q, p.ex, se.prof
 	out := make([]rdf.Term, len(p.vars))
 	if q.Form == FormAsk {
-		return func([]store.ID, int) bool {
+		return func([]store.ID, int, idRun) bool {
 			p.boolean = true
 			return false
 		}, nil
 	}
+	// reads[s]: the sink reads slot s on every row, so a run over s is
+	// taken apart. Aliases read their arguments and write their slots.
+	reads := make([]bool, ex.nslots)
 	var stAliases *ExplainStage
 	if len(p.aliases) > 0 {
 		stAliases = prof.addStage("aliases")
 	}
 	aliasTmp := make([]store.ID, len(p.aliases))
+	for _, a := range p.aliases {
+		a.val.markReads(reads)
+		reads[a.slot] = true
+	}
+	// The aliases are written into a copy of the row: the pipeline's row
+	// is the run's, and its next row must not see this one's aliases.
+	var aliased []store.ID
+	if len(p.aliases) > 0 {
+		aliased = make([]store.ID, ex.nslots)
+	}
+	withAliases := func(r []store.ID) []store.ID {
+		if aliased == nil {
+			return r
+		}
+		copy(aliased, r)
+		p.applyAliases(aliased, aliasTmp)
+		prof.lap(stAliases, true)
+		return aliased
+	}
 
 	var (
 		blocking string // stage name of the sink that holds rows back; "" = none
 		streamOp string // its hbold_stream_op_* label, for the incremental ones
 		hold     func(r []store.ID) bool
+		fold     func(r []store.ID, rn idRun) // takes a run whole; nil: this sink never does
 		heap     *rowTopK
 		agg      *streamAgg
 		buf      = &rowbuf{stride: ex.nslots}
@@ -554,18 +586,31 @@ func (p *plan) sink(se *streamExec, reg *obs.Registry, emit func([]rdf.Term) boo
 	case p.agg != nil:
 		blocking, streamOp = "aggregate", "hash-group"
 		agg = newStreamAgg(ex, p.agg)
+		for i := range p.agg.keys {
+			p.agg.keys[i].markReads(reads)
+		}
 		hold = func(r []store.ID) bool {
 			agg.add(r)
 			return true
 		}
+		fold = func(r []store.ID, rn idRun) { agg.addRun(r, rn.slot, rn.ids) }
 	case len(q.OrderBy) > 0 && q.topKBound() >= 0 && !q.Distinct && !q.Reduced:
 		// DISTINCT is excluded: deduplication after the heap could shrink
 		// the window below k.
 		blocking, streamOp = "top-k", "top-k"
 		heap = newRowTopK(q.OrderBy, q.topKBound())
+		for _, vars := range p.obVars {
+			for _, vs := range vars {
+				reads[vs.slot] = true
+			}
+		}
+		// one key per run: no condition reads the run's slot
 		var key OrderKey
+		fold = func(r []store.ID, rn idRun) {
+			heap.offerRun(r, rn, ex.orderKeyOfRowInto(q.OrderBy, p.obVars, r, &key))
+		}
 		hold = func(r []store.ID) bool {
-			heap.offer(r, ex.orderKeyOfRowInto(q.OrderBy, p.obVars, r, &key))
+			fold(r, oneRow)
 			return true
 		}
 	case len(q.OrderBy) > 0:
@@ -582,18 +627,20 @@ func (p *plan) sink(se *streamExec, reg *obs.Registry, emit func([]rdf.Term) boo
 		if q.Distinct || q.Reduced {
 			seen = &idTable{width: len(p.projSlots)}
 			stDistinct = prof.addStage("distinct")
+			for _, sl := range p.projSlots {
+				if sl >= 0 {
+					reads[sl] = true
+				}
+			}
 		}
 		stWindow, stProject := prof.addStage("window"), prof.addStage("project")
 		skipped, emitted := 0, 0
-		return func(r []store.ID, _ int) bool {
+		row := func(r []store.ID) bool {
 			if !se.alive() {
 				return false
 			}
 			prof.start()
-			if len(p.aliases) > 0 {
-				p.applyAliases(r, aliasTmp)
-				prof.lap(stAliases, true)
-			}
+			r = withAliases(r)
 			if seen != nil {
 				_, added := seen.addAt(r, p.projSlots)
 				prof.lap(stDistinct, added)
@@ -618,6 +665,13 @@ func (p *plan) sink(se *streamExec, reg *obs.Registry, emit func([]rdf.Term) boo
 			}
 			emitted++
 			return q.Limit < 0 || emitted < q.Limit
+		}
+		return func(r []store.ID, _ int, rn idRun) bool {
+			if seen != nil && rn.slot >= 0 && !reads[rn.slot] {
+				// the run's rows project alike: its first stands for all
+				return row(r)
+			}
+			return each(r, rn, func() bool { return row(r) })
 		}, nil
 	}
 
@@ -625,20 +679,29 @@ func (p *plan) sink(se *streamExec, reg *obs.Registry, emit func([]rdf.Term) boo
 	if reg != nil && streamOp != "" {
 		reg.CounterVec("hbold_stream_op_total", "Streaming operator activations by operator.", "op").With(streamOp).Inc()
 	}
-	var scanned int64
-	sink = func(r []store.ID, _ int) bool {
+	var scanned int64 // solutions, not runs
+	row := func(r []store.ID) bool {
 		if !se.alive() {
 			return false
 		}
 		prof.start()
-		if len(p.aliases) > 0 {
-			p.applyAliases(r, aliasTmp)
-			prof.lap(stAliases, true)
-		}
+		r = withAliases(r)
 		scanned++
 		more := hold(r)
 		prof.lap(stBlocking, false) // its RowsOut is the finisher's
 		return more
+	}
+	sink = func(r []store.ID, _ int, rn idRun) bool {
+		if fold == nil || rn.slot < 0 || reads[rn.slot] {
+			return each(r, rn, func() bool { return row(r) })
+		}
+		// EXPLAIN hands the sink single rows (observe), so no stage laps here
+		if !se.alive() {
+			return false
+		}
+		scanned += int64(len(rn.ids))
+		fold(withAliases(r), rn)
+		return true
 	}
 	return sink, func() error {
 		if reg != nil && streamOp != "" {

@@ -94,16 +94,19 @@ var noopEnd = func(int64) {}
 
 // observe accounts one operator invocation on the push path: one row in,
 // one row out per row handed to yield, and a clock that stops while
-// yield — everything downstream — runs.
+// yield — everything downstream — runs. It takes the operator's runs
+// apart, so yield sees single rows and the counts are rows, not runs.
 func observe(in, out, ns *int64, run func(streamYield) bool, yield streamYield) bool {
 	*in++
 	t0 := time.Now()
-	ok := run(func(r []store.ID, free int) bool {
-		*out++
-		*ns += time.Since(t0).Nanoseconds()
-		ok := yield(r, free)
-		t0 = time.Now()
-		return ok
+	ok := run(func(r []store.ID, free int, rn idRun) bool {
+		return each(r, rn, func() bool {
+			*out++
+			*ns += time.Since(t0).Nanoseconds()
+			ok := yield(r, free, oneRow)
+			t0 = time.Now()
+			return ok
+		})
 	})
 	*ns += time.Since(t0).Nanoseconds()
 	return ok

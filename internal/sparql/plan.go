@@ -73,6 +73,17 @@ type cpattern struct {
 	slots   []int // distinct variable slots in the pattern
 }
 
+// at returns the pattern's term in position pos.
+func (p *cpattern) at(pos store.Pos) cterm {
+	switch pos {
+	case store.PosS:
+		return p.s
+	case store.PosP:
+		return p.p
+	}
+	return p.o
+}
+
 // cnode is a node of the compiled pattern algebra.
 type cnode interface{ isCNode() }
 

@@ -252,7 +252,7 @@ type probedReader struct {
 	p *stackProbe
 }
 
-func (r probedReader) MatchIDs(pat store.IDPattern, fn func(s, p, o store.ID) bool) bool {
+func (r probedReader) Runs(pat store.IDPattern, fn func(store.Run) bool) error {
 	pcs := make([]uintptr, 512)
 	frames := runtime.CallersFrames(pcs[:runtime.Callers(2, pcs)])
 	r.p.scans++
@@ -263,7 +263,7 @@ func (r probedReader) MatchIDs(pat store.IDPattern, fn func(s, p, o store.ID) bo
 			break
 		}
 	}
-	return r.ReaderAPI.MatchIDs(pat, fn)
+	return r.ReaderAPI.Runs(pat, fn)
 }
 
 // TestServeRunsOnCallerGoroutine: a served query runs inside WriteRows'

@@ -118,7 +118,8 @@ func Negotiate(formatParam, accept string, def Format) (Format, error) {
 }
 
 // Writer emits one SELECT results document: the head is written on
-// construction, each row is appended into one reused buffer and handed
+// construction (held back, under Serve, until the first row or Close),
+// each row is appended into one reused buffer and handed
 // to the sink in a single Write, Close terminates the document (a no-op
 // for the terminator-less CSV, TSV and NDJSON). The sink's first error
 // sticks: every later call reports it.
@@ -129,16 +130,26 @@ type Writer struct {
 	enc  *sparql.JSONRowEncoder // JSON, NDJSON
 	buf  []byte                 // the row being encoded
 	row  []rdf.Term             // WriteRow's positional copy of a Binding
+	head []byte                 // the document head while it is held back; nil once written
 	rows int
 	err  error
 }
 
 // NewWriter starts a SELECT results document in the given format.
 func NewWriter(f Format, w io.Writer, vars []string) *Writer {
+	rw := heldWriter(f, w, vars)
+	rw.writeHead()
+	return rw
+}
+
+// heldWriter is NewWriter with the head held back until the first row or
+// Close writes it, so that a stream which fails before its first row has
+// written nothing and can still be answered as a failed request.
+func heldWriter(f Format, w io.Writer, vars []string) *Writer {
 	var head []byte
 	switch f {
 	case NDJSON:
-		return NewNDJSONWriter(w, vars, map[string][]string{"vars": vars})
+		return heldNDJSON(w, vars, map[string][]string{"vars": vars})
 	case CSV:
 		head = appendCSVHead(head, vars)
 	case TSV:
@@ -157,19 +168,35 @@ func NewWriter(f Format, w io.Writer, vars []string) *Writer {
 // head — {"vars": [...]} through NewWriter; a caller with more to say
 // up front (the federation's partial-result marker) passes its own.
 func NewNDJSONWriter(w io.Writer, vars []string, head any) *Writer {
+	rw := heldNDJSON(w, vars, head)
+	rw.writeHead()
+	return rw
+}
+
+func heldNDJSON(w io.Writer, vars []string, head any) *Writer {
 	line, err := json.Marshal(head)
 	return newWriter(NDJSON, w, vars, append(line, '\n'), err)
 }
 
+// newWriter returns a Writer whose head is still to be written.
 func newWriter(f Format, w io.Writer, vars []string, head []byte, err error) *Writer {
-	out := &Writer{w: w, f: f, vars: vars, buf: head, err: err}
+	out := &Writer{w: w, f: f, vars: vars, head: head, err: err}
 	if f == JSON || f == NDJSON {
 		out.enc = sparql.NewJSONRowEncoder(vars)
 	}
-	if err == nil {
-		_, out.err = w.Write(head)
-	}
 	return out
+}
+
+// writeHead writes a head no row has carried yet; its array becomes the
+// row buffer.
+func (w *Writer) writeHead() {
+	if w.head == nil {
+		return
+	}
+	if w.err == nil {
+		_, w.err = w.w.Write(w.head)
+	}
+	w.buf, w.head = w.head[:0], nil
 }
 
 // WriteTerms appends one solution given as positional terms aligned with
@@ -180,6 +207,9 @@ func (w *Writer) WriteTerms(row []rdf.Term) error {
 		return w.err
 	}
 	b := w.buf[:0]
+	if w.head != nil { // a held-back head goes out with the first row
+		b, w.head = w.head, nil
+	}
 	switch w.f {
 	case JSON:
 		if w.rows > 0 {
@@ -213,6 +243,7 @@ func (w *Writer) WriteRow(b sparql.Binding) error {
 // (Close never called, e.g. because the producer died mid-stream) is how
 // a peer detects a broken stream: it fails to parse to completion.
 func (w *Writer) Close() error {
+	w.writeHead()
 	if w.err == nil && w.f == JSON {
 		_, w.err = io.WriteString(w.w, "]}}")
 	}
@@ -254,10 +285,23 @@ const flushEvery = 64
 // document would be a lie. HTTP callers answer 400.
 var ErrConstruct = errors.New("CONSTRUCT is not supported on the results-serving surfaces; use SELECT or ASK")
 
+// StatusError is WriteRows' report that a stream failed before any of
+// its document went out and the HTTP request was answered whole with
+// Status, so the caller's access log can record that status.
+type StatusError struct {
+	Status int
+	Err    error
+}
+
+func (e *StatusError) Error() string { return e.Err.Error() }
+func (e *StatusError) Unwrap() error { return e.Err }
+
 // Serve writes one query result to w in format f: the Content-Type
 // header when w is an http.ResponseWriter, then the ASK document or the
 // head, the rows and the terminator. Nothing has been written when it
-// returns ErrConstruct. See WriteRows for the rest of the contract.
+// returns ErrConstruct. The head goes out with the first row, so a stream
+// that fails before it is answered over HTTP as a failed request (500,
+// reported as a *StatusError). See WriteRows for the rest of the contract.
 func Serve(w io.Writer, f Format, rs *sparql.RowSeq) (rows int, err error) {
 	if rs.Graph != nil {
 		return 0, ErrConstruct
@@ -268,15 +312,18 @@ func Serve(w io.Writer, f Format, rs *sparql.RowSeq) (rows int, err error) {
 	if rs.Ask {
 		return 0, WriteAsk(f, w, rs.Boolean)
 	}
-	return WriteRows(w, NewWriter(f, w, rs.Vars), rs)
+	return WriteRows(w, heldWriter(f, w, rs.Vars), rs)
 }
 
-// WriteRows drains rs into rw — a Writer over w, its head already
-// written — flushing w on the flushEvery cadence when it is an
+// WriteRows drains rs into rw — a Writer over w, its head written or
+// held back — flushing w on the flushEvery cadence when it is an
 // http.Flusher, and returns the rows written for the caller's logs. The
 // query runs inside the range, on the caller's goroutine. A write error
 // means the consumer went away: it ends the stream and is returned. A
-// stream that fails after rows were sent must not end
+// stream that fails while the head is still held back is answered over
+// HTTP with a 500 and nothing else, and the error is a *StatusError. A
+// stream that fails after rows were
+// sent must not end
 // as a well-formed short result: NDJSON gets a final {"error": ...}
 // line, JSON and XML stay unterminated, and CSV/TSV, which have no
 // terminator to withhold, abort the HTTP connection (off HTTP the
@@ -293,6 +340,12 @@ func WriteRows(w io.Writer, rw *Writer, rs *sparql.RowSeq) (rows int, err error)
 		}
 	}
 	if err := rs.Err(); err != nil {
+		if hw, ok := w.(http.ResponseWriter); ok && rw.head != nil {
+			// nothing has gone out: the request fails whole
+			http.Error(hw, err.Error(), http.StatusInternalServerError)
+			return rows, &StatusError{http.StatusInternalServerError, err}
+		}
+		rw.writeHead()
 		switch rw.f {
 		case NDJSON:
 			json.NewEncoder(rw.w).Encode(map[string]string{"error": err.Error()})

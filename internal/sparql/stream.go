@@ -8,7 +8,9 @@ package sparql
 //
 // The pipeline drives the compiled plan of plan.go depth-first: each row
 // travels the entire pattern tree alone and reaches the sinks of exec.go
-// at the end. Solution modifiers that inherently need the full solution
+// at the end — except at the last pattern of a join, which hands the
+// sinks a whole store run (the rows that differ only in the index's last
+// key) in one call. Solution modifiers that inherently need the full solution
 // set (unwindowed ORDER BY, grouping, CONSTRUCT) hold rows
 // back in a blocking sink and emit once the pattern is exhausted, so every
 // query streams — just not every query streams incrementally.
@@ -363,19 +365,52 @@ func (q *Query) Stream(ctx context.Context, st store.Queryable) (*RowSeq, error)
 	return rs, nil
 }
 
-// streamYield receives one pipeline row plus the first scratch level the
-// continuation may use (levels below it belong to live ancestor frames).
-type streamYield func(r []store.ID, free int) bool
+// streamYield receives one run of pipeline rows plus the first scratch
+// level the continuation may use (levels below it belong to live ancestor
+// frames). The rows are r with rn.slot set to each of rn.ids in turn; r
+// holds the first of them.
+type streamYield func(r []store.ID, free int, rn idRun) bool
 
-// streamExec drives a compiled plan depth-first, one row at a time. Row
-// copies live in a per-level scratch stack: a frame at level d only ever
-// writes levels ≥ d, so a parent's row is stable while its descendants
-// iterate.
+// idRun is a run of pipeline rows: the rows that differ only in slot,
+// which takes each of ids in turn — a store run (store.Run) bound into a
+// row. The last pattern of a join hands each of its runs to its
+// continuation whole; slot < 0 is a single row.
+type idRun struct {
+	slot int
+	ids  []store.ID
+}
+
+// oneRow is the run of a single row.
+var oneRow = idRun{slot: -1}
+
+// each hands fn the rows of a run one at a time, writing each ID into r
+// before the call. It is the one place a run is taken apart, for every
+// continuation that must see rows singly: a FILTER that reads the run's
+// variable, a later group element (OPTIONAL, UNION, MINUS, BIND, VALUES,
+// a nested group or BGP), MINUS's right side, EXPLAIN's per-node hooks
+// and a sink that cannot fold the run.
+func each(r []store.ID, rn idRun, fn func() bool) bool {
+	if rn.slot < 0 {
+		return fn()
+	}
+	for _, id := range rn.ids {
+		r[rn.slot] = id
+		if !fn() {
+			return false
+		}
+	}
+	return true
+}
+
+// streamExec drives a compiled plan depth-first. Row copies live in a
+// per-level scratch stack: a frame at level d only ever writes levels
+// ≥ d, so a parent's row is stable while its descendants iterate.
 type streamExec struct {
 	ctx    context.Context
 	done   <-chan struct{} // ctx.Done(), fetched once per run for alive
 	ex     *idExec
 	levels [][]store.ID
+	frames []*patFrame // per level, like levels
 	orders map[*cBGP][]int
 	minus  map[*cMinus]*rowbuf
 	tick   int
@@ -394,7 +429,7 @@ func (s *streamExec) scratch(d int) []store.ID {
 	return s.levels[d]
 }
 
-// alive polls the context for a row that reached the sink: a
+// alive polls the context for a row or run that reached the sink: a
 // non-blocking receive, where ctx.Err() would take the context's mutex
 // once per row.
 func (s *streamExec) alive() bool {
@@ -424,6 +459,9 @@ func (s *streamExec) streamGroup(g *cgroup, row []store.ID, free int, yield stre
 	return s.streamElems(g, 0, row, free, yield)
 }
 
+// streamElems runs element i of the group on one row. Its output goes to
+// element i+1 one row at a time, or — past the last element — through
+// the group's FILTERs to yield, runs whole.
 func (s *streamExec) streamElems(g *cgroup, i int, row []store.ID, free int, yield streamYield) bool {
 	if s.err != nil {
 		return false
@@ -434,21 +472,50 @@ func (s *streamExec) streamElems(g *cgroup, i int, row []store.ID, free int, yie
 		return s.profGroup(g, row, free, yield)
 	}
 	if i == len(g.elems) {
-		if !s.passes(g, row) {
-			return true // row filtered out; keep streaming
-		}
-		return yield(row, free)
+		return s.filtered(g, row, free, oneRow, yield)
 	}
-	return s.streamNode(g.elems[i], row, free, func(r []store.ID, f int) bool {
-		return s.streamElems(g, i+1, r, f, yield)
+	if i+1 == len(g.elems) && len(g.filters) == 0 {
+		return s.streamNode(g.elems[i], row, free, yield)
+	}
+	return s.streamNode(g.elems[i], row, free, func(r []store.ID, f int, rn idRun) bool {
+		if i+1 == len(g.elems) {
+			return s.filtered(g, r, f, rn, yield)
+		}
+		return each(r, rn, func() bool { return s.streamElems(g, i+1, r, f, yield) })
 	})
+}
+
+// filtered hands yield what of a run passes the group's FILTERs: the run
+// whole when no FILTER reads its variable (they hold on every row or on
+// none), else row by row.
+func (s *streamExec) filtered(g *cgroup, r []store.ID, free int, rn idRun, yield streamYield) bool {
+	if len(g.filters) == 0 {
+		return yield(r, free, rn)
+	}
+	if rn.slot >= 0 && g.filtersRead(rn.slot) {
+		return each(r, rn, func() bool { return !s.passes(g, r) || yield(r, free, oneRow) })
+	}
+	return !s.passes(g, r) || yield(r, free, rn)
+}
+
+// filtersRead reports whether a FILTER of the group reads slot.
+func (g *cgroup) filtersRead(slot int) bool {
+	for _, f := range g.filters {
+		for _, vs := range f.vars {
+			if vs.slot == slot {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // profGroup and profElems are streamGroup and streamElems under EXPLAIN:
 // the same sequencing with the group, each element and the FILTER pass
 // observed. They are a separate pair, out of line, because the hooks'
 // closures would otherwise sit in every frame of the unprofiled
-// recursion (see plan.run on what a frame costs there).
+// recursion (see plan.run on what a frame costs there). Every hook takes
+// its input's runs apart (observe), so everything here sees single rows.
 //
 //go:noinline
 func (s *streamExec) profGroup(g *cgroup, row []store.ID, free int, yield streamYield) bool {
@@ -461,12 +528,12 @@ func (s *streamExec) profElems(g *cgroup, i int, row []store.ID, free int, yield
 	}
 	if i == len(g.elems) {
 		if len(g.filters) == 0 {
-			return yield(row, free)
+			return yield(row, free, oneRow)
 		}
-		return s.prof.node(&g.filters[0], func(y streamYield) bool { return !s.passes(g, row) || y(row, free) }, yield)
+		return s.prof.node(&g.filters[0], func(y streamYield) bool { return !s.passes(g, row) || y(row, free, oneRow) }, yield)
 	}
 	el := g.elems[i]
-	next := func(r []store.ID, f int) bool {
+	next := func(r []store.ID, f int, _ idRun) bool { // observe hands rows singly
 		return s.profElems(g, i+1, r, f, yield)
 	}
 	if _, nested := el.(*cgroup); nested {
@@ -486,6 +553,9 @@ func (s *streamExec) passes(g *cgroup, row []store.ID) bool {
 	return true
 }
 
+// streamNode runs one plan node on one row. Only a BGP yields runs; every
+// other node yields single rows, and OPTIONAL and UNION pass their inner
+// groups' runs through.
 func (s *streamExec) streamNode(n cnode, row []store.ID, free int, yield streamYield) bool {
 	switch x := n.(type) {
 	case *cBGP:
@@ -497,14 +567,14 @@ func (s *streamExec) streamNode(n cnode, row []store.ID, free int, yield streamY
 		return s.streamGroup(x, row, free, yield)
 	case *cOptional:
 		matched := false
-		if !s.streamGroup(x.inner, row, free, func(r []store.ID, f int) bool {
+		if !s.streamGroup(x.inner, row, free, func(r []store.ID, f int, rn idRun) bool {
 			matched = true
-			return yield(r, f)
+			return yield(r, f, rn)
 		}) {
 			return false
 		}
 		if !matched {
-			return yield(row, free)
+			return yield(row, free, oneRow)
 		}
 		return true
 	case *cUnion:
@@ -533,14 +603,14 @@ func (s *streamExec) streamNode(n cnode, row []store.ID, free int, yield streamY
 				return true // row removed; keep streaming
 			}
 		}
-		return yield(row, free)
+		return yield(row, free, oneRow)
 	case *cBind:
 		nr := s.scratch(free)
 		copy(nr, row)
 		if t, err := EvalExpr(x.expr, s.ex.bindScratch(x.vars, row)); err == nil {
 			nr[x.slot] = s.ex.intern(t)
 		}
-		return yield(nr, free+1)
+		return yield(nr, free+1, oneRow)
 	case *cValues:
 		for _, vr := range x.rows {
 			nr := s.scratch(free)
@@ -560,7 +630,7 @@ func (s *streamExec) streamNode(n cnode, row []store.ID, free int, yield streamY
 					nr[slot] = v
 				}
 			}
-			if ok && !yield(nr, free+1) {
+			if ok && !yield(nr, free+1, oneRow) {
 				return false
 			}
 		}
@@ -625,13 +695,16 @@ func (s *streamExec) bgpOrder(b *cBGP, row []store.ID) []int {
 	return order
 }
 
-// streamPatterns is the depth-first index nested-loop join: pattern k
-// extends the row with each of its matches and recurses into k+1, so a
-// complete solution reaches the consumer as soon as the last pattern
-// matches — the early-exit path LIMIT and cancellation ride on.
+// streamPatterns is the depth-first index nested-loop join over store
+// runs: pattern k binds each run's shared positions into the row and
+// recurses into k+1 once per ID of the run, and the last pattern hands
+// each run to yield whole — so a complete solution reaches the consumer
+// as soon as the last pattern matches (the early-exit path LIMIT and
+// cancellation ride on), and a sink that can fold a run does so in one
+// call.
 func (s *streamExec) streamPatterns(b *cBGP, order []int, k int, row []store.ID, free int, yield streamYield) bool {
 	if k == len(order) {
-		return yield(row, free)
+		return yield(row, free, oneRow)
 	}
 	p := &b.pats[order[k]]
 	var pat store.IDPattern
@@ -650,23 +723,89 @@ func (s *streamExec) streamPatterns(b *cBGP, order []int, k int, row []store.ID,
 		}
 		return true
 	}
-	cont := true
-	s.ex.rd.MatchIDs(pat, func(ms, mp, mo store.ID) bool {
+	f := s.frame(free)
+	f.b, f.order, f.k, f.p, f.row, f.free, f.yield, f.more = b, order, k, p, row, free, yield, true
+	if err := s.ex.rd.Runs(pat, f.onRun); err != nil {
+		if s.err == nil {
+			s.err = err
+		}
+		return false
+	}
+	return f.more
+}
+
+// patFrame is one level of streamPatterns: the probe in progress at that
+// level and the store callback bound to it once, so that a probe
+// allocates nothing. Only one probe is ever in progress per level.
+type patFrame struct {
+	s     *streamExec
+	b     *cBGP
+	order []int
+	k     int
+	p     *cpattern
+	row   []store.ID
+	free  int
+	yield streamYield
+	more  bool                 // false once the continuation or the context stopped the scan
+	onRun func(store.Run) bool // f.run
+}
+
+// frame returns the reusable frame of scratch level d.
+func (s *streamExec) frame(d int) *patFrame {
+	for len(s.frames) <= d {
+		s.frames = append(s.frames, nil)
+	}
+	f := s.frames[d]
+	if f == nil {
+		f = &patFrame{s: s}
+		f.onRun = f.run
+		s.frames[d] = f
+	}
+	return f
+}
+
+// run binds one store run into the frame's row: the run's shared
+// positions once, then its varying one per ID (or, for the last pattern,
+// not at all: the continuation gets the run).
+func (f *patFrame) run(rn store.Run) bool {
+	s, p := f.s, f.p
+	if !s.tickOK() {
+		f.more = false
+		return false
+	}
+	nr := s.scratch(f.free)
+	copy(nr, f.row)
+	if !bindPos(p.s, rn.S, nr) || !bindPos(p.p, rn.P, nr) || !bindPos(p.o, rn.O, nr) {
+		return true
+	}
+	slot := p.at(rn.At).slot // a variable: the position was not concrete
+	ids := rn.IDs
+	if v := nr[slot]; v != store.NoID {
+		// the variable repeats in the pattern and is bound already: the
+		// run holds it at most once
+		i, ok := slices.BinarySearch(ids, v)
+		if !ok {
+			return true
+		}
+		ids = ids[i : i+1]
+	}
+	if f.k+1 == len(f.order) {
+		nr[slot] = ids[0]
+		f.more = f.yield(nr, f.free+1, idRun{slot: slot, ids: ids})
+		return f.more
+	}
+	for _, id := range ids {
 		if !s.tickOK() {
-			cont = false
+			f.more = false
 			return false
 		}
-		nr := s.scratch(free)
-		copy(nr, row)
-		if bindPos(p.s, ms, nr) && bindPos(p.p, mp, nr) && bindPos(p.o, mo, nr) {
-			if !s.streamPatterns(b, order, k+1, nr, free+1, yield) {
-				cont = false
-				return false
-			}
+		nr[slot] = id
+		if !s.streamPatterns(f.b, f.order, f.k+1, nr, f.free+1, f.yield) {
+			f.more = false
+			return false
 		}
-		return true
-	})
-	return cont
+	}
+	return true
 }
 
 // profPatterns is the EXPLAIN twin of the streamPatterns call: it hands
@@ -674,12 +813,12 @@ func (s *streamExec) streamPatterns(b *cBGP, order []int, k int, row []store.ID,
 // per-pattern hook sits between patterns and the inner loop is untouched.
 func (s *streamExec) profPatterns(b *cBGP, order []int, k int, row []store.ID, free int, yield streamYield) bool {
 	if k == len(order) {
-		return yield(row, free)
+		return yield(row, free, oneRow)
 	}
 	s.prof.nodes[&b.pats[order[k]]].Order = k + 1
 	return s.prof.node(&b.pats[order[k]], func(y streamYield) bool {
 		return s.streamPatterns(b, order[k:k+1], 0, row, free, y)
-	}, func(r []store.ID, f int) bool {
+	}, func(r []store.ID, f int, _ idRun) bool { // observe hands rows singly
 		return s.profPatterns(b, order, k+1, r, f, yield)
 	})
 }
@@ -692,9 +831,11 @@ func (s *streamExec) minusRight(x *cMinus, free int) *rowbuf {
 		return r
 	}
 	right := &rowbuf{stride: s.ex.nslots}
-	s.streamGroup(x.inner, make([]store.ID, s.ex.nslots), free, func(r []store.ID, _ int) bool {
-		right.add(r)
-		return true
+	s.streamGroup(x.inner, make([]store.ID, s.ex.nslots), free, func(r []store.ID, _ int, rn idRun) bool {
+		return each(r, rn, func() bool {
+			right.add(r)
+			return true
+		})
 	})
 	s.minus[x] = right
 	return right

@@ -173,12 +173,21 @@ type trippingReader struct {
 	ts *trippingStore
 }
 
-func (r trippingReader) MatchIDs(pat store.IDPattern, fn func(s, p, o store.ID) bool) bool {
-	return r.ReaderAPI.MatchIDs(pat, func(s, p, o store.ID) bool {
-		if r.ts.scanned++; r.ts.scanned == r.ts.after {
-			r.ts.cancel()
+// Runs hands each run on one ID at a time, so the trip lands on the
+// after-th triple, not on the run that holds it.
+func (r trippingReader) Runs(pat store.IDPattern, fn func(store.Run) bool) error {
+	return r.ReaderAPI.Runs(pat, func(rn store.Run) bool {
+		for i := range rn.IDs {
+			if r.ts.scanned++; r.ts.scanned == r.ts.after {
+				r.ts.cancel()
+			}
+			one := rn
+			one.IDs = rn.IDs[i : i+1]
+			if !fn(one) {
+				return false
+			}
 		}
-		return fn(s, p, o)
+		return true
 	})
 }
 

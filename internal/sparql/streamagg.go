@@ -74,6 +74,19 @@ func (e *slotExpr) id(ex *idExec, r []store.ID) store.ID {
 	return r[e.slot]
 }
 
+// markReads sets reads[s] for every slot the expression reads.
+func (e *slotExpr) markReads(reads []bool) {
+	if e.expr == nil {
+		if e.slot >= 0 {
+			reads[e.slot] = true
+		}
+		return
+	}
+	for _, vs := range e.vars {
+		reads[vs.slot] = true
+	}
+}
+
 func (e *slotExpr) eval(ex *idExec, r []store.ID) store.ID {
 	t, err := EvalExpr(e.expr, ex.bindScratch(e.vars, r))
 	if err != nil {
@@ -204,10 +217,20 @@ type streamAgg struct {
 	groups idTable    // key tuples; a group's index is its place in order
 	order  []aggGroup // first-appearance order
 	keyBuf []store.ID
+	perRow bool // an aggregate other than a plain count: a run's rows are folded one by one
+}
+
+// plainCount reports whether the aggregate is COUNT(*) or COUNT(?x)
+// without DISTINCT: a count of rows, which a run adds in one step.
+func (s *aggSpec) plainCount() bool {
+	return s.fn == aggCount && !s.distinct && s.arg.expr == nil
 }
 
 func newStreamAgg(ex *idExec, spec *groupSpec) *streamAgg {
 	a := &streamAgg{ex: ex, spec: spec, groups: idTable{width: len(spec.keys)}, keyBuf: make([]store.ID, len(spec.keys))}
+	for i := range spec.aggs {
+		a.perRow = a.perRow || !spec.aggs[i].plainCount()
+	}
 	if len(spec.keys) == 0 {
 		// a grouped query without GROUP BY has exactly one group, present
 		// even over zero rows (COUNT(*) = 0)
@@ -235,20 +258,45 @@ func (a *streamAgg) group(r []store.ID) *aggGroup {
 	return g
 }
 
-// add folds one pipeline row into its group's accumulators. One loop, no
-// call per aggregate: at ~20 ns a row for the whole pipeline, a call is
-// what a COUNT costs.
-func (a *streamAgg) add(r []store.ID) {
+// add folds one pipeline row into its group's accumulators.
+func (a *streamAgg) add(r []store.ID) { a.fold(a.group(r), r, 1) }
+
+// addRun folds a run — r with slot set to each of ids in turn, r holding
+// the first — into one group: no key reads slot, so the run costs one
+// lookup, and its first row is the group's first row if the group is
+// new. A plain count adds the run's length; every other aggregate folds
+// the rows in order.
+func (a *streamAgg) addRun(r []store.ID, slot int, ids []store.ID) {
 	g := a.group(r)
+	a.fold(g, r, int64(len(ids)))
+	if a.perRow {
+		for _, id := range ids[1:] {
+			r[slot] = id
+			a.fold(g, r, 0)
+		}
+	}
+}
+
+// fold folds row r into g's accumulators. n is how many rows r stands for
+// in a plain count: 1 for a single row, a run's length for its first row
+// and 0 for the rest, which only the other aggregates read. COUNT(?x)
+// may count the whole run off its first row because a run binds ?x on
+// every row or on none: ?x is either the run's own variable, bound
+// throughout, or one all its rows share. One loop, no call per
+// aggregate: at ~20 ns a row for the whole pipeline, a call is what a
+// COUNT costs.
+func (a *streamAgg) fold(g *aggGroup, r []store.ID, n int64) {
 	for i := range a.spec.aggs {
 		s, acc := &a.spec.aggs[i], &g.accs[i]
-		if s.star {
-			if !s.distinct {
-				acc.n++
-				continue
+		if s.plainCount() {
+			if n > 0 && (s.star || s.arg.id(a.ex, r) != store.NoID) {
+				acc.n += n
 			}
-			// slot order is fixed per plan, so equal rows are equal
-			// solutions
+			continue
+		}
+		if s.star {
+			// COUNT(DISTINCT *): slot order is fixed per plan, so equal
+			// rows are equal solutions
 			if acc.seen == nil {
 				acc.seen = &idTable{width: len(r)}
 			}

@@ -78,6 +78,27 @@ func (h *rowTopK) offer(r []store.ID, key OrderKey) {
 	h.down(0)
 }
 
+// offerRun considers a run of rows that share one sort key — r with
+// rn.slot, which no condition reads, set to each of rn.ids in turn; r
+// alone for a single row — in arrival order. Once the heap is full, a
+// row whose key does not sort strictly before the worst retained one is
+// dropped, and so is the rest of its run: the worst only improves, and a
+// later arrival never wins a tie. The arrival counter still advances past
+// the dropped rows, so ties resolve exactly as they would row by row.
+func (h *rowTopK) offerRun(r []store.ID, rn idRun, key OrderKey) {
+	n := max(len(rn.ids), 1)
+	for i := 0; i < n; i++ {
+		if len(h.es) >= h.k && (h.k <= 0 || CompareOrderKeys(h.conds, key, h.es[0].key) >= 0) {
+			h.next += int64(n - i)
+			return
+		}
+		if rn.slot >= 0 {
+			r[rn.slot] = rn.ids[i]
+		}
+		h.offer(r, key)
+	}
+}
+
 func (h *rowTopK) up(i int) {
 	for i > 0 {
 		p := (i - 1) / 2

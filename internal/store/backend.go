@@ -17,9 +17,9 @@ import (
 // ReaderAPI is the ID-level read seam every storage tier implements: a
 // stable, read-only view of one store state. *Reader (the in-memory
 // tier) and disk.Reader (the persistent tier) are the implementations.
-// Implementations must be safe for concurrent readers; MatchIDs
-// iteration order is part of the contract — the sorted key order of
-// the permutation index the pattern shape selects — so the two tiers
+// Implementations must be safe for concurrent readers; Runs iteration
+// order is part of the contract — the sorted key order of the
+// permutation index the pattern shape selects — so the two tiers
 // enumerate identical corpora identically.
 type ReaderAPI interface {
 	// Term materializes the term for a store-issued ID. It panics on
@@ -50,13 +50,70 @@ type ReaderAPI interface {
 	PredicatesBetween(s, o ID) []ID
 	// HasID reports whether the triple (s, p, o) is present.
 	HasID(s, p, o ID) bool
-	// MatchIDs streams matching triples as IDs in the index order of
-	// the pattern shape; returning false from fn stops early and
-	// MatchIDs reports whether iteration ran to completion.
+	// Runs hands fn the pattern's matches as runs (see Run), in the
+	// index order of the pattern shape; returning false from fn stops
+	// early. The error is the scan's: a tier that could not read part
+	// of the range says so rather than return a short answer.
+	Runs(pat IDPattern, fn func(Run) bool) error
+	// MatchIDs is EachTriple over the view, and every tier implements
+	// it by calling EachTriple: Runs is the one scan. It stays on the
+	// interface because the benchmark harness (bench/layers.go) times
+	// per-triple scans of a disk snapshot through it.
 	MatchIDs(pat IDPattern, fn func(s, p, o ID) bool) bool
 	// CardinalityIDs returns the exact number of triples matching the
 	// pattern.
 	CardinalityIDs(pat IDPattern) int
+}
+
+// Pos names a position of a triple.
+type Pos uint8
+
+const (
+	PosS Pos = iota
+	PosP
+	PosO
+)
+
+// A Run is the matches of a pattern that agree on every position but the
+// last key of the permutation index the pattern's shape selects: the
+// triple (S, P, O) with position At taking each of IDs in turn, and NoID
+// in At itself. IDs is sorted, non-empty and valid for the call only: the
+// memory tier passes a postings list, the disk tier a reused buffer.
+type Run struct {
+	S, P, O ID
+	At      Pos
+	IDs     []ID
+}
+
+// pos returns the run's ID in position at.
+func (rn *Run) pos(at Pos) *ID {
+	switch at {
+	case PosS:
+		return &rn.S
+	case PosP:
+		return &rn.P
+	}
+	return &rn.O
+}
+
+// EachTriple hands fn, one triple at a time, every match Runs finds for
+// the pattern, in the same order; returning false from fn stops early.
+// It reports whether the iteration ran to completion: false when fn
+// stopped it or the scan failed. It is the one per-triple reader.
+func EachTriple(r ReaderAPI, pat IDPattern, fn func(s, p, o ID) bool) bool {
+	done := true
+	err := r.Runs(pat, func(rn Run) bool {
+		at := rn.pos(rn.At)
+		for _, id := range rn.IDs {
+			*at = id
+			if !fn(rn.S, rn.P, rn.O) {
+				done = false
+				return false
+			}
+		}
+		return true
+	})
+	return done && err == nil
 }
 
 // Queryable is the surface the SPARQL engines execute against: an
@@ -137,7 +194,7 @@ func MatchOn(r ReaderAPI, pat Pattern, fn func(rdf.Triple) bool) {
 	if !ok {
 		return
 	}
-	r.MatchIDs(ip, func(a, b, c ID) bool {
+	EachTriple(r, ip, func(a, b, c ID) bool {
 		return fn(rdf.Triple{S: r.Term(a), P: r.Term(b), O: r.Term(c)})
 	})
 }

@@ -324,7 +324,7 @@ func (s *Store) resolveDeletedRolesLocked() {
 // CopyFrom replicates the full content of a ReaderAPI view into this
 // (empty) store, preserving the source's ID assignment: terms are
 // interned in source-ID order and triples land in SPO order. The two
-// tiers end up bit-compatible — every MatchIDs shape enumerates the
+// tiers end up bit-compatible — every Runs shape enumerates the
 // same IDs in the same order — which is what lets the differential
 // tests compare exact row sequences, tie orders included.
 func (s *Store) CopyFrom(src store.ReaderAPI) error {
@@ -344,12 +344,15 @@ func (s *Store) CopyFrom(src store.ReaderAPI) error {
 		}
 	}
 	var ierr error
-	src.MatchIDs(store.IDPattern{}, func(a, b, c store.ID) bool {
+	done := store.EachTriple(src, store.IDPattern{}, func(a, b, c store.ID) bool {
 		_, ierr = s.insertIDsLocked(a, b, c)
 		return ierr == nil
 	})
 	if ierr != nil {
 		return ierr
+	}
+	if !done {
+		return fmt.Errorf("disk: CopyFrom: the source scan failed")
 	}
 	return s.flushLocked()
 }

@@ -11,8 +11,8 @@ import (
 
 // Reader is a stable ID-level view over one KV snapshot, implementing
 // store.ReaderAPI. Iteration orders match the in-memory Reader exactly:
-// every MatchIDs shape walks a permutation prefix whose big-endian key
-// order is sorted-ID order.
+// every Runs shape walks a permutation prefix whose big-endian key order
+// is sorted-ID order.
 type Reader struct {
 	snap *kv.Snap
 	meta *meta // shared with other readers of the same commit; read-only
@@ -26,7 +26,13 @@ type Reader struct {
 	// list behind a mutex and not a field because ReaderAPI promises
 	// concurrent readers, and two goroutines must never share a cursor.
 	mu   sync.Mutex
-	idle []*kv.Iter
+	idle []*cursor
+}
+
+// cursor is a standing kv.Iter and the buffer its scans gather runs in.
+type cursor struct {
+	it  *kv.Iter
+	ids []store.ID
 }
 
 // Release drops the standing cursors and the snapshot's segment
@@ -56,24 +62,40 @@ func scanPrefix(it *kv.Iter, prefix string, fn func(k string) bool) bool {
 	return true
 }
 
-// scan is scanPrefix on a standing cursor taken off the idle list for the
-// length of the scan. A cursor that met a read error is not put back.
-func (r *Reader) scan(prefix string, fn func(k string) bool) bool {
+// take hands out a standing cursor, off the idle list or new, for the
+// length of one scan.
+func (r *Reader) take() *cursor {
 	r.mu.Lock()
-	var it *kv.Iter
+	var c *cursor
 	if n := len(r.idle); n > 0 {
-		it, r.idle = r.idle[n-1], r.idle[:n-1]
+		c, r.idle = r.idle[n-1], r.idle[:n-1]
 	}
 	r.mu.Unlock()
-	if it == nil {
-		it = r.snap.Iter()
+	if c == nil {
+		c = &cursor{it: r.snap.Iter()}
 	}
-	done := scanPrefix(it, prefix, fn)
-	if it.Err() == nil {
-		r.mu.Lock()
-		r.idle = append(r.idle, it)
-		r.mu.Unlock()
+	return c
+}
+
+// give ends a scan on c and returns the read error it met, if any. A
+// cursor that met one is not put back.
+func (r *Reader) give(c *cursor) error {
+	if err := c.it.Err(); err != nil {
+		return err
 	}
+	r.mu.Lock()
+	r.idle = append(r.idle, c)
+	r.mu.Unlock()
+	return nil
+}
+
+// scan is scanPrefix on a standing cursor; it reports run-to-completion.
+func (r *Reader) scan(prefix string, fn func(k string) bool) bool {
+	c := r.take()
+	done := scanPrefix(c.it, prefix, fn)
+	// Its callers (the posting accessors, CardinalityIDs) have no error
+	// to return a read failure through (ROADMAP 6(c)); Runs has.
+	_ = r.give(c)
 	return done
 }
 
@@ -155,50 +177,77 @@ func (r *Reader) HasID(s, p, o store.ID) bool {
 	return ok
 }
 
-// scanTriples walks a permutation range, handing fn the three key
-// components in permutation order; it reports run-to-completion.
-func (r *Reader) scanTriples(prefix string, fn func(a, b, c store.ID) bool) bool {
-	return r.scan(prefix, func(k string) bool { return fn(splitTriple(k)) })
-}
+// runMax cuts a run. A run is gathered whole before the executor sees
+// any of it, so the bound is how far past the row where a LIMIT stops a
+// scan may read: at most runMax-1 keys.
+const runMax = 64
 
-// MatchIDs streams matching triples in the same deterministic order as
-// the in-memory Reader: the sorted key order of the permutation the
-// pattern shape selects.
-func (r *Reader) MatchIDs(pat store.IDPattern, fn func(s, p, o store.ID) bool) bool {
+// Runs hands fn the pattern's matches as runs in the same order as the
+// in-memory Reader: consecutive keys of the permutation range the
+// pattern's shape selects that share their first two IDs, gathered into
+// the cursor's buffer and cut at runMax. The error is the scan's; the
+// run it was gathering when a segment failed is not handed out.
+func (r *Reader) Runs(pat store.IDPattern, fn func(store.Run) bool) error {
 	si, pi, oi := pat.S, pat.P, pat.O
+	var prefix string
 	switch {
 	case si != store.NoID && pi != store.NoID && oi != store.NoID:
-		if r.HasID(si, pi, oi) {
-			return fn(si, pi, oi)
-		}
-		return true
+		prefix = tripleKey(kSPO, si, pi, oi)
 	case si != store.NoID && pi != store.NoID:
-		return r.scanTriples(prefix2(kSPO, si, pi), func(_, _, o store.ID) bool {
-			return fn(si, pi, o)
-		})
+		prefix = prefix2(kSPO, si, pi)
 	case pi != store.NoID && oi != store.NoID:
-		return r.scanTriples(prefix2(kPOS, pi, oi), func(_, _, s store.ID) bool {
-			return fn(s, pi, oi)
-		})
+		prefix = prefix2(kPOS, pi, oi)
 	case si != store.NoID && oi != store.NoID:
-		return r.scanTriples(prefix2(kOSP, oi, si), func(_, _, p store.ID) bool {
-			return fn(si, p, oi)
-		})
+		prefix = prefix2(kOSP, oi, si)
 	case si != store.NoID:
-		return r.scanTriples(prefix1(kSPO, si), func(_, p, o store.ID) bool {
-			return fn(si, p, o)
-		})
+		prefix = prefix1(kSPO, si)
 	case pi != store.NoID:
-		return r.scanTriples(prefix1(kPOS, pi), func(_, o, s store.ID) bool {
-			return fn(s, pi, o)
-		})
+		prefix = prefix1(kPOS, pi)
 	case oi != store.NoID:
-		return r.scanTriples(prefix1(kOSP, oi), func(_, s, p store.ID) bool {
-			return fn(s, p, oi)
-		})
+		prefix = prefix1(kOSP, oi)
 	default:
-		return r.scanTriples(string([]byte{kSPO}), fn)
+		prefix = string([]byte{kSPO})
 	}
+	c := r.take()
+	ids := c.ids[:0]
+	var a, b store.ID
+	emit := func() bool {
+		rn := runOf(prefix[0], a, b)
+		rn.IDs, ids = ids, ids[:0]
+		return fn(rn)
+	}
+	done := scanPrefix(c.it, prefix, func(k string) bool {
+		ka, kb, kc := splitTriple(k)
+		if len(ids) > 0 && (ka != a || kb != b || len(ids) == runMax) && !emit() {
+			return false
+		}
+		a, b = ka, kb
+		ids = append(ids, kc)
+		return true
+	})
+	if done && len(ids) > 0 && c.it.Err() == nil {
+		emit()
+	}
+	c.ids = ids[:0]
+	return r.give(c)
+}
+
+// runOf is the run under the two leading IDs of a key of permutation
+// table t.
+func runOf(t byte, a, b store.ID) store.Run {
+	switch t {
+	case kSPO:
+		return store.Run{S: a, P: b, At: store.PosO}
+	case kPOS:
+		return store.Run{P: a, O: b, At: store.PosS}
+	default:
+		return store.Run{O: a, S: b, At: store.PosP}
+	}
+}
+
+// MatchIDs is store.EachTriple over the reader.
+func (r *Reader) MatchIDs(pat store.IDPattern, fn func(s, p, o store.ID) bool) bool {
+	return store.EachTriple(r, pat, fn)
 }
 
 // CardinalityIDs returns the exact number of matching triples. The

@@ -44,18 +44,28 @@ func nestedWalk(r store.ReaderAPI, skip int) []store.ID {
 	return seen
 }
 
-// guardedReader counts the MatchIDs calls in progress on a Reader and
-// records the most that were live when Release ran; guardedStore hands
-// one out as each query's snapshot.
+// guardedReader counts the scans in progress on a Reader and records the
+// most that were live when Release ran; guardedStore hands one out as
+// each query's snapshot. It hands each run on one ID at a time, so a
+// Close lands on the row it names.
 type guardedReader struct {
 	*Reader
 	live, releases, liveAtRelease int
 }
 
-func (g *guardedReader) MatchIDs(pat store.IDPattern, fn func(s, p, o store.ID) bool) bool {
+func (g *guardedReader) Runs(pat store.IDPattern, fn func(store.Run) bool) error {
 	g.live++
 	defer func() { g.live-- }()
-	return g.Reader.MatchIDs(pat, fn)
+	return g.Reader.Runs(pat, func(rn store.Run) bool {
+		for i := range rn.IDs {
+			one := rn
+			one.IDs = rn.IDs[i : i+1]
+			if !fn(one) {
+				return false
+			}
+		}
+		return true
+	})
 }
 
 func (g *guardedReader) Release() {

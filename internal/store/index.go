@@ -133,34 +133,30 @@ func (p *postings) find(b ID) []ID {
 	return nil
 }
 
-// eachLeaf passes the node's leaves to fn in key order — its kids, or the
-// node itself; returning false from fn stops early (and propagates the
-// false).
-func (p *postings) eachLeaf(fn func(leaf *postings) bool) bool {
+// runs hands fn one run per entry of the node, in key order: rn with the
+// entry's key at position key and its list as the IDs. Returning false
+// from fn stops early (and propagates the false).
+func (p *postings) runs(rn Run, key Pos, fn func(Run) bool) bool {
 	if p == nil {
 		return true
 	}
 	if p.kids == nil {
-		return fn(p)
+		return p.leafRuns(rn, key, fn)
 	}
-	for _, k := range p.kids {
-		if !fn(k) {
+	for _, leaf := range p.kids {
+		if !leaf.leafRuns(rn, key, fn) {
 			return false
 		}
 	}
 	return true
 }
 
-// walk passes the (second, third) pairs of one leaf to fn in sorted order;
-// returning false from fn stops early (and propagates the false). It is
-// small enough to inline together with a literal fn, which leaves the
-// caller one call per pair.
-func (p *postings) walk(fn func(b, c ID) bool) bool {
+func (p *postings) leafRuns(rn Run, key Pos, fn func(Run) bool) bool {
 	for _, e := range p.ents {
-		for _, c := range e.list {
-			if !fn(e.key, c) {
-				return false
-			}
+		*rn.pos(key) = e.key
+		rn.IDs = e.list
+		if !fn(rn) {
+			return false
 		}
 	}
 	return true

@@ -6,6 +6,8 @@ package store
 // rdf.Term values.
 
 import (
+	"slices"
+
 	"repro/internal/rdf"
 )
 
@@ -82,58 +84,49 @@ func (r *Reader) HasID(s, p, o ID) bool {
 	return containsSorted(r.spo.lists(s, p), o)
 }
 
-// MatchIDs streams every triple matching the pattern to fn as (subject,
-// predicate, object) IDs. Returning false from fn stops the iteration;
-// MatchIDs reports whether the iteration ran to completion. Iteration
-// order is deterministic: the sorted key order of the chosen index.
-func (r *Reader) MatchIDs(pat IDPattern, fn func(s, p, o ID) bool) bool {
+// Runs hands fn the pattern's matches as runs, in the sorted key order of
+// the permutation index the pattern's shape selects: each run is one
+// postings entry's list, passed with no copy. It never fails.
+func (r *Reader) Runs(pat IDPattern, fn func(Run) bool) error {
 	si, pi, oi := pat.S, pat.P, pat.O
 	switch {
-	case si != NoID && pi != NoID && oi != NoID:
-		if r.HasID(si, pi, oi) {
-			return fn(si, pi, oi)
-		}
-		return true
 	case si != NoID && pi != NoID:
-		for _, o := range r.spo.lists(si, pi) {
-			if !fn(si, pi, o) {
-				return false
+		list := r.spo.lists(si, pi)
+		if oi != NoID { // a membership test: the run of o alone, or nothing
+			i, ok := slices.BinarySearch(list, oi)
+			list = list[i:min(i+1, len(list))]
+			if !ok {
+				list = nil
 			}
 		}
-		return true
+		if len(list) > 0 {
+			fn(Run{S: si, P: pi, At: PosO, IDs: list})
+		}
 	case pi != NoID && oi != NoID:
-		for _, sub := range r.pos.lists(pi, oi) {
-			if !fn(sub, pi, oi) {
-				return false
-			}
+		if list := r.pos.lists(pi, oi); len(list) > 0 {
+			fn(Run{P: pi, O: oi, At: PosS, IDs: list})
 		}
-		return true
 	case si != NoID && oi != NoID:
-		for _, p := range r.osp.lists(oi, si) {
-			if !fn(si, p, oi) {
-				return false
-			}
+		if list := r.osp.lists(oi, si); len(list) > 0 {
+			fn(Run{S: si, O: oi, At: PosP, IDs: list})
 		}
-		return true
 	case si != NoID:
-		return r.spo.get(si).eachLeaf(func(leaf *postings) bool {
-			return leaf.walk(func(p, o ID) bool { return fn(si, p, o) })
-		})
+		r.spo.get(si).runs(Run{S: si, At: PosO}, PosP, fn)
 	case pi != NoID:
-		return r.pos.get(pi).eachLeaf(func(leaf *postings) bool {
-			return leaf.walk(func(o, sub ID) bool { return fn(sub, pi, o) })
-		})
+		r.pos.get(pi).runs(Run{P: pi, At: PosS}, PosO, fn)
 	case oi != NoID:
-		return r.osp.get(oi).eachLeaf(func(leaf *postings) bool {
-			return leaf.walk(func(sub, p ID) bool { return fn(sub, p, oi) })
-		})
+		r.osp.get(oi).runs(Run{O: oi, At: PosP}, PosS, fn)
 	default:
-		return r.spo.each(func(sub ID, ps *postings) bool {
-			return ps.eachLeaf(func(leaf *postings) bool {
-				return leaf.walk(func(p, o ID) bool { return fn(sub, p, o) })
-			})
+		r.spo.each(func(s ID, ps *postings) bool {
+			return ps.runs(Run{S: s, At: PosO}, PosP, fn)
 		})
 	}
+	return nil
+}
+
+// MatchIDs is EachTriple over the reader.
+func (r *Reader) MatchIDs(pat IDPattern, fn func(s, p, o ID) bool) bool {
+	return EachTriple(r, pat, fn)
 }
 
 // CardinalityIDs returns how many triples match the pattern. It is exact
@@ -167,7 +160,7 @@ func (r *Reader) CardinalityIDs(pat IDPattern) int {
 // MatchIDs streams matching triples as IDs from the last published
 // generation. For repeated calls, prefer taking a Reader once.
 func (s *Store) MatchIDs(pat IDPattern, fn func(sub, pred, obj ID) bool) bool {
-	return s.Reader().MatchIDs(pat, fn)
+	return EachTriple(s.Reader(), pat, fn)
 }
 
 // CardinalityIDs returns the exact match count of the ID pattern.

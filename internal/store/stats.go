@@ -21,10 +21,8 @@ func (s *Store) Classes() []ClassStat {
 	r := s.Reader()
 	var out []ClassStat
 	if typeID := r.Lookup(rdf.NewIRI(rdf.RDFType)); typeID != NoID {
-		r.pos.get(typeID).eachLeaf(func(leaf *postings) bool {
-			for _, e := range leaf.ents {
-				out = append(out, ClassStat{Class: r.Term(e.key), Instances: len(e.list)})
-			}
+		r.pos.get(typeID).runs(Run{}, PosO, func(rn Run) bool {
+			out = append(out, ClassStat{Class: r.Term(rn.O), Instances: len(rn.IDs)})
 			return true
 		})
 	}

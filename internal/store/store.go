@@ -8,8 +8,8 @@
 //
 // Two read APIs are exposed. The term-level API (Match, Cardinality, …)
 // materializes rdf.Term values and is convenient for presentation code.
-// The ID-level API (MatchIDs, CardinalityIDs, Reader) stays entirely in
-// the dictionary-encoded space; the SPARQL execution engine runs its join
+// The ID-level API (Runs, CardinalityIDs, Reader) stays entirely in the
+// dictionary-encoded space; the SPARQL execution engine runs its join
 // loops on it so intermediate solutions never re-materialize terms.
 //
 // Everything a read touches is one immutable generation behind one
