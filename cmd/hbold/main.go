@@ -88,6 +88,7 @@ import (
 	"repro/internal/endpoint"
 	"repro/internal/federation"
 	"repro/internal/portal"
+	"repro/internal/rdf"
 	"repro/internal/registry"
 	"repro/internal/sched"
 	"repro/internal/schema"
@@ -247,11 +248,14 @@ func loadTurtle(path string) *store.Store {
 	if err != nil {
 		log.Fatalf("hbold: %v", err)
 	}
-	g, err := turtle.Parse(string(data))
-	if err != nil {
+	// one pass: each parsed triple goes straight into the store, which
+	// drops duplicates and copies a term's strings when it first sees it
+	st := store.New()
+	if err := turtle.Each(string(data), func(t rdf.Triple) { st.Add(t) }); err != nil {
 		log.Fatalf("hbold: %v", err)
 	}
-	return store.FromGraph(g)
+	st.Flush()
+	return st
 }
 
 // newTool builds the core instance for serve/daemon: memory-only by

@@ -192,7 +192,7 @@ func (t Term) Bool() (bool, bool) {
 func (t Term) String() string {
 	switch t.Kind {
 	case KindIRI:
-		return "<" + t.Value + ">"
+		return "<" + escapeIRI(t.Value) + ">"
 	case KindBlank:
 		return "_:" + t.Value
 	case KindLiteral:
@@ -205,7 +205,7 @@ func (t Term) String() string {
 			b.WriteString(t.Lang)
 		} else if t.Datatype != "" {
 			b.WriteString("^^<")
-			b.WriteString(t.Datatype)
+			b.WriteString(escapeIRI(t.Datatype))
 			b.WriteByte('>')
 		}
 		return b.String()
@@ -273,15 +273,17 @@ func (t Term) LocalName() string {
 	return v
 }
 
-// EscapeLiteral escapes a literal lexical form for N-Triples output.
+// EscapeLiteral escapes a literal lexical form for N-Triples output. It
+// works byte by byte, so bytes that are not valid UTF-8 are written back
+// unchanged.
 func EscapeLiteral(s string) string {
 	if !strings.ContainsAny(s, "\"\\\n\r\t") {
 		return s
 	}
 	var b strings.Builder
 	b.Grow(len(s) + 8)
-	for _, r := range s {
-		switch r {
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; c {
 		case '"':
 			b.WriteString(`\"`)
 		case '\\':
@@ -293,10 +295,42 @@ func EscapeLiteral(s string) string {
 		case '\t':
 			b.WriteString(`\t`)
 		default:
-			b.WriteRune(r)
+			b.WriteByte(c)
 		}
 	}
 	return b.String()
+}
+
+// escapeIRI writes, as \u00XX, the characters the N-Triples IRIREF
+// production excludes: #x00-#x20 and <>"{}|^`\. The Turtle parser accepts
+// some of them raw, and decodes \u escapes, so every IRI it accepts is
+// written back as one it reads to the same IRI. All of them are ASCII, so
+// the scan is byte by byte and leaves other bytes alone.
+func escapeIRI(s string) string {
+	n := 0
+	for i := 0; i < len(s); i++ {
+		if iriExcluded(s[i]) {
+			n++
+		}
+	}
+	if n == 0 {
+		return s
+	}
+	const hex = "0123456789ABCDEF"
+	b := make([]byte, 0, len(s)+5*n)
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if iriExcluded(c) {
+			b = append(b, '\\', 'u', '0', '0', hex[c>>4], hex[c&15])
+		} else {
+			b = append(b, c)
+		}
+	}
+	return string(b)
+}
+
+func iriExcluded(c byte) bool {
+	return c <= ' ' || strings.IndexByte("<>\"{}|^`\\", c) >= 0
 }
 
 // Triple is a single RDF statement. It is comparable.

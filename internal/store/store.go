@@ -19,6 +19,7 @@ package store
 
 import (
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -48,6 +49,9 @@ type Store struct {
 	// dictMu is held for one map operation at a time.
 	dictMu sync.RWMutex
 	dict   map[rdf.Term]ID
+	// slab is where intern copies a new term's strings: one allocation
+	// for many of them, appended to and never rewritten (see copyString).
+	slab strings.Builder
 
 	// mu serializes writers; it is held for one Add, Remove or Flush.
 	mu    sync.Mutex
@@ -76,10 +80,19 @@ func FromGraph(g *rdf.Graph) *Store {
 
 // intern returns the ID for t, assigning a new one if needed. Only the
 // writer changes the dictionary, so its own reads need no lock.
+//
+// A new term is stored with strings of its own. A caller's strings may be
+// slices of something much larger — a parsed document (turtle.Each hands
+// out substrings of it) or a query text — that the dictionary would
+// otherwise keep reachable for the store's lifetime. A term the
+// dictionary already knows costs one map probe and no copy.
 func (s *Store) intern(t rdf.Term) ID {
 	if id, ok := s.dict[t]; ok {
 		return id
 	}
+	t.Value = s.copyString(t.Value)
+	t.Datatype = s.copyString(t.Datatype)
+	t.Lang = s.copyString(t.Lang)
 	// past every published length: readers never see the new element
 	s.work.terms = append(s.work.terms, t)
 	id := ID(len(s.work.terms))
@@ -87,6 +100,33 @@ func (s *Store) intern(t rdf.Term) ID {
 	s.dict[t] = id
 	s.dictMu.Unlock()
 	return id
+}
+
+// Strings are copied into slabs that double from 512 B up to 64 KiB, so a
+// copy is usually a memmove rather than an allocation. A slab is never
+// written where a string already lies, and terms are never reclaimed, so
+// a slab lives as long as the store does; what it wastes is its unused
+// tail, shorter than slabStringMax.
+const (
+	slabMin = 512
+	slabMax = 64 << 10
+	// a string longer than this gets an allocation of its own
+	slabStringMax = slabMax / 16
+)
+
+// copyString returns a copy of v that shares no memory with the caller's.
+func (s *Store) copyString(v string) string {
+	if len(v) > slabStringMax {
+		return strings.Clone(v)
+	}
+	if s.slab.Cap()-s.slab.Len() < len(v) {
+		size := min(max(2*s.slab.Cap(), slabMin), slabMax)
+		s.slab = strings.Builder{}
+		s.slab.Grow(size)
+	}
+	n := s.slab.Len()
+	s.slab.WriteString(v)
+	return s.slab.String()[n:]
 }
 
 // Lookup returns the ID of t, or NoID if the store has never seen it.

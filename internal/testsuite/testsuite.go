@@ -26,6 +26,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/rdf"
 	"repro/internal/sparql"
 	"repro/internal/sparql/reference"
 	"repro/internal/sparql/results"
@@ -108,11 +109,13 @@ func loadStore(t *testing.T, path string) *store.Store {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := turtle.Parse(string(raw))
-	if err != nil {
+	// the loader hbold sparqld runs: Each straight into Add, one Flush
+	st := store.New()
+	if err := turtle.Each(string(raw), func(tr rdf.Triple) { st.Add(tr) }); err != nil {
 		t.Fatalf("%s: %v", path, err)
 	}
-	return store.FromGraph(g)
+	st.Flush()
+	return st
 }
 
 // engineResults runs the query through the executor and the reference

@@ -2,12 +2,16 @@
 // N-Triples RDF serialization formats.
 //
 // The supported Turtle subset covers everything the rest of the system
-// emits or consumes: @prefix / PREFIX directives, @base, prefixed names,
+// emits or consumes: @prefix / @base and the SPARQL-style PREFIX / BASE
+// directives (the latter in any case), prefixed names,
 // IRIs, the "a" keyword, predicate lists (";"), object lists (","), blank
 // node labels, anonymous blank nodes ("[ ... ]"), string literals with
 // escapes (single- and triple-quoted), language tags, datatype annotations,
 // numeric shorthand (integer, decimal, double) and boolean shorthand.
 // RDF collections ("( ... )") are expanded to rdf:first/rdf:rest chains.
+//
+// Each streams a document's triples to a callback in one pass; Parse
+// collects them into an rdf.Graph.
 package turtle
 
 import (
@@ -25,23 +29,37 @@ type Parser struct {
 	line     int
 	prefixes *rdf.PrefixMap
 	base     string
-	graph    *rdf.Graph
+	emit     func(rdf.Triple)
 	bnodeSeq int
 }
 
-// Parse parses a Turtle (or N-Triples) document and returns the resulting
-// graph.
-func Parse(src string) (*rdf.Graph, error) {
+// Each parses a Turtle (or N-Triples) document and hands every triple to
+// emit, in one pass and without building a graph.
+//
+// Triples arrive in document order, duplicates included. Their strings
+// may share src's memory: an IRI or a string with no escape is a
+// substring of src, so whoever keeps such a term keeps the whole
+// document reachable unless it copies the strings (the store's
+// dictionary does). When Each returns an error, the triples before the
+// error have already been emitted.
+func Each(src string, emit func(rdf.Triple)) error {
 	p := &Parser{
 		src:      src,
 		line:     1,
 		prefixes: rdf.NewPrefixMap(),
-		graph:    rdf.NewGraph(),
+		emit:     emit,
 	}
-	if err := p.run(); err != nil {
+	return p.run()
+}
+
+// Parse parses a Turtle (or N-Triples) document and returns the resulting
+// graph, duplicates dropped.
+func Parse(src string) (*rdf.Graph, error) {
+	g := rdf.NewGraph()
+	if err := Each(src, func(t rdf.Triple) { g.Add(t) }); err != nil {
 		return nil, err
 	}
-	return p.graph, nil
+	return g, nil
 }
 
 // MustParse parses src and panics on error. Intended for fixtures in tests
@@ -71,10 +89,11 @@ func (p *Parser) run() error {
 }
 
 func (p *Parser) statement() error {
-	if p.peekString("@prefix") || p.peekKeyword("PREFIX") {
+	// the SPARQL-style keywords are case-insensitive, the @-forms are not
+	if p.peekString("@prefix") || p.peekKeyword("PREFIX", true) {
 		return p.prefixDirective()
 	}
-	if p.peekString("@base") || p.peekKeyword("BASE") {
+	if p.peekString("@base") || p.peekKeyword("BASE", true) {
 		return p.baseDirective()
 	}
 	return p.triples()
@@ -164,7 +183,7 @@ func (p *Parser) predicateObjectList(subj rdf.Term) error {
 			if err != nil {
 				return err
 			}
-			p.graph.AddSPO(subj, pred, obj)
+			p.emit(rdf.Triple{S: subj, P: pred, O: obj})
 			p.skipWS()
 			if p.peek() == ',' {
 				p.pos++
@@ -255,10 +274,10 @@ func (p *Parser) object() (rdf.Term, error) {
 		return p.literal()
 	case c == '+' || c == '-' || (c >= '0' && c <= '9'):
 		return p.numericLiteral()
-	case p.peekKeyword("true"):
+	case p.peekKeyword("true", false):
 		p.pos += 4
 		return rdf.NewBoolean(true), nil
-	case p.peekKeyword("false"):
+	case p.peekKeyword("false", false):
 		p.pos += 5
 		return rdf.NewBoolean(false), nil
 	default:
@@ -320,12 +339,12 @@ func (p *Parser) collection() (rdf.Term, error) {
 		if i == 0 {
 			head = node
 		} else {
-			p.graph.AddSPO(prev, rest, node)
+			p.emit(rdf.Triple{S: prev, P: rest, O: node})
 		}
-		p.graph.AddSPO(node, first, item)
+		p.emit(rdf.Triple{S: node, P: first, O: item})
 		prev = node
 	}
-	p.graph.AddSPO(prev, rest, nilIRI)
+	p.emit(rdf.Triple{S: prev, P: rest, O: nilIRI})
 	return head, nil
 }
 
@@ -349,38 +368,39 @@ func (p *Parser) blankLabel() (rdf.Term, error) {
 	return rdf.NewBlank(p.src[start:p.pos]), nil
 }
 
+// iriRef reads an IRIREF. Without an escape the IRI is a substring of the
+// document; the grammar allows only \u and \U escapes here, since ECHARs
+// such as \n belong to strings.
 func (p *Parser) iriRef() (string, error) {
 	if !p.consume('<') {
 		return "", p.errf("expected '<'")
 	}
 	var b strings.Builder
-	for {
-		if p.eof() {
-			return "", p.errf("unterminated IRI")
-		}
-		c := p.src[p.pos]
-		if c == '>' {
+	from := p.pos
+	for !p.eof() {
+		switch p.src[p.pos] {
+		case '>':
+			iri := p.token(&b, from)
 			p.pos++
-			iri := b.String()
 			if p.base != "" && !strings.Contains(iri, ":") {
 				iri = p.base + iri
 			}
 			return iri, nil
-		}
-		if c == '\\' {
-			r, err := p.unescape()
-			if err != nil {
+		case '\\':
+			if p.pos+1 < len(p.src) && p.src[p.pos+1] != 'u' && p.src[p.pos+1] != 'U' {
+				return "", p.errf("escape \\%c in IRI (only \\u and \\U are allowed)", p.src[p.pos+1])
+			}
+			if err := p.unescapeInto(&b, from); err != nil {
 				return "", err
 			}
-			b.WriteRune(r)
+			from = p.pos
 			continue
-		}
-		if c == '\n' {
+		case '\n':
 			return "", p.errf("newline in IRI")
 		}
-		b.WriteByte(c)
 		p.pos++
 	}
+	return "", p.errf("unterminated IRI")
 }
 
 func (p *Parser) prefixLabel() (string, error) {
@@ -489,60 +509,79 @@ func (p *Parser) literal() (rdf.Term, error) {
 	return rdf.NewLiteral(lex), nil
 }
 
+// shortString reads a single-quoted string; like iriRef it returns a
+// substring of the document unless the string holds an escape.
 func (p *Parser) shortString(quote byte) (string, error) {
 	p.pos++ // opening quote
 	var b strings.Builder
-	for {
-		if p.eof() {
-			return "", p.errf("unterminated string")
-		}
-		c := p.src[p.pos]
-		switch c {
+	from := p.pos
+	for !p.eof() {
+		switch p.src[p.pos] {
 		case quote:
+			lex := p.token(&b, from)
 			p.pos++
-			return b.String(), nil
+			return lex, nil
 		case '\\':
-			r, err := p.unescape()
-			if err != nil {
+			if err := p.unescapeInto(&b, from); err != nil {
 				return "", err
 			}
-			b.WriteRune(r)
+			from = p.pos
+			continue
 		case '\n':
 			return "", p.errf("newline in single-quoted string")
-		default:
-			b.WriteByte(c)
-			p.pos++
 		}
+		p.pos++
 	}
+	return "", p.errf("unterminated string")
 }
 
 func (p *Parser) longString(quote byte) (string, error) {
 	p.pos += 3
-	closer := strings.Repeat(string(quote), 3)
+	closer := p.src[p.pos-3 : p.pos]
 	var b strings.Builder
-	for {
-		if p.eof() {
-			return "", p.errf("unterminated long string")
-		}
-		if strings.HasPrefix(p.src[p.pos:], closer) {
+	from := p.pos
+	for !p.eof() {
+		switch c := p.src[p.pos]; {
+		case c == quote && strings.HasPrefix(p.src[p.pos:], closer):
+			lex := p.token(&b, from)
 			p.pos += 3
-			return b.String(), nil
-		}
-		c := p.src[p.pos]
-		if c == '\\' {
-			r, err := p.unescape()
-			if err != nil {
+			return lex, nil
+		case c == '\\':
+			if err := p.unescapeInto(&b, from); err != nil {
 				return "", err
 			}
-			b.WriteRune(r)
+			from = p.pos
 			continue
-		}
-		if c == '\n' {
+		case c == '\n':
 			p.line++
 		}
-		b.WriteByte(c)
 		p.pos++
 	}
+	return "", p.errf("unterminated long string")
+}
+
+// token returns the token text that ends at p.pos: b holds it decoded up
+// to the end of its last escape, and src[from:p.pos] is the rest. With no
+// escape b is empty (every escape writes at least one byte) and the text
+// is that substring of the document, uncopied.
+func (p *Parser) token(b *strings.Builder, from int) string {
+	if b.Len() == 0 {
+		return p.src[from:p.pos]
+	}
+	b.WriteString(p.src[from:p.pos])
+	return b.String()
+}
+
+// unescapeInto moves the pending text src[from:p.pos] into b, then decodes
+// the escape at p.pos into it.
+func (p *Parser) unescapeInto(b *strings.Builder, from int) error {
+	b.WriteString(p.src[from:p.pos])
+	r, err := p.unescape()
+	if err != nil {
+		return err
+	}
+	b.WriteRune(r)
+	return nil
 }
 
 func (p *Parser) unescape() (rune, error) {
@@ -672,16 +711,21 @@ func (p *Parser) peekString(s string) bool {
 	return strings.HasPrefix(p.src[p.pos:], s)
 }
 
-// peekKeyword matches a case-sensitive keyword followed by a non-name char.
-func (p *Parser) peekKeyword(kw string) bool {
-	if !strings.HasPrefix(p.src[p.pos:], kw) {
+// peekKeyword matches a keyword, ignoring case if fold, that is not the
+// start of a longer name: "base:x" is a prefixed name, not BASE.
+func (p *Parser) peekKeyword(kw string, fold bool) bool {
+	end := p.pos + len(kw)
+	if end > len(p.src) {
 		return false
 	}
-	end := p.pos + len(kw)
-	if end >= len(p.src) {
+	if w := p.src[p.pos:end]; w != kw && !(fold && strings.EqualFold(w, kw)) {
+		return false
+	}
+	if end == len(p.src) {
 		return true
 	}
-	return !isPNChar(rune(p.src[end]))
+	c := p.src[end]
+	return !isPNChar(rune(c)) && c != ':' && c != '-'
 }
 
 func (p *Parser) skipWS() {

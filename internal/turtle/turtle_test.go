@@ -51,14 +51,35 @@ ex:alice a ex:Person ;
 }
 
 func TestParseSPARQLStylePrefix(t *testing.T) {
-	src := `PREFIX ex: <http://ex/>
-ex:a ex:p ex:b .`
-	g, err := Parse(src)
-	if err != nil {
-		t.Fatal(err)
+	// PREFIX and BASE are case-insensitive; "base:" and "prefix:" used as
+	// prefixes are names, not the keywords
+	for _, src := range []string{
+		"PREFIX ex: <http://ex/>\nex:a ex:p ex:b .",
+		"prefix ex: <http://ex/>\nex:a ex:p ex:b .",
+		"Prefix ex: <http://ex/>\nex:a ex:p ex:b .",
+		"base <http://ex/>\nPREFIX ex: <>\nex:a ex:p ex:b .",
+		"BaSe <http://ex/>\n<a> <p> <b> .",
+		"@prefix base: <http://ex/> .\nbase:a base:p base:b .",
+		"@prefix prefix: <http://ex/> .\nprefix:a prefix:p prefix:b .",
+	} {
+		g, err := Parse(src)
+		if err != nil {
+			t.Errorf("Parse(%q): %v", src, err)
+			continue
+		}
+		want := rdf.NewTriple(rdf.NewIRI("http://ex/a"), rdf.NewIRI("http://ex/p"), rdf.NewIRI("http://ex/b"))
+		if g.Len() != 1 || !g.Has(want) {
+			t.Errorf("Parse(%q) = %v, want %v", src, g.Triples(), want)
+		}
 	}
-	if g.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", g.Len())
+	// the @-forms stay case-sensitive
+	for _, src := range []string{
+		"@PREFIX ex: <http://ex/> .\nex:a ex:p ex:b .",
+		"@Base <http://ex/> .\n<a> <p> <b> .",
+	} {
+		if _, err := Parse(src); err == nil {
+			t.Errorf("Parse(%q) should fail", src)
+		}
 	}
 }
 
@@ -340,4 +361,127 @@ func TestMustParsePanics(t *testing.T) {
 		}
 	}()
 	MustParse("not turtle at all <<<")
+}
+
+// The substring fast path and the escape-decoding path must agree: a
+// token spelled with escapes parses to the same term as its plain twin.
+func TestParseEscapedTwins(t *testing.T) {
+	cases := []struct{ plain, escaped string }{
+		{`<http://ex/a> <http://ex/p> "x" .`, `<\u0068ttp://ex/a> <http://ex/p> "x" .`},
+		{`<http://ex/a> <http://ex/p> "x" .`, `<http://ex/\U00000061> <http://ex/p> "x" .`},
+		{`<http://ex/a> <http://ex/p> "ab" .`, `<http://ex/a> <http://ex/p> "\u0061b" .`},
+		{`<http://ex/a> <http://ex/p> "ab" .`, `<http://ex/a> <http://ex/p> "a\u0062" .`},
+		{`<http://ex/a> <http://ex/p> 'ab' .`, `<http://ex/a> <http://ex/p> '\u0061\u0062' .`},
+		{`<http://ex/a> <http://ex/p> """a"b""" .`, `<http://ex/a> <http://ex/p> """a\"b""" .`},
+		{`<http://ex/a> <http://ex/p> "x"^^<http://ex/dt> .`, `<http://ex/a> <http://ex/p> "x"^^<http://ex/\u0064t> .`},
+	}
+	for _, c := range cases {
+		a, err := Parse(c.plain)
+		if err != nil {
+			t.Fatalf("Parse(%q): %v", c.plain, err)
+		}
+		b, err := Parse(c.escaped)
+		if err != nil {
+			t.Fatalf("Parse(%q): %v", c.escaped, err)
+		}
+		if a.Triples()[0] != b.Triples()[0] {
+			t.Errorf("%q parses to %v, its twin %q to %v", c.plain, a.Triples()[0], c.escaped, b.Triples()[0])
+		}
+	}
+}
+
+// Every IRI the parser accepts survives N-Triples write -> parse. An
+// IRIREF takes only \u and \U escapes; the writer escapes what the IRIREF
+// production excludes, including raw characters the parser tolerates.
+func TestIRIRoundTrip(t *testing.T) {
+	rejected := []string{
+		`<http://ex/a\n> <http://ex/p> "x" .`,
+		`<http://ex/a\t> <http://ex/p> "x" .`,
+		`<http://ex/a\\> <http://ex/p> "x" .`,
+		`<http://ex/a\>> <http://ex/p> "x" .`,
+		`<http://ex/a> <http://ex/p> "x"^^<http://ex/d\n> .`,
+	}
+	for _, src := range rejected {
+		if _, err := Parse(src); err == nil {
+			t.Errorf("Parse(%q) should fail: an IRIREF takes only \\u and \\U escapes", src)
+		}
+	}
+	cases := []struct {
+		src string
+		iri string // the subject IRI it parses to
+		nt  string // the subject as N-Triples writes it
+		lit string // the object as N-Triples writes it, if not "x"
+	}{
+		{src: `<http://ex/a\u000A> <http://ex/p> "x" .`, iri: "http://ex/a\n", nt: `<http://ex/a\u000A>`},
+		{src: `<http://ex/a b> <http://ex/p> "x" .`, iri: "http://ex/a b", nt: `<http://ex/a\u0020b>`},
+		{src: "<http://ex/a\tb> <http://ex/p> \"x\" .", iri: "http://ex/a\tb", nt: `<http://ex/a\u0009b>`},
+		{src: "<http://ex/{a}|^`> <http://ex/p> \"x\" .", iri: "http://ex/{a}|^`", nt: `<http://ex/\u007Ba\u007D\u007C\u005E\u0060>`},
+		{src: `<http://ex/\u003Ca\u003E\u0022\u005C> <http://ex/p> "x" .`, iri: `http://ex/<a>"\`, nt: `<http://ex/\u003Ca\u003E\u0022\u005C>`},
+		{src: `<http://ex/é> <http://ex/p> "x" .`, iri: "http://ex/é", nt: `<http://ex/é>`},
+		{
+			src: `<http://ex/a> <http://ex/p> "x"^^<http://ex/d t> .`, iri: "http://ex/a", nt: `<http://ex/a>`,
+			lit: `"x"^^<http://ex/d\u0020t>`,
+		},
+	}
+	for _, c := range cases {
+		g, err := Parse(c.src)
+		if err != nil {
+			t.Errorf("Parse(%q): %v", c.src, err)
+			continue
+		}
+		tr := g.Triples()[0]
+		if tr.S.Value != c.iri {
+			t.Errorf("Parse(%q) subject = %q, want %q", c.src, tr.S.Value, c.iri)
+		}
+		lit := c.lit
+		if lit == "" {
+			lit = `"x"`
+		}
+		want := c.nt + " <http://ex/p> " + lit + " .\n"
+		out := WriteNTriples(g)
+		if out != want {
+			t.Errorf("WriteNTriples(Parse(%q)) = %q, want %q", c.src, out, want)
+		}
+		g2, err := Parse(out)
+		if err != nil {
+			t.Errorf("reparse of %q: %v", out, err)
+			continue
+		}
+		if g2.Len() != 1 || !g2.Has(tr) {
+			t.Errorf("round trip of %q changed %v into %v", c.src, tr, g2.Triples())
+		}
+	}
+}
+
+// Each hands over every triple in document order, duplicates and the
+// triples a collection or blank-node property list adds included, and
+// stops at the first error having emitted what came before it.
+func TestEachStreams(t *testing.T) {
+	src := `@prefix ex: <http://ex/> .
+ex:a ex:p ex:b .
+ex:a ex:p ex:b .
+ex:c ex:q [ ex:r ex:d ] .
+ex:e ex:s (ex:f) .`
+	var got []string
+	if err := Each(src, func(tr rdf.Triple) { got = append(got, tr.String()) }); err != nil {
+		t.Fatal(err)
+	}
+	first, rest := rdf.RDFNS+"first", rdf.RDFNS+"rest"
+	want := []string{
+		"<http://ex/a> <http://ex/p> <http://ex/b> .",
+		"<http://ex/a> <http://ex/p> <http://ex/b> .",
+		"_:anon1 <http://ex/r> <http://ex/d> .",
+		"<http://ex/c> <http://ex/q> _:anon1 .",
+		"_:list2 <" + first + "> <http://ex/f> .",
+		"_:list2 <" + rest + "> <" + rdf.RDFNS + "nil> .",
+		"<http://ex/e> <http://ex/s> _:list2 .",
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("Each emitted\n%s\nwant\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+	n := 0
+	err := Each("<http://ex/a> <http://ex/p> <http://ex/b> .\n<http://ex/a> <http://ex/p> .", func(rdf.Triple) { n++ })
+	if err == nil || n != 1 || !strings.Contains(err.Error(), "line 2") {
+		t.Fatalf("Each on a bad second statement: %d emitted, err %v; want 1 and a line 2 error", n, err)
+	}
 }
