@@ -70,13 +70,13 @@ func Crawl(ctx context.Context, portals []*portal.Portal, reg *registry.Registry
 		type candidate struct{ url, title string }
 		var found []candidate
 		seen := map[string]bool{}
-		for row := range rs.All() {
-			url := row["url"].Value
+		for row := range rs.Project([]string{"url", "title"}).Terms() {
+			url := row[0].Value
 			if url == "" || seen[url] {
 				continue
 			}
 			seen[url] = true
-			found = append(found, candidate{url: url, title: row["title"].Value})
+			found = append(found, candidate{url: url, title: row[1].Value})
 		}
 		err = rs.Err()
 		rs.Close()

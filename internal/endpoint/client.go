@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/rdf"
 	"repro/internal/resilience"
 	"repro/internal/sparql"
 )
@@ -285,7 +286,8 @@ func (c *HTTPClient) statusErr(resp *http.Response, body string) (retry bool, hi
 
 // Stream implements Streamer: it opens the protocol request (retrying
 // transient failures like Query does, since no row has been delivered
-// yet) and then decodes bindings incrementally off the response body.
+// yet) and then decodes bindings incrementally off the response body,
+// each into the one row the stream yields.
 // Once rows are flowing, a failure — truncated body, malformed JSON, a
 // canceled context — surfaces through the stream's Err, never as a
 // silent end of results.
@@ -323,14 +325,15 @@ func (c *HTTPClient) streamOnce(ctx context.Context, query string, maxBody int64
 		return out, false, 0, nil
 	}
 	var streamErr error
-	seq := func(yield func(sparql.Binding) bool) {
+	row := make([]rdf.Term, len(rr.Vars()))
+	seq := func(yield func([]rdf.Term) bool) {
 		defer resp.Body.Close()
 		for {
 			if err := ctx.Err(); err != nil {
 				streamErr = err
 				return
 			}
-			b, err := rr.Next()
+			err := rr.Next(row)
 			if err == io.EOF {
 				return
 			}
@@ -338,7 +341,7 @@ func (c *HTTPClient) streamOnce(ctx context.Context, query string, maxBody int64
 				streamErr = fmt.Errorf("endpoint: stream from %s: %w", c.URL, err)
 				return
 			}
-			if !yield(b) {
+			if !yield(row) {
 				return
 			}
 		}

@@ -30,12 +30,6 @@ import (
 	"repro/internal/sparql"
 )
 
-// local aliases keep the result-plumbing helpers short
-type (
-	sparqlResult  = sparql.Result
-	sparqlBinding = sparql.Binding
-)
-
 // Index is the output of one extraction run over one endpoint.
 type Index struct {
 	// Endpoint is the endpoint URL the index was extracted from.
@@ -131,33 +125,21 @@ func New() *Extractor {
 // reaches every query on the wire; canceling it aborts the run mid-page
 // without trying further strategies.
 func (e *Extractor) Extract(ctx context.Context, c endpoint.Client, url string, now time.Time) (*Index, error) {
-	ix := &Index{Endpoint: url, ExtractedAt: now}
-
-	if err := e.extractAggregate(ctx, c, ix); err == nil {
-		ix.Strategy = "aggregate"
-		e.fetchLabels(ctx, c, ix)
-		return ix, nil
-	} else if ctx.Err() != nil {
-		return nil, ctx.Err()
-	}
-	*ix = Index{Endpoint: url, ExtractedAt: now}
-	if err := e.extractMixed(ctx, c, ix); err == nil {
-		ix.Strategy = "mixed"
-		e.fetchLabels(ctx, c, ix)
-		return ix, nil
-	} else if ctx.Err() != nil {
-		return nil, ctx.Err()
-	}
-	*ix = Index{Endpoint: url, ExtractedAt: now}
-	if err := e.extractEnumerate(ctx, c, ix); err != nil {
+	var err error
+	for _, strategy := range []struct {
+		name string
+		run  func(context.Context, endpoint.Client, *Index) error
+	}{{"aggregate", e.extractAggregate}, {"mixed", e.extractMixed}, {"enumerate", e.extractEnumerate}} {
+		ix := &Index{Endpoint: url, ExtractedAt: now, Strategy: strategy.name}
+		if err = strategy.run(ctx, c, ix); err == nil {
+			e.fetchLabels(ctx, c, ix)
+			return ix, nil
+		}
 		if ctx.Err() != nil {
 			return nil, ctx.Err()
 		}
-		return nil, fmt.Errorf("extraction: all strategies failed for %s: %w", url, err)
 	}
-	ix.Strategy = "enumerate"
-	e.fetchLabels(ctx, c, ix)
-	return ix, nil
+	return nil, fmt.Errorf("extraction: all strategies failed for %s: %w", url, err)
 }
 
 // fetchLabels upgrades class display names with rdfs:label where the
@@ -167,12 +149,6 @@ func (e *Extractor) fetchLabels(ctx context.Context, c endpoint.Client, ix *Inde
 	if len(ix.Classes) == 0 {
 		return
 	}
-	rs, err := endpoint.Stream(ctx, c, fmt.Sprintf(
-		`SELECT ?c ?l WHERE { ?c <%s> ?l } LIMIT 10000`, rdf.RDFSLabel))
-	if err != nil {
-		return
-	}
-	defer rs.Close()
 	// rank: plain literal > @en > any other language; first wins per rank
 	rank := func(lang string) int {
 		switch lang {
@@ -186,18 +162,20 @@ func (e *Extractor) fetchLabels(ctx context.Context, c endpoint.Client, ix *Inde
 	}
 	labels := map[string]string{}
 	best := map[string]int{}
-	for row := range rs.All() {
-		cls, lab := row["c"], row["l"]
-		if !cls.IsIRI() || !lab.IsLiteral() || lab.Value == "" {
-			continue
-		}
-		r := rank(lab.Lang)
-		if cur, seen := best[cls.Value]; !seen || r < cur {
-			labels[cls.Value] = lab.Value
-			best[cls.Value] = r
-		}
-	}
-	if rs.Err() != nil {
+	err := e.streamRows(ctx, c, fmt.Sprintf(
+		`SELECT ?c ?l WHERE { ?c <%s> ?l } LIMIT 10000`, rdf.RDFSLabel),
+		[]string{"c", "l"}, func(row []rdf.Term) {
+			cls, lab := row[0], row[1]
+			if !cls.IsIRI() || !lab.IsLiteral() || lab.Value == "" {
+				return
+			}
+			r := rank(lab.Lang)
+			if cur, seen := best[cls.Value]; !seen || r < cur {
+				labels[cls.Value] = lab.Value
+				best[cls.Value] = r
+			}
+		})
+	if err != nil {
 		return
 	}
 	for i := range ix.Classes {
@@ -211,10 +189,6 @@ func (e *Extractor) fetchLabels(ctx context.Context, c endpoint.Client, ix *Inde
 // reject GROUP BY: classes and properties are enumerated with DISTINCT
 // paging, and each is counted with an ungrouped COUNT query.
 func (e *Extractor) extractMixed(ctx context.Context, c endpoint.Client, ix *Index) error {
-	page := e.PageSize
-	if page <= 0 {
-		page = 1000
-	}
 	res, err := c.Query(ctx, `SELECT (COUNT(?o) AS ?n) WHERE { ?s ?p ?o }`)
 	if err != nil {
 		return err
@@ -224,7 +198,7 @@ func (e *Extractor) extractMixed(ctx context.Context, c endpoint.Client, ix *Ind
 	// full-corpus predicates: DISTINCT enumeration + one ungrouped COUNT
 	// each, matching the strategy's capability profile
 	preds, err := e.pageAll(ctx, c,
-		`SELECT DISTINCT ?p WHERE { ?s ?p ?o } ORDER BY ?p`, "p", page)
+		`SELECT DISTINCT ?p WHERE { ?s ?p ?o } ORDER BY ?p`, "p")
 	if err != nil {
 		return err
 	}
@@ -239,7 +213,7 @@ func (e *Extractor) extractMixed(ctx context.Context, c endpoint.Client, ix *Ind
 	}
 
 	classIRIs, err := e.pageAll(ctx, c,
-		`SELECT DISTINCT ?c WHERE { ?s a ?c } ORDER BY ?c`, "c", page)
+		`SELECT DISTINCT ?c WHERE { ?s a ?c } ORDER BY ?c`, "c")
 	if err != nil {
 		return err
 	}
@@ -258,7 +232,7 @@ func (e *Extractor) extractMixed(ctx context.Context, c endpoint.Client, ix *Ind
 
 		// datatype properties: DISTINCT enumeration + one COUNT each
 		props, err := e.pageAll(ctx, c, fmt.Sprintf(
-			`SELECT DISTINCT ?p WHERE { ?s a <%s> . ?s ?p ?o FILTER isLiteral(?o) } ORDER BY ?p`, cls), "p", page)
+			`SELECT DISTINCT ?p WHERE { ?s a <%s> . ?s ?p ?o FILTER isLiteral(?o) } ORDER BY ?p`, cls), "p")
 		if err != nil {
 			return err
 		}
@@ -275,9 +249,9 @@ func (e *Extractor) extractMixed(ctx context.Context, c endpoint.Client, ix *Ind
 		type pd struct{ p, d string }
 		var pairs []pd
 		err = e.streamRows(ctx, c, fmt.Sprintf(
-			`SELECT DISTINCT ?p ?d WHERE { ?s a <%s> . ?s ?p ?o . ?o a ?d } ORDER BY ?p ?d LIMIT %d`, cls, page),
-			func(row sparqlBinding) {
-				pairs = append(pairs, pd{row["p"].Value, row["d"].Value})
+			`SELECT DISTINCT ?p ?d WHERE { ?s a <%s> . ?s ?p ?o . ?o a ?d } ORDER BY ?p ?d LIMIT %d`, cls, e.pageSize()),
+			[]string{"p", "d"}, func(row []rdf.Term) {
+				pairs = append(pairs, pd{row[0].Value, row[1].Value})
 			})
 		if err != nil {
 			return err
@@ -313,8 +287,8 @@ func (e *Extractor) extractAggregate(ctx context.Context, c endpoint.Client, ix 
 	// untyped subjects are captured too
 	ix.Predicates = []PropertyCount{}
 	err = e.streamRows(ctx, c, `SELECT ?p (COUNT(?o) AS ?n) WHERE { ?s ?p ?o } GROUP BY ?p`,
-		func(row sparqlBinding) {
-			ix.Predicates = append(ix.Predicates, PropertyCount{IRI: row["p"].Value, Count: bindingInt(row, "n")})
+		[]string{"p", "n"}, func(row []rdf.Term) {
+			ix.Predicates = append(ix.Predicates, PropertyCount{IRI: row[0].Value, Count: termInt(row[1])})
 		})
 	if err != nil {
 		return err
@@ -322,9 +296,9 @@ func (e *Extractor) extractAggregate(ctx context.Context, c endpoint.Client, ix 
 	sortPredicates(ix.Predicates)
 
 	err = e.streamRows(ctx, c, `SELECT ?c (COUNT(?s) AS ?n) WHERE { ?s a ?c } GROUP BY ?c ORDER BY DESC(?n)`,
-		func(row sparqlBinding) {
-			cls := row["c"]
-			n := bindingInt(row, "n")
+		[]string{"c", "n"}, func(row []rdf.Term) {
+			cls := row[0]
+			n := termInt(row[1])
 			ix.Classes = append(ix.Classes, ClassIndex{
 				IRI: cls.Value, Label: cls.LocalName(), Instances: n,
 			})
@@ -342,9 +316,9 @@ func (e *Extractor) extractAggregate(ctx context.Context, c endpoint.Client, ix 
 		// datatype properties
 		err = e.streamRows(ctx, c, fmt.Sprintf(
 			`SELECT ?p (COUNT(?o) AS ?n) WHERE { ?s a <%s> . ?s ?p ?o FILTER isLiteral(?o) } GROUP BY ?p`, ci.IRI),
-			func(row sparqlBinding) {
+			[]string{"p", "n"}, func(row []rdf.Term) {
 				ci.DataProperties = append(ci.DataProperties, PropertyCount{
-					IRI: row["p"].Value, Count: bindingInt(row, "n"),
+					IRI: row[0].Value, Count: termInt(row[1]),
 				})
 			})
 		if err != nil {
@@ -353,12 +327,12 @@ func (e *Extractor) extractAggregate(ctx context.Context, c endpoint.Client, ix 
 		// object properties with their range classes
 		err = e.streamRows(ctx, c, fmt.Sprintf(
 			`SELECT ?p ?d (COUNT(?o) AS ?n) WHERE { ?s a <%s> . ?s ?p ?o . ?o a ?d } GROUP BY ?p ?d`, ci.IRI),
-			func(row sparqlBinding) {
-				if row["p"].Value == rdf.RDFType {
+			[]string{"p", "d", "n"}, func(row []rdf.Term) {
+				if row[0].Value == rdf.RDFType {
 					return
 				}
 				ci.ObjectProperties = append(ci.ObjectProperties, LinkCount{
-					IRI: row["p"].Value, Target: row["d"].Value, Count: bindingInt(row, "n"),
+					IRI: row[0].Value, Target: row[1].Value, Count: termInt(row[2]),
 				})
 			})
 		if err != nil {
@@ -372,14 +346,9 @@ func (e *Extractor) extractAggregate(ctx context.Context, c endpoint.Client, ix 
 
 // extractEnumerate pages DISTINCT enumerations and counts client-side.
 func (e *Extractor) extractEnumerate(ctx context.Context, c endpoint.Client, ix *Index) error {
-	page := e.PageSize
-	if page <= 0 {
-		page = 1000
-	}
-
 	// distinct classes
 	classIRIs, err := e.pageAll(ctx, c,
-		`SELECT DISTINCT ?c WHERE { ?s a ?c } ORDER BY ?c`, "c", page)
+		`SELECT DISTINCT ?c WHERE { ?s a ?c } ORDER BY ?c`, "c")
 	if err != nil {
 		return err
 	}
@@ -389,29 +358,15 @@ func (e *Extractor) extractEnumerate(ctx context.Context, c endpoint.Client, ix 
 
 	ix.Classes = nil
 	ix.Instances = 0
-	ix.Triples = 0
 
 	// total triples and full-corpus predicate counts off one paged scan
 	// of all statements — every triple passes through here, so the
 	// predicate set is complete regardless of subject typing
 	predCounts := map[string]int{}
-	off := 0
-	for {
-		got := 0
-		err := e.streamRows(ctx, c, fmt.Sprintf(
-			`SELECT ?s ?p ?o WHERE { ?s ?p ?o } ORDER BY ?s ?p ?o LIMIT %d OFFSET %d`, page, off),
-			func(row sparqlBinding) {
-				got++
-				predCounts[row["p"].Value]++
-			})
-		if err != nil {
-			return err
-		}
-		ix.Triples += got
-		if got < page {
-			break
-		}
-		off += page
+	ix.Triples, err = e.pageRows(ctx, c, `SELECT ?s ?p ?o WHERE { ?s ?p ?o } ORDER BY ?s ?p ?o`,
+		[]string{"p"}, func(row []rdf.Term) { predCounts[row[0].Value]++ })
+	if err != nil {
+		return err
 	}
 	ix.Predicates = make([]PropertyCount, 0, len(predCounts))
 	for p, n := range predCounts {
@@ -421,8 +376,8 @@ func (e *Extractor) extractEnumerate(ctx context.Context, c endpoint.Client, ix 
 
 	for _, cls := range classIRIs {
 		t := rdf.NewIRI(cls)
-		cnt, err := e.pageCount(ctx, c, fmt.Sprintf(
-			`SELECT ?s WHERE { ?s a <%s> } ORDER BY ?s`, cls), page)
+		cnt, err := e.pageRows(ctx, c, fmt.Sprintf(
+			`SELECT ?s WHERE { ?s a <%s> } ORDER BY ?s`, cls), nil, func([]rdf.Term) {})
 		if err != nil {
 			return err
 		}
@@ -434,34 +389,24 @@ func (e *Extractor) extractEnumerate(ctx context.Context, c endpoint.Client, ix 
 		// as it arrives off the stream
 		dataCounts := map[string]int{}
 		linkCounts := map[[2]string]int{}
-		offset := 0
-		for {
-			got := 0
-			err := e.streamRows(ctx, c, fmt.Sprintf(
-				`SELECT ?p ?o WHERE { ?s a <%s> . ?s ?p ?o } ORDER BY ?p ?o LIMIT %d OFFSET %d`,
-				cls, page, offset),
-				func(row sparqlBinding) {
-					got++
-					p := row["p"].Value
-					if p == rdf.RDFType {
-						return
-					}
-					o := row["o"]
-					if o.IsLiteral() {
-						dataCounts[p]++
-					} else if o.IsIRI() {
-						// resolve the object's class with a spot query (ASK per
-						// candidate would be costly; instead fetch its types)
-						linkCounts[[2]string{p, o.Value}]++
-					}
-				})
-			if err != nil {
-				return err
-			}
-			if got < page {
-				break
-			}
-			offset += page
+		_, err = e.pageRows(ctx, c, fmt.Sprintf(
+			`SELECT ?p ?o WHERE { ?s a <%s> . ?s ?p ?o } ORDER BY ?p ?o`, cls),
+			[]string{"p", "o"}, func(row []rdf.Term) {
+				p := row[0].Value
+				if p == rdf.RDFType {
+					return
+				}
+				o := row[1]
+				if o.IsLiteral() {
+					dataCounts[p]++
+				} else if o.IsIRI() {
+					// resolve the object's class with a spot query (ASK per
+					// candidate would be costly; instead fetch its types)
+					linkCounts[[2]string{p, o.Value}]++
+				}
+			})
+		if err != nil {
+			return err
 		}
 		for p, n := range dataCounts {
 			ci.DataProperties = append(ci.DataProperties, PropertyCount{IRI: p, Count: n})
@@ -499,58 +444,53 @@ func (e *Extractor) extractEnumerate(ctx context.Context, c endpoint.Client, ix 
 }
 
 // streamRows runs one query as a stream and folds every row through fn,
-// never holding more than the row in flight.
-func (e *Extractor) streamRows(ctx context.Context, c endpoint.Client, q string, fn func(sparqlBinding)) error {
+// never holding more than the row in flight: the row's cells of cols, in
+// that order (Project), valid for the call.
+func (e *Extractor) streamRows(ctx context.Context, c endpoint.Client, q string, cols []string, fn func([]rdf.Term)) error {
 	rs, err := endpoint.Stream(ctx, c, q)
 	if err != nil {
 		return err
 	}
 	defer rs.Close()
-	for row := range rs.All() {
+	for row := range rs.Project(cols).Terms() {
 		fn(row)
 	}
 	return rs.Err()
 }
 
-// pageAll collects a single variable across LIMIT/OFFSET pages, consuming
-// each page incrementally.
-func (e *Extractor) pageAll(ctx context.Context, c endpoint.Client, q, v string, page int) ([]string, error) {
-	var out []string
-	offset := 0
-	for {
+// pageSize is PageSize, or 1000 when unset.
+func (e *Extractor) pageSize() int {
+	if e.PageSize <= 0 {
+		return 1000
+	}
+	return e.PageSize
+}
+
+// pageRows runs q, which must order its rows, page by page with LIMIT
+// and OFFSET until a page comes back short, folding every row through fn
+// as streamRows does; it returns the number of rows.
+func (e *Extractor) pageRows(ctx context.Context, c endpoint.Client, q string, cols []string, fn func([]rdf.Term)) (int, error) {
+	page, n := e.pageSize(), 0
+	for offset := 0; ; offset += page {
 		got := 0
-		err := e.streamRows(ctx, c, fmt.Sprintf("%s LIMIT %d OFFSET %d", q, page, offset), func(row sparqlBinding) {
-			out = append(out, row[v].Value)
+		err := e.streamRows(ctx, c, fmt.Sprintf("%s LIMIT %d OFFSET %d", q, page, offset), cols, func(row []rdf.Term) {
 			got++
+			fn(row)
 		})
-		if err != nil {
-			return nil, err
+		n += got
+		if err != nil || got < page {
+			return n, err
 		}
-		if got < page {
-			return out, nil
-		}
-		offset += page
 	}
 }
 
-// pageCount counts result rows across pages without materializing them.
-func (e *Extractor) pageCount(ctx context.Context, c endpoint.Client, q string, page int) (int, error) {
-	n := 0
-	offset := 0
-	for {
-		got := 0
-		err := e.streamRows(ctx, c, fmt.Sprintf("%s LIMIT %d OFFSET %d", q, page, offset), func(sparqlBinding) {
-			got++
-		})
-		if err != nil {
-			return 0, err
-		}
-		n += got
-		if got < page {
-			return n, nil
-		}
-		offset += page
+// pageAll collects a single variable across pages.
+func (e *Extractor) pageAll(ctx context.Context, c endpoint.Client, q, v string) ([]string, error) {
+	var out []string
+	if _, err := e.pageRows(ctx, c, q, []string{v}, func(row []rdf.Term) { out = append(out, row[0].Value) }); err != nil {
+		return nil, err
 	}
+	return out, nil
 }
 
 func sortPredicates(ps []PropertyCount) {
@@ -579,18 +519,15 @@ func sortClassIndex(ci *ClassIndex) {
 	})
 }
 
-func intResult(res *sparqlResult, v string) int {
+func intResult(res *sparql.Result, v string) int {
 	if len(res.Rows) == 0 {
 		return 0
 	}
-	return bindingInt(res.Rows[0], v)
+	return termInt(res.Rows[0][v])
 }
 
-func bindingInt(row sparqlBinding, v string) int {
-	t, ok := row[v]
-	if !ok {
-		return 0
-	}
+// termInt is a count cell's value, 0 where it is unbound or not an integer.
+func termInt(t rdf.Term) int {
 	n, _ := t.Int()
 	return int(n)
 }

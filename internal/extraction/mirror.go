@@ -19,18 +19,15 @@ import (
 // store is a consistent prefix of the corpus. It returns the
 // number of rows mirrored (triples seen, not deduplicated).
 func (e *Extractor) MirrorCorpus(ctx context.Context, c endpoint.Client, dst store.Backend) (int, error) {
-	page := e.PageSize
-	if page <= 0 {
-		page = 1000
-	}
+	page := e.pageSize()
 	total := 0
 	batch := make([]rdf.Triple, 0, page)
 	for off := 0; ; off += page {
 		batch = batch[:0]
 		err := e.streamRows(ctx, c, fmt.Sprintf(
 			`SELECT ?s ?p ?o WHERE { ?s ?p ?o } ORDER BY ?s ?p ?o LIMIT %d OFFSET %d`, page, off),
-			func(row sparqlBinding) {
-				batch = append(batch, rdf.Triple{S: row["s"], P: row["p"], O: row["o"]})
+			[]string{"s", "p", "o"}, func(row []rdf.Term) {
+				batch = append(batch, rdf.Triple{S: row[0], P: row[1], O: row[2]})
 			})
 		if err != nil {
 			return total, err

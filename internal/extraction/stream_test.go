@@ -3,6 +3,7 @@ package extraction
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -77,5 +78,36 @@ func TestExtractDeadline(t *testing.T) {
 	_, err := New().Extract(ctx, endpoint.LocalClient{Store: st}, "sim://deadline", time.Now())
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+	}
+}
+
+// TestStreamRowsAllocationsConstant: streamRows hands fn the cells of a
+// row the stream reuses, so a page of 500 rows costs the allocations of
+// a page of 50 — the stream's and the query's own, none per row.
+func TestStreamRowsAllocationsConstant(t *testing.T) {
+	st := synth.Generate(synth.Spec{
+		Name: "allocs", Classes: 8, Instances: 900, ObjectProps: 10,
+		DataProps: 6, LinkFactor: 2, CommunitySeeds: 2, Seed: 42,
+	})
+	e := New()
+	c := endpoint.LocalClient{Store: st}
+	allocs := func(n int) float64 {
+		q := fmt.Sprintf(`SELECT ?s ?p ?o WHERE { ?s ?p ?o } LIMIT %d`, n)
+		rows := 0
+		a := testing.AllocsPerRun(20, func() {
+			rows = 0
+			if err := e.streamRows(context.Background(), c, q, []string{"s", "p", "o"}, func([]rdf.Term) { rows++ }); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if rows != n {
+			t.Fatalf("LIMIT %d: %d rows", n, rows)
+		}
+		return a
+	}
+	small, large := allocs(50), allocs(500)
+	t.Logf("allocations per stream: %v at LIMIT 50, %v at LIMIT 500", small, large)
+	if large != small {
+		t.Fatalf("allocations: %v at LIMIT 50, %v at LIMIT 500; want the same", small, large)
 	}
 }

@@ -7,12 +7,13 @@
 //
 // Each selected source is one leg, and one branch runner serves every
 // leg, SELECT and ASK alike: it opens the member's stream under a
-// context derived from the caller's, ranges over it on the leg's own
-// goroutine and pushes every row into the merge, so rows surface in
+// context derived from the caller's, ranges over its positional rows on
+// the leg's own goroutine, maps the member's columns onto the merged head
+// once and pushes a copy of every row into the merge, so rows surface in
 // completion order. The whole fan-out is torn down — every leg's context
 // canceled, every goroutine joined — on the first fatal leg error, on
 // consumer Close, or when a merged LIMIT is satisfied. DISTINCT queries
-// deduplicate on the merge with the same binding key the engines use, so
+// deduplicate on the merge by the rows' terms, as the engines do, so
 // a federated DISTINCT equals a single-endpoint DISTINCT over the union
 // corpus row-for-row. ORDER BY queries switch the merge to an ordered
 // k-way heap merge: each leg is locally sorted by the member engine, so
@@ -41,8 +42,11 @@ package federation
 import (
 	"container/heap"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"iter"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -50,6 +54,7 @@ import (
 	"repro/internal/endpoint"
 	"repro/internal/extraction"
 	"repro/internal/obs"
+	"repro/internal/rdf"
 	"repro/internal/sparql"
 )
 
@@ -425,16 +430,17 @@ func (f *Client) allDown() bool {
 // closing message, which publishes them to the merge.
 type leg struct {
 	src    *endpoint.Source
+	vars   []string    // the merged head
 	out    chan legMsg // the shared fan-in, or the leg's own channel under ORDER BY
 	answer bool        // ASK: the member's answer
 	err    error       // fatal: the merged stream fails with it
 }
 
-// legMsg is what a leg sends the merge: one row, or (end) the leg's
-// closing message.
+// legMsg is what a leg sends the merge: one row, aligned with the merged
+// head and the merge's to keep, or (end) the leg's closing message.
 type legMsg struct {
 	leg *leg
-	row sparql.Binding
+	row []rdf.Term
 	end bool
 }
 
@@ -462,6 +468,7 @@ func (f *Client) fan(ctx context.Context, q *sparql.Query, query string, selecte
 		cancel()
 		wg.Wait()
 	}
+	vars := q.Vars() // the merged head: see below
 	ordered := len(q.OrderBy) > 0
 	var fanIn chan legMsg
 	if !ordered {
@@ -471,7 +478,7 @@ func (f *Client) fan(ctx context.Context, q *sparql.Query, query string, selecte
 	opens := make(chan error, len(selected)) // one report per leg
 	legs := make([]*leg, len(selected))
 	for i, src := range selected {
-		l := &leg{src: src, out: fanIn}
+		l := &leg{src: src, vars: vars, out: fanIn}
 		if ordered {
 			l.out = make(chan legMsg, DefaultBuffer)
 		}
@@ -486,7 +493,8 @@ func (f *Client) fan(ctx context.Context, q *sparql.Query, query string, selecte
 	// The stream's head (Vars) comes from the parsed query — for SELECT *
 	// every variable of its pattern — so it is the same no matter which
 	// leg opens first, and a source that heads its rows differently loses
-	// no cell the query can bind. Still wait for one leg to open before
+	// no cell the query can bind: each leg places its member's cells
+	// under it. Still wait for one leg to open before
 	// returning: a fatal failure before any leg opened fails the whole
 	// stream immediately (legs canceled), and every leg skipping as
 	// unavailable must surface as ErrUnavailable, not as an empty success
@@ -514,16 +522,18 @@ func (f *Client) fan(ctx context.Context, q *sparql.Query, query string, selecte
 		}
 	}
 
-	vars := q.Vars()
 	// Dedup keys are positional over the head: what the consumer sees
 	// of a row is what makes it a duplicate.
-	dedupe := q.Distinct || q.Reduced
+	var seen func([]rdf.Term) bool
+	if q.Distinct || q.Reduced {
+		seen = firstSeen()
+	}
 	var streamErr error
-	var seq func(func(sparql.Binding) bool)
+	var seq iter.Seq[[]rdf.Term]
 	if ordered {
-		seq = mergeOrdered(ctx, q, legs, dedupe, vars, &streamErr)
+		seq = mergeOrdered(ctx, q, legs, seen, vars, &streamErr)
 	} else {
-		seq = mergeInterleave(ctx, q, fanIn, len(legs), dedupe, vars, &streamErr)
+		seq = mergeInterleave(ctx, q, fanIn, len(legs), seen, &streamErr)
 	}
 	if q.Form == sparql.FormAsk {
 		// an ASK leg's answer travels in its member's head: run the merge
@@ -568,13 +578,9 @@ func (f *Client) noteDegraded(partial *Partial) {
 // its leg, or fails the merge with the leg's error. The merge returns as
 // soon as LIMIT is satisfied, before any row for LIMIT 0, without
 // waiting on a leg that has not delivered.
-func mergeInterleave(ctx context.Context, q *sparql.Query, fanIn <-chan legMsg, legs int, dedupe bool, keyVars []string, streamErr *error) func(func(sparql.Binding) bool) {
+func mergeInterleave(ctx context.Context, q *sparql.Query, fanIn <-chan legMsg, legs int, seen func([]rdf.Term) bool, streamErr *error) iter.Seq[[]rdf.Term] {
 	limit := q.Limit
-	return func(yield func(sparql.Binding) bool) {
-		var seen map[string]struct{}
-		if dedupe {
-			seen = map[string]struct{}{}
-		}
+	return func(yield func([]rdf.Term) bool) {
 		// the merge applies LIMIT itself, so it holds even against a
 		// member that ignores its local LIMIT (quirky engines do)
 		for emitted, open := 0, legs; open > 0 && (limit < 0 || emitted < limit); {
@@ -593,12 +599,8 @@ func mergeInterleave(ctx context.Context, q *sparql.Query, fanIn <-chan legMsg, 
 				open--
 				continue
 			}
-			if seen != nil {
-				k := sparql.BindingKey(m.row, keyVars)
-				if _, dup := seen[k]; dup {
-					continue
-				}
-				seen[k] = struct{}{}
+			if seen != nil && !seen(m.row) {
+				continue
 			}
 			if !yield(m.row) {
 				return
@@ -608,11 +610,32 @@ func mergeInterleave(ctx context.Context, q *sparql.Query, fanIn <-chan legMsg, 
 	}
 }
 
+// firstSeen returns the DISTINCT/REDUCED filter of both merges: true
+// the first time a row's terms appear. The key (each term's kind and
+// length-prefixed strings) is built in one reused buffer.
+func firstSeen() func([]rdf.Term) bool {
+	keys, buf := map[string]struct{}{}, []byte(nil)
+	return func(row []rdf.Term) bool {
+		buf = buf[:0]
+		for _, t := range row {
+			buf = append(buf, byte(t.Kind))
+			for _, str := range [3]string{t.Value, t.Datatype, t.Lang} {
+				buf = append(binary.AppendUvarint(buf, uint64(len(str))), str...)
+			}
+		}
+		if _, dup := keys[string(buf)]; dup {
+			return false
+		}
+		keys[string(buf)] = struct{}{}
+		return true
+	}
+}
+
 // orderedHead is one leg's current least row in the ordered merge.
 type orderedHead struct {
 	l   *leg
 	idx int // leg position, the deterministic tie-break
-	row sparql.Binding
+	row []rdf.Term
 	key sparql.OrderKey
 }
 
@@ -649,14 +672,26 @@ func (h *headHeap) Pop() any {
 // whichever N rows arrived first. The price is head-of-line fill: no row
 // can surface before every leg has delivered its first row or ended,
 // since any leg might still hold the least one.
-func mergeOrdered(ctx context.Context, q *sparql.Query, legs []*leg, dedupe bool, keyVars []string, streamErr *error) func(func(sparql.Binding) bool) {
+func mergeOrdered(ctx context.Context, q *sparql.Query, legs []*leg, seen func([]rdf.Term) bool, vars []string, streamErr *error) iter.Seq[[]rdf.Term] {
 	conds := q.OrderBy
 	limit := q.Limit
-	return func(yield func(sparql.Binding) bool) {
+	return func(yield func([]rdf.Term) bool) {
+		// the ORDER BY expressions read a Binding: one per merge, refilled
+		// from each row
+		scratch := make(sparql.Binding, len(vars))
+		keyOf := func(row []rdf.Term) sparql.OrderKey {
+			clear(scratch)
+			for i, t := range row {
+				if !t.IsZero() {
+					scratch[vars[i]] = t
+				}
+			}
+			return sparql.OrderKeyOf(conds, scratch)
+		}
 		// pull blocks for the leg's next row. ok is false when the leg
 		// ended (its err, if fatal, goes to streamErr) or the caller's
 		// ctx died; fatal==true means stop the whole merge.
-		pull := func(l *leg) (row sparql.Binding, ok, fatal bool) {
+		pull := func(l *leg) (row []rdf.Term, ok, fatal bool) {
 			select {
 			case m := <-l.out:
 				if !m.end {
@@ -681,11 +716,7 @@ func mergeOrdered(ctx context.Context, q *sparql.Query, legs []*leg, dedupe bool
 			if !ok { // empty or skipped leg
 				continue
 			}
-			heap.Push(h, orderedHead{l: l, idx: i, row: row, key: sparql.OrderKeyOf(conds, row)})
-		}
-		var seen map[string]struct{}
-		if dedupe {
-			seen = map[string]struct{}{}
+			heap.Push(h, orderedHead{l: l, idx: i, row: row, key: keyOf(row)})
 		}
 		emitted := 0
 		for h.Len() > 0 {
@@ -693,16 +724,7 @@ func mergeOrdered(ctx context.Context, q *sparql.Query, legs []*leg, dedupe bool
 			// yield the current global minimum before blocking on its
 			// leg's next row: a member that trickles rows must not gate
 			// the row already known to be least
-			emit := true
-			if seen != nil {
-				k := sparql.BindingKey(hd.row, keyVars)
-				if _, dup := seen[k]; dup {
-					emit = false
-				} else {
-					seen[k] = struct{}{}
-				}
-			}
-			if emit {
+			if seen == nil || seen(hd.row) {
 				if limit >= 0 && emitted >= limit {
 					return
 				}
@@ -721,7 +743,7 @@ func mergeOrdered(ctx context.Context, q *sparql.Query, legs []*leg, dedupe bool
 				return
 			}
 			if ok {
-				h.hs[0] = orderedHead{l: hd.l, idx: hd.idx, row: row, key: sparql.OrderKeyOf(conds, row)}
+				h.hs[0] = orderedHead{l: hd.l, idx: hd.idx, row: row, key: keyOf(row)}
 				heap.Fix(h, 0)
 			} else {
 				heap.Pop(h)
@@ -848,13 +870,16 @@ func (f *Client) attempt(actx, mctx context.Context, l *leg, r *race, i int, que
 	defer rs.Close()
 	claimed := false
 	var rows int64
-	for row := range rs.All() {
+	// the member's cells under the merged head: a member may head its
+	// rows differently, or more narrowly
+	for row := range rs.Project(l.vars).Terms() {
 		if !claimed {
 			if claimed = f.claim(l, r, i, true, opens); !claimed {
 				return
 			}
 		}
-		if !l.push(mctx, legMsg{leg: l, row: row}) {
+		// the row crosses to the merge's goroutine: the leg copies it
+		if !l.push(mctx, legMsg{leg: l, row: slices.Clone(row)}) {
 			break // torn down: breaking the range ends the stream
 		}
 		rows++

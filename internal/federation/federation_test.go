@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -38,6 +40,25 @@ func localSources(parts []*store.Store) []*endpoint.Source {
 	return out
 }
 
+// reversedSources is localSources with every member heading its rows in
+// reverse (reversedVarsClient): the merge must place each cell by name.
+func reversedSources(parts []*store.Store) []*endpoint.Source {
+	out := make([]*endpoint.Source, len(parts))
+	for i, p := range parts {
+		url := fmt.Sprintf("http://rev%d.example.org/sparql", i)
+		out[i] = endpoint.NewSource(fmt.Sprintf("rev%d", i), url, reversedVarsClient{st: p})
+	}
+	return out
+}
+
+// memberSets are the member sets every federation ≡ union differential
+// runs over: members heading their rows as the query does, and in
+// reverse.
+var memberSets = []struct {
+	name    string
+	sources func([]*store.Store) []*endpoint.Source
+}{{"local", localSources}, {"reversed", reversedSources}}
+
 // sortedKeysOf canonicalizes a result for order-insensitive comparison.
 func sortedKeysOf(t *testing.T, res *sparql.Result) []string {
 	t.Helper()
@@ -61,29 +82,32 @@ var differentialQueries = []string{
 // TestFederatedEqualsUnion is the differential acceptance test: a query
 // federated over the partitions yields exactly the union endpoint's
 // solution multiset (same rows up to order; identical sets under
-// DISTINCT), with 3 and with 8 legs sending into the shared fan-in.
+// DISTINCT), with 3 and with 8 legs sending into the shared fan-in, over
+// each member set.
 func TestFederatedEqualsUnion(t *testing.T) {
 	for _, k := range []int{3, 8} {
 		union, parts := unionAndParts(k)
-		fed := New(localSources(parts)...)
 		single := endpoint.LocalClient{Store: union}
 		ctx := context.Background()
-		for _, q := range differentialQueries {
-			want, err := single.Query(ctx, q)
-			if err != nil {
-				t.Fatalf("%s: union: %v", q, err)
-			}
-			got, err := fed.Query(ctx, q)
-			if err != nil {
-				t.Fatalf("%d legs, %s: federated: %v", k, q, err)
-			}
-			wk, gk := sortedKeysOf(t, want), sortedKeysOf(t, got)
-			if len(wk) != len(gk) {
-				t.Fatalf("%d legs, %s: federated %d rows, union %d rows", k, q, len(gk), len(wk))
-			}
-			for i := range wk {
-				if wk[i] != gk[i] {
-					t.Fatalf("%d legs, %s: row %d differs:\n  fed   %q\n  union %q", k, q, i, gk[i], wk[i])
+		for _, set := range memberSets {
+			fed := New(set.sources(parts)...)
+			for _, q := range differentialQueries {
+				want, err := single.Query(ctx, q)
+				if err != nil {
+					t.Fatalf("%s: union: %v", q, err)
+				}
+				got, err := fed.Query(ctx, q)
+				if err != nil {
+					t.Fatalf("%s, %d legs, %s: federated: %v", set.name, k, q, err)
+				}
+				wk, gk := sortedKeysOf(t, want), sortedKeysOf(t, got)
+				if len(wk) != len(gk) {
+					t.Fatalf("%s, %d legs, %s: federated %d rows, union %d rows", set.name, k, q, len(gk), len(wk))
+				}
+				for i := range wk {
+					if wk[i] != gk[i] {
+						t.Fatalf("%s, %d legs, %s: row %d differs:\n  fed   %q\n  union %q", set.name, k, q, i, gk[i], wk[i])
+					}
 				}
 			}
 		}
@@ -182,9 +206,9 @@ func (f failingClient) Stream(ctx context.Context, query string) (*sparql.RowSeq
 	}
 	var streamErr error
 	n := 0
-	seq := func(yield func(sparql.Binding) bool) {
+	seq := func(yield func([]rdf.Term) bool) {
 		defer inner.Close()
-		for row := range inner.All() {
+		for row := range inner.Terms() {
 			if n >= f.okRows {
 				streamErr = errInjected
 				return
@@ -786,37 +810,40 @@ func TestIndexPruneKeepsUntypedSubjectPredicates(t *testing.T) {
 // variants are the sharp edge: a completion-order merge returns the
 // first N rows to arrive, which is a wrong row set, not just a lost
 // ordering; the ordered k-way merge must return the global top-N. It
-// runs with 3 and with 8 legs, each with its own channel into the heap.
+// runs with 3 and with 8 legs, each with its own channel into the heap,
+// over each member set.
 func TestFederatedOrderByEqualsUnion(t *testing.T) {
 	for _, k := range []int{3, 8} {
 		union, parts := unionAndParts(k)
-		fed := New(localSources(parts)...)
 		single := endpoint.LocalClient{Store: union}
-		for _, q := range []string{
-			`SELECT ?s ?p ?o WHERE { ?s ?p ?o } ORDER BY ?s ?p ?o`,
-			`SELECT ?s ?p ?o WHERE { ?s ?p ?o } ORDER BY ?s ?p ?o LIMIT 25`,
-			`SELECT ?s ?p ?o WHERE { ?s ?p ?o } ORDER BY DESC(?s) ?p ?o LIMIT 10`,
-			`SELECT DISTINCT ?c WHERE { ?s a ?c } ORDER BY ?c`,
-			`SELECT DISTINCT ?c WHERE { ?s a ?c } ORDER BY DESC(?c) LIMIT 3`,
-		} {
-			want, err := single.Query(context.Background(), q)
-			if err != nil {
-				t.Fatalf("%s: union: %v", q, err)
-			}
-			got, err := fed.Query(context.Background(), q)
-			if err != nil {
-				t.Fatalf("%d legs, %s: federated: %v", k, q, err)
-			}
-			if len(got.Rows) != len(want.Rows) {
-				t.Fatalf("%d legs, %s: federated %d rows, union %d rows", k, q, len(got.Rows), len(want.Rows))
-			}
-			// compare in delivered order: the ordered merge must establish
-			// the same global order the union endpoint does
-			for i := range want.Rows {
-				wk := sparql.BindingKey(want.Rows[i], want.Vars)
-				gk := sparql.BindingKey(got.Rows[i], want.Vars)
-				if wk != gk {
-					t.Fatalf("%d legs, %s: row %d out of order:\n  fed   %q\n  union %q", k, q, i, gk, wk)
+		for _, set := range memberSets {
+			fed := New(set.sources(parts)...)
+			for _, q := range []string{
+				`SELECT ?s ?p ?o WHERE { ?s ?p ?o } ORDER BY ?s ?p ?o`,
+				`SELECT ?s ?p ?o WHERE { ?s ?p ?o } ORDER BY ?s ?p ?o LIMIT 25`,
+				`SELECT ?s ?p ?o WHERE { ?s ?p ?o } ORDER BY DESC(?s) ?p ?o LIMIT 10`,
+				`SELECT DISTINCT ?c WHERE { ?s a ?c } ORDER BY ?c`,
+				`SELECT DISTINCT ?c WHERE { ?s a ?c } ORDER BY DESC(?c) LIMIT 3`,
+			} {
+				want, err := single.Query(context.Background(), q)
+				if err != nil {
+					t.Fatalf("%s: union: %v", q, err)
+				}
+				got, err := fed.Query(context.Background(), q)
+				if err != nil {
+					t.Fatalf("%s, %d legs, %s: federated: %v", set.name, k, q, err)
+				}
+				if len(got.Rows) != len(want.Rows) {
+					t.Fatalf("%s, %d legs, %s: federated %d rows, union %d rows", set.name, k, q, len(got.Rows), len(want.Rows))
+				}
+				// compare in delivered order: the ordered merge must establish
+				// the same global order the union endpoint does
+				for i := range want.Rows {
+					wk := sparql.BindingKey(want.Rows[i], want.Vars)
+					gk := sparql.BindingKey(got.Rows[i], want.Vars)
+					if wk != gk {
+						t.Fatalf("%s, %d legs, %s: row %d out of order:\n  fed   %q\n  union %q", set.name, k, q, i, gk, wk)
+					}
 				}
 			}
 		}
@@ -942,16 +969,26 @@ func (f fixedClient) Query(context.Context, string) (*sparql.Result, error) { re
 
 // TestFederatedStarHeadKeepsEveryCell: SELECT * heads the merged stream
 // with the query's own variables, not with the head of whichever branch
-// opens first — so when members head their rows differently, no member's
-// cells are dropped on the way into the positional row.
+// opens first — so when members head their rows differently (narrower,
+// or in another order), every member's cell lands under its own variable
+// in the positional row.
 func TestFederatedStarHeadKeepsEveryCell(t *testing.T) {
 	a, b, c := rdf.NewIRI("http://ex/a"), rdf.NewIRI("http://ex/b"), rdf.NewIRI("http://ex/c")
+	d, e := rdf.NewIRI("http://ex/d"), rdf.NewIRI("http://ex/e")
 	fed := New(
 		endpoint.NewSource("narrow", "http://narrow/sparql", fixedClient{&sparql.Result{
 			Vars: []string{"s"}, Rows: []sparql.Binding{{"s": a}}}}),
 		endpoint.NewSource("wide", "http://wide/sparql", fixedClient{&sparql.Result{
 			Vars: []string{"s", "o"}, Rows: []sparql.Binding{{"s": b, "o": c}}}}),
+		endpoint.NewSource("reordered", "http://reordered/sparql", fixedClient{&sparql.Result{
+			Vars: []string{"p", "s"}, Rows: []sparql.Binding{{"p": d, "s": e}}}}),
 	)
+	want := []string{
+		sparql.BindingKey(sparql.Binding{"s": a}, []string{"o", "p", "s"}),
+		sparql.BindingKey(sparql.Binding{"s": b, "o": c}, []string{"o", "p", "s"}),
+		sparql.BindingKey(sparql.Binding{"p": d, "s": e}, []string{"o", "p", "s"}),
+	}
+	sort.Strings(want)
 	for i := 0; i < 10; i++ {
 		res, err := fed.Query(context.Background(), `SELECT * WHERE { ?s ?p ?o }`)
 		if err != nil {
@@ -960,12 +997,8 @@ func TestFederatedStarHeadKeepsEveryCell(t *testing.T) {
 		if got := strings.Join(res.Vars, " "); got != "o p s" {
 			t.Fatalf("merged head vars = [%s], want [o p s] from the query's pattern", got)
 		}
-		cells := 0
-		for _, row := range res.Rows {
-			cells += len(row)
-		}
-		if len(res.Rows) != 2 || cells != 3 {
-			t.Fatalf("merged rows %v: want both members' rows with all 3 cells", res.Rows)
+		if got := sortedKeysOf(t, res); !slices.Equal(got, want) {
+			t.Fatalf("merged rows %q, want %q: every member's cells under their own variables", got, want)
 		}
 	}
 }
@@ -1096,5 +1129,50 @@ func TestFatalOpenFailureAddsElapsed(t *testing.T) {
 	}
 	if s := stat(reg, "elapsed_seconds_total", bad.URL); s <= 0 {
 		t.Fatalf("elapsed = %v s after a fatal open failure, want > 0", s)
+	}
+}
+
+// TestFederatedAllocationsPerRow gates what a delivered row costs a
+// 3-member federation, measured as the allocations of LIMIT 500 less
+// those of LIMIT 50, over 450: unordered, the one copy a leg makes to
+// hand the row across goroutines; DISTINCT, that plus the key the merge
+// keeps of a new row. ORDER BY is reported, not gated: the members'
+// own top-k and the merge's sort keys dominate it.
+func TestFederatedAllocationsPerRow(t *testing.T) {
+	_, parts := unionAndParts(3)
+	fed := New(localSources(parts)...)
+	perRow := func(query string) float64 {
+		allocs := func(n int) float64 {
+			q := fmt.Sprintf("%s LIMIT %d", query, n)
+			return testing.AllocsPerRun(20, func() {
+				rs, err := fed.Stream(context.Background(), q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rows := 0
+				for range rs.Terms() {
+					rows++
+				}
+				if rs.Err() != nil || rows != n {
+					t.Fatalf("%s: %d rows, err %v", q, rows, rs.Err())
+				}
+			})
+		}
+		small, large := allocs(50), allocs(500)
+		return (large - small) / 450
+	}
+	for _, tc := range []struct {
+		query string
+		max   float64 // 0: reported only
+	}{
+		{`SELECT ?s ?p ?o WHERE { ?s ?p ?o }`, 1.1},
+		{`SELECT DISTINCT ?s ?p ?o WHERE { ?s ?p ?o }`, 3},
+		{`SELECT ?s ?p ?o WHERE { ?s ?p ?o } ORDER BY ?s ?p ?o`, 0},
+	} {
+		got := perRow(tc.query)
+		t.Logf("%s: %.2f allocations per delivered row", tc.query, got)
+		if tc.max > 0 && got > tc.max {
+			t.Errorf("%s: %.2f allocations per delivered row, want ≤ %v", tc.query, got, tc.max)
+		}
 	}
 }

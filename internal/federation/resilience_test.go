@@ -16,6 +16,7 @@ import (
 	"repro/internal/endpoint"
 	"repro/internal/faultinject"
 	"repro/internal/obs"
+	"repro/internal/rdf"
 	"repro/internal/resilience"
 	"repro/internal/sparql"
 	"repro/internal/store"
@@ -309,7 +310,7 @@ func (s *stallFirst) Stream(ctx context.Context, query string) (*sparql.RowSeq, 
 		return endpoint.LocalClient{Store: s.st}.Stream(ctx, query)
 	}
 	var streamErr error
-	rs := sparql.NewRowSeq([]string{"s", "p", "o"}, func(func(sparql.Binding) bool) {
+	rs := sparql.NewRowSeq([]string{"s", "p", "o"}, func(func([]rdf.Term) bool) {
 		<-ctx.Done()
 		streamErr = ctx.Err()
 	}, &streamErr)

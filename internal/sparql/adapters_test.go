@@ -10,7 +10,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"iter"
+	"slices"
 	"testing"
 
 	"repro/internal/obs"
@@ -25,15 +25,16 @@ var errMidStream = errors.New("producer failed mid-stream")
 // failingSeq yields ok rows and then fails.
 func failingSeq(ok int) *sparql.RowSeq {
 	var streamErr error
-	seq := func(yield func(sparql.Binding) bool) {
+	seq := func(yield func([]rdf.Term) bool) {
+		row := make([]rdf.Term, 1)
 		for i := 0; i < ok; i++ {
-			if !yield(sparql.Binding{}) {
+			if !yield(row) {
 				return
 			}
 		}
 		streamErr = errMidStream
 	}
-	return sparql.NewRowSeq([]string{"x"}, iter.Seq[sparql.Binding](seq), &streamErr)
+	return sparql.NewRowSeq([]string{"x"}, seq, &streamErr)
 }
 
 func TestCollectPropagatesMidStreamError(t *testing.T) {
@@ -92,6 +93,29 @@ func TestAdapterChainPropagatesMidStreamError(t *testing.T) {
 	}
 }
 
+// TestProjectReheadsByName: Project places each cell under its own
+// variable whatever order the producer heads its rows in, leaves a
+// variable the head lacks unbound, and keeps the producer's error.
+func TestProjectReheadsByName(t *testing.T) {
+	a, b := rdf.NewIRI("http://ex/a"), rdf.NewIRI("http://ex/b")
+	var streamErr error
+	rs := sparql.NewRowSeq([]string{"y", "x"}, func(yield func([]rdf.Term) bool) {
+		if yield([]rdf.Term{a, b}) {
+			streamErr = errMidStream
+		}
+	}, &streamErr).Project([]string{"x", "z", "y"})
+	var rows [][]rdf.Term
+	for row := range rs.Terms() {
+		rows = append(rows, slices.Clone(row))
+	}
+	if fmt.Sprint(rs.Vars) != "[x z y]" || len(rows) != 1 || rows[0][0] != b || !rows[0][1].IsZero() || rows[0][2] != a {
+		t.Fatalf("projected head %v, rows %v; want [x z y] and one row [b, unbound, a]", rs.Vars, rows)
+	}
+	if !errors.Is(rs.Err(), errMidStream) {
+		t.Fatalf("Project Err = %v, want errMidStream", rs.Err())
+	}
+}
+
 // TestAdapterDoubleCloseSafe: Close twice, at several points in the
 // consumption — before any range, and inside a range's loop body after
 // some rows — for each adapter: no panic, no further rows, and the
@@ -101,6 +125,9 @@ func TestAdapterDoubleCloseSafe(t *testing.T) {
 		"plain": func(rs *sparql.RowSeq) *sparql.RowSeq { return rs },
 		"limit": func(rs *sparql.RowSeq) *sparql.RowSeq { return rs.Limit(5) },
 		"tap":   func(rs *sparql.RowSeq) *sparql.RowSeq { return rs.Tap(func([]rdf.Term) {}) },
+		"project": func(rs *sparql.RowSeq) *sparql.RowSeq {
+			return rs.Project([]string{"y", "x"})
+		},
 		"chain": func(rs *sparql.RowSeq) *sparql.RowSeq {
 			return rs.Tap(func([]rdf.Term) {}).Limit(5)
 		},

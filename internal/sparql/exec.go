@@ -57,7 +57,7 @@ func (q *Query) Exec(st store.Queryable) (*Result, error) {
 	}
 	var rows []Binding
 	err = p.run(context.Background(), nil, nil, func(row []rdf.Term) bool {
-		rows = append(rows, BindingOf(p.vars, row))
+		rows = append(rows, bindingOf(p.vars, row))
 		return true
 	})
 	if err != nil {
@@ -318,21 +318,6 @@ func (e *idExec) sortRows(rb *rowbuf, conds []OrderCond, condVars [][]varslot) {
 		sorted = append(sorted, rb.row(i)...)
 	}
 	rb.data = sorted
-}
-
-// materializeAll converts rows into Bindings over every bound variable —
-// what CONSTRUCT templates see.
-func (e *idExec) materializeAll(rb *rowbuf) []Binding {
-	out := make([]Binding, rb.n)
-	for i := range out {
-		out[i] = make(Binding, rb.stride)
-		for s, v := range rb.row(i) {
-			if v != store.NoID {
-				out[i][e.names[s]] = e.term(v)
-			}
-		}
-	}
-	return out
 }
 
 // --- query execution over the compiled plan ---
@@ -717,7 +702,22 @@ func (p *plan) sink(se *streamExec, reg *obs.Registry, emit func([]rdf.Term) boo
 		end := prof.resume(stBlocking)
 		switch {
 		case blocking == "construct":
-			p.graph = q.Construct(ex.materializeAll(buf.window(q.Offset, q.Limit)))
+			// the template reads every bound variable, by slot
+			buf.window(q.Offset, q.Limit)
+			row := make([]rdf.Term, ex.nslots)
+			p.graph = q.Construct(ex.names, func(yield func([]rdf.Term) bool) {
+				for i := 0; i < buf.n; i++ {
+					for sl, id := range buf.row(i) {
+						row[sl] = rdf.Term{}
+						if id != store.NoID {
+							row[sl] = ex.term(id)
+						}
+					}
+					if !yield(row) {
+						return
+					}
+				}
+			})
 			end(int64(p.graph.Len()))
 			return nil
 		case heap != nil:

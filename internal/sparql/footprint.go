@@ -73,10 +73,9 @@ func sortedKeys(m map[string]struct{}) []string {
 // vars — equal keys iff the bindings agree on every listed variable. A
 // nil vars keys on all bound variables of the row, names included and
 // sorted, so rows binding the same value under different variables do
-// not collide. The federated merge uses it for DISTINCT-on-merge
-// deduplication across sources; it is the same key the engines use for
-// DISTINCT, so a merged federated DISTINCT equals a single-endpoint
-// DISTINCT row-for-row. With an explicit vars list the key is positional.
+// not collide. The reference evaluator deduplicates with it, and
+// SortedRows orders by it. With an explicit vars list the key is
+// positional.
 func BindingKey(b Binding, vars []string) string {
 	var sb strings.Builder
 	if vars == nil {

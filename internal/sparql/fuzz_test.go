@@ -1,14 +1,19 @@
 package sparql_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/rdf"
 	"repro/internal/sparql"
 	"repro/internal/sparql/reference"
 )
@@ -98,4 +103,133 @@ func TestParseBoundsNesting(t *testing.T) {
 			t.Errorf("%s: reference: %v", name, err)
 		}
 	}
+}
+
+// FuzzJSONRowReader holds the streaming results reader to encoding/json:
+// on any bytes it never panics, and where it reads every row and reaches
+// io.EOF, encoding/json decodes the same document to the same rows,
+// each cell placed by its variable's position in the head (refDecode).
+// The reader's leniencies are checked as such: it stops at the end of
+// the document and does not read what follows (the document must end
+// where encoding/json's decoder stopped, and be valid up to there), and
+// it skips members after the bindings unread, which encoding/json does
+// with members it does not map (the rows must still agree). A head,
+// results or bindings member after the bindings is an error instead
+// (TestJSONRowReaderGarbage).
+func FuzzJSONRowReader(f *testing.F) {
+	for _, doc := range []string{
+		`{"head":{"vars":["p","l"]},"results":{"bindings":[{"p":{"type":"uri","value":"http://ex/alice"},"l":{"type":"literal","value":"Alice","xml:lang":"en"}},{"l":{"type":"literal","value":"3","datatype":"http://www.w3.org/2001/XMLSchema#integer"}}]}}`,
+		`{"head":{},"boolean":true}`,
+		`{"head":{"vars":["s"]},"results":{"bindings":[{"s":{"type":"uri","value":"x"}} garbage`,
+		`{"head":{"vars":["s"]},"results":{"bindings":[{"s":{"type":"wat","value":"x"}}]}}`,
+		`not json at all`,
+		`{"results":{"bindings":[{"s":{"type":"uri","value":"x"}}]},"head":{"vars":["s"]}}`,
+		`{"head":{"vars":["s"]},"results":{"bindings":[{"s":{"type":"uri","value":"a"},"s":{"type":"bnode","value":"b"}}]}}`,
+		`{"head":{"vars":["s"]},"results":{"bindings":[{"s":{"type":"uri","value":"a"},"z":{"type":"uri","value":"z"}},{}]}}`,
+		`{"head":{"vars":["s","t"]},"results":{"bindings":[{"s":{"type":"literal","value":"é😀 \"","datatype":"http://ex/dt"},"t":{"type":"typed-literal","value":"1"}}]}}`,
+		`{"head":{"vars":["s","s"]},"results":{"distinct":false,"bindings":[{"s":{"type":"bnode","value":"b0"}}],"ordered":true},"link":[]} trailing`,
+		`{"head":{"vars":["s"]},"results":{"bindings":[]},"head":{"vars":["t"]}}`,
+		`{"head":{"vars":["s"]},"results":{"bindings":[{"s":{"type":"uri","value":"x"}}]}`,
+		`{"head":{"vars":["s"]},"results":{"bindings":[{"s":{"type":"uri"`,
+	} {
+		f.Add([]byte(doc))
+	}
+	f.Fuzz(func(t *testing.T, doc []byte) {
+		rr, err := sparql.NewJSONRowReader(bytes.NewReader(doc))
+		if err != nil {
+			return
+		}
+		var got [][]rdf.Term
+		row := make([]rdf.Term, len(rr.Vars()))
+		for err == nil {
+			if err = rr.Next(row); err == nil {
+				got = append(got, slices.Clone(row))
+			}
+		}
+		if err != io.EOF {
+			return
+		}
+		vars, want, end, ok := refDecode(doc)
+		if !ok {
+			t.Fatalf("the reader read a document encoding/json rejects: %q", doc)
+		}
+		if !json.Valid(doc[:end]) {
+			t.Fatalf("the reader read past the end of the document: %q", doc)
+		}
+		if !slices.Equal(rr.Vars(), vars) {
+			t.Fatalf("head %q, encoding/json decodes %q", rr.Vars(), vars)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%d rows, encoding/json decodes %d", len(got), len(want))
+		}
+		for i := range got {
+			if !slices.Equal(got[i], want[i]) {
+				t.Fatalf("row %d = %v, encoding/json decodes %v", i, got[i], want[i])
+			}
+		}
+	})
+}
+
+// refDecode is encoding/json's reading of a results document's rows:
+// the document and results members matched by name exactly, as the
+// format spells them (the head and each term go through encoding/json's
+// struct decoding, as in the reader), the last of duplicate members
+// winning. Each row has the head's width; a cell outside the head is
+// dropped and a variable a binding leaves out is the zero Term. end is
+// the offset at which the document ends; ok is false where encoding/json
+// fails or a cell in the head is no term.
+func refDecode(doc []byte) (vars []string, rows [][]rdf.Term, end int, ok bool) {
+	dec := json.NewDecoder(bytes.NewReader(doc))
+	var top map[string]json.RawMessage
+	if dec.Decode(&top) != nil {
+		return nil, nil, 0, false
+	}
+	var head struct {
+		Vars []string `json:"vars"`
+	}
+	var results map[string]json.RawMessage
+	var bindings []map[string]json.RawMessage
+	if raw, in := top["head"]; in && json.Unmarshal(raw, &head) != nil {
+		return nil, nil, 0, false
+	}
+	if raw, in := top["results"]; in && json.Unmarshal(raw, &results) != nil {
+		return nil, nil, 0, false
+	}
+	if raw, in := results["bindings"]; in && json.Unmarshal(raw, &bindings) != nil {
+		return nil, nil, 0, false
+	}
+	for _, b := range bindings {
+		row := make([]rdf.Term, len(head.Vars))
+		for i, v := range head.Vars {
+			raw, in := b[v]
+			if !in {
+				continue
+			}
+			var cell struct {
+				Type     string `json:"type"`
+				Value    string `json:"value"`
+				Datatype string `json:"datatype"`
+				Lang     string `json:"xml:lang"`
+			}
+			if json.Unmarshal(raw, &cell) != nil {
+				return nil, nil, 0, false
+			}
+			switch cell.Type {
+			case "uri":
+				row[i] = rdf.NewIRI(cell.Value)
+			case "bnode":
+				row[i] = rdf.NewBlank(cell.Value)
+			case "literal", "typed-literal":
+				if cell.Lang != "" {
+					row[i] = rdf.NewLangLiteral(cell.Value, cell.Lang)
+				} else {
+					row[i] = rdf.NewTypedLiteral(cell.Value, cell.Datatype)
+				}
+			default:
+				return nil, nil, 0, false
+			}
+		}
+		rows = append(rows, row)
+	}
+	return head.Vars, rows, int(dec.InputOffset()), true
 }

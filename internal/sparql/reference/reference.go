@@ -34,7 +34,12 @@ func Exec(q *sparql.Query, st store.Queryable) (*sparql.Result, error) {
 	if q.Form == sparql.FormConstruct {
 		// solution modifiers apply to the solution sequence before
 		// templating
-		return &sparql.Result{Graph: q.Construct(window(sols, q.Offset, q.Limit))}, nil
+		var vars []string
+		for _, tp := range q.Template {
+			vars = append(vars, tp.Vars()...)
+		}
+		rows := sparql.ResultSeq(&sparql.Result{Vars: vars, Rows: window(sols, q.Offset, q.Limit)})
+		return &sparql.Result{Graph: q.Construct(vars, rows.Terms())}, nil
 	}
 
 	vars := q.Vars()

@@ -34,6 +34,23 @@ type refTerm struct {
 	Lang     string `json:"xml:lang,omitempty"`
 }
 
+// term is the RDF term a cell decoded by encoding/json denotes; the zero
+// Term for an absent cell.
+func (rt refTerm) term() rdf.Term {
+	switch rt.Type {
+	case "uri":
+		return rdf.NewIRI(rt.Value)
+	case "bnode":
+		return rdf.NewBlank(rt.Value)
+	case "literal":
+		if rt.Lang != "" {
+			return rdf.NewLangLiteral(rt.Value, rt.Lang)
+		}
+		return rdf.NewTypedLiteral(rt.Value, rt.Datatype)
+	}
+	return rdf.Term{}
+}
+
 func refRow(t testing.TB, vars []string, row []rdf.Term) []byte {
 	t.Helper()
 	m := map[string]refTerm{}
@@ -95,9 +112,6 @@ func FuzzRowJSON(f *testing.F) {
 		if got := sparql.NewJSONRowEncoder(vars).AppendRow(nil, row); !bytes.Equal(got, want) {
 			t.Fatalf("row encoder:\n got %s\nwant %s", got, want)
 		}
-		if got, err := sparql.BindingOf(vars, row).MarshalJSON(); err != nil || !bytes.Equal(got, want) {
-			t.Fatalf("Binding.MarshalJSON: %v\n got %s\nwant %s", err, got, want)
-		}
 		if got := document(NDJSON, vars, row); !strings.HasSuffix(got, "\n"+string(want)+"\n") {
 			t.Fatalf("NDJSON line:\n got %q\nwant %q", got, want)
 		}
@@ -105,7 +119,7 @@ func FuzzRowJSON(f *testing.F) {
 		// the document reads back to the same row (through encoding/json's
 		// own decoding of what it would have written, where the input is
 		// not valid UTF-8)
-		var back sparql.Binding
+		var back map[string]refTerm
 		if err := json.Unmarshal(want, &back); err != nil {
 			t.Fatal(err)
 		}
@@ -113,18 +127,18 @@ func FuzzRowJSON(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		got := make([]rdf.Term, len(rr.Vars()))
 		for i := 0; i < 2; i++ {
-			got, err := rr.Next()
-			if err != nil || len(got) != len(back) {
-				t.Fatalf("read back row %d: %v, err %v; want %v", i, got, err, back)
+			if err := rr.Next(got); err != nil {
+				t.Fatalf("read back row %d: %v", i, err)
 			}
-			for v, term := range back {
-				if got[v] != term {
-					t.Fatalf("read back row %d: ?%s = %v, want %v", i, v, got[v], term)
+			for j, v := range rr.Vars() { // the names as encoding/json decodes them
+				if want := back[v].term(); got[j] != want {
+					t.Fatalf("read back row %d: ?%s = %v, want %v", i, v, got[j], want)
 				}
 			}
 		}
-		if _, err := rr.Next(); err != io.EOF {
+		if err := rr.Next(got); err != io.EOF {
 			t.Fatalf("after the last row: %v, want io.EOF", err)
 		}
 

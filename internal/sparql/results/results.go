@@ -231,12 +231,16 @@ func (w *Writer) WriteTerms(row []rdf.Term) error {
 	return w.err
 }
 
-// WriteRow appends one solution given as a Binding.
+// WriteRow appends one solution given as a Binding; a key outside the
+// head has no column and is dropped.
 func (w *Writer) WriteRow(b sparql.Binding) error {
 	if w.row == nil {
 		w.row = make([]rdf.Term, len(w.vars))
 	}
-	return w.WriteTerms(sparql.FillRow(w.row, w.vars, b))
+	for i, v := range w.vars {
+		w.row[i] = b[v]
+	}
+	return w.WriteTerms(w.row)
 }
 
 // Close terminates the document. An unterminated JSON or XML document

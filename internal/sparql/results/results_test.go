@@ -236,7 +236,7 @@ func TestServeOffHTTP(t *testing.T) {
 	broken := errors.New("source died")
 	failing := func() *sparql.RowSeq {
 		err := broken
-		return sparql.NewRowSeq([]string{"a"}, func(yield func(sparql.Binding) bool) { yield(rows.Rows[0]) }, &err)
+		return sparql.NewRowSeq([]string{"a"}, func(yield func([]rdf.Term) bool) { yield([]rdf.Term{rows.Rows[0]["a"]}) }, &err)
 	}
 	sb.Reset()
 	if n, err := Serve(&sb, NDJSON, failing()); n != 1 || !errors.Is(err, broken) || !strings.HasSuffix(sb.String(), `{"error":"source died"}`+"\n") {

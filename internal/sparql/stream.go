@@ -32,10 +32,11 @@ import (
 //
 // The stream is a push sequence of positional rows (one []rdf.Term
 // aligned with Vars, the zero Term where a variable is unbound, in a
-// buffer the producer reuses) — what the executor emits and a results
-// writer encodes. Terms ranges over it on the caller's goroutine; All
-// and Collect build a fresh Binding per row for the consumers that want
-// a map to keep.
+// buffer the producer reuses) — the one row shape every producer yields
+// and every serving path consumes: the executor, the remote reader, the
+// federated merges, a results writer. Terms ranges over it on the
+// caller's goroutine; All and Collect build a fresh Binding per row, a
+// convenience for code that keeps rows.
 //
 // Contract: a stream has one way to be consumed — range over Terms or
 // All, once, and break or Close to stop early; after the range check Err
@@ -75,45 +76,32 @@ func (rs *RowSeq) OnClose(fn func()) {
 	rs.onClose = fn
 }
 
-// NewRowSeq builds a RowSeq over a push iterator of Bindings — for the
-// producers that hold maps anyway (the remote client, the federated
-// merge); each is copied into the positional row once, so a key outside
-// vars is dropped: head the stream with every variable it may bind. The
-// producer reports a mid-stream failure by setting *errp before
+// NewRowSeq builds a RowSeq over a push iterator of positional rows
+// aligned with vars, the zero Term where a variable is unbound. The
+// producer may reuse its buffer between rows, as Terms promises its
+// consumer. It reports a mid-stream failure by setting *errp before
 // returning; errp may be nil for infallible producers. The producer runs
 // on the consumer's goroutine, in its range, so no synchronization is
 // needed around errp.
-func NewRowSeq(vars []string, seq iter.Seq[Binding], errp *error) *RowSeq {
-	row := make([]rdf.Term, len(vars))
-	return &RowSeq{Vars: vars, errp: errp, seq: func(yield func([]rdf.Term) bool) {
-		seq(func(b Binding) bool { return yield(FillRow(row, vars, b)) })
-	}}
+func NewRowSeq(vars []string, seq iter.Seq[[]rdf.Term], errp *error) *RowSeq {
+	return &RowSeq{Vars: vars, errp: errp, seq: seq}
 }
 
-// FillRow writes b into row aligned with vars, the zero Term where b
-// leaves a variable unbound; a key of b outside vars has no column and
-// is dropped. With BindingOf it is the one map↔row adapter.
-func FillRow(row []rdf.Term, vars []string, b Binding) []rdf.Term {
-	for i, v := range vars {
-		row[i] = b[v]
-	}
-	return row
-}
-
-// BindingOf is FillRow's inverse: a fresh Binding of the row's bound terms.
-func BindingOf(vars []string, row []rdf.Term) Binding {
-	b := make(Binding, len(row))
-	for i, t := range row {
-		if !t.IsZero() {
-			b[vars[i]] = t
-		}
-	}
-	return b
-}
-
-// ResultSeq adapts a materialized Result to the streaming interface.
+// ResultSeq adapts a materialized Result to the streaming interface: the
+// one place Bindings become a stream's rows. A key of a row outside
+// res.Vars has no column and is dropped.
 func ResultSeq(res *Result) *RowSeq {
-	rs := NewRowSeq(res.Vars, slices.Values(res.Rows), nil)
+	row := make([]rdf.Term, len(res.Vars))
+	rs := NewRowSeq(res.Vars, func(yield func([]rdf.Term) bool) {
+		for _, b := range res.Rows {
+			for i, v := range res.Vars {
+				row[i] = b[v]
+			}
+			if !yield(row) {
+				return
+			}
+		}
+	}, nil)
 	rs.Ask, rs.Boolean, rs.Graph = res.Ask, res.Boolean, res.Graph
 	return rs
 }
@@ -152,11 +140,23 @@ func (rs *RowSeq) end() {
 func (rs *RowSeq) All() iter.Seq[Binding] {
 	return func(yield func(Binding) bool) {
 		for row := range rs.Terms() {
-			if !yield(BindingOf(rs.Vars, row)) {
+			if !yield(bindingOf(rs.Vars, row)) {
 				return
 			}
 		}
 	}
+}
+
+// bindingOf is a fresh Binding of the row's bound terms, for the
+// consumers that keep rows as maps (All, Exec).
+func bindingOf(vars []string, row []rdf.Term) Binding {
+	b := make(Binding, len(row))
+	for i, t := range row {
+		if !t.IsZero() {
+			b[vars[i]] = t
+		}
+	}
+	return b
 }
 
 // Err reports why the stream stopped: nil after a complete, successful
@@ -221,6 +221,34 @@ func (rs *RowSeq) Limit(n int) *RowSeq {
 			}
 		}
 	})
+}
+
+// Project returns a stream of rs's rows re-headed onto vars: each row
+// holds, in vars order, rs's cell of that variable, the zero Term where
+// rs's head lacks it. The columns are found by name once per stream,
+// for the consumers that read columns by name: a remote endpoint may
+// order its head differently from the query, or leave a variable out.
+func (rs *RowSeq) Project(vars []string) *RowSeq {
+	cols := make([]int, len(vars))
+	for i, v := range vars {
+		cols[i] = slices.Index(rs.Vars, v)
+	}
+	out := make([]rdf.Term, len(vars))
+	p := rs.wrap(func(yield func([]rdf.Term) bool) {
+		for row := range rs.Terms() {
+			for i, c := range cols {
+				out[i] = rdf.Term{}
+				if c >= 0 {
+					out[i] = row[c]
+				}
+			}
+			if !yield(out) {
+				return
+			}
+		}
+	})
+	p.Vars = vars
+	return p
 }
 
 // Tap returns a stream identical to rs that additionally calls fn for

@@ -353,15 +353,16 @@ func TestJSONRowRoundtrip(t *testing.T) {
 		t.Fatalf("vars = %v", rr.Vars())
 	}
 	var keys []string
+	row := make([]rdf.Term, 2)
 	for {
-		b, err := rr.Next()
+		err := rr.Next(row)
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		keys = append(keys, b["p"].Value+" "+b["l"].Value)
+		keys = append(keys, row[0].Value+" "+row[1].Value)
 	}
 	sort.Strings(want)
 	sort.Strings(keys)
@@ -382,7 +383,7 @@ func TestJSONRowReaderAsk(t *testing.T) {
 	if val, ok := rr.Ask(); !ok || !val {
 		t.Fatalf("Ask() = %v, %v", val, ok)
 	}
-	if _, err := rr.Next(); err != io.EOF {
+	if err := rr.Next(nil); err != io.EOF {
 		t.Fatalf("Next on ASK = %v, want EOF", err)
 	}
 }
@@ -396,11 +397,9 @@ func TestJSONRowReaderTruncated(t *testing.T) {
 		if err != nil {
 			continue // truncated inside the prologue: also an error, fine
 		}
-		for {
-			_, err = rr.Next()
-			if err != nil {
-				break
-			}
+		row := make([]rdf.Term, len(rr.Vars()))
+		for err == nil {
+			err = rr.Next(row)
 		}
 		if err == io.EOF {
 			t.Fatalf("cut at %d: reader reported a clean end of a truncated document", cut)
@@ -413,16 +412,20 @@ func TestJSONRowReaderGarbage(t *testing.T) {
 		`{"head":{"vars":["s"]},"results":{"bindings":[{"s":{"type":"uri","value":"x"}} garbage`,
 		`{"head":{"vars":["s"]},"results":{"bindings":[{"s":{"type":"wat","value":"x"}}]}}`,
 		`not json at all`,
+		// the head names the columns: bindings before it are an error,
+		// not rows without cells
+		`{"results":{"bindings":[{"s":{"type":"uri","value":"x"}}]},"head":{"vars":["s"]}}`,
+		// a second head, results or bindings after the rows went out
+		`{"head":{"vars":["s"]},"results":{"bindings":[]},"head":{"vars":["t"]}}`,
+		`{"head":{"vars":["s"]},"results":{"bindings":[],"bindings":[{}]}}`,
 	} {
 		rr, err := sparql.NewJSONRowReader(strings.NewReader(doc))
 		if err != nil {
 			continue
 		}
-		for {
-			_, err = rr.Next()
-			if err != nil {
-				break
-			}
+		row := make([]rdf.Term, len(rr.Vars()))
+		for err == nil {
+			err = rr.Next(row)
 		}
 		if err == io.EOF {
 			t.Fatalf("malformed document read cleanly: %s", doc)

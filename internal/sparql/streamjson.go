@@ -10,46 +10,19 @@ package sparql
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"unicode/utf8"
 
 	"repro/internal/rdf"
 )
 
-// MarshalJSON encodes one solution binding in the SPARQL JSON results
-// term encoding, through the row encoder.
-func (b Binding) MarshalJSON() ([]byte, error) {
-	vars, row := make([]string, 0, len(b)), make([]rdf.Term, 0, len(b))
-	for v, t := range b {
-		vars, row = append(vars, v), append(row, t)
-	}
-	return NewJSONRowEncoder(vars).AppendRow(nil, row), nil
-}
-
-// UnmarshalJSON decodes one solution binding from the SPARQL JSON
-// results term encoding.
-func (b *Binding) UnmarshalJSON(data []byte) error {
-	var jb map[string]jsonTerm
-	if err := json.Unmarshal(data, &jb); err != nil {
-		return err
-	}
-	out := make(Binding, len(jb))
-	for v, jt := range jb {
-		t, err := termFromJSON(jt)
-		if err != nil {
-			return err
-		}
-		out[v] = t
-	}
-	*b = out
-	return nil
-}
-
 // JSONRowEncoder appends solution rows in the SPARQL JSON results term
 // encoding ({"v": {"type": ..., "value": ...}, ...}) — the one encoder
-// behind the JSON and NDJSON writers and Binding.MarshalJSON. The bytes
+// behind the JSON and NDJSON writers. The bytes
 // are encoding/json's for a map of terms: members in sorted-name order
 // (the permutation and the quoted names are computed once per document),
 // strings escaped as appendJSONString does.
@@ -165,12 +138,22 @@ func WriteAskJSON(w io.Writer, value bool) error {
 
 // JSONRowReader decodes a SPARQL JSON results document token-wise: the
 // head is parsed on construction, then Next decodes one binding at a
-// time straight off the underlying reader, so memory stays O(row) no
-// matter how large the result is.
+// time straight off the underlying reader into a positional row, so
+// memory stays O(row) no matter how large the result is.
+//
+// The head names the columns, so it must come first: a document that
+// opens its bindings before any head is an error, as is a head, results
+// or bindings member after the bindings (encoding/json would take the
+// last of duplicate members, and the rows have gone out by then). Other
+// members after the bindings are skipped, and bytes after the document
+// are not read.
 type JSONRowReader struct {
 	dec        *json.Decoder
 	vars       []string
-	boolean    *bool
+	cells      map[string]jsonTerm // the binding being decoded, reused
+	head       bool                // a head member was read
+	ask        bool                // a boolean member was read: an ASK result
+	boolean    bool
 	inBindings bool
 	done       bool
 }
@@ -186,16 +169,13 @@ func NewJSONRowReader(r io.Reader) (*JSONRowReader, error) {
 	return jr, nil
 }
 
-// Vars returns the head's variable list (empty for ASK results, and for
-// malformed documents that open the bindings before any head).
+// Vars returns the head's variable list (empty for ASK results): the
+// columns of the rows Next fills.
 func (jr *JSONRowReader) Vars() []string { return jr.vars }
 
 // Ask returns the boolean of an ASK result and whether this is one.
 func (jr *JSONRowReader) Ask() (value, ok bool) {
-	if jr.boolean == nil {
-		return false, false
-	}
-	return *jr.boolean, true
+	return jr.boolean, jr.ask
 }
 
 func expectDelim(dec *json.Decoder, d json.Delim) error {
@@ -218,117 +198,130 @@ func noEOF(err error) error {
 	return err
 }
 
+// key reads the name of the next object member.
+func (jr *JSONRowReader) key() (string, error) {
+	tok, err := jr.dec.Token()
+	if err != nil {
+		return "", noEOF(err)
+	}
+	key, ok := tok.(string)
+	if !ok {
+		return "", fmt.Errorf("sparql: results document: unexpected token %v", tok)
+	}
+	return key, nil
+}
+
+// decode decodes the next value into v; a nil v skips it.
+func (jr *JSONRowReader) decode(v any) error {
+	if v == nil {
+		v = new(json.RawMessage)
+	}
+	return noEOF(jr.dec.Decode(v))
+}
+
 func (jr *JSONRowReader) prologue() error {
 	if err := expectDelim(jr.dec, '{'); err != nil {
 		return err
 	}
 	for jr.dec.More() {
-		tok, err := jr.dec.Token()
+		key, err := jr.key()
 		if err != nil {
-			return noEOF(err)
-		}
-		key, ok := tok.(string)
-		if !ok {
-			return fmt.Errorf("sparql: results document: unexpected token %v", tok)
+			return err
 		}
 		switch key {
 		case "head":
 			var head struct {
 				Vars []string `json:"vars"`
 			}
-			if err := jr.dec.Decode(&head); err != nil {
-				return noEOF(err)
-			}
-			jr.vars = head.Vars
+			err = jr.decode(&head)
+			jr.vars, jr.head = head.Vars, true
 		case "boolean":
-			var b bool
-			if err := jr.dec.Decode(&b); err != nil {
-				return noEOF(err)
-			}
-			jr.boolean = &b
+			err = jr.decode(&jr.boolean)
+			jr.ask = true
 		case "results":
 			if err := expectDelim(jr.dec, '{'); err != nil {
 				return err
 			}
 			for jr.dec.More() {
-				tok, err := jr.dec.Token()
+				rkey, err := jr.key()
 				if err != nil {
-					return noEOF(err)
-				}
-				rkey, ok := tok.(string)
-				if !ok {
-					return fmt.Errorf("sparql: results document: unexpected token %v", tok)
+					return err
 				}
 				if rkey == "bindings" {
-					if err := expectDelim(jr.dec, '['); err != nil {
-						return err
+					if !jr.head {
+						return errors.New("sparql: results document: bindings before head (the head names the columns)")
 					}
 					jr.inBindings = true
-					return nil
+					return expectDelim(jr.dec, '[')
 				}
-				var skip json.RawMessage
-				if err := jr.dec.Decode(&skip); err != nil {
-					return noEOF(err)
+				if err := jr.decode(nil); err != nil {
+					return err
 				}
 			}
-			// results object with no bindings member
-			if err := expectDelim(jr.dec, '}'); err != nil {
-				return err
-			}
+			err = expectDelim(jr.dec, '}') // a results object with no bindings member
 		default:
-			var skip json.RawMessage
-			if err := jr.dec.Decode(&skip); err != nil {
-				return noEOF(err)
-			}
+			err = jr.decode(nil)
+		}
+		if err != nil {
+			return err
 		}
 	}
-	if err := expectDelim(jr.dec, '}'); err != nil {
-		return err
-	}
 	jr.done = true
-	return nil
+	return expectDelim(jr.dec, '}')
 }
 
-// Next decodes the next binding. It returns io.EOF at the clean end of
-// the document; any other error means the stream is broken (truncated
-// body, malformed JSON, an invalid term) and no further rows can follow.
-func (jr *JSONRowReader) Next() (Binding, error) {
+// Next decodes the next binding into row, which must hold len(Vars())
+// terms: the cell of each head variable, the zero Term where the binding
+// leaves it out. A cell whose variable is not in the head has no column
+// and is dropped. Next returns io.EOF at the clean end of the document;
+// any other error means the stream is broken (truncated body, malformed
+// JSON, an invalid term) and no further rows can follow.
+func (jr *JSONRowReader) Next(row []rdf.Term) error {
 	if jr.done || !jr.inBindings {
-		return nil, io.EOF
+		return io.EOF
 	}
 	if jr.dec.More() {
-		var b Binding
-		if err := jr.dec.Decode(&b); err != nil {
-			return nil, noEOF(err)
+		clear(jr.cells)
+		if err := jr.decode(&jr.cells); err != nil {
+			return err
 		}
-		return b, nil
-	}
-	// close the bindings array, then unwind the enclosing results object
-	// and the document, tolerating (and skipping) any trailing members
-	if err := expectDelim(jr.dec, ']'); err != nil {
-		return nil, err
-	}
-	for depth := 2; depth > 0; {
-		tok, err := jr.dec.Token()
-		if err != nil {
-			return nil, noEOF(err)
-		}
-		switch t := tok.(type) {
-		case json.Delim:
-			if t == '}' {
-				depth--
+		for i, v := range jr.vars {
+			jt, ok := jr.cells[v]
+			if !ok {
+				row[i] = rdf.Term{}
 				continue
 			}
-			return nil, fmt.Errorf("sparql: results document: unexpected %v", t)
-		case string:
-			var skip json.RawMessage
-			if err := jr.dec.Decode(&skip); err != nil {
-				return nil, noEOF(err)
+			t, err := termFromJSON(jt)
+			if err != nil {
+				return err
 			}
-		default:
-			return nil, fmt.Errorf("sparql: results document: unexpected token %v", tok)
+			row[i] = t
+		}
+		return nil
+	}
+	// close the bindings array, then unwind the enclosing results object
+	// and the document: a member there that would name other rows is an
+	// error, any other is skipped
+	if err := expectDelim(jr.dec, ']'); err != nil {
+		return err
+	}
+	for _, again := range [2][]string{{"bindings"}, {"head", "results"}} {
+		for jr.dec.More() {
+			key, err := jr.key()
+			if err != nil {
+				return err
+			}
+			if slices.Contains(again, key) {
+				return fmt.Errorf("sparql: results document: a second %q member after the bindings", key)
+			}
+			if err := jr.decode(nil); err != nil {
+				return err
+			}
+		}
+		if err := expectDelim(jr.dec, '}'); err != nil {
+			return err
 		}
 	}
 	jr.done = true
-	return nil, io.EOF
+	return io.EOF
 }

@@ -26,7 +26,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 
 	"repro/internal/rdf"
 	"repro/internal/sparql"
@@ -45,11 +46,21 @@ type Delta struct {
 // Empty reports whether the update changed nothing.
 func (d *Delta) Empty() bool { return len(d.Added) == 0 && len(d.Removed) == 0 }
 
-// applier tracks the net triple delta while ops execute.
+// applier tracks the net triple delta while ops execute, and mints the
+// request's blank nodes.
 type applier struct {
 	be      store.Backend
 	added   map[rdf.Triple]bool
 	removed map[rdf.Triple]bool
+
+	// Minting (see fresh): the current solution's nodes by template
+	// label, the next label number and the stride a collision moves it
+	// by, and a view of committed state taken at the first mint.
+	bnodes  map[string]rdf.Term
+	next    int
+	step    int
+	rd      store.ReaderAPI
+	mintErr error
 }
 
 // Apply executes a parsed update request against a backend and returns
@@ -71,7 +82,14 @@ func Apply(ctx context.Context, be store.Backend, u *sparql.Update) (*Delta, err
 		be:      be,
 		added:   make(map[rdf.Triple]bool),
 		removed: make(map[rdf.Triple]bool),
+		bnodes:  make(map[string]rdf.Term),
+		step:    1,
 	}
+	defer func() {
+		if rd, ok := a.rd.(interface{ Release() }); ok {
+			rd.Release() // the minting view
+		}
+	}()
 	if err := a.run(ctx, u); err != nil {
 		if uerr := a.undo(); uerr != nil {
 			err = errors.Join(err, fmt.Errorf("update: undoing the failed request: %w", uerr))
@@ -93,9 +111,9 @@ func (a *applier) run(ctx context.Context, u *sparql.Update) error {
 		var err error
 		switch op := op.(type) {
 		case *sparql.InsertData:
-			err = a.insertGround(op.Triples)
+			err = a.instantiate(sparql.NewTemplate(op.Triples, nil), nil, 1, a.insert, a.fresh)
 		case *sparql.DeleteData:
-			err = a.deleteGround(op.Triples)
+			err = a.instantiate(sparql.NewTemplate(op.Triples, nil), nil, 1, a.delete, nil)
 		case *sparql.Modify:
 			err = a.modify(ctx, u, op)
 		default:
@@ -162,32 +180,6 @@ func (a *applier) delete(t rdf.Triple) error {
 	return nil
 }
 
-func (a *applier) insertGround(tmpl []sparql.TriplePattern) error {
-	for _, tp := range tmpl {
-		t, ok := groundTriple(tp)
-		if !ok {
-			continue
-		}
-		if err := a.insert(t); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (a *applier) deleteGround(tmpl []sparql.TriplePattern) error {
-	for _, tp := range tmpl {
-		t, ok := groundTriple(tp)
-		if !ok {
-			continue
-		}
-		if err := a.delete(t); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // modify runs one DELETE/INSERT ... WHERE operation: bind the WHERE
 // pattern through the engine, materialize the solution sequence (both
 // templates must see the pre-operation state), then apply all deletes
@@ -208,110 +200,87 @@ func (a *applier) modify(ctx context.Context, u *sparql.Update, op *sparql.Modif
 	if err != nil {
 		return err
 	}
-	var solutions []sparql.Binding
-	for b := range rows.All() {
-		solutions = append(solutions, b)
+	// the solutions, len(rows.Vars) terms each, end to end
+	var slab []rdf.Term
+	n := 0
+	for row := range rows.Terms() {
+		slab = append(slab, row...)
+		n++
 	}
 	if err := rows.Err(); err != nil {
 		return err
 	}
-	for _, b := range solutions {
-		for _, tp := range op.Delete {
-			if t, ok := instantiate(tp, b, nil); ok {
-				if err := a.delete(t); err != nil {
-					return err
-				}
-			}
-		}
+	if err := a.instantiate(sparql.NewTemplate(op.Delete, rows.Vars), slab, n, a.delete, nil); err != nil {
+		return err
 	}
-	// Blank nodes in an INSERT template denote fresh nodes per solution.
-	for i, b := range solutions {
-		bnodes := map[string]rdf.Term{}
-		fresh := func(label string) rdf.Term {
-			t, ok := bnodes[label]
-			if !ok {
-				t = rdf.NewBlank(fmt.Sprintf("u%d_%s", i, label))
-				bnodes[label] = t
-			}
-			return t
+	return a.instantiate(sparql.NewTemplate(op.Insert, rows.Vars), slab, n, a.insert, a.fresh)
+}
+
+// instantiate applies tmpl to each of the n solutions laid end to end in
+// slab (none for a DATA block: the zero-variable case, one empty
+// solution), handing every triple it yields to apply — a.insert, with
+// a.fresh minting an INSERT template's blank nodes, or a.delete.
+func (a *applier) instantiate(tmpl sparql.Template, slab []rdf.Term, n int, apply func(rdf.Triple) error, fresh func(string) rdf.Term) error {
+	w := len(slab) / max(n, 1)
+	for i := 0; i < n; i++ {
+		clear(a.bnodes)
+		if err := tmpl.Instantiate(slab[i*w:(i+1)*w], fresh, apply); err != nil {
+			return err
 		}
-		for _, tp := range op.Insert {
-			if t, ok := instantiate(tp, b, fresh); ok {
-				if err := a.insert(t); err != nil {
-					return err
-				}
-			}
+		if a.mintErr != nil {
+			return a.mintErr
 		}
 	}
 	return nil
 }
 
-// groundTriple converts a variable-free template triple, dropping
-// position-invalid ones (literal subject or non-IRI predicate) the same
-// way instantiation does.
-func groundTriple(tp sparql.TriplePattern) (rdf.Triple, bool) {
-	t := rdf.Triple{S: tp.S.Term, P: tp.P.Term, O: tp.O.Term}
-	return t, validTriple(t)
+// fresh returns the node a template's blank node label denotes in the
+// current solution, minted on first use as one no triple of the store
+// carries (SPARQL 1.1 Update §3.1.1), across requests too. The label
+// number only grows within a request, and any other blank node a request
+// writes was bound by a WHERE, so carried sees it. A collision moves the
+// number on by a doubling stride. Minting is deterministic given the
+// committed state and the request, so the tiers and a replay agree.
+func (a *applier) fresh(label string) rdf.Term {
+	if t, ok := a.bnodes[label]; ok {
+		return t
+	}
+	for {
+		t := rdf.NewBlank(fmt.Sprintf("u%d_%s", a.next, label))
+		if !a.carried(t) {
+			a.next++
+			a.bnodes[label] = t
+			return t
+		}
+		a.next += a.step
+		a.step *= 2
+	}
 }
 
-// instantiate substitutes a solution's bindings into a template triple.
-// ok is false when a template variable is unbound in this solution or
-// the substituted triple is not a valid RDF triple — per SPARQL 1.1
-// Update, such instantiations are skipped, not errors. fresh, when
-// non-nil, remaps blank-node labels (INSERT templates).
-func instantiate(tp sparql.TriplePattern, b sparql.Binding, fresh func(string) rdf.Term) (rdf.Triple, bool) {
-	resolve := func(n sparql.NodePattern) (rdf.Term, bool) {
-		if n.IsVar() {
-			t, ok := b[n.Var]
-			return t, ok && !t.IsZero()
-		}
-		if fresh != nil && n.Term.IsBlank() {
-			return fresh(n.Term.Value), true
-		}
-		return n.Term, true
+// carried reports whether a triple of the committed state holds t, a
+// blank node, as its subject or object.
+func (a *applier) carried(t rdf.Term) bool {
+	if a.rd == nil {
+		a.rd = a.be.Snapshot()
 	}
-	var t rdf.Triple
-	var ok bool
-	if t.S, ok = resolve(tp.S); !ok {
-		return t, false
-	}
-	if t.P, ok = resolve(tp.P); !ok {
-		return t, false
-	}
-	if t.O, ok = resolve(tp.O); !ok {
-		return t, false
-	}
-	return t, validTriple(t)
-}
-
-// validTriple enforces RDF positional rules: subjects are IRIs or blank
-// nodes, predicates are IRIs.
-func validTriple(t rdf.Triple) bool {
-	if t.S.IsZero() || t.P.IsZero() || t.O.IsZero() {
+	id := a.rd.Lookup(t)
+	if id == store.NoID || a.mintErr != nil {
 		return false
 	}
-	if t.S.IsLiteral() || !t.P.IsIRI() {
-		return false
+	hit := false
+	for _, pat := range [2]store.IDPattern{{S: id}, {O: id}} {
+		if err := a.rd.Runs(pat, func(store.Run) bool { hit = true; return false }); err != nil {
+			a.mintErr = err
+		}
 	}
-	return true
+	return hit
 }
 
 func sortedTriples(set map[rdf.Triple]bool) []rdf.Triple {
 	if len(set) == 0 {
 		return nil
 	}
-	out := make([]rdf.Triple, 0, len(set))
-	for t := range set {
-		out = append(out, t)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if c := out[i].S.Compare(out[j].S); c != 0 {
-			return c < 0
-		}
-		if c := out[i].P.Compare(out[j].P); c != 0 {
-			return c < 0
-		}
-		return out[i].O.Compare(out[j].O) < 0
-	})
+	out := slices.Collect(maps.Keys(set))
+	slices.SortFunc(out, rdf.Triple.Compare)
 	return out
 }

@@ -198,17 +198,73 @@ func TestUnboundTemplateVarSkipsInstantiation(t *testing.T) {
 	}
 }
 
+// cardRequest gives every subject with an age a card: one blank node per
+// solution.
+const cardRequest = `PREFIX ex: <http://ex/>
+	INSERT { ?s ex:card _:b . _:b ex:of ?s } WHERE { ?s ex:age ?a }`
+
+func distinctCards(t *testing.T, be store.Backend) int {
+	t.Helper()
+	return count(t, be, `SELECT DISTINCT ?b WHERE { ?s <http://ex/card> ?b }`)
+}
+
+// TestInsertBlankNodesFreshPerSolution: a template's blank node is a new
+// node per solution, and new to the store — a second request, or an
+// INSERT DATA, never reuses a node an earlier request minted.
 func TestInsertBlankNodesFreshPerSolution(t *testing.T) {
 	for name, be := range backends(t) {
 		t.Run(name, func(t *testing.T) {
+			apply(t, be, cardRequest)
+			// Two solutions → two distinct blank nodes → 4 triples. Each
+			// later case reports on its own (Errorf), so each shows.
+			if got := distinctCards(t, be); got != 2 {
+				t.Errorf("distinct blanks = %d, want 2", got)
+			}
+			// the same request again: two more nodes, not the first two
+			apply(t, be, cardRequest)
+			if got := distinctCards(t, be); got != 4 {
+				t.Errorf("after the repeat: distinct blanks = %d, want 4", got)
+			}
+			// a third request's node is nobody else's card
 			apply(t, be, `PREFIX ex: <http://ex/>
-				INSERT { ?s ex:card _:b . _:b ex:of ?s } WHERE { ?s ex:age ?a }`)
-			// Two solutions → two distinct blank nodes → 4 triples.
-			if got := count(t, be, `SELECT DISTINCT ?b WHERE { ?s <http://ex/card> ?b }`); got != 2 {
-				t.Fatalf("distinct blanks = %d, want 2", got)
+				INSERT { ex:zed ex:card _:b } WHERE { ex:alice ex:age ?a }`)
+			if got := count(t, be, `SELECT DISTINCT ?s WHERE { ?s <http://ex/card> ?b . <http://ex/zed> <http://ex/card> ?b }`); got != 1 {
+				t.Errorf("holders of ex:zed's card = %d, want 1", got)
+			}
+			// INSERT DATA's blank nodes are fresh too (SPARQL 1.1 Update
+			// §3.1.1), whatever label the document gives them
+			for i := 0; i < 2; i++ {
+				apply(t, be, `PREFIX ex: <http://ex/> INSERT DATA { ex:yan ex:card _:b . ex:yan ex:card _:u0_b }`)
+			}
+			if got := count(t, be, `SELECT ?b WHERE { <http://ex/yan> <http://ex/card> ?b }`); got != 4 {
+				t.Errorf("ex:yan's cards = %d, want 4", got)
+			}
+			if got := count(t, be, `SELECT DISTINCT ?s WHERE { ?s <http://ex/card> ?b . <http://ex/yan> <http://ex/card> ?b }`); got != 1 {
+				t.Errorf("holders of ex:yan's cards = %d, want 1", got)
 			}
 		})
 	}
+	t.Run("disk reopen", func(t *testing.T) {
+		dir := t.TempDir()
+		ds, err := disk.Open(dir, disk.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		apply(t, ds, `PREFIX ex: <http://ex/> INSERT DATA { ex:alice ex:age 34 . ex:bob ex:age 29 }`)
+		apply(t, ds, cardRequest)
+		if err := ds.Close(); err != nil {
+			t.Fatal(err)
+		}
+		re, err := disk.Open(dir, disk.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer re.Close()
+		apply(t, re, cardRequest)
+		if got := distinctCards(t, re); got != 4 {
+			t.Fatalf("after a reopen and the repeat: distinct blanks = %d, want 4", got)
+		}
+	})
 }
 
 func TestLiteralSubjectInstantiationSkipped(t *testing.T) {
