@@ -6,14 +6,18 @@
 //
 // Usage:
 //
-//	hbold serve [-addr :8080] [-datasets N] [-cache 64] [-slow-query 0] [-readonly=false]
-//	hbold daemon [-addr :8080] [-datasets N] [-workers 4] [-poll 30s] [-retries 3] [-rate 0] [-cache 64] [-slow-query 0] [-readonly=false]
+//	hbold serve [-addr :8080] [-datasets N] [-cache 64] [-slow-query 0] [-readonly=false] [-debug-addr ADDR]
+//	hbold daemon [-addr :8080] [-datasets N] [-workers 4] [-poll 30s] [-retries 3] [-rate 0] [-cache 64] [-slow-query 0] [-readonly=false] [-debug-addr ADDR]
 //	hbold extract <file.ttl>
 //	hbold render <file.ttl> <outdir>
 //	hbold crawl
 //	hbold query [-timeout 0] [-stream] <file.ttl> <sparql-query>
 //	hbold query [-timeout 0] [-stream] [-policy all] -endpoint URL [-endpoint URL ...] <sparql-query>
-//	hbold sparqld [-addr :8081] [-quiet] [-readonly] <file.ttl>
+//	hbold sparqld [-addr :8081] [-quiet] [-readonly] [-debug-addr ADDR] <file.ttl>
+//
+// -debug-addr, on the three server modes, opens a second listener that
+// serves the net/http/pprof profiles (CPU, heap, goroutines, execution
+// trace) under /debug/pprof/; it is off unless given.
 //
 // Live mutation: sparqld accepts SPARQL 1.1 Update requests (POST with
 // Content-Type application/sparql-update or an update= form field, at
@@ -72,10 +76,13 @@ import (
 	"fmt"
 	"log"
 	"log/slog"
+	"net"
 	"net/http"
+	"net/http/pprof"
 	"os"
 	"os/signal"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"syscall"
 	"time"
@@ -104,6 +111,12 @@ import (
 )
 
 func main() {
+	// Linking net/http/pprof (for -debug-addr) makes the runtime sample
+	// heap allocations for profiles in every process, which a binary
+	// without it never does; the sampling costs allocation-heavy serving
+	// paths several percent and its buckets stay resident. It is off
+	// until a debug listener asks for it.
+	runtime.MemProfileRate = 0
 	log.SetFlags(0)
 	if len(os.Args) < 2 {
 		usage()
@@ -138,7 +151,9 @@ func cmdSparqld(args []string) {
 	dataDir := fs.String("data-dir", "", "persistent data directory: an empty one is seeded from the Turtle file, a populated one serves from disk (file arg optional)")
 	quiet := fs.Bool("quiet", false, "disable the per-request access log")
 	readonly := fs.Bool("readonly", false, "refuse SPARQL updates with 403 (the query surface stays up)")
+	debugAddr := fs.String("debug-addr", "", debugAddrUsage)
 	fs.Parse(args)
+	debugListen(*debugAddr)
 	var st store.Queryable
 	var be store.Backend
 	var triples int
@@ -194,6 +209,32 @@ func cmdSparqld(args []string) {
 	log.Fatal(http.ListenAndServe(*addr, h))
 }
 
+const debugAddrUsage = "serve net/http/pprof under /debug/pprof/ on this address, apart from the serving one (empty: off)"
+
+// debugListen serves the runtime profiles of net/http/pprof on addr, a
+// listener of its own that lives as long as the process: profiles are
+// there on demand, and never on the address that serves queries. An
+// empty addr serves nothing and returns nil.
+func debugListen(addr string) net.Listener {
+	if addr == "" {
+		return nil
+	}
+	runtime.MemProfileRate = 512 << 10 // the runtime's default
+	mux := http.NewServeMux()
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		log.Fatalf("hbold: debug listener: %v", err)
+	}
+	log.Printf("hbold: profiles on http://%s/debug/pprof/", ln.Addr())
+	go func() { log.Printf("hbold: debug listener: %v", http.Serve(ln, mux)) }()
+	return ln
+}
+
 // newLogger builds the CLI's structured logger: text records on stderr,
 // so access and slow-query logs interleave with the plain log package's
 // startup lines without fighting over stdout.
@@ -203,7 +244,7 @@ func newLogger() *slog.Logger {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
-  hbold serve [-addr :8080] [-datasets N] [-data-dir DIR] [-cache 64] [-slow-query 0] [-readonly=false]
+  hbold serve [-addr :8080] [-datasets N] [-data-dir DIR] [-cache 64] [-slow-query 0] [-readonly=false] [-debug-addr ADDR]
                                             start the presentation layer over a demo corpus
                                             (-data-dir: persist the document store and mirror
                                             each corpus to disk; a restart serves from DIR
@@ -211,8 +252,10 @@ func usage() {
                                             budget in MiB, 0 disables; -slow-query: log
                                             /api/query slower than this; -readonly=false
                                             enables POST /api/update — the default refuses
-                                            updates with 403)
-  hbold daemon [-addr :8080] [-datasets N] [-workers 4] [-poll 30s] [-retries 3] [-rate 0] [-data-dir DIR] [-cache 64] [-slow-query 0] [-readonly=false]
+                                            updates with 403; -debug-addr: serve
+                                            net/http/pprof on a second listener, as on
+                                            daemon and sparqld)
+  hbold daemon [-addr :8080] [-datasets N] [-workers 4] [-poll 30s] [-retries 3] [-rate 0] [-data-dir DIR] [-cache 64] [-slow-query 0] [-readonly=false] [-debug-addr ADDR]
                                             serve plus the concurrent extraction scheduler on
                                             the clock-driven §3.1 refresh cycle (-data-dir as
                                             in serve: restart resumes the catalog and skips
@@ -227,7 +270,7 @@ func usage() {
   hbold query -endpoint URL [-endpoint URL ...] [-policy all|prune|cost] <sparql>
                                             federate the query over several live endpoints,
                                             merging the row streams incrementally
-  hbold sparqld [-addr :8081] [-data-dir DIR] [-quiet] [-readonly] [file.ttl]
+  hbold sparqld [-addr :8081] [-data-dir DIR] [-quiet] [-readonly] [-debug-addr ADDR] [file.ttl]
                                             serve a Turtle file as a SPARQL protocol endpoint
                                             (-data-dir: disk-backed store — an empty DIR is
                                             seeded from file.ttl, a populated one serves
@@ -298,7 +341,9 @@ func cmdServe(args []string) {
 	cacheMB := fs.Int64("cache", 64, "snapshot cache budget in MiB (0 disables caching)")
 	slowQuery := fs.Duration("slow-query", 0, "log /api/query requests at least this slow (0 disables)")
 	readonly := fs.Bool("readonly", true, "refuse POST /api/update with 403 (default: the demo corpus serves read-only)")
+	debugAddr := fs.String("debug-addr", "", debugAddrUsage)
 	fs.Parse(args)
+	debugListen(*debugAddr)
 
 	tool := newTool(*dataDir)
 	tool.Cache = snapcache.New(*cacheMB << 20)
@@ -405,7 +450,9 @@ func cmdDaemon(args []string) {
 	cacheMB := fs.Int64("cache", 64, "snapshot cache budget in MiB (0 disables caching)")
 	slowQuery := fs.Duration("slow-query", 0, "log /api/query requests at least this slow (0 disables)")
 	readonly := fs.Bool("readonly", true, "refuse POST /api/update with 403 (default: the daemon serves read-only)")
+	debugAddr := fs.String("debug-addr", "", debugAddrUsage)
 	fs.Parse(args)
+	debugListen(*debugAddr)
 
 	tool := newTool(*dataDir)
 	tool.Cache = snapcache.New(*cacheMB << 20)

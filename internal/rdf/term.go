@@ -6,7 +6,9 @@
 package rdf
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -90,9 +92,17 @@ func NewDecimal(v float64) Term {
 	return Term{Kind: KindLiteral, Value: strconv.FormatFloat(v, 'f', -1, 64), Datatype: XSDDecimal}
 }
 
-// NewDouble returns an xsd:double literal.
+// NewDouble returns an xsd:double literal, spelling the infinities and
+// NaN as XSD does (INF, -INF, NaN).
 func NewDouble(v float64) Term {
-	return Term{Kind: KindLiteral, Value: strconv.FormatFloat(v, 'g', -1, 64), Datatype: XSDDouble}
+	lex := strconv.FormatFloat(v, 'g', -1, 64)
+	switch {
+	case math.IsInf(v, 1):
+		lex = "INF"
+	case math.IsInf(v, -1):
+		lex = "-INF"
+	}
+	return Term{Kind: KindLiteral, Value: lex, Datatype: XSDDouble}
 }
 
 // NewBoolean returns an xsd:boolean literal.
@@ -144,34 +154,161 @@ func (t Term) IsNumeric() bool {
 }
 
 // Float returns the numeric value of a numeric literal. The second result
-// reports whether the conversion succeeded.
+// reports whether the lexical form lies in the XSD lexical space of the
+// literal's datatype, after the whitespace a collapse facet strips:
+// integers are digits with an optional sign (and within the range a
+// derived type such as xsd:byte allows), decimals add an optional
+// fraction, and only xsd:double and xsd:float take an exponent, INF, -INF
+// or NaN. Go's own float syntax (hex, underscores, "Inf", "infinity") is
+// not XSD and is rejected.
 func (t Term) Float() (float64, bool) {
-	if !t.IsNumeric() {
+	if t.Kind != KindLiteral {
 		return 0, false
 	}
-	f, err := strconv.ParseFloat(strings.TrimSpace(t.Value), 64)
+	s := strings.Trim(t.Value, xsdSpace)
+	switch t.Datatype {
+	case XSDDouble, XSDFloat:
+		switch s {
+		case "INF", "+INF":
+			return math.Inf(1), true
+		case "-INF":
+			return math.Inf(-1), true
+		case "NaN":
+			return math.NaN(), true
+		}
+		if !lexDecimal(s, true) {
+			return 0, false
+		}
+		// out of range is ±INF in the value space, not an error
+		f, err := strconv.ParseFloat(s, 64)
+		if err != nil && !errors.Is(err, strconv.ErrRange) {
+			return 0, false
+		}
+		return f, true
+	case XSDDecimal:
+		if !lexDecimal(s, false) {
+			return 0, false
+		}
+	default:
+		if !lexInteger(s, t.Datatype) {
+			return 0, false
+		}
+	}
+	f, err := strconv.ParseFloat(s, 64)
 	if err != nil {
 		return 0, false
 	}
 	return f, true
 }
 
-// Int returns the integer value of an integer-typed literal.
+// Int returns the integer value of an integer-typed literal whose lexical
+// form is in its datatype's XSD lexical space (see Float) and fits an
+// int64.
 func (t Term) Int() (int64, bool) {
 	if t.Kind != KindLiteral {
 		return 0, false
 	}
-	switch t.Datatype {
-	case XSDInteger, XSDInt, XSDLong, XSDShort, XSDByte,
-		XSDNonNegativeInteger, XSDPositiveInteger, XSDNegativeInteger,
-		XSDNonPositiveInteger, XSDUnsignedInt, XSDUnsignedLong:
-		n, err := strconv.ParseInt(strings.TrimSpace(t.Value), 10, 64)
-		if err != nil {
-			return 0, false
-		}
-		return n, true
+	s := strings.Trim(t.Value, xsdSpace)
+	if !lexInteger(s, t.Datatype) {
+		return 0, false
 	}
-	return 0, false
+	n, err := strconv.ParseInt(s, 10, 64)
+	if err != nil {
+		return 0, false
+	}
+	return n, true
+}
+
+// xsdSpace is the whitespace the XSD collapse facet strips from the ends
+// of a numeric lexical form.
+const xsdSpace = " \t\n\r"
+
+// lexDecimal reports whether s is an xsd:decimal lexical form — an
+// optional sign, digits with an optional fraction, at least one digit —
+// or, with exponent, an xsd:double one, which may add [eE][+-]?digits.
+func lexDecimal(s string, exponent bool) bool {
+	i := sign(s)
+	j := digits(s, i)
+	n := j - i
+	if j < len(s) && s[j] == '.' {
+		k := digits(s, j+1)
+		n += k - j - 1
+		j = k
+	}
+	if n == 0 {
+		return false
+	}
+	if exponent && j < len(s) && (s[j] == 'e' || s[j] == 'E') {
+		k := j + 1
+		k += sign(s[k:])
+		if j = digits(s, k); j == k {
+			return false
+		}
+	}
+	return j == len(s)
+}
+
+// lexInteger reports whether s is in the lexical space of the integer
+// datatype dt: an optional sign and digits, whose value lies in dt's
+// range. It is false for any other datatype.
+func lexInteger(s, dt string) bool {
+	i := sign(s)
+	if j := digits(s, i); j == i || j != len(s) {
+		return false
+	}
+	neg := s[0] == '-'
+	zero := strings.Trim(s[i:], "0") == ""
+	switch dt {
+	case XSDInteger:
+		return true
+	case XSDLong:
+		return fitsInt(s, 64)
+	case XSDInt:
+		return fitsInt(s, 32)
+	case XSDShort:
+		return fitsInt(s, 16)
+	case XSDByte:
+		return fitsInt(s, 8)
+	case XSDUnsignedLong:
+		return zero || (!neg && fitsUint(s[i:], 64))
+	case XSDUnsignedInt:
+		return zero || (!neg && fitsUint(s[i:], 32))
+	case XSDNonNegativeInteger:
+		return zero || !neg
+	case XSDPositiveInteger:
+		return !zero && !neg
+	case XSDNegativeInteger:
+		return !zero && neg
+	case XSDNonPositiveInteger:
+		return zero || neg
+	}
+	return false
+}
+
+func fitsInt(s string, bits int) bool {
+	_, err := strconv.ParseInt(s, 10, bits)
+	return err == nil
+}
+
+func fitsUint(s string, bits int) bool {
+	_, err := strconv.ParseUint(s, 10, bits)
+	return err == nil
+}
+
+// sign is the length of s's optional leading sign.
+func sign(s string) int {
+	if s != "" && (s[0] == '+' || s[0] == '-') {
+		return 1
+	}
+	return 0
+}
+
+// digits returns the index of the first non-digit of s at or after i.
+func digits(s string, i int) int {
+	for i < len(s) && s[i] >= '0' && s[i] <= '9' {
+		i++
+	}
+	return i
 }
 
 // Bool returns the boolean value of an xsd:boolean literal.

@@ -1,6 +1,7 @@
 package rdf
 
 import (
+	"math"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -257,5 +258,127 @@ func TestShrinkRejectsSlashLocal(t *testing.T) {
 	pm.Bind("ex", "http://example.org/")
 	if got, ok := pm.Shrink("http://example.org/a/b"); ok {
 		t.Fatalf("Shrink should refuse local name with slash, got %q", got)
+	}
+}
+
+// TestXSDNumericLexicalSpaces: Float and Int accept exactly the XSD
+// lexical space of the literal's datatype, whitespace collapsed, and none
+// of Go's own float syntax.
+func TestXSDNumericLexicalSpaces(t *testing.T) {
+	inf, nan := math.Inf(1), math.NaN()
+	cases := []struct {
+		lex, dt string
+		float   float64 // NaN: Float succeeds with NaN
+		fok     bool
+		intOK   bool
+	}{
+		{"42", XSDInteger, 42, true, true},
+		{" +42\n", XSDInteger, 42, true, true},
+		{"-0", XSDInteger, 0, true, true},
+		{"007", XSDInteger, 7, true, true},
+		{"1e3", XSDInteger, 0, false, false},
+		{"1_000", XSDInteger, 0, false, false},
+		{"0x10", XSDInteger, 0, false, false},
+		{"1.0", XSDInteger, 0, false, false},
+		{"", XSDInteger, 0, false, false},
+		{"+", XSDInteger, 0, false, false},
+		{"4 2", XSDInteger, 0, false, false},
+		{"\v42", XSDInteger, 0, false, false}, // not XSD whitespace
+		{"INF", XSDInteger, 0, false, false},
+		{"99999999999999999999", XSDInteger, 1e20, true, false}, // past int64
+		{"127", XSDByte, 127, true, true},
+		{"128", XSDByte, 0, false, false},
+		{"-32768", XSDShort, -32768, true, true},
+		{"2147483648", XSDInt, 0, false, false},
+		{"9223372036854775807", XSDLong, 9223372036854775807, true, true},
+		{"-1", XSDUnsignedInt, 0, false, false},
+		{"-0", XSDUnsignedLong, 0, true, true},
+		{"18446744073709551615", XSDUnsignedLong, 18446744073709551615, true, false},
+		{"0", XSDPositiveInteger, 0, false, false},
+		{"0", XSDNonNegativeInteger, 0, true, true},
+		{"-0", XSDNegativeInteger, 0, false, false},
+		{"-3", XSDNonPositiveInteger, -3, true, true},
+		{"1.5", XSDDecimal, 1.5, true, false},
+		{"1.", XSDDecimal, 1, true, false},
+		{"-.5", XSDDecimal, -0.5, true, false},
+		{".", XSDDecimal, 0, false, false},
+		{"1e3", XSDDecimal, 0, false, false},
+		{"0x1p3", XSDDecimal, 0, false, false},
+		{"Inf", XSDDecimal, 0, false, false},
+		{"infinity", XSDDecimal, 0, false, false},
+		{"NaN", XSDDecimal, 0, false, false},
+		{"1e3", XSDDouble, 1000, true, false},
+		{"1.E-2", XSDDouble, 0.01, true, false},
+		{"1e", XSDDouble, 0, false, false},
+		{"e3", XSDDouble, 0, false, false},
+		{"1e400", XSDDouble, inf, true, false},
+		{"INF", XSDDouble, inf, true, false},
+		{"+INF", XSDFloat, inf, true, false},
+		{"-INF", XSDFloat, -inf, true, false},
+		{" NaN ", XSDDouble, nan, true, false},
+		{"Inf", XSDDouble, 0, false, false},
+		{"infinity", XSDDouble, 0, false, false},
+		{"nan", XSDDouble, 0, false, false},
+		{"0x1p3", XSDDouble, 0, false, false},
+		{"1_000", XSDDouble, 0, false, false},
+		{"42", "", 0, false, false},
+		{"42", XSDString, 0, false, false},
+	}
+	for _, c := range cases {
+		lit := Term{Kind: KindLiteral, Value: c.lex, Datatype: c.dt}
+		f, ok := lit.Float()
+		same := f == c.float || (math.IsNaN(c.float) && math.IsNaN(f))
+		if ok != c.fok || (ok && !same) {
+			t.Errorf("%q^^%s: Float = %v, %v; want %v, %v", c.lex, c.dt, f, ok, c.float, c.fok)
+		}
+		n, ok := lit.Int()
+		if ok != c.intOK || (ok && float64(n) != c.float) {
+			t.Errorf("%q^^%s: Int = %v, %v; want ok %v", c.lex, c.dt, n, ok, c.intOK)
+		}
+	}
+	for _, v := range []float64{inf, -inf, nan, 1.5e300, -2} {
+		if f, ok := NewDouble(v).Float(); !ok || !(f == v || math.IsNaN(v) && math.IsNaN(f)) {
+			t.Errorf("NewDouble(%v) = %q reads back as %v, %v", v, NewDouble(v).Value, f, ok)
+		}
+	}
+}
+
+// TestSortPrefixClasses: what has a prefix, and the order within a class.
+func TestSortPrefixClasses(t *testing.T) {
+	none := []Term{
+		NewIRI("http://x/a"), NewBlank("b"), {},
+		NewTypedLiteral("2020-01-01", XSDDate), NewBoolean(true),
+		NewTypedLiteral("NaN", XSDDouble), NewTypedLiteral("1e3", XSDInteger),
+	}
+	for _, tm := range none {
+		if p := SortPrefix(tm); p != 0 {
+			t.Errorf("SortPrefix(%v) = %#x, want 0", tm, p)
+		}
+	}
+	if SortPrefix(NewTypedLiteral("-0", XSDDouble)) != SortPrefix(NewInteger(0)) {
+		t.Error("-0 and 0 must share a prefix")
+	}
+	asc := []Term{
+		NewTypedLiteral("-INF", XSDDouble), NewInteger(-3), NewDecimal(-0.5),
+		NewInteger(0), NewDouble(1e-300), NewInteger(7), NewTypedLiteral("INF", XSDFloat),
+	}
+	for i := 1; i < len(asc); i++ {
+		a, b := SortPrefix(asc[i-1]), SortPrefix(asc[i])
+		if !SamePrefixClass(a, b) || a >= b {
+			t.Errorf("prefix(%v) = %#x, prefix(%v) = %#x: want same class, ascending", asc[i-1], a, asc[i], b)
+		}
+	}
+	strs := []Term{NewLiteral(""), NewLiteral("a"), NewLangLiteral("ab", "en"), NewTypedLiteral("abcdefg", XSDString), NewLiteral("abcdefh")}
+	for i := 1; i < len(strs); i++ {
+		a, b := SortPrefix(strs[i-1]), SortPrefix(strs[i])
+		if !SamePrefixClass(a, b) || a >= b {
+			t.Errorf("prefix(%v) = %#x, prefix(%v) = %#x: want same class, ascending", strs[i-1], a, strs[i], b)
+		}
+	}
+	if SortPrefix(NewLiteral("abcdefgX")) != SortPrefix(NewLiteral("abcdefgY")) {
+		t.Error("strings sharing 7 bytes must tie")
+	}
+	if SamePrefixClass(SortPrefix(NewLiteral("1")), SortPrefix(NewInteger(1))) {
+		t.Error("a string and a number must not share a class")
 	}
 }

@@ -17,6 +17,7 @@ package sparql
 
 import (
 	"context"
+	"slices"
 	"sort"
 
 	"repro/internal/obs"
@@ -158,6 +159,15 @@ func (e *idExec) term(id store.ID) rdf.Term {
 		return e.rd.Term(id)
 	}
 	return e.local[id-e.maxStore-1]
+}
+
+// sortPrefix is rdf.SortPrefix of the term for an ID (store or local),
+// which the store answers without materializing the term.
+func (e *idExec) sortPrefix(id store.ID) uint64 {
+	if id <= e.maxStore {
+		return e.rd.SortPrefix(id)
+	}
+	return rdf.SortPrefix(e.local[id-e.maxStore-1])
 }
 
 // bindScratch rebuilds the reusable scratch Binding with the given
@@ -397,6 +407,7 @@ type plan struct {
 	aliases   []aliasProj // of a SELECT without grouping
 	projSlots []int       // slot per projected variable; -1 = never bound
 	obVars    [][]varslot
+	binds     []int // the slots a BIND writes
 
 	// answers of the non-SELECT forms, set by run
 	boolean bool
@@ -414,7 +425,7 @@ func (q *Query) compile(st store.Queryable) (*plan, error) {
 		ex.release()
 		return nil, err
 	}
-	p := &plan{q: q, ex: ex, root: root}
+	p := &plan{q: q, ex: ex, root: root, binds: comp.binds}
 	if q.Form == FormSelect {
 		for _, c := range q.OrderBy {
 			p.obVars = append(p.obVars, comp.exprVars(c.Expr))
@@ -555,6 +566,7 @@ func (p *plan) sink(se *streamExec, reg *obs.Registry, emit func([]rdf.Term) boo
 		streamOp string // its hbold_stream_op_* label, for the incremental ones
 		hold     func(r []store.ID) bool
 		fold     func(r []store.ID, rn idRun) // takes a run whole; nil: this sink never does
+		pruned   func(r []store.ID) bool      // the top-k bound drops the row; nil: no bound
 		heap     *rowTopK
 		agg      *streamAgg
 		buf      = &rowbuf{stride: ex.nslots}
@@ -587,6 +599,17 @@ func (p *plan) sink(se *streamExec, reg *obs.Registry, emit func([]rdf.Term) boo
 		for _, vars := range p.obVars {
 			for _, vs := range vars {
 				reads[vs.slot] = true
+			}
+		}
+		if _, plain := q.OrderBy[0].Expr.(*ExprVar); plain {
+			bd := &topkBound{slot: p.obVars[0][0].slot, desc: q.OrderBy[0].Desc}
+			heap.bound = bd
+			pruned = func(r []store.ID) bool {
+				id := r[bd.slot]
+				return bd.worst != 0 && id != store.NoID && bd.past(ex.sortPrefix(id))
+			}
+			if !p.rebinds(bd.slot) {
+				p.root.publishTo(bd)
 			}
 		}
 		// one key per run: no condition reads the run's slot
@@ -664,13 +687,16 @@ func (p *plan) sink(se *streamExec, reg *obs.Registry, emit func([]rdf.Term) boo
 	if reg != nil && streamOp != "" {
 		reg.CounterVec("hbold_stream_op_total", "Streaming operator activations by operator.", "op").With(streamOp).Inc()
 	}
-	var scanned int64 // solutions, not runs
+	var scanned int64 // solutions that reached the sink's operator, not runs
 	row := func(r []store.ID) bool {
 		if !se.alive() {
 			return false
 		}
 		prof.start()
 		r = withAliases(r)
+		if pruned != nil && pruned(r) {
+			return true
+		}
 		scanned++
 		more := hold(r)
 		prof.lap(stBlocking, false) // its RowsOut is the finisher's
@@ -684,8 +710,11 @@ func (p *plan) sink(se *streamExec, reg *obs.Registry, emit func([]rdf.Term) boo
 		if !se.alive() {
 			return false
 		}
+		if r = withAliases(r); pruned != nil && pruned(r) {
+			return true
+		}
 		scanned += int64(len(rn.ids))
-		fold(withAliases(r), rn)
+		fold(r, rn)
 		return true
 	}
 	return sink, func() error {
@@ -753,6 +782,32 @@ func (p *plan) sink(se *streamExec, reg *obs.Registry, emit func([]rdf.Term) boo
 		}
 		end(int64(buf.n))
 		return se.err
+	}
+}
+
+// rebinds reports whether a BIND or a projection alias writes slot over
+// whatever the pattern bound there, so that the value a join sees is not
+// the one the sink orders by.
+func (p *plan) rebinds(slot int) bool {
+	return slices.Contains(p.binds, slot) || slices.ContainsFunc(p.aliases, func(a aliasProj) bool { return a.slot == slot })
+}
+
+// publishTo hands bd to every BGP whose rows reach the sink as they are,
+// so that its frames drop the runs past it. The inner group of an
+// OPTIONAL and the right side of a MINUS are left out: a row dropped
+// there changes which other rows the left join or the difference
+// produces, not just whether a worse row arrives.
+func (g *cgroup) publishTo(bd *topkBound) {
+	for _, el := range g.elems {
+		switch x := el.(type) {
+		case *cBGP:
+			x.bound = bd
+		case *cgroup:
+			x.publishTo(bd)
+		case *cUnion:
+			x.left.publishTo(bd)
+			x.right.publishTo(bd)
+		}
 	}
 }
 

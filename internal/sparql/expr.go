@@ -24,6 +24,10 @@ var (
 	errIncomparable     = fmt.Errorf("%w: incomparable terms", errExpr)
 	errMalformedNumeric = fmt.Errorf("%w: malformed numeric literal", errExpr)
 	errUnbound          = fmt.Errorf("%w: unbound variable", errExpr)
+	// errUnordered is TermOrder's answer for NaN, which no number is
+	// less than, equal to or greater than: "<" and its family are false,
+	// and ORDER BY places it through the total term order.
+	errUnordered = fmt.Errorf("%w: NaN is unordered", errExpr)
 )
 
 func exprErrf(format string, args ...any) error {
@@ -163,6 +167,9 @@ func evalBinary(x *ExprBinary, b Binding) (rdf.Term, error) {
 		return rdf.NewBoolean(eq), nil
 	case "<", ">", "<=", ">=":
 		c, err := TermOrder(l, r)
+		if err == errUnordered {
+			return rdf.NewBoolean(false), nil
+		}
 		if err != nil {
 			return rdf.Term{}, err
 		}
@@ -244,7 +251,8 @@ func termsEqual(l, r rdf.Term) (bool, error) {
 }
 
 // TermOrder implements SPARQL "<" family semantics. It errors on
-// incomparable operands. Exported for the reference evaluator's MIN/MAX.
+// incomparable operands, and on NaN, which is unordered. Exported for the
+// reference evaluator's MIN/MAX.
 func TermOrder(l, r rdf.Term) (int, error) {
 	if l.IsNumeric() && r.IsNumeric() {
 		lf, lok := l.Float()
@@ -253,6 +261,8 @@ func TermOrder(l, r rdf.Term) (int, error) {
 			return 0, errMalformedNumeric
 		}
 		switch {
+		case math.IsNaN(lf) || math.IsNaN(rf):
+			return 0, errUnordered
 		case lf < rf:
 			return -1, nil
 		case lf > rf:

@@ -265,3 +265,66 @@ func TestQuickTermOrderNumeric(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestXSDNumericComparisons: comparisons follow the XSD lexical spaces —
+// Go-only float syntax is a malformed numeric, not a number — and every
+// ordering comparison with NaN is false rather than an error or a tie.
+func TestXSDNumericComparisons(t *testing.T) {
+	const xsd = "http://www.w3.org/2001/XMLSchema#"
+	b := Binding{
+		"nan":   rdf.NewTypedLiteral("NaN", rdf.XSDDouble),
+		"inf":   rdf.NewTypedLiteral("INF", rdf.XSDFloat),
+		"one":   rdf.NewInteger(1),
+		"ws":    rdf.NewTypedLiteral(" 2\t", rdf.XSDInteger),
+		"e3":    rdf.NewTypedLiteral("1e3", rdf.XSDInteger),
+		"hex":   rdf.NewTypedLiteral("0x1p3", rdf.XSDDecimal),
+		"goinf": rdf.NewTypedLiteral("Inf", rdf.XSDDouble),
+	}
+	cases := []struct {
+		expr string
+		want bool
+		err  bool
+	}{
+		{`?nan <= 1`, false, false},
+		{`?nan > 1`, false, false},
+		{`?nan < ?nan`, false, false},
+		{`?nan >= ?inf`, false, false},
+		{`!(?nan <= 1)`, true, false},
+		{`?inf > 1e308`, true, false},
+		{`?ws > ?one`, true, false},
+		{`?ws = 2`, true, false},
+		{`?one < "1e3"^^<` + xsd + `double>`, true, false},
+		{`?e3 > ?one`, false, true},
+		{`?hex < 9`, false, true},
+		{`?goinf > 1`, false, true},
+		{`?e3 + 1`, false, true},
+	}
+	for _, c := range cases {
+		got, err := evalString(t, c.expr, b)
+		if c.err {
+			if err == nil {
+				t.Errorf("%s = %v, want an error", c.expr, got)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s: %v", c.expr, err)
+			continue
+		}
+		if v, _ := got.Bool(); v != c.want {
+			t.Errorf("%s = %v, want %v", c.expr, got, c.want)
+		}
+	}
+	// ORDER BY places NaN by the total term order: after the numbers
+	// whose lexical forms sort before "NaN", and not tied with them
+	conds := []OrderCond{{Expr: &ExprVar{Name: "x"}}}
+	key := func(t rdf.Term) OrderKey { return OrderKeyOf(conds, Binding{"x": t}) }
+	for _, v := range []rdf.Term{b["one"], b["inf"], rdf.NewInteger(-5), rdf.NewDecimal(1e9)} {
+		if c := CompareOrderKeys(conds, key(v), key(b["nan"])); c >= 0 {
+			t.Errorf("ORDER BY compares %v to NaN as %d, want it first", v, c)
+		}
+	}
+	if c := CompareOrderKeys(conds, key(b["nan"]), key(b["nan"])); c != 0 {
+		t.Errorf("NaN against itself = %d", c)
+	}
+}

@@ -233,3 +233,83 @@ func refDecode(doc []byte) (vars []string, rows [][]rdf.Term, end int, ok bool) 
 	}
 	return head.Vars, rows, int(dec.InputOffset()), true
 }
+
+// FuzzSortPrefix holds rdf.SortPrefix to its contract on arbitrary
+// literal pairs: when both prefixes are non-zero and of one class, the
+// order of the prefixes is the order ORDER BY puts the terms in, strictly
+// — the top-k bound drops a row on nothing more. A literal is a lexical
+// form, a datatype picked from the numeric, string-ish and other types,
+// and a language tag (which makes it rdf:langString).
+func FuzzSortPrefix(f *testing.F) {
+	const (
+		plain = iota
+		xstring
+		integer
+		decimal
+		double
+		float
+		byteT
+		unsignedLong
+		date
+		boolean
+		other
+		ndatatypes
+	)
+	datatypes := [ndatatypes]string{
+		"", rdf.XSDString, rdf.XSDInteger, rdf.XSDDecimal, rdf.XSDDouble, rdf.XSDFloat,
+		rdf.XSDByte, rdf.XSDUnsignedLong, rdf.XSDDate, rdf.XSDBoolean, "http://ex/dt",
+	}
+	for _, s := range []struct {
+		a     string
+		da    uint8
+		la, b string
+		db    uint8
+		lb    string
+	}{
+		{"-0", double, "", "0", integer, ""},
+		{"-0", decimal, "", "+0.0", double, ""},
+		{"NaN", double, "", "1", integer, ""},
+		{"NaN", float, "", "NaN", double, ""},
+		{"INF", double, "", "-INF", float, ""},
+		{"INF", float, "", "1e308", double, ""},
+		{"abcdefgX", plain, "", "abcdefgY", xstring, ""},
+		{"abcdefg", plain, "", "abcdefg\x00", plain, ""},
+		{"é", plain, "", "z", plain, ""},
+		{"日本語", plain, "ja", "日本", plain, ""},
+		{"", plain, "", "a", plain, ""},
+		{"chat", plain, "fr", "chat", plain, ""},
+		{"chat", plain, "en", "chien", xstring, ""},
+		{"1", plain, "", "1", integer, ""},
+		{"2", integer, "", "10", plain, ""},
+		{" 7 ", byteT, "", "7.5", decimal, ""},
+		{"300", byteT, "", "1", unsignedLong, ""},
+		{"2020-01-01", date, "", "2021-01-01", date, ""},
+		{"true", boolean, "", "false", boolean, ""},
+		{"b", other, "", "a", other, ""},
+		{"0x1p3", decimal, "", "1e3", integer, ""},
+	} {
+		f.Add(s.a, s.da, s.la, s.b, s.db, s.lb)
+	}
+	conds := []sparql.OrderCond{{Expr: &sparql.ExprVar{Name: "x"}}}
+	lit := func(lex string, dt uint8, lang string) rdf.Term {
+		if lang != "" {
+			return rdf.NewLangLiteral(lex, lang)
+		}
+		return rdf.Term{Kind: rdf.KindLiteral, Value: lex, Datatype: datatypes[int(dt)%ndatatypes]}
+	}
+	f.Fuzz(func(t *testing.T, a string, da uint8, la, b string, db uint8, lb string) {
+		x, y := lit(a, da, la), lit(b, db, lb)
+		px, py := rdf.SortPrefix(x), rdf.SortPrefix(y)
+		if !rdf.SamePrefixClass(px, py) || px == py {
+			return
+		}
+		if px > py {
+			x, y = y, x
+		}
+		kx := sparql.OrderKeyOf(conds, sparql.Binding{"x": x})
+		ky := sparql.OrderKeyOf(conds, sparql.Binding{"x": y})
+		if c := sparql.CompareOrderKeys(conds, kx, ky); c >= 0 {
+			t.Fatalf("prefix %#x < %#x, but ORDER BY compares %v to %v as %d", min(px, py), max(px, py), x, y, c)
+		}
+	})
+}

@@ -87,8 +87,12 @@ func (p *cpattern) at(pos store.Pos) cterm {
 // cnode is a node of the compiled pattern algebra.
 type cnode interface{ isCNode() }
 
-// cBGP is a compiled basic graph pattern.
-type cBGP struct{ pats []cpattern }
+// cBGP is a compiled basic graph pattern. bound, when set, is the top-k
+// bound its rows flow to (see publishTo).
+type cBGP struct {
+	pats  []cpattern
+	bound *topkBound
+}
 
 // cgroup is a compiled group: elements joined left to right, then filters.
 type cgroup struct {
@@ -138,6 +142,7 @@ func (*cValues) isCNode()   {}
 type compiler struct {
 	ex    *idExec
 	slots *slotmap
+	binds []int // the slots a BIND writes
 }
 
 func (c *compiler) group(g *GroupPattern) (*cgroup, error) {
@@ -188,7 +193,9 @@ func (c *compiler) node(p GraphPattern) (cnode, error) {
 		}
 		return &cMinus{inner: inner}, nil
 	case *BindPattern:
-		return &cBind{expr: x.Expr, vars: c.exprVars(x.Expr), slot: c.slots.slot(x.Var)}, nil
+		b := &cBind{expr: x.Expr, vars: c.exprVars(x.Expr), slot: c.slots.slot(x.Var)}
+		c.binds = append(c.binds, b.slot)
+		return b, nil
 	case *ValuesPattern:
 		v := &cValues{slots: make([]int, len(x.Vars))}
 		for i, name := range x.Vars {

@@ -794,7 +794,9 @@ func (s *streamExec) frame(d int) *patFrame {
 
 // run binds one store run into the frame's row: the run's shared
 // positions once, then its varying one per ID (or, for the last pattern,
-// not at all: the continuation gets the run).
+// not at all: the continuation gets the run). Under a top-k bound (see
+// topkBound) it skips the run, or an ID of it at an upper level, whose
+// key on the bound's variable sorts past the bound.
 func (f *patFrame) run(rn store.Run) bool {
 	s, p := f.s, f.p
 	if !s.tickOK() {
@@ -805,6 +807,13 @@ func (f *patFrame) run(rn store.Run) bool {
 	copy(nr, f.row)
 	if !bindPos(p.s, rn.S, nr) || !bindPos(p.p, rn.P, nr) || !bindPos(p.o, rn.O, nr) {
 		return true
+	}
+	bd := f.b.bound
+	if bd != nil && bd.worst != 0 && f.row[bd.slot] == store.NoID {
+		// a fixed position bound the top-k key: the whole run sorts alike
+		if id := nr[bd.slot]; id != store.NoID && bd.past(s.ex.sortPrefix(id)) {
+			return true
+		}
 	}
 	slot := p.at(rn.At).slot // a variable: the position was not concrete
 	ids := rn.IDs
@@ -822,10 +831,14 @@ func (f *patFrame) run(rn store.Run) bool {
 		f.more = f.yield(nr, f.free+1, idRun{slot: slot, ids: ids})
 		return f.more
 	}
+	prune := bd != nil && bd.slot == slot
 	for _, id := range ids {
 		if !s.tickOK() {
 			f.more = false
 			return false
+		}
+		if prune && bd.worst != 0 && bd.past(s.ex.sortPrefix(id)) {
+			continue // the subtree under id sorts past the top-k bound
 		}
 		nr[slot] = id
 		if !s.streamPatterns(f.b, f.order, f.k+1, nr, f.free+1, f.yield) {

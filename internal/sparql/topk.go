@@ -36,6 +36,45 @@ type rowTopK struct {
 	k     int
 	es    []topkEntry
 	next  int64
+	bound *topkBound // published once full; nil when the first key is not a variable
+}
+
+// topkBound is what a full heap publishes to the join that feeds it: the
+// slot and direction of the first ORDER BY condition, a plain variable,
+// and the sort prefix (rdf.SortPrefix) of the worst retained row's key on
+// it. A row whose prefix is strictly past worst sorts strictly after
+// every retained row: it can never be kept or tie, and since the bound
+// only tightens it never could later either. So the join may drop it — a
+// whole run, or a whole subtree at an upper level — before it is bound
+// further or its key is built.
+type topkBound struct {
+	slot  int
+	desc  bool
+	worst uint64 // 0 until the heap is full, and while the worst key has no prefix
+}
+
+// past reports whether a key with prefix p sorts strictly after the
+// bound; equal prefixes, a zero prefix and a class mismatch decide
+// nothing.
+func (b *topkBound) past(p uint64) bool {
+	if !rdf.SamePrefixClass(p, b.worst) {
+		return false
+	}
+	if b.desc {
+		return p < b.worst
+	}
+	return p > b.worst
+}
+
+// publish moves the bound to the worst retained row, once the heap is full.
+func (h *rowTopK) publish() {
+	if h.bound == nil || h.k <= 0 || len(h.es) < h.k {
+		return
+	}
+	h.bound.worst = 0
+	if w := h.es[0].key; !w.errs[0] {
+		h.bound.worst = rdf.SortPrefix(w.keys[0])
+	}
 }
 
 func newRowTopK(conds []OrderCond, k int) *rowTopK {
@@ -66,6 +105,7 @@ func (h *rowTopK) offer(r []store.ID, key OrderKey) {
 		e.key = key.clone(nil)
 		h.es = append(h.es, e)
 		h.up(len(h.es) - 1)
+		h.publish()
 		return
 	}
 	if !h.worse(h.es[0], e) {
@@ -76,6 +116,7 @@ func (h *rowTopK) offer(r []store.ID, key OrderKey) {
 	e.key = key.clone(&h.es[0].key)
 	h.es[0] = e
 	h.down(0)
+	h.publish()
 }
 
 // offerRun considers a run of rows that share one sort key — r with

@@ -25,6 +25,10 @@ type ReaderAPI interface {
 	// Term materializes the term for a store-issued ID. It panics on
 	// NoID or an ID the tier never issued (a programming error).
 	Term(id ID) rdf.Term
+	// SortPrefix returns rdf.SortPrefix(Term(id)) — the memory tier
+	// keeps it per term, the disk tier derives it from the cached term —
+	// so a bound on ORDER BY keys is tested without a term in hand.
+	SortPrefix(id ID) uint64
 	// Lookup returns the ID of t, or NoID.
 	Lookup(t rdf.Term) ID
 	// MaxID returns the highest issued ID; valid IDs are 1..MaxID.

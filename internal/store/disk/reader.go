@@ -121,6 +121,10 @@ func (r *Reader) Term(id store.ID) rdf.Term {
 	return t
 }
 
+// SortPrefix returns rdf.SortPrefix of the term for id, derived from the
+// term the cache holds: the format stores no prefix.
+func (r *Reader) SortPrefix(id store.ID) uint64 { return rdf.SortPrefix(r.Term(id)) }
+
 // Lookup returns the ID of t, or NoID.
 func (r *Reader) Lookup(t rdf.Term) store.ID {
 	return lookupEnc(encodeTerm(t), r.snap.Get)

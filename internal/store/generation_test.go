@@ -82,6 +82,9 @@ func runModel(t *testing.T, seed int64) {
 					t.Errorf("concurrent scan: predicate %d has %d triples, PredCount %d", p, m, r.PredCount(p))
 				}
 				r.MatchIDs(IDPattern{O: p}, func(_, _, _ ID) bool { return true })
+				if got, want := r.SortPrefix(p), rdf.SortPrefix(r.Term(p)); got != want {
+					t.Errorf("concurrent scan: SortPrefix(%d) = %#x, want %#x", p, got, want)
+				}
 			}
 		}
 	}()
@@ -199,7 +202,7 @@ func checkAgainstModel(t *testing.T, h heldGeneration, s *Store) {
 	// later commit is unknown to it, exactly as if it had never been seen.
 	for tr := range h.model {
 		for _, tm := range []rdf.Term{tr.S, tr.P, tr.O} {
-			if id := r.Lookup(tm); id == NoID || id > r.MaxID() || r.Term(id) != tm {
+			if id := r.Lookup(tm); id == NoID || id > r.MaxID() || r.Term(id) != tm || r.SortPrefix(id) != rdf.SortPrefix(tm) {
 				t.Fatalf("%s: Lookup(%v) = %d (MaxID %d)", at, tm, id, r.MaxID())
 			}
 		}

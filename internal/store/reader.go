@@ -24,6 +24,7 @@ type IDPattern struct {
 // memory later generations no longer share with it.
 type Reader struct {
 	terms []rdf.Term // terms[id-1] is the term for id
+	sorts []uint64   // sorts[id-1] is rdf.SortPrefix of terms[id-1]
 	spo   index
 	pos   index
 	osp   index
@@ -34,6 +35,10 @@ type Reader struct {
 // Term returns the term for id. It panics on NoID or an ID above MaxID,
 // which always indicates a programming error.
 func (r *Reader) Term(id ID) rdf.Term { return r.terms[id-1] }
+
+// SortPrefix returns rdf.SortPrefix of the term for id, computed once
+// when the term was interned.
+func (r *Reader) SortPrefix(id ID) uint64 { return r.sorts[id-1] }
 
 // Lookup returns the ID of t, or NoID. A term interned after this
 // generation was published has an ID above MaxID and is unknown to it.

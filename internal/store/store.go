@@ -93,8 +93,9 @@ func (s *Store) intern(t rdf.Term) ID {
 	t.Value = s.copyString(t.Value)
 	t.Datatype = s.copyString(t.Datatype)
 	t.Lang = s.copyString(t.Lang)
-	// past every published length: readers never see the new element
+	// past every published length: readers never see the new elements
 	s.work.terms = append(s.work.terms, t)
+	s.work.sorts = append(s.work.sorts, rdf.SortPrefix(t))
 	id := ID(len(s.work.terms))
 	s.dictMu.Lock()
 	s.dict[t] = id
