@@ -42,10 +42,10 @@
 //
 // query runs through the same context-aware client API the rest of the
 // tool uses: -timeout bounds the query with a context deadline, and
-// -stream prints rows as NDJSON the moment the engine produces them
-// (a head line {"vars": [...]}, then one binding object per row —
+// -stream prints rows as NDJSON while the engine produces them (a head
+// line {"vars": [...]}, then one binding object per row —
 // results.Serve, the loop sparqld and /api/query answer with, writing
-// to stdout) instead of collecting the result into an aligned table. Repeating
+// to stdout in 32 KiB writes, none held more than 10 ms) instead of collecting the result into an aligned table. Repeating
 // -endpoint federates the query over several live SPARQL endpoints: all
 // of them evaluate concurrently and the row streams are merged
 // incrementally (internal/federation), with DISTINCT deduplicated on

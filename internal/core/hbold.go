@@ -135,6 +135,7 @@ func New(db *docstore.DB, ck clock.Clock) *HBOLD {
 	// same metric series
 	snapcache.Register(h.Metrics, func() snapcache.Stats { return h.Cache.Stats() })
 	h.registerCorpusMetrics()
+	obs.RegisterRuntime(h.Metrics)
 	return h
 }
 

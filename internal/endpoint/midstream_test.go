@@ -21,26 +21,27 @@ import (
 	"repro/internal/store"
 )
 
-// cancelAfterWrites cancels the request context once n response writes
-// have gone out: the evaluation keeps failing mid-stream while the
+// cancelAfterBytes cancels the request context once n response bytes
+// have been written: the evaluation keeps failing mid-stream while the
 // client connection stays healthy — the opposite of a client hang-up.
-type cancelAfterWrites struct {
+// It counts bytes, not writes, because the handler gathers rows into a
+// few large writes.
+type cancelAfterBytes struct {
 	http.ResponseWriter
 	cancel context.CancelFunc
 	left   int
 }
 
-func (c *cancelAfterWrites) Write(p []byte) (int, error) {
+func (c *cancelAfterBytes) Write(p []byte) (int, error) {
 	if c.left > 0 {
-		c.left--
-		if c.left == 0 {
+		if c.left -= len(p); c.left <= 0 {
 			c.cancel()
 		}
 	}
 	return c.ResponseWriter.Write(p)
 }
 
-func (c *cancelAfterWrites) Flush() {
+func (c *cancelAfterBytes) Flush() {
 	if f, ok := c.ResponseWriter.(http.Flusher); ok {
 		f.Flush()
 	}
@@ -63,10 +64,10 @@ func serveDyingMidStream(t *testing.T) *httptest.Server {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		ctx, cancel := context.WithCancel(r.Context())
 		defer cancel()
-		// the handler flushes every 64 rows; cancelling on write 70 means
-		// headers and a partial table have already reached the client when
-		// the evaluation dies
-		h.ServeHTTP(&cancelAfterWrites{ResponseWriter: w, cancel: cancel, left: 70}, r.WithContext(ctx))
+		// the whole answer is many 32 KiB writes; cancelling once the first
+		// bytes are out means headers and a partial table have already reached
+		// the client when the evaluation dies
+		h.ServeHTTP(&cancelAfterBytes{ResponseWriter: w, cancel: cancel, left: 1}, r.WithContext(ctx))
 	}))
 	t.Cleanup(srv.Close)
 	return srv

@@ -71,8 +71,8 @@ func QueryHash(q string) string {
 // ServeHTTP implements the SPARQL 1.1 protocol subset: query via GET
 // parameter or POST form, update via POST (see ServeUpdate), the result
 // in the negotiated format (SPARQL JSON by default) through
-// results.Serve — rows are written and flushed as the evaluation yields
-// them, a client that hangs up cancels the evaluation through the
+// results.Serve — rows leave while the evaluation yields them, gathered
+// into 32 KiB writes and never held more than 10 ms, a client that hangs up cancels the evaluation through the
 // request context, a failure before the first row is answered (and
 // logged) as a 500, and a mid-stream failure never ends as a well-formed
 // short result.

@@ -1,5 +1,7 @@
 package kv
 
+import "unsafe"
+
 // The merged cursor: the one place where a memtable and a list of
 // segments become a single sorted run of live keys. Snap.Scan, the
 // compactor and the disk store's readers all drive it; nothing else
@@ -47,6 +49,11 @@ type child struct {
 	// a step off lo, which is then a key of the child (loKey).
 	lo    string
 	loKey bool
+	// After a seek lo is a copy of the target in loBuf, so Seek keeps no
+	// reference to its argument; loBuf starts on loArr, which holds any
+	// key of the disk store's tables without an allocation.
+	loBuf []byte
+	loArr [16]byte
 }
 
 // covers reports whether a seek to t would leave the child where it is.
@@ -59,7 +66,8 @@ func (c *child) covers(t string) bool {
 
 func (c *child) seek(t string) {
 	c.iter.seek(t)
-	c.lo, c.loKey = t, false
+	c.loBuf = append(c.loBuf[:0], t...)
+	c.lo, c.loKey = unsafe.String(unsafe.SliceData(c.loBuf), len(c.loBuf)), false
 	c.advance()
 }
 
@@ -104,6 +112,9 @@ func newIter(mem *memtable, segs []*segment, ctr *readCounters) *Iter {
 		it.segs[i].s = segs[i]
 		it.kids = append(it.kids, child{iter: &it.segs[i]})
 	}
+	for i := range it.kids {
+		it.kids[i].loBuf = it.kids[i].loArr[:0]
+	}
 	return it
 }
 
@@ -115,7 +126,8 @@ func (s *Snap) Iter() *Iter {
 	return it
 }
 
-// Seek positions the cursor on the first live key >= t.
+// Seek positions the cursor on the first live key >= t. It keeps no
+// reference to t, so t may live in storage the caller reuses.
 func (it *Iter) Seek(t string) {
 	moved := 0
 	for i := range it.kids {

@@ -3,6 +3,7 @@ package obs
 import (
 	"context"
 	"math"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -269,5 +270,26 @@ func TestContextHelpers(t *testing.T) {
 	}
 	if s := StartSpan(context.Background(), "stage"); s != nil {
 		t.Fatal("StartSpan should be nil without a trace")
+	}
+}
+
+// TestRuntimeGauges: the runtime gauges read runtime/metrics at scrape
+// time, and what they read is plausible for a running test binary.
+func TestRuntimeGauges(t *testing.T) {
+	runtime.GC() // the live heap is measured by a collection
+	r := NewRegistry()
+	RegisterRuntime(r)
+	got := map[string]float64{}
+	for _, f := range r.Snapshot() {
+		got[f.Name] = f.Series[0].Value
+	}
+	if got["hbold_go_goroutines"] < 1 {
+		t.Errorf("hbold_go_goroutines = %v, want at least this one", got["hbold_go_goroutines"])
+	}
+	if got["hbold_go_heap_live_bytes"] <= 0 {
+		t.Errorf("hbold_go_heap_live_bytes = %v, want a live heap", got["hbold_go_heap_live_bytes"])
+	}
+	if f, ok := got["hbold_go_gc_cpu_fraction"]; !ok || f < 0 || f > 1 {
+		t.Errorf("hbold_go_gc_cpu_fraction = %v (present %v), want a fraction", f, ok)
 	}
 }

@@ -187,6 +187,26 @@ func TestQueryPartialCompleteTrailerIsEmpty(t *testing.T) {
 	}
 }
 
+// TestQueryPartialOneChunkKeepsTrailer: a partial-mode answer that fits
+// one gathered write still ends with its trailer. The trailer is written
+// after the row loop returns, so the rows must not go out under a
+// Content-Length that leaves it outside the response.
+func TestQueryPartialOneChunkKeepsTrailer(t *testing.T) {
+	srv, urls, _, _ := chaosFedServer(t, nil)
+	sel := url.QueryEscape(strings.Join(urls, ","))
+	resp, err := http.Get(srv.URL + "/api/query?sources=" + sel + "&policy=all&partial=ok&limit=5&sparql=" + url.QueryEscape(soakQuery))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := readNDJSON(t, resp)
+	if got.partial != "ok" || got.streamErr != "" || len(got.rows) != 5 {
+		t.Fatalf("head partial %q, stream error %q, %d rows; want ok, none, 5", got.partial, got.streamErr, len(got.rows))
+	}
+	if got.incomplete == nil || len(got.incomplete) != 0 {
+		t.Fatalf("incomplete = %v, want the empty trailer", got.incomplete)
+	}
+}
+
 // TestQueryPartialParamValidation: partial=ok without a federation and
 // partial with any other value are request errors, as are the shapes
 // whose semantics a dropped branch would silently change.

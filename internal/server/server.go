@@ -503,8 +503,8 @@ func (s *Server) handleModel(kind string) http.HandlerFunc {
 // results.Serve, the loop sparqld serves with too: NDJSON by default
 // (the streaming-native framing: a head line {"vars": [...]}, then one
 // SPARQL-JSON binding object per row), any W3C serialization via
-// ?format= / Accept, the first row flushed as soon as it exists, a
-// mid-stream failure reported the way the format allows (NDJSON: a final
+// ?format= / Accept, bytes leaving at 32 KiB, at the end of the
+// document, or once the oldest has waited 10 ms, a mid-stream failure reported the way the format allows (NDJSON: a final
 // {"error": ...} line — the status code is long gone by then, which is
 // the streaming trade-off). The request context cancels the query when
 // the client goes away; ?timeout=30s adds a server-side deadline, and

@@ -252,8 +252,9 @@ func serve(tb testing.TB, st store.Queryable, f Format, query string) int {
 	return n
 }
 
-// stackProbe is a store whose index scans record whether WriteRows is on
-// the stack of the goroutine that runs them.
+// stackProbe is a store whose index scans record whether writeRows (the
+// loop under Serve and WriteRows) is on the stack of the goroutine that
+// runs them.
 type stackProbe struct {
 	*store.Store
 	scans, underWriteRows int
@@ -272,7 +273,7 @@ func (r probedReader) Runs(pat store.IDPattern, fn func(store.Run) bool) error {
 	r.p.scans++
 	for more := true; more; {
 		var f runtime.Frame
-		if f, more = frames.Next(); f.Function == "repro/internal/sparql/results.WriteRows" {
+		if f, more = frames.Next(); f.Function == "repro/internal/sparql/results.writeRows" {
 			r.p.underWriteRows++
 			break
 		}
@@ -280,9 +281,9 @@ func (r probedReader) Runs(pat store.IDPattern, fn func(store.Run) bool) error {
 	return r.ReaderAPI.Runs(pat, fn)
 }
 
-// TestServeRunsOnCallerGoroutine: a served query runs inside WriteRows'
+// TestServeRunsOnCallerGoroutine: a served query runs inside writeRows'
 // range, on the caller's goroutine — every index scan of a join, in every
-// format, has WriteRows on its stack. A stream pulled through a coroutine
+// format, has writeRows on its stack. A stream pulled through a coroutine
 // runs the plan on a stack of its own.
 func TestServeRunsOnCallerGoroutine(t *testing.T) {
 	p := &stackProbe{Store: allocStore()}
@@ -292,7 +293,7 @@ func TestServeRunsOnCallerGoroutine(t *testing.T) {
 		}
 	}
 	if p.scans == 0 || p.underWriteRows != p.scans {
-		t.Fatalf("%d of %d index scans ran under WriteRows; want all", p.underWriteRows, p.scans)
+		t.Fatalf("%d of %d index scans ran under writeRows; want all", p.underWriteRows, p.scans)
 	}
 }
 

@@ -5,12 +5,15 @@
 // negotiates which of them a protocol request gets, and owns
 // the one loop (Serve) that turns a row stream into bytes on the wire
 // for every surface: sparqld, /api/query and `hbold query -stream`.
-// Every writer emits row-by-row with O(row) buffering, so rows are
-// flushed while the engine is still producing them regardless of the
-// format the client asked for.
+// A Writer encodes row by row with O(row) buffering; Serve gathers the
+// encoded bytes and writes them when writeChunk of them are pending, when
+// the document ends, or when the oldest has waited maxLatency, so rows
+// leave while the engine is still producing them, whatever the format
+// the client asked for, in few large writes.
 //
-// Mid-stream failure contract: a writer never buffers the document, so a
-// producer that dies after some rows leaves a truncated document behind.
+// Mid-stream failure contract: a writer never holds the whole document,
+// so a producer that dies after some rows leaves a truncated document
+// behind.
 // NDJSON reports it in-band (a final {"error": ...} line); for JSON and
 // XML the document never closes; CSV and TSV have no terminator, so
 // Serve aborts the connection instead of finishing the response — a
@@ -24,7 +27,10 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
+	"sync"
+	"time"
 
 	"repro/internal/rdf"
 	"repro/internal/sparql"
@@ -278,12 +284,6 @@ func WriteAsk(f Format, w io.Writer, value bool) error {
 	}
 }
 
-// flushEvery is the one flush cadence of every results surface: the
-// first row is flushed the moment it exists (a consumer sees it while
-// the query still runs, however slowly later rows trickle), then every
-// flushEvery-th — per-row flushing would cost a chunked write per row.
-const flushEvery = 64
-
 // ErrConstruct is Serve's refusal of a CONSTRUCT result: it is a graph,
 // not a row stream, and answering with a convincingly empty SELECT
 // document would be a lie. HTTP callers answer 400.
@@ -316,49 +316,210 @@ func Serve(w io.Writer, f Format, rs *sparql.RowSeq) (rows int, err error) {
 	if rs.Ask {
 		return 0, WriteAsk(f, w, rs.Boolean)
 	}
-	return WriteRows(w, heldWriter(f, w, rs.Vars), rs)
+	return writeRows(w, heldWriter(f, w, rs.Vars), rs, true)
 }
 
 // WriteRows drains rs into rw — a Writer over w, its head written or
-// held back — flushing w on the flushEvery cadence when it is an
-// http.Flusher, and returns the rows written for the caller's logs. The
-// query runs inside the range, on the caller's goroutine. A write error
-// means the consumer went away: it ends the stream and is returned. A
-// stream that fails while the head is still held back is answered over
-// HTTP with a 500 and nothing else, and the error is a *StatusError. A
-// stream that fails after rows were
-// sent must not end
-// as a well-formed short result: NDJSON gets a final {"error": ...}
-// line, JSON and XML stay unterminated, and CSV/TSV, which have no
-// terminator to withhold, abort the HTTP connection (off HTTP the
-// returned error is the only signal). Either error is returned.
+// held back — and returns the rows written for the caller's logs. The
+// query runs inside the range, on the caller's goroutine. The encoded
+// rows gather in one buffer (see gather) and reach w in writes of
+// writeChunk bytes, at the end of the document, or when the oldest
+// pending byte has waited maxLatency; the timer's write also flushes w
+// when it is an http.Flusher. A write error means the consumer went
+// away: it ends the stream and is returned. A stream that fails while the
+// head is still held back is answered over HTTP with a 500 and nothing
+// else, and the error is a *StatusError. A stream that fails after rows
+// were gathered must not end as a well-formed short result: the pending rows
+// go out, then NDJSON gets a final {"error": ...} line, JSON and XML stay
+// unterminated, and CSV/TSV, which have no terminator to withhold, abort
+// the HTTP connection (off HTTP the returned error is the only signal).
+// Either error is returned. The response stays chunked: a caller may
+// write more after WriteRows returns (the partial-result trailer).
 func WriteRows(w io.Writer, rw *Writer, rs *sparql.RowSeq) (rows int, err error) {
-	flusher, _ := w.(http.Flusher)
+	return writeRows(w, rw, rs, false)
+}
+
+// writeRows is WriteRows; with exact, the document is the whole response
+// (Serve), and one that ends before anything was written goes out under
+// a Content-Length.
+func writeRows(w io.Writer, rw *Writer, rs *sparql.RowSeq, exact bool) (rows int, err error) {
+	g := takeGather(w)
+	defer putGather(g)
+	rw.w = g
+	defer func() { rw.w = w }()
 	for row := range rs.Terms() {
 		if err := rw.WriteTerms(row); err != nil {
+			g.finish(false)
 			return rows, err
 		}
 		rows++
-		if flusher != nil && (rows == 1 || rows%flushEvery == 0) {
-			flusher.Flush()
-		}
 	}
 	if err := rs.Err(); err != nil {
-		if hw, ok := w.(http.ResponseWriter); ok && rw.head != nil {
-			// nothing has gone out: the request fails whole
+		hw, onHTTP := w.(http.ResponseWriter)
+		if onHTTP && rw.head != nil {
+			// nothing has gone out or is pending: the request fails whole
+			g.finish(false)
 			http.Error(hw, err.Error(), http.StatusInternalServerError)
 			return rows, &StatusError{http.StatusInternalServerError, err}
 		}
 		rw.writeHead()
-		switch rw.f {
-		case NDJSON:
-			json.NewEncoder(rw.w).Encode(map[string]string{"error": err.Error()})
-		case CSV, TSV:
-			if _, ok := w.(http.ResponseWriter); ok {
-				panic(http.ErrAbortHandler)
+		if rw.f == NDJSON {
+			json.NewEncoder(g).Encode(map[string]string{"error": err.Error()})
+		}
+		g.finish(false)
+		if onHTTP && (rw.f == CSV || rw.f == TSV) {
+			// the gather's lock is released: the abort unwinds through
+			// nothing that holds it
+			if f, ok := w.(http.Flusher); ok {
+				f.Flush()
 			}
+			panic(http.ErrAbortHandler)
 		}
 		return rows, err
 	}
-	return rows, rw.Close()
+	err = rw.Close()
+	if ferr := g.finish(exact); err == nil {
+		err = ferr
+	}
+	return rows, err
+}
+
+// writeChunk is the size of a gathered write. net/http frames every
+// Write it cannot buffer as its own chunk behind a 4 KiB connection
+// buffer, so a write per row (or per 2 KiB) costs a chunk header and a
+// syscall each; 32 KiB makes a write a few syscalls' worth of payload
+// and holds a typical answer (a point lookup, a top-k, a LIMIT 200 join)
+// whole, which is then sent under a Content-Length in one write.
+const writeChunk = 32 << 10
+
+// maxLatency bounds how long an encoded byte may wait for the buffer to
+// fill: a slow query's first rows still reach the client while it runs.
+// 10 ms is below what a person watching rows arrive notices and far above
+// the time to encode a chunk, so a fast answer never waits on it.
+const maxLatency = 10 * time.Millisecond
+
+// gather is the buffer between a served document and its sink. The row
+// loop appends to it and writes it when it reaches writeChunk; a timer
+// armed on the first pending byte writes and flushes it after maxLatency
+// from its own goroutine. Both hold mu while they touch buf or w, and
+// once the document has ended (done) the timer no longer touches w,
+// which the caller may then use on its own. A panic of w in the timer's
+// write (http.ErrAbortHandler is net/http's way to abort) is recovered
+// there, where nothing else would, and raised again by finish on the row
+// loop's goroutine, where net/http recovers it.
+type gather struct {
+	mu       sync.Mutex
+	w        io.Writer
+	buf      []byte
+	timer    *time.Timer
+	due      time.Time // when the oldest pending byte has waited maxLatency
+	sent     bool      // bytes have reached w
+	done     bool      // the document has ended
+	err      error     // w's first error; sticky
+	panicked any       // what w panicked with in the timer's write
+}
+
+// errPanicked is the sticky error of a gather whose sink panicked in the
+// timer's write: the row loop stops at its next Write and finish raises
+// the panic.
+var errPanicked = errors.New("results: the response writer panicked")
+
+// gathers pools the buffers and their timers: a fresh 32 KiB buffer per
+// response is GC work in proportion to the requests served.
+var gathers = sync.Pool{New: func() any {
+	g := &gather{buf: make([]byte, 0, writeChunk+4<<10)}
+	g.timer = time.AfterFunc(time.Hour, g.expire)
+	g.timer.Stop()
+	return g
+}}
+
+func takeGather(w io.Writer) *gather {
+	g := gathers.Get().(*gather)
+	g.mu.Lock()
+	g.w, g.sent, g.done, g.err, g.panicked = w, false, false, nil, nil
+	g.mu.Unlock()
+	return g
+}
+
+// putGather pools g. A timer callback that is already past its Stop may
+// still run; it finds the buffer empty or too young and does nothing.
+func putGather(g *gather) {
+	g.mu.Lock()
+	g.w, g.buf, g.done, g.panicked = nil, g.buf[:0], true, nil
+	if cap(g.buf) > 2*writeChunk { // one huge row does not stay pooled
+		g.buf = make([]byte, 0, writeChunk+4<<10)
+	}
+	g.mu.Unlock()
+	gathers.Put(g)
+}
+
+// Write appends p, arming the timer if p is the first pending byte, and
+// writes the buffer once it holds writeChunk bytes.
+func (g *gather) Write(p []byte) (int, error) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.err != nil {
+		return 0, g.err
+	}
+	if len(g.buf) == 0 {
+		g.due = time.Now().Add(maxLatency)
+		g.timer.Reset(maxLatency)
+	}
+	g.buf = append(g.buf, p...)
+	if len(g.buf) >= writeChunk {
+		g.writeOut()
+	}
+	return len(p), g.err
+}
+
+// writeOut hands the pending bytes to w in one Write; mu is held.
+func (g *gather) writeOut() {
+	if g.err == nil {
+		_, g.err = g.w.Write(g.buf)
+		g.sent = true
+	}
+	g.buf = g.buf[:0]
+}
+
+// expire is the timer's callback: it writes bytes that have waited
+// maxLatency and flushes them to the client. A callback outrun by a
+// write and a re-arm finds younger bytes and leaves them to the re-armed
+// timer.
+func (g *gather) expire() {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.done || len(g.buf) == 0 || time.Now().Before(g.due) {
+		return
+	}
+	defer func() {
+		if p := recover(); p != nil {
+			g.panicked, g.err = p, errPanicked
+		}
+	}()
+	g.writeOut()
+	if f, ok := g.w.(http.Flusher); ok && g.err == nil {
+		f.Flush()
+	}
+}
+
+// finish ends the document: the pending bytes go out in one Write — with
+// exact, when nothing has been written before and w is an
+// http.ResponseWriter, under a Content-Length that frames the whole
+// response — and the timer lets go of w. A panic the timer recovered is
+// raised here, on the row loop's goroutine.
+func (g *gather) finish(exact bool) error {
+	g.mu.Lock()
+	defer g.mu.Unlock() // runs before the panic below leaves finish
+	g.done = true
+	g.timer.Stop()
+	if g.panicked != nil {
+		panic(g.panicked)
+	}
+	if len(g.buf) > 0 {
+		if hw, ok := g.w.(http.ResponseWriter); ok && exact && !g.sent && g.err == nil {
+			hw.Header().Set("Content-Length", strconv.Itoa(len(g.buf)))
+		}
+		g.writeOut()
+	}
+	return g.err
 }

@@ -159,13 +159,13 @@ func (s *Store) insertIDsLocked(si, pi, oi store.ID) (bool, error) {
 		// the staged Deletes, and the KV layer applies batch ops in
 		// order, so the final state is present.
 		delete(s.pendingDeletes, key)
-	} else if _, ok := s.db.Get(tripleKey(kSPO, si, pi, oi)); ok {
+	} else if _, ok := s.db.Get(permKey(kSPO, si, pi, oi)); ok {
 		return false, nil
 	}
 	s.pendingTriples[key] = true
-	s.batch.Put(tripleKey(kSPO, si, pi, oi), nil)
-	s.batch.Put(tripleKey(kPOS, pi, oi, si), nil)
-	s.batch.Put(tripleKey(kOSP, oi, si, pi), nil)
+	s.batch.Put(permKey(kSPO, si, pi, oi), nil)
+	s.batch.Put(permKey(kPOS, pi, oi, si), nil)
+	s.batch.Put(permKey(kOSP, oi, si, pi), nil)
 	s.meta.Len++
 	s.meta.PredCount[pi]++
 	s.pendingSubj[si]++
@@ -229,14 +229,14 @@ func (s *Store) deleteIDsLocked(si, pi, oi store.ID) (bool, error) {
 	case s.pendingDeletes[key]:
 		return false, nil
 	default:
-		if _, ok := s.db.Get(tripleKey(kSPO, si, pi, oi)); !ok {
+		if _, ok := s.db.Get(permKey(kSPO, si, pi, oi)); !ok {
 			return false, nil
 		}
 	}
 	s.pendingDeletes[key] = true
-	s.batch.Delete(tripleKey(kSPO, si, pi, oi))
-	s.batch.Delete(tripleKey(kPOS, pi, oi, si))
-	s.batch.Delete(tripleKey(kOSP, oi, si, pi))
+	s.batch.Delete(permKey(kSPO, si, pi, oi))
+	s.batch.Delete(permKey(kPOS, pi, oi, si))
+	s.batch.Delete(permKey(kOSP, oi, si, pi))
 	s.meta.Len--
 	s.pendingSubj[si]--
 	s.pendingObj[oi]--
@@ -310,12 +310,12 @@ func (s *Store) resolveDeletedRolesLocked() {
 		return n < limit
 	}
 	for id := range touchedS {
-		if gone(prefix1(kSPO, id), s.pendingSubj[id]) {
+		if gone(permKey(kSPO, id), s.pendingSubj[id]) {
 			s.clearRole(id, roleSubject, &s.meta.DistinctS)
 		}
 	}
 	for id := range touchedO {
-		if gone(prefix1(kOSP, id), s.pendingObj[id]) {
+		if gone(permKey(kOSP, id), s.pendingObj[id]) {
 			s.clearRole(id, roleObject, &s.meta.DistinctO)
 		}
 	}

@@ -124,32 +124,22 @@ func roleKey(id store.ID) string {
 	return string(b[:])
 }
 
-// tripleKey builds a permutation key: prefix then the three IDs in the
-// permutation's component order.
-func tripleKey(prefix byte, a, b, c store.ID) string {
+// appendKey appends a permutation key, or a prefix of one, to dst: the
+// table byte then the bound IDs in the permutation's component order.
+// It is the one encoder of the layout; a probe appends into storage it
+// reuses (cursor.prefix), a write takes a string of its own (permKey).
+func appendKey(dst []byte, table byte, ids ...store.ID) []byte {
+	dst = append(dst, table)
+	for _, id := range ids {
+		dst = binary.BigEndian.AppendUint32(dst, uint32(id))
+	}
+	return dst
+}
+
+// permKey is appendKey as a string of its own.
+func permKey(table byte, ids ...store.ID) string {
 	var k [13]byte
-	k[0] = prefix
-	binary.BigEndian.PutUint32(k[1:5], uint32(a))
-	binary.BigEndian.PutUint32(k[5:9], uint32(b))
-	binary.BigEndian.PutUint32(k[9:13], uint32(c))
-	return string(k[:])
-}
-
-// prefix1 is a permutation prefix with one bound component.
-func prefix1(prefix byte, a store.ID) string {
-	var k [5]byte
-	k[0] = prefix
-	binary.BigEndian.PutUint32(k[1:5], uint32(a))
-	return string(k[:])
-}
-
-// prefix2 is a permutation prefix with two bound components.
-func prefix2(prefix byte, a, b store.ID) string {
-	var k [9]byte
-	k[0] = prefix
-	binary.BigEndian.PutUint32(k[1:5], uint32(a))
-	binary.BigEndian.PutUint32(k[5:9], uint32(b))
-	return string(k[:])
+	return string(appendKey(k[:0], table, ids...))
 }
 
 // splitTriple decodes the three IDs of a permutation key (in the

@@ -2,7 +2,9 @@ package disk
 
 import (
 	"fmt"
+	"strings"
 	"sync"
+	"unsafe"
 
 	"repro/internal/kv"
 	"repro/internal/rdf"
@@ -29,10 +31,20 @@ type Reader struct {
 	idle []*cursor
 }
 
-// cursor is a standing kv.Iter and the buffer its scans gather runs in.
+// cursor is a standing kv.Iter, the buffer its scans gather runs in and
+// the storage a probe builds its key prefix in.
 type cursor struct {
 	it  *kv.Iter
 	ids []store.ID
+	key [13]byte
+}
+
+// prefix is the key prefix of permutation table t over the bound IDs,
+// built in the cursor's storage: a probe allocates no key. It is valid
+// until the cursor's next prefix; kv.Iter.Seek keeps no reference to it.
+func (c *cursor) prefix(t byte, ids ...store.ID) string {
+	k := appendKey(c.key[:0], t, ids...)
+	return unsafe.String(unsafe.SliceData(k), len(k))
 }
 
 // Release drops the standing cursors and the snapshot's segment
@@ -49,10 +61,9 @@ func (r *Reader) Release() {
 // scanPrefix hands fn every live key under prefix, in key order, until
 // fn returns false; it reports run-to-completion.
 func scanPrefix(it *kv.Iter, prefix string, fn func(k string) bool) bool {
-	end := kv.PrefixEnd(prefix)
 	for it.Seek(prefix); it.Valid(); it.Next() {
 		k := it.Key()
-		if end != "" && k >= end {
+		if !strings.HasPrefix(k, prefix) {
 			break
 		}
 		if !fn(k) {
@@ -89,10 +100,11 @@ func (r *Reader) give(c *cursor) error {
 	return nil
 }
 
-// scan is scanPrefix on a standing cursor; it reports run-to-completion.
-func (r *Reader) scan(prefix string, fn func(k string) bool) bool {
+// scan is scanPrefix on a standing cursor, under the prefix of table t
+// over ids; it reports run-to-completion.
+func (r *Reader) scan(fn func(k string) bool, t byte, ids ...store.ID) bool {
 	c := r.take()
-	done := scanPrefix(c.it, prefix, fn)
+	done := scanPrefix(c.it, c.prefix(t, ids...), fn)
 	// Its callers (the posting accessors, CardinalityIDs) have no error
 	// to return a read failure through (ROADMAP 6(c)); Runs has.
 	_ = r.give(c)
@@ -148,36 +160,36 @@ func (r *Reader) DistinctObjects() int { return r.meta.DistinctO }
 // PredCount returns the number of triples with predicate p.
 func (r *Reader) PredCount(p store.ID) int { return r.meta.PredCount[p] }
 
-// scanIDs collects the last component of every key under a permutation
-// prefix — sorted by construction.
-func (r *Reader) scanIDs(prefix string) []store.ID {
+// scanIDs collects the last component of every key under the prefix of
+// table t over two IDs — sorted by construction.
+func (r *Reader) scanIDs(t byte, a, b store.ID) []store.ID {
 	var out []store.ID
-	r.scan(prefix, func(k string) bool {
+	r.scan(func(k string) bool {
 		_, _, c := splitTriple(k)
 		out = append(out, c)
 		return true
-	})
+	}, t, a, b)
 	return out
 }
 
 // Objects returns the sorted object IDs under (s, p).
 func (r *Reader) Objects(s, p store.ID) []store.ID {
-	return r.scanIDs(prefix2(kSPO, s, p))
+	return r.scanIDs(kSPO, s, p)
 }
 
 // Subjects returns the sorted subject IDs under (p, o).
 func (r *Reader) Subjects(p, o store.ID) []store.ID {
-	return r.scanIDs(prefix2(kPOS, p, o))
+	return r.scanIDs(kPOS, p, o)
 }
 
 // PredicatesBetween returns the sorted predicate IDs linking (s, o).
 func (r *Reader) PredicatesBetween(s, o store.ID) []store.ID {
-	return r.scanIDs(prefix2(kOSP, o, s))
+	return r.scanIDs(kOSP, o, s)
 }
 
 // HasID reports whether the triple (s, p, o) is present.
 func (r *Reader) HasID(s, p, o store.ID) bool {
-	_, ok := r.snap.Get(tripleKey(kSPO, s, p, o))
+	_, ok := r.snap.Get(permKey(kSPO, s, p, o))
 	return ok
 }
 
@@ -193,26 +205,26 @@ const runMax = 64
 // run it was gathering when a segment failed is not handed out.
 func (r *Reader) Runs(pat store.IDPattern, fn func(store.Run) bool) error {
 	si, pi, oi := pat.S, pat.P, pat.O
+	c := r.take()
 	var prefix string
 	switch {
 	case si != store.NoID && pi != store.NoID && oi != store.NoID:
-		prefix = tripleKey(kSPO, si, pi, oi)
+		prefix = c.prefix(kSPO, si, pi, oi)
 	case si != store.NoID && pi != store.NoID:
-		prefix = prefix2(kSPO, si, pi)
+		prefix = c.prefix(kSPO, si, pi)
 	case pi != store.NoID && oi != store.NoID:
-		prefix = prefix2(kPOS, pi, oi)
+		prefix = c.prefix(kPOS, pi, oi)
 	case si != store.NoID && oi != store.NoID:
-		prefix = prefix2(kOSP, oi, si)
+		prefix = c.prefix(kOSP, oi, si)
 	case si != store.NoID:
-		prefix = prefix1(kSPO, si)
+		prefix = c.prefix(kSPO, si)
 	case pi != store.NoID:
-		prefix = prefix1(kPOS, pi)
+		prefix = c.prefix(kPOS, pi)
 	case oi != store.NoID:
-		prefix = prefix1(kOSP, oi)
+		prefix = c.prefix(kOSP, oi)
 	default:
-		prefix = string([]byte{kSPO})
+		prefix = c.prefix(kSPO)
 	}
-	c := r.take()
 	ids := c.ids[:0]
 	var a, b store.ID
 	emit := func() bool {
@@ -259,8 +271,8 @@ func (r *Reader) MatchIDs(pat store.IDPattern, fn func(s, p, o store.ID) bool) b
 // count one bounded key range.
 func (r *Reader) CardinalityIDs(pat store.IDPattern) int {
 	si, pi, oi := pat.S, pat.P, pat.O
-	count := func(prefix string) (n int) {
-		r.scan(prefix, func(string) bool { n++; return true })
+	count := func(t byte, ids ...store.ID) (n int) {
+		r.scan(func(string) bool { n++; return true }, t, ids...)
 		return n
 	}
 	switch {
@@ -270,17 +282,17 @@ func (r *Reader) CardinalityIDs(pat store.IDPattern) int {
 		}
 		return 0
 	case si != store.NoID && pi != store.NoID:
-		return count(prefix2(kSPO, si, pi))
+		return count(kSPO, si, pi)
 	case pi != store.NoID && oi != store.NoID:
-		return count(prefix2(kPOS, pi, oi))
+		return count(kPOS, pi, oi)
 	case si != store.NoID && oi != store.NoID:
-		return count(prefix2(kOSP, oi, si))
+		return count(kOSP, oi, si)
 	case si != store.NoID:
-		return count(prefix1(kSPO, si))
+		return count(kSPO, si)
 	case pi != store.NoID:
 		return r.meta.PredCount[pi]
 	case oi != store.NoID:
-		return count(prefix1(kOSP, oi))
+		return count(kOSP, oi)
 	default:
 		return r.meta.Len
 	}
