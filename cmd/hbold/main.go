@@ -74,6 +74,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"log/slog"
 	"net"
@@ -287,18 +288,36 @@ func usage() {
 }
 
 func loadTurtle(path string) *store.Store {
-	data, err := os.ReadFile(path)
+	doc, err := readString(path)
 	if err != nil {
 		log.Fatalf("hbold: %v", err)
 	}
 	// one pass: each parsed triple goes straight into the store, which
 	// drops duplicates and copies a term's strings when it first sees it
 	st := store.New()
-	if err := turtle.Each(string(data), func(t rdf.Triple) { st.Add(t) }); err != nil {
+	if err := turtle.Each(doc, func(t rdf.Triple) { st.Add(t) }); err != nil {
 		log.Fatalf("hbold: %v", err)
 	}
 	st.Flush()
 	return st
+}
+
+// readString reads a file into a string with one copy of its bytes: the
+// builder is sized from the file, so its buffer is the string.
+func readString(path string) (string, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return "", err
+	}
+	defer f.Close()
+	var b strings.Builder
+	if fi, err := f.Stat(); err == nil {
+		b.Grow(int(fi.Size()))
+	}
+	if _, err := io.Copy(&b, f); err != nil {
+		return "", err
+	}
+	return b.String(), nil
 }
 
 // newTool builds the core instance for serve/daemon: memory-only by

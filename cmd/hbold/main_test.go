@@ -3,6 +3,8 @@ package main
 import (
 	"io"
 	"net/http"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
@@ -41,5 +43,26 @@ func TestDebugListener(t *testing.T) {
 		if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), want) {
 			t.Fatalf("GET %s: %d, %.200q; want 200 with %q", path, resp.StatusCode, body, want)
 		}
+	}
+}
+
+// TestReadStringCopiesOnce: the document a load parses is read into one
+// string, not into a byte slice and then copied into a string.
+func TestReadStringCopiesOnce(t *testing.T) {
+	const size = 4 << 20
+	want := strings.Repeat("<http://ex/s> <http://ex/p> \"o\" .\n", size/34)
+	path := filepath.Join(t.TempDir(), "doc.nt")
+	if err := os.WriteFile(path, []byte(want), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	got, err := readString(path)
+	runtime.ReadMemStats(&m1)
+	if err != nil || got != want {
+		t.Fatalf("readString: %d bytes (%v), want the file's %d", len(got), err, len(want))
+	}
+	if alloc := m1.TotalAlloc - m0.TotalAlloc; alloc > uint64(len(want))*5/4 {
+		t.Errorf("reading a %d-byte file allocated %d bytes: more than one copy of it", len(want), alloc)
 	}
 }

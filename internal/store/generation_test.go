@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"slices"
 	"sync"
@@ -191,6 +192,102 @@ func runModel(t *testing.T, seed int64) {
 	}
 }
 
+// TestLeafIDBound drives posting lists long enough to split leaves on
+// leafIDs: the lists of eight objects under one predicate grow side by
+// side in one leaf, which splits into leaves of several keys and then of
+// one, and keep growing, at their ends and in their middles, while
+// random deletes take IDs from anywhere, the last ID of a leaf included.
+// Every commit must keep the structural invariants, and generations held
+// across later commits must still answer as the model did.
+func TestLeafIDBound(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	const nSubj, nObj = 1500, 8
+	pred := iri("p")
+	randTriple := func() rdf.Triple {
+		o := rng.Intn(nObj)
+		if rng.Intn(2) == 0 {
+			o = 0 // one list outgrows the others
+		}
+		return rdf.NewTriple(iri(fmt.Sprintf("s%d", rng.Intn(nSubj))), pred, iri(fmt.Sprintf("o%d", o)))
+	}
+	s := New()
+	model := map[rdf.Triple]bool{}
+	var live []rdf.Triple
+	var held []heldGeneration
+	for i := 0; i < 6000; i++ {
+		if rng.Intn(100) < 75 || len(live) == 0 {
+			tr := randTriple()
+			if s.Add(tr) != !model[tr] {
+				t.Fatalf("Add(%v) novelty disagrees with the model", tr)
+			}
+			if !model[tr] {
+				model[tr] = true
+				live = append(live, tr)
+			}
+		} else {
+			k := rng.Intn(len(live))
+			tr := live[k]
+			live[k] = live[len(live)-1]
+			live = live[:len(live)-1]
+			if !s.Remove(tr) {
+				t.Fatalf("Remove(%v) found nothing", tr)
+			}
+			delete(model, tr)
+		}
+		if i%25 != 24 {
+			continue
+		}
+		s.Flush()
+		r := s.Reader()
+		checkGeneration(t, r)
+		if i%200 == 199 {
+			h := heldGeneration{r: r, model: maps.Clone(model), at: i}
+			checkAgainstModel(t, h, s)
+			held = append(held, h)
+		}
+	}
+	r := s.Reader()
+	if pos := r.pos.get(r.Lookup(pred)); !hasLongLeaf(pos) || len(pos.kids) < 4 {
+		t.Fatal("the lists never split a leaf on leafIDs down to a leaf of one key")
+	}
+	for _, h := range held {
+		checkGeneration(t, h.r)
+		checkAgainstModel(t, h, s)
+	}
+}
+
+// TestLeafAppendKeepsTheIDBound: a published leaf of two keys that is
+// exactly leafIDs long, with spare capacity, takes an ID at its very end.
+// The append that needs no copy would take it over the bound, so the leaf
+// is copied and split instead, and the published one is left as it was.
+func TestLeafAppendKeepsTheIDBound(t *testing.T) {
+	var ix index
+	ix.insert(1, 1, 2, 1)
+	for c := ID(1); len(ix.get(1).ids) < leafIDs; c++ {
+		ix.insert(1, 1, 3, c)
+	}
+	p := ix.get(1)
+	if p.kids != nil || p.width() != 2 || cap(p.ids) == len(p.ids) {
+		t.Fatalf("the leaf to append to has %d keys, %d IDs, capacity %d", p.width(), len(p.ids), cap(p.ids))
+	}
+	published := slices.Clone(p.ids)
+	ix.insert(2, 1, 3, leafIDs) // epoch 2: epoch 1 is published
+	if !slices.Equal(p.ids, published) {
+		t.Fatal("the published leaf changed")
+	}
+	q := ix.get(1)
+	if q.kids == nil {
+		t.Fatalf("the leaf took the append: %d IDs", len(q.ids))
+	}
+	checkPostings(t, "ix[1]", q)
+}
+
+// hasLongLeaf reports whether a directory holds a leaf of one key that is
+// longer than leafIDs.
+func hasLongLeaf(p *postings) bool {
+	return p != nil && slices.ContainsFunc(p.kids, func(l *postings) bool { return l.width() == 1 && len(l.ids) > leafIDs })
+}
+
 // checkAgainstModel compares everything a generation can be asked with
 // the model as it stood when the generation was published.
 func checkAgainstModel(t *testing.T, h heldGeneration, s *Store) {
@@ -207,9 +304,9 @@ func checkAgainstModel(t *testing.T, h heldGeneration, s *Store) {
 			}
 		}
 	}
-	for tm, id := range s.dict { // the test's own goroutine is the only writer
-		want := id
-		if id > r.MaxID() {
+	for k, tm := range s.work.terms { // the test's own goroutine is the only writer
+		want := ID(k + 1)
+		if want > r.MaxID() {
 			want = NoID
 		}
 		if got := r.Lookup(tm); got != want {

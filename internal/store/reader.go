@@ -44,11 +44,8 @@ func (r *Reader) SortPrefix(id ID) uint64 { return r.sorts[id-1] }
 // generation was published has an ID above MaxID and is unknown to it.
 func (r *Reader) Lookup(t rdf.Term) ID {
 	r.st.dictMu.RLock()
-	id := r.st.dict[t]
+	id, _ := r.st.dict.find(t, r.terms)
 	r.st.dictMu.RUnlock()
-	if id > r.MaxID() {
-		return NoID
-	}
 	return id
 }
 
@@ -91,7 +88,8 @@ func (r *Reader) HasID(s, p, o ID) bool {
 
 // Runs hands fn the pattern's matches as runs, in the sorted key order of
 // the permutation index the pattern's shape selects: each run is one
-// postings entry's list, passed with no copy. It never fails.
+// key's list, a capped slice of its postings leaf passed with no copy. It
+// never fails.
 func (r *Reader) Runs(pat IDPattern, fn func(Run) bool) error {
 	si, pi, oi := pat.S, pat.P, pat.O
 	switch {

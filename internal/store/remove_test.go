@@ -185,9 +185,11 @@ func equalTriples(a, b []rdf.Triple) bool {
 
 // checkGeneration asserts what every published generation must satisfy:
 // at every level keys are strictly sorted, no empty list, leaf, postings
-// or chunk is retained, leaves respect leafMax, pair counts equal the
-// list lengths below them, the distinct counts equal the occupied slots,
-// and the three permutations all hold exactly Len triples.
+// or chunk is retained, leaves respect leafMax and (with more than one
+// key) leafIDs, pair counts equal the list lengths below them, no run a
+// reader is handed can be appended to over a neighbour's IDs, the
+// distinct counts equal the occupied slots, and the three permutations
+// all hold exactly Len triples.
 func checkGeneration(t *testing.T, r *Reader) {
 	t.Helper()
 	for name, ix := range map[string]*index{"spo": &r.spo, "pos": &r.pos, "osp": &r.osp} {
@@ -230,8 +232,8 @@ func checkPostings(t *testing.T, at string, p *postings) int {
 	t.Helper()
 	leaves := []*postings{p}
 	if p.kids != nil {
-		if p.ents != nil {
-			t.Fatalf("%s: a directory with entries of its own", at)
+		if p.ids != nil {
+			t.Fatalf("%s: a directory with IDs of its own", at)
 		}
 		leaves = p.kids
 	}
@@ -243,28 +245,8 @@ func checkPostings(t *testing.T, at string, p *postings) int {
 		if leaf.kids != nil {
 			t.Fatalf("%s: a directory below a directory", at)
 		}
-		if len(leaf.ents) == 0 {
-			t.Fatalf("%s: empty leaf retained", at)
-		}
-		if len(leaf.ents) > leafMax {
-			t.Fatalf("%s: leaf of %d entries, leafMax is %d", at, len(leaf.ents), leafMax)
-		}
-		n := 0
-		for _, e := range leaf.ents {
-			if e.key <= prev {
-				t.Fatalf("%s: second-level keys not strictly sorted at %d", at, e.key)
-			}
-			prev = e.key
-			if len(e.list) == 0 {
-				t.Fatalf("%s[%d]: empty third-key list retained", at, e.key)
-			}
-			for k := 1; k < len(e.list); k++ {
-				if e.list[k-1] >= e.list[k] {
-					t.Fatalf("%s[%d]: third-key list not strictly sorted", at, e.key)
-				}
-			}
-			n += len(e.list)
-		}
+		n := checkLeaf(t, at, leaf, prev)
+		prev = leaf.keys()[leaf.width()-1]
 		if n != leaf.pairs {
 			t.Fatalf("%s: leaf counts %d pairs, holds %d", at, leaf.pairs, n)
 		}
@@ -274,4 +256,54 @@ func checkPostings(t *testing.T, at string, p *postings) int {
 		t.Fatalf("%s: postings count %d pairs, hold %d", at, p.pairs, sum)
 	}
 	return sum
+}
+
+// checkLeaf checks the packing of one leaf whose keys must all sort after
+// prev, and returns the pairs it holds.
+func checkLeaf(t *testing.T, at string, leaf *postings, prev ID) int {
+	t.Helper()
+	if len(leaf.ids) == 0 || leaf.width() == 0 {
+		t.Fatalf("%s: empty leaf retained", at)
+	}
+	n := leaf.width()
+	if n > leafMax {
+		t.Fatalf("%s: leaf of %d keys, leafMax is %d", at, n, leafMax)
+	}
+	if n > 1 && len(leaf.ids) > leafIDs {
+		t.Fatalf("%s: leaf of %d keys holds %d IDs, leafIDs is %d", at, n, len(leaf.ids), leafIDs)
+	}
+	if len(leaf.ids) < 3*n {
+		t.Fatalf("%s: leaf of %d keys is %d IDs long, too short for one ID a list", at, n, len(leaf.ids))
+	}
+	pairs, end := 0, 2*n
+	leaf.leafRuns(Run{}, PosO, func(rn Run) bool {
+		if rn.O <= prev {
+			t.Fatalf("%s: second-level keys not strictly sorted at %d", at, rn.O)
+		}
+		prev = rn.O
+		if len(rn.IDs) == 0 {
+			t.Fatalf("%s[%d]: empty third-key list retained", at, rn.O)
+		}
+		if cap(rn.IDs) != len(rn.IDs) {
+			t.Fatalf("%s[%d]: a run of %d IDs has capacity %d, over its neighbour's", at, rn.O, len(rn.IDs), cap(rn.IDs))
+		}
+		if &rn.IDs[0] != &leaf.ids[end] {
+			t.Fatalf("%s[%d]: the run does not start where the list before it ends", at, rn.O)
+		}
+		for k := 1; k < len(rn.IDs); k++ {
+			if rn.IDs[k-1] >= rn.IDs[k] {
+				t.Fatalf("%s[%d]: third-key list not strictly sorted", at, rn.O)
+			}
+		}
+		if got := leaf.find(rn.O); len(got) != len(rn.IDs) || cap(got) != len(got) || &got[0] != &rn.IDs[0] {
+			t.Fatalf("%s[%d]: find and the run disagree", at, rn.O)
+		}
+		end += len(rn.IDs)
+		pairs += len(rn.IDs)
+		return true
+	})
+	if end != len(leaf.ids) {
+		t.Fatalf("%s: the lists end at %d of a %d-ID leaf", at, end, len(leaf.ids))
+	}
+	return pairs
 }

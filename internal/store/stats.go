@@ -15,7 +15,7 @@ type ClassStat struct {
 // Classes returns the instantiated classes (objects of rdf:type) with
 // their instance counts, sorted by descending count then IRI. This mirrors
 // the first queries of H-BOLD's Index Extraction. The counts are read off
-// one generation's pos[rdf:type]: one entry per class, as long as its list
+// one generation's pos[rdf:type]: one key per class, as long as its list
 // of instances.
 func (s *Store) Classes() []ClassStat {
 	r := s.Reader()

@@ -18,6 +18,8 @@
 package store
 
 import (
+	"hash/maphash"
+	"math/bits"
 	"sort"
 	"strings"
 	"sync"
@@ -44,11 +46,11 @@ type Store struct {
 	published atomic.Pointer[Reader]
 	dirty     atomic.Bool // work differs from published
 
-	// The dictionary is one map for all generations: IDs are append-only,
-	// so a generation sees exactly the terms with an ID up to its MaxID.
-	// dictMu is held for one map operation at a time.
+	// The dictionary is one table for all generations: IDs are
+	// append-only, so a generation sees exactly the terms with an ID up to
+	// its MaxID. dictMu is held for one probe or one insert at a time.
 	dictMu sync.RWMutex
-	dict   map[rdf.Term]ID
+	dict   dict
 	// slab is where intern copies a new term's strings: one allocation
 	// for many of them, appended to and never rewritten (see copyString).
 	slab strings.Builder
@@ -61,7 +63,7 @@ type Store struct {
 
 // New returns an empty store.
 func New() *Store {
-	s := &Store{dict: make(map[rdf.Term]ID), epoch: 1}
+	s := &Store{dict: newDict(), epoch: 1}
 	s.work.st = s
 	g := s.work
 	s.published.Store(&g)
@@ -79,15 +81,16 @@ func FromGraph(g *rdf.Graph) *Store {
 }
 
 // intern returns the ID for t, assigning a new one if needed. Only the
-// writer changes the dictionary, so its own reads need no lock.
+// writer changes the dictionary, so its own probes need no lock.
 //
 // A new term is stored with strings of its own. A caller's strings may be
 // slices of something much larger — a parsed document (turtle.Each hands
 // out substrings of it) or a query text — that the dictionary would
 // otherwise keep reachable for the store's lifetime. A term the
-// dictionary already knows costs one map probe and no copy.
+// dictionary already knows costs one probe and no copy.
 func (s *Store) intern(t rdf.Term) ID {
-	if id, ok := s.dict[t]; ok {
+	id, slot := s.dict.find(t, s.work.terms)
+	if id != NoID {
 		return id
 	}
 	t.Value = s.copyString(t.Value)
@@ -96,11 +99,75 @@ func (s *Store) intern(t rdf.Term) ID {
 	// past every published length: readers never see the new elements
 	s.work.terms = append(s.work.terms, t)
 	s.work.sorts = append(s.work.sorts, rdf.SortPrefix(t))
-	id := ID(len(s.work.terms))
+	id = ID(len(s.work.terms))
+	if 2*int(id) <= len(s.dict.slots) {
+		s.dictMu.Lock()
+		s.dict.slots[slot] = id
+		s.dictMu.Unlock()
+		return id
+	}
+	// Over half full: the new table is built aside, from the term table,
+	// and swapped in.
+	slots := s.dict.rehash(s.work.terms, 2*len(s.dict.slots))
 	s.dictMu.Lock()
-	s.dict[t] = id
+	s.dict.slots = slots
 	s.dictMu.Unlock()
 	return id
+}
+
+// dict is the term → ID table: open addressing with linear probing over
+// IDs, a candidate compared with its term in the term table, so a term is
+// stored once — in the term table — and the table costs 4 bytes a slot.
+// It is never more than half full.
+type dict struct {
+	seed  maphash.Seed
+	slots []ID // a power of two long; NoID marks an empty slot
+}
+
+func newDict() dict { return dict{seed: maphash.MakeSeed(), slots: make([]ID, 16)} }
+
+// hash mixes the kind, datatype and language tag into the value's hash, so
+// that terms which differ only in them take different slots.
+func (d *dict) hash(t rdf.Term) uint64 {
+	h := maphash.String(d.seed, t.Value) ^ uint64(t.Kind)*0x9e3779b97f4a7c15
+	if t.Datatype != "" {
+		h ^= bits.RotateLeft64(maphash.String(d.seed, t.Datatype), 21)
+	}
+	if t.Lang != "" {
+		h ^= bits.RotateLeft64(maphash.String(d.seed, t.Lang), 42)
+	}
+	return h
+}
+
+// find returns the ID of t among the first len(terms) IDs, or NoID and
+// the empty slot where the probe ended. A slot holding a later ID is
+// passed over, so a generation's term table filters out what it never
+// issued: a term interned later is not found.
+func (d *dict) find(t rdf.Term, terms []rdf.Term) (ID, int) {
+	mask := len(d.slots) - 1
+	for i := int(d.hash(t)) & mask; ; i = (i + 1) & mask {
+		id := d.slots[i]
+		if id == NoID {
+			return NoID, i
+		}
+		if int(id) <= len(terms) && terms[id-1] == t {
+			return id, i
+		}
+	}
+}
+
+// rehash returns a table of size slots holding every ID of terms.
+func (d *dict) rehash(terms []rdf.Term, size int) []ID {
+	slots := make([]ID, size)
+	mask := size - 1
+	for k, t := range terms {
+		i := int(d.hash(t)) & mask
+		for slots[i] != NoID {
+			i = (i + 1) & mask
+		}
+		slots[i] = ID(k + 1)
+	}
+	return slots
 }
 
 // Strings are copied into slabs that double from 512 B up to 64 KiB, so a
@@ -170,7 +237,9 @@ func (s *Store) Remove(t rdf.Triple) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	w := &s.work
-	si, pi, oi := s.dict[t.S], s.dict[t.P], s.dict[t.O]
+	si, _ := s.dict.find(t.S, w.terms)
+	pi, _ := s.dict.find(t.P, w.terms)
+	oi, _ := s.dict.find(t.O, w.terms)
 	if si == NoID || pi == NoID || oi == NoID || !w.HasID(si, pi, oi) {
 		return false
 	}

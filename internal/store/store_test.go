@@ -2,6 +2,8 @@ package store
 
 import (
 	"fmt"
+	"maps"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -412,5 +414,108 @@ func TestQuickMatchIDsConsistency(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDictionaryAgainstMap checks the open-addressing dictionary against
+// a builtin map over terms that differ only in kind, datatype or language
+// tag, empty values and blank nodes, enough of them to grow the table
+// from 16 slots to 2^14. Every intern and every Lookup must agree with
+// the map. A generation held from before the growths is read from a
+// second goroutine while the writer interns: it must find exactly its own
+// terms, and NoID for every later one.
+func TestDictionaryAgainstMap(t *testing.T) {
+	const dt = "http://www.w3.org/2001/XMLSchema#integer"
+	var terms []rdf.Term
+	for _, v := range []string{"", "x", "7"} {
+		terms = append(terms, rdf.NewIRI(v), rdf.NewLiteral(v), rdf.NewBlank(v),
+			rdf.NewTypedLiteral(v, dt), rdf.NewTypedLiteral(v, "http://ex/dt"),
+			rdf.NewLangLiteral(v, "en"), rdf.NewLangLiteral(v, "fr"),
+			rdf.Term{Kind: rdf.KindLiteral, Value: v, Datatype: dt, Lang: "en"})
+	}
+	for i := 0; len(terms) < 6000; i++ {
+		v := fmt.Sprint(i)
+		terms = append(terms, rdf.NewIRI("http://ex/"+v), rdf.NewLiteral(v), rdf.NewBlank("b"+v),
+			rdf.NewTypedLiteral(v, dt), rdf.NewLangLiteral(v, "en"))
+	}
+	absent := []rdf.Term{rdf.NewIRI("http://ex/absent"), rdf.NewLiteral("absent"), rdf.NewBlank("absent"),
+		rdf.NewLangLiteral("x", "de"), rdf.NewTypedLiteral("x", "http://ex/other")}
+
+	s := New()
+	model := map[rdf.Term]ID{}
+	// intern runs the writer's side of Add for one batch, then publishes.
+	intern := func(batch []rdf.Term) {
+		s.mu.Lock()
+		for _, tm := range batch {
+			id := s.intern(tm)
+			want, ok := model[tm]
+			if !ok {
+				want = ID(len(model) + 1)
+				model[tm] = want
+			}
+			if id != want {
+				t.Fatalf("intern(%v) = %d, the map says %d", tm, id, want)
+			}
+		}
+		s.dirty.Store(true)
+		s.mu.Unlock()
+		s.Flush()
+	}
+	check := func(r *Reader) {
+		t.Helper()
+		for tm, id := range model {
+			if id > r.MaxID() {
+				id = NoID
+			}
+			if got := r.Lookup(tm); got != id {
+				t.Fatalf("Lookup(%v) = %d, want %d (MaxID %d)", tm, got, id, r.MaxID())
+			}
+		}
+		for _, tm := range absent {
+			if got := r.Lookup(tm); got != NoID {
+				t.Fatalf("Lookup(%v) = %d for a term never interned", tm, got)
+			}
+		}
+	}
+
+	intern(terms[:40])
+	intern(terms[:40]) // every one already known
+	held := s.Reader()
+	heldModel := maps.Clone(model)
+	slots := len(s.dict.slots)
+	check(held)
+
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			for _, tm := range terms {
+				if got, want := held.Lookup(tm), heldModel[tm]; got != want {
+					t.Errorf("held generation: Lookup(%v) = %d, want %d", tm, got, want)
+					return
+				}
+			}
+			select {
+			case <-done:
+				return
+			default:
+			}
+		}
+	}()
+	for i := 40; i < len(terms); i += 97 {
+		intern(terms[i:min(i+97, len(terms))])
+		intern(terms[i/2 : i/2+3]) // duplicates, interleaved
+	}
+	close(done)
+	wg.Wait()
+	if len(s.dict.slots) < 64*slots {
+		t.Fatalf("the table grew from %d to only %d slots", slots, len(s.dict.slots))
+	}
+	check(held)
+	check(s.Reader())
+	if n := testing.AllocsPerRun(100, func() { s.Reader().Lookup(terms[len(terms)/2]) }); n != 0 {
+		t.Fatalf("a Lookup allocates %.1f times", n)
 	}
 }
