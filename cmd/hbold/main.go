@@ -84,6 +84,7 @@ import (
 	"os/signal"
 	"path/filepath"
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"syscall"
 	"time"
@@ -96,7 +97,6 @@ import (
 	"repro/internal/endpoint"
 	"repro/internal/federation"
 	"repro/internal/portal"
-	"repro/internal/rdf"
 	"repro/internal/registry"
 	"repro/internal/sched"
 	"repro/internal/schema"
@@ -164,25 +164,11 @@ func cmdSparqld(args []string) {
 		if fs.NArg() > 1 {
 			usage()
 		}
-		ds, err := disk.Open(*dataDir, disk.Options{})
+		ds, src, err := openDataDir(*dataDir, fs.Arg(0))
 		if err != nil {
 			log.Fatalf("hbold: %v", err)
 		}
-		if ds.Len() == 0 {
-			if fs.NArg() != 1 {
-				log.Fatalf("hbold: %s is empty; give a Turtle file to seed it", *dataDir)
-			}
-			// CopyFrom keeps the in-memory tier's ID assignment, so the
-			// seeded store is bit-identical to what -data-dir-less serving
-			// of the same file would query
-			if err := ds.CopyFrom(loadTurtle(fs.Arg(0)).Reader()); err != nil {
-				log.Fatalf("hbold: seeding %s: %v", *dataDir, err)
-			}
-			source = fmt.Sprintf("%s (seeded from %s)", *dataDir, fs.Arg(0))
-		} else {
-			source = fmt.Sprintf("%s (restarted, no re-load)", *dataDir)
-		}
-		st, be, triples = ds, ds, ds.Len()
+		st, be, triples, source = ds, ds, ds.Len(), src
 	case fs.NArg() == 1:
 		mem := loadTurtle(fs.Arg(0))
 		st, be, triples, source = mem, mem, mem.Len(), fs.Arg(0)
@@ -208,6 +194,32 @@ func cmdSparqld(args []string) {
 	}
 	log.Printf("hbold: serving %s (%d triples) as a SPARQL endpoint on %s", source, triples, *addr)
 	log.Fatal(http.ListenAndServe(*addr, h))
+}
+
+// openDataDir opens the disk store in dir and, if it has never held a
+// term, seeds it from the Turtle file at seed; it says which it did. A
+// seed is one commit, so a store is either empty or whole, and one whose
+// triples were all deleted since is restarted like any other.
+func openDataDir(dir, seed string) (*disk.Store, string, error) {
+	ds, err := disk.Open(dir, disk.Options{})
+	if err != nil {
+		return nil, "", err
+	}
+	if !ds.Empty() {
+		return ds, fmt.Sprintf("%s (restarted, no re-load)", dir), nil
+	}
+	if seed == "" {
+		ds.Close()
+		return nil, "", fmt.Errorf("%s is empty; give a Turtle file to seed it", dir)
+	}
+	// CopyFrom keeps the in-memory tier's ID assignment, so the seeded
+	// store is bit-identical to what -data-dir-less serving of the same
+	// file would query
+	if err := ds.CopyFrom(loadTurtle(seed).Reader()); err != nil {
+		ds.Close()
+		return nil, "", fmt.Errorf("seeding %s: %w", dir, err)
+	}
+	return ds, fmt.Sprintf("%s (seeded from %s)", dir, seed), nil
 }
 
 const debugAddrUsage = "serve net/http/pprof under /debug/pprof/ on this address, apart from the serving one (empty: off)"
@@ -292,13 +304,20 @@ func loadTurtle(path string) *store.Store {
 	if err != nil {
 		log.Fatalf("hbold: %v", err)
 	}
-	// one pass: each parsed triple goes straight into the store, which
-	// drops duplicates and copies a term's strings when it first sees it
-	st := store.New()
-	if err := turtle.Each(doc, func(t rdf.Triple) { st.Add(t) }); err != nil {
+	// one pass: each parsed triple goes straight into the builder, which
+	// copies a term's strings when it first sees it, then one sort lays
+	// the store out in its final form
+	b := store.NewBuilder()
+	if err := turtle.Each(doc, b.Add); err != nil {
 		log.Fatalf("hbold: %v", err)
 	}
-	st.Flush()
+	st := b.Store()
+	// The document and the builder's sort buffers are garbage now, and a
+	// read-only server may take long to allocate its way to the next
+	// collection: run it here, before serving, and hand the freed pages
+	// back (on the 152,708-triple corpus, VmRSS 60 MB after a bare
+	// runtime.GC, 29 MB after this).
+	debug.FreeOSMemory()
 	return st
 }
 

@@ -8,6 +8,8 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"repro/internal/rdf"
 )
 
 // TestDebugListener: -debug-addr is off when empty, and when set serves
@@ -64,5 +66,38 @@ func TestReadStringCopiesOnce(t *testing.T) {
 	}
 	if alloc := m1.TotalAlloc - m0.TotalAlloc; alloc > uint64(len(want))*5/4 {
 		t.Errorf("reading a %d-byte file allocated %d bytes: more than one copy of it", len(want), alloc)
+	}
+}
+
+// TestDataDirSeedsOnce: sparqld -data-dir seeds a directory that never
+// held a term, and restarts one that did, even when its triples have all
+// been deleted since: its dictionary is not empty, so a second seed
+// would be refused, and there is nothing to seed anyway.
+func TestDataDirSeedsOnce(t *testing.T) {
+	dir := t.TempDir()
+	doc := filepath.Join(t.TempDir(), "one.nt")
+	if err := os.WriteFile(doc, []byte("<http://ex/a> <http://ex/p> <http://ex/b> .\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := openDataDir(dir, ""); err == nil {
+		t.Fatal("an empty data dir opened with nothing to seed it from")
+	}
+	ds, how, err := openDataDir(dir, doc)
+	if err != nil || ds.Len() != 1 || !strings.Contains(how, "seeded") {
+		t.Fatalf("first start: %q, %v", how, err)
+	}
+	tr := rdf.NewTriple(rdf.NewIRI("http://ex/a"), rdf.NewIRI("http://ex/p"), rdf.NewIRI("http://ex/b"))
+	if ok, err := ds.Delete(tr); !ok || err != nil {
+		t.Fatalf("Delete: %v, %v", ok, err)
+	}
+	if err := ds.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, seed := range []string{doc, ""} {
+		ds, how, err := openDataDir(dir, seed)
+		if err != nil || ds.Len() != 0 || !strings.Contains(how, "restarted") {
+			t.Fatalf("restart of an emptied data dir, seed %q: %q, %v", seed, how, err)
+		}
+		ds.Close()
 	}
 }

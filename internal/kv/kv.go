@@ -14,7 +14,9 @@
 // fsync of file and directory), then resets the WAL; a crash between
 // those steps only replays work already in a segment, which is
 // idempotent. Open therefore costs O(segments + WAL bytes), not
-// O(dataset) — the instant-restart path.
+// O(dataset) — the instant-restart path. A bulk load into an empty DB
+// skips the WAL altogether: Ingest writes its sorted keys as one segment
+// that the manifest alone commits.
 //
 // Concurrency model: what a reader sees is one immutable value — an
 // ordered copy-on-write memtable (memtable.go) plus the segment list —
@@ -44,6 +46,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"unsafe"
 )
 
 // Options tunes a DB. The zero value selects the defaults.
@@ -176,13 +179,19 @@ func Open(dir string, opts Options) (*DB, error) {
 		segs = append(segs, seg)
 	}
 	// Segments written but never committed to the manifest are garbage
-	// from a crash mid-flush or mid-compaction.
+	// from a crash mid-flush, mid-compaction or mid-ingest, and so is a
+	// manifest a crash caught before its rename.
 	names, err := filepath.Glob(filepath.Join(dir, "seg-*.seg"))
 	if err == nil {
 		for _, p := range names {
 			if !committed[filepath.Base(p)] {
 				os.Remove(p)
 			}
+		}
+	}
+	if names, err := filepath.Glob(filepath.Join(dir, ".tmp-*")); err == nil {
+		for _, p := range names {
+			os.Remove(p)
 		}
 	}
 
@@ -354,6 +363,95 @@ func (db *DB) flushLocked() error {
 		return err
 	}
 	db.maybeCompactLocked()
+	return nil
+}
+
+// Ingest fills an empty DB with a whole key space in one step: emit hands
+// put every key, in strictly increasing order, with its value, and they
+// are written as one segment — no WAL record, no memtable. The segment is
+// fsynced and then committed by the manifest, so the manifest's rename is
+// the ingest's one commit point: a crash before it leaves the DB empty
+// (Open deletes the orphan segment), after it the DB holds every key.
+//
+// put keeps neither slice past the call. It fails on a key that does not
+// sort after the one before; Ingest then fails with that error, as it
+// does when emit returns one or the DB holds anything (a memtable key or
+// a segment), and leaves no file behind. Like a compaction's merge, the
+// segment is written under no lock, so emit may take as long as it needs:
+// reads see the DB empty until the commit and whole after it, and a write
+// that lands first makes the commit fail.
+func (db *DB) Ingest(emit func(put func(key, val []byte) error) error) error {
+	db.wmu.Lock()
+	err := db.ingestableLocked()
+	seq := db.nextSeq
+	db.nextSeq++
+	db.wmu.Unlock()
+	if err != nil {
+		return err
+	}
+	sw, err := newSegWriter(filepath.Join(db.dir, fmt.Sprintf("seg-%06d.seg", seq)), db.opts.BlockBytes)
+	if err != nil {
+		return err
+	}
+	var prev []byte
+	var perr error
+	put := func(key, val []byte) error {
+		if perr != nil {
+			return perr
+		}
+		if sw.count > 0 && string(key) <= string(prev) {
+			perr = fmt.Errorf("kv: Ingest: key %q does not sort after %q", key, prev)
+			return perr
+		}
+		prev = append(prev[:0], key...)
+		perr = sw.add(unsafe.String(unsafe.SliceData(key), len(key)), val, false)
+		return perr
+	}
+	err = emit(put)
+	if err == nil {
+		err = perr
+	}
+	if err != nil || sw.count == 0 {
+		sw.abort()
+		return err
+	}
+	seg, err := sw.finish(&db.reads)
+	if err != nil {
+		return err
+	}
+	db.wmu.Lock()
+	defer db.wmu.Unlock()
+	if err := db.ingestableLocked(); err != nil {
+		seg.release()
+		os.Remove(seg.path)
+		return err
+	}
+	segs := []*segment{seg}
+	if err := db.writeManifest(segs); err != nil {
+		// The rename may have landed before the directory sync failed: the
+		// empty list goes back before the segment goes, or the segment stays
+		// for a manifest that may name it.
+		seg.release()
+		if db.writeManifest(nil) == nil {
+			os.Remove(seg.path)
+		}
+		return err
+	}
+	db.mu.Lock()
+	db.st = &state{mem: emptyMemtable, segs: segs}
+	db.mu.Unlock()
+	return nil
+}
+
+// ingestableLocked reports why the DB cannot take an ingest, or nil. The
+// caller holds wmu.
+func (db *DB) ingestableLocked() error {
+	switch {
+	case db.closed:
+		return errClosed
+	case db.st.mem.keys != 0 || len(db.st.segs) != 0:
+		return fmt.Errorf("kv: Ingest requires an empty DB")
+	}
 	return nil
 }
 

@@ -197,6 +197,13 @@ func TestRunsFoldLikeRows(t *testing.T) {
 // store callback is bound once per pipeline level, and the disk tier
 // builds a probe's key prefix in its cursor — so the allocations of
 // DISTINCT ?p over a class do not grow with the class, on either tier.
+//
+// The disk tier is filled through Insert and one Flush, so every key
+// sits in the memtable and the test counts probes alone. Seeded by
+// CopyFrom, the keys would sit in a segment, and the `?s a <C0>` scan
+// that feeds the probes would read on past block ends, each block a
+// fresh buffer by design (kv/segment.go): allocations that grow with
+// the class without coming from a probe.
 func TestProbesDoNotAllocatePerSubject(t *testing.T) {
 	mem := runsStore()
 	ds, err := disk.Open(t.TempDir(), disk.Options{})
@@ -204,8 +211,18 @@ func TestProbesDoNotAllocatePerSubject(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ds.Close()
-	if err := ds.CopyFrom(mem.Reader()); err != nil {
+	mem.Match(store.Pattern{}, func(tr rdf.Triple) bool {
+		_, err = ds.Insert(tr)
+		return err == nil
+	})
+	if err == nil {
+		err = ds.Flush()
+	}
+	if err != nil {
 		t.Fatal(err)
+	}
+	if st := ds.KVStats(); st.Segments != 0 || ds.Len() != mem.Len() {
+		t.Fatalf("the disk tier holds %d of %d triples, in %d segments; want all, in the memtable", ds.Len(), mem.Len(), st.Segments)
 	}
 	for _, tier := range []struct {
 		name string

@@ -321,42 +321,6 @@ func (s *Store) resolveDeletedRolesLocked() {
 	}
 }
 
-// CopyFrom replicates the full content of a ReaderAPI view into this
-// (empty) store, preserving the source's ID assignment: terms are
-// interned in source-ID order and triples land in SPO order. The two
-// tiers end up bit-compatible — every Runs shape enumerates the
-// same IDs in the same order — which is what lets the differential
-// tests compare exact row sequences, tie orders included.
-func (s *Store) CopyFrom(src store.ReaderAPI) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.meta.Len != 0 || s.meta.MaxID != 0 || s.batch.Len() != 0 {
-		return fmt.Errorf("disk: CopyFrom requires an empty store")
-	}
-	maxID := src.MaxID()
-	for id := store.ID(1); id <= maxID; id++ {
-		got, err := s.internLocked(src.Term(id))
-		if err != nil {
-			return err
-		}
-		if got != id {
-			return fmt.Errorf("disk: CopyFrom assigned ID %d for source ID %d", got, id)
-		}
-	}
-	var ierr error
-	done := store.EachTriple(src, store.IDPattern{}, func(a, b, c store.ID) bool {
-		_, ierr = s.insertIDsLocked(a, b, c)
-		return ierr == nil
-	})
-	if ierr != nil {
-		return ierr
-	}
-	if !done {
-		return fmt.Errorf("disk: CopyFrom: the source scan failed")
-	}
-	return s.flushLocked()
-}
-
 // internLocked returns the ID for term t, assigning (and staging the
 // dictionary writes for) a fresh one if the term is new.
 func (s *Store) internLocked(t rdf.Term) (store.ID, error) {

@@ -52,7 +52,11 @@ const inlineMax = 64
 // value, datatype and language. Equal terms have equal encodings, so
 // byte comparison resolves hash collisions exactly.
 func encodeTerm(t rdf.Term) []byte {
-	b := make([]byte, 0, 1+len(t.Value)+len(t.Datatype)+len(t.Lang)+9)
+	return appendTerm(make([]byte, 0, 1+len(t.Value)+len(t.Datatype)+len(t.Lang)+9), t)
+}
+
+// appendTerm appends the encoding of t to b.
+func appendTerm(b []byte, t rdf.Term) []byte {
 	b = append(b, byte(t.Kind))
 	b = binary.AppendUvarint(b, uint64(len(t.Value)))
 	b = append(b, t.Value...)

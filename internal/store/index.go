@@ -25,8 +25,8 @@ package store
 // length (spare capacity, when the new ID goes last in its last list),
 // clipped when its last ID goes, or replaced by a copy; the first two
 // replace the struct but keep its epoch, as they take no ownership. Until
-// the first publish everything is owned, which keeps a bulk load free of
-// copies.
+// the first publish everything is owned, so Adds into a new store copy
+// nothing; a load skips this path altogether (build.go).
 
 import (
 	"slices"

@@ -14,7 +14,8 @@
 //
 // Everything a read touches is one immutable generation behind one
 // pointer (see Reader); writes build the next generation copy-on-write
-// (index.go) and Flush publishes it.
+// (index.go) and Flush publishes it. A load builds a new store's first
+// generation in one sorted pass instead (Builder, build.go).
 package store
 
 import (
@@ -72,12 +73,11 @@ func New() *Store {
 
 // FromGraph builds a store containing all triples of g.
 func FromGraph(g *rdf.Graph) *Store {
-	s := New()
+	b := NewBuilder()
 	for _, t := range g.Triples() {
-		s.Add(t)
+		b.Add(t)
 	}
-	s.Flush()
-	return s
+	return b.Store()
 }
 
 // intern returns the ID for t, assigning a new one if needed. Only the

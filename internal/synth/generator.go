@@ -50,7 +50,7 @@ func Generate(spec Spec) *store.Store {
 		spec.Classes = 1
 	}
 	rng := rand.New(rand.NewSource(spec.Seed))
-	st := store.New()
+	b := store.NewBuilder()
 	ns := fmt.Sprintf("http://%s.example.org/onto#", spec.Name)
 	res := fmt.Sprintf("http://%s.example.org/res/", spec.Name)
 	typeT := rdf.NewIRI(rdf.RDFType)
@@ -77,7 +77,7 @@ func Generate(spec Spec) *store.Store {
 		for i := 0; i < sizes[c]; i++ {
 			inst := rdf.NewIRI(fmt.Sprintf("%sc%d/i%d", res, c, i))
 			instances[c][i] = inst
-			st.AddSPO(inst, typeT, classes[c])
+			b.AddSPO(inst, typeT, classes[c])
 		}
 	}
 
@@ -87,7 +87,7 @@ func Generate(spec Spec) *store.Store {
 		c := p % spec.Classes
 		prop := rdf.NewIRI(fmt.Sprintf("%sattr%d", ns, p))
 		for i, inst := range instances[c] {
-			st.AddSPO(inst, prop, rdf.NewLiteral(fmt.Sprintf("v%d-%d", p, i)))
+			b.AddSPO(inst, prop, rdf.NewLiteral(fmt.Sprintf("v%d-%d", p, i)))
 		}
 	}
 
@@ -109,11 +109,11 @@ func Generate(spec Spec) *store.Store {
 		for _, src := range instances[from] {
 			for k := 0; k < spec.LinkFactor; k++ {
 				dst := instances[to][rng.Intn(len(instances[to]))]
-				st.AddSPO(src, prop, dst)
+				b.AddSPO(src, prop, dst)
 			}
 		}
 	}
-	return st
+	return b.Store()
 }
 
 // zipfSplit distributes total into n parts following a Zipf law with

@@ -18,16 +18,13 @@ func Partition(st *store.Store, k int) []*store.Store {
 	if k < 1 {
 		k = 1
 	}
-	parts := make([]*store.Store, k)
-	for i := range parts {
-		parts[i] = store.New()
-	}
+	parts := newBuilders(k)
 	for _, tr := range st.Graph().Triples() {
 		h := fnv.New32a()
 		h.Write([]byte(tr.S.String()))
 		parts[int(h.Sum32())%k].Add(tr)
 	}
-	return parts
+	return build(parts)
 }
 
 // PartitionByClass splits a store by the class of each subject: subjects
@@ -41,10 +38,7 @@ func PartitionByClass(st *store.Store, k int) []*store.Store {
 	if k < 1 {
 		k = 1
 	}
-	parts := make([]*store.Store, k)
-	for i := range parts {
-		parts[i] = store.New()
-	}
+	parts := newBuilders(k)
 	// first type statement wins per subject
 	home := map[string]int{}
 	for _, tr := range st.Graph().Triples() {
@@ -59,5 +53,21 @@ func PartitionByClass(st *store.Store, k int) []*store.Store {
 	for _, tr := range st.Graph().Triples() {
 		parts[home[tr.S.String()]].Add(tr)
 	}
-	return parts
+	return build(parts)
+}
+
+func newBuilders(k int) []*store.Builder {
+	bs := make([]*store.Builder, k)
+	for i := range bs {
+		bs[i] = store.NewBuilder()
+	}
+	return bs
+}
+
+func build(bs []*store.Builder) []*store.Store {
+	out := make([]*store.Store, len(bs))
+	for i, b := range bs {
+		out[i] = b.Store()
+	}
+	return out
 }

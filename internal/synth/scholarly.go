@@ -79,7 +79,7 @@ var scholarlyLinks = []scholarlyLink{
 // link targets; the class/property structure is fixed.
 func Scholarly(seed int64) *store.Store {
 	rng := rand.New(rand.NewSource(seed))
-	st := store.New()
+	b := store.NewBuilder()
 	typeT := rdf.NewIRI(rdf.RDFType)
 
 	classIRI := func(name string) rdf.Term { return rdf.NewIRI(ScholarlyNS + name) }
@@ -92,9 +92,9 @@ func Scholarly(seed int64) *store.Store {
 		ct := classIRI(c.name)
 		for i := 0; i < c.instances; i++ {
 			inst := instIRI(c.name, i)
-			st.AddSPO(inst, typeT, ct)
+			b.AddSPO(inst, typeT, ct)
 			for _, attr := range c.attributes {
-				st.AddSPO(inst, propIRI(attr), rdf.NewLiteral(fmt.Sprintf("%s %s %d", c.name, attr, i)))
+				b.AddSPO(inst, propIRI(attr), rdf.NewLiteral(fmt.Sprintf("%s %s %d", c.name, attr, i)))
 			}
 		}
 	}
@@ -108,11 +108,11 @@ func Scholarly(seed int64) *store.Store {
 			src := instIRI(l.from, i)
 			for k := 0; k < l.perInstance; k++ {
 				dst := instIRI(l.to, rng.Intn(counts[l.to]))
-				st.AddSPO(src, prop, dst)
+				b.AddSPO(src, prop, dst)
 			}
 		}
 	}
-	return st
+	return b.Store()
 }
 
 // ScholarlyClassCount is the number of instantiated classes in the

@@ -26,7 +26,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/rdf"
 	"repro/internal/sparql"
 	"repro/internal/sparql/reference"
 	"repro/internal/sparql/results"
@@ -109,13 +108,12 @@ func loadStore(t *testing.T, path string) *store.Store {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// the loader hbold sparqld runs: Each straight into Add, one Flush
-	st := store.New()
-	if err := turtle.Each(string(raw), func(tr rdf.Triple) { st.Add(tr) }); err != nil {
+	// the loader hbold sparqld runs: Each straight into a Builder
+	b := store.NewBuilder()
+	if err := turtle.Each(string(raw), b.Add); err != nil {
 		t.Fatalf("%s: %v", path, err)
 	}
-	st.Flush()
-	return st
+	return b.Store()
 }
 
 // engineResults runs the query through the executor and the reference
