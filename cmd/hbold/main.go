@@ -66,8 +66,8 @@
 // per-endpoint dispatch limit). Live queue state is served on
 // /api/jobs and /metrics (hbold_sched_*), a refresh can be forced with
 // POST /api/refresh, and SIGINT/SIGTERM drains the pool before exit.
-// Unlike serve, daemon does not index anything up front — watching
-// /api/jobs right after startup shows the first cycle being worked off.
+// Both build their stores on GOMAXPROCS workers at start-up; serve indexes
+// them there too, daemon not — /api/jobs then shows its first cycle.
 package main
 
 import (
@@ -85,7 +85,9 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"strings"
+	"sync"
 	"syscall"
 	"time"
 
@@ -361,14 +363,81 @@ func newTool(dataDir string) *core.HBOLD {
 // pipeline runs extract → summary → cluster over a local store.
 func pipeline(name string, st *store.Store) (*schema.Summary, *cluster.Schema) {
 	tool := core.New(docstore.MustOpenMem(), clock.NewSim(clock.Epoch))
-	tool.Registry.Add(registry.Entry{URL: name, Title: name, AddedAt: clock.Epoch})
-	tool.Connect(name, endpoint.LocalClient{Store: st})
-	if err := tool.Process(name); err != nil {
-		log.Fatalf("hbold: %v", err)
-	}
+	startUp(tool, []candidate{{registry.Entry{URL: name, Title: name, AddedAt: clock.Epoch},
+		func() endpoint.Client { return endpoint.LocalClient{Store: st} }}}, nil, 0, true)
 	s, _ := tool.Summary(name)
 	cs, _ := tool.ClusterSchema(name)
 	return s, cs
+}
+
+// candidate is a dataset start-up may serve, and how to build its client.
+type candidate struct {
+	entry  registry.Entry
+	client func() endpoint.Client
+}
+
+// demoCandidates lists the demo corpus's indexable live endpoints, as
+// entry; flaky adds those with an outage model, as remotes that fail by it.
+func demoCandidates(tool *core.HBOLD, entry registry.Entry, flaky bool) (out []candidate) {
+	for i, d := range synth.Corpus(1) {
+		if d.Indexable && !d.Dead && (flaky || d.OutageProb == 0) {
+			entry.URL, entry.Title = d.URL, d.Title
+			out = append(out, candidate{entry, func() endpoint.Client {
+				if d.OutageProb > 0 {
+					return endpoint.NewRemote(d.Name, d.URL, synth.BuildStore(d), nil, endpoint.NewAvailability(int64(i), d.OutageProb), tool.Clock)
+				}
+				return endpoint.LocalClient{Store: synth.BuildStore(d)}
+			}})
+		}
+	}
+	return out
+}
+
+// startUp brings up the required candidates and the first n optional ones
+// that succeed on GOMAXPROCS workers. A worker claims the next candidate,
+// registering it (so entries are added in candidate order), and runs its
+// unit — build, Connect and, with index, Process — whole; with index a
+// dataset a previous life left on disk is reused, nothing built or
+// extracted. A failing required candidate is fatal; a failing optional one
+// is logged and its worker claims the next: the set is a sequential start-up's.
+func startUp(tool *core.HBOLD, required, optional []candidate, n int, index bool) (served, reused int) {
+	queue := slices.Concat(required, optional)
+	var mu sync.Mutex // guards next, pending, served and reused
+	next, pending := 0, 0
+	var workers sync.WaitGroup
+	for range runtime.GOMAXPROCS(0) {
+		workers.Add(1)
+		go func() {
+			defer workers.Done()
+			mu.Lock()
+			defer mu.Unlock()
+			for next < len(queue) && served+pending < len(required)+n {
+				i, c := next, queue[next]
+				next++
+				if tool.Registry.Add(c.entry); index && tool.ServedFromDisk(c.entry.URL) {
+					served, reused = served+1, reused+1
+					continue
+				}
+				pending++
+				mu.Unlock()
+				var err error
+				if tool.Connect(c.entry.URL, c.client()); index {
+					err = tool.Process(c.entry.URL)
+				}
+				mu.Lock()
+				switch pending--; {
+				case err == nil:
+					served++
+				case i < len(required):
+					log.Fatalf("hbold: %v", err)
+				default:
+					log.Printf("hbold: skip %s: %v", c.entry.URL, err)
+				}
+			}
+		}()
+	}
+	workers.Wait()
+	return served, reused
 }
 
 func cmdServe(args []string) {
@@ -385,35 +454,9 @@ func cmdServe(args []string) {
 
 	tool := newTool(*dataDir)
 	tool.Cache = snapcache.New(*cacheMB << 20)
-	// a dataset a previous life left on disk is served from there: no
-	// store is built for it and nothing is connected or extracted
-	reused := 0
-	index := func(url, title string, build func() *store.Store) error {
-		tool.Registry.Add(registry.Entry{URL: url, Title: title})
-		if tool.ServedFromDisk(url) {
-			reused++
-			return nil
-		}
-		tool.Connect(url, endpoint.LocalClient{Store: build()})
-		return tool.Process(url)
-	}
-	if err := index("http://scholarly.example.org/sparql", "Scholarly LD", func() *store.Store { return synth.Scholarly(1) }); err != nil {
-		log.Fatalf("hbold: %v", err)
-	}
-	count := 0
-	for _, d := range synth.Corpus(1) {
-		if count >= *n {
-			break
-		}
-		if !d.Indexable || d.Dead || d.OutageProb > 0 {
-			continue
-		}
-		if err := index(d.URL, d.Title, func() *store.Store { return synth.BuildStore(d) }); err != nil {
-			log.Printf("hbold: skip %s: %v", d.URL, err)
-			continue
-		}
-		count++
-	}
+	_, reused := startUp(tool, []candidate{{registry.Entry{URL: "http://scholarly.example.org/sparql", Title: "Scholarly LD"},
+		func() endpoint.Client { return endpoint.LocalClient{Store: synth.Scholarly(1)} }}}, demoCandidates(tool, registry.Entry{}, false), *n, true)
+	debug.FreeOSMemory() // the builds' garbage, as in loadTurtle
 	if *dataDir != "" {
 		if err := tool.SaveState(); err != nil {
 			log.Fatalf("hbold: %v", err)
@@ -499,27 +542,7 @@ func cmdDaemon(args []string) {
 		Retry:   sched.RetryPolicy{MaxAttempts: *retries, BaseBackoff: 2 * time.Second, MaxBackoff: time.Minute},
 		Rate:    sched.RateLimit{PerSecond: *rate},
 	}
-	now := tool.Clock.Now()
-	count := 0
-	for i, d := range synth.Corpus(1) {
-		if count >= *n {
-			break
-		}
-		if !d.Indexable || d.Dead {
-			continue
-		}
-		tool.Registry.Add(registry.Entry{URL: d.URL, Title: d.Title, Source: registry.SourceDataHub, AddedAt: now})
-		if d.OutageProb > 0 {
-			// keep the outage model so the daemon's retry/backoff paths
-			// actually fire against the wall clock
-			tool.Connect(d.URL, endpoint.NewRemote(d.Name, d.URL, synth.BuildStore(d), nil,
-				endpoint.NewAvailability(int64(i), d.OutageProb), tool.Clock))
-		} else {
-			tool.Connect(d.URL, endpoint.LocalClient{Store: synth.BuildStore(d)})
-		}
-		count++
-	}
-
+	count, _ := startUp(tool, nil, demoCandidates(tool, registry.Entry{Source: registry.SourceDataHub, AddedAt: tool.Clock.Now()}, true), *n, false)
 	srv, stop := listen(*addr, tool, *readonly, *slowQuery)
 	policy := tool.Registry.Policy()
 	if *dataDir != "" {

@@ -676,18 +676,8 @@ func mergeOrdered(ctx context.Context, q *sparql.Query, legs []*leg, seen func([
 	conds := q.OrderBy
 	limit := q.Limit
 	return func(yield func([]rdf.Term) bool) {
-		// the ORDER BY expressions read a Binding: one per merge, refilled
-		// from each row
-		scratch := make(sparql.Binding, len(vars))
-		keyOf := func(row []rdf.Term) sparql.OrderKey {
-			clear(scratch)
-			for i, t := range row {
-				if !t.IsZero() {
-					scratch[vars[i]] = t
-				}
-			}
-			return sparql.OrderKeyOf(conds, scratch)
-		}
+		// the ORDER BY conditions compile once, over rows aligned with vars
+		keyOf := sparql.NewOrderKeyer(conds, vars)
 		// pull blocks for the leg's next row. ok is false when the leg
 		// ended (its err, if fatal, goes to streamErr) or the caller's
 		// ctx died; fatal==true means stop the whole merge.

@@ -237,8 +237,8 @@ func compareEngines(t *testing.T, query string, q *sparql.Query, name string, go
 		// equal sort key in both results — otherwise one engine's "top k"
 		// kept a row the order says it shouldn't have.
 		for i := range got.Rows {
-			gk := sparql.OrderKeyOf(q.OrderBy, got.Rows[i])
-			lk := sparql.OrderKeyOf(q.OrderBy, want.Rows[i])
+			gk := reference.OrderKeyOf(q.OrderBy, got.Rows[i])
+			lk := reference.OrderKeyOf(q.OrderBy, want.Rows[i])
 			if sparql.CompareOrderKeys(q.OrderBy, gk, lk) != 0 {
 				t.Fatalf("query %q: sort key at row %d differs:\n%s: %v\nreference: %v", query, i, name, got.Rows[i], want.Rows[i])
 			}

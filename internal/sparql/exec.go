@@ -5,10 +5,11 @@ package sparql
 // maps and compares variables with uint32 equality. Joins run as
 // depth-first index nested loops over the store's sorted posting lists
 // (fully-bound patterns degrade to a binary search — a merge against the
-// sorted list). Terms are materialized only at FILTER/BIND/ORDER BY
-// expression evaluation and at projection, where a finished ID row
-// becomes one positional []rdf.Term aligned with the projected variables
-// (the zero Term marks an unbound one) in a buffer the run reuses.
+// sorted list). Terms are materialized only where an expression's slot
+// program reads one (slotprog.go) and at projection, where a finished ID
+// row becomes one positional []rdf.Term aligned with the projected
+// variables (the zero Term marks an unbound one) in a buffer the run
+// reuses.
 //
 // There is one evaluator of compiled plans: Exec, Stream and Explain all
 // compile a plan and run it through the same push pipeline; they differ
@@ -105,8 +106,8 @@ func (rb *rowbuf) window(offset, limit int) *rowbuf {
 
 // idExec is the executor state a compiled plan is bound to: one store
 // snapshot, the executor-local dictionary for terms the store has never
-// seen (BIND results, VALUES constants) and the scratch Binding reused for
-// expression evaluation.
+// seen (BIND results, VALUES constants) and the row the slot programs
+// read.
 type idExec struct {
 	rd       store.ReaderAPI
 	maxStore store.ID // highest store-issued ID; larger IDs are local
@@ -114,19 +115,28 @@ type idExec struct {
 	local    []rdf.Term // local terms; ID maxStore+1+i
 	localIDs map[rdf.Term]store.ID
 
-	nslots  int
-	names   []string // slot → variable name
-	scratch Binding  // reusable binding for expression evaluation
+	nslots int
+	names  []string // slot → variable name
+	xrow   exprRow  // see at
 }
 
 func newIDExec(st store.Queryable) *idExec {
 	rd := st.Snapshot()
-	return &idExec{
+	e := &idExec{
 		rd:       rd,
 		maxStore: rd.MaxID(),
 		localIDs: make(map[rdf.Term]store.ID),
-		scratch:  make(Binding, 8),
 	}
+	e.xrow.ex = e
+	return e
+}
+
+// at points the executor's expression row at r, for one slot program
+// call: a plan runs on one goroutine, and no program calls another on a
+// different row.
+func (e *idExec) at(r []store.ID) *exprRow {
+	e.xrow.ids = r
+	return &e.xrow
 }
 
 // release returns what the snapshot holds (on the disk tier, its pins on
@@ -170,20 +180,13 @@ func (e *idExec) sortPrefix(id store.ID) uint64 {
 	return rdf.SortPrefix(e.local[id-e.maxStore-1])
 }
 
-// bindScratch rebuilds the reusable scratch Binding with the given
-// variables taken from row r. The map is cleared and refilled, never
-// reallocated, so expression evaluation costs no per-row map allocation.
-func (e *idExec) bindScratch(vars []varslot, r []store.ID) Binding {
-	b := e.scratch
-	for k := range b {
-		delete(b, k)
+// kind is the kind of the term for an ID (store or local), which the
+// store answers without materializing the term.
+func (e *idExec) kind(id store.ID) rdf.TermKind {
+	if id <= e.maxStore {
+		return e.rd.Kind(id)
 	}
-	for _, vs := range vars {
-		if id := r[vs.slot]; id != store.NoID {
-			b[vs.name] = e.term(id)
-		}
-	}
-	return b
+	return e.local[id-e.maxStore-1].Kind
 }
 
 // --- join support ---
@@ -283,18 +286,18 @@ func distinctRows(rb *rowbuf, slots []int) *rowbuf {
 	return out
 }
 
+// corder is a compiled ORDER BY condition: the slots it reads and its
+// value program.
+type corder struct {
+	slots []int
+	val   valProg
+}
+
 // orderTerm is ORDER BY condition c's key on row r; false is an
-// evaluation error, which sorts first (the term is then never read). A
-// bare ?v reads its slot (unbound is EvalExpr's errUnbound); any other
-// expression is evaluated over the scratch Binding of its variables.
-func (e *idExec) orderTerm(c *OrderCond, vars []varslot, r []store.ID) (rdf.Term, bool) {
-	if _, plain := c.Expr.(*ExprVar); plain {
-		if id := r[vars[0].slot]; id != store.NoID {
-			return e.term(id), true
-		}
-		return rdf.Term{}, false
-	}
-	t, err := EvalExpr(c.Expr, e.bindScratch(vars, r))
+// evaluation error (an unbound ?v included), which sorts first (the term
+// is then never read).
+func (e *idExec) orderTerm(c *corder, r []store.ID) (rdf.Term, bool) {
+	t, err := c.val(e.at(r))
 	return t, err == nil
 }
 
@@ -303,7 +306,7 @@ func (e *idExec) orderTerm(c *OrderCond, vars []varslot, r []store.ID) (rdf.Term
 // The flat key storage is viewed as one OrderKey per row so the
 // comparison is CompareOrderKeys, shared with the top-k heap and the
 // federated ordered merge — the three orders cannot drift apart.
-func (e *idExec) sortRows(rb *rowbuf, conds []OrderCond, condVars [][]varslot) {
+func (e *idExec) sortRows(rb *rowbuf, conds []OrderCond, order []corder) {
 	nc := len(conds)
 	keys := make([]rdf.Term, rb.n*nc)
 	errs := make([]bool, rb.n*nc)
@@ -311,7 +314,7 @@ func (e *idExec) sortRows(rb *rowbuf, conds []OrderCond, condVars [][]varslot) {
 	for i := 0; i < rb.n; i++ {
 		r := rb.row(i)
 		for ci := range conds {
-			t, ok := e.orderTerm(&conds[ci], condVars[ci], r)
+			t, ok := e.orderTerm(&order[ci], r)
 			keys[i*nc+ci], errs[i*nc+ci] = t, !ok
 		}
 		oks[i] = OrderKey{keys: keys[i*nc : (i+1)*nc], errs: errs[i*nc : (i+1)*nc]}
@@ -406,8 +409,8 @@ type plan struct {
 	agg       *groupSpec  // non-nil: GROUP BY / HAVING / aggregate projections
 	aliases   []aliasProj // of a SELECT without grouping
 	projSlots []int       // slot per projected variable; -1 = never bound
-	obVars    [][]varslot
-	binds     []int // the slots a BIND writes
+	order     []corder    // ORDER BY, condition by condition
+	binds     []int       // the slots a BIND writes
 
 	// answers of the non-SELECT forms, set by run
 	boolean bool
@@ -428,7 +431,7 @@ func (q *Query) compile(st store.Queryable) (*plan, error) {
 	p := &plan{q: q, ex: ex, root: root, binds: comp.binds}
 	if q.Form == FormSelect {
 		for _, c := range q.OrderBy {
-			p.obVars = append(p.obVars, comp.exprVars(c.Expr))
+			p.order = append(p.order, corder{slots: comp.exprVars(c.Expr), val: comp.expr().val(c.Expr)})
 		}
 		if q.NeedsGrouping() {
 			p.agg = comp.grouping(q)
@@ -596,13 +599,13 @@ func (p *plan) sink(se *streamExec, reg *obs.Registry, emit func([]rdf.Term) boo
 		// the window below k.
 		blocking, streamOp = "top-k", "top-k"
 		heap = newRowTopK(q.OrderBy, q.topKBound())
-		for _, vars := range p.obVars {
-			for _, vs := range vars {
-				reads[vs.slot] = true
+		for _, c := range p.order {
+			for _, sl := range c.slots {
+				reads[sl] = true
 			}
 		}
 		if _, plain := q.OrderBy[0].Expr.(*ExprVar); plain {
-			bd := &topkBound{slot: p.obVars[0][0].slot, desc: q.OrderBy[0].Desc}
+			bd := &topkBound{slot: p.order[0].slots[0], desc: q.OrderBy[0].Desc}
 			heap.bound = bd
 			pruned = func(r []store.ID) bool {
 				id := r[bd.slot]
@@ -615,7 +618,7 @@ func (p *plan) sink(se *streamExec, reg *obs.Registry, emit func([]rdf.Term) boo
 		// one key per run: no condition reads the run's slot
 		var key OrderKey
 		fold = func(r []store.ID, rn idRun) {
-			heap.offerRun(r, rn, ex.orderKeyOfRowInto(q.OrderBy, p.obVars, r, &key))
+			heap.offerRun(r, rn, ex.orderKeyOfRowInto(p.order, r, &key))
 		}
 		hold = func(r []store.ID) bool {
 			fold(r, oneRow)
@@ -756,14 +759,14 @@ func (p *plan) sink(se *streamExec, reg *obs.Registry, emit func([]rdf.Term) boo
 		case agg != nil:
 			agg.emit(buf)
 		default: // "order-by": the sort is the blocking stage itself
-			ex.sortRows(buf, q.OrderBy, p.obVars)
+			ex.sortRows(buf, q.OrderBy, p.order)
 		}
 		end(int64(buf.n))
 		if agg != nil && len(q.OrderBy) > 0 {
 			// ORDER BY on a grouped query sees the rows the grouping
 			// produced: the projected keys and aliases
 			end := prof.stage("order-by", int64(buf.n))
-			ex.sortRows(buf, q.OrderBy, p.obVars)
+			ex.sortRows(buf, q.OrderBy, p.order)
 			end(int64(buf.n))
 		}
 		if q.Distinct || q.Reduced {

@@ -1,5 +1,14 @@
 package sparql
 
+// Expression semantics: the values of SPARQL's operators and built-in
+// functions over evaluated arguments (Apply), the effective boolean value
+// and the operator order. The executor compiles every expression into a
+// slot program (slotprog.go) that calls these; the reference evaluator
+// walks the AST and calls Apply. The two share the values of the
+// expression language and nothing of its evaluation: variable access,
+// error propagation, the three-valued logic and the special forms BOUND,
+// COALESCE and IF are each their own.
+
 import (
 	"errors"
 	"fmt"
@@ -7,6 +16,7 @@ import (
 	"regexp"
 	"strconv"
 	"strings"
+	"sync"
 
 	"repro/internal/rdf"
 )
@@ -34,36 +44,6 @@ func exprErrf(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", errExpr, fmt.Sprintf(format, args...))
 }
 
-// EvalExpr evaluates an expression against one binding; an error is the
-// SPARQL expression error (FILTER reads it as false, BIND and a projection
-// leave their variable unbound). An aggregate node is an error here: the
-// grouped sink lifts aggregates out of an expression before evaluating it.
-// Exported for the reference evaluator (internal/sparql/reference), which
-// shares the expression language and nothing of the execution with the
-// executor.
-func EvalExpr(e Expression, b Binding) (rdf.Term, error) {
-	switch x := e.(type) {
-	case *ExprTerm:
-		return x.Term, nil
-	case *ExprVar:
-		t, ok := b[x.Name]
-		if !ok {
-			return rdf.Term{}, errUnbound
-		}
-		return t, nil
-	case *ExprUnary:
-		return evalUnary(x, b)
-	case *ExprBinary:
-		return evalBinary(x, b)
-	case *ExprCall:
-		return evalCall(x, b)
-	case *ExprAggregate:
-		return rdf.Term{}, exprErrf("aggregate outside aggregation context")
-	default:
-		return rdf.Term{}, exprErrf("unknown expression node %T", e)
-	}
-}
-
 // EffectiveBool computes the effective boolean value of a term.
 func EffectiveBool(t rdf.Term) (bool, error) {
 	if t.Kind != rdf.KindLiteral {
@@ -85,129 +65,87 @@ func EffectiveBool(t rdf.Term) (bool, error) {
 	return false, exprErrf("no boolean value for %v", t)
 }
 
-func evalBool(e Expression, b Binding) (bool, error) {
-	t, err := EvalExpr(e, b)
+// Apply is the value of a SPARQL operator or built-in function over its
+// evaluated arguments: a binary operator other than || and && on two
+// arguments, unary minus ("-" on one), or a built-in call other than
+// BOUND, COALESCE and IF, whose arguments are not all evaluated first.
+// An error is SPARQL's expression error.
+func Apply(op string, args []rdf.Term) (rdf.Term, error) {
+	switch op {
+	case "=", "!=", "<", ">", "<=", ">=":
+		v, err := compare(op, args[0], args[1])
+		if err != nil {
+			return rdf.Term{}, err
+		}
+		return rdf.NewBoolean(v), nil
+	case "-":
+		if len(args) == 1 {
+			return negate(args[0])
+		}
+		return arith(op, args[0], args[1])
+	case "+", "*", "/":
+		return arith(op, args[0], args[1])
+	}
+	return callFn(op, args)
+}
+
+// compare is a comparison operator's value: "=" and "!=" by termsEqual,
+// the "<" family by TermOrder, under which NaN is less than, equal to and
+// greater than nothing.
+func compare(op string, l, r rdf.Term) (bool, error) {
+	if op == "=" || op == "!=" {
+		eq, err := termsEqual(l, r)
+		return eq == (op == "="), err
+	}
+	c, err := TermOrder(l, r)
+	if err == errUnordered {
+		return false, nil
+	}
 	if err != nil {
 		return false, err
 	}
-	return EffectiveBool(t)
+	switch op {
+	case "<":
+		return c < 0, nil
+	case ">":
+		return c > 0, nil
+	case "<=":
+		return c <= 0, nil
+	}
+	return c >= 0, nil
 }
 
-func evalUnary(x *ExprUnary, b Binding) (rdf.Term, error) {
-	switch x.Op {
-	case "!":
-		v, err := evalBool(x.X, b)
-		if err != nil {
-			return rdf.Term{}, err
-		}
-		return rdf.NewBoolean(!v), nil
+func negate(t rdf.Term) (rdf.Term, error) {
+	f, ok := t.Float()
+	if !ok {
+		return rdf.Term{}, exprErrf("unary minus on non-numeric %v", t)
+	}
+	return numericResult(-f, t, t), nil
+}
+
+func arith(op string, l, r rdf.Term) (rdf.Term, error) {
+	lf, lok := l.Float()
+	rf, rok := r.Float()
+	if !lok || !rok {
+		return rdf.Term{}, exprErrf("arithmetic on non-numeric operands")
+	}
+	var f float64
+	switch op {
+	case "+":
+		f = lf + rf
 	case "-":
-		t, err := EvalExpr(x.X, b)
-		if err != nil {
-			return rdf.Term{}, err
+		f = lf - rf
+	case "*":
+		f = lf * rf
+	case "/":
+		if rf == 0 {
+			return rdf.Term{}, exprErrf("division by zero")
 		}
-		f, ok := t.Float()
-		if !ok {
-			return rdf.Term{}, exprErrf("unary minus on non-numeric %v", t)
-		}
-		return numericResult(-f, t, t), nil
+		f = lf / rf
+	default:
+		return rdf.Term{}, exprErrf("unknown binary op %s", op)
 	}
-	return rdf.Term{}, exprErrf("unknown unary op %s", x.Op)
-}
-
-func evalBinary(x *ExprBinary, b Binding) (rdf.Term, error) {
-	switch x.Op {
-	case "||":
-		// SPARQL 3-valued logic: error || true = true
-		lv, lerr := evalBool(x.L, b)
-		rv, rerr := evalBool(x.R, b)
-		if lerr == nil && lv || rerr == nil && rv {
-			return rdf.NewBoolean(true), nil
-		}
-		if lerr != nil {
-			return rdf.Term{}, lerr
-		}
-		if rerr != nil {
-			return rdf.Term{}, rerr
-		}
-		return rdf.NewBoolean(false), nil
-	case "&&":
-		lv, lerr := evalBool(x.L, b)
-		rv, rerr := evalBool(x.R, b)
-		if lerr == nil && !lv || rerr == nil && !rv {
-			return rdf.NewBoolean(false), nil
-		}
-		if lerr != nil {
-			return rdf.Term{}, lerr
-		}
-		if rerr != nil {
-			return rdf.Term{}, rerr
-		}
-		return rdf.NewBoolean(true), nil
-	}
-
-	l, err := EvalExpr(x.L, b)
-	if err != nil {
-		return rdf.Term{}, err
-	}
-	r, err := EvalExpr(x.R, b)
-	if err != nil {
-		return rdf.Term{}, err
-	}
-
-	switch x.Op {
-	case "=", "!=":
-		eq, err := termsEqual(l, r)
-		if err != nil {
-			return rdf.Term{}, err
-		}
-		if x.Op == "!=" {
-			eq = !eq
-		}
-		return rdf.NewBoolean(eq), nil
-	case "<", ">", "<=", ">=":
-		c, err := TermOrder(l, r)
-		if err == errUnordered {
-			return rdf.NewBoolean(false), nil
-		}
-		if err != nil {
-			return rdf.Term{}, err
-		}
-		var v bool
-		switch x.Op {
-		case "<":
-			v = c < 0
-		case ">":
-			v = c > 0
-		case "<=":
-			v = c <= 0
-		case ">=":
-			v = c >= 0
-		}
-		return rdf.NewBoolean(v), nil
-	case "+", "-", "*", "/":
-		lf, lok := l.Float()
-		rf, rok := r.Float()
-		if !lok || !rok {
-			return rdf.Term{}, exprErrf("arithmetic on non-numeric operands")
-		}
-		var f float64
-		switch x.Op {
-		case "+":
-			f = lf + rf
-		case "-":
-			f = lf - rf
-		case "*":
-			f = lf * rf
-		case "/":
-			if rf == 0 {
-				return rdf.Term{}, exprErrf("division by zero")
-			}
-			f = lf / rf
-		}
-		return numericResult(f, l, r), nil
-	}
-	return rdf.Term{}, exprErrf("unknown binary op %s", x.Op)
+	return numericResult(f, l, r), nil
 }
 
 // numericResult picks a result datatype by numeric promotion: double if
@@ -294,13 +232,19 @@ func TermOrder(l, r rdf.Term) (int, error) {
 	return 0, errIncomparable
 }
 
+// regexCache holds compiled REGEX/REPLACE patterns; queries evaluate on
+// many goroutines at once, so it is locked.
 var regexCache = struct {
+	sync.Mutex
 	m map[string]*regexp.Regexp
 }{m: make(map[string]*regexp.Regexp)}
 
 func compileRegex(pattern, flags string) (*regexp.Regexp, error) {
 	key := flags + "\x00" + pattern
-	if re, ok := regexCache.m[key]; ok {
+	regexCache.Lock()
+	re, ok := regexCache.m[key]
+	regexCache.Unlock()
+	if ok {
 		return re, nil
 	}
 	p := pattern
@@ -314,9 +258,11 @@ func compileRegex(pattern, flags string) (*regexp.Regexp, error) {
 	if err != nil {
 		return nil, exprErrf("bad regex %q: %v", pattern, err)
 	}
+	regexCache.Lock()
 	if len(regexCache.m) < 1024 {
 		regexCache.m[key] = re
 	}
+	regexCache.Unlock()
 	return re, nil
 }
 
@@ -331,44 +277,9 @@ func stringValue(t rdf.Term) (string, error) {
 	}
 }
 
-func evalCall(x *ExprCall, b Binding) (rdf.Term, error) {
-	// BOUND and COALESCE/IF need special (lazy / unbound-tolerant) handling.
-	switch x.Fn {
-	case "BOUND":
-		v, ok := x.Args[0].(*ExprVar)
-		if !ok {
-			return rdf.Term{}, exprErrf("BOUND requires a variable")
-		}
-		_, bound := b[v.Name]
-		return rdf.NewBoolean(bound), nil
-	case "COALESCE":
-		for _, a := range x.Args {
-			if t, err := EvalExpr(a, b); err == nil {
-				return t, nil
-			}
-		}
-		return rdf.Term{}, exprErrf("COALESCE: all arguments errored")
-	case "IF":
-		c, err := evalBool(x.Args[0], b)
-		if err != nil {
-			return rdf.Term{}, err
-		}
-		if c {
-			return EvalExpr(x.Args[1], b)
-		}
-		return EvalExpr(x.Args[2], b)
-	}
-
-	args := make([]rdf.Term, len(x.Args))
-	for i, a := range x.Args {
-		t, err := EvalExpr(a, b)
-		if err != nil {
-			return rdf.Term{}, err
-		}
-		args[i] = t
-	}
-
-	switch x.Fn {
+// callFn is a built-in function's value over its evaluated arguments.
+func callFn(fn string, args []rdf.Term) (rdf.Term, error) {
+	switch fn {
 	case "STR":
 		s, err := stringValue(args[0])
 		if err != nil {
@@ -483,7 +394,7 @@ func evalCall(x *ExprCall, b Binding) (rdf.Term, error) {
 	case "SAMETERM":
 		return rdf.NewBoolean(args[0] == args[1]), nil
 	}
-	return rdf.Term{}, exprErrf("unimplemented function %s", x.Fn)
+	return rdf.Term{}, exprErrf("unimplemented function %s", fn)
 }
 
 // formatFloat renders an aggregate numeric result: integer when integral.

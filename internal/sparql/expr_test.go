@@ -1,12 +1,16 @@
 package sparql
 
 import (
+	"slices"
+	"strconv"
+	"sync"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/rdf"
 )
 
+// evalString runs the expression's slot program over a row of b's terms.
 func evalString(t *testing.T, expr string, b Binding) (rdf.Term, error) {
 	t.Helper()
 	// parse the expression through a dummy query filter
@@ -14,7 +18,13 @@ func evalString(t *testing.T, expr string, b Binding) (rdf.Term, error) {
 	if err != nil {
 		t.Fatalf("parse %q: %v", expr, err)
 	}
-	return EvalExpr(q.Where.Filters[0], b)
+	var vars []string
+	var row []rdf.Term
+	for v, term := range b {
+		vars, row = append(vars, v), append(row, term)
+	}
+	prog := exprCompiler{slot: func(v string) int { return slices.Index(vars, v) }}.val(q.Where.Filters[0])
+	return prog(&exprRow{terms: row})
 }
 
 func TestEffectiveBool(t *testing.T) {
@@ -157,6 +167,26 @@ func TestRegexFlagsAndErrors(t *testing.T) {
 	if _, err := evalString(t, `regex(?s, "[unclosed")`, b); err == nil {
 		t.Fatal("bad regex should error")
 	}
+}
+
+// TestRegexCacheIsSafeForConcurrentQueries: queries run on many
+// goroutines at once (every request of a server), and REGEX patterns
+// share one process-wide cache; under -race an unlocked cache fails here.
+func TestRegexCacheIsSafeForConcurrentQueries(t *testing.T) {
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range 50 {
+				b := Binding{"s": rdf.NewLiteral("x" + strconv.Itoa(i))}
+				if _, err := evalString(t, `regex(?s, "x`+strconv.Itoa(g*50+i)+`")`, b); err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestStringFunctions(t *testing.T) {
@@ -318,7 +348,8 @@ func TestXSDNumericComparisons(t *testing.T) {
 	// ORDER BY places NaN by the total term order: after the numbers
 	// whose lexical forms sort before "NaN", and not tied with them
 	conds := []OrderCond{{Expr: &ExprVar{Name: "x"}}}
-	key := func(t rdf.Term) OrderKey { return OrderKeyOf(conds, Binding{"x": t}) }
+	keyer := NewOrderKeyer(conds, []string{"x"})
+	key := func(t rdf.Term) OrderKey { return keyer([]rdf.Term{t}) }
 	for _, v := range []rdf.Term{b["one"], b["inf"], rdf.NewInteger(-5), rdf.NewDecimal(1e9)} {
 		if c := CompareOrderKeys(conds, key(v), key(b["nan"])); c >= 0 {
 			t.Errorf("ORDER BY compares %v to NaN as %d, want it first", v, c)

@@ -12,28 +12,19 @@ import "repro/internal/rdf"
 
 // OrderKey is a row's precomputed ORDER BY sort key: every condition
 // expression evaluated once, so repeated comparisons during a k-way
-// merge do not re-evaluate them. Build with OrderKeyOf, compare with
+// merge do not re-evaluate them. Build with NewOrderKeyer (or, from
+// values evaluated elsewhere, NewOrderKey), compare with
 // CompareOrderKeys under the same conditions.
 type OrderKey struct {
 	keys []rdf.Term
 	errs []bool
 }
 
-// OrderKeyOf evaluates the ORDER BY condition expressions on row. An
-// expression error (including an unbound variable) is recorded and sorts
-// first ascending, per the engines' sort.
-func OrderKeyOf(conds []OrderCond, row Binding) OrderKey {
-	k := OrderKey{keys: make([]rdf.Term, len(conds)), errs: make([]bool, len(conds))}
-	for i, c := range conds {
-		t, err := EvalExpr(c.Expr, row)
-		if err != nil {
-			k.errs[i] = true
-		} else {
-			k.keys[i] = t
-		}
-	}
-	return k
-}
+// NewOrderKey is the key of condition values already evaluated: keys[i]
+// is condition i's value, and errs[i] marks an expression error (an
+// unbound variable included), which sorts first ascending, per the
+// engines' sort.
+func NewOrderKey(keys []rdf.Term, errs []bool) OrderKey { return OrderKey{keys: keys, errs: errs} }
 
 // CompareOrderKeys orders two keys under conds: negative when a sorts
 // before b, positive when after, zero when tied on every condition.

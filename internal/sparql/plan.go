@@ -7,7 +7,8 @@ package sparql
 // solution row is then a flat []store.ID of length nslots — no maps, no
 // rdf.Term values — and the whole pattern algebra executes on rows in that
 // encoded space (see stream.go). Terms are materialized only at the
-// FILTER / BIND / ORDER BY boundaries and at projection (exec.go).
+// FILTER / BIND / ORDER BY boundaries, by the slot programs that read
+// them (slotprog.go), and at projection (exec.go).
 //
 // Constants the store has never seen (and terms produced by BIND/VALUES
 // that are not in the store) are interned into a small executor-local
@@ -18,6 +19,7 @@ package sparql
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/store"
 )
@@ -50,13 +52,6 @@ func (sm *slotmap) lookup(name string) int {
 }
 
 func (sm *slotmap) count() int { return len(sm.names) }
-
-// varslot pairs a variable name with its slot, used to rebuild the small
-// scratch Binding handed to the expression evaluator at boundaries.
-type varslot struct {
-	name string
-	slot int
-}
 
 // cterm is one compiled triple-pattern position: a variable slot, or an
 // interned constant.
@@ -100,10 +95,15 @@ type cgroup struct {
 	filters []cfilter
 }
 
-// cfilter is a FILTER expression with its referenced variables resolved.
+// cfilter is a compiled FILTER (or HAVING) condition: its slot program
+// and the slots it reads. A pure kind test of one variable (isLiteral(?o),
+// !isIRI(?o), …) also names that slot and the kinds it passes, so a run
+// over the slot is filtered whole (streamExec.filtered).
 type cfilter struct {
-	expr Expression
-	vars []varslot
+	test     testProg
+	slots    []int
+	kindSlot int // -1: not a pure kind test
+	kinds    kindBits
 }
 
 // cOptional is a compiled OPTIONAL left join.
@@ -117,8 +117,7 @@ type cMinus struct{ inner *cgroup }
 
 // cBind is a compiled BIND(expr AS ?v).
 type cBind struct {
-	expr Expression
-	vars []varslot
+	val  valProg
 	slot int
 }
 
@@ -155,7 +154,7 @@ func (c *compiler) group(g *GroupPattern) (*cgroup, error) {
 		out.elems = append(out.elems, n)
 	}
 	for _, f := range g.Filters {
-		out.filters = append(out.filters, cfilter{expr: f, vars: c.exprVars(f)})
+		out.filters = append(out.filters, c.filter(f))
 	}
 	return out, nil
 }
@@ -193,7 +192,7 @@ func (c *compiler) node(p GraphPattern) (cnode, error) {
 		}
 		return &cMinus{inner: inner}, nil
 	case *BindPattern:
-		b := &cBind{expr: x.Expr, vars: c.exprVars(x.Expr), slot: c.slots.slot(x.Var)}
+		b := &cBind{val: c.expr().val(x.Expr), slot: c.slots.slot(x.Var)}
 		c.binds = append(c.binds, b.slot)
 		return b, nil
 	case *ValuesPattern:
@@ -241,16 +240,26 @@ func (c *compiler) pattern(tp TriplePattern) cpattern {
 	return p
 }
 
-// exprVars returns the distinct variables referenced by e, assigning slots
-// to any the pattern tree has not bound (they stay unbound at runtime,
-// matching the term-space evaluator).
-func (c *compiler) exprVars(e Expression) []varslot {
-	var out []varslot
-	seen := map[string]bool{}
+// expr is the expression compiler over the plan's slot table. A
+// variable the pattern tree has not bound is assigned a slot all the
+// same: it stays unbound at runtime.
+func (c *compiler) expr() exprCompiler { return exprCompiler{slot: c.slots.slot} }
+
+// filter compiles a FILTER or HAVING condition.
+func (c *compiler) filter(e Expression) cfilter {
+	f := cfilter{test: c.expr().test(e), slots: c.exprVars(e), kindSlot: -1}
+	if v, kinds, ok := kindTest(e); ok {
+		f.kindSlot, f.kinds = c.slots.slot(v), kinds
+	}
+	return f
+}
+
+// exprVars returns the distinct slots of the variables e references.
+func (c *compiler) exprVars(e Expression) []int {
+	var out []int
 	walkVars(e, func(name string) {
-		if !seen[name] {
-			seen[name] = true
-			out = append(out, varslot{name: name, slot: c.slots.slot(name)})
+		if s := c.slots.slot(name); !slices.Contains(out, s) {
+			out = append(out, s)
 		}
 	})
 	return out

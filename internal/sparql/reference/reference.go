@@ -1,12 +1,14 @@
 // Package reference is the term-space reference evaluator: the pattern
 // algebra joined over map-based Bindings, straight from the parsed AST
 // with no plan, no slots and no ID space, then grouping, ordering and
-// deduplication over the materialized solutions. It shares the parser and
-// the expression language with internal/sparql (of ORDER BY, the key
-// comparison the federated merge also uses) and nothing of the execution —
-// no join, sink, grouping, aggregation or deduplication code — which is
-// what makes it the oracle the differential and conformance suites compare
-// the executor against. Only _test.go files and internal/testsuite import it
+// deduplication over the materialized solutions. It shares with
+// internal/sparql the parser, the values of operators and built-ins
+// (sparql.Apply) and, of ORDER BY, the key comparison the federated merge
+// also uses — and nothing of the execution: no join, sink, grouping,
+// aggregation or deduplication code, and its own expression evaluator
+// (expr.go), a walk of the AST over a Binding where the executor runs
+// compiled slot programs over ID rows. That is what makes it the oracle
+// the differential and conformance suites compare the executor against. Only _test.go files and internal/testsuite import it
 // (CI checks that no binary does); internal/sparql cannot import it back.
 package reference
 
@@ -64,7 +66,7 @@ func Exec(q *sparql.Query, st store.Queryable) (*sparql.Result, error) {
 					if it.Expr == nil {
 						continue
 					}
-					if t, err := sparql.EvalExpr(it.Expr, s); err == nil {
+					if t, err := EvalExpr(it.Expr, s); err == nil {
 						ns[it.Var] = t
 					}
 				}
@@ -99,7 +101,7 @@ func window(rows []sparql.Binding, offset, limit int) []sparql.Binding {
 
 // holds reports whether the condition is true on b; an error is false.
 func holds(e sparql.Expression, b sparql.Binding) bool {
-	t, err := sparql.EvalExpr(e, b)
+	t, err := EvalExpr(e, b)
 	if err != nil {
 		return false
 	}
@@ -158,7 +160,7 @@ func aggregate(q *sparql.Query, sols []sparql.Binding) []sparql.Binding {
 		var sb strings.Builder
 		base := sparql.Binding{}
 		for _, ge := range q.GroupBy {
-			t, err := sparql.EvalExpr(ge, s)
+			t, err := EvalExpr(ge, s)
 			if err != nil {
 				sb.WriteString("\x00!")
 				continue
@@ -213,7 +215,7 @@ func aggregate(q *sparql.Query, sols []sparql.Binding) []sparql.Binding {
 				}
 				continue
 			}
-			if t, err := sparql.EvalExpr(substAggregates(it.Expr, g.rows), g.base); err == nil {
+			if t, err := EvalExpr(substAggregates(it.Expr, g.rows), g.base); err == nil {
 				out[it.Var] = t
 			}
 		}
@@ -262,7 +264,7 @@ func evalAggregate(x *sparql.ExprAggregate, rows []sparql.Binding) (rdf.Term, er
 		return rdf.NewInteger(int64(len(rows))), nil
 	}
 	for _, r := range rows {
-		if t, err := sparql.EvalExpr(x.Arg, r); err == nil {
+		if t, err := EvalExpr(x.Arg, r); err == nil {
 			vals = append(vals, t)
 		}
 	}
@@ -411,7 +413,7 @@ func (ev *evaluator) evalPattern(p sparql.GraphPattern, input []sparql.Binding) 
 		out := make([]sparql.Binding, 0, len(input))
 		for _, s := range input {
 			ns := clone(s)
-			if t, err := sparql.EvalExpr(x.Expr, s); err == nil {
+			if t, err := EvalExpr(x.Expr, s); err == nil {
 				ns[x.Var] = t
 			}
 			out = append(out, ns)
@@ -596,7 +598,7 @@ func sortSolutions(rows []sparql.Binding, conds []sparql.OrderCond) {
 	}
 	ks := make([]keyed, len(rows))
 	for i, r := range rows {
-		ks[i] = keyed{row: r, key: sparql.OrderKeyOf(conds, r)}
+		ks[i] = keyed{row: r, key: OrderKeyOf(conds, r)}
 	}
 	sort.SliceStable(ks, func(i, j int) bool {
 		return sparql.CompareOrderKeys(conds, ks[i].key, ks[j].key) < 0

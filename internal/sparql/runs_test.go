@@ -116,6 +116,21 @@ var runQueries = []string{
 	`SELECT ?s ?o WHERE { ?s ?s ?o }`,
 	`SELECT (COUNT(*) AS ?n) WHERE { ?x <http://ex/knows> ?x }`,
 	`SELECT ?x (COUNT(?p) AS ?n) WHERE { ?x ?p ?x } GROUP BY ?x`,
+	// kind tests of the run's variable keep a run whole, filtered into a
+	// run of its own, nested groups included; any other FILTER on it
+	// takes the run apart
+	`SELECT ?p (COUNT(?o) AS ?n) WHERE { ?s a <http://ex/C0> . ?s ?p ?o FILTER isLiteral(?o) } GROUP BY ?p`,
+	`SELECT DISTINCT ?p WHERE { ?s a <http://ex/C1> . ?s ?p ?o FILTER(!isLiteral(?o)) } ORDER BY ?p`,
+	`SELECT ?s ?o WHERE { ?s <http://ex/knows> ?o FILTER isIRI(?o) FILTER(?s != <http://ex/c0/i0>) } LIMIT 40`,
+	`SELECT (COUNT(*) AS ?n) WHERE { ?s ?p ?o FILTER isLiteral(?o) FILTER(!isIRI(?o)) FILTER(!isBlank(?o)) }`,
+	`SELECT ?s ?o WHERE { ?s ?p ?o FILTER isLiteral(?o) FILTER(?o != 3) } ORDER BY ?o LIMIT 7`,
+	`SELECT ?o (COUNT(*) AS ?n) WHERE { ?s <http://ex/tag> ?o FILTER isIRI(?s) } GROUP BY ?o`,
+	`SELECT (COUNT(*) AS ?n) (COUNT(DISTINCT ?o) AS ?d) WHERE { { ?s ?p ?o FILTER(!isIRI(?o)) } FILTER isLiteral(?o) }`,
+	`SELECT ?s ?t WHERE { ?s a <http://ex/C2> OPTIONAL { ?s <http://ex/tag> ?t FILTER isLiteral(?t) } FILTER(!BOUND(?t) || isNumeric(?t) || isLiteral(?t)) }`,
+	`SELECT ?s ?o WHERE { ?s <http://ex/knows> ?o FILTER(?s = ?o) }`,
+	`SELECT (COUNT(*) AS ?n) WHERE { ?s <http://ex/knows> ?o FILTER(!sameTerm(?s, ?o)) }`,
+	`SELECT ?s ?v WHERE { ?s ?p ?v FILTER(isNumeric(?v) && ?v = ?v) } ORDER BY ?s ?v LIMIT 9`,
+	`SELECT ?s ?x WHERE { ?s <http://ex/val> ?v FILTER(CONCAT() || !CONCAT()) BIND(IF(CONCAT(), 1, 2) AS ?x) }`,
 	// what must take a run apart
 	`SELECT ?s ?v WHERE { ?s <http://ex/val> ?v FILTER(?s != <http://ex/c0/i3>) }`,
 	`SELECT ?s ?v WHERE { ?s <http://ex/val> ?v FILTER(?v > 2) }`,

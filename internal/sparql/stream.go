@@ -438,7 +438,8 @@ type streamExec struct {
 	done   <-chan struct{} // ctx.Done(), fetched once per run for alive
 	ex     *idExec
 	levels [][]store.ID
-	frames []*patFrame // per level, like levels
+	runs   [][]store.ID // per level: a run filtered keeps whole
+	frames []*patFrame  // per level, like levels
 	orders map[*cBGP][]int
 	minus  map[*cMinus]*rowbuf
 	tick   int
@@ -447,6 +448,14 @@ type streamExec struct {
 	// prof collects the per-node EXPLAIN profile; nil (the default)
 	// keeps every hook to a single pointer check per node invocation.
 	prof *profiler
+}
+
+// runScratch returns the reusable run buffer of scratch level d, empty.
+func (s *streamExec) runScratch(d int) []store.ID {
+	for len(s.runs) <= d {
+		s.runs = append(s.runs, nil)
+	}
+	return s.runs[d][:0]
 }
 
 // scratch returns the reusable row buffer for scratch level d.
@@ -515,27 +524,49 @@ func (s *streamExec) streamElems(g *cgroup, i int, row []store.ID, free int, yie
 
 // filtered hands yield what of a run passes the group's FILTERs: the run
 // whole when no FILTER reads its variable (they hold on every row or on
-// none), else row by row.
+// none); when only kind tests of its variable read it, the IDs that pass
+// them, as a run of their own at scratch level free; else row by row.
 func (s *streamExec) filtered(g *cgroup, r []store.ID, free int, rn idRun, yield streamYield) bool {
 	if len(g.filters) == 0 {
 		return yield(r, free, rn)
 	}
-	if rn.slot >= 0 && g.filtersRead(rn.slot) {
-		return each(r, rn, func() bool { return !s.passes(g, r) || yield(r, free, oneRow) })
+	kinds, read := g.filtersRead(rn.slot)
+	switch {
+	case !read:
+		return !s.passes(g, r, -1) || yield(r, free, rn)
+	case kinds == 0:
+		return each(r, rn, func() bool { return !s.passes(g, r, -1) || yield(r, free, oneRow) })
 	}
-	return !s.passes(g, r) || yield(r, free, rn)
-}
-
-// filtersRead reports whether a FILTER of the group reads slot.
-func (g *cgroup) filtersRead(slot int) bool {
-	for _, f := range g.filters {
-		for _, vs := range f.vars {
-			if vs.slot == slot {
-				return true
-			}
+	ids := s.runScratch(free)
+	for _, id := range rn.ids {
+		if kinds.has(s.ex.kind(id)) {
+			ids = append(ids, id)
 		}
 	}
-	return false
+	s.runs[free] = ids
+	if len(ids) == 0 {
+		return true
+	}
+	r[rn.slot] = ids[0]
+	return !s.passes(g, r, rn.slot) || yield(r, free+1, idRun{slot: rn.slot, ids: ids})
+}
+
+// filtersRead reports whether a FILTER of the group reads slot (never,
+// for -1, a single row's) and, when every one that does is a kind test of
+// it alone, the kinds that pass all of them (0 otherwise).
+func (g *cgroup) filtersRead(slot int) (kinds kindBits, read bool) {
+	kinds = anyKind
+	for _, f := range g.filters {
+		if !slices.Contains(f.slots, slot) {
+			continue
+		}
+		read = true
+		if f.kindSlot != slot {
+			kinds = 0
+		}
+		kinds &= f.kinds
+	}
+	return kinds, read
 }
 
 // profGroup and profElems are streamGroup and streamElems under EXPLAIN:
@@ -558,7 +589,7 @@ func (s *streamExec) profElems(g *cgroup, i int, row []store.ID, free int, yield
 		if len(g.filters) == 0 {
 			return yield(row, free, oneRow)
 		}
-		return s.prof.node(&g.filters[0], func(y streamYield) bool { return !s.passes(g, row) || y(row, free, oneRow) }, yield)
+		return s.prof.node(&g.filters[0], func(y streamYield) bool { return !s.passes(g, row, -1) || y(row, free, oneRow) }, yield)
 	}
 	el := g.elems[i]
 	next := func(r []store.ID, f int, _ idRun) bool { // observe hands rows singly
@@ -570,11 +601,15 @@ func (s *streamExec) profElems(g *cgroup, i int, row []store.ID, free int, yield
 	return s.prof.node(el, func(y streamYield) bool { return s.streamNode(el, row, free, y) }, next)
 }
 
-// passes reports whether every FILTER of the group holds on the row.
-func (s *streamExec) passes(g *cgroup, row []store.ID) bool {
-	for _, f := range g.filters {
-		ok, err := evalBool(f.expr, s.ex.bindScratch(f.vars, row))
-		if err != nil || !ok {
+// passes reports whether every FILTER of the group holds on the row,
+// leaving out the kind tests of slot skip, which the caller has applied.
+func (s *streamExec) passes(g *cgroup, row []store.ID, skip int) bool {
+	for i := range g.filters {
+		f := &g.filters[i]
+		if skip >= 0 && f.kindSlot == skip {
+			continue
+		}
+		if ok, err := f.test(s.ex.at(row)); err != nil || !ok {
 			return false
 		}
 	}
@@ -635,7 +670,7 @@ func (s *streamExec) streamNode(n cnode, row []store.ID, free int, yield streamY
 	case *cBind:
 		nr := s.scratch(free)
 		copy(nr, row)
-		if t, err := EvalExpr(x.expr, s.ex.bindScratch(x.vars, row)); err == nil {
+		if t, err := x.val(s.ex.at(row)); err == nil {
 			nr[x.slot] = s.ex.intern(t)
 		}
 		return yield(nr, free+1, oneRow)

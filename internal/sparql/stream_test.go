@@ -19,6 +19,7 @@ import (
 
 	"repro/internal/rdf"
 	"repro/internal/sparql"
+	"repro/internal/sparql/reference"
 	"repro/internal/sparql/results"
 	"repro/internal/store"
 	"repro/internal/synth"
@@ -79,8 +80,8 @@ func assertStreamAgreement(t *testing.T, st *store.Store, query string) {
 			t.Fatalf("query %q: row counts differ: %d vs %d", query, len(exRes.Rows), len(stRes.Rows))
 		}
 		for i := range exRes.Rows {
-			ek := sparql.OrderKeyOf(q.OrderBy, exRes.Rows[i])
-			sk := sparql.OrderKeyOf(q.OrderBy, stRes.Rows[i])
+			ek := reference.OrderKeyOf(q.OrderBy, exRes.Rows[i])
+			sk := reference.OrderKeyOf(q.OrderBy, stRes.Rows[i])
 			if sparql.CompareOrderKeys(q.OrderBy, ek, sk) != 0 {
 				t.Fatalf("query %q: sort key at row %d differs:\nexec:   %v\nstream: %v", query, i, exRes.Rows[i], stRes.Rows[i])
 			}

@@ -11,8 +11,8 @@ package sparql
 // At compile time every aggregate of SELECT and HAVING is lifted out of
 // its expression into one aggSpec with a hidden slot; the expression keeps
 // a variable reference in its place. Keys and aggregate arguments that
-// are plain variables read their slot of the ID row; anything richer is
-// evaluated through the scratch Binding and interned. When the pattern is
+// are plain variables read their slot of the ID row; anything richer runs
+// its slot program and the value is interned. When the pattern is
 // exhausted each group writes its finished aggregates into the hidden
 // slots of an ID row beside its key variables, evaluates HAVING and the
 // projection expressions on that row once, and emits an ID row of the
@@ -45,19 +45,19 @@ var aggFns = map[string]aggFn{
 
 // slotExpr is an expression compiled to where its value comes from: a
 // plain variable reads slot (-1: a variable nothing binds), anything else
-// evaluates expr over vars. Group keys, aggregate arguments and every
+// runs val, which reads slots. Group keys, aggregate arguments and every
 // (expr AS ?v) projection, grouped or not, are slotExprs.
 type slotExpr struct {
-	slot int
-	expr Expression // nil for a plain variable
-	vars []varslot
+	slot  int
+	val   valProg // nil for a plain variable
+	slots []int
 }
 
 func (c *compiler) slotExpr(e Expression) slotExpr {
 	if v, ok := e.(*ExprVar); ok {
 		return slotExpr{slot: c.slots.lookup(v.Name)}
 	}
-	return slotExpr{slot: -1, expr: e, vars: c.exprVars(e)}
+	return slotExpr{slot: -1, val: c.expr().val(e), slots: c.exprVars(e)}
 }
 
 // id returns the expression's value on row r as an ID; NoID for an
@@ -65,7 +65,7 @@ func (c *compiler) slotExpr(e Expression) slotExpr {
 // plain variable — every key and argument of the grouped queries the
 // product issues — costs an index, not a call.
 func (e *slotExpr) id(ex *idExec, r []store.ID) store.ID {
-	if e.expr != nil {
+	if e.val != nil {
 		return e.eval(ex, r)
 	}
 	if e.slot < 0 {
@@ -76,19 +76,19 @@ func (e *slotExpr) id(ex *idExec, r []store.ID) store.ID {
 
 // markReads sets reads[s] for every slot the expression reads.
 func (e *slotExpr) markReads(reads []bool) {
-	if e.expr == nil {
+	if e.val == nil {
 		if e.slot >= 0 {
 			reads[e.slot] = true
 		}
 		return
 	}
-	for _, vs := range e.vars {
-		reads[vs.slot] = true
+	for _, sl := range e.slots {
+		reads[sl] = true
 	}
 }
 
 func (e *slotExpr) eval(ex *idExec, r []store.ID) store.ID {
-	t, err := EvalExpr(e.expr, ex.bindScratch(e.vars, r))
+	t, err := e.val(ex.at(r))
 	if err != nil {
 		return store.NoID
 	}
@@ -135,7 +135,7 @@ func (c *compiler) grouping(q *Query) *groupSpec {
 	}
 	for _, h := range q.Having {
 		h = c.liftAggregates(h, g)
-		g.having = append(g.having, cfilter{expr: h, vars: c.exprVars(h)})
+		g.having = append(g.having, c.filter(h))
 	}
 	for _, it := range q.Select {
 		if it.Expr == nil {
@@ -181,9 +181,9 @@ func (c *compiler) accumulator(x *ExprAggregate, g *groupSpec) int {
 	if !s.star {
 		s.arg = c.slotExpr(x.Arg)
 	}
-	if s.arg.expr == nil {
+	if s.arg.val == nil {
 		for _, o := range g.aggs {
-			if o.arg.expr == nil && o.fn == s.fn && o.distinct == s.distinct && o.star == s.star && o.arg.slot == s.arg.slot && o.sep == s.sep {
+			if o.arg.val == nil && o.fn == s.fn && o.distinct == s.distinct && o.star == s.star && o.arg.slot == s.arg.slot && o.sep == s.sep {
 				return o.slot
 			}
 		}
@@ -223,7 +223,7 @@ type streamAgg struct {
 // plainCount reports whether the aggregate is COUNT(*) or COUNT(?x)
 // without DISTINCT: a count of rows, which a run adds in one step.
 func (s *aggSpec) plainCount() bool {
-	return s.fn == aggCount && !s.distinct && s.arg.expr == nil
+	return s.fn == aggCount && !s.distinct && s.arg.val == nil
 }
 
 func newStreamAgg(ex *idExec, spec *groupSpec) *streamAgg {
@@ -393,7 +393,7 @@ groups:
 	for _, g := range a.order {
 		clear(env)
 		for i := range spec.keys {
-			if k := &spec.keys[i]; k.expr == nil && k.slot >= 0 {
+			if k := &spec.keys[i]; k.val == nil && k.slot >= 0 {
 				env[k.slot] = g.rep[k.slot]
 			}
 		}
@@ -401,7 +401,7 @@ groups:
 			env[spec.aggs[i].slot] = a.result(&spec.aggs[i], &g.accs[i])
 		}
 		for _, h := range spec.having {
-			if ok, err := evalBool(h.expr, ex.bindScratch(h.vars, env)); err != nil || !ok {
+			if ok, err := h.test(ex.at(env)); err != nil || !ok {
 				continue groups
 			}
 		}

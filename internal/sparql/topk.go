@@ -199,11 +199,11 @@ func (k OrderKey) clone(into *OrderKey) OrderKey {
 // orderKeyOfRowInto evaluates the ORDER BY conditions on an ID-space row
 // into the reusable key storage — the per-row counterpart of the key
 // materialization in sortRows.
-func (e *idExec) orderKeyOfRowInto(conds []OrderCond, condVars [][]varslot, r []store.ID, k *OrderKey) OrderKey {
+func (e *idExec) orderKeyOfRowInto(order []corder, r []store.ID, k *OrderKey) OrderKey {
 	k.keys = k.keys[:0]
 	k.errs = k.errs[:0]
-	for ci := range conds {
-		t, ok := e.orderTerm(&conds[ci], condVars[ci], r)
+	for ci := range order {
+		t, ok := e.orderTerm(&order[ci], r)
 		k.errs = append(k.errs, !ok)
 		k.keys = append(k.keys, t)
 	}

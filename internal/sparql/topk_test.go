@@ -239,7 +239,7 @@ func topkModel(t *testing.T, st *store.Store, q *sparql.Query) (runs, keys int) 
 			}
 		}
 		keys++
-		e := entry{v, sparql.OrderKeyOf(q.OrderBy, sparql.Binding{"v": v})}
+		e := entry{v, reference.OrderKeyOf(q.OrderBy, sparql.Binding{"v": v})}
 		for range rn.IDs {
 			// a later arrival with an equal key sorts after: stable
 			i, _ := slices.BinarySearchFunc(kept, e, func(a, b entry) int {

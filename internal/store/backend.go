@@ -29,6 +29,10 @@ type ReaderAPI interface {
 	// keeps it per term, the disk tier derives it from the cached term —
 	// so a bound on ORDER BY keys is tested without a term in hand.
 	SortPrefix(id ID) uint64
+	// Kind returns Term(id).Kind without materializing the term on the
+	// memory tier (the disk tier reads it off the cached term), so a
+	// FILTER's kind test reads no term.
+	Kind(id ID) rdf.TermKind
 	// Lookup returns the ID of t, or NoID.
 	Lookup(t rdf.Term) ID
 	// MaxID returns the highest issued ID; valid IDs are 1..MaxID.

@@ -160,8 +160,8 @@ func compareTiers(t *testing.T, q *sparql.Query, engine, query string, memRes, d
 	windowed := q.Limit >= 0 || q.Offset > 0
 	if len(q.OrderBy) > 0 {
 		for i := range memRes.Rows {
-			mk := sparql.OrderKeyOf(q.OrderBy, memRes.Rows[i])
-			dk := sparql.OrderKeyOf(q.OrderBy, diskRes.Rows[i])
+			mk := reference.OrderKeyOf(q.OrderBy, memRes.Rows[i])
+			dk := reference.OrderKeyOf(q.OrderBy, diskRes.Rows[i])
 			if sparql.CompareOrderKeys(q.OrderBy, mk, dk) != 0 {
 				fail("ORDER BY key at row %d differs", i)
 			}

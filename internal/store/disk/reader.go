@@ -137,6 +137,9 @@ func (r *Reader) Term(id store.ID) rdf.Term {
 // term the cache holds: the format stores no prefix.
 func (r *Reader) SortPrefix(id store.ID) uint64 { return rdf.SortPrefix(r.Term(id)) }
 
+// Kind returns the kind of the term for id, off the cached term.
+func (r *Reader) Kind(id store.ID) rdf.TermKind { return r.Term(id).Kind }
+
 // Lookup returns the ID of t, or NoID.
 func (r *Reader) Lookup(t rdf.Term) store.ID {
 	return lookupEnc(encodeTerm(t), r.snap.Get)

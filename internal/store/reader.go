@@ -36,6 +36,9 @@ type Reader struct {
 // which always indicates a programming error.
 func (r *Reader) Term(id ID) rdf.Term { return r.terms[id-1] }
 
+// Kind returns the kind of the term for id.
+func (r *Reader) Kind(id ID) rdf.TermKind { return r.terms[id-1].Kind }
+
 // SortPrefix returns rdf.SortPrefix of the term for id, computed once
 // when the term was interned.
 func (r *Reader) SortPrefix(id ID) uint64 { return r.sorts[id-1] }
