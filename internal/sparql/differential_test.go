@@ -98,6 +98,16 @@ var diffCorpus = []string{
 	`PREFIX ex: <http://ex/> SELECT ?p ?s WHERE { ?p a ex:Person BIND(STR(?p) AS ?s) FILTER(STRLEN(?s) > 3) }`,
 	`PREFIX ex: <http://ex/> SELECT ?x ?y WHERE { VALUES (?x ?y) { (ex:alice "ghost") (ex:bob UNDEF) } OPTIONAL { ?x ex:age ?y } }`,
 	`PREFIX ex: <http://ex/> SELECT DISTINCT ?a ?b ?c ?d ?e WHERE { ?a ex:knows ?b . ?a ex:age ?c . ?a a ?d OPTIONAL { ?b ex:age ?e } }`,
+	// DISTINCT/REDUCED under ORDER BY: an order on projected variables
+	// only dedupes as rows arrive; one on a variable the projection drops
+	// sorts every row first
+	`PREFIX ex: <http://ex/> SELECT DISTINCT ?p WHERE { ?p ex:knows ?k . ?k ex:age ?a } ORDER BY DESC(?a) ?p`,
+	`PREFIX ex: <http://ex/> SELECT DISTINCT ?k WHERE { ?p ex:knows ?k } ORDER BY DESC(?k)`,
+	`PREFIX ex: <http://ex/> SELECT DISTINCT ?c WHERE { ?s a ?c } ORDER BY ?c LIMIT 1 OFFSET 1`,
+	`SELECT DISTINCT ?p ?c WHERE { ?s ?p ?o . ?s a ?c } ORDER BY ?p ?c LIMIT 3 OFFSET 2`,
+	`SELECT DISTINCT ?p ?c WHERE { ?s ?p ?o . ?s a ?c } ORDER BY ?p DESC(?c) OFFSET 4`,
+	`PREFIX ex: <http://ex/> SELECT REDUCED ?c WHERE { ?s a ?c } ORDER BY ?c`,
+	`PREFIX ex: <http://ex/> SELECT DISTINCT (STR(?c) AS ?n) WHERE { ?s a ?c } ORDER BY DESC(?n)`,
 	`PREFIX ex: <http://ex/> ASK { ?x ex:knows ?y . ?y ex:knows ?z }`,
 }
 

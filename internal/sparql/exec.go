@@ -522,7 +522,9 @@ func (p *plan) run(ctx context.Context, reg *obs.Registry, prof *profiler, emit 
 //
 // Three sinks fold a run (see idRun) whose varying slot they do not read
 // row by row: the hash-group looks its group up once and adds the run's
-// length to a count, DISTINCT probes once, and top-k evaluates one key.
+// length to a count, DISTINCT probes once (the streaming sink, and the
+// ORDER BY hold when its conditions read only projected slots), and top-k
+// evaluates one key.
 // They see the run's rows in the order they would have seen them one at
 // a time, so every answer, counter and tie is what the rows would give.
 // A run over a slot the sink reads, and every run of another sink, is
@@ -573,6 +575,7 @@ func (p *plan) sink(se *streamExec, reg *obs.Registry, emit func([]rdf.Term) boo
 		heap     *rowTopK
 		agg      *streamAgg
 		buf      = &rowbuf{stride: ex.nslots}
+		deduped  bool // hold kept one row per projection: no DISTINCT pass left
 	)
 	switch {
 	case q.Form == FormConstruct:
@@ -624,6 +627,26 @@ func (p *plan) sink(se *streamExec, reg *obs.Registry, emit func([]rdf.Term) boo
 			fold(r, oneRow)
 			return true
 		}
+	case len(q.OrderBy) > 0 && (q.Distinct || q.Reduced) && p.ordersByProjection():
+		// Duplicates order alike, so they are dropped as they arrive and
+		// the sort sees each distinct row once; a run whose slot nothing
+		// projected reads folds to its first row, as the plain DISTINCT
+		// sink's does.
+		blocking = "order-by"
+		seen := &idTable{width: len(p.projSlots)}
+		for _, sl := range p.projSlots {
+			if sl >= 0 {
+				reads[sl] = true
+			}
+		}
+		hold = func(r []store.ID) bool {
+			if _, added := seen.addAt(r, p.projSlots); added {
+				buf.add(r)
+			}
+			return true
+		}
+		fold = func(r []store.ID, _ idRun) { hold(r) }
+		deduped = true
 	case len(q.OrderBy) > 0:
 		blocking = "order-by"
 		hold = func(r []store.ID) bool {
@@ -769,7 +792,7 @@ func (p *plan) sink(se *streamExec, reg *obs.Registry, emit func([]rdf.Term) boo
 			ex.sortRows(buf, q.OrderBy, p.order)
 			end(int64(buf.n))
 		}
-		if q.Distinct || q.Reduced {
+		if (q.Distinct || q.Reduced) && !deduped {
 			end := prof.stage("distinct", int64(buf.n))
 			buf = distinctRows(buf, p.projSlots)
 			end(int64(buf.n))
@@ -786,6 +809,19 @@ func (p *plan) sink(se *streamExec, reg *obs.Registry, emit func([]rdf.Term) boo
 		end(int64(buf.n))
 		return se.err
 	}
+}
+
+// ordersByProjection reports whether every ORDER BY condition reads only
+// projected slots, so that rows which project alike also sort alike.
+func (p *plan) ordersByProjection() bool {
+	for _, c := range p.order {
+		for _, sl := range c.slots {
+			if !slices.Contains(p.projSlots, sl) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // rebinds reports whether a BIND or a projection alias writes slot over

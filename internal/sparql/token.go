@@ -176,17 +176,21 @@ func (l *lexer) lexAngle() error {
 	return nil
 }
 
+// tripled reports whether the source at the cursor opens with quote
+// three times: a long string's delimiter.
+func (l *lexer) tripled(quote byte) bool {
+	return l.pos+2 < len(l.src) && l.src[l.pos] == quote && l.src[l.pos+1] == quote && l.src[l.pos+2] == quote
+}
+
 func (l *lexer) lexString(quote byte) (string, error) {
-	long := strings.HasPrefix(l.src[l.pos:], strings.Repeat(string(quote), 3))
 	var b strings.Builder
-	if long {
+	if l.tripled(quote) {
 		l.pos += 3
-		closer := strings.Repeat(string(quote), 3)
 		for {
 			if l.pos >= len(l.src) {
 				return "", l.errf("unterminated long string")
 			}
-			if strings.HasPrefix(l.src[l.pos:], closer) {
+			if l.tripled(quote) {
 				l.pos += 3
 				return b.String(), nil
 			}

@@ -25,6 +25,11 @@ import (
 type Builder struct {
 	s  *Store
 	ts [][3]ID // the triples added, as (s, p, o), duplicates included
+	// the last triple's subject and its ID: a document lists a subject's
+	// triples together (Turtle's ';' and ',' lists, subject-grouped
+	// N-Triples), so most subjects need no dictionary probe
+	subj   rdf.Term
+	subjID ID
 }
 
 // NewBuilder returns a builder of an empty store.
@@ -35,7 +40,10 @@ func NewBuilder() *Builder { return &Builder{s: New()} }
 // so a store built from a sequence of triples gives every term the ID the
 // same sequence of Adds would.
 func (b *Builder) Add(t rdf.Triple) {
-	b.ts = append(b.ts, [3]ID{b.s.intern(t.S), b.s.intern(t.P), b.s.intern(t.O)})
+	if b.subjID == NoID || t.S != b.subj {
+		b.subj, b.subjID = t.S, b.s.intern(t.S)
+	}
+	b.ts = append(b.ts, [3]ID{b.subjID, b.s.intern(t.P), b.s.intern(t.O)})
 }
 
 // AddSPO records a triple given its components.
@@ -46,7 +54,7 @@ func (b *Builder) AddSPO(sub, pred, obj rdf.Term) { b.Add(rdf.Triple{S: sub, P: 
 // it drops its triples, and must not be used again.
 func (b *Builder) Store() *Store {
 	s, ts := b.s, b.ts
-	b.s, b.ts = nil, nil
+	*b = Builder{}
 	width := bits.Len32(uint32(len(s.work.terms)))
 	tmp := make([][3]ID, len(ts))
 	// SPO: sort on o, then p, then s (least significant first); duplicates

@@ -21,7 +21,8 @@ import (
 // in key order into one segment. Only the reverse dictionary needs a
 // sort; every other table is a walk of the source in ID order — the meta
 // record and the role bits from a first walk of its OSP permutation, then
-// the three permutations themselves and the forward dictionary. Nothing
+// the three permutations themselves and the forward dictionary. The sort
+// and that first walk run side by side. Nothing
 // passes through the WAL or the memtable, and the manifest rename is the
 // copy's one commit point: a copy cut short leaves an empty store, never
 // a part of the source.
@@ -35,7 +36,13 @@ func (s *Store) CopyFrom(src store.ReaderAPI) error {
 	if maxID == 0 {
 		return nil
 	}
+	// The two passes over the source are independent reads, and a
+	// ReaderAPI serves concurrent readers: the dictionary sorts while the
+	// survey walks.
+	sorted := make(chan *sortedDictionary, 1)
+	go func() { sorted <- sortDictionary(src) }()
 	m, roles, err := survey(src)
+	dict := <-sorted
 	if err != nil {
 		return err
 	}
@@ -43,7 +50,6 @@ func (s *Store) CopyFrom(src store.ReaderAPI) error {
 	if err != nil {
 		return err
 	}
-	dict := sortDictionary(src)
 	err = s.db.Ingest(func(put func(k, v []byte) error) error {
 		var key []byte
 		for _, id := range dict.inline {

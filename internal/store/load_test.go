@@ -204,14 +204,15 @@ func parseThenFromGraph(tb testing.TB) func(string) *store.Store {
 }
 
 // maxLoadAllocsPerTriple is the allocation gate of the one-pass load. On
-// the serving benchmark's 152,708-triple corpus it makes 1.11 allocations
-// (269 B) per triple (BenchmarkLoadNTriples) through the Builder, 1.81
+// the serving benchmark's 152,708-triple corpus it makes 0.92 allocations
+// (275 B) per triple (BenchmarkLoadNTriples) through the Builder, 1.81
 // (252 B) through one Store.Add a triple, 4.36 (376 B) while every
 // postings entry had a list of its own and the dictionary was a map, and
 // the two-pass load that built every token byte by byte made 16.78
-// (1,764 B). The 2,000-instance corpus below reads 1.20, the same under
-// the race detector; the gate is that rounded up to the half.
-const maxLoadAllocsPerTriple = 1.5
+// (1,764 B). The 2,000-instance corpus below reads 0.99, the same under
+// the race detector; it read 1.20 while every literal built its quote
+// delimiter with strings.Repeat. The gate is 1.1.
+const maxLoadAllocsPerTriple = 1.1
 
 // The two-pass figure it logs is today's Parse (substring tokens too)
 // then FromGraph, for contrast; only the one-pass load is gated.
@@ -223,6 +224,32 @@ func TestLoadAllocationsPerTriple(t *testing.T) {
 		allocs, bytes, twoAllocs, twoBytes)
 	if allocs > maxLoadAllocsPerTriple {
 		t.Errorf("the load makes %.2f allocations per triple, over the gate of %.1f", allocs, maxLoadAllocsPerTriple)
+	}
+}
+
+// maxProbesPerTriple is the dictionary-probe gate of the one-pass load:
+// dict.find calls per triple the Builder takes. Interning every term of
+// every triple is 3.00; the serving benchmark's corpus lists each of its
+// 20,000 subjects' triples together, so a subject that repeats the last
+// triple's is not looked up again, and the load reads 2.13.
+const maxProbesPerTriple = 2.2
+
+func TestLoadProbesPerTriple(t *testing.T) {
+	doc := corpusNT(20000)
+	b := store.NewBuilder()
+	n := 0
+	probes := store.CountProbes()
+	err := turtle.Each(doc, func(tr rdf.Triple) {
+		b.Add(tr)
+		n++
+	})
+	per := float64(probes()) / float64(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d triples, %d terms: %.2f dictionary probes per triple", n, b.Store().TermCount(), per)
+	if per > maxProbesPerTriple {
+		t.Errorf("the load probes the dictionary %.2f times per triple, over the gate of %.1f", per, maxProbesPerTriple)
 	}
 }
 

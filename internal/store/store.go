@@ -124,6 +124,10 @@ type dict struct {
 	slots []ID // a power of two long; NoID marks an empty slot
 }
 
+// probeHook, when set, is called on every dict.find; tests count probes
+// with it.
+var probeHook func()
+
 func newDict() dict { return dict{seed: maphash.MakeSeed(), slots: make([]ID, 16)} }
 
 // hash mixes the kind, datatype and language tag into the value's hash, so
@@ -144,6 +148,9 @@ func (d *dict) hash(t rdf.Term) uint64 {
 // passed over, so a generation's term table filters out what it never
 // issued: a term interned later is not found.
 func (d *dict) find(t rdf.Term, terms []rdf.Term) (ID, int) {
+	if probeHook != nil {
+		probeHook()
+	}
 	mask := len(d.slots) - 1
 	for i := int(d.hash(t)) & mask; ; i = (i + 1) & mask {
 		id := d.slots[i]

@@ -16,6 +16,7 @@ package turtle
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"unicode/utf8"
 
@@ -42,14 +43,78 @@ type Parser struct {
 // document reachable unless it copies the strings (the store's
 // dictionary does). When Each returns an error, the triples before the
 // error have already been emitted.
+//
+// The parser runs ahead of emit on a goroutine of its own and hands the
+// triples over batchSize at a time, so parsing a document and what emit
+// does with it (a store interning its terms) take two cores. emit runs on
+// the caller's goroutine. No goroutine outlives the call: when emit
+// panics, the parser is stopped and waited for before the panic goes on,
+// and a panic of the parser's is raised again on the caller's goroutine.
 func Each(src string, emit func(rdf.Triple)) error {
-	p := &Parser{
-		src:      src,
-		line:     1,
-		prefixes: rdf.NewPrefixMap(),
-		emit:     emit,
+	full := make(chan []rdf.Triple, aheadBatches)
+	// spent batches on their way back: room for all but the one the
+	// parser fills, so handing one back never blocks
+	free := make(chan []rdf.Triple, aheadBatches+1)
+	stop := make(chan struct{})
+	exited := make(chan struct{})
+	var err error
+	var crash any
+	go func() {
+		defer close(exited)
+		defer close(full)
+		defer func() { crash = recover() }()
+		var batch []rdf.Triple // grows by append: a short document stays small
+		send := func() {
+			select {
+			case full <- batch:
+			case <-stop: // emit panicked: nobody reads any more
+				runtime.Goexit()
+			}
+			select {
+			case batch = <-free:
+			default:
+				batch = make([]rdf.Triple, 0, batchSize)
+			}
+		}
+		err = newParser(src, func(t rdf.Triple) {
+			if batch = append(batch, t); len(batch) == batchSize {
+				send()
+			}
+		}).run()
+		if len(batch) > 0 {
+			send()
+		}
+	}()
+	defer func() {
+		close(stop)
+		<-exited
+	}()
+	for batch := range full {
+		for _, t := range batch {
+			emit(t)
+		}
+		free <- batch[:0]
 	}
-	return p.run()
+	<-exited
+	if crash != nil {
+		panic(crash)
+	}
+	return err
+}
+
+// batchSize is how many triples the parser hands emit at a time, and
+// aheadBatches how many full batches it may have waiting: enough that
+// neither side waits on the other's jitter, few enough that what is in
+// flight (about 170 KiB a batch) stays small beside the document.
+const (
+	batchSize    = 1024
+	aheadBatches = 4
+)
+
+// newParser returns the synchronous parser core: run parses src and
+// calls emit on every triple, on the goroutine that calls run.
+func newParser(src string, emit func(rdf.Triple)) *Parser {
+	return &Parser{src: src, line: 1, prefixes: rdf.NewPrefixMap(), emit: emit}
 }
 
 // Parse parses a Turtle (or N-Triples) document and returns the resulting
@@ -377,7 +442,25 @@ func (p *Parser) iriRef() (string, error) {
 	}
 	var b strings.Builder
 	from := p.pos
-	for !p.eof() {
+	for {
+		// on to the next byte that ends, escapes or breaks the IRI: this
+		// scan is most of what parsing N-Triples costs, so it is three
+		// IndexByte calls rather than a loop over the bytes
+		rest := p.src[p.pos:]
+		if end := strings.IndexByte(rest, '>'); end >= 0 {
+			rest = rest[:end]
+		}
+		stop := len(rest)
+		if k := strings.IndexByte(rest, '\\'); k >= 0 {
+			stop = k
+		}
+		if k := strings.IndexByte(rest[:stop], '\n'); k >= 0 {
+			stop = k
+		}
+		p.pos += stop
+		if p.eof() {
+			return "", p.errf("unterminated IRI")
+		}
 		switch p.src[p.pos] {
 		case '>':
 			iri := p.token(&b, from)
@@ -394,13 +477,10 @@ func (p *Parser) iriRef() (string, error) {
 				return "", err
 			}
 			from = p.pos
-			continue
-		case '\n':
+		default:
 			return "", p.errf("newline in IRI")
 		}
-		p.pos++
 	}
-	return "", p.errf("unterminated IRI")
 }
 
 func (p *Parser) prefixLabel() (string, error) {
@@ -461,7 +541,7 @@ func (p *Parser) prefixedName() (rdf.Term, error) {
 
 func (p *Parser) literal() (rdf.Term, error) {
 	quote := p.src[p.pos]
-	long := strings.HasPrefix(p.src[p.pos:], strings.Repeat(string(quote), 3))
+	long := p.pos+2 < len(p.src) && p.src[p.pos+1] == quote && p.src[p.pos+2] == quote
 	var lex string
 	var err error
 	if long {
