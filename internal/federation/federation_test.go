@@ -487,7 +487,7 @@ func TestIndexPruneSkipsIrrelevantSource(t *testing.T) {
 		for _, cs := range p.Classes() {
 			only := true
 			for j, q := range parts {
-				if j != i && q.CountInstances(cs.Class) > 0 {
+				if j != i && q.Count(store.Pattern{P: rdf.NewIRI(rdf.RDFType), O: cs.Class}) > 0 {
 					only = false
 					break
 				}

@@ -61,9 +61,8 @@ type Options struct {
 	// BlockBytes is the segment block size; one block is the unit of
 	// read I/O and of index granularity (default 4096).
 	BlockBytes int
-	// NoSync skips the per-Apply fsync. Throughput for tests and bulk
-	// loads; a crash may lose the tail of acknowledged batches, never
-	// torn ones.
+	// NoSync skips the per-Apply fsync, for the throughput of tests; a
+	// crash may lose the tail of acknowledged batches, never torn ones.
 	NoSync bool
 }
 

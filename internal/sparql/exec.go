@@ -192,8 +192,8 @@ func (e *idExec) kind(id store.ID) rdf.TermKind {
 // --- join support ---
 
 // cardinality returns the exact index cardinality of p over its constant
-// positions — the one store call an estimate costs, and on the disk tier
-// a walk of the range.
+// positions, which is what the join order compares: one store call, and
+// on the disk tier a walk of the range.
 func (e *idExec) cardinality(p *cpattern) int {
 	var pat store.IDPattern
 	if !p.s.isVar() {
@@ -209,36 +209,6 @@ func (e *idExec) cardinality(p *cpattern) int {
 		return 0 // a constant the store has never seen matches nothing
 	}
 	return e.rd.CardinalityIDs(pat)
-}
-
-// refine turns p's cardinality into the expected number of matches given
-// the current bound set: an average-fanout division for every row-bound
-// variable.
-func (e *idExec) refine(card int, p *cpattern, bound []bool) int {
-	if card == 0 {
-		return 0
-	}
-	if p.s.isVar() && bound[p.s.slot] {
-		card = divClamp(card, e.rd.DistinctSubjects())
-	}
-	if p.p.isVar() && bound[p.p.slot] {
-		card = divClamp(card, e.rd.DistinctPredicates())
-	}
-	if p.o.isVar() && bound[p.o.slot] {
-		card = divClamp(card, e.rd.DistinctObjects())
-	}
-	return card
-}
-
-func divClamp(a, b int) int {
-	if b < 1 {
-		b = 1
-	}
-	a /= b
-	if a < 1 {
-		a = 1
-	}
-	return a
 }
 
 // resolvePos writes the concrete ID of a pattern position (constant or

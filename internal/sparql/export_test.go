@@ -83,8 +83,7 @@ func (c *countingReader) CardinalityIDs(pat store.IDPattern) int {
 
 // greedyOrder is bgpOrder as it stood before it read each pattern's
 // cardinality once: the same greedy rounds, every round asking the store
-// again for every pattern still unplaced. Kept, with greedyEstimate, only
-// to pin the order.
+// again for every pattern still unplaced. Kept only to pin the order.
 func greedyOrder(e *idExec, b *cBGP, row []store.ID) []int {
 	bound := make([]bool, e.nslots)
 	for sl, v := range row {
@@ -110,7 +109,7 @@ func greedyOrder(e *idExec, b *cBGP, row []store.ID) []int {
 					break
 				}
 			}
-			card := greedyEstimate(e, p, bound)
+			card := e.cardinality(p)
 			if best == -1 || (conn && !bestConn) || (conn == bestConn && card < bestCard) {
 				best, bestCard, bestConn = i, card, conn
 			}
@@ -122,34 +121,4 @@ func greedyOrder(e *idExec, b *cBGP, row []store.ID) []int {
 		}
 	}
 	return order
-}
-
-func greedyEstimate(e *idExec, p *cpattern, bound []bool) int {
-	var pat store.IDPattern
-	if !p.s.isVar() {
-		pat.S = p.s.id
-	}
-	if !p.p.isVar() {
-		pat.P = p.p.id
-	}
-	if !p.o.isVar() {
-		pat.O = p.o.id
-	}
-	if pat.S > e.maxStore || pat.P > e.maxStore || pat.O > e.maxStore {
-		return 0
-	}
-	card := e.rd.CardinalityIDs(pat)
-	if card == 0 {
-		return 0
-	}
-	if p.s.isVar() && bound[p.s.slot] {
-		card = divClamp(card, e.rd.DistinctSubjects())
-	}
-	if p.p.isVar() && bound[p.p.slot] {
-		card = divClamp(card, e.rd.DistinctPredicates())
-	}
-	if p.o.isVar() && bound[p.o.slot] {
-		card = divClamp(card, e.rd.DistinctObjects())
-	}
-	return card
 }

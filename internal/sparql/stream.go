@@ -705,10 +705,10 @@ func (s *streamExec) streamNode(n cnode, row []store.ID, free int, yield streamY
 // bgpOrder computes (once per node) the greedy join order, seeded with
 // the bound slots of the first row to reach the node: patterns connected
 // to an already-bound variable first (a disconnected pattern builds a
-// cartesian product), then the smallest estimated cardinality. Each
-// pattern's cardinality is read from the store once — the rounds re-run
-// only the arithmetic on it — and a one-pattern BGP, which has nothing
-// to order, asks nothing.
+// cartesian product), then the smallest exact index cardinality over
+// the pattern's constant positions. Each pattern's cardinality is read
+// from the store once, before the rounds, and a one-pattern BGP, which
+// has nothing to order, asks nothing.
 func (s *streamExec) bgpOrder(b *cBGP, row []store.ID) []int {
 	if o, ok := s.orders[b]; ok {
 		return o
@@ -743,9 +743,8 @@ func (s *streamExec) bgpOrder(b *cBGP, row []store.ID) []int {
 					break
 				}
 			}
-			card := s.ex.refine(cards[i], p, bound)
-			if best == -1 || (conn && !bestConn) || (conn == bestConn && card < bestCard) {
-				best, bestCard, bestConn = i, card, conn
+			if best == -1 || (conn && !bestConn) || (conn == bestConn && cards[i] < bestCard) {
+				best, bestCard, bestConn = i, cards[i], conn
 			}
 		}
 		used[best] = true

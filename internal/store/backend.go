@@ -39,23 +39,6 @@ type ReaderAPI interface {
 	MaxID() ID
 	// Len returns the number of triples.
 	Len() int
-	// DistinctSubjects returns the number of distinct subjects.
-	DistinctSubjects() int
-	// DistinctPredicates returns the number of distinct predicates.
-	DistinctPredicates() int
-	// DistinctObjects returns the number of distinct objects.
-	DistinctObjects() int
-	// PredCount returns the number of triples with predicate p.
-	PredCount(p ID) int
-	// Objects returns the sorted object IDs under (s, p); the slice
-	// must not be modified.
-	Objects(s, p ID) []ID
-	// Subjects returns the sorted subject IDs under (p, o); the slice
-	// must not be modified.
-	Subjects(p, o ID) []ID
-	// PredicatesBetween returns the sorted predicate IDs linking
-	// (s, o); the slice must not be modified.
-	PredicatesBetween(s, o ID) []ID
 	// HasID reports whether the triple (s, p, o) is present.
 	HasID(s, p, o ID) bool
 	// Runs hands fn the pattern's matches as runs (see Run), in the

@@ -41,10 +41,10 @@ func BenchmarkMatchIDs(b *testing.B) {
 		return true
 	})
 	for id := store.ID(1); id <= r.MaxID(); id++ {
-		if r.PredCount(id) > 0 {
+		if r.CardinalityIDs(store.IDPattern{P: id}) > 0 {
 			shapes["p"] = append(shapes["p"], store.IDPattern{P: id})
 		}
-		if len(r.Subjects(typeID, id)) > 0 {
+		if r.CardinalityIDs(store.IDPattern{P: typeID, O: id}) > 0 {
 			shapes["po"] = append(shapes["po"], store.IDPattern{P: typeID, O: id})
 		}
 	}

@@ -137,7 +137,6 @@ func packIndex(e uint64, ts [][3]ID, a, b, c Pos) index {
 		}
 		ch.p[(first-1)&chunkMask] = p
 		ch.n++
-		ix.n++
 		i = j
 	}
 	return ix

@@ -183,10 +183,9 @@ func checkRecovered(t *testing.T, dir string, sets []map[string]bool) int {
 
 	// Permutation integrity: the POS and OSP walks enumerate the same
 	// triple set as SPO.
-	distinctS, distinctP, distinctO := map[store.ID]bool{}, map[store.ID]bool{}, map[store.ID]bool{}
+	distinctP, distinctO := map[store.ID]bool{}, map[store.ID]bool{}
 	predCount := map[store.ID]int{}
 	for _, tr := range ids {
-		distinctS[tr.s] = true
 		distinctP[tr.p] = true
 		distinctO[tr.o] = true
 		predCount[tr.p]++
@@ -217,14 +216,9 @@ func checkRecovered(t *testing.T, dir string, sets []map[string]bool) int {
 	if r.Len() != len(ids) || r.CardinalityIDs(store.IDPattern{}) != len(ids) {
 		t.Fatalf("Len %d / full cardinality %d, want %d", r.Len(), r.CardinalityIDs(store.IDPattern{}), len(ids))
 	}
-	if r.DistinctSubjects() != len(distinctS) || r.DistinctPredicates() != len(distinctP) || r.DistinctObjects() != len(distinctO) {
-		t.Fatalf("distinct counters (%d, %d, %d) disagree with keys (%d, %d, %d)",
-			r.DistinctSubjects(), r.DistinctPredicates(), r.DistinctObjects(),
-			len(distinctS), len(distinctP), len(distinctO))
-	}
 	for p, n := range predCount {
-		if r.PredCount(p) != n {
-			t.Fatalf("PredCount(%d) = %d, keys say %d", p, r.PredCount(p), n)
+		if got := r.CardinalityIDs(store.IDPattern{P: p}); got != n {
+			t.Fatalf("CardinalityIDs(? %d ?) = %d, keys say %d", p, got, n)
 		}
 	}
 

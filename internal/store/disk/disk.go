@@ -23,9 +23,6 @@ type Options struct {
 type meta struct {
 	Len       int              `json:"len"`
 	MaxID     store.ID         `json:"max_id"`
-	DistinctS int              `json:"distinct_s"`
-	DistinctP int              `json:"distinct_p"`
-	DistinctO int              `json:"distinct_o"`
 	PredCount map[store.ID]int `json:"pred_count"`
 }
 
@@ -60,14 +57,8 @@ type Store struct {
 	pendingDict    map[rdf.Term]store.ID
 	pendingTriples map[[3]store.ID]bool
 	pendingDeletes map[[3]store.ID]bool
-	pendingRole    map[store.ID]byte
 	pendingHash    map[uint64][]store.ID
-	// Net pending triple delta per subject / object ID (+1 insert,
-	// -1 delete); at flush time, committed count + delta == 0 means the
-	// term no longer plays that role and its distinct counter drops.
-	pendingSubj map[store.ID]int
-	pendingObj  map[store.ID]int
-	dirtyMeta   bool
+	dirtyMeta      bool
 
 	// committed caches the decoded form of the newest meta record a
 	// reader has seen, keyed by its raw bytes.
@@ -120,10 +111,7 @@ func (s *Store) resetPending() {
 	s.pendingDict = make(map[rdf.Term]store.ID)
 	s.pendingTriples = make(map[[3]store.ID]bool)
 	s.pendingDeletes = make(map[[3]store.ID]bool)
-	s.pendingRole = make(map[store.ID]byte)
 	s.pendingHash = make(map[uint64][]store.ID)
-	s.pendingSubj = make(map[store.ID]int)
-	s.pendingObj = make(map[store.ID]int)
 	s.dirtyMeta = false
 }
 
@@ -168,11 +156,6 @@ func (s *Store) insertIDsLocked(si, pi, oi store.ID) (bool, error) {
 	s.batch.Put(permKey(kOSP, oi, si, pi), nil)
 	s.meta.Len++
 	s.meta.PredCount[pi]++
-	s.pendingSubj[si]++
-	s.pendingObj[oi]++
-	s.markRole(si, roleSubject, &s.meta.DistinctS)
-	s.markRole(pi, rolePredicate, &s.meta.DistinctP)
-	s.markRole(oi, roleObject, &s.meta.DistinctO)
 	s.dirtyMeta = true
 	if s.batch.Len() >= maxBatchOps {
 		if err := s.flushLocked(); err != nil {
@@ -186,8 +169,7 @@ func (s *Store) insertIDsLocked(si, pi, oi store.ID) (bool, error) {
 // Insert, the tombstones land in the pending batch and commit with the
 // next Flush as part of the same atomic WAL record; the KV compaction
 // drops them from the segment files later. Terms are never removed from
-// the dictionary — IDs are append-only — but role bits and the distinct
-// counters are recomputed at flush time so the statistics stay exact.
+// the dictionary: IDs are append-only.
 func (s *Store) Delete(t rdf.Triple) (bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -238,14 +220,8 @@ func (s *Store) deleteIDsLocked(si, pi, oi store.ID) (bool, error) {
 	s.batch.Delete(permKey(kPOS, pi, oi, si))
 	s.batch.Delete(permKey(kOSP, oi, si, pi))
 	s.meta.Len--
-	s.pendingSubj[si]--
-	s.pendingObj[oi]--
 	if n := s.meta.PredCount[pi] - 1; n <= 0 {
-		// The per-predicate counts are exact incrementally, so the
-		// predicate's distinct transition resolves right here; subjects
-		// and objects wait for the flush-time recount.
-		delete(s.meta.PredCount, pi)
-		s.clearRole(pi, rolePredicate, &s.meta.DistinctP)
+		delete(s.meta.PredCount, pi) // meta names only predicates in use
 	} else {
 		s.meta.PredCount[pi] = n
 	}
@@ -256,69 +232,6 @@ func (s *Store) deleteIDsLocked(si, pi, oi store.ID) (bool, error) {
 		}
 	}
 	return true, nil
-}
-
-// clearRole drops a role bit from a term, decrementing the distinct
-// counter if the bit was set.
-func (s *Store) clearRole(id store.ID, bit byte, counter *int) {
-	mask, ok := s.pendingRole[id]
-	if !ok {
-		if raw, found := s.db.Get(roleKey(id)); found && len(raw) == 1 {
-			mask = raw[0]
-		}
-	}
-	if mask&bit == 0 {
-		return
-	}
-	mask &^= bit
-	s.pendingRole[id] = mask
-	if mask == 0 {
-		s.batch.Delete(roleKey(id))
-	} else {
-		s.batch.Put(roleKey(id), []byte{mask})
-	}
-	*counter--
-	s.dirtyMeta = true
-}
-
-// resolveDeletedRolesLocked settles the subject/object distinct counters
-// for every term touched by a pending delete: a term whose committed
-// triple count under the role plus the pending delta reaches zero sheds
-// its role bit. Runs inside flushLocked so the corrected counters and
-// role keys commit in the same WAL record as the deletes themselves.
-func (s *Store) resolveDeletedRolesLocked() {
-	if len(s.pendingDeletes) == 0 {
-		return
-	}
-	touchedS := make(map[store.ID]bool)
-	touchedO := make(map[store.ID]bool)
-	for k := range s.pendingDeletes {
-		touchedS[k[0]] = true
-		touchedO[k[2]] = true
-	}
-	snap := s.db.Snapshot()
-	defer snap.Release()
-	it := snap.Iter()
-	// gone reports committed count + pending <= 0 for the triples under
-	// prefix, walking only as far as the pending deletes could cancel: the
-	// key that outweighs them settles it.
-	gone := func(prefix string, pending int) bool {
-		n, limit := 0, 1-pending
-		if limit > 0 {
-			scanPrefix(it, prefix, func(string) bool { n++; return n < limit })
-		}
-		return n < limit
-	}
-	for id := range touchedS {
-		if gone(permKey(kSPO, id), s.pendingSubj[id]) {
-			s.clearRole(id, roleSubject, &s.meta.DistinctS)
-		}
-	}
-	for id := range touchedO {
-		if gone(permKey(kOSP, id), s.pendingObj[id]) {
-			s.clearRole(id, roleObject, &s.meta.DistinctO)
-		}
-	}
 }
 
 // internLocked returns the ID for term t, assigning (and staging the
@@ -359,25 +272,6 @@ func (s *Store) internLocked(t rdf.Term) (store.ID, error) {
 	return id, nil
 }
 
-// markRole sets a role bit on a term, bumping the distinct counter the
-// first time the term plays that role.
-func (s *Store) markRole(id store.ID, bit byte, counter *int) {
-	mask, ok := s.pendingRole[id]
-	if !ok {
-		if raw, found := s.db.Get(roleKey(id)); found && len(raw) == 1 {
-			mask = raw[0]
-		}
-	}
-	if mask&bit != 0 {
-		s.pendingRole[id] = mask
-		return
-	}
-	mask |= bit
-	s.pendingRole[id] = mask
-	s.batch.Put(roleKey(id), []byte{mask})
-	*counter++
-}
-
 // lookupEnc resolves an encoded term to its committed ID through any
 // point-get function (the live DB or a snapshot).
 func lookupEnc(enc []byte, get func(string) ([]byte, bool)) store.ID {
@@ -408,7 +302,6 @@ func (s *Store) flushLocked() error {
 	if s.batch.Len() == 0 && !s.dirtyMeta {
 		return nil
 	}
-	s.resolveDeletedRolesLocked()
 	raw, err := json.Marshal(&s.meta)
 	if err != nil {
 		return err

@@ -7,12 +7,11 @@
 // uint32 so lexicographic key order is ID order):
 //
 //	'm'                      → meta JSON (triple count, max ID,
-//	                           distinct-role counts, per-predicate counts)
+//	                           per-predicate counts)
 //	't' + id                 → encoded term (the forward dictionary)
 //	'd' + encoded term       → id, for encodings ≤ 64 bytes (inline keys)
 //	'h' + fnv64a(encoding)   → id list, for longer terms (hashed keys;
 //	                           the list resolves collisions exactly)
-//	'r' + id                 → role bitmask (subject/predicate/object)
 //	's' + s + p + o          → ∅   (SPO permutation)
 //	'p' + p + o + s          → ∅   (POS permutation)
 //	'o' + o + s + p          → ∅   (OSP permutation)
@@ -38,7 +37,6 @@ const (
 	kTerm = 't'
 	kDict = 'd'
 	kHash = 'h'
-	kRole = 'r'
 	kSPO  = 's'
 	kPOS  = 'p'
 	kOSP  = 'o'
@@ -121,13 +119,6 @@ func termKey(id store.ID) string {
 	return string(b[:])
 }
 
-func roleKey(id store.ID) string {
-	var b [5]byte
-	b[0] = kRole
-	binary.BigEndian.PutUint32(b[1:], uint32(id))
-	return string(b[:])
-}
-
 // appendKey appends a permutation key, or a prefix of one, to dst: the
 // table byte then the bound IDs in the permutation's component order.
 // It is the one encoder of the layout; a probe appends into storage it
@@ -177,10 +168,3 @@ func decodeIDList(b []byte) []store.ID {
 	}
 	return out
 }
-
-// Role bits tracked per term, backing the distinct-role counters.
-const (
-	roleSubject = 1 << iota
-	rolePredicate
-	roleObject
-)

@@ -151,45 +151,6 @@ func (r *Reader) MaxID() store.ID { return r.meta.MaxID }
 // Len returns the number of triples.
 func (r *Reader) Len() int { return r.meta.Len }
 
-// DistinctSubjects returns the number of distinct subjects.
-func (r *Reader) DistinctSubjects() int { return r.meta.DistinctS }
-
-// DistinctPredicates returns the number of distinct predicates.
-func (r *Reader) DistinctPredicates() int { return r.meta.DistinctP }
-
-// DistinctObjects returns the number of distinct objects.
-func (r *Reader) DistinctObjects() int { return r.meta.DistinctO }
-
-// PredCount returns the number of triples with predicate p.
-func (r *Reader) PredCount(p store.ID) int { return r.meta.PredCount[p] }
-
-// scanIDs collects the last component of every key under the prefix of
-// table t over two IDs — sorted by construction.
-func (r *Reader) scanIDs(t byte, a, b store.ID) []store.ID {
-	var out []store.ID
-	r.scan(func(k string) bool {
-		_, _, c := splitTriple(k)
-		out = append(out, c)
-		return true
-	}, t, a, b)
-	return out
-}
-
-// Objects returns the sorted object IDs under (s, p).
-func (r *Reader) Objects(s, p store.ID) []store.ID {
-	return r.scanIDs(kSPO, s, p)
-}
-
-// Subjects returns the sorted subject IDs under (p, o).
-func (r *Reader) Subjects(p, o store.ID) []store.ID {
-	return r.scanIDs(kPOS, p, o)
-}
-
-// PredicatesBetween returns the sorted predicate IDs linking (s, o).
-func (r *Reader) PredicatesBetween(s, o store.ID) []store.ID {
-	return r.scanIDs(kOSP, o, s)
-}
-
 // HasID reports whether the triple (s, p, o) is present.
 func (r *Reader) HasID(s, p, o store.ID) bool {
 	_, ok := r.snap.Get(permKey(kSPO, s, p, o))

@@ -30,7 +30,10 @@ func nestedWalk(r store.ReaderAPI, skip int) []store.ID {
 		seen = append(seen, s, class)
 		r.MatchIDs(store.IDPattern{S: s}, func(_, p, o store.ID) bool {
 			seen = append(seen, p, o, store.ID(r.CardinalityIDs(store.IDPattern{S: o})))
-			seen = append(seen, r.Objects(o, typ)...)
+			r.Runs(store.IDPattern{S: o, P: typ}, func(rn store.Run) bool {
+				seen = append(seen, rn.IDs...)
+				return true
+			})
 			inner := 0
 			r.MatchIDs(store.IDPattern{O: o}, func(s2, p2, _ store.ID) bool {
 				seen = append(seen, s2, p2)

@@ -20,12 +20,11 @@ import (
 // The copy is one kv ingest (kv.DB.Ingest): the whole key space, written
 // in key order into one segment. Only the reverse dictionary needs a
 // sort; every other table is a walk of the source in ID order — the meta
-// record and the role bits from a first walk of its OSP permutation, then
-// the three permutations themselves and the forward dictionary. The sort
-// and that first walk run side by side. Nothing
-// passes through the WAL or the memtable, and the manifest rename is the
-// copy's one commit point: a copy cut short leaves an empty store, never
-// a part of the source.
+// record from a first walk of its OSP permutation, then the three
+// permutations themselves and the forward dictionary. The sort and that
+// first walk run side by side. Nothing passes through the WAL or the
+// memtable, and the manifest rename is the copy's one commit point: a
+// copy cut short leaves an empty store, never a part of the source.
 func (s *Store) CopyFrom(src store.ReaderAPI) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -41,7 +40,7 @@ func (s *Store) CopyFrom(src store.ReaderAPI) error {
 	// survey walks.
 	sorted := make(chan *sortedDictionary, 1)
 	go func() { sorted <- sortDictionary(src) }()
-	m, roles, err := survey(src)
+	m, err := survey(src)
 	dict := <-sorted
 	if err != nil {
 		return err
@@ -77,13 +76,6 @@ func (s *Store) CopyFrom(src store.ReaderAPI) error {
 				return err
 			}
 		}
-		for id := store.ID(1); id <= maxID; id++ {
-			if roles[id] != 0 {
-				if err := put(appendKey(key[:0], kRole, id), []byte{roles[id]}); err != nil {
-					return err
-				}
-			}
-		}
 		if err := walkPermutation(src, kSPO, put); err != nil {
 			return err
 		}
@@ -114,37 +106,21 @@ func (s *Store) emptyLocked() bool {
 }
 
 // survey walks the source's OSP permutation once and returns the meta
-// record and the role bits (indexed by ID) its triples imply.
-func survey(src store.ReaderAPI) (*meta, []byte, error) {
-	maxID := src.MaxID()
-	m := &meta{MaxID: maxID, PredCount: make(map[store.ID]int)}
-	roles := make([]byte, maxID+1)
-	err := walk(src, kOSP, func(s, p, o store.ID) error {
-		roles[s] |= roleSubject
-		roles[p] |= rolePredicate
-		roles[o] |= roleObject
+// record its triples imply.
+func survey(src store.ReaderAPI) (*meta, error) {
+	m := &meta{MaxID: src.MaxID(), PredCount: make(map[store.ID]int)}
+	err := walk(src, kOSP, func(_, p, _ store.ID) error {
 		m.PredCount[p]++
 		m.Len++
 		return nil
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if m.Len != src.Len() {
-		return nil, nil, fmt.Errorf("disk: CopyFrom: the source holds %d triples and its scan found %d", src.Len(), m.Len)
+		return nil, fmt.Errorf("disk: CopyFrom: the source holds %d triples and its scan found %d", src.Len(), m.Len)
 	}
-	for _, r := range roles {
-		if r&roleSubject != 0 {
-			m.DistinctS++
-		}
-		if r&rolePredicate != 0 {
-			m.DistinctP++
-		}
-		if r&roleObject != 0 {
-			m.DistinctO++
-		}
-	}
-	return m, roles, nil
+	return m, nil
 }
 
 // walkPermutation puts every key of one permutation table.

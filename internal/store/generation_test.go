@@ -79,8 +79,8 @@ func runModel(t *testing.T, seed int64) {
 			for p := ID(1); p <= r.MaxID(); p++ {
 				m := 0
 				r.MatchIDs(IDPattern{P: p}, func(_, _, _ ID) bool { m++; return true })
-				if m != r.PredCount(p) {
-					t.Errorf("concurrent scan: predicate %d has %d triples, PredCount %d", p, m, r.PredCount(p))
+				if n := r.CardinalityIDs(IDPattern{P: p}); m != n {
+					t.Errorf("concurrent scan: predicate %d has %d triples, CardinalityIDs %d", p, m, n)
 				}
 				r.MatchIDs(IDPattern{O: p}, func(_, _, _ ID) bool { return true })
 				if got, want := r.SortPrefix(p), rdf.SortPrefix(r.Term(p)); got != want {
@@ -178,8 +178,15 @@ func runModel(t *testing.T, seed int64) {
 	sweep(func(tr rdf.Triple) bool { return s.Lookup(tr.S) <= ID(chunkSize) }) // the first chunk of spo
 	churn(1500, 50)                                                            // refill what the sweeps emptied
 	sweep(func(tr rdf.Triple) bool { return true })                            // the store
-	if r := s.Reader(); r.Len() != 0 || r.DistinctSubjects()+r.DistinctPredicates()+r.DistinctObjects() != 0 {
+	r := s.Reader()
+	if r.Len() != 0 {
 		t.Fatalf("emptied store still counts %d triples", r.Len())
+	}
+	for _, ix := range []*index{&r.spo, &r.pos, &r.osp} {
+		ix.each(func(a ID, _ *postings) bool {
+			t.Fatalf("emptied store still holds first key %d", a)
+			return false
+		})
 	}
 	churn(1500, 70)
 
@@ -415,44 +422,17 @@ func checkAgainstModel(t *testing.T, h heldGeneration, s *Store) {
 		}
 	}
 
-	// Counts and posting accessors.
+	// Counts, and first-level key sets that name exactly the terms still
+	// in their position: removal drops an emptied key.
 	if r.Len() != len(all) {
 		t.Fatalf("%s: Len %d, model %d", at, r.Len(), len(all))
 	}
-	if got, want := r.DistinctSubjects(), len(groups["s??"]); got != want {
-		t.Fatalf("%s: DistinctSubjects %d, model %d", at, got, want)
-	}
-	if got, want := r.DistinctPredicates(), len(groups["?p?"]); got != want {
-		t.Fatalf("%s: DistinctPredicates %d, model %d", at, got, want)
-	}
-	if got, want := r.DistinctObjects(), len(groups["??o"]); got != want {
-		t.Fatalf("%s: DistinctObjects %d, model %d", at, got, want)
-	}
-	for pat, ks := range groups["?p?"] {
-		if got := r.PredCount(pat.P); got != len(ks) {
-			t.Fatalf("%s: PredCount(%d) = %d, model %d", at, pat.P, got, len(ks))
-		}
-	}
-	column := func(ks []key, i int) []ID {
-		out := make([]ID, len(ks))
-		for j, k := range ks {
-			out[j] = k[i]
-		}
-		return out
-	}
-	for pat, ks := range groups["sp?"] {
-		if got := r.Objects(pat.S, pat.P); !slices.Equal(got, column(ks, 2)) {
-			t.Fatalf("%s: Objects(%d,%d) = %v, model %v", at, pat.S, pat.P, got, column(ks, 2))
-		}
-	}
-	for pat, ks := range groups["?po"] {
-		if got := r.Subjects(pat.P, pat.O); !slices.Equal(got, column(ks, 0)) {
-			t.Fatalf("%s: Subjects(%d,%d) = %v, model %v", at, pat.P, pat.O, got, column(ks, 0))
-		}
-	}
-	for pat, ks := range groups["s?o"] {
-		if got := r.PredicatesBetween(pat.S, pat.O); !slices.Equal(got, column(ks, 1)) {
-			t.Fatalf("%s: PredicatesBetween(%d,%d) = %v, model %v", at, pat.S, pat.O, got, column(ks, 1))
+	for _, c := range []struct {
+		shape string
+		ix    *index
+	}{{"s??", &r.spo}, {"?p?", &r.pos}, {"??o", &r.osp}} {
+		if n := firstKeys(c.ix); n != len(groups[c.shape]) {
+			t.Fatalf("%s: %s index has %d first keys, model %d", at, c.shape, n, len(groups[c.shape]))
 		}
 	}
 }

@@ -5,7 +5,7 @@ package store
 //
 // IDs are dense (1..MaxID), so the first level is a directory of
 // fixed-fan-out chunks indexed by ID: a probe is two array indexes, sorted
-// iteration is a walk of the chunks, and the distinct count is an integer.
+// iteration is a walk of the chunks.
 // The second level is a postings node: a packed leaf — the sorted second
 // keys, the ends of their third-key lists and all the third keys in one
 // []ID — plus the pair count below it. A leaf that outgrows leafMax keys
@@ -54,7 +54,6 @@ const (
 type index struct {
 	chunks []*chunk // chunks[i] holds IDs i*chunkSize+1 … (i+1)*chunkSize; nil where none occurs
 	epoch  uint64   // epoch that allocated the chunks array
-	n      int      // distinct first-level keys
 }
 
 type chunk struct {
@@ -247,7 +246,6 @@ func (ix *index) insert(e uint64, a, b, c ID) {
 	if p == nil {
 		ch.p[slot] = newLeaf(e, b, c)
 		ch.n++
-		ix.n++
 		return
 	}
 	ch.p[slot] = p.insert(e, b, c)
@@ -264,7 +262,6 @@ func (ix *index) remove(e uint64, a, b, c ID) {
 		return
 	}
 	ch.p[slot] = nil
-	ix.n--
 	if ch.n--; ch.n == 0 {
 		ix.chunks[int(a-1)>>chunkShift] = nil
 	}

@@ -59,30 +59,6 @@ func (r *Reader) MaxID() ID { return ID(len(r.terms)) }
 // Len returns the number of triples.
 func (r *Reader) Len() int { return r.n }
 
-// DistinctSubjects returns the number of distinct subjects.
-func (r *Reader) DistinctSubjects() int { return r.spo.n }
-
-// DistinctPredicates returns the number of distinct predicates.
-func (r *Reader) DistinctPredicates() int { return r.pos.n }
-
-// DistinctObjects returns the number of distinct objects.
-func (r *Reader) DistinctObjects() int { return r.osp.n }
-
-// PredCount returns the number of triples with predicate p.
-func (r *Reader) PredCount(p ID) int { return r.pos.get(p).size() }
-
-// Objects returns the sorted object IDs under (s, p). The slice is shared
-// with the index and must not be modified.
-func (r *Reader) Objects(s, p ID) []ID { return r.spo.lists(s, p) }
-
-// Subjects returns the sorted subject IDs under (p, o). The slice is
-// shared with the index and must not be modified.
-func (r *Reader) Subjects(p, o ID) []ID { return r.pos.lists(p, o) }
-
-// PredicatesBetween returns the sorted predicate IDs linking (s, o). The
-// slice is shared with the index and must not be modified.
-func (r *Reader) PredicatesBetween(s, o ID) []ID { return r.osp.lists(o, s) }
-
 // HasID reports whether the triple (s, p, o) is in the store, by binary
 // search on the sorted SPO posting list.
 func (r *Reader) HasID(s, p, o ID) bool {

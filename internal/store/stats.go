@@ -41,12 +41,3 @@ func (s *Store) InstancesOf(class rdf.Term, fn func(rdf.Term) bool) {
 		return fn(t.S)
 	})
 }
-
-// CountInstances returns the number of instances of class.
-func (s *Store) CountInstances(class rdf.Term) int {
-	return s.Count(Pattern{P: rdf.NewIRI(rdf.RDFType), O: class})
-}
-
-// DistinctSubjects returns the number of distinct subjects, a proxy for
-// the "number of entities" index of H-BOLD.
-func (s *Store) DistinctSubjects() int { return s.Reader().DistinctSubjects() }

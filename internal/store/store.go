@@ -237,8 +237,8 @@ func (s *Store) AddSPO(sub, pred, obj rdf.Term) bool {
 
 // Remove deletes a triple. It reports whether the triple was present.
 // All three permutation indexes shed the triple, and emptied posting
-// lists and first-level keys are removed so the distinct subject /
-// predicate / object counts stay exact under deletion. Term IDs are never
+// lists and first-level keys are removed, so a key set names exactly
+// the terms that still occur in that position. Term IDs are never
 // reclaimed: ID assignment is append-only.
 func (s *Store) Remove(t rdf.Triple) bool {
 	s.mu.Lock()
@@ -288,9 +288,6 @@ func (s *Store) Reader() *Reader {
 // Len returns the number of triples.
 func (s *Store) Len() int { return s.Reader().Len() }
 
-// TermCount returns the number of distinct terms in the dictionary.
-func (s *Store) TermCount() int { return int(s.Reader().MaxID()) }
-
 // Has reports whether the store contains the triple.
 func (s *Store) Has(t rdf.Triple) bool {
 	r := s.Reader()
@@ -328,7 +325,7 @@ func (s *Store) Cardinality(pat Pattern) int { return CardinalityOn(s.Reader(), 
 // Predicates returns the distinct predicates in the store, sorted.
 func (s *Store) Predicates() []rdf.Term {
 	r := s.Reader()
-	out := make([]rdf.Term, 0, r.pos.n)
+	var out []rdf.Term
 	r.pos.each(func(p ID, _ *postings) bool {
 		out = append(out, r.Term(p))
 		return true

@@ -136,8 +136,8 @@ func TestClasses(t *testing.T) {
 
 func TestCountInstancesAndInstancesOf(t *testing.T) {
 	s := buildSmall()
-	if n := s.CountInstances(iri("Person")); n != 2 {
-		t.Fatalf("CountInstances = %d", n)
+	if n := s.Count(Pattern{P: rdf.NewIRI(rdf.RDFType), O: iri("Person")}); n != 2 {
+		t.Fatalf("Count(? a Person) = %d", n)
 	}
 	var got []rdf.Term
 	s.InstancesOf(iri("Person"), func(x rdf.Term) bool {
@@ -164,9 +164,27 @@ func TestPredicates(t *testing.T) {
 
 func TestDistinctSubjects(t *testing.T) {
 	s := buildSmall()
-	if n := s.DistinctSubjects(); n != 3 {
-		t.Fatalf("DistinctSubjects = %d, want 3", n)
+	if n := firstKeys(&s.Reader().spo); n != 3 {
+		t.Fatalf("the SPO index has %d subjects, want 3", n)
 	}
+}
+
+// firstKeys counts an index's first-level keys: the distinct terms in
+// its leading position.
+func firstKeys(ix *index) int {
+	n := 0
+	ix.each(func(ID, *postings) bool { n++; return true })
+	return n
+}
+
+// runIDs collects the IDs of the pattern's runs, in Runs order.
+func runIDs(r ReaderAPI, pat IDPattern) []ID {
+	var out []ID
+	r.Runs(pat, func(rn Run) bool {
+		out = append(out, rn.IDs...)
+		return true
+	})
+	return out
 }
 
 func TestGraphExport(t *testing.T) {
@@ -332,37 +350,37 @@ func TestReaderHasIDAndPostings(t *testing.T) {
 	if r.HasID(bob, knows, alice) {
 		t.Fatal("HasID found a non-existing triple")
 	}
-	objs := r.Objects(alice, knows)
+	objs := runIDs(r, IDPattern{S: alice, P: knows})
 	if len(objs) != 2 {
-		t.Fatalf("Objects = %v", objs)
+		t.Fatalf("objects of (alice, knows) = %v", objs)
 	}
 	for i := 1; i < len(objs); i++ {
 		if objs[i-1] >= objs[i] {
-			t.Fatal("Objects not sorted")
+			t.Fatal("objects not sorted")
 		}
 	}
 	carol := r.Lookup(iri("carol"))
-	if subs := r.Subjects(knows, carol); len(subs) != 2 {
-		t.Fatalf("Subjects = %v", subs)
+	if subs := runIDs(r, IDPattern{P: knows, O: carol}); len(subs) != 2 {
+		t.Fatalf("subjects of (knows, carol) = %v", subs)
 	}
-	if ps := r.PredicatesBetween(alice, bob); len(ps) != 1 || ps[0] != knows {
-		t.Fatalf("PredicatesBetween = %v", ps)
+	if ps := runIDs(r, IDPattern{S: alice, O: bob}); len(ps) != 1 || ps[0] != knows {
+		t.Fatalf("predicates between (alice, bob) = %v", ps)
 	}
 }
 
 func TestReaderDistinctCounts(t *testing.T) {
 	s := buildSmall()
 	r := s.Reader()
-	if r.DistinctSubjects() != 3 || r.DistinctSubjects() != s.DistinctSubjects() {
-		t.Fatalf("DistinctSubjects = %d", r.DistinctSubjects())
+	if n := firstKeys(&r.spo); n != 3 {
+		t.Fatalf("%d distinct subjects, want 3", n)
 	}
-	if r.DistinctPredicates() != 3 {
-		t.Fatalf("DistinctPredicates = %d", r.DistinctPredicates())
+	if n := firstKeys(&r.pos); n != 3 {
+		t.Fatalf("%d distinct predicates, want 3", n)
 	}
-	if r.PredCount(r.Lookup(iri("knows"))) != 3 {
-		t.Fatal("PredCount(knows) != 3")
+	if n := r.CardinalityIDs(IDPattern{P: r.Lookup(iri("knows"))}); n != 3 {
+		t.Fatalf("CardinalityIDs(? knows ?) = %d, want 3", n)
 	}
-	if r.Len() != s.Len() || int(r.MaxID()) != s.TermCount() {
+	if r.Len() != s.Len() {
 		t.Fatal("Reader counters disagree with store")
 	}
 }
