@@ -57,7 +57,7 @@ type steeredReader struct {
 // the triple it names, not on the run that holds it.
 func (r *steeredReader) Runs(pat store.IDPattern, fn func(store.Run) bool) error {
 	return r.ReaderAPI.Runs(pat, func(rn store.Run) bool {
-		for i := range rn.IDs {
+		return rn.Singles(func(one store.Run) bool {
 			r.n++
 			r.st.mu.Lock()
 			hold, failAt, cancel := r.st.hold, r.st.failAt, r.st.cancel
@@ -69,13 +69,8 @@ func (r *steeredReader) Runs(pat store.IDPattern, fn func(store.Run) bool) error
 			if r.n == failAt {
 				cancel()
 			}
-			one := rn
-			one.IDs = rn.IDs[i : i+1]
-			if !fn(one) {
-				return false
-			}
-		}
-		return true
+			return fn(one)
+		})
 	})
 }
 

@@ -494,7 +494,12 @@ func (p *plan) run(ctx context.Context, reg *obs.Registry, prof *profiler, emit 
 // row by row: the hash-group looks its group up once and adds the run's
 // length to a count, DISTINCT probes once (the streaming sink, and the
 // ORDER BY hold when its conditions read only projected slots), and top-k
-// evaluates one key.
+// evaluates one key. Two of them fold a whole leaf — a run per key — the
+// same way one level up, and are handed leaves (foldLeaves): the
+// streaming DISTINCT sink probes once per key, and the hash-group with
+// plain counts only (!perRow) adds each key's list length to the key's
+// group; both skip the probes a leaf that matches the last one they
+// folded would repeat (leafMemo).
 // They see the run's rows in the order they would have seen them one at
 // a time, so every answer, counter and tie is what the rows would give.
 // A run over a slot the sink reads, and every run of another sink, is
@@ -567,6 +572,11 @@ func (p *plan) sink(se *streamExec, reg *obs.Registry, emit func([]rdf.Term) boo
 			return true
 		}
 		fold = func(r []store.ID, rn idRun) { agg.addRun(r, rn.slot, rn.ids) }
+		se.table = &agg.groups
+		if !agg.perRow && prof == nil {
+			agg.memo = newLeafMemo(reads)
+			p.root.foldLeaves(reads)
+		}
 	case len(q.OrderBy) > 0 && q.topKBound() >= 0 && !q.Distinct && !q.Reduced:
 		// DISTINCT is excluded: deduplication after the heap could shrink
 		// the window below k.
@@ -628,13 +638,19 @@ func (p *plan) sink(se *streamExec, reg *obs.Registry, emit func([]rdf.Term) boo
 	if blocking == "" {
 		var seen *idTable
 		var stDistinct *ExplainStage
+		var memo *leafMemo
 		if q.Distinct || q.Reduced {
 			seen = &idTable{width: len(p.projSlots)}
+			se.table = seen
 			stDistinct = prof.addStage("distinct")
 			for _, sl := range p.projSlots {
 				if sl >= 0 {
 					reads[sl] = true
 				}
+			}
+			if prof == nil {
+				memo = newLeafMemo(reads)
+				p.root.foldLeaves(reads)
 			}
 		}
 		stWindow, stProject := prof.addStage("window"), prof.addStage("project")
@@ -671,11 +687,23 @@ func (p *plan) sink(se *streamExec, reg *obs.Registry, emit func([]rdf.Term) boo
 			return q.Limit < 0 || emitted < q.Limit
 		}
 		return func(r []store.ID, _ int, rn idRun) bool {
-			if seen != nil && rn.slot >= 0 && !reads[rn.slot] {
-				// the run's rows project alike: its first stands for all
-				return row(r)
+			if seen == nil || rn.slot < 0 || reads[rn.slot] {
+				return each(r, rn, func() bool { return row(r) })
 			}
-			return each(r, rn, func() bool { return row(r) })
+			// the run's rows project alike: its first stands for all
+			if rn.leaf != nil && reads[rn.leaf.key] {
+				// and a leaf's, one row per key, unless it matches
+				// the last leaf, whose rows it would repeat
+				if memo.holds(r, rn) {
+					return true
+				}
+				if !rn.split(r, func(idRun) bool { return row(r) }) {
+					return false
+				}
+				memo.keep(r, rn)
+				return true
+			}
+			return row(r)
 		}, nil
 	}
 
@@ -705,6 +733,12 @@ func (p *plan) sink(se *streamExec, reg *obs.Registry, emit func([]rdf.Term) boo
 		// EXPLAIN hands the sink single rows (observe), so no stage laps here
 		if !se.alive() {
 			return false
+		}
+		if rn.leaf != nil {
+			// only the hash-group is handed leaves: no alias, no bound
+			scanned += int64(len(rn.ids))
+			agg.addLeaf(r, rn)
+			return true
 		}
 		if r = withAliases(r); pruned != nil && pruned(r) {
 			return true
@@ -817,6 +851,28 @@ func (g *cgroup) publishTo(bd *topkBound) {
 			x.left.publishTo(bd)
 			x.right.publishTo(bd)
 		}
+	}
+}
+
+// foldLeaves marks every BGP whose rows reach the sink as they are, with
+// nothing after it in its group and no FILTER over it, with the slots the
+// sink reads, so that its last pattern hands the sink whole every leaf
+// over a slot the sink does not read. Every other leaf, and every other
+// BGP's, is taken apart into runs in the join's own loop.
+func (g *cgroup) foldLeaves(reads []bool) {
+	if len(g.filters) > 0 || len(g.elems) == 0 {
+		return
+	}
+	switch x := g.elems[len(g.elems)-1].(type) {
+	case *cBGP:
+		x.leaves = reads
+	case *cgroup:
+		x.foldLeaves(reads)
+	case *cOptional:
+		x.inner.foldLeaves(reads)
+	case *cUnion:
+		x.left.foldLeaves(reads)
+		x.right.foldLeaves(reads)
 	}
 }
 

@@ -1,6 +1,11 @@
 package sparql
 
-import "repro/internal/store"
+import (
+	"context"
+
+	"repro/internal/rdf"
+	"repro/internal/store"
+)
 
 // MaxNesting shows the parser's nesting bound to the package's external
 // tests, which are external because they import the reference evaluator.
@@ -121,4 +126,43 @@ func greedyOrder(e *idExec, b *cBGP, row []store.ID) []int {
 		}
 	}
 	return order
+}
+
+// FoldCount is what one run of a query handed its sink, and what the
+// sink's table saw.
+type FoldCount struct {
+	Leaves, Runs, Rows int // sink calls with a whole leaf, a run, a single row
+	Adds               int // DISTINCT probes or group lookups: adds to the sink's table
+}
+
+// FoldCounts runs q over st as Stream does, unprofiled, behind a sink
+// that counts what it is handed.
+func FoldCounts(q *Query, st store.Queryable) (FoldCount, error) {
+	p, err := q.compile(st)
+	if err != nil {
+		return FoldCount{}, err
+	}
+	defer p.ex.release()
+	ctx := context.Background()
+	se := &streamExec{ctx: ctx, done: ctx.Done(), ex: p.ex, orders: map[*cBGP][]int{}, minus: map[*cMinus]*rowbuf{}}
+	sink, finish := p.sink(se, nil, func([]rdf.Term) bool { return true })
+	var fc FoldCount
+	se.streamGroup(p.root, make([]store.ID, p.ex.nslots), 0, func(r []store.ID, free int, rn idRun) bool {
+		switch {
+		case rn.leaf != nil:
+			fc.Leaves++
+		case rn.slot >= 0:
+			fc.Runs++
+		default:
+			fc.Rows++
+		}
+		return sink(r, free, rn)
+	})
+	if se.err == nil && finish != nil {
+		se.err = finish()
+	}
+	if se.table != nil {
+		fc.Adds = se.table.adds
+	}
+	return fc, se.err
 }

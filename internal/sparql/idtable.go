@@ -17,10 +17,12 @@ type idTable struct {
 	keys     []store.ID // tuple i is keys[i*width : (i+1)*width]
 	index    []int32    // a power of two, at most half full; 0 = empty, else tuple index + 1
 	probe    []store.ID // addAt's gathered key
+	adds     int        // add calls: what the fold tests count
 }
 
 // add returns key's index, inserting a copy of it if it is new.
 func (t *idTable) add(key []store.ID) (i int, added bool) {
+	t.adds++
 	if 2*(t.n+1) > len(t.index) {
 		t.grow()
 	}
@@ -77,4 +79,50 @@ func hashIDs(key []store.ID) int {
 		h ^= h >> 32
 	}
 	return int(h)
+}
+
+// leafMemo remembers the last leaf a sink folded whole: its key slot, its
+// keys, and the other slots the sink reads. A leaf that matches it would
+// only repeat that leaf's probes — the same tuples, already in the
+// sink's table — and regular predicate sets (characteristic sets) make
+// consecutive subjects' leaves match.
+type leafMemo struct {
+	slots []int // every slot the sink reads
+	key   int
+	keys  []store.ID // nil: nothing kept
+	vals  []store.ID // the kept row at slots
+}
+
+func newLeafMemo(reads []bool) *leafMemo {
+	m := &leafMemo{}
+	for sl, read := range reads {
+		if read {
+			m.slots = append(m.slots, sl)
+		}
+	}
+	return m
+}
+
+// holds reports whether leaf rn over row r matches the kept one: the same
+// key slot and keys, and every other slot the sink reads alike.
+func (m *leafMemo) holds(r []store.ID, rn idRun) bool {
+	lf := rn.leaf
+	if m.keys == nil || lf.key != m.key || !slices.Equal(lf.keys, m.keys) {
+		return false
+	}
+	for i, sl := range m.slots {
+		if sl != m.key && r[sl] != m.vals[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// keep makes leaf rn over row r the kept one.
+func (m *leafMemo) keep(r []store.ID, rn idRun) {
+	m.key, m.keys = rn.leaf.key, append(m.keys[:0], rn.leaf.keys...)
+	m.vals = m.vals[:0]
+	for _, sl := range m.slots {
+		m.vals = append(m.vals, r[sl])
+	}
 }

@@ -85,8 +85,9 @@ type cnode interface{ isCNode() }
 // cBGP is a compiled basic graph pattern. bound, when set, is the top-k
 // bound its rows flow to (see publishTo).
 type cBGP struct {
-	pats  []cpattern
-	bound *topkBound
+	pats   []cpattern
+	bound  *topkBound
+	leaves []bool // non-nil: its rows reach a sink that folds leaves, which reads these slots (see foldLeaves)
 }
 
 // cgroup is a compiled group: elements joined left to right, then filters.

@@ -10,7 +10,8 @@ package sparql
 // travels the entire pattern tree alone and reaches the sinks of exec.go
 // at the end — except at the last pattern of a join, which hands the
 // sinks a whole store run (the rows that differ only in the index's last
-// key) in one call. Solution modifiers that inherently need the full solution
+// key) in one call, and a sink that folds leaves a whole store leaf (a
+// run per second key). Solution modifiers that inherently need the full solution
 // set (unwindowed ORDER BY, grouping, CONSTRUCT) hold rows
 // back in a blocking sink and emit once the pattern is exhausted, so every
 // query streams — just not every query streams incrementally.
@@ -395,21 +396,52 @@ func (q *Query) Stream(ctx context.Context, st store.Queryable) (*RowSeq, error)
 
 // streamYield receives one run of pipeline rows plus the first scratch
 // level the continuation may use (levels below it belong to live ancestor
-// frames). The rows are r with rn.slot set to each of rn.ids in turn; r
-// holds the first of them.
+// frames). The rows are r with rn.slot set to each of rn.ids in turn (and,
+// for a leaf, rn.leaf.key to each key first); r holds the first of them.
 type streamYield func(r []store.ID, free int, rn idRun) bool
 
 // idRun is a run of pipeline rows: the rows that differ only in slot,
-// which takes each of ids in turn — a store run (store.Run) bound into a
-// row. The last pattern of a join hands each of its runs to its
-// continuation whole; slot < 0 is a single row.
+// which takes each of ids in turn — a store run bound into a row. The
+// last pattern of a join hands each of its runs to its continuation
+// whole; slot < 0 is a single row. A run with a leaf is a whole store
+// leaf (store.Run): one run per key, the key in leaf.key, their lists one
+// after another in ids. Only a BGP whose rows reach a sink that folds
+// leaves, through no FILTER, hands one on, over a slot the sink does not
+// read (cBGP.leaves); anything else gets runs.
 type idRun struct {
 	slot int
 	ids  []store.ID
+	leaf *idLeaf
+}
+
+// idLeaf is the key dimension of a leaf run: the slot its keys take, the
+// keys, and where each key's list but the last ends in the run's ids.
+type idLeaf struct {
+	key  int
+	keys []store.ID
+	ends []store.ID
 }
 
 // oneRow is the run of a single row.
 var oneRow = idRun{slot: -1}
+
+// split hands fn a leaf's runs in key order, writing each key and the
+// first ID of its list into r.
+func (rn idRun) split(r []store.ID, fn func(idRun) bool) bool {
+	lf, lo := rn.leaf, 0
+	for i, k := range lf.keys {
+		hi := len(rn.ids)
+		if i < len(lf.ends) {
+			hi = int(lf.ends[i])
+		}
+		r[lf.key], r[rn.slot] = k, rn.ids[lo]
+		if !fn(idRun{slot: rn.slot, ids: rn.ids[lo:hi:hi]}) {
+			return false
+		}
+		lo = hi
+	}
+	return true
+}
 
 // each hands fn the rows of a run one at a time, writing each ID into r
 // before the call. It is the one place a run is taken apart, for every
@@ -444,6 +476,7 @@ type streamExec struct {
 	minus  map[*cMinus]*rowbuf
 	tick   int
 	err    error
+	table  *idTable // the sink's DISTINCT or group table, whose adds the fold tests count
 
 	// prof collects the per-node EXPLAIN profile; nil (the default)
 	// keeps every hook to a single pointer check per node invocation.
@@ -810,6 +843,7 @@ type patFrame struct {
 	yield streamYield
 	more  bool                 // false once the continuation or the context stopped the scan
 	onRun func(store.Run) bool // f.run
+	leaf  idLeaf               // the key dimension of the leaf handed on whole
 }
 
 // frame returns the reusable frame of scratch level d.
@@ -826,11 +860,15 @@ func (s *streamExec) frame(d int) *patFrame {
 	return f
 }
 
-// run binds one store run into the frame's row: the run's shared
-// positions once, then its varying one per ID (or, for the last pattern,
-// not at all: the continuation gets the run). Under a top-k bound (see
-// topkBound) it skips the run, or an ID of it at an upper level, whose
-// key on the bound's variable sorts past the bound.
+// run binds one store leaf into the frame's row: the leaf's first key
+// once, then each key, then the varying position per ID (or, for the
+// last pattern, not at all: the continuation gets the key's run). The
+// last pattern of a BGP marked to (cBGP.leaves) hands a leaf of several
+// keys on whole instead, when its key and varying positions take two
+// distinct unbound variables and the sink does not read the varying
+// one. Under a top-k bound (see topkBound) it skips the leaf, a key of
+// it, or an ID of it at an upper level, whose key on the bound's
+// variable sorts past the bound.
 func (f *patFrame) run(rn store.Run) bool {
 	s, p := f.s, f.p
 	if !s.tickOK() {
@@ -844,40 +882,72 @@ func (f *patFrame) run(rn store.Run) bool {
 	}
 	bd := f.b.bound
 	if bd != nil && bd.worst != 0 && f.row[bd.slot] == store.NoID {
-		// a fixed position bound the top-k key: the whole run sorts alike
+		// a fixed position bound the top-k key: the whole leaf sorts alike
 		if id := nr[bd.slot]; id != store.NoID && bd.past(s.ex.sortPrefix(id)) {
 			return true
 		}
 	}
-	slot := p.at(rn.At).slot // a variable: the position was not concrete
-	ids := rn.IDs
-	if v := nr[slot]; v != store.NoID {
-		// the variable repeats in the pattern and is bound already: the
-		// run holds it at most once
-		i, ok := slices.BinarySearch(ids, v)
-		if !ok {
-			return true
-		}
-		ids = ids[i : i+1]
+	kt := p.at(rn.Key)
+	keySlot := -1 // the key's variable, when the row leaves it unbound
+	if kt.isVar() && nr[kt.slot] == store.NoID {
+		keySlot = kt.slot
 	}
-	if f.k+1 == len(f.order) {
-		nr[slot] = ids[0]
-		f.more = f.yield(nr, f.free+1, idRun{slot: slot, ids: ids})
+	slot := p.at(rn.At).slot // a variable: the position was not concrete
+	fixed := nr[slot]        // bound already when the variable repeats in the pattern
+	last := f.k+1 == len(f.order)
+	if last && f.b.leaves != nil && !f.b.leaves[slot] && len(rn.Keys) > 1 && keySlot >= 0 && keySlot != slot && fixed == store.NoID {
+		f.leaf = idLeaf{key: keySlot, keys: rn.Keys, ends: rn.Ends}
+		nr[keySlot], nr[slot] = rn.Keys[0], rn.IDs[0]
+		f.more = f.yield(nr, f.free+1, idRun{slot: slot, ids: rn.IDs, leaf: &f.leaf})
 		return f.more
 	}
 	prune := bd != nil && bd.slot == slot
-	for _, id := range ids {
-		if !s.tickOK() {
+	for i, k := range rn.Keys {
+		if i > 0 && !s.tickOK() {
 			f.more = false
 			return false
 		}
-		if prune && bd.worst != 0 && bd.past(s.ex.sortPrefix(id)) {
-			continue // the subtree under id sorts past the top-k bound
+		if keySlot >= 0 {
+			nr[keySlot] = k
+			if bd != nil && bd.slot == keySlot && bd.worst != 0 && bd.past(s.ex.sortPrefix(k)) {
+				continue
+			}
+		} else if kt.isVar() && nr[kt.slot] != k {
+			continue // the variable repeats in the pattern: only its own key matches
 		}
-		nr[slot] = id
-		if !s.streamPatterns(f.b, f.order, f.k+1, nr, f.free+1, f.yield) {
-			f.more = false
-			return false
+		ids, v := rn.List(i), fixed
+		if slot == keySlot {
+			v = k
+		}
+		if v != store.NoID {
+			// the variable repeats in the pattern and is bound already:
+			// the list holds it at most once
+			j, ok := slices.BinarySearch(ids, v)
+			if !ok {
+				continue
+			}
+			ids = ids[j : j+1]
+		}
+		if last {
+			nr[slot] = ids[0]
+			if f.more = f.yield(nr, f.free+1, idRun{slot: slot, ids: ids}); !f.more {
+				return false
+			}
+			continue
+		}
+		for _, id := range ids {
+			if !s.tickOK() {
+				f.more = false
+				return false
+			}
+			if prune && bd.worst != 0 && bd.past(s.ex.sortPrefix(id)) {
+				continue // the subtree under id sorts past the top-k bound
+			}
+			nr[slot] = id
+			if !s.streamPatterns(f.b, f.order, f.k+1, nr, f.free+1, f.yield) {
+				f.more = false
+				return false
+			}
 		}
 	}
 	return true

@@ -178,17 +178,12 @@ type trippingReader struct {
 // after-th triple, not on the run that holds it.
 func (r trippingReader) Runs(pat store.IDPattern, fn func(store.Run) bool) error {
 	return r.ReaderAPI.Runs(pat, func(rn store.Run) bool {
-		for i := range rn.IDs {
+		return rn.Singles(func(one store.Run) bool {
 			if r.ts.scanned++; r.ts.scanned == r.ts.after {
 				r.ts.cancel()
 			}
-			one := rn
-			one.IDs = rn.IDs[i : i+1]
-			if !fn(one) {
-				return false
-			}
-		}
-		return true
+			return fn(one)
+		})
 	})
 }
 

@@ -20,6 +20,7 @@ package sparql
 // tail every other blocking sink ends in.
 
 import (
+	"slices"
 	"strconv"
 
 	"repro/internal/rdf"
@@ -218,6 +219,9 @@ type streamAgg struct {
 	order  []aggGroup // first-appearance order
 	keyBuf []store.ID
 	perRow bool // an aggregate other than a plain count: a run's rows are folded one by one
+
+	memo       *leafMemo // the last leaf addLeaf folded
+	leafGroups []int     // its keys' groups
 }
 
 // plainCount reports whether the aggregate is COUNT(*) or COUNT(?x)
@@ -240,10 +244,10 @@ func newStreamAgg(ex *idExec, spec *groupSpec) *streamAgg {
 	return a
 }
 
-// group returns (creating on first sight) the group of row r, keyed on
-// the tuple of key IDs; an unbound or erroring key is NoID, a key of its
-// own.
-func (a *streamAgg) group(r []store.ID) *aggGroup {
+// group returns (creating on first sight) the index of the group of row
+// r, keyed on the tuple of key IDs; an unbound or erroring key is NoID, a
+// key of its own.
+func (a *streamAgg) group(r []store.ID) int {
 	for i := range a.spec.keys {
 		a.keyBuf[i] = a.spec.keys[i].id(a.ex, r)
 	}
@@ -251,15 +255,14 @@ func (a *streamAgg) group(r []store.ID) *aggGroup {
 	if added {
 		a.order = append(a.order, aggGroup{accs: make([]aggAcc, len(a.spec.aggs))})
 	}
-	g := &a.order[i]
-	if g.rep == nil {
+	if g := &a.order[i]; g.rep == nil {
 		g.rep = append([]store.ID(nil), r...)
 	}
-	return g
+	return i
 }
 
 // add folds one pipeline row into its group's accumulators.
-func (a *streamAgg) add(r []store.ID) { a.fold(a.group(r), r, 1) }
+func (a *streamAgg) add(r []store.ID) { a.fold(&a.order[a.group(r)], r, 1) }
 
 // addRun folds a run — r with slot set to each of ids in turn, r holding
 // the first — into one group: no key reads slot, so the run costs one
@@ -267,13 +270,43 @@ func (a *streamAgg) add(r []store.ID) { a.fold(a.group(r), r, 1) }
 // new. A plain count adds the run's length; every other aggregate folds
 // the rows in order.
 func (a *streamAgg) addRun(r []store.ID, slot int, ids []store.ID) {
-	g := a.group(r)
+	g := &a.order[a.group(r)]
 	a.fold(g, r, int64(len(ids)))
 	if a.perRow {
 		for _, id := range ids[1:] {
 			r[slot] = id
 			a.fold(g, r, 0)
 		}
+	}
+}
+
+// addLeaf folds a leaf — one run per key, over a varying slot no key
+// reads — into its groups, with plain counts only (!perRow): each key's
+// group gains its list's length, looked up with the key and the first ID
+// of its list in r, so a new group's first row is the run's. A leaf
+// whose key slot no key reads is one group, looked up once; one that
+// matches the last leaf folded (leafMemo) falls into that one's groups
+// key by key, and looks none up.
+func (a *streamAgg) addLeaf(r []store.ID, rn idRun) {
+	if !slices.Contains(a.memo.slots, rn.leaf.key) {
+		a.fold(&a.order[a.group(r)], r, int64(len(rn.ids)))
+		return
+	}
+	hit := a.memo.holds(r, rn)
+	if !hit {
+		a.leafGroups = a.leafGroups[:0]
+	}
+	i := 0
+	rn.split(r, func(run idRun) bool {
+		if !hit {
+			a.leafGroups = append(a.leafGroups, a.group(r))
+		}
+		a.fold(&a.order[a.leafGroups[i]], r, int64(len(run.ids)))
+		i++
+		return true
+	})
+	if !hit {
+		a.memo.keep(r, rn)
 	}
 }
 

@@ -87,12 +87,27 @@ func (e *JSONRowEncoder) AppendRow(dst []byte, row []rdf.Term) []byte {
 // appendJSONString appends s as a JSON string exactly as encoding/json
 // marshals one: control bytes, `"` and `\` escaped, `<`, `>`, `&`,
 // U+2028 and U+2029 as \u escapes, invalid UTF-8 as \ufffd. FuzzRowJSON
-// holds it to that byte for byte.
+// holds it to that byte for byte. It skips eight bytes at a time while
+// none of them needs a look (jsonPlain8), and takes the first word that
+// holds one byte by byte.
 func appendJSONString(dst []byte, s string) []byte {
 	const hex = "0123456789abcdef"
 	dst = append(dst, '"')
 	start := 0
-	for i := 0; i < len(s); {
+	for i, word := 0, 0; i < len(s); {
+		if i >= word {
+			for ; i+8 <= len(s); i += 8 {
+				w := s[i : i+8] // one load, no bounds checks
+				if !jsonPlain8(uint64(w[0]) | uint64(w[1])<<8 | uint64(w[2])<<16 | uint64(w[3])<<24 |
+					uint64(w[4])<<32 | uint64(w[5])<<40 | uint64(w[6])<<48 | uint64(w[7])<<56) {
+					break
+				}
+			}
+			if i == len(s) {
+				break
+			}
+			word = i + 8 // the bytes up to here go one at a time
+		}
 		b := s[i]
 		if b >= 0x20 && b < utf8.RuneSelf && b != '"' && b != '\\' && b != '<' && b != '>' && b != '&' {
 			i++
@@ -128,6 +143,22 @@ func appendJSONString(dst []byte, s string) []byte {
 		start = i
 	}
 	return append(append(dst, s[start:]...), '"')
+}
+
+// jsonPlain8 reports whether none of the eight bytes packed in w needs a
+// look from appendJSONString: each is printable ASCII (0x20–0x7F) and not
+// `"`, `\`, `<`, `>` or `&`. A byte of v is 0 exactly when some byte of
+// (v - ones) &^ v has its high bit set, and one of w is below 0x20
+// exactly when some byte of (w - 0x20·ones) &^ w does (borrows reach
+// only bytes above one that matched); `"` and `&` differ only in bit
+// 0x04, `<` and `>` only in bit 0x02, so setting that bit turns each pair
+// into one value to compare with.
+func jsonPlain8(w uint64) bool {
+	const ones, highs = 0x0101010101010101, 0x8080808080808080
+	qa := (w | 0x04*ones) ^ '&'*ones // '"' or '&' → 0
+	lg := (w | 0x02*ones) ^ '>'*ones // '<' or '>' → 0
+	bs := w ^ '\\'*ones              // '\\' → 0
+	return (w|(w-0x20*ones)&^w|(qa-ones)&^qa|(lg-ones)&^lg|(bs-ones)&^bs)&highs == 0
 }
 
 // WriteAskJSON writes a complete ASK results document.

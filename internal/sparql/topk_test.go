@@ -229,27 +229,29 @@ func topkModel(t *testing.T, st *store.Store, q *sparql.Query) (runs, keys int) 
 		key sparql.OrderKey
 	}
 	var kept []entry // ascending under the ORDER BY, at most k
-	err := rd.Runs(pat, func(rn store.Run) bool {
-		runs++
-		v := rd.Term(rn.O)
-		if len(kept) == k {
-			pw, pv := rdf.SortPrefix(kept[k-1].v), rdf.SortPrefix(v)
-			if rdf.SamePrefixClass(pv, pw) && (pv < pw) == desc && pv != pw {
-				return true
-			}
-		}
-		keys++
-		e := entry{v, reference.OrderKeyOf(q.OrderBy, sparql.Binding{"v": v})}
-		for range rn.IDs {
-			// a later arrival with an equal key sorts after: stable
-			i, _ := slices.BinarySearchFunc(kept, e, func(a, b entry) int {
-				if c := sparql.CompareOrderKeys(q.OrderBy, a.key, b.key); c != 0 {
-					return c
+	err := rd.Runs(pat, func(leaf store.Run) bool {
+		for i, o := range leaf.Keys {
+			runs++
+			v := rd.Term(o)
+			if len(kept) == k {
+				pw, pv := rdf.SortPrefix(kept[k-1].v), rdf.SortPrefix(v)
+				if rdf.SamePrefixClass(pv, pw) && (pv < pw) == desc && pv != pw {
+					continue
 				}
-				return -1
-			})
-			kept = slices.Insert(kept, i, e)
-			kept = kept[:min(len(kept), k)]
+			}
+			keys++
+			e := entry{v, reference.OrderKeyOf(q.OrderBy, sparql.Binding{"v": v})}
+			for range leaf.List(i) {
+				// a later arrival with an equal key sorts after: stable
+				j, _ := slices.BinarySearchFunc(kept, e, func(a, b entry) int {
+					if c := sparql.CompareOrderKeys(q.OrderBy, a.key, b.key); c != 0 {
+						return c
+					}
+					return -1
+				})
+				kept = slices.Insert(kept, j, e)
+				kept = kept[:min(len(kept), k)]
+			}
 		}
 		return true
 	})

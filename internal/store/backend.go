@@ -41,7 +41,7 @@ type ReaderAPI interface {
 	Len() int
 	// HasID reports whether the triple (s, p, o) is present.
 	HasID(s, p, o ID) bool
-	// Runs hands fn the pattern's matches as runs (see Run), in the
+	// Runs hands fn the pattern's matches as leaves (see Run), in the
 	// index order of the pattern shape; returning false from fn stops
 	// early. The error is the scan's: a tier that could not read part
 	// of the range says so rather than return a short answer.
@@ -65,15 +65,39 @@ const (
 	PosO
 )
 
-// A Run is the matches of a pattern that agree on every position but the
-// last key of the permutation index the pattern's shape selects: the
-// triple (S, P, O) with position At taking each of IDs in turn, and NoID
-// in At itself. IDs is sorted, non-empty and valid for the call only: the
-// memory tier passes a postings list, the disk tier a reused buffer.
+// A Run is a postings leaf: the matches of a pattern that agree on the
+// first key of the permutation index the pattern's shape selects, grouped
+// by its second key. The first key sits in its position of S, P and O;
+// position Key takes each of Keys in turn, and under key i position At
+// takes each ID of List(i) in turn; both are NoID in S, P and O. Keys and
+// every list are sorted and non-empty, and a shape that binds two
+// positions has one key. The slices are valid for the call only: the
+// memory tier passes a packed leaf as it holds it (n | keys | ends |
+// third keys, index.go), the disk tier reused buffers it gathers the
+// same layout in, cut at runMax IDs.
+//
+// The executor hands a whole leaf on to a sink that folds it without
+// reading its innermost position (streaming DISTINCT and the hash-group,
+// internal/sparql); every other consumer takes it apart key by key.
 type Run struct {
 	S, P, O ID
-	At      Pos
-	IDs     []ID
+	Key, At Pos
+	Keys    []ID
+	Ends    []ID // Ends[i] is where List(i) ends in IDs, for every key but the last, whose list runs to the end
+	IDs     []ID // the lists, one after another
+}
+
+// List returns the third keys under Keys[i], capped so that an append to
+// it cannot reach the next list.
+func (rn *Run) List(i int) []ID {
+	lo, hi := 0, len(rn.IDs)
+	if i > 0 {
+		lo = int(rn.Ends[i-1])
+	}
+	if i < len(rn.Ends) {
+		hi = int(rn.Ends[i])
+	}
+	return rn.IDs[lo:hi:hi]
 }
 
 // pos returns the run's ID in position at.
@@ -87,6 +111,41 @@ func (rn *Run) pos(at Pos) *ID {
 	return &rn.O
 }
 
+// Each hands fn the run's triples one at a time, in key order and then
+// list order; returning false from fn stops early (and propagates the
+// false).
+func (rn Run) Each(fn func(s, p, o ID) bool) bool {
+	key, at := rn.pos(rn.Key), rn.pos(rn.At)
+	for i, k := range rn.Keys {
+		*key = k
+		for _, id := range rn.List(i) {
+			*at = id
+			if !fn(rn.S, rn.P, rn.O) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// Singles hands fn the run's triples one at a time, each as a run of one
+// key and one ID (sub-slices of rn's), in the order of Each; returning
+// false from fn stops early (and propagates the false). It is for
+// readers that step a scan triple by triple.
+func (rn Run) Singles(fn func(Run) bool) bool {
+	for i := range rn.Keys {
+		list := rn.List(i)
+		for j := range list {
+			one := rn
+			one.Keys, one.Ends, one.IDs = rn.Keys[i:i+1:i+1], nil, list[j:j+1:j+1]
+			if !fn(one) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // EachTriple hands fn, one triple at a time, every match Runs finds for
 // the pattern, in the same order; returning false from fn stops early.
 // It reports whether the iteration ran to completion: false when fn
@@ -94,15 +153,8 @@ func (rn *Run) pos(at Pos) *ID {
 func EachTriple(r ReaderAPI, pat IDPattern, fn func(s, p, o ID) bool) bool {
 	done := true
 	err := r.Runs(pat, func(rn Run) bool {
-		at := rn.pos(rn.At)
-		for _, id := range rn.IDs {
-			*at = id
-			if !fn(rn.S, rn.P, rn.O) {
-				done = false
-				return false
-			}
-		}
-		return true
+		done = rn.Each(fn)
+		return done
 	})
 	return done && err == nil
 }

@@ -194,7 +194,7 @@ func (s *Store) lookupLocked(t rdf.Term) store.ID {
 	if id, ok := s.pendingDict[t]; ok {
 		return id
 	}
-	id := lookupEnc(encodeTerm(t), s.db.Get)
+	id, _ := lookupEnc(encodeTerm(t), s.db.Get)
 	if id != store.NoID {
 		s.pendingDict[t] = id
 	}
@@ -241,12 +241,13 @@ func (s *Store) internLocked(t rdf.Term) (store.ID, error) {
 		return id, nil
 	}
 	enc := encodeTerm(t)
-	if id := lookupEnc(enc, s.db.Get); id != store.NoID {
+	id, bucket := lookupEnc(enc, s.db.Get)
+	if id != store.NoID {
 		s.pendingDict[t] = id
 		return id, nil
 	}
 	s.meta.MaxID++
-	id := s.meta.MaxID
+	id = s.meta.MaxID
 	s.pendingDict[t] = id
 	s.batch.Put(termKey(id), enc)
 	dk, hashed := dictKey(enc)
@@ -256,9 +257,7 @@ func (s *Store) internLocked(t rdf.Term) (store.ID, error) {
 		h := hashEnc(enc)
 		list, ok := s.pendingHash[h]
 		if !ok {
-			if raw, found := s.db.Get(dk); found {
-				list = decodeIDList(raw)
-			}
+			list = decodeIDList(bucket) // committed: lookupEnc read it
 		}
 		list = append(list, id)
 		s.pendingHash[h] = list
@@ -273,22 +272,25 @@ func (s *Store) internLocked(t rdf.Term) (store.ID, error) {
 }
 
 // lookupEnc resolves an encoded term to its committed ID through any
-// point-get function (the live DB or a snapshot).
-func lookupEnc(enc []byte, get func(string) ([]byte, bool)) store.ID {
+// point-get function (the live DB or a snapshot). For an encoding over
+// inlineMax it also returns the ID list it read under the hash key (nil
+// when there is none), which a writer that interns the term appends to:
+// a new long term costs one read of its key, not two.
+func lookupEnc(enc []byte, get func(string) ([]byte, bool)) (id store.ID, bucket []byte) {
 	dk, hashed := dictKey(enc)
 	raw, ok := get(dk)
 	if !ok {
-		return store.NoID
+		return store.NoID, nil
 	}
 	if !hashed {
-		return decodeID(raw)
+		return decodeID(raw), nil
 	}
 	for _, id := range decodeIDList(raw) {
 		if t, ok := get(termKey(id)); ok && string(t) == string(enc) {
-			return id
+			return id, raw
 		}
 	}
-	return store.NoID
+	return store.NoID, raw
 }
 
 // Flush commits the pending batch as one atomic, durable WAL record.

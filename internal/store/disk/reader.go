@@ -31,12 +31,12 @@ type Reader struct {
 	idle []*cursor
 }
 
-// cursor is a standing kv.Iter, the buffer its scans gather runs in and
-// the storage a probe builds its key prefix in.
+// cursor is a standing kv.Iter, the buffers its scans gather leaves in
+// and the storage a probe builds its key prefix in.
 type cursor struct {
-	it  *kv.Iter
-	ids []store.ID
-	key [13]byte
+	it              *kv.Iter
+	keys, ends, ids []store.ID
+	key             [13]byte
 }
 
 // prefix is the key prefix of permutation table t over the bound IDs,
@@ -142,7 +142,8 @@ func (r *Reader) Kind(id store.ID) rdf.TermKind { return r.Term(id).Kind }
 
 // Lookup returns the ID of t, or NoID.
 func (r *Reader) Lookup(t rdf.Term) store.ID {
-	return lookupEnc(encodeTerm(t), r.snap.Get)
+	id, _ := lookupEnc(encodeTerm(t), r.snap.Get)
+	return id
 }
 
 // MaxID returns the highest issued ID.
@@ -157,16 +158,18 @@ func (r *Reader) HasID(s, p, o store.ID) bool {
 	return ok
 }
 
-// runMax cuts a run. A run is gathered whole before the executor sees
+// runMax cuts a leaf. A leaf is gathered whole before the executor sees
 // any of it, so the bound is how far past the row where a LIMIT stops a
 // scan may read: at most runMax-1 keys.
 const runMax = 64
 
-// Runs hands fn the pattern's matches as runs in the same order as the
+// Runs hands fn the pattern's matches as leaves in the same order as the
 // in-memory Reader: consecutive keys of the permutation range the
-// pattern's shape selects that share their first two IDs, gathered into
-// the cursor's buffer and cut at runMax. The error is the scan's; the
-// run it was gathering when a segment failed is not handed out.
+// pattern's shape selects that share their first ID, gathered into the
+// cursor's buffers in the memory tier's leaf layout and cut at runMax
+// IDs (a key whose list a cut splits starts the next leaf again). The
+// error is the scan's; the leaf it was gathering when a segment failed is
+// not handed out.
 func (r *Reader) Runs(pat store.IDPattern, fn func(store.Run) bool) error {
 	si, pi, oi := pat.S, pat.P, pat.O
 	c := r.take()
@@ -189,39 +192,45 @@ func (r *Reader) Runs(pat store.IDPattern, fn func(store.Run) bool) error {
 	default:
 		prefix = c.prefix(kSPO)
 	}
-	ids := c.ids[:0]
-	var a, b store.ID
+	keys, ends, ids := c.keys[:0], c.ends[:0], c.ids[:0]
+	var a store.ID
 	emit := func() bool {
-		rn := runOf(prefix[0], a, b)
-		rn.IDs, ids = ids, ids[:0]
+		rn := runOf(prefix[0], a)
+		rn.Keys, rn.Ends, rn.IDs = keys, ends, ids
+		keys, ends, ids = keys[:0], ends[:0], ids[:0]
 		return fn(rn)
 	}
 	done := scanPrefix(c.it, prefix, func(k string) bool {
 		ka, kb, kc := splitTriple(k)
-		if len(ids) > 0 && (ka != a || kb != b || len(ids) == runMax) && !emit() {
+		if len(ids) > 0 && (ka != a || len(ids) == runMax) && !emit() {
 			return false
 		}
-		a, b = ka, kb
+		a = ka
+		if n := len(keys); n == 0 || keys[n-1] != kb {
+			if n > 0 {
+				ends = append(ends, store.ID(len(ids)))
+			}
+			keys = append(keys, kb)
+		}
 		ids = append(ids, kc)
 		return true
 	})
 	if done && len(ids) > 0 && c.it.Err() == nil {
 		emit()
 	}
-	c.ids = ids[:0]
+	c.keys, c.ends, c.ids = keys[:0], ends[:0], ids[:0]
 	return r.give(c)
 }
 
-// runOf is the run under the two leading IDs of a key of permutation
-// table t.
-func runOf(t byte, a, b store.ID) store.Run {
+// runOf is the run under the leading ID of a key of permutation table t.
+func runOf(t byte, a store.ID) store.Run {
 	switch t {
 	case kSPO:
-		return store.Run{S: a, P: b, At: store.PosO}
+		return store.Run{S: a, Key: store.PosP, At: store.PosO}
 	case kPOS:
-		return store.Run{P: a, O: b, At: store.PosS}
+		return store.Run{P: a, Key: store.PosO, At: store.PosS}
 	default:
-		return store.Run{O: a, S: b, At: store.PosP}
+		return store.Run{O: a, Key: store.PosS, At: store.PosP}
 	}
 }
 

@@ -60,14 +60,7 @@ func (g *guardedReader) Runs(pat store.IDPattern, fn func(store.Run) bool) error
 	g.live++
 	defer func() { g.live-- }()
 	return g.Reader.Runs(pat, func(rn store.Run) bool {
-		for i := range rn.IDs {
-			one := rn
-			one.IDs = rn.IDs[i : i+1]
-			if !fn(one) {
-				return false
-			}
-		}
-		return true
+		return rn.Singles(fn)
 	})
 }
 

@@ -146,14 +146,10 @@ func walkPermutation(src store.ReaderAPI, table byte, put func(k, v []byte) erro
 func walk(src store.ReaderAPI, table byte, fn func(s, p, o store.ID) error) error {
 	var err error
 	each := func(rn store.Run) bool {
-		t := [3]store.ID{rn.S, rn.P, rn.O}
-		for _, id := range rn.IDs {
-			t[rn.At] = id
-			if err = fn(t[0], t[1], t[2]); err != nil {
-				return false
-			}
-		}
-		return true
+		return rn.Each(func(s, p, o store.ID) bool {
+			err = fn(s, p, o)
+			return err == nil
+		})
 	}
 	for a := store.ID(1); a <= src.MaxID(); a++ {
 		var pat store.IDPattern

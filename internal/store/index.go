@@ -147,53 +147,48 @@ func (p *postings) child(b ID) int {
 
 // find returns the third-key list under b, or nil.
 func (p *postings) find(b ID) []ID {
+	_, list := p.entry(b)
+	return list
+}
+
+// entry returns the third-key list under b and the one-key slice of the
+// leaf that holds b, or two nils.
+func (p *postings) entry(b ID) (key, list []ID) {
 	if p == nil {
-		return nil
+		return nil, nil
 	}
 	if p.kids != nil {
 		p = p.kids[p.child(b)]
 	}
 	if i, ok := slices.BinarySearch(p.keys(), b); ok {
-		return p.list(i)
+		return p.ids[1+i : 2+i : 2+i], p.list(i)
 	}
-	return nil
+	return nil, nil
 }
 
-// runs hands fn one run per key of the node, in key order: rn with the
-// key at position key and its list as the IDs. Returning false from fn
-// stops early (and propagates the false).
-func (p *postings) runs(rn Run, key Pos, fn func(Run) bool) bool {
+// runs hands fn each leaf of the node in key order, as rn with its keys,
+// ends and lists. Returning false from fn stops early (and propagates the
+// false).
+func (p *postings) runs(rn Run, fn func(Run) bool) bool {
 	if p == nil {
 		return true
 	}
 	if p.kids == nil {
-		return p.leafRuns(rn, key, fn)
+		return fn(p.leaf(rn))
 	}
 	for _, leaf := range p.kids {
-		if !leaf.leafRuns(rn, key, fn) {
+		if !fn(leaf.leaf(rn)) {
 			return false
 		}
 	}
 	return true
 }
 
-func (p *postings) leafRuns(rn Run, key Pos, fn func(Run) bool) bool {
-	n := p.width()
-	keys, ends, thirds := p.ids[1:1+n], p.ids[1+n:2*n], p.ids[2*n:]
-	at := rn.pos(key)
-	lo := ID(0)
-	for i, k := range keys[:len(ends)] {
-		hi := ends[i]
-		*at = k
-		rn.IDs = thirds[lo:hi:hi]
-		if !fn(rn) {
-			return false
-		}
-		lo = hi
-	}
-	*at = keys[n-1]
-	rn.IDs = thirds[lo:len(thirds):len(thirds)]
-	return fn(rn)
+// leaf returns rn over the leaf's packed arrays, each capped.
+func (p *postings) leaf(rn Run) Run {
+	n, end := p.width(), len(p.ids)
+	rn.Keys, rn.Ends, rn.IDs = p.ids[1:1+n:1+n], p.ids[1+n:2*n:2*n], p.ids[2*n:end:end]
+	return rn
 }
 
 // size returns the number of (second, third) pairs in the postings.

@@ -122,18 +122,25 @@ func sameStore(t *testing.T, path string, got, want *store.Reader) {
 	}
 }
 
+// runsOf returns the pattern's runs key by key, in Runs order: where the
+// leaves are cut is the tier's, and a store built one way may cut them
+// where one built another does not.
 func runsOf(r store.ReaderAPI, pat store.IDPattern) []store.Run {
 	var out []store.Run
 	r.Runs(pat, func(rn store.Run) bool {
-		rn.IDs = slices.Clone(rn.IDs)
-		out = append(out, rn)
+		for i, key := range rn.Keys {
+			one := rn
+			one.Keys, one.Ends, one.IDs = []store.ID{key}, nil, slices.Clone(rn.List(i))
+			out = append(out, one)
+		}
 		return true
 	})
 	return out
 }
 
 func sameRun(a, b store.Run) bool {
-	return a.S == b.S && a.P == b.P && a.O == b.O && a.At == b.At && slices.Equal(a.IDs, b.IDs)
+	return a.S == b.S && a.P == b.P && a.O == b.O && a.Key == b.Key && a.At == b.At &&
+		slices.Equal(a.Keys, b.Keys) && slices.Equal(a.IDs, b.IDs)
 }
 
 func triples(r store.ReaderAPI) [][3]store.ID {

@@ -65,15 +65,15 @@ func (r *Reader) HasID(s, p, o ID) bool {
 	return containsSorted(r.spo.lists(s, p), o)
 }
 
-// Runs hands fn the pattern's matches as runs, in the sorted key order of
-// the permutation index the pattern's shape selects: each run is one
-// key's list, a capped slice of its postings leaf passed with no copy. It
-// never fails.
+// Runs hands fn the pattern's matches as leaves, in the sorted key order
+// of the permutation index the pattern's shape selects: each run is one
+// postings leaf, its keys, ends and lists passed with no copy. It never
+// fails.
 func (r *Reader) Runs(pat IDPattern, fn func(Run) bool) error {
 	si, pi, oi := pat.S, pat.P, pat.O
 	switch {
 	case si != NoID && pi != NoID:
-		list := r.spo.lists(si, pi)
+		key, list := r.spo.get(si).entry(pi)
 		if oi != NoID { // a membership test: the run of o alone, or nothing
 			i, ok := slices.BinarySearch(list, oi)
 			list = list[i:min(i+1, len(list))]
@@ -82,25 +82,25 @@ func (r *Reader) Runs(pat IDPattern, fn func(Run) bool) error {
 			}
 		}
 		if len(list) > 0 {
-			fn(Run{S: si, P: pi, At: PosO, IDs: list})
+			fn(Run{S: si, Key: PosP, At: PosO, Keys: key, IDs: list})
 		}
 	case pi != NoID && oi != NoID:
-		if list := r.pos.lists(pi, oi); len(list) > 0 {
-			fn(Run{P: pi, O: oi, At: PosS, IDs: list})
+		if key, list := r.pos.get(pi).entry(oi); len(list) > 0 {
+			fn(Run{P: pi, Key: PosO, At: PosS, Keys: key, IDs: list})
 		}
 	case si != NoID && oi != NoID:
-		if list := r.osp.lists(oi, si); len(list) > 0 {
-			fn(Run{S: si, O: oi, At: PosP, IDs: list})
+		if key, list := r.osp.get(oi).entry(si); len(list) > 0 {
+			fn(Run{O: oi, Key: PosS, At: PosP, Keys: key, IDs: list})
 		}
 	case si != NoID:
-		r.spo.get(si).runs(Run{S: si, At: PosO}, PosP, fn)
+		r.spo.get(si).runs(Run{S: si, Key: PosP, At: PosO}, fn)
 	case pi != NoID:
-		r.pos.get(pi).runs(Run{P: pi, At: PosS}, PosO, fn)
+		r.pos.get(pi).runs(Run{P: pi, Key: PosO, At: PosS}, fn)
 	case oi != NoID:
-		r.osp.get(oi).runs(Run{O: oi, At: PosP}, PosS, fn)
+		r.osp.get(oi).runs(Run{O: oi, Key: PosS, At: PosP}, fn)
 	default:
 		r.spo.each(func(s ID, ps *postings) bool {
-			return ps.runs(Run{S: s, At: PosO}, PosP, fn)
+			return ps.runs(Run{S: s, Key: PosP, At: PosO}, fn)
 		})
 	}
 	return nil

@@ -271,32 +271,36 @@ func checkLeaf(t *testing.T, at string, leaf *postings, prev ID) int {
 		t.Fatalf("%s: leaf of %d keys is %d IDs long, too short for one ID a list", at, n, len(leaf.ids))
 	}
 	pairs, end := 0, 2*n
-	leaf.leafRuns(Run{}, PosO, func(rn Run) bool {
-		if rn.O <= prev {
-			t.Fatalf("%s: second-level keys not strictly sorted at %d", at, rn.O)
+	rn := leaf.leaf(Run{})
+	if len(rn.Keys) != n || len(rn.Ends) != n-1 || cap(rn.Keys) != n || cap(rn.Ends) != n-1 || cap(rn.IDs) != len(rn.IDs) {
+		t.Fatalf("%s: the leaf's run has %d keys and %d ends, capacities %d, %d and %d over %d IDs", at, len(rn.Keys), len(rn.Ends), cap(rn.Keys), cap(rn.Ends), cap(rn.IDs), len(rn.IDs))
+	}
+	for i, key := range rn.Keys {
+		ids := rn.List(i)
+		if key <= prev {
+			t.Fatalf("%s: second-level keys not strictly sorted at %d", at, key)
 		}
-		prev = rn.O
-		if len(rn.IDs) == 0 {
-			t.Fatalf("%s[%d]: empty third-key list retained", at, rn.O)
+		prev = key
+		if len(ids) == 0 {
+			t.Fatalf("%s[%d]: empty third-key list retained", at, key)
 		}
-		if cap(rn.IDs) != len(rn.IDs) {
-			t.Fatalf("%s[%d]: a run of %d IDs has capacity %d, over its neighbour's", at, rn.O, len(rn.IDs), cap(rn.IDs))
+		if cap(ids) != len(ids) {
+			t.Fatalf("%s[%d]: a list of %d IDs has capacity %d, over its neighbour's", at, key, len(ids), cap(ids))
 		}
-		if &rn.IDs[0] != &leaf.ids[end] {
-			t.Fatalf("%s[%d]: the run does not start where the list before it ends", at, rn.O)
+		if &ids[0] != &leaf.ids[end] {
+			t.Fatalf("%s[%d]: the list does not start where the list before it ends", at, key)
 		}
-		for k := 1; k < len(rn.IDs); k++ {
-			if rn.IDs[k-1] >= rn.IDs[k] {
-				t.Fatalf("%s[%d]: third-key list not strictly sorted", at, rn.O)
+		for k := 1; k < len(ids); k++ {
+			if ids[k-1] >= ids[k] {
+				t.Fatalf("%s[%d]: third-key list not strictly sorted", at, key)
 			}
 		}
-		if got := leaf.find(rn.O); len(got) != len(rn.IDs) || cap(got) != len(got) || &got[0] != &rn.IDs[0] {
-			t.Fatalf("%s[%d]: find and the run disagree", at, rn.O)
+		if got := leaf.find(key); len(got) != len(ids) || cap(got) != len(got) || &got[0] != &ids[0] {
+			t.Fatalf("%s[%d]: find and the run disagree", at, key)
 		}
-		end += len(rn.IDs)
-		pairs += len(rn.IDs)
-		return true
-	})
+		end += len(ids)
+		pairs += len(ids)
+	}
 	if end != len(leaf.ids) {
 		t.Fatalf("%s: the lists end at %d of a %d-ID leaf", at, end, len(leaf.ids))
 	}

@@ -21,8 +21,10 @@ func (s *Store) Classes() []ClassStat {
 	r := s.Reader()
 	var out []ClassStat
 	if typeID := r.Lookup(rdf.NewIRI(rdf.RDFType)); typeID != NoID {
-		r.pos.get(typeID).runs(Run{}, PosO, func(rn Run) bool {
-			out = append(out, ClassStat{Class: r.Term(rn.O), Instances: len(rn.IDs)})
+		r.pos.get(typeID).runs(Run{}, func(rn Run) bool {
+			for i, class := range rn.Keys {
+				out = append(out, ClassStat{Class: r.Term(class), Instances: len(rn.List(i))})
+			}
 			return true
 		})
 	}
