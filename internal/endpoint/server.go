@@ -176,11 +176,14 @@ func ServeUpdate(w http.ResponseWriter, r *http.Request, readOnly bool, apply fu
 	}
 	r.Body = http.MaxBytesReader(w, r.Body, MaxBodyBytes)
 	if strings.HasPrefix(r.Header.Get("Content-Type"), "application/sparql-update") {
-		body, err := io.ReadAll(r.Body)
-		if err != nil {
+		// One buffer, sized from the header, becomes the text: a bulk
+		// body is not copied again on the way.
+		var b strings.Builder
+		b.Grow(int(min(max(r.ContentLength, 0), MaxBodyBytes)))
+		if _, err := io.Copy(&b, r.Body); err != nil {
 			return fail("reading request body", BodyErrorStatus(err))
 		}
-		text = string(body)
+		text = b.String()
 	} else {
 		if err := r.ParseForm(); err != nil {
 			return fail("bad form", BodyErrorStatus(err))

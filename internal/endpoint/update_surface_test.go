@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -162,5 +163,36 @@ func TestUpdateSurfaceBadSyntax(t *testing.T) {
 	code, _ := postUpdate(t, srv, "application/sparql-update", `INSERT GARBAGE`)
 	if code != http.StatusBadRequest {
 		t.Fatalf("bad update status = %d, want 400", code)
+	}
+}
+
+// TestUpdateBodyIsReadOnce: a raw update body is read into one buffer,
+// sized from Content-Length, and that buffer is the text apply gets: a
+// 1 MiB body costs about 1 MiB of allocation, not a growing read buffer
+// and a copy of it.
+func TestUpdateBodyIsReadOnce(t *testing.T) {
+	body := `INSERT DATA { <http://ex/s> <http://ex/p> "` + strings.Repeat("x", 1<<20) + `" }`
+	var got string
+	apply := func(_ context.Context, text string) (any, error) {
+		got = text
+		return nil, nil
+	}
+	serve := func() uint64 {
+		req := httptest.NewRequest(http.MethodPost, "/", strings.NewReader(body))
+		req.Header.Set("Content-Type", "application/sparql-update")
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, status := endpoint.ServeUpdate(httptest.NewRecorder(), req, false, apply)
+		runtime.ReadMemStats(&after)
+		if status != http.StatusOK || got != body {
+			t.Fatalf("status %d, apply got %d bytes of the %d-byte body", status, len(got), len(body))
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	serve() // warm the recorder's and the request's lazy state
+	n, limit := serve(), uint64(len(body))+256<<10
+	t.Logf("reading a %d-byte update allocated %d bytes", len(body), n)
+	if n > limit {
+		t.Fatalf("want at most %d", limit)
 	}
 }

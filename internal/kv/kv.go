@@ -706,7 +706,14 @@ func PrefixEnd(prefix string) string {
 // --- batch encoding (shared by WAL records and replay) ---
 
 func encodeBatch(b *Batch) []byte {
-	var buf []byte
+	n := uvarintLen(len(b.ops))
+	for _, o := range b.ops {
+		n += 1 + uvarintLen(len(o.k)) + len(o.k)
+		if !o.del {
+			n += uvarintLen(len(o.v)) + len(o.v)
+		}
+	}
+	buf := make([]byte, 0, n)
 	buf = binary.AppendUvarint(buf, uint64(len(b.ops)))
 	for _, o := range b.ops {
 		if o.del {
@@ -722,6 +729,15 @@ func encodeBatch(b *Batch) []byte {
 		}
 	}
 	return buf
+}
+
+// uvarintLen is the length of binary.AppendUvarint's encoding of x.
+func uvarintLen(x int) int {
+	n := 1
+	for ; x >= 0x80; x >>= 7 {
+		n++
+	}
+	return n
 }
 
 func decodeBatch(p []byte) (*Batch, error) {

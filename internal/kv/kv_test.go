@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -729,5 +730,35 @@ func TestSnapshotSurvivesFlushAndCompaction(t *testing.T) {
 	sn.Release()
 	if n := cached(); n != 0 {
 		t.Fatalf("%d blocks of retired segments still cached after the last snapshot was released", n)
+	}
+}
+
+// TestEncodeBatchSizesOnce: a batch's WAL payload is allocated once, at
+// its final length, and decodes to the batch's ops. Key lengths, value
+// lengths and the op count straddle a one-byte uvarint.
+func TestEncodeBatchSizesOnce(t *testing.T) {
+	b := &Batch{}
+	for _, n := range []int{0, 1, 127, 128, 300, 20000} {
+		b.Put(strings.Repeat("k", n+1), []byte(strings.Repeat("v", n)))
+		b.Delete(strings.Repeat("d", n+1))
+	}
+	for i := 0; i < 200; i++ {
+		b.Put(fmt.Sprint(i), nil)
+	}
+	p := encodeBatch(b)
+	if len(p) != cap(p) {
+		t.Fatalf("payload of %d bytes in a buffer of %d", len(p), cap(p))
+	}
+	got, err := decodeBatch(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, o := range got.ops {
+		if w := b.ops[i]; o.k != w.k || o.del != w.del || string(o.v) != string(w.v) {
+			t.Fatalf("op %d decodes to %+v, want %+v", i, o, w)
+		}
+	}
+	if len(got.ops) != len(b.ops) {
+		t.Fatalf("%d ops decoded, want %d", len(got.ops), len(b.ops))
 	}
 }

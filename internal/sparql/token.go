@@ -182,55 +182,57 @@ func (l *lexer) tripled(quote byte) bool {
 	return l.pos+2 < len(l.src) && l.src[l.pos] == quote && l.src[l.pos+1] == quote && l.src[l.pos+2] == quote
 }
 
+// lexString lexes a short or long string. A literal with no escape is a
+// substring of the source, as lexAngle's IRIs are; the builder starts at
+// a literal's first escape, holding what came before it.
 func (l *lexer) lexString(quote byte) (string, error) {
-	var b strings.Builder
+	delim := 1
 	if l.tripled(quote) {
-		l.pos += 3
-		for {
-			if l.pos >= len(l.src) {
-				return "", l.errf("unterminated long string")
-			}
-			if l.tripled(quote) {
-				l.pos += 3
-				return b.String(), nil
-			}
-			if l.src[l.pos] == '\n' {
-				l.line++
-			}
-			if l.src[l.pos] == '\\' {
-				r, err := l.unescape()
-				if err != nil {
-					return "", err
-				}
-				b.WriteRune(r)
-				continue
-			}
-			b.WriteByte(l.src[l.pos])
-			l.pos++
-		}
+		delim = 3
 	}
-	l.pos++ // opening quote
+	long := delim == 3
+	l.pos += delim
+	start := l.pos
+	var b strings.Builder
+	escaped := false
 	for {
 		if l.pos >= len(l.src) {
+			if long {
+				return "", l.errf("unterminated long string")
+			}
 			return "", l.errf("unterminated string")
 		}
 		c := l.src[l.pos]
-		switch c {
-		case quote:
-			l.pos++
+		if long && l.tripled(quote) || !long && c == quote {
+			end := l.pos
+			l.pos += delim
+			if !escaped {
+				return l.src[start:end], nil
+			}
 			return b.String(), nil
+		}
+		switch c {
 		case '\\':
+			if !escaped {
+				b.WriteString(l.src[start:l.pos])
+				escaped = true
+			}
 			r, err := l.unescape()
 			if err != nil {
 				return "", err
 			}
 			b.WriteRune(r)
+			continue
 		case '\n':
-			return "", l.errf("newline in string")
-		default:
-			b.WriteByte(c)
-			l.pos++
+			if !long {
+				return "", l.errf("newline in string")
+			}
+			l.line++
 		}
+		if escaped {
+			b.WriteByte(c)
+		}
+		l.pos++
 	}
 }
 

@@ -51,16 +51,16 @@ func tripleKeyStr(tr rdf.Triple) string {
 }
 
 // cumulative[k] is the triple set after the first k batches.
-func cumulativeSets() []map[string]bool {
-	sets := make([]map[string]bool, crashBatches+1)
-	sets[0] = map[string]bool{}
+func cumulativeSets() []map[string]rdf.Triple {
+	sets := make([]map[string]rdf.Triple, crashBatches+1)
+	sets[0] = map[string]rdf.Triple{}
 	for i := 0; i < crashBatches; i++ {
-		next := map[string]bool{}
-		for k := range sets[i] {
-			next[k] = true
+		next := map[string]rdf.Triple{}
+		for k, tr := range sets[i] {
+			next[k] = tr
 		}
 		for _, tr := range crashBatch(i) {
-			next[tripleKeyStr(tr)] = true
+			next[tripleKeyStr(tr)] = tr
 		}
 		sets[i+1] = next
 	}
@@ -136,7 +136,7 @@ func copyDir(t *testing.T, src string) string {
 // checkRecovered opens the truncated copy and verifies the prefix
 // property plus full internal consistency, returning the number of
 // batches the store recovered to.
-func checkRecovered(t *testing.T, dir string, sets []map[string]bool) int {
+func checkRecovered(t *testing.T, dir string, sets []map[string]rdf.Triple) int {
 	t.Helper()
 	ds, err := disk.Open(dir, disk.Options{})
 	if err != nil {
@@ -219,6 +219,32 @@ func checkRecovered(t *testing.T, dir string, sets []map[string]bool) int {
 	for p, n := range predCount {
 		if got := r.CardinalityIDs(store.IDPattern{P: p}); got != n {
 			t.Fatalf("CardinalityIDs(? %d ?) = %d, keys say %d", p, got, n)
+		}
+	}
+
+	// Every class the batches ever typed counts as the model does after
+	// k batches: 0 once its last instance is deleted or retyped.
+	classCount := map[rdf.Term]int{}
+	for _, set := range sets {
+		for _, tr := range set {
+			if tr.P == rdfType {
+				classCount[tr.O] = 0
+			}
+		}
+	}
+	for _, tr := range sets[k] {
+		if tr.P == rdfType {
+			classCount[tr.O]++
+		}
+	}
+	typ := r.Lookup(rdfType)
+	for c, n := range classCount {
+		got := 0
+		if id := r.Lookup(c); typ != store.NoID && id != store.NoID {
+			got = r.CardinalityIDs(store.IDPattern{P: typ, O: id})
+		}
+		if got != n {
+			t.Fatalf("CardinalityIDs(? rdf:type %s) = %d, the model says %d", c, got, n)
 		}
 	}
 

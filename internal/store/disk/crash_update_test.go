@@ -52,20 +52,20 @@ func updateBatch(i int) (dels, ins []rdf.Triple) {
 }
 
 // updateSets[k] is the triple set after the first k update batches.
-func updateSets() []map[string]bool {
-	sets := make([]map[string]bool, updateBatches+1)
-	sets[0] = map[string]bool{}
+func updateSets() []map[string]rdf.Triple {
+	sets := make([]map[string]rdf.Triple, updateBatches+1)
+	sets[0] = map[string]rdf.Triple{}
 	for i := 0; i < updateBatches; i++ {
-		next := map[string]bool{}
-		for k := range sets[i] {
-			next[k] = true
+		next := map[string]rdf.Triple{}
+		for k, tr := range sets[i] {
+			next[k] = tr
 		}
 		dels, ins := updateBatch(i)
 		for _, tr := range dels {
 			delete(next, tripleKeyStr(tr))
 		}
 		for _, tr := range ins {
-			next[tripleKeyStr(tr)] = true
+			next[tripleKeyStr(tr)] = tr
 		}
 		sets[i+1] = next
 	}

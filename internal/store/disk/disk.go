@@ -20,11 +20,23 @@ type Options struct {
 // meta is the store-level bookkeeping committed atomically with every
 // batch (same WAL record), so a recovered store's counters always agree
 // with its keys.
+//
+// ClassCount is the number of (?, rdf:type, C) triples per class C in
+// use, and TypeID rdf:type's ID (NoID while the dictionary lacks it): the
+// planner's count of every `?s a <C>` pattern. A record written before
+// the class counts were kept has no class_count and decodes with a nil
+// map, which is not an empty one: readers of such a commit count the key
+// range, and the writer rebuilds the counts once (countClasses).
 type meta struct {
-	Len       int              `json:"len"`
-	MaxID     store.ID         `json:"max_id"`
-	PredCount map[store.ID]int `json:"pred_count"`
+	Len        int              `json:"len"`
+	MaxID      store.ID         `json:"max_id"`
+	PredCount  map[store.ID]int `json:"pred_count"`
+	TypeID     store.ID         `json:"type_id,omitempty"`
+	ClassCount map[store.ID]int `json:"class_count"`
 }
+
+// typeTerm is rdf:type, the predicate whose objects meta counts.
+var typeTerm = rdf.NewIRI(rdf.RDFType)
 
 // Store is a disk-backed triple store implementing store.Backend.
 // Inserts and deletes accumulate in a pending batch and commit as one
@@ -156,6 +168,9 @@ func (s *Store) insertIDsLocked(si, pi, oi store.ID) (bool, error) {
 	s.batch.Put(permKey(kOSP, oi, si, pi), nil)
 	s.meta.Len++
 	s.meta.PredCount[pi]++
+	if pi == s.meta.TypeID {
+		s.meta.ClassCount[oi]++
+	}
 	s.dirtyMeta = true
 	if s.batch.Len() >= maxBatchOps {
 		if err := s.flushLocked(); err != nil {
@@ -220,10 +235,9 @@ func (s *Store) deleteIDsLocked(si, pi, oi store.ID) (bool, error) {
 	s.batch.Delete(permKey(kPOS, pi, oi, si))
 	s.batch.Delete(permKey(kOSP, oi, si, pi))
 	s.meta.Len--
-	if n := s.meta.PredCount[pi] - 1; n <= 0 {
-		delete(s.meta.PredCount, pi) // meta names only predicates in use
-	} else {
-		s.meta.PredCount[pi] = n
+	decrement(s.meta.PredCount, pi)
+	if pi == s.meta.TypeID {
+		decrement(s.meta.ClassCount, oi)
 	}
 	s.dirtyMeta = true
 	if s.batch.Len() >= maxBatchOps {
@@ -232,6 +246,15 @@ func (s *Store) deleteIDsLocked(si, pi, oi store.ID) (bool, error) {
 		}
 	}
 	return true, nil
+}
+
+// decrement lowers counts[id] by one; meta names only IDs in use.
+func decrement(counts map[store.ID]int, id store.ID) {
+	if n := counts[id] - 1; n <= 0 {
+		delete(counts, id)
+	} else {
+		counts[id] = n
+	}
 }
 
 // internLocked returns the ID for term t, assigning (and staging the
@@ -249,6 +272,9 @@ func (s *Store) internLocked(t rdf.Term) (store.ID, error) {
 	s.meta.MaxID++
 	id = s.meta.MaxID
 	s.pendingDict[t] = id
+	if t == typeTerm {
+		s.meta.TypeID = id
+	}
 	s.batch.Put(termKey(id), enc)
 	dk, hashed := dictKey(enc)
 	if !hashed {
@@ -330,7 +356,32 @@ func (s *Store) reloadMeta() error {
 	if s.meta.PredCount == nil {
 		s.meta.PredCount = make(map[store.ID]int)
 	}
+	if s.meta.ClassCount == nil {
+		if err := s.countClasses(); err != nil {
+			return fmt.Errorf("disk: counting classes: %w", err)
+		}
+	}
 	return nil
+}
+
+// countClasses fills in the working meta's class counts from the
+// committed keys: one walk of pos[rdf:type], for a record that predates
+// them (or none). The next commit carries them; until then readers count
+// the key range as that record's writer did.
+func (s *Store) countClasses() error {
+	m := &s.meta
+	m.ClassCount = make(map[store.ID]int)
+	r := s.snapshotReader()
+	defer r.Release()
+	if m.TypeID = r.Lookup(typeTerm); m.TypeID == store.NoID {
+		return nil
+	}
+	return r.Runs(store.IDPattern{P: m.TypeID}, func(rn store.Run) bool {
+		for i, class := range rn.Keys {
+			m.ClassCount[class] += len(rn.List(i)) // a cut leaf splits a list
+		}
+		return true
+	})
 }
 
 // Len returns the number of triples, including pending inserts.

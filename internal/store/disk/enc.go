@@ -7,7 +7,8 @@
 // uint32 so lexicographic key order is ID order):
 //
 //	'm'                      → meta JSON (triple count, max ID,
-//	                           per-predicate counts)
+//	                           per-predicate counts, rdf:type's ID and
+//	                           per-class counts)
 //	't' + id                 → encoded term (the forward dictionary)
 //	'd' + encoded term       → id, for encodings ≤ 64 bytes (inline keys)
 //	'h' + fnv64a(encoding)   → id list, for longer terms (hashed keys;

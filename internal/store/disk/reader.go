@@ -240,8 +240,8 @@ func (r *Reader) MatchIDs(pat store.IDPattern, fn func(s, p, o store.ID) bool) b
 }
 
 // CardinalityIDs returns the exact number of matching triples. The
-// all-wildcard and predicate-only shapes are O(1) from meta; the rest
-// count one bounded key range.
+// all-wildcard, predicate-only and (rdf:type, class) shapes are O(1)
+// from meta; the rest count one bounded key range.
 func (r *Reader) CardinalityIDs(pat store.IDPattern) int {
 	si, pi, oi := pat.S, pat.P, pat.O
 	count := func(t byte, ids ...store.ID) (n int) {
@@ -257,6 +257,9 @@ func (r *Reader) CardinalityIDs(pat store.IDPattern) int {
 	case si != store.NoID && pi != store.NoID:
 		return count(kSPO, si, pi)
 	case pi != store.NoID && oi != store.NoID:
+		if pi == r.meta.TypeID && r.meta.ClassCount != nil {
+			return r.meta.ClassCount[oi]
+		}
 		return count(kPOS, pi, oi)
 	case si != store.NoID && oi != store.NoID:
 		return count(kOSP, oi, si)

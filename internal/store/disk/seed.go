@@ -108,9 +108,17 @@ func (s *Store) emptyLocked() bool {
 // survey walks the source's OSP permutation once and returns the meta
 // record its triples imply.
 func survey(src store.ReaderAPI) (*meta, error) {
-	m := &meta{MaxID: src.MaxID(), PredCount: make(map[store.ID]int)}
-	err := walk(src, kOSP, func(_, p, _ store.ID) error {
+	m := &meta{
+		MaxID:      src.MaxID(),
+		PredCount:  make(map[store.ID]int),
+		TypeID:     src.Lookup(typeTerm),
+		ClassCount: make(map[store.ID]int),
+	}
+	err := walk(src, kOSP, func(_, p, o store.ID) error {
 		m.PredCount[p]++
+		if p == m.TypeID {
+			m.ClassCount[o]++
+		}
 		m.Len++
 		return nil
 	})
