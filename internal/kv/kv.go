@@ -99,6 +99,7 @@ type Stats struct {
 
 	Seeks        uint64 // times a merged cursor's Seek asked one of its children to position itself
 	SeeksInPlace uint64 // of those, answered without moving: the child already stood at or past the target
+	Gets         uint64 // point reads through DB.Get
 }
 
 // state is what readers see: replaced whole, never modified.
@@ -249,21 +250,21 @@ func (db *DB) Apply(b *Batch) error {
 	if len(b.ops) == 0 {
 		return nil
 	}
-	payload := encodeBatch(b)
+	frame := encodeBatch(b)
 	ops := sortedOps(b.ops)
 	db.wmu.Lock()
 	defer db.wmu.Unlock()
 	if db.closed {
 		return errClosed
 	}
-	if err := db.wal.append(payload, !db.opts.NoSync); err != nil {
+	if err := db.wal.append(frame, !db.opts.NoSync); err != nil {
 		return err
 	}
 	mem := db.st.mem.apply(ops)
 	db.mu.Lock()
 	db.st = &state{mem: mem, segs: db.st.segs}
 	db.stats.WALAppends++
-	db.stats.WALBytes += uint64(len(payload))
+	db.stats.WALBytes += uint64(len(frame) - walFrameHeader)
 	db.mu.Unlock()
 	if mem.bytes >= db.opts.MemtableBytes {
 		return db.flushLocked()
@@ -306,6 +307,7 @@ func (st *state) get(key string) ([]byte, bool) {
 // immutable memory — the memtable or a segment block — and is
 // read-only; it may be kept, and keeps that block alive while it is.
 func (db *DB) Get(key string) ([]byte, bool) {
+	db.reads.gets.Add(1)
 	st := db.pin()
 	defer releaseAll(st.segs)
 	return st.get(key)
@@ -641,6 +643,7 @@ func (db *DB) Stats() Stats {
 	st.ReadErrors = db.reads.readErrors.Load()
 	st.Seeks = db.reads.seeks.Load()
 	st.SeeksInPlace = db.reads.seeksInPlace.Load()
+	st.Gets = db.reads.gets.Load()
 	return st
 }
 
@@ -705,15 +708,18 @@ func PrefixEnd(prefix string) string {
 
 // --- batch encoding (shared by WAL records and replay) ---
 
+// encodeBatch returns b's WAL record: walFrameHeader bytes that
+// wal.append fills in, then the payload, in one allocation of its final
+// length.
 func encodeBatch(b *Batch) []byte {
-	n := uvarintLen(len(b.ops))
+	n := walFrameHeader + uvarintLen(len(b.ops))
 	for _, o := range b.ops {
 		n += 1 + uvarintLen(len(o.k)) + len(o.k)
 		if !o.del {
 			n += uvarintLen(len(o.v)) + len(o.v)
 		}
 	}
-	buf := make([]byte, 0, n)
+	buf := make([]byte, walFrameHeader, n)
 	buf = binary.AppendUvarint(buf, uint64(len(b.ops)))
 	for _, o := range b.ops {
 		if o.del {

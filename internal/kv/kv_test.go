@@ -1,6 +1,7 @@
 package kv
 
 import (
+	"bytes"
 	"fmt"
 	"maps"
 	"math/rand"
@@ -733,8 +734,8 @@ func TestSnapshotSurvivesFlushAndCompaction(t *testing.T) {
 	}
 }
 
-// TestEncodeBatchSizesOnce: a batch's WAL payload is allocated once, at
-// its final length, and decodes to the batch's ops. Key lengths, value
+// TestEncodeBatchSizesOnce: a batch's WAL record is allocated once, at
+// its final length, and its payload decodes to the batch's ops. Key lengths, value
 // lengths and the op count straddle a one-byte uvarint.
 func TestEncodeBatchSizesOnce(t *testing.T) {
 	b := &Batch{}
@@ -747,9 +748,9 @@ func TestEncodeBatchSizesOnce(t *testing.T) {
 	}
 	p := encodeBatch(b)
 	if len(p) != cap(p) {
-		t.Fatalf("payload of %d bytes in a buffer of %d", len(p), cap(p))
+		t.Fatalf("record of %d bytes in a buffer of %d", len(p), cap(p))
 	}
-	got, err := decodeBatch(p)
+	got, err := decodeBatch(p[walFrameHeader:])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -760,5 +761,38 @@ func TestEncodeBatchSizesOnce(t *testing.T) {
 	}
 	if len(got.ops) != len(b.ops) {
 		t.Fatalf("%d ops decoded, want %d", len(got.ops), len(b.ops))
+	}
+}
+
+// TestApplyAllocatesItsWALRecordOnce: Apply encodes a batch into its WAL
+// record and writes that buffer, header and all, so a batch's bytes are
+// allocated once on their way to the log. Copying the payload into a
+// frame of its own took twice the batch's size. The record on disk is
+// the same: it replays to the batch.
+func TestApplyAllocatesItsWALRecordOnce(t *testing.T) {
+	const size = 1 << 20
+	dir := t.TempDir()
+	db := openT(t, dir, Options{NoSync: true})
+	b := &Batch{}
+	b.Put("big", bytes.Repeat([]byte{'v'}, size))
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	if err := db.Apply(b); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&m1)
+	if alloc := m1.TotalAlloc - m0.TotalAlloc; alloc > size*5/4 {
+		t.Errorf("applying a %d-byte value allocated %d bytes: its WAL bytes more than once", size, alloc)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db = openT(t, dir, Options{NoSync: true})
+	defer db.Close()
+	if v, ok := db.Get("big"); !ok || len(v) != size {
+		t.Fatalf("after replay: %d bytes (%v), want %d", len(v), ok, size)
+	}
+	if st := db.Stats(); st.WALReplayed != 1 {
+		t.Fatalf("replayed %d WAL records, want 1", st.WALReplayed)
 	}
 }

@@ -77,6 +77,7 @@ type readCounters struct {
 	readErrors   atomic.Uint64
 	seeks        atomic.Uint64 // child seeks the DB's merged cursors attempted
 	seeksInPlace atomic.Uint64 // and answered without moving
+	gets         atomic.Uint64 // point reads through DB.Get
 }
 
 type segment struct {

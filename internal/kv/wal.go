@@ -68,12 +68,13 @@ func openWAL(path string) (*wal, [][]byte, error) {
 	return &wal{f: f, path: path, size: good}, payloads, nil
 }
 
-// append writes one framed record, fsyncing when sync is set.
-func (w *wal) append(payload []byte, sync bool) error {
-	frame := make([]byte, walFrameHeader+len(payload))
+// append writes one record, fsyncing when sync is set. The frame is the
+// payload behind walFrameHeader bytes that append fills in, so the
+// payload is written where it was encoded.
+func (w *wal) append(frame []byte, sync bool) error {
+	payload := frame[walFrameHeader:]
 	binary.BigEndian.PutUint32(frame[0:4], uint32(len(payload)))
 	binary.BigEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
-	copy(frame[walFrameHeader:], payload)
 	if _, err := w.f.Write(frame); err != nil {
 		return err
 	}

@@ -70,13 +70,43 @@ type lexer struct {
 	toks []token
 }
 
+// minTokens is the most a lex starts its token array with: room for the
+// short query most requests are (a point lookup is 10 tokens, EOF
+// included). A source shorter than that starts with room for a token
+// every two bytes and EOF.
+const minTokens = 16
+
+// sampleTokens is how many tokens push lexes before it sizes the array
+// from their density.
+const sampleTokens = 4 * minTokens
+
 func lex(src string) ([]token, error) {
-	l := &lexer{src: src, line: 1}
+	l := &lexer{src: src, line: 1, toks: make([]token, 0, min(len(src)/2+2, minTokens))}
 	if err := l.run(); err != nil {
 		return nil, err
 	}
-	l.toks = append(l.toks, token{kind: tokEOF, line: l.line})
+	l.push(token{kind: tokEOF, line: l.line})
 	return l.toks, nil
+}
+
+// push appends a token. A full array doubles; once it holds sampleTokens,
+// it grows instead to what the rest of the source needs at the density
+// lexed so far, an eighth over. A bulk INSERT DATA, the same triple shape
+// over and over, thus takes two doublings and one growth to its final
+// size, where doubling from nil took fourteen; its first few triples are
+// sampled, not its first one, which may be shorter than the rest.
+func (l *lexer) push(t token) {
+	if len(l.toks) == cap(l.toks) {
+		n := len(l.toks)
+		c := 2 * n
+		if n >= sampleTokens {
+			c = max(c, n*len(l.src)/max(l.pos, 1)*9/8+1)
+		}
+		toks := make([]token, n, c)
+		copy(toks, l.toks)
+		l.toks = toks
+	}
+	l.toks = append(l.toks, t)
 }
 
 func (l *lexer) errf(format string, args ...any) error {
@@ -84,7 +114,7 @@ func (l *lexer) errf(format string, args ...any) error {
 }
 
 func (l *lexer) emit(k tokenKind, text string) {
-	l.toks = append(l.toks, token{kind: k, text: text, line: l.line})
+	l.push(token{kind: k, text: text, line: l.line})
 }
 
 func (l *lexer) run() error {
@@ -308,7 +338,7 @@ func (l *lexer) lexNumber(negative bool) {
 	if negative {
 		text = "-" + text
 	}
-	l.toks = append(l.toks, token{kind: tokNumber, text: text, numKind: kind, line: l.line})
+	l.push(token{kind: tokNumber, text: text, numKind: kind, line: l.line})
 }
 
 func (l *lexer) lexWord() {
@@ -322,11 +352,11 @@ func (l *lexer) lexWord() {
 		l.lexPNameLocal(word)
 		return
 	}
-	upper := strings.ToUpper(word)
 	if word == "a" {
 		l.emit(tokA, "a")
 		return
 	}
+	upper := strings.ToUpper(word)
 	if keywords[upper] {
 		l.emit(tokKeyword, upper)
 		return
@@ -367,7 +397,7 @@ func (l *lexer) lexPunct() error {
 	c := l.src[l.pos]
 	switch c {
 	case '{', '}', '(', ')', '.', ';', ',', '*', '/', '+', '-', '=', '>', '!', '[', ']':
-		l.emit(tokPunct, string(c))
+		l.emit(tokPunct, l.src[l.pos:l.pos+1]) // a substring: string(c) allocates
 		l.pos++
 		return nil
 	}

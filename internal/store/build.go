@@ -32,8 +32,14 @@ type Builder struct {
 	subjID ID
 }
 
-// NewBuilder returns a builder of an empty store.
-func NewBuilder() *Builder { return &Builder{s: New()} }
+// NewBuilder returns a builder of an empty store. The store keeps each
+// new term's hash until Store, so the dictionary grows without hashing a
+// term twice.
+func NewBuilder() *Builder {
+	s := New()
+	s.hashes = []uint64{}
+	return &Builder{s: s}
+}
 
 // Add records a triple. Its terms are interned in the order Store.Add
 // interns them (subject, predicate, object, the first time each is seen),
@@ -55,6 +61,7 @@ func (b *Builder) AddSPO(sub, pred, obj rdf.Term) { b.Add(rdf.Triple{S: sub, P: 
 func (b *Builder) Store() *Store {
 	s, ts := b.s, b.ts
 	*b = Builder{}
+	s.hashes = nil
 	width := bits.Len32(uint32(len(s.work.terms)))
 	tmp := make([][3]ID, len(ts))
 	// SPO: sort on o, then p, then s (least significant first); duplicates
@@ -63,18 +70,26 @@ func (b *Builder) Store() *Store {
 	ts, tmp = radixSort(ts, tmp, PosP, width)
 	ts, tmp = radixSort(ts, tmp, PosS, width)
 	ts = slices.Compact(ts)
-	tmp = tmp[:len(ts)]
+	n := len(ts)
+	// SPO's order is sorted on s, then p, then o: a stable sort of it on o
+	// leaves OSP's (o, s, p), and on o then p, POS's (p, o, s). OSP, whose
+	// many small first keys make it the slowest to pack, sorts a copy and
+	// packs on a goroutine of its own, beside SPO's pack and POS's sort
+	// and pack.
+	osp := tmp[:n]
+	copy(osp, ts)
+	ospDone := make(chan index)
+	go func() {
+		osp, _ := radixSort(osp, make([][3]ID, n), PosO, width)
+		ospDone <- packIndex(s.epoch, osp, PosO, PosS, PosP)
+	}()
 	w := &s.work
-	w.n = len(ts)
+	w.n = n
 	w.spo = packIndex(s.epoch, ts, PosS, PosP, PosO)
-	// An order sorted on s is what a sort on s would leave, so POS needs
-	// only o then p, and OSP, from POS's order, only s then o.
-	ts, tmp = radixSort(ts, tmp, PosO, width)
-	ts, tmp = radixSort(ts, tmp, PosP, width)
+	ts, tmp = radixSort(ts, make([][3]ID, n), PosO, width)
+	ts, _ = radixSort(ts, tmp, PosP, width)
 	w.pos = packIndex(s.epoch, ts, PosP, PosO, PosS)
-	ts, tmp = radixSort(ts, tmp, PosS, width)
-	ts, _ = radixSort(ts, tmp, PosO, width)
-	w.osp = packIndex(s.epoch, ts, PosO, PosS, PosP)
+	w.osp = <-ospDone
 	s.dirty.Store(true)
 	s.Flush()
 	return s
@@ -82,31 +97,47 @@ func (b *Builder) Store() *Store {
 
 // radixSort sorts ts stably on position k, whose IDs fit in width bits,
 // a byte at a time, through tmp (as long as ts). It returns the sorted
-// slice and the other buffer, which are ts and tmp in some order. A byte
-// every triple shares takes no pass.
+// slice and the other buffer, which are ts and tmp in some order. One
+// pass counts every byte of the key, and a byte every triple shares takes
+// no pass of its own.
 func radixSort(ts, tmp [][3]ID, k Pos, width int) ([][3]ID, [][3]ID) {
+	if sortHook != nil {
+		sortHook()
+	}
+	if len(ts) == 0 {
+		return ts, tmp
+	}
+	var count [4][256]int
+	for _, t := range ts {
+		v := t[k]
+		count[0][byte(v)]++
+		count[1][byte(v>>8)]++
+		count[2][byte(v>>16)]++
+		count[3][byte(v>>24)]++
+	}
 	for shift := 0; shift < width; shift += 8 {
-		var count [256]int
-		for _, t := range ts {
-			count[byte(t[k]>>shift)]++
-		}
-		if len(ts) == 0 || count[byte(ts[0][k]>>shift)] == len(ts) {
+		c := &count[shift/8]
+		if c[byte(ts[0][k]>>shift)] == len(ts) {
 			continue
 		}
 		at := 0
-		for d, n := range count {
-			count[d] = at
+		for d, n := range c {
+			c[d] = at
 			at += n
 		}
 		for _, t := range ts {
 			d := byte(t[k] >> shift)
-			tmp[count[d]] = t
-			count[d]++
+			tmp[c[d]] = t
+			c[d]++
 		}
 		ts, tmp = tmp, ts
 	}
 	return ts, tmp
 }
+
+// sortHook, when set, is called on every component sort; tests count
+// sorts with it.
+var sortHook func()
 
 // packIndex builds the permutation (a, b, c) from triples sorted on a,
 // then b, then c, with no two alike. Everything it allocates is stamped

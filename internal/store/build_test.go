@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"maps"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/rdf"
@@ -122,6 +123,25 @@ func checkPacked(t *testing.T, r *Reader) {
 			return true
 		})
 	}
+}
+
+// TestBuildSortsSixTimes: SPO takes a sort on each component; POS and
+// OSP start from SPO's order, so POS takes two more (o, then p) and OSP
+// one (o). Sorting OSP from POS's order, as the build once did, took
+// seven.
+func TestBuildSortsSixTimes(t *testing.T) {
+	b := NewBuilder()
+	for _, tr := range builtCorpus(rand.New(rand.NewSource(43))) {
+		b.Add(tr)
+	}
+	var n atomic.Int64
+	sortHook = func() { n.Add(1) }
+	s := b.Store()
+	sortHook = nil
+	if n.Load() != 6 {
+		t.Errorf("a build made %d component sorts; want 6", n.Load())
+	}
+	checkPacked(t, s.Reader())
 }
 
 // The empty build is an empty store that takes writes.

@@ -62,6 +62,9 @@ type Store struct {
 	// meta is the writer's working copy: committed state plus the
 	// pending batch's effect. Readers use committed instead.
 	meta meta
+	// committedMax is the last commit's MaxID. An ID above it was minted
+	// by the pending batch, so no committed key holds it.
+	committedMax store.ID
 
 	// Pending state since the last flush. pendingDict doubles as a
 	// per-batch lookup cache for committed terms.
@@ -69,7 +72,7 @@ type Store struct {
 	pendingDict    map[rdf.Term]store.ID
 	pendingTriples map[[3]store.ID]bool
 	pendingDeletes map[[3]store.ID]bool
-	pendingHash    map[uint64][]store.ID
+	pendingHash    map[string][]store.ID // by hashed dictionary key
 	dirtyMeta      bool
 
 	// committed caches the decoded form of the newest meta record a
@@ -123,7 +126,7 @@ func (s *Store) resetPending() {
 	s.pendingDict = make(map[rdf.Term]store.ID)
 	s.pendingTriples = make(map[[3]store.ID]bool)
 	s.pendingDeletes = make(map[[3]store.ID]bool)
-	s.pendingHash = make(map[uint64][]store.ID)
+	s.pendingHash = make(map[string][]store.ID)
 	s.dirtyMeta = false
 }
 
@@ -159,8 +162,10 @@ func (s *Store) insertIDsLocked(si, pi, oi store.ID) (bool, error) {
 		// the staged Deletes, and the KV layer applies batch ops in
 		// order, so the final state is present.
 		delete(s.pendingDeletes, key)
-	} else if _, ok := s.db.Get(permKey(kSPO, si, pi, oi)); ok {
-		return false, nil
+	} else if max(si, pi, oi) <= s.committedMax {
+		if _, ok := s.db.Get(permKey(kSPO, si, pi, oi)); ok {
+			return false, nil
+		}
 	}
 	s.pendingTriples[key] = true
 	s.batch.Put(permKey(kSPO, si, pi, oi), nil)
@@ -264,7 +269,8 @@ func (s *Store) internLocked(t rdf.Term) (store.ID, error) {
 		return id, nil
 	}
 	enc := encodeTerm(t)
-	id, bucket := lookupEnc(enc, s.db.Get)
+	dk, hashed := dictKey(enc)
+	id, bucket := lookupKey(enc, dk, hashed, s.db.Get)
 	if id != store.NoID {
 		s.pendingDict[t] = id
 		return id, nil
@@ -276,17 +282,15 @@ func (s *Store) internLocked(t rdf.Term) (store.ID, error) {
 		s.meta.TypeID = id
 	}
 	s.batch.Put(termKey(id), enc)
-	dk, hashed := dictKey(enc)
 	if !hashed {
 		s.batch.Put(dk, encodeID(id))
 	} else {
-		h := hashEnc(enc)
-		list, ok := s.pendingHash[h]
+		list, ok := s.pendingHash[dk]
 		if !ok {
-			list = decodeIDList(bucket) // committed: lookupEnc read it
+			list = decodeIDList(bucket) // committed: lookupKey read it
 		}
 		list = append(list, id)
-		s.pendingHash[h] = list
+		s.pendingHash[dk] = list
 		val := make([]byte, 0, 4*len(list))
 		for _, lid := range list {
 			val = append(val, encodeID(lid)...)
@@ -304,6 +308,12 @@ func (s *Store) internLocked(t rdf.Term) (store.ID, error) {
 // a new long term costs one read of its key, not two.
 func lookupEnc(enc []byte, get func(string) ([]byte, bool)) (id store.ID, bucket []byte) {
 	dk, hashed := dictKey(enc)
+	return lookupKey(enc, dk, hashed, get)
+}
+
+// lookupKey is lookupEnc for an encoding whose dictionary key the caller
+// has taken: an interning writer keeps the key, and hashes the term once.
+func lookupKey(enc []byte, dk string, hashed bool, get func(string) ([]byte, bool)) (id store.ID, bucket []byte) {
 	raw, ok := get(dk)
 	if !ok {
 		return store.NoID, nil
@@ -341,8 +351,10 @@ func (s *Store) flushLocked() error {
 		// The staging is gone, so the working meta must fall back to the
 		// committed one; a meta record that was committed decodes.
 		_ = s.reloadMeta()
+		return err
 	}
-	return err
+	s.committedMax = s.meta.MaxID
+	return nil
 }
 
 // reloadMeta sets the working meta to the committed one.
@@ -353,6 +365,7 @@ func (s *Store) reloadMeta() error {
 			return fmt.Errorf("disk: corrupt meta record: %w", err)
 		}
 	}
+	s.committedMax = s.meta.MaxID
 	if s.meta.PredCount == nil {
 		s.meta.PredCount = make(map[store.ID]int)
 	}

@@ -11,3 +11,14 @@ func CountProbes() func() int {
 		return n
 	}
 }
+
+// CountHashes counts the terms the dictionary hashes until the returned
+// function is called, which removes the hook and reports the count.
+func CountHashes() func() int {
+	n := 0
+	hashHook = func() { n++ }
+	return func() int {
+		hashHook = nil
+		return n
+	}
+}

@@ -55,6 +55,9 @@ type Store struct {
 	// slab is where intern copies a new term's strings: one allocation
 	// for many of them, appended to and never rewritten (see copyString).
 	slab strings.Builder
+	// hashes holds every term's dict hash, by ID, while a Builder loads
+	// (nil otherwise), so a growth re-probes without hashing a term again.
+	hashes []uint64
 
 	// mu serializes writers; it is held for one Add, Remove or Flush.
 	mu    sync.Mutex
@@ -89,9 +92,13 @@ func FromGraph(g *rdf.Graph) *Store {
 // otherwise keep reachable for the store's lifetime. A term the
 // dictionary already knows costs one probe and no copy.
 func (s *Store) intern(t rdf.Term) ID {
-	id, slot := s.dict.find(t, s.work.terms)
+	h := s.dict.hash(t)
+	id, slot := s.dict.findHashed(t, h, s.work.terms, s.hashes)
 	if id != NoID {
 		return id
+	}
+	if s.hashes != nil {
+		s.hashes = append(s.hashes, h)
 	}
 	t.Value = s.copyString(t.Value)
 	t.Datatype = s.copyString(t.Datatype)
@@ -108,7 +115,7 @@ func (s *Store) intern(t rdf.Term) ID {
 	}
 	// Over half full: the new table is built aside, from the term table,
 	// and swapped in.
-	slots := s.dict.rehash(s.work.terms, 2*len(s.dict.slots))
+	slots := s.dict.rehash(s.work.terms, s.hashes, 2*len(s.dict.slots))
 	s.dictMu.Lock()
 	s.dict.slots = slots
 	s.dictMu.Unlock()
@@ -124,15 +131,18 @@ type dict struct {
 	slots []ID // a power of two long; NoID marks an empty slot
 }
 
-// probeHook, when set, is called on every dict.find; tests count probes
-// with it.
-var probeHook func()
+// probeHook, when set, is called on every dictionary probe, and
+// hashHook on every term hashed; tests count them with these.
+var probeHook, hashHook func()
 
 func newDict() dict { return dict{seed: maphash.MakeSeed(), slots: make([]ID, 16)} }
 
 // hash mixes the kind, datatype and language tag into the value's hash, so
 // that terms which differ only in them take different slots.
 func (d *dict) hash(t rdf.Term) uint64 {
+	if hashHook != nil {
+		hashHook()
+	}
 	h := maphash.String(d.seed, t.Value) ^ uint64(t.Kind)*0x9e3779b97f4a7c15
 	if t.Datatype != "" {
 		h ^= bits.RotateLeft64(maphash.String(d.seed, t.Datatype), 21)
@@ -148,14 +158,24 @@ func (d *dict) hash(t rdf.Term) uint64 {
 // passed over, so a generation's term table filters out what it never
 // issued: a term interned later is not found.
 func (d *dict) find(t rdf.Term, terms []rdf.Term) (ID, int) {
+	return d.findHashed(t, d.hash(t), terms, nil)
+}
+
+// findHashed is find for a term whose hash h the caller has taken. Given
+// every term's hash (a Builder's load), a candidate is compared with t
+// only where their hashes agree.
+func (d *dict) findHashed(t rdf.Term, h uint64, terms []rdf.Term, hashes []uint64) (ID, int) {
 	if probeHook != nil {
 		probeHook()
 	}
 	mask := len(d.slots) - 1
-	for i := int(d.hash(t)) & mask; ; i = (i + 1) & mask {
+	for i := int(h) & mask; ; i = (i + 1) & mask {
 		id := d.slots[i]
 		if id == NoID {
 			return NoID, i
+		}
+		if hashes != nil && hashes[id-1] != h {
+			continue
 		}
 		if int(id) <= len(terms) && terms[id-1] == t {
 			return id, i
@@ -163,12 +183,20 @@ func (d *dict) find(t rdf.Term, terms []rdf.Term) (ID, int) {
 	}
 }
 
-// rehash returns a table of size slots holding every ID of terms.
-func (d *dict) rehash(terms []rdf.Term, size int) []ID {
+// rehash returns a table of size slots holding every ID of terms. It
+// takes each term's hash from hashes (one per term) when that is not nil,
+// and hashes the term again otherwise.
+func (d *dict) rehash(terms []rdf.Term, hashes []uint64, size int) []ID {
 	slots := make([]ID, size)
 	mask := size - 1
 	for k, t := range terms {
-		i := int(d.hash(t)) & mask
+		var h uint64
+		if hashes != nil {
+			h = hashes[k]
+		} else {
+			h = d.hash(t)
+		}
+		i := int(h) & mask
 		for slots[i] != NoID {
 			i = (i + 1) & mask
 		}
@@ -190,7 +218,12 @@ const (
 )
 
 // copyString returns a copy of v that shares no memory with the caller's.
+// An empty string stays nil, so an IRI's empty datatype and language tag
+// give the collector no pointer to follow.
 func (s *Store) copyString(v string) string {
+	if v == "" {
+		return ""
+	}
 	if len(v) > slabStringMax {
 		return strings.Clone(v)
 	}
